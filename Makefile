@@ -6,7 +6,7 @@ GO ?= go
 # example never requires touching this file.
 EXAMPLES := $(notdir $(wildcard examples/*))
 
-.PHONY: all build test test-race race lint bench bench-smoke bench-trend figures figures-full examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
+.PHONY: all build test test-race race lint bench benchmark figures figures-full examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
 
 all: build test
 
@@ -14,9 +14,14 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
+# benchmark/ is its own module (root ./... patterns skip it), so it is vetted
+# and tested by name: a PR that breaks the API surface it is frozen against
+# fails here, not in the pipeline that judges the PR.
 test: test-race examples-smoke
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 # Race-detector pass over the packages plus the concurrent paths of the root
 # package: the RunMany batch runner, the sharded cycle engine and the
@@ -49,21 +54,11 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# One quick pass of the per-design cycle-engine benchmarks; emits
-# bench/BENCH_<date>.json and compares against the newest earlier baseline.
-# The bitarb micro-benchmarks (bit-parallel arbitration kernels vs their
-# branchy references) run alongside and land in bench/BITARB_bench.txt so CI
-# can archive kernel-level numbers next to the whole-engine ones.
-bench-smoke:
-	$(GO) run ./cmd/dxbar-bench -quick -out bench -suffix _ci
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/bitarb | tee bench/BITARB_bench.txt
-
-# Chronological trend tables over the committed bench history: every
-# BENCH_*.json and SCALE_*.json under bench/, date-sorted, as markdown on
-# stdout. CI runs it after bench-smoke and uploads the report next to the
-# records.
-bench-trend:
-	$(GO) run ./cmd/dxbar-report -trend bench
+# The repo's benchmark (BENCHMARK.json): seven workloads, one process each,
+# end-to-end host-time metrics and an output-digest check. Records land in
+# benchmark/out/; see benchmark/README.md for -trace 1, -selfcheck and -list.
+benchmark:
+	bash benchmark/run.sh
 
 # Regenerate every figure as CSV + SVG + Markdown under results/.
 figures:

@@ -1,152 +1,78 @@
-// Command dxbar-report is the cross-run regression analytics tool: it diffs
-// two archived records — BENCH_*.json bench records, SCALE_*.json scaling
-// records, or run-ledger records (dxbar.Config.LedgerDir) — and renders
-// chronological trend tables over a directory of bench history. Output is
-// markdown, suitable for a CI artifact or a PR comment.
+// Command dxbar-report diffs two run-ledger records (dxbar.Config.LedgerDir)
+// exactly. Simulation Results are deterministic, so any delta is a real
+// behavior change; two records under the same content key with different
+// Results are flagged as a determinism break. Output is markdown, suitable
+// for a CI artifact or a PR comment.
 //
 // Usage:
 //
-//	dxbar-report old.json new.json    # diff two records (kinds sniffed;
-//	                                  # bench↔bench, scale↔scale, ledger↔ledger)
-//	dxbar-report -diff-latest bench/  # diff the two newest BENCH records
-//	dxbar-report -trend bench/        # BENCH + SCALE trend tables
-//	dxbar-report -noise 10 a b        # widen the wall-clock noise band to 10%
-//	dxbar-report -out report.md ...   # write to a file instead of stdout
+//	dxbar-report old.json new.json            # exact Result diff
+//	dxbar-report -out report.md old.json new.json
 //
-// Bench diffs classify wall-clock movement against the noise threshold;
-// ledger-record diffs are exact (simulation Results are deterministic, so
-// any delta is a real behavior change). The exit status is 0 even when
-// regressions are found — the report is evidence, the reader is the gate;
-// pass -fail-on-regression to gate CI on a clean bench diff instead.
+// The exit status is 0 whenever the diff could be made — the report is
+// evidence, the reader is the gate — and 1 when a file is missing, truncated
+// or not a run-ledger record. Host-time questions ("how fast is the
+// simulator") belong to `bash benchmark/run.sh`, not to this tool.
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"dxbar/internal/report"
 	"dxbar/internal/runstore"
 )
 
 func main() {
-	var (
-		trendDir   = flag.String("trend", "", "render trend tables over the BENCH_*.json / SCALE_*.json records in this directory")
-		diffLatest = flag.String("diff-latest", "", "diff the two newest BENCH_*.json records in this directory")
-		noise      = flag.Float64("noise", report.DefaultNoisePct, "wall-clock noise threshold in percent for bench diffs")
-		outPath    = flag.String("out", "", "write the markdown report to this file (default stdout)")
-		failRegr   = flag.Bool("fail-on-regression", false, "exit 1 when a bench diff finds a regression beyond the noise threshold")
-	)
-	flag.Parse()
-
-	out := io.Writer(os.Stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-
-	regressions := 0
-	switch {
-	case *trendDir != "":
-		if err := writeTrend(out, *trendDir); err != nil {
-			fatal(err)
-		}
-	case *diffLatest != "":
-		n, err := diffLatestBench(out, *diffLatest, *noise)
-		if err != nil {
-			fatal(err)
-		}
-		regressions = n
-	case flag.NArg() == 2:
-		n, err := diffPaths(out, flag.Arg(0), flag.Arg(1), *noise)
-		if err != nil {
-			fatal(err)
-		}
-		regressions = n
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *failRegr && regressions > 0 {
-		fmt.Fprintf(os.Stderr, "dxbar-report: %d regression(s) beyond the noise threshold\n", regressions)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dxbar-report:", err)
-	os.Exit(1)
-}
+// run is main with its process edges injected: the exit status is the return
+// value and both streams are parameters.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dxbar-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: dxbar-report [-out report.md] old.json new.json")
+		fs.PrintDefaults()
+	}
+	outPath := fs.String("out", "", "write the markdown report to this file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
 
-// diffPaths sniffs the two records' kinds and runs the matching diff,
-// returning the number of classified regressions (bench diffs only; ledger
-// diffs report changes without classifying).
-func diffPaths(w io.Writer, oldPath, newPath string, noise float64) (int, error) {
-	oldB, err := os.ReadFile(oldPath)
-	if err != nil {
-		return 0, err
-	}
-	newB, err := os.ReadFile(newPath)
-	if err != nil {
-		return 0, err
-	}
-	oldKind, newKind := report.RecordKind(oldB), report.RecordKind(newB)
-	if oldKind == "" || newKind == "" {
-		return 0, fmt.Errorf("unrecognized record (%s: %q, %s: %q); expected bench, scale, or ledger JSON",
-			oldPath, oldKind, newPath, newKind)
-	}
-	if oldKind != newKind {
-		return 0, fmt.Errorf("cannot diff a %s record against a %s record", oldKind, newKind)
-	}
-	switch oldKind {
-	case "bench":
-		oldR, err := report.ParseBenchRecord(oldB)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", oldPath, err)
+	var md bytes.Buffer
+	err := diffLedger(&md, fs.Arg(0), fs.Arg(1))
+	if err == nil {
+		if *outPath != "" {
+			err = os.WriteFile(*outPath, md.Bytes(), 0o644)
+		} else {
+			_, err = stdout.Write(md.Bytes())
 		}
-		newR, err := report.ParseBenchRecord(newB)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", newPath, err)
-		}
-		oldR.Path, newR.Path = oldPath, newPath
-		d := report.DiffBench(oldR, newR, noise)
-		return d.Regressions(), d.WriteMarkdown(w)
-	case "scale":
-		return 0, diffScale(w, oldB, newB, oldPath, newPath)
-	default: // ledger
-		return 0, diffLedger(w, oldB, newB, oldPath, newPath)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "dxbar-report:", err)
+		return 1
+	}
+	return 0
 }
 
 // diffLedger compares two run-ledger records exactly.
-func diffLedger(w io.Writer, oldB, newB []byte, oldPath, newPath string) error {
-	oldRec, newRec := new(runstore.Record), new(runstore.Record)
-	if err := json.Unmarshal(oldB, oldRec); err != nil {
-		return fmt.Errorf("%s: %w", oldPath, err)
-	}
-	if err := json.Unmarshal(newB, newRec); err != nil {
-		return fmt.Errorf("%s: %w", newPath, err)
-	}
-	for path, rec := range map[string]*runstore.Record{oldPath: oldRec, newPath: newRec} {
-		if rec.Kind != runstore.KindRun {
-			return fmt.Errorf("%s: ledger record kind %q is not a simulation run", path, rec.Kind)
-		}
-	}
-	oldM, err := report.FlattenResultMetrics(oldRec.Result)
+func diffLedger(w io.Writer, oldPath, newPath string) error {
+	oldRec, oldM, err := loadRun(oldPath)
 	if err != nil {
-		return fmt.Errorf("%s: %w", oldPath, err)
+		return err
 	}
-	newM, err := report.FlattenResultMetrics(newRec.Result)
+	newRec, newM, err := loadRun(newPath)
 	if err != nil {
-		return fmt.Errorf("%s: %w", newPath, err)
+		return err
 	}
 	d := report.DiffRun(shortKey(oldRec.Key), shortKey(newRec.Key), oldM, newM)
 	if err := d.WriteMarkdown(w); err != nil {
@@ -162,104 +88,26 @@ func diffLedger(w io.Writer, oldB, newB []byte, oldPath, newPath string) error {
 	return nil
 }
 
+// loadRun reads one ledger record of a simulation run and flattens its
+// Result's numeric scalars.
+func loadRun(path string) (*runstore.Record, map[string]float64, error) {
+	rec, err := runstore.LoadRecord(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w (expected a run-ledger record, run-<key>.json)", err)
+	}
+	if rec.Kind != runstore.KindRun {
+		return nil, nil, fmt.Errorf("%s: ledger record kind %q is not a simulation run", path, rec.Kind)
+	}
+	m, err := report.FlattenResultMetrics(rec.Result)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rec, m, nil
+}
+
 func shortKey(k string) string {
 	if len(k) > 12 {
 		return k[:12]
 	}
 	return k
-}
-
-// diffScale renders both scale records' points side by side as a trend
-// table (two records make a two-row-per-mesh trend).
-func diffScale(w io.Writer, oldB, newB []byte, oldPath, newPath string) error {
-	oldR, err := report.ParseScaleRecord(oldB)
-	if err != nil {
-		return fmt.Errorf("%s: %w", oldPath, err)
-	}
-	newR, err := report.ParseScaleRecord(newB)
-	if err != nil {
-		return fmt.Errorf("%s: %w", newPath, err)
-	}
-	oldR.Path, newR.Path = oldPath, newPath
-	fmt.Fprintf(w, "## Scale diff: %s → %s\n\n", oldR.Date, newR.Date)
-	return report.WriteTableMarkdown(w, report.ScaleTrendTable([]*report.ScaleRecord{oldR, newR}))
-}
-
-// diffLatestBench diffs the two newest bench records in dir (by the date
-// stamp inside the record, not the filename).
-func diffLatestBench(w io.Writer, dir string, noise float64) (int, error) {
-	recs, err := loadBenchRecords(dir)
-	if err != nil {
-		return 0, err
-	}
-	if len(recs) < 2 {
-		return 0, fmt.Errorf("%s holds %d bench record(s); need two to diff", dir, len(recs))
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Date < recs[j].Date })
-	d := report.DiffBench(recs[len(recs)-2], recs[len(recs)-1], noise)
-	return d.Regressions(), d.WriteMarkdown(w)
-}
-
-// writeTrend renders the chronological BENCH and SCALE trend tables for a
-// bench-history directory.
-func writeTrend(w io.Writer, dir string) error {
-	benches, err := loadBenchRecords(dir)
-	if err != nil {
-		return err
-	}
-	scalePaths, err := filepath.Glob(filepath.Join(dir, "SCALE_*.json"))
-	if err != nil {
-		return err
-	}
-	var scales []*report.ScaleRecord
-	for _, p := range scalePaths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		r, err := report.ParseScaleRecord(b)
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		r.Path = p
-		scales = append(scales, r)
-	}
-	if len(benches) == 0 && len(scales) == 0 {
-		return fmt.Errorf("no BENCH_*.json or SCALE_*.json records in %s", dir)
-	}
-
-	fmt.Fprintf(w, "# Bench history: %s\n\n", dir)
-	if len(benches) > 0 {
-		if err := report.WriteTableMarkdown(w, report.BenchTrendTable(benches)); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if len(scales) > 0 {
-		if err := report.WriteTableMarkdown(w, report.ScaleTrendTable(scales)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func loadBenchRecords(dir string) ([]*report.BenchRecord, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return nil, err
-	}
-	var recs []*report.BenchRecord
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		r, err := report.ParseBenchRecord(b)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		r.Path = p
-		recs = append(recs, r)
-	}
-	return recs, nil
 }

@@ -96,29 +96,28 @@ func main() {
 		q = dxbar.Full
 	}
 
-	type figFn func(dxbar.Quality, int64) (dxbar.Figure, error)
-	figs := map[string]figFn{
-		"5": dxbar.Figure5, "6": dxbar.Figure6,
-		"7": dxbar.Figure7, "8": dxbar.Figure8,
-		"9": dxbar.Figure9, "10": dxbar.Figure10,
-		"11": dxbar.Figure11, "12": dxbar.Figure12,
-	}
-	order := []string{"5", "6", "7", "8", "9", "10", "11", "12"}
-
 	want := func(id string) bool { return *figFlag == "all" || *figFlag == id }
 
-	// With -hist, figs 5 and 6 derive from ONE shared load sweep, so its
-	// points count once; every other wanted figure runs its own sweep.
-	shared := *hist && (want("5") || want("6"))
+	// Each pair of figures derives from one sweep, so a pair costs that
+	// sweep's runs once however many of its two figures are wanted. Figs. 5/6
+	// come first and are handled apart: -hist needs their sweep's points.
+	want56 := want("5") || want("6")
+	pairs := []struct {
+		a, b string
+		run  func(dxbar.Quality, int64) (dxbar.Figure, dxbar.Figure, error)
+	}{
+		{"7", "8", dxbar.Figure7And8},
+		{"9", "10", dxbar.Figure9And10},
+		{"11", "12", dxbar.Figure11And12},
+	}
 	total := 0
-	if shared {
+	if want56 {
 		total += dxbar.PointCount("5", q)
 	}
-	for _, id := range order {
-		if !want(id) || (shared && (id == "5" || id == "6")) {
-			continue
+	for _, p := range pairs {
+		if want(p.a) || want(p.b) {
+			total += dxbar.PointCount(p.a, q)
 		}
-		total += dxbar.PointCount(id, q)
 	}
 
 	// Live telemetry and progress: every completed run fires the OnRunDone
@@ -149,8 +148,8 @@ func main() {
 	// registry and bundle directory.
 	dxbar.SetDiagDefaults(&diag.Config{Logger: logger, Registry: reg}, *diagDir)
 	defer dxbar.SetDiagDefaults(nil, "")
-	// Every run behind every figure — not just the shared -hist sweep —
-	// archives into (and with -ledger-reuse is served from) the ledger.
+	// Every run behind every figure archives into (and with -ledger-reuse is
+	// served from) the ledger.
 	dxbar.SetLedgerDefaults(*ledgerDir, *ledgerReuse)
 	defer dxbar.SetLedgerDefaults("", false)
 	if *diagDir != "" {
@@ -184,50 +183,57 @@ func main() {
 	if want("table3") || *figFlag == "all" {
 		emitTable3(*outDir, *md)
 	}
-	// The shared -hist load sweep: its full per-point Results feed figs 5/6,
-	// the latency table and the histogram export.
-	done := map[string]bool{}
-	if shared {
-		pts, err := dxbar.LoadSweepOpts("UR", q, *seed, dxbar.SweepOptions{
-			EventTrace: *trace, Shards: *shards,
-			Metrics: reg, ShardProfile: *profile,
-			LedgerDir: *ledgerDir, LedgerReuse: *ledgerReuse,
-		})
+	// One load sweep feeds figs 5/6 and, with -hist, the latency table, the
+	// histogram export, the shard profile and the per-point traces.
+	if want56 {
+		var opts dxbar.SweepOptions
+		if *hist {
+			opts = dxbar.SweepOptions{
+				EventTrace: *trace, Shards: *shards,
+				Metrics: reg, ShardProfile: *profile,
+			}
+		}
+		pts, err := dxbar.LoadSweepOpts("UR", q, *seed, opts)
 		if err != nil {
 			fatal(err)
 		}
 		if want("5") {
 			emitFigure(dxbar.Figure5From(pts), *outDir, *svg, *md)
-			done["5"] = true
 		}
 		if want("6") {
 			emitFigure(dxbar.Figure6From(pts), *outDir, *svg, *md)
-			done["6"] = true
 		}
-		emitLatency(pts, *outDir)
-		if *profile && len(pts) > 0 {
-			last := pts[len(pts)-1]
-			fmt.Print(dxbar.ShardProfileText(
-				fmt.Sprintf("Shard execution profile, %s @ %.2f", last.Label, last.Load), last.Result))
-			fmt.Println()
-		}
-		if *trace > 0 && *outDir != "" {
-			emitTraces(pts, *outDir)
+		if *hist {
+			emitLatency(pts, *outDir)
+			if *profile && len(pts) > 0 {
+				last := pts[len(pts)-1]
+				fmt.Print(dxbar.ShardProfileText(
+					fmt.Sprintf("Shard execution profile, %s @ %.2f", last.Label, last.Load), last.Result))
+				fmt.Println()
+			}
+			if *trace > 0 && *outDir != "" {
+				emitTraces(pts, *outDir)
+			}
 		}
 	}
-	for _, id := range order {
-		if !want(id) || done[id] {
+	for _, p := range pairs {
+		if !want(p.a) && !want(p.b) {
 			continue
 		}
 		if diag.Interrupted() {
-			logger.Warn("interrupted; stopping before figure", "fig", id)
+			logger.Warn("interrupted; stopping before figures", "figs", p.a+"/"+p.b)
 			break
 		}
-		fig, err := figs[id](q, *seed)
+		figA, figB, err := p.run(q, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		emitFigure(fig, *outDir, *svg, *md)
+		if want(p.a) {
+			emitFigure(figA, *outDir, *svg, *md)
+		}
+		if want(p.b) {
+			emitFigure(figB, *outDir, *svg, *md)
+		}
 	}
 	if diag.Interrupted() {
 		logger.Warn("sweep interrupted; figures emitted so far are complete, the rest were skipped")

@@ -196,7 +196,10 @@ var patternAxis = []string{"UR", "NUR", "BR", "BF", "CP", "MT", "PS", "NB", "TOR
 
 // PointCount reports how many simulation runs regenerating a figure costs at
 // the given quality — the progress total for sweep drivers (each completed
-// run fires OnRunDone once). Table 3 and unknown IDs cost no runs.
+// run fires OnRunDone once). Figs. 5/6, 7/8, 9/10 and 11/12 each share one
+// sweep, so a pair regenerated together (LoadSweep with Figure5From and
+// Figure6From; Figure7And8, Figure9And10, Figure11And12) costs what either
+// figure costs alone. Table 3 and unknown IDs cost no runs.
 func PointCount(id string, q Quality) int {
 	switch id {
 	case "5", "6":
@@ -211,9 +214,9 @@ func PointCount(id string, q Quality) int {
 	return 0
 }
 
-// figure78 computes throughput and energy at offered load 0.5 across all
-// nine synthetic patterns.
-func figure78(q Quality, seed int64) (thr, en Figure, err error) {
+// Figure7And8 regenerates Figs. 7 and 8 from one sweep: throughput and energy
+// at offered load 0.5 across all nine synthetic patterns.
+func Figure7And8(q Quality, seed int64) (thr, en Figure, err error) {
 	thr = Figure{ID: "fig7", Title: "Throughput at offered load 0.5, all synthetic patterns",
 		XLabel: "pattern", YLabel: "accepted load"}
 	en = Figure{ID: "fig8", Title: "Energy at offered load 0.5, all synthetic patterns",
@@ -252,21 +255,22 @@ func figure78(q Quality, seed int64) (thr, en Figure, err error) {
 // Figure7 regenerates "Throughput at an offered load = 0.5 of all synthetic
 // traces".
 func Figure7(q Quality, seed int64) (Figure, error) {
-	thr, _, err := figure78(q, seed)
+	thr, _, err := Figure7And8(q, seed)
 	return thr, err
 }
 
 // Figure8 regenerates "Energy consumed at an offered load = 0.5 of all
 // synthetic traces".
 func Figure8(q Quality, seed int64) (Figure, error) {
-	_, en, err := figure78(q, seed)
+	_, en, err := Figure7And8(q, seed)
 	return en, err
 }
 
-// figure910 runs the closed-loop SPLASH-2 substitute for every benchmark ×
-// design. Fig. 9 normalizes execution time to the Buffered 4 baseline, as
-// the paper's "Normalized Execution Time" axis does.
-func figure910(q Quality, seed int64) (timeFig, enFig Figure, err error) {
+// Figure9And10 regenerates Figs. 9 and 10 from one closed-loop matrix: the
+// SPLASH-2 substitute for every benchmark × design. Fig. 9 normalizes
+// execution time to the Buffered 4 baseline, as the paper's "Normalized
+// Execution Time" axis does.
+func Figure9And10(q Quality, seed int64) (timeFig, enFig Figure, err error) {
 	benches := SplashBenchmarks()
 	xs := make([]float64, len(benches))
 	for i := range xs {
@@ -328,13 +332,13 @@ func figure910(q Quality, seed int64) (timeFig, enFig Figure, err error) {
 // Figure9 regenerates "Normalized time of simulation of all SPLASH-2
 // traces".
 func Figure9(q Quality, seed int64) (Figure, error) {
-	tf, _, err := figure910(q, seed)
+	tf, _, err := Figure9And10(q, seed)
 	return tf, err
 }
 
 // Figure10 regenerates "Energy consumed of all SPLASH-2 traces".
 func Figure10(q Quality, seed int64) (Figure, error) {
-	_, ef, err := figure910(q, seed)
+	_, ef, err := Figure9And10(q, seed)
 	return ef, err
 }
 
@@ -386,55 +390,54 @@ func FaultSweep(q Quality, seed int64, loads []float64) ([]FaultPoint, error) {
 	return pts, nil
 }
 
-// Figure11 regenerates the fault-tolerance throughput/latency plots:
-// accepted load vs offered load per fault fraction, for DOR (a) and WF (b),
-// plus latency (c).
-func Figure11(q Quality, seed int64) (Figure, error) {
-	pts, err := FaultSweep(q, seed, nil)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{ID: "fig11", Title: "Throughput and latency under crossbar faults (DXbar, UR)",
-		XLabel: "offered load (fraction of capacity)", YLabel: "accepted load"}
+// faultSeries slices fault-sweep points into one y-vs-offered-load series per
+// routing algorithm × fault fraction.
+func faultSeries(q Quality, pts []FaultPoint, y func(FaultPoint) float64) []Series {
+	var series []Series
 	for _, algo := range []string{"DOR", "WF"} {
 		for _, f := range q.FaultFractions {
 			var xs, ys []float64
 			for _, p := range pts {
 				if p.Routing == algo && p.Fraction == f {
 					xs = append(xs, p.Load)
-					ys = append(ys, p.Accepted)
+					ys = append(ys, y(p))
 				}
 			}
-			fig.Series = append(fig.Series, Series{
+			series = append(series, Series{
 				Label: fmt.Sprintf("%s faults=%.0f%%", algo, f*100), X: xs, Y: ys})
 		}
 	}
-	return fig, nil
+	return series
+}
+
+// Figure11And12 regenerates Figs. 11 and 12 from one fault sweep.
+func Figure11And12(q Quality, seed int64) (thr, en Figure, err error) {
+	pts, err := FaultSweep(q, seed, nil)
+	if err != nil {
+		return Figure{}, Figure{}, err
+	}
+	thr = Figure{ID: "fig11", Title: "Throughput and latency under crossbar faults (DXbar, UR)",
+		XLabel: "offered load (fraction of capacity)", YLabel: "accepted load",
+		Series: faultSeries(q, pts, func(p FaultPoint) float64 { return p.Accepted })}
+	en = Figure{ID: "fig12", Title: "Latency and power under crossbar faults (DXbar, UR)",
+		XLabel: "offered load (fraction of capacity)", YLabel: "average energy (nJ/packet)",
+		Series: faultSeries(q, pts, func(p FaultPoint) float64 { return p.EnergyNJ })}
+	return thr, en, nil
+}
+
+// Figure11 regenerates the fault-tolerance throughput/latency plots:
+// accepted load vs offered load per fault fraction, for DOR (a) and WF (b),
+// plus latency (c).
+func Figure11(q Quality, seed int64) (Figure, error) {
+	thr, _, err := Figure11And12(q, seed)
+	return thr, err
 }
 
 // Figure12 regenerates the fault-tolerance latency/power plots: average
 // energy vs offered load per fault fraction and routing algorithm.
 func Figure12(q Quality, seed int64) (Figure, error) {
-	pts, err := FaultSweep(q, seed, nil)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{ID: "fig12", Title: "Latency and power under crossbar faults (DXbar, UR)",
-		XLabel: "offered load (fraction of capacity)", YLabel: "average energy (nJ/packet)"}
-	for _, algo := range []string{"DOR", "WF"} {
-		for _, f := range q.FaultFractions {
-			var xs, ys []float64
-			for _, p := range pts {
-				if p.Routing == algo && p.Fraction == f {
-					xs = append(xs, p.Load)
-					ys = append(ys, p.EnergyNJ)
-				}
-			}
-			fig.Series = append(fig.Series, Series{
-				Label: fmt.Sprintf("%s faults=%.0f%%", algo, f*100), X: xs, Y: ys})
-		}
-	}
-	return fig, nil
+	_, en, err := Figure11And12(q, seed)
+	return en, err
 }
 
 // Table3Row re-exports the energy model's Table III reproduction.

@@ -2,9 +2,11 @@ package dxbar
 
 import (
 	"encoding/xml"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -187,7 +189,43 @@ func TestAllFigureGeneratorsEndToEnd(t *testing.T) {
 	}
 }
 
-// Figures 9/10 run the closed-loop matrix once (shared path figure910).
+// A figure pair regenerated together runs its sweep once — PointCount runs,
+// not twice that — and yields exactly the figures the single-figure entry
+// points return (what dxbar-sweep -fig all relies on).
+func TestFigurePairsShareOneSweep(t *testing.T) {
+	q := Quality{Warmup: 100, Measure: 300, Loads: []float64{0.1},
+		FaultFractions: []float64{0, 1.0}, SplashSeeds: 1}
+	var runs atomic.Int64
+	OnRunDone(func() { runs.Add(1) })
+	defer OnRunDone(nil)
+	for _, pair := range []struct {
+		id   string
+		both func(Quality, int64) (Figure, Figure, error)
+		a, b func(Quality, int64) (Figure, error)
+	}{
+		{"7", Figure7And8, Figure7, Figure8},
+		{"11", Figure11And12, Figure11, Figure12},
+	} {
+		runs.Store(0)
+		figA, figB, err := pair.both(q, 5)
+		if err != nil {
+			t.Fatalf("fig %s pair: %v", pair.id, err)
+		}
+		if got, want := runs.Load(), int64(PointCount(pair.id, q)); got != want {
+			t.Errorf("fig %s pair: %d runs, want PointCount = %d", pair.id, got, want)
+		}
+		wantA, errA := pair.a(q, 5)
+		wantB, errB := pair.b(q, 5)
+		if errA != nil || errB != nil {
+			t.Fatalf("fig %s singles: %v, %v", pair.id, errA, errB)
+		}
+		if !reflect.DeepEqual(figA, wantA) || !reflect.DeepEqual(figB, wantB) {
+			t.Errorf("fig %s pair differs from the single-figure entry points", pair.id)
+		}
+	}
+}
+
+// Figures 9/10 run the closed-loop matrix once (shared path Figure9And10).
 func TestSplashFiguresEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: 6 designs x 9 benchmarks")

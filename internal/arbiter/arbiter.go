@@ -3,8 +3,6 @@
 //
 //   - RoundRobin: the classic rotating-priority arbiter used by the generic
 //     baseline router's separable allocator.
-//   - Matrix: a least-recently-served matrix arbiter (kept for ablations and
-//     as an alternative output-stage policy).
 //   - Separable: an output-first separable switch allocator (Becker & Dally,
 //     SC'09 — reference [14] of the paper) used by the Buffered 4/8 baseline.
 //   - DualInput: the paper's augmented output-first allocator for the
@@ -72,68 +70,4 @@ func (r *RoundRobin) Commit(winner int) {
 	if winner >= 0 && winner < r.n {
 		r.ptr = (winner + 1) % r.n
 	}
-}
-
-// Matrix is a least-recently-served matrix arbiter: prio[i][j] == true means
-// requester i beats requester j. After a grant the winner drops below every
-// other requester.
-type Matrix struct {
-	n    int
-	prio [][]bool
-}
-
-// NewMatrix returns an n-requester matrix arbiter with initial priority by
-// index (lower index wins).
-func NewMatrix(n int) *Matrix {
-	if n <= 0 || n > 64 {
-		panic(fmt.Sprintf("arbiter: invalid matrix width %d", n))
-	}
-	m := &Matrix{n: n, prio: make([][]bool, n)}
-	for i := range m.prio {
-		m.prio[i] = make([]bool, n)
-		for j := i + 1; j < n; j++ {
-			m.prio[i][j] = true
-		}
-	}
-	return m
-}
-
-// Grant picks the requester that beats every other requester in the mask,
-// updates the matrix, and returns its index (-1 if the mask is empty).
-func (m *Matrix) Grant(mask uint64) int {
-	if mask == 0 {
-		return -1
-	}
-	winner := -1
-	for i := 0; i < m.n; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		beatsAll := true
-		for j := 0; j < m.n; j++ {
-			if j == i || mask&(1<<uint(j)) == 0 {
-				continue
-			}
-			if !m.prio[i][j] {
-				beatsAll = false
-				break
-			}
-		}
-		if beatsAll {
-			winner = i
-			break
-		}
-	}
-	if winner == -1 {
-		// The matrix invariant guarantees a unique maximum; this is
-		// unreachable unless the matrix was corrupted.
-		panic("arbiter: matrix arbiter has no maximum")
-	}
-	for j := 0; j < m.n; j++ {
-		if j != winner {
-			m.prio[winner][j] = false
-			m.prio[j][winner] = true
-		}
-	}
-	return winner
 }

@@ -80,56 +80,6 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 	}
 }
 
-func TestMatrixInitialPriorityByIndex(t *testing.T) {
-	m := NewMatrix(4)
-	if got := m.Grant(0b1111); got != 0 {
-		t.Fatalf("first grant = %d, want 0", got)
-	}
-}
-
-func TestMatrixLeastRecentlyServed(t *testing.T) {
-	m := NewMatrix(3)
-	if m.Grant(0b111) != 0 {
-		t.Fatal("grant 1")
-	}
-	if m.Grant(0b111) != 1 {
-		t.Fatal("grant 2")
-	}
-	if m.Grant(0b111) != 2 {
-		t.Fatal("grant 3")
-	}
-	// 0 was served longest ago among requesters {0, 2}.
-	if got := m.Grant(0b101); got != 0 {
-		t.Fatalf("grant 4 = %d, want 0", got)
-	}
-	// Now 2 beats 0.
-	if got := m.Grant(0b101); got != 2 {
-		t.Fatalf("grant 5 = %d, want 2", got)
-	}
-}
-
-func TestMatrixEmptyMask(t *testing.T) {
-	if NewMatrix(4).Grant(0) != -1 {
-		t.Error("empty mask must return -1")
-	}
-}
-
-// Property: a matrix arbiter always grants a requester from the mask and
-// never starves under persistent full load.
-func TestMatrixValidWinnerProperty(t *testing.T) {
-	m := NewMatrix(8)
-	f := func(mask uint8) bool {
-		w := m.Grant(uint64(mask))
-		if mask == 0 {
-			return w == -1
-		}
-		return w >= 0 && w < 8 && mask&(1<<uint(w)) != 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func req(n, m int, pairs ...[2]int) [][]bool {
 	r := make([][]bool, n)
 	for i := range r {

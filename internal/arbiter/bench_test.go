@@ -9,13 +9,6 @@ func BenchmarkRoundRobinGrant(b *testing.B) {
 	}
 }
 
-func BenchmarkMatrixGrant(b *testing.B) {
-	m := NewMatrix(5)
-	for i := 0; i < b.N; i++ {
-		m.Grant(0b11011)
-	}
-}
-
 func BenchmarkSeparableAllocate(b *testing.B) {
 	s := NewSeparable(5, 5)
 	req := make([][]bool, 5)

@@ -11,7 +11,7 @@ import (
 // Grant-latency micro-benchmarks: the O(1) doubly-shifted-mask arbiter
 // against the branchy cyclic-scan reference, at router radix (5), small
 // switch radix (8), concentrated radix (16) and full-word radix (64).
-// `make bench-smoke` runs these alongside the whole-network benchmarks.
+// The CI `benchmark` job runs these after the whole-network workloads.
 
 var benchWidths = []int{5, 8, 16, 64}
 
@@ -88,19 +88,6 @@ func BenchmarkSeparableBranchy(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.allocate(reqs[i&255])
-			}
-		})
-	}
-}
-
-func BenchmarkWavefront(b *testing.B) {
-	for _, n := range benchWidths {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			reqs := benchReqMatrices(n, 256)
-			grant := make([]int, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Wavefront(reqs[i&255], n, i%n, grant)
 			}
 		})
 	}

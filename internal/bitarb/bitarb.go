@@ -108,92 +108,6 @@ func (r *RoundRobin) Grants() uint64 { return r.grants }
 // converges to (n-1)/n for a fair arbiter.
 func (r *RoundRobin) Wraps() uint64 { return r.wraps }
 
-// ReqVec is a request vector over an arbitrary number of requesters, packed
-// into uint64 words. It is the multi-word generalization of the single-word
-// masks the 5-port routers use; wide fabrics (64+ requesters) index it by
-// word.
-type ReqVec struct {
-	words []uint64
-	n     int
-}
-
-// NewReqVec returns a zeroed vector over n requesters.
-func NewReqVec(n int) *ReqVec {
-	if n <= 0 {
-		panic(fmt.Sprintf("bitarb: invalid request vector width %d", n))
-	}
-	return &ReqVec{words: make([]uint64, (n+63)/64), n: n}
-}
-
-// Len returns the requester count.
-func (v *ReqVec) Len() int { return v.n }
-
-// Set marks requester i as requesting.
-func (v *ReqVec) Set(i int) { v.words[i>>6] |= 1 << uint(i&63) }
-
-// Clear unmarks requester i.
-func (v *ReqVec) Clear(i int) { v.words[i>>6] &^= 1 << uint(i&63) }
-
-// Test reports whether requester i is requesting.
-func (v *ReqVec) Test(i int) bool { return v.words[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Reset clears every request.
-func (v *ReqVec) Reset() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
-// Any reports whether any requester is set.
-func (v *ReqVec) Any() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Count returns the number of set requesters (population count).
-func (v *ReqVec) Count() int {
-	n := 0
-	for _, w := range v.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Words exposes the packed words (word w covers requesters [64w, 64w+63]).
-func (v *ReqVec) Words() []uint64 { return v.words }
-
-// GrantRot picks the lowest set requester at or above ptr, wrapping to the
-// lowest set requester overall — the multi-word rotated-priority grant.
-// It returns -1 when the vector is empty.
-func (v *ReqVec) GrantRot(ptr int) int {
-	nw := len(v.words)
-	pw, pb := ptr>>6, uint(ptr&63)
-	// High part: the pointer word masked from the pointer bit up, then the
-	// words above it.
-	if hi := v.words[pw] >> pb << pb; hi != 0 {
-		return pw<<6 + bits.TrailingZeros64(hi)
-	}
-	for w := pw + 1; w < nw; w++ {
-		if v.words[w] != 0 {
-			return w<<6 + bits.TrailingZeros64(v.words[w])
-		}
-	}
-	// Wrapped part: words below the pointer, then the pointer word's low bits.
-	for w := 0; w < pw; w++ {
-		if v.words[w] != 0 {
-			return w<<6 + bits.TrailingZeros64(v.words[w])
-		}
-	}
-	if lo := v.words[pw] & (uint64(1)<<pb - 1); lo != 0 {
-		return pw<<6 + bits.TrailingZeros64(lo)
-	}
-	return -1
-}
-
 // Separable is the bit-parallel output-first separable switch allocator:
 // stage 1 grants each output to one requesting input (per-output rotated-
 // priority round robin over the transposed request matrix), stage 2 grants
@@ -303,46 +217,4 @@ func (s *Separable) Allocate(req []uint64) []int {
 		}
 	}
 	return grant
-}
-
-// Wavefront computes a maximal matching for the request matrix req (req[i]
-// = input i's requested-output bitmask) by sweeping priority diagonals
-// starting at diagonal pri: on sweep step k, input i may claim output
-// (pri+k+i) mod numOut if both lines are free. It fills grant[i] with the
-// output matched to input i (-1 unmatched) and returns the match count.
-//
-// Wavefront allocation trades the separable allocator's two-stage
-// round-robin fairness for a denser matching (it never leaves an
-// augmenting pair of free lines on a requested crosspoint). The engine's
-// designs keep the paper's separable allocators; Wavefront is provided for
-// allocator studies and is exercised by the micro-benchmarks.
-func Wavefront(req []uint64, numOut, pri int, grant []int) int {
-	numIn := len(req)
-	if len(grant) != numIn {
-		panic("bitarb: grant slice has wrong input count")
-	}
-	for i := range grant {
-		grant[i] = -1
-	}
-	freeIn := LowMask(numIn)
-	freeOut := LowMask(numOut)
-	matched := 0
-	steps := numOut
-	if numIn > numOut {
-		steps = numIn
-	}
-	for k := 0; k < steps && freeIn != 0 && freeOut != 0; k++ {
-		for m := freeIn; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			o := (pri + k + i) % numOut
-			bit := uint64(1) << uint(o)
-			if freeOut&bit != 0 && req[i]&bit != 0 {
-				grant[i] = o
-				matched++
-				freeIn &^= 1 << uint(i)
-				freeOut &^= bit
-			}
-		}
-	}
-	return matched
 }

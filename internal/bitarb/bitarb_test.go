@@ -123,76 +123,6 @@ func TestRoundRobinAllContendFullPeriod(t *testing.T) {
 	}
 }
 
-// TestReqVecGrantRotMatchesSingleWord compares the multi-word grant against
-// the single-word one on ≤64-requester vectors, then sanity-checks wide
-// vectors against a naive scan.
-func TestReqVecGrantRotMatchesSingleWord(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 5, 63, 64} {
-		v := NewReqVec(n)
-		for step := 0; step < 2048; step++ {
-			mask := rng.Uint64() & LowMask(n)
-			v.Reset()
-			for i := 0; i < n; i++ {
-				if mask&(1<<uint(i)) != 0 {
-					v.Set(i)
-				}
-			}
-			ptr := rng.Intn(n)
-			if got, want := v.GrantRot(ptr), GrantRot(mask, ptr); got != want {
-				t.Fatalf("n=%d mask=%#x ptr=%d: vec=%d word=%d", n, mask, ptr, got, want)
-			}
-		}
-	}
-	// Wide vectors: naive scan oracle.
-	for _, n := range []int{65, 130, 200} {
-		v := NewReqVec(n)
-		for step := 0; step < 512; step++ {
-			v.Reset()
-			cnt := rng.Intn(8)
-			for k := 0; k < cnt; k++ {
-				v.Set(rng.Intn(n))
-			}
-			ptr := rng.Intn(n)
-			want := -1
-			for off := 0; off < n; off++ {
-				if i := (ptr + off) % n; v.Test(i) {
-					want = i
-					break
-				}
-			}
-			if got := v.GrantRot(ptr); got != want {
-				t.Fatalf("n=%d ptr=%d: vec=%d scan=%d", n, ptr, got, want)
-			}
-		}
-	}
-}
-
-// TestReqVecOps covers Set/Clear/Test/Any/Count across word boundaries.
-func TestReqVecOps(t *testing.T) {
-	v := NewReqVec(130)
-	if v.Any() || v.Count() != 0 {
-		t.Fatal("fresh vector not empty")
-	}
-	for _, i := range []int{0, 63, 64, 127, 128, 129} {
-		v.Set(i)
-		if !v.Test(i) {
-			t.Fatalf("bit %d not set", i)
-		}
-	}
-	if v.Count() != 6 || !v.Any() {
-		t.Fatalf("count = %d, want 6", v.Count())
-	}
-	v.Clear(64)
-	if v.Test(64) || v.Count() != 5 {
-		t.Fatal("clear failed")
-	}
-	v.Reset()
-	if v.Any() {
-		t.Fatal("reset failed")
-	}
-}
-
 // refSeparable adapts a mask request matrix to the branchy reference
 // allocator's [][]bool interface.
 type refSeparable struct {
@@ -274,52 +204,6 @@ func TestSeparableGrantValidity(t *testing.T) {
 				t.Fatalf("round %d: output %d granted twice", round, o)
 			}
 			outUsed |= 1 << uint(o)
-		}
-	}
-}
-
-// TestWavefrontValidityAndMaximality: the wavefront matching is conflict-free,
-// covers only requested pairs, and is maximal (no free input/output pair with
-// a pending request remains).
-func TestWavefrontValidityAndMaximality(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{2, 5, 8, 16} {
-		req := make([]uint64, n)
-		grant := make([]int, n)
-		for round := 0; round < 2048; round++ {
-			for i := range req {
-				req[i] = rng.Uint64() & LowMask(n)
-			}
-			pri := rng.Intn(n)
-			matched := Wavefront(req, n, pri, grant)
-			var inUsed, outUsed uint64
-			count := 0
-			for i, o := range grant {
-				if o == -1 {
-					continue
-				}
-				count++
-				if req[i]&(1<<uint(o)) == 0 {
-					t.Fatalf("n=%d: input %d matched to unrequested output %d", n, i, o)
-				}
-				if outUsed&(1<<uint(o)) != 0 {
-					t.Fatalf("n=%d: output %d matched twice", n, o)
-				}
-				inUsed |= 1 << uint(i)
-				outUsed |= 1 << uint(o)
-			}
-			if count != matched {
-				t.Fatalf("n=%d: matched=%d but %d grants set", n, matched, count)
-			}
-			// Maximality: no (free input, free output) pair may be requested.
-			for i := 0; i < n; i++ {
-				if inUsed&(1<<uint(i)) != 0 {
-					continue
-				}
-				if free := req[i] &^ outUsed; free != 0 {
-					t.Fatalf("n=%d pri=%d: matching not maximal — input %d could still take %#x", n, pri, i, free)
-				}
-			}
 		}
 	}
 }

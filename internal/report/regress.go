@@ -1,12 +1,11 @@
 package report
 
-// Cross-run regression analytics: parse the bench harness's BENCH_*.json /
-// SCALE_*.json records and the run ledger's archived Results, diff two of
-// them with noise-aware thresholds, and render markdown regression reports
-// and chronological trend tables. Like the rest of the package this layer
-// only consumes serialized shapes — it never imports the simulator, so the
-// CLI that wraps it (cmd/dxbar-report) works on any record the repo has ever
-// written.
+// Exact run diffs: flatten two run-ledger records' archived Results and
+// compare them metric by metric. Simulation Results are deterministic, so
+// there is no noise threshold — any difference is a behavior change. Like the
+// rest of the package this layer only consumes serialized shapes — it never
+// imports the simulator, so the CLI that wraps it (cmd/dxbar-report) works
+// on any ledger record the repo has ever written.
 
 import (
 	"encoding/json"
@@ -14,332 +13,32 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 )
-
-// BenchRecordSchema and ScaleRecordSchema are the bench harness's on-disk
-// schema versions this parser understands (cmd/dxbar-bench writes them).
-const (
-	BenchRecordSchema = 1
-	ScaleRecordSchema = 2
-)
-
-// DefaultNoisePct is the wall-clock noise threshold: a timing metric must
-// move by more than this fraction (in percent) of its old value to count as
-// a regression or improvement rather than jitter. Deterministic metrics
-// (ledger-archived simulation Results) always diff exactly.
-const DefaultNoisePct = 5.0
-
-// BenchDesign is one design's row in a BENCH record.
-type BenchDesign struct {
-	NsPerCycle     float64 `json:"ns_per_cycle"`
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	BytesPerCycle  float64 `json:"bytes_per_cycle"`
-	FlitsPerSec    float64 `json:"flits_per_sec"`
-	Cycles         uint64  `json:"cycles"`
-}
-
-// BenchRecord mirrors cmd/dxbar-bench's BENCH_*.json shape.
-type BenchRecord struct {
-	Schema  int                    `json:"schema"`
-	Date    string                 `json:"date"`
-	Label   string                 `json:"label,omitempty"`
-	Go      string                 `json:"go"`
-	Config  json.RawMessage        `json:"config"`
-	Designs map[string]BenchDesign `json:"designs"`
-
-	// Path is display provenance (set by the caller, not serialized).
-	Path string `json:"-"`
-}
-
-// ParseBenchRecord decodes and schema-checks one BENCH_*.json payload.
-func ParseBenchRecord(b []byte) (*BenchRecord, error) {
-	var r BenchRecord
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("report: parse bench record: %w", err)
-	}
-	if r.Schema != BenchRecordSchema {
-		return nil, fmt.Errorf("report: bench record schema %d, this build reads %d", r.Schema, BenchRecordSchema)
-	}
-	if len(r.Designs) == 0 {
-		return nil, fmt.Errorf("report: bench record has no designs")
-	}
-	return &r, nil
-}
-
-// ScalePoint is one mesh-size operating point in a SCALE record.
-type ScalePoint struct {
-	Width              int     `json:"width"`
-	Height             int     `json:"height"`
-	Load               float64 `json:"load"`
-	ShardsRequested    int     `json:"shards_requested"`
-	ShardsEffective    int     `json:"shards_effective"`
-	NsPerCycleSeq      float64 `json:"ns_per_cycle_seq"`
-	NsPerCycleSharded  float64 `json:"ns_per_cycle_sharded"`
-	AllocsPerCycleSeq  float64 `json:"allocs_per_cycle_seq"`
-	AllocsPerCycleShrd float64 `json:"allocs_per_cycle_sharded"`
-}
-
-// ScaleRecord mirrors cmd/dxbar-bench's SCALE_*.json shape.
-type ScaleRecord struct {
-	Schema     int          `json:"schema"`
-	Date       string       `json:"date"`
-	Go         string       `json:"go"`
-	NumCPU     int          `json:"num_cpu"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Design     string       `json:"design"`
-	Pattern    string       `json:"pattern"`
-	Points     []ScalePoint `json:"points"`
-
-	Path string `json:"-"`
-}
-
-// ParseScaleRecord decodes and schema-checks one SCALE_*.json payload.
-// Schema-1 records (one record-level load, a single "shards" column) are
-// normalized into the current shape so trend tables span the whole history.
-func ParseScaleRecord(b []byte) (*ScaleRecord, error) {
-	var r ScaleRecord
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("report: parse scale record: %w", err)
-	}
-	switch r.Schema {
-	case ScaleRecordSchema:
-	case 1:
-		var v1 struct {
-			Load   float64 `json:"load"`
-			Points []struct {
-				Shards int `json:"shards"`
-			} `json:"points"`
-		}
-		if err := json.Unmarshal(b, &v1); err != nil {
-			return nil, fmt.Errorf("report: parse scale record: %w", err)
-		}
-		for i := range r.Points {
-			r.Points[i].Load = v1.Load
-			r.Points[i].ShardsRequested = v1.Points[i].Shards
-			r.Points[i].ShardsEffective = v1.Points[i].Shards
-		}
-	default:
-		return nil, fmt.Errorf("report: scale record schema %d, this build reads ≤%d", r.Schema, ScaleRecordSchema)
-	}
-	return &r, nil
-}
-
-// RecordKind sniffs which record family a JSON payload belongs to, so the
-// CLI can diff two paths without being told what they are.
-func RecordKind(b []byte) string {
-	var probe struct {
-		Designs json.RawMessage `json:"designs"`
-		Points  json.RawMessage `json:"points"`
-		Key     string          `json:"key"`
-		Kind    string          `json:"kind"`
-	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return ""
-	}
-	switch {
-	case probe.Key != "" && probe.Kind != "":
-		return "ledger"
-	case len(probe.Designs) > 0:
-		return "bench"
-	case len(probe.Points) > 0:
-		return "scale"
-	}
-	return ""
-}
 
 // MetricDelta is one metric's movement between two records.
 type MetricDelta struct {
 	Name string
 	Old  float64
 	New  float64
-	// Pct is the relative change in percent ((new-old)/old·100; 0 when the
-	// old value is 0).
+	// Pct is the relative change in percent ((new-old)/|old|·100; 0 when both
+	// values are 0, +Inf when only the old value is 0).
 	Pct float64
-	// Regression / Improvement classify the movement against the metric's
-	// direction and the diff's noise threshold; both false means the change
-	// is within noise (or the metric is informational).
-	Regression  bool
-	Improvement bool
 }
 
-// delta builds a MetricDelta for a metric where lower is better (negate pct
-// classification for higherIsBetter). absFloor suppresses classification of
-// movements whose absolute size is negligible — a near-zero metric (0.001
-// allocs/cycle) produces huge relative swings that mean nothing.
-func delta(name string, oldV, newV, noisePct, absFloor float64, higherIsBetter bool) MetricDelta {
+func delta(name string, oldV, newV float64) MetricDelta {
 	d := MetricDelta{Name: name, Old: oldV, New: newV}
 	if oldV != 0 {
 		d.Pct = (newV - oldV) / math.Abs(oldV) * 100
 	} else if newV != 0 {
 		d.Pct = math.Inf(1)
 	}
-	if math.Abs(newV-oldV) <= absFloor {
-		return d
-	}
-	worse := d.Pct > noisePct
-	better := d.Pct < -noisePct
-	if higherIsBetter {
-		worse, better = better, worse
-	}
-	d.Regression, d.Improvement = worse, better
 	return d
-}
-
-// BenchDiff is the comparison of two BENCH records.
-type BenchDiff struct {
-	Old, New *BenchRecord
-	// NoisePct is the wall-clock threshold the classification used.
-	NoisePct float64
-	// Designs holds the per-design deltas for designs present in both
-	// records, sorted by name.
-	Designs []DesignDiff
-	// OnlyOld / OnlyNew are designs present on one side only.
-	OnlyOld, OnlyNew []string
-	// ConfigChanged notes that the two records ran different bench configs,
-	// which makes the timing columns apples-to-oranges.
-	ConfigChanged bool
-}
-
-// DesignDiff is one design's metric deltas.
-type DesignDiff struct {
-	Design string
-	Deltas []MetricDelta
-}
-
-// Regressions counts classified regressions across all designs.
-func (d *BenchDiff) Regressions() int {
-	n := 0
-	for _, dd := range d.Designs {
-		for _, m := range dd.Deltas {
-			if m.Regression {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// DiffBench compares two bench records design by design. noisePct ≤ 0 uses
-// DefaultNoisePct.
-func DiffBench(oldR, newR *BenchRecord, noisePct float64) *BenchDiff {
-	if noisePct <= 0 {
-		noisePct = DefaultNoisePct
-	}
-	d := &BenchDiff{Old: oldR, New: newR, NoisePct: noisePct}
-	d.ConfigChanged = !jsonEqual(oldR.Config, newR.Config)
-	for name, o := range oldR.Designs {
-		n, ok := newR.Designs[name]
-		if !ok {
-			d.OnlyOld = append(d.OnlyOld, name)
-			continue
-		}
-		d.Designs = append(d.Designs, DesignDiff{
-			Design: name,
-			Deltas: []MetricDelta{
-				delta("ns/cycle", o.NsPerCycle, n.NsPerCycle, noisePct, 0, false),
-				delta("flits/s", o.FlitsPerSec, n.FlitsPerSec, noisePct, 0, true),
-				// Pooled designs idle near zero allocs; only absolute churn
-				// above the floors is worth a reader's attention.
-				delta("allocs/cycle", o.AllocsPerCycle, n.AllocsPerCycle, noisePct, 0.5, false),
-				delta("bytes/cycle", o.BytesPerCycle, n.BytesPerCycle, noisePct, 64, false),
-			},
-		})
-	}
-	for name := range newR.Designs {
-		if _, ok := oldR.Designs[name]; !ok {
-			d.OnlyNew = append(d.OnlyNew, name)
-		}
-	}
-	sort.Slice(d.Designs, func(i, j int) bool { return d.Designs[i].Design < d.Designs[j].Design })
-	sort.Strings(d.OnlyOld)
-	sort.Strings(d.OnlyNew)
-	return d
-}
-
-// jsonEqual compares two JSON payloads structurally (key order ignored).
-func jsonEqual(a, b json.RawMessage) bool {
-	var av, bv any
-	if json.Unmarshal(a, &av) != nil || json.Unmarshal(b, &bv) != nil {
-		return string(a) == string(b)
-	}
-	ab, _ := json.Marshal(canonical(av))
-	bb, _ := json.Marshal(canonical(bv))
-	return string(ab) == string(bb)
-}
-
-// canonical re-types nested JSON values so re-marshaling sorts object keys.
-func canonical(v any) any {
-	if m, ok := v.(map[string]any); ok {
-		out := make(map[string]any, len(m))
-		for k, e := range m {
-			out[k] = canonical(e)
-		}
-		return out
-	}
-	return v
-}
-
-// WriteMarkdown renders the diff as a regression report: one table row per
-// design × metric movement, regressions flagged, plus membership and config
-// caveats. Within-noise rows are summarized, not listed.
-func (d *BenchDiff) WriteMarkdown(w io.Writer) error {
-	oldName, newName := d.Old.Label, d.New.Label
-	if oldName == "" {
-		oldName = d.Old.Date
-	}
-	if newName == "" {
-		newName = d.New.Date
-	}
-	fmt.Fprintf(w, "## Bench diff: %s → %s\n\n", oldName, newName)
-	fmt.Fprintf(w, "Noise threshold ±%.1f%% on wall-clock metrics (%s → %s).\n\n", d.NoisePct, d.Old.Go, d.New.Go)
-	if d.ConfigChanged {
-		fmt.Fprintf(w, "**⚠ bench configs differ** — timing deltas are not comparable.\n\n")
-	}
-
-	moved := Table{
-		Title:   "movement beyond noise",
-		Columns: []string{"design", "metric", "old", "new", "Δ%", ""},
-	}
-	quiet := 0
-	for _, dd := range d.Designs {
-		for _, m := range dd.Deltas {
-			if !m.Regression && !m.Improvement {
-				quiet++
-				continue
-			}
-			flag := "improvement"
-			if m.Regression {
-				flag = "**regression**"
-			}
-			moved.Rows = append(moved.Rows, []string{
-				dd.Design, m.Name,
-				trimFloat(m.Old), trimFloat(m.New),
-				fmt.Sprintf("%+.1f", m.Pct), flag,
-			})
-		}
-	}
-	if len(moved.Rows) == 0 {
-		fmt.Fprintf(w, "No movement beyond noise across %d designs (%d metrics checked).\n", len(d.Designs), quiet)
-	} else {
-		if err := WriteTableMarkdown(w, moved); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\n%d further metrics within noise.\n", quiet)
-	}
-	for _, name := range d.OnlyOld {
-		fmt.Fprintf(w, "\n- design `%s` present only in the old record\n", name)
-	}
-	for _, name := range d.OnlyNew {
-		fmt.Fprintf(w, "\n- design `%s` present only in the new record\n", name)
-	}
-	return nil
 }
 
 // FlattenResultMetrics extracts every numeric scalar from a serialized
 // simulation Result (a ledger record's "Result" section), flattening nested
 // objects with dotted names ("Power.TotalMW"). Arrays and strings are
-// skipped — the scalars are what regression diffs compare.
+// skipped — the scalars are what run diffs compare.
 func FlattenResultMetrics(resultJSON []byte) (map[string]float64, error) {
 	var v map[string]any
 	if err := json.Unmarshal(resultJSON, &v); err != nil {
@@ -375,8 +74,8 @@ func flattenInto(out map[string]float64, prefix string, v map[string]any) {
 type RunDiff struct {
 	OldName, NewName string
 	// Changed holds every metric whose value differs (Pct against the old
-	// value; Regression/Improvement are not classified — determinism means
-	// any difference is a real behavior change for the reader to judge).
+	// value) — determinism means any difference is a real behavior change
+	// for the reader to judge.
 	Changed []MetricDelta
 	// OnlyOld / OnlyNew are metrics present on one side only (a schema or
 	// feature change between the builds that wrote the records).
@@ -395,7 +94,7 @@ func DiffRun(oldName, newName string, oldM, newM map[string]float64) *RunDiff {
 			continue
 		}
 		if ov != nv {
-			d.Changed = append(d.Changed, delta(k, ov, nv, 0, 0, false))
+			d.Changed = append(d.Changed, delta(k, ov, nv))
 		}
 	}
 	for k := range newM {
@@ -440,74 +139,4 @@ func (d *RunDiff) WriteMarkdown(w io.Writer) error {
 		fmt.Fprintf(w, "\n- metric `%s` present only in the new record\n", k)
 	}
 	return nil
-}
-
-// BenchTrendTable renders the chronological per-design ns/cycle history of
-// a set of BENCH records (sorted by date — the RFC 3339 stamps the harness
-// writes sort lexically).
-func BenchTrendTable(recs []*BenchRecord) Table {
-	sorted := append([]*BenchRecord(nil), recs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Date < sorted[j].Date })
-
-	nameSet := map[string]bool{}
-	for _, r := range sorted {
-		for name := range r.Designs {
-			nameSet[name] = true
-		}
-	}
-	names := make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	t := Table{
-		Title:   "ns/cycle by design over time",
-		Columns: append([]string{"date", "label"}, names...),
-	}
-	for _, r := range sorted {
-		row := []string{r.Date, r.Label}
-		for _, name := range names {
-			if d, ok := r.Designs[name]; ok {
-				row = append(row, trimFloat(d.NsPerCycle))
-			} else {
-				row = append(row, "–")
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// ScaleTrendTable renders the chronological mesh-scaling history of a set of
-// SCALE records: one row per record × point with the sharded speedup.
-func ScaleTrendTable(recs []*ScaleRecord) Table {
-	sorted := append([]*ScaleRecord(nil), recs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Date < sorted[j].Date })
-
-	t := Table{
-		Title:   "mesh scaling over time",
-		Columns: []string{"date", "mesh", "load", "shards", "seq ns/cycle", "sharded ns/cycle", "speedup"},
-	}
-	for _, r := range sorted {
-		for _, p := range r.Points {
-			// A one-effective-shard "sharded" run is the sequential engine
-			// plus barrier overhead; the scale record refuses to report a
-			// speedup for it and so does the table.
-			speedup := "–"
-			if p.NsPerCycleSharded > 0 && p.ShardsEffective >= 2 {
-				speedup = strconv.FormatFloat(p.NsPerCycleSeq/p.NsPerCycleSharded, 'f', 2, 64) + "×"
-			}
-			t.Rows = append(t.Rows, []string{
-				r.Date,
-				fmt.Sprintf("%dx%d", p.Width, p.Height),
-				strconv.FormatFloat(p.Load, 'f', 2, 64),
-				strconv.Itoa(p.ShardsEffective),
-				trimFloat(p.NsPerCycleSeq),
-				trimFloat(p.NsPerCycleSharded),
-				speedup,
-			})
-		}
-	}
-	return t
 }

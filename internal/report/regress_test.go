@@ -1,119 +1,9 @@
 package report
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 )
-
-func benchJSON(date, label string, dxbarNs float64) string {
-	return `{
-	  "schema": 1, "date": "` + date + `", "label": "` + label + `", "go": "go1.22",
-	  "config": {"width": 8, "load": 0.3},
-	  "designs": {
-	    "dxbar":   {"ns_per_cycle": ` + formatF(dxbarNs) + `, "allocs_per_cycle": 10, "bytes_per_cycle": 1000, "flits_per_sec": 250000, "cycles": 2000},
-	    "unified": {"ns_per_cycle": 70000, "allocs_per_cycle": 12, "bytes_per_cycle": 1200, "flits_per_sec": 230000, "cycles": 2000}
-	  }
-	}`
-}
-
-func formatF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func TestParseBenchRecord(t *testing.T) {
-	r, err := ParseBenchRecord([]byte(benchJSON("2026-08-01T00:00:00Z", "a", 60000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Designs["dxbar"].NsPerCycle != 60000 || r.Label != "a" {
-		t.Fatalf("parsed %+v", r)
-	}
-	if _, err := ParseBenchRecord([]byte(`{"schema": 99, "designs": {"x": {}}}`)); err == nil {
-		t.Error("schema 99 accepted")
-	}
-	if _, err := ParseBenchRecord([]byte(`{"schema": 1}`)); err == nil {
-		t.Error("designless record accepted")
-	}
-}
-
-func TestRecordKind(t *testing.T) {
-	for payload, want := range map[string]string{
-		benchJSON("d", "l", 1):                  "bench",
-		`{"schema":2,"points":[{"width":16}]}`:  "scale",
-		`{"schema":1,"key":"abc","kind":"run"}`: "ledger",
-		`{"something":"else"}`:                  "",
-		`not json`:                              "",
-	} {
-		if got := RecordKind([]byte(payload)); got != want {
-			t.Errorf("RecordKind(%.40q) = %q, want %q", payload, got, want)
-		}
-	}
-}
-
-func TestDiffBenchClassification(t *testing.T) {
-	oldR, _ := ParseBenchRecord([]byte(benchJSON("2026-08-01T00:00:00Z", "old", 60000)))
-	// dxbar worsens 10% (beyond the 5% noise floor); unified is unchanged.
-	newR, _ := ParseBenchRecord([]byte(benchJSON("2026-08-02T00:00:00Z", "new", 66000)))
-	d := DiffBench(oldR, newR, 5)
-	if d.ConfigChanged {
-		t.Error("identical configs reported as changed")
-	}
-	if got := d.Regressions(); got != 1 {
-		t.Fatalf("Regressions() = %d, want 1", got)
-	}
-	var dx DesignDiff
-	for _, dd := range d.Designs {
-		if dd.Design == "dxbar" {
-			dx = dd
-		}
-	}
-	if !dx.Deltas[0].Regression || dx.Deltas[0].Name != "ns/cycle" {
-		t.Errorf("dxbar ns/cycle +10%% not classified as regression: %+v", dx.Deltas[0])
-	}
-
-	// The same movement under a 15% threshold is noise.
-	if d := DiffBench(oldR, newR, 15); d.Regressions() != 0 {
-		t.Error("movement within noise classified as regression")
-	}
-
-	// An improvement in a higher-is-better metric is not a regression.
-	faster := *newR
-	faster.Designs = map[string]BenchDesign{"dxbar": {NsPerCycle: 60000, FlitsPerSec: 500000}}
-	d = DiffBench(oldR, &faster, 5)
-	for _, dd := range d.Designs {
-		for _, m := range dd.Deltas {
-			if m.Name == "flits/s" && !m.Improvement {
-				t.Errorf("flits/s doubling not an improvement: %+v", m)
-			}
-		}
-	}
-	if len(d.OnlyOld) != 1 || d.OnlyOld[0] != "unified" {
-		t.Errorf("OnlyOld = %v", d.OnlyOld)
-	}
-}
-
-func TestDiffBenchMarkdown(t *testing.T) {
-	oldR, _ := ParseBenchRecord([]byte(benchJSON("2026-08-01T00:00:00Z", "old", 60000)))
-	newR, _ := ParseBenchRecord([]byte(benchJSON("2026-08-02T00:00:00Z", "new", 66000)))
-	var b strings.Builder
-	if err := DiffBench(oldR, newR, 5).WriteMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"## Bench diff: old → new", "**regression**", "dxbar", "+10.0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown is missing %q\n%s", want, out)
-		}
-	}
-
-	// Config drift must be called out.
-	changed, _ := ParseBenchRecord([]byte(strings.Replace(
-		benchJSON("2026-08-03T00:00:00Z", "cfg", 60000), `"load": 0.3`, `"load": 0.5`, 1)))
-	b.Reset()
-	_ = DiffBench(oldR, changed, 5).WriteMarkdown(&b)
-	if !strings.Contains(b.String(), "bench configs differ") {
-		t.Error("config drift not flagged in markdown")
-	}
-}
 
 func TestFlattenAndDiffRun(t *testing.T) {
 	oldM, err := FlattenResultMetrics([]byte(`{
@@ -167,37 +57,5 @@ func TestFlattenAndDiffRun(t *testing.T) {
 	_ = DiffRun("a", "b", oldM, same).WriteMarkdown(&b)
 	if !strings.Contains(b.String(), "identical") {
 		t.Error("identical diff markdown lacks the identical note")
-	}
-}
-
-func TestBenchTrendTableChronology(t *testing.T) {
-	r1, _ := ParseBenchRecord([]byte(benchJSON("2026-08-05T00:00:00Z", "later", 61000)))
-	r2, _ := ParseBenchRecord([]byte(benchJSON("2026-08-01T00:00:00Z", "earlier", 60000)))
-	tab := BenchTrendTable([]*BenchRecord{r1, r2}) // unsorted input
-	if len(tab.Rows) != 2 || tab.Rows[0][1] != "earlier" || tab.Rows[1][1] != "later" {
-		t.Fatalf("rows not chronological: %v", tab.Rows)
-	}
-	if tab.Columns[2] != "dxbar" || tab.Columns[3] != "unified" {
-		t.Errorf("design columns = %v", tab.Columns)
-	}
-}
-
-func TestScaleTrendTable(t *testing.T) {
-	a, _ := ParseScaleRecord([]byte(`{"schema":2,"date":"2026-08-05T00:00:00Z","points":[
-	  {"width":32,"height":32,"load":0.1,"shards_effective":4,"ns_per_cycle_seq":200,"ns_per_cycle_sharded":100}]}`))
-	b, _ := ParseScaleRecord([]byte(`{"schema":2,"date":"2026-08-01T00:00:00Z","points":[
-	  {"width":16,"height":16,"load":0.15,"shards_effective":1,"ns_per_cycle_seq":50,"ns_per_cycle_sharded":0}]}`))
-	tab := ScaleTrendTable([]*ScaleRecord{a, b})
-	if len(tab.Rows) != 2 || tab.Rows[0][1] != "16x16" || tab.Rows[1][1] != "32x32" {
-		t.Fatalf("rows not chronological: %v", tab.Rows)
-	}
-	if tab.Rows[1][6] != "2.00×" {
-		t.Errorf("speedup cell = %q, want 2.00×", tab.Rows[1][6])
-	}
-	if tab.Rows[0][6] != "–" {
-		t.Errorf("unsharded speedup cell = %q, want –", tab.Rows[0][6])
-	}
-	if _, err := ParseScaleRecord([]byte(`{"schema":7}`)); err == nil {
-		t.Error("scale schema 7 accepted")
 	}
 }

@@ -218,13 +218,13 @@ func (s *Store) Put(rec *Record) (string, error) {
 // Get loads the record for key. Missing, corrupt or newer-schema records are
 // errors.
 func (s *Store) Get(key string) (*Record, error) {
-	return loadRecord(s.Path(key))
+	return LoadRecord(s.Path(key))
 }
 
 // Lookup is the dedup probe: the record for key, or (nil, false) when it is
 // absent or unreadable — a broken record must never block a re-simulation.
 func (s *Store) Lookup(key string) (*Record, bool) {
-	rec, err := loadRecord(s.Path(key))
+	rec, err := LoadRecord(s.Path(key))
 	if err != nil {
 		return nil, false
 	}
@@ -244,7 +244,7 @@ func (s *Store) List() ([]*Record, error) {
 		if strings.HasSuffix(p, ".tmp") {
 			continue
 		}
-		rec, err := loadRecord(p)
+		rec, err := LoadRecord(p)
 		if err != nil {
 			continue
 		}
@@ -259,7 +259,9 @@ func (s *Store) List() ([]*Record, error) {
 	return out, nil
 }
 
-func loadRecord(path string) (*Record, error) {
+// LoadRecord reads one record file. Missing, truncated, newer-schema and
+// non-ledger JSON files (no key or kind) are errors.
+func LoadRecord(path string) (*Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

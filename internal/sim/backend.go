@@ -115,17 +115,17 @@ func checkConsumed(env *Env, node int, c uint64) {
 	env.InMask = 0
 }
 
-// stagedRetx is one retransmission a router scheduled during the parallel
-// router phase, parked per-env until the barrier inserts it into the
-// engine's event wheel in node order (the wheel's slot order is delivery
-// order at the retransmit cycle, so insertion order must match the
-// sequential engine's).
 // stagedCredit is one deferred ReturnCredit call (sharded mode).
 type stagedCredit struct {
 	env  *Env
 	port flit.Port
 }
 
+// stagedRetx is one retransmission a router scheduled during the parallel
+// router phase, parked per-env until the barrier inserts it into the
+// engine's event wheel in node order (the wheel's slot order is delivery
+// order at the retransmit cycle, so insertion order must match the
+// sequential engine's).
 type stagedRetx struct {
 	f     *flit.Flit
 	delay uint64
@@ -219,8 +219,8 @@ type shardedBackend struct {
 	// ranges of its own: tile (i, j) — shard j*gx+i — spans columns
 	// [xcuts[j][i], xcuts[j][i+1]). Bands keep private x-cuts so column
 	// migrations in one band never disturb another; every tile stays a
-	// rectangle, so TileOf-style reasoning (and the boundary-link accounting
-	// of topology.BoundaryLinks) holds throughout a run.
+	// rectangle, so a node's owning shard follows from its coordinates and
+	// the cuts alone throughout a run.
 	gx, gy int
 	ycuts  []int
 	xcuts  [][]int

@@ -1,31 +1,5 @@
 package topology
 
-// Tile is one spatial partition of the mesh: a rectangle of nodes owned by
-// one shard of the parallel cycle engine. Tiles cover the mesh exactly
-// (every node belongs to one tile) and their Nodes lists are in ascending
-// node order, which is the order the sharded engine steps them — and the
-// order barrier-time replay walks them to stay bit-identical to the
-// sequential engine.
-type Tile struct {
-	// Index is the tile's position in the partition: row-major over the tile
-	// grid for Tiles2D, west to east for the column strips of Tiles.
-	Index int
-	// X0 and X1 bound the tile's column range [X0, X1).
-	X0, X1 int
-	// Y0 and Y1 bound the tile's row range [Y0, Y1). Column strips span the
-	// full mesh height (Y0 = 0, Y1 = Height).
-	Y0, Y1 int
-	// Nodes lists the tile's node indices in ascending order.
-	Nodes []int
-}
-
-// Contains reports whether node n (with coordinates from m) lies in the
-// tile's rectangle.
-func (t Tile) Contains(m *Mesh, n int) bool {
-	x, y := m.XY(n)
-	return x >= t.X0 && x < t.X1 && y >= t.Y0 && y < t.Y1
-}
-
 // SplitEven divides size into parts contiguous segments of near-equal length
 // (the first size%parts segments get one extra element) and returns the
 // parts+1 cut offsets: segment i spans [cuts[i], cuts[i+1]).
@@ -42,33 +16,6 @@ func SplitEven(size, parts int) []int {
 	}
 	cuts[parts] = at
 	return cuts
-}
-
-// Tiles partitions the mesh into n vertical column strips of near-equal
-// width (the first width%n tiles get one extra column). n is clamped to
-// [1, Width]: a tile must own at least one column, and more tiles than
-// columns would leave some empty. Column strips cut only horizontal links,
-// so their boundary is Height links per internal cut per direction — but on
-// tall meshes a 2D grid (Tiles2D) cuts fewer links overall.
-func (m *Mesh) Tiles(n int) []Tile {
-	if n < 1 {
-		n = 1
-	}
-	if n > m.Width {
-		n = m.Width
-	}
-	tiles := make([]Tile, n)
-	cuts := SplitEven(m.Width, n)
-	for i := range tiles {
-		t := Tile{Index: i, X0: cuts[i], X1: cuts[i+1], Y0: 0, Y1: m.Height}
-		for node := 0; node < m.Nodes(); node++ {
-			if t.Contains(m, node) {
-				t.Nodes = append(t.Nodes, node)
-			}
-		}
-		tiles[i] = t
-	}
-	return tiles
 }
 
 // Grid2D chooses the tile-grid factorization for n tiles on a width×height
@@ -110,61 +57,3 @@ func Grid2D(width, height, n int) (gx, gy int) {
 
 // Grid2D is the mesh-bound form of the package-level Grid2D.
 func (m *Mesh) Grid2D(n int) (gx, gy int) { return Grid2D(m.Width, m.Height, n) }
-
-// Tiles2D partitions the mesh into (up to) n rectangular tiles arranged in
-// the boundary-minimizing Grid2D grid, with columns and rows split
-// near-equally (remainders go to the westmost/northmost tiles). Tile index
-// is row-major over the grid: tile (i, j) has Index j*gx + i. Like Tiles,
-// the partition is exact and every Nodes list ascends.
-func (m *Mesh) Tiles2D(n int) []Tile {
-	gx, gy := m.Grid2D(n)
-	xcuts := SplitEven(m.Width, gx)
-	ycuts := SplitEven(m.Height, gy)
-	tiles := make([]Tile, gx*gy)
-	for j := 0; j < gy; j++ {
-		for i := 0; i < gx; i++ {
-			t := Tile{
-				Index: j*gx + i,
-				X0:    xcuts[i], X1: xcuts[i+1],
-				Y0: ycuts[j], Y1: ycuts[j+1],
-			}
-			t.Nodes = make([]int, 0, (t.X1-t.X0)*(t.Y1-t.Y0))
-			for y := t.Y0; y < t.Y1; y++ {
-				for x := t.X0; x < t.X1; x++ {
-					t.Nodes = append(t.Nodes, m.Node(x, y))
-				}
-			}
-			tiles[j*gx+i] = t
-		}
-	}
-	return tiles
-}
-
-// TileOf returns the index of the tile owning node n in the given partition
-// (-1 if the partition does not cover it — impossible for a Tiles or
-// Tiles2D result).
-func (m *Mesh) TileOf(tiles []Tile, n int) int {
-	for _, t := range tiles {
-		if t.Contains(m, n) {
-			return t.Index
-		}
-	}
-	return -1
-}
-
-// BoundaryLinks enumerates the directed links that cross a tile boundary,
-// in the same deterministic order as Links (by upstream node, then port).
-// Column strips cut only horizontal (East/West) links; 2D tile grids also
-// cut vertical (North/South) links along their horizontal band boundaries.
-// These are the links whose flits change owning shard during the link
-// phase; the sequential link phase is what makes that hand-off safe without
-// per-link synchronization.
-func (m *Mesh) BoundaryLinks(tiles []Tile) []Link {
-	var cross []Link
-	for _, l := range m.Links() {
-		if m.TileOf(tiles, l.From) != m.TileOf(tiles, l.To) {
-			cross = append(cross, l)
-		}
-	}
-	return cross
-}

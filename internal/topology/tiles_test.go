@@ -2,98 +2,121 @@ package topology
 
 import "testing"
 
-// TestTilesPartition checks the partition invariants for a range of tile
-// counts: exact cover, ascending node order, near-equal column widths with
-// the remainder spread over the westmost tiles, and clamping.
-func TestTilesPartition(t *testing.T) {
-	m := MustMesh(8, 4)
-	for n := -1; n <= 10; n++ {
-		tiles := m.Tiles(n)
-		wantTiles := n
-		if wantTiles < 1 {
-			wantTiles = 1
-		}
-		if wantTiles > m.Width {
-			wantTiles = m.Width
-		}
-		if len(tiles) != wantTiles {
-			t.Fatalf("Tiles(%d): %d tiles, want %d", n, len(tiles), wantTiles)
-		}
-		seen := make([]bool, m.Nodes())
-		x := 0
-		for i, tile := range tiles {
-			if tile.Index != i {
-				t.Errorf("Tiles(%d): tile %d has Index %d", n, i, tile.Index)
+// TestSplitEven checks the cut invariants the sharded backend's row and
+// column bands rest on: parts+1 ascending offsets from 0 to size, segment
+// lengths within one of each other, and the remainder spread over the first
+// segments (8 over 3 is 3+3+2).
+func TestSplitEven(t *testing.T) {
+	for size := 1; size <= 17; size++ {
+		for parts := 1; parts <= size; parts++ {
+			cuts := SplitEven(size, parts)
+			if len(cuts) != parts+1 || cuts[0] != 0 || cuts[parts] != size {
+				t.Fatalf("SplitEven(%d, %d) = %v: want %d offsets from 0 to %d", size, parts, cuts, parts+1, size)
 			}
-			if tile.X0 != x {
-				t.Errorf("Tiles(%d): tile %d starts at column %d, want %d", n, i, tile.X0, x)
-			}
-			w := tile.X1 - tile.X0
-			if base := m.Width / wantTiles; w != base && w != base+1 {
-				t.Errorf("Tiles(%d): tile %d spans %d columns, want %d or %d", n, i, w, base, base+1)
-			}
-			x = tile.X1
-			prev := -1
-			for _, node := range tile.Nodes {
-				if node <= prev {
-					t.Fatalf("Tiles(%d): tile %d nodes not ascending: %v", n, i, tile.Nodes)
+			for i := 0; i < parts; i++ {
+				want := size / parts
+				if i < size%parts {
+					want++
 				}
-				prev = node
-				if seen[node] {
-					t.Fatalf("Tiles(%d): node %d in two tiles", n, node)
-				}
-				seen[node] = true
-				if got := m.TileOf(tiles, node); got != i {
-					t.Errorf("Tiles(%d): TileOf(%d) = %d, want %d", n, node, got, i)
+				if got := cuts[i+1] - cuts[i]; got != want {
+					t.Errorf("SplitEven(%d, %d) = %v: segment %d spans %d, want %d", size, parts, cuts, i, got, want)
 				}
 			}
 		}
-		if x != m.Width {
-			t.Errorf("Tiles(%d): tiles end at column %d, want %d", n, x, m.Width)
-		}
-		for node, ok := range seen {
-			if !ok {
-				t.Errorf("Tiles(%d): node %d unowned", n, node)
-			}
+	}
+	if got := SplitEven(8, 3); got[1] != 3 || got[2] != 6 {
+		t.Errorf("SplitEven(8, 3) = %v, want [0 3 6 8]", got)
+	}
+}
+
+// TestGrid2DFeasibility pins the factorization rules: exact grids only, both
+// dimensions clamped to the mesh, infeasible counts reduced to the largest
+// feasible one.
+func TestGrid2DFeasibility(t *testing.T) {
+	cases := []struct {
+		w, h, n, gx, gy int
+	}{
+		{8, 8, 1, 1, 1},
+		{8, 8, 4, 2, 2},       // square grid beats 4 or 1x4 strips
+		{8, 8, 16, 4, 4},      // square again
+		{8, 8, 8, 4, 2},       // cost 3*8+1*8 = 32 beats 8x1 (56) and 2x4 (32, tie -> wider)
+		{8, 8, 13, 4, 3},      // 13 is infeasible; falls back to 12 = 4x3
+		{8, 2, 4, 4, 1},       // only 2 rows: 2x2 (cost 2+8=10) loses to 4x1 (3*2=6)
+		{2, 8, 4, 1, 4},       // transposed
+		{4, 4, 32, 4, 4},      // clamped to the 16-node mesh
+		{8, 8, 1 << 20, 8, 8}, // clamped to 64 single-node tiles
+	}
+	for _, c := range cases {
+		gx, gy := Grid2D(c.w, c.h, c.n)
+		if gx != c.gx || gy != c.gy {
+			t.Errorf("Grid2D(%d, %d, %d) = %dx%d, want %dx%d", c.w, c.h, c.n, gx, gy, c.gx, c.gy)
 		}
 	}
 }
 
-// TestTilesUneven pins the remainder-spreading rule: 8 columns over 3 tiles
-// is 3+3+2, west to east.
-func TestTilesUneven(t *testing.T) {
-	m := MustMesh(8, 2)
-	tiles := m.Tiles(3)
-	widths := []int{tiles[0].X1 - tiles[0].X0, tiles[1].X1 - tiles[1].X0, tiles[2].X1 - tiles[2].X0}
-	if widths[0] != 3 || widths[1] != 3 || widths[2] != 2 {
-		t.Errorf("widths = %v, want [3 3 2]", widths)
+// cutLinks counts the directed mesh links whose endpoints fall in different
+// tiles of the gx×gy grid with SplitEven bands — measured on the real link
+// list, not by Grid2D's cost formula.
+func cutLinks(m *Mesh, gx, gy int) int {
+	band := func(cuts []int, v int) int {
+		i := 0
+		for v >= cuts[i+1] {
+			i++
+		}
+		return i
 	}
+	xcuts, ycuts := SplitEven(m.Width, gx), SplitEven(m.Height, gy)
+	tile := func(n int) int {
+		x, y := m.XY(n)
+		return band(ycuts, y)*gx + band(xcuts, x)
+	}
+	cut := 0
+	for _, l := range m.Links() {
+		if tile(l.From) != tile(l.To) {
+			cut++
+		}
+	}
+	return cut
 }
 
-// TestBoundaryLinks checks that column-strip boundaries consist of exactly
-// the East/West link pairs of the cut columns: an 8-wide mesh split into 4
-// strips has 3 internal boundaries, each crossed by Height links per
-// direction.
-func TestBoundaryLinks(t *testing.T) {
-	m := MustMesh(8, 4)
-	tiles := m.Tiles(4)
-	cross := m.BoundaryLinks(tiles)
-	want := 3 * m.Height * 2
-	if len(cross) != want {
-		t.Fatalf("%d boundary links, want %d", len(cross), want)
+// TestGrid2DMinimality is the 2D grid's reason to exist: on a square mesh it
+// must beat column strips. 8×8 over 4 tiles: a 2×2 grid cuts 32 directed
+// links, 4 column strips cut 48.
+func TestGrid2DMinimality(t *testing.T) {
+	m := MustMesh(8, 8)
+	if gx, gy := m.Grid2D(4); gx != 2 || gy != 2 {
+		t.Fatalf("Grid2D(8, 8, 4) = %dx%d, want 2x2", gx, gy)
 	}
-	for _, l := range cross {
-		fx, fy := m.XY(l.From)
-		tx, ty := m.XY(l.To)
-		if fy != ty {
-			t.Errorf("boundary link %d->%d is vertical; column strips only cut horizontal links", l.From, l.To)
-		}
-		if d := fx - tx; d != 1 && d != -1 {
-			t.Errorf("boundary link %d->%d spans %d columns", l.From, l.To, d)
-		}
+	if grid, strips := cutLinks(m, 2, 2), cutLinks(m, 4, 1); grid != 32 || strips != 48 {
+		t.Fatalf("cut links: grid %d (want 32), strips %d (want 48)", grid, strips)
 	}
-	// One strip = no boundaries.
-	if got := m.BoundaryLinks(m.Tiles(1)); len(got) != 0 {
-		t.Errorf("single tile has %d boundary links, want 0", len(got))
+
+	// A pure horizontal cut severs only vertical links (Width per direction);
+	// a 2×2 grid severs both orientations.
+	if got, want := cutLinks(MustMesh(4, 8), 1, 2), 2*4; got != want {
+		t.Errorf("4x8 in 1x2: %d cut links, want %d", got, want)
+	}
+	if got, want := cutLinks(MustMesh(6, 4), 2, 2), 2*4+2*6; got != want {
+		t.Errorf("6x4 in 2x2: %d cut links, want %d", got, want)
+	}
+
+	// And the chosen factorization must be optimal over all feasible grids of
+	// the same tile count, measured on the real links, for a spread of
+	// meshes and tile counts.
+	for _, dims := range [][2]int{{8, 8}, {8, 4}, {6, 9}} {
+		mm := MustMesh(dims[0], dims[1])
+		for n := 2; n <= 8; n++ {
+			gx, gy := mm.Grid2D(n)
+			got := cutLinks(mm, gx, gy)
+			for d := 1; d <= gx*gy; d++ {
+				if (gx*gy)%d != 0 || d > mm.Width || (gx*gy)/d > mm.Height {
+					continue
+				}
+				if alt := cutLinks(mm, d, (gx*gy)/d); alt < got {
+					t.Errorf("%dx%d Grid2D(%d) picked %dx%d with %d cut links; %dx%d cuts only %d",
+						dims[0], dims[1], n, gx, gy, got, d, (gx*gy)/d, alt)
+				}
+			}
+		}
 	}
 }

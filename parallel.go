@@ -47,51 +47,28 @@ func runDone() {
 // combined with errors.Join (nil when every run succeeded); use
 // errors.Is/As to inspect individual causes.
 func RunMany(configs []Config, workers int) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	results := make([]Result, len(configs))
-	errs := make([]error, len(configs))
-	if len(configs) == 0 {
-		return results, nil
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := newRunner()
-			for i := range jobs {
-				results[i], errs[i] = r.run(configs[i])
-				runDone()
-			}
-		}()
-	}
-	for i := range configs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	return results, errors.Join(errs...)
+	return runPool(configs, workers, (*runner).run)
 }
 
 // RunManySplash is RunMany for the closed-loop coherence workloads: worker
 // goroutines with per-worker engine reuse, zero-valued results for failed
 // configs, and an errors.Join-combined error.
 func RunManySplash(configs []SplashConfig, workers int) ([]SplashResult, error) {
+	return runPool(configs, workers, (*runner).runSplash)
+}
+
+// runPool is the worker pool behind RunMany and RunManySplash: run(r, c) for
+// every config on min(workers, len(configs)) goroutines, each with a runner
+// of its own, results and errors in input order, the OnRunDone hook fired
+// after every job.
+func runPool[C, R any](configs []C, workers int, run func(*runner, C) (R, error)) ([]R, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(configs) {
 		workers = len(configs)
 	}
-	results := make([]SplashResult, len(configs))
+	results := make([]R, len(configs))
 	errs := make([]error, len(configs))
 	if len(configs) == 0 {
 		return results, nil
@@ -105,7 +82,7 @@ func RunManySplash(configs []SplashConfig, workers int) ([]SplashResult, error) 
 			defer wg.Done()
 			r := newRunner()
 			for i := range jobs {
-				results[i], errs[i] = r.runSplash(configs[i])
+				results[i], errs[i] = run(r, configs[i])
 				runDone()
 			}
 		}()
