@@ -374,10 +374,18 @@ func meterFor(d Design) *energy.Meter {
 // hook a design needs run before the router phase (AFC's shared mode
 // controller; nil for the other designs).
 //
-// The algo handed in is already a *routing.Table (prepare wraps it once per
-// network), so every router's in-constructor NewTable wrap is a no-op and all
-// routers of the network share the same precomputed tables.
+// The one routing table the design reads is precomputed here, once per
+// network, and shared by all its routers (handed a table for their own mesh,
+// the constructors' NewTable returns it as-is). SCARAB's minimal-adaptive
+// routing has no Config knob, so it replaces algo. A nil mesh (invalid
+// options, rejected by sim.New before the factory runs) skips the table.
 func factoryFor(d Design, algo routing.Algorithm, mesh *topology.Mesh, threshold, depth int, portOrder, reference bool, plan *faults.Plan, nodes int) (sim.RouterFactory, func(uint64), error) {
+	if d == DesignSCARAB {
+		algo = routing.MinimalAdaptive{}
+	}
+	if mesh != nil {
+		algo = routing.NewTable(algo, mesh, nodes)
+	}
 	detectorFor := func(node int) *faults.Detector {
 		f, ok := plan.ForRouter(node)
 		return faults.NewDetector(f, plan.DetectionDelay, ok)
@@ -403,14 +411,7 @@ func factoryFor(d Design, algo routing.Algorithm, mesh *topology.Mesh, threshold
 			return r
 		}, nil, nil
 	case DesignSCARAB:
-		// SCARAB's minimal-adaptive routing has no Config knob, so its table
-		// is built here — once, shared by every router of the network. A nil
-		// mesh (invalid options, rejected by sim.New before the factory runs)
-		// just skips the precomputation.
-		var minTable *routing.Table
-		if mesh != nil {
-			minTable = routing.NewTable(routing.MinimalAdaptive{}, mesh, nodes)
-		}
+		minTable, _ := algo.(*routing.Table)
 		return func(env *sim.Env) sim.Router {
 			r := router.NewScarabTable(env, minTable)
 			r.SetReferenceArbitration(reference)
@@ -523,12 +524,6 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 	algo, err := routing.New(o.Routing)
 	if err != nil {
 		return sim.Config{}, nil, nil, err
-	}
-	if o.Mesh != nil {
-		// Precompute the routing algorithm over the whole mesh once; every
-		// router of the network shares the table (constructors wrap the algo
-		// in NewTable, which is a no-op on an existing table).
-		algo = routing.NewTable(algo, o.Mesh, o.Mesh.Nodes())
 	}
 	depth, err := bufferDepthFor(o.Design)
 	if err != nil {

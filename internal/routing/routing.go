@@ -77,7 +77,8 @@ type Algorithm interface {
 // satisfies it; tests can substitute small fakes.
 type Mesh interface {
 	XY(n int) (x, y int)
-	HasPort(n int, p flit.Port) bool
+	// PortMask has bit p set for every cardinal port p that exists at node n.
+	PortMask(n int) uint8
 }
 
 // New returns the algorithm with the given name ("DOR" or "WF").
@@ -180,15 +181,19 @@ func Request(a Algorithm, m Mesh, at, dst int) flit.Port {
 // to pick the least-bad port when the productive ones are taken. Ports that
 // face the mesh edge are excluded entirely.
 func DeflectionOrder(a Algorithm, m Mesh, at, dst int) PortList {
-	prod := a.Productive(m, at, dst)
+	return deflectionOrder(a.Productive(m, at, dst), m.PortMask(at))
+}
+
+// deflectionOrder is DeflectionOrder given the productive list and port mask.
+func deflectionOrder(prod PortList, mask uint8) PortList {
 	var order PortList
 	for i := 0; i < prod.Len(); i++ {
-		if p := prod.At(i); m.HasPort(at, p) {
+		if p := prod.At(i); mask>>p&1 != 0 {
 			order.Add(p)
 		}
 	}
 	for p := flit.North; p <= flit.West; p++ {
-		if !prod.Contains(p) && m.HasPort(at, p) {
+		if !prod.Contains(p) && mask>>p&1 != 0 {
 			order.Add(p)
 		}
 	}

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"dxbar/internal/flit"
 )
@@ -53,12 +54,18 @@ func (MinimalAdaptive) Productive(m Mesh, at, dst int) PortList {
 	return ports
 }
 
-// Table is a routing algorithm precomputed over every (node, destination)
-// pair of one mesh: the data-oriented form of the Algorithm interface. The
-// productive set and the deflection order are packed into one uint16 each
-// (four 3-bit port entries plus a 3-bit length), so a routing query on the
-// cycle hot path is a single table load and a few shifts instead of
-// coordinate arithmetic behind an interface call.
+// Table is a routing algorithm precomputed for one mesh: the data-oriented
+// form of the Algorithm interface. Minimal mesh routing depends only on the
+// offset (dx, dy) from router to destination, so the table is indexed by
+// offset, not by node pair: each node carries its offset code x + y·(2W−1)
+// and its 4-bit port mask, and code[dst] − code[at] + bias addresses a
+// (2W−1)(2H−1) slice of productive lists packed into one uint16 each (four
+// 3-bit port entries plus a 3-bit length). The deflection order depends only
+// on the productive list and the port mask, so it is stored once per
+// (distinct list, mask). A query on the cycle hot path is two small loads, a
+// subtract and a table load, and the table takes 4·nodes + 3(2W−1)(2H−1)
+// bytes plus the deflection block: 64 KiB at 64×64, not the 64 MiB of one
+// entry per node pair.
 //
 // A Table is itself an Algorithm (the mesh argument of the interface methods
 // is ignored — the table was built for one mesh), so it drops into every
@@ -66,10 +73,20 @@ func (MinimalAdaptive) Productive(m Mesh, at, dst int) PortList {
 // to share across all routers of a network and across shard workers.
 type Table struct {
 	algo  Algorithm
-	nodes int
-	prod  []uint16 // packed Productive, indexed at*nodes+dst
-	defl  []uint16 // packed DeflectionOrder
+	w     int      // mesh width; the height is len(node)/w
+	bias  int      // offset code of (dx, dy) = (0, 0)
+	node  []uint32 // per node: offset code<<4 | port mask
+	prod  []uint16 // per offset: packed Productive
+	class []uint8  // per offset: which distinct productive list it holds
+	defl  []uint16 // per class × port mask: packed DeflectionOrder
 }
+
+// probe is the (2W−1)×(2H−1) mesh NewTable evaluates an algorithm on: from its
+// centre every offset occurs, and a destination's id is the offset's index.
+type probe struct{ stride int }
+
+func (p probe) XY(n int) (x, y int) { return n % p.stride, n / p.stride }
+func (probe) PortMask(int) uint8    { return 15 }
 
 // packList packs a PortList into 16 bits: length in bits 12..14, entry i in
 // bits 3i..3i+2. Lists only ever hold cardinal ports (values 0..3).
@@ -97,26 +114,45 @@ func unpackList(v uint16) PortList {
 	return l
 }
 
-// NewTable precomputes algo over all nodes² pairs of m. If algo is already a
-// *Table it is returned as-is, so constructors may wrap unconditionally.
+// NewTable precomputes algo for the W×H mesh m with one Productive evaluation
+// per offset (so algo must be translation-invariant). If algo is already a
+// *Table for this mesh it is returned as-is, so constructors may wrap
+// unconditionally; a table for another mesh is rebuilt from what it wraps.
 func NewTable(algo Algorithm, m Mesh, nodes int) *Table {
-	if t, ok := algo.(*Table); ok {
-		return t
-	}
 	if nodes <= 0 {
 		panic(fmt.Sprintf("routing: table needs a positive node count, got %d", nodes))
 	}
-	t := &Table{
-		algo:  algo,
-		nodes: nodes,
-		prod:  make([]uint16, nodes*nodes),
-		defl:  make([]uint16, nodes*nodes),
+	lastX, lastY := m.XY(nodes - 1) // row-major: the last node is the far corner
+	w, h := lastX+1, lastY+1
+	if nodes != w*h {
+		panic(fmt.Sprintf("routing: table for %d nodes on a %dx%d mesh", nodes, w, h))
 	}
-	for at := 0; at < nodes; at++ {
-		row := at * nodes
-		for dst := 0; dst < nodes; dst++ {
-			t.prod[row+dst] = packList(algo.Productive(m, at, dst))
-			t.defl[row+dst] = packList(DeflectionOrder(algo, m, at, dst))
+	if t, ok := algo.(*Table); ok {
+		if len(t.node) == nodes && t.w == w {
+			return t
+		}
+		algo = t.algo
+	}
+	stride, offsets := 2*w-1, (2*w-1)*(2*h-1)
+	t := &Table{algo: algo, w: w, bias: w - 1 + (h-1)*stride, node: make([]uint32, nodes),
+		prod: make([]uint16, offsets), class: make([]uint8, offsets)}
+	for n := range t.node {
+		x, y := m.XY(n)
+		t.node[n] = uint32(x+y*stride)<<4 | uint32(m.PortMask(n))
+	}
+	var lists []uint16 // the distinct productive lists, by class
+	var pm Mesh = probe{stride}
+	for i := range t.prod {
+		t.prod[i] = packList(algo.Productive(pm, t.bias, i))
+		c := slices.Index(lists, t.prod[i])
+		if c < 0 {
+			c, lists = len(lists), append(lists, t.prod[i])
+		}
+		t.class[i] = uint8(c)
+	}
+	for _, v := range lists {
+		for mask := uint8(0); mask < 16; mask++ {
+			t.defl = append(t.defl, packList(deflectionOrder(unpackList(v), mask)))
 		}
 	}
 	return t
@@ -128,20 +164,19 @@ func (t *Table) Name() string { return t.algo.Name() }
 // Adaptive implements Algorithm.
 func (t *Table) Adaptive() bool { return t.algo.Adaptive() }
 
+// offset is the table index of dst's offset from at.
+func (t *Table) offset(at, dst int) int { return int(t.node[dst]>>4) - int(t.node[at]>>4) + t.bias }
+
 // Productive implements Algorithm; the mesh argument is ignored.
-func (t *Table) Productive(_ Mesh, at, dst int) PortList {
-	return unpackList(t.prod[at*t.nodes+dst])
-}
+func (t *Table) Productive(_ Mesh, at, dst int) PortList { return t.ProductiveAt(at, dst) }
 
 // ProductiveAt is the table-native productive query (no interface, no mesh).
-func (t *Table) ProductiveAt(at, dst int) PortList {
-	return unpackList(t.prod[at*t.nodes+dst])
-}
+func (t *Table) ProductiveAt(at, dst int) PortList { return unpackList(t.prod[t.offset(at, dst)]) }
 
 // RequestAt is the look-ahead routing decision at node `at`: the preferred
 // productive port, or Local when the flit has arrived.
 func (t *Table) RequestAt(at, dst int) flit.Port {
-	v := t.prod[at*t.nodes+dst]
+	v := t.prod[t.offset(at, dst)]
 	if v>>12 == 0 {
 		return flit.Local
 	}
@@ -150,11 +185,10 @@ func (t *Table) RequestAt(at, dst int) flit.Port {
 
 // DeflectionAt is the table-native deflection-order query.
 func (t *Table) DeflectionAt(at, dst int) PortList {
-	return unpackList(t.defl[at*t.nodes+dst])
+	c := int(t.class[t.offset(at, dst)])
+	return unpackList(t.defl[c<<4|int(t.node[at]&15)])
 }
 
 // ProductiveLenAt returns the size of the productive set without unpacking
 // the list (deflection routers compare a rank against it).
-func (t *Table) ProductiveLenAt(at, dst int) int {
-	return int(t.prod[at*t.nodes+dst] >> 12)
-}
+func (t *Table) ProductiveLenAt(at, dst int) int { return int(t.prod[t.offset(at, dst)] >> 12) }
