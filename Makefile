@@ -45,7 +45,7 @@ lint:
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 	@if command -v shellcheck >/dev/null 2>&1; then \
-		shellcheck scripts/*.sh; \
+		shellcheck -x scripts/*.sh; \
 	else \
 		echo "lint: shellcheck not installed, skipping (apt install shellcheck)"; \
 	fi
@@ -82,7 +82,10 @@ examples-smoke:
 	rm -f flightrecorder_trace.json
 
 # Launch a sharded dxbar-sim with -http and assert /healthz and /metrics
-# serve the expected series while the simulation runs (needs curl).
+# serve the expected series while the simulation runs, then a dxbar-sweep
+# with -http -ledger and assert its /metrics aggregates the engine and ledger
+# counters of the sweep's points (needs curl). The smoke scripts share
+# scripts/lib.sh.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
 

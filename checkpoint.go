@@ -56,16 +56,6 @@ type Checkpoint struct {
 	engine []byte
 }
 
-// scrubConfig drops the live attachments that are not configuration (and
-// cannot marshal): the metrics registry, the progress tracker and the diag
-// config with its logger/callbacks.
-func scrubConfig(cfg Config) Config {
-	cfg.Metrics = nil
-	cfg.Progress = nil
-	cfg.Diag = nil
-	return cfg
-}
-
 // writeCheckpoint serializes one checkpoint file under dir, atomically:
 // the stream is written to a temp file in the same directory and renamed into
 // place, so a kill -9 at any instant leaves either the previous file set or
@@ -75,7 +65,7 @@ func writeCheckpoint(dir string, keep int, cfg Config, cyc uint64, pastWarmup bo
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	cfgJSON, err := json.Marshal(scrubConfig(cfg))
+	cfgJSON, err := json.Marshal(cfg.withoutHandles())
 	if err != nil {
 		return "", err
 	}
@@ -215,14 +205,20 @@ func ResumeWith(path string, mutate func(*Config)) (Result, error) {
 // detail. trace is the recorder ring capacity (0 keeps the saved config's
 // EventTrace). The returned Result covers only the cycles actually re-run
 // (partial-window metrics are renormalized exactly like an interrupted
-// run's); further checkpoint writes are disabled during the rewind.
-func Rewind(path string, window uint64, trace int) (Result, error) {
+// run's); further checkpoint writes are disabled during the rewind. mutate
+// (may be nil) adjusts the saved config first, as in ResumeWith — how a
+// process reattaches its own registry, logger and thresholds; the rewind's
+// settings above win over it.
+func Rewind(path string, window uint64, trace int, mutate func(*Config)) (Result, error) {
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		return Result{}, err
 	}
 	if window == 0 {
 		return Result{}, fmt.Errorf("dxbar: rewind window must be positive")
+	}
+	if mutate != nil {
+		mutate(&ck.Config)
 	}
 	ck.Config.CheckpointInterval = 0
 	ck.Config.CheckpointDir = ""

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dxbar/internal/metrics"
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
@@ -356,10 +357,15 @@ func TestRewindPartialWindowNormalized(t *testing.T) {
 		t.Fatal("no checkpoints written")
 	}
 	// Rewind 64 cycles from the first checkpoint (cycle 96): the run ends at
-	// 160, far short of 256, with Interrupted unset.
-	res, err := Rewind(paths[0], 64, 512)
+	// 160, far short of 256, with Interrupted unset. Checkpoints carry no live
+	// handles; the mutate hook is how this process attaches its registry.
+	reg := metrics.NewRegistry()
+	res, err := Rewind(paths[0], 64, 512, func(c *Config) { c.Metrics = reg })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v, _ := reg.Sum(metrics.MetricCycles); v <= 0 {
+		t.Errorf("registry handed to Rewind saw %s = %v, want > 0", metrics.MetricCycles, v)
 	}
 	if res.Interrupted {
 		t.Fatal("rewind misreported an interrupt")

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -69,6 +70,10 @@ func main() {
 		diagWindow = flag.Uint64("diag-window", 0, "anomaly-detector window in cycles (0 = default)")
 	)
 	flag.Parse()
+	if err := validate(*ckptInterval, *ckptDir, *ledgerReuse, *ledgerDir, *traceOut, *trace); err != nil {
+		fmt.Fprintln(os.Stderr, "dxbar-sim:", err)
+		os.Exit(2)
+	}
 
 	var err error
 	logger, err = diag.NewLogger(os.Stderr, *logFormat, *verbose)
@@ -126,6 +131,11 @@ func main() {
 		Logger:      logger,
 		Registry:    reg,
 	}
+	reattach := func(c *dxbar.Config) {
+		c.Metrics, c.Progress = reg, prog
+		c.DiagDir = *diagDir
+		c.Diag = diagCfg
+	}
 
 	var res dxbar.Result
 	switch {
@@ -140,14 +150,10 @@ func main() {
 			}
 		}
 		logger.Info("resuming from checkpoint", "path", path)
-		res, err = dxbar.ResumeWith(path, func(c *dxbar.Config) {
-			c.Metrics, c.Progress = reg, prog
-			c.DiagDir = *diagDir
-			c.Diag = diagCfg
-		})
+		res, err = dxbar.ResumeWith(path, reattach)
 	case *rewind != "":
 		logger.Info("rewinding from checkpoint", "path", *rewind, "window", *rewindWindow)
-		res, err = dxbar.Rewind(*rewind, *rewindWindow, *trace)
+		res, err = dxbar.Rewind(*rewind, *rewindWindow, *trace, reattach)
 	default:
 		res, err = dxbar.Run(dxbar.Config{
 			Design:         dxbar.Design(*design),
@@ -232,9 +238,6 @@ func main() {
 		export(*outDir, label, res, *svg)
 	}
 	if *traceOut != "" {
-		if *trace == 0 {
-			fatal(fmt.Errorf("-trace-out requires -trace > 0"))
-		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
@@ -245,6 +248,20 @@ func main() {
 		}
 		fmt.Printf("trace written   %s (open at ui.perfetto.dev)\n", *traceOut)
 	}
+}
+
+// validate rejects flag combinations in which one flag would be silently
+// ignored, before any cycle is simulated.
+func validate(ckptInterval uint64, ckptDir string, ledgerReuse bool, ledgerDir, traceOut string, trace int) error {
+	switch {
+	case ckptInterval > 0 && ckptDir == "":
+		return errors.New("-checkpoint-interval requires -checkpoint-dir")
+	case ledgerReuse && ledgerDir == "":
+		return errors.New("-ledger-reuse requires -ledger")
+	case traceOut != "" && trace <= 0:
+		return errors.New("-trace-out requires -trace > 0")
+	}
+	return nil
 }
 
 // export writes the structured observability files: the latency histogram

@@ -58,6 +58,10 @@ func main() {
 		diagDir   = flag.String("diag-dir", "", "directory for post-mortem diagnostic bundles (anomaly, SIGQUIT, panic); empty disables bundles (detectors still run)")
 	)
 	flag.Parse()
+	if err := validate(*figFlag, *quality); err != nil {
+		fmt.Fprintln(os.Stderr, "dxbar-sweep:", err)
+		os.Exit(2)
+	}
 
 	var err error
 	logger, err = diag.NewLogger(os.Stderr, *logFormat, *verbose)
@@ -91,43 +95,43 @@ func main() {
 		}()
 	}
 
-	q := dxbar.Quick
-	if *quality == "full" {
-		q = dxbar.Full
-	}
-
+	q := qualities[*quality]
 	want := func(id string) bool { return *figFlag == "all" || *figFlag == id }
 
 	// Each pair of figures derives from one sweep, so a pair costs that
-	// sweep's runs once however many of its two figures are wanted. Figs. 5/6
-	// come first and are handled apart: -hist needs their sweep's points.
-	want56 := want("5") || want("6")
+	// sweep's runs once however many of its two figures are wanted. The load
+	// sweep behind figs 5/6 keeps its points: with -hist they also feed the
+	// latency table, the histogram export, the shard profile and the traces.
+	var pts []dxbar.SweepPoint
+	loadSweep := func(q dxbar.Quality, seed int64, o dxbar.SweepOptions) (dxbar.Figure, dxbar.Figure, error) {
+		if *hist {
+			o.EventTrace, o.Shards, o.ShardProfile = *trace, *shards, *profile
+		}
+		var err error
+		pts, err = dxbar.LoadSweepOpts("UR", q, seed, o)
+		return dxbar.Figure5From(pts), dxbar.Figure6From(pts), err
+	}
 	pairs := []struct {
 		a, b string
-		run  func(dxbar.Quality, int64) (dxbar.Figure, dxbar.Figure, error)
+		run  func(dxbar.Quality, int64, dxbar.SweepOptions) (dxbar.Figure, dxbar.Figure, error)
 	}{
+		{"5", "6", loadSweep},
 		{"7", "8", dxbar.Figure7And8},
 		{"9", "10", dxbar.Figure9And10},
 		{"11", "12", dxbar.Figure11And12},
 	}
 	total := 0
-	if want56 {
-		total += dxbar.PointCount("5", q)
-	}
 	for _, p := range pairs {
 		if want(p.a) || want(p.b) {
 			total += dxbar.PointCount(p.a, q)
 		}
 	}
 
-	// Live telemetry and progress: every completed run fires the OnRunDone
-	// hook, feeding one Progress that serves both the stderr line and the
-	// /progress endpoint. Publication never touches simulation state, so
-	// results are bit-identical with telemetry on or off.
+	// Live telemetry and progress: every completed run fires opts.OnRunDone,
+	// feeding one Progress that serves both the stderr line and the /progress
+	// endpoint. Publication never touches simulation state, so results are
+	// bit-identical with telemetry on or off.
 	prog := metrics.NewProgress("points", uint64(total))
-	dxbar.OnRunDone(func() { prog.Add(1) })
-	defer dxbar.OnRunDone(nil)
-
 	var reg *metrics.Registry
 	if *httpAddr != "" {
 		reg = metrics.NewRegistry()
@@ -143,15 +147,14 @@ func main() {
 		// when no live telemetry server was requested.
 		reg = metrics.NewRegistry()
 	}
-	// The figure functions carry no diagnostics knobs in their signatures;
-	// package-level defaults give every run they trigger the shared logger,
-	// registry and bundle directory.
-	dxbar.SetDiagDefaults(&diag.Config{Logger: logger, Registry: reg}, *diagDir)
-	defer dxbar.SetDiagDefaults(nil, "")
-	// Every run behind every figure archives into (and with -ledger-reuse is
-	// served from) the ledger.
-	dxbar.SetLedgerDefaults(*ledgerDir, *ledgerReuse)
-	defer dxbar.SetLedgerDefaults("", false)
+	// What every run behind every figure inherits: the shared registry (the
+	// monitor's metrics default into it), logger and bundle directory, and
+	// the ledger to archive into (and with -ledger-reuse be served from).
+	opts := dxbar.SweepOptions{
+		Metrics: reg, LedgerDir: *ledgerDir, LedgerReuse: *ledgerReuse,
+		Diag: &diag.Config{Logger: logger}, DiagDir: *diagDir,
+		OnRunDone: func() { prog.Add(1) },
+	}
 	if *diagDir != "" {
 		// A crash mid-sweep still leaves a post-mortem behind.
 		defer func() {
@@ -180,30 +183,28 @@ func main() {
 		}()
 	}
 
-	if want("table3") || *figFlag == "all" {
+	if want("table3") {
 		emitTable3(*outDir, *md)
 	}
-	// One load sweep feeds figs 5/6 and, with -hist, the latency table, the
-	// histogram export, the shard profile and the per-point traces.
-	if want56 {
-		var opts dxbar.SweepOptions
-		if *hist {
-			opts = dxbar.SweepOptions{
-				EventTrace: *trace, Shards: *shards,
-				Metrics: reg, ShardProfile: *profile,
-			}
+	for _, p := range pairs {
+		if !want(p.a) && !want(p.b) {
+			continue
 		}
-		pts, err := dxbar.LoadSweepOpts("UR", q, *seed, opts)
+		if diag.Interrupted() {
+			logger.Warn("interrupted; stopping before figures", "figs", p.a+"/"+p.b)
+			break
+		}
+		figA, figB, err := p.run(q, *seed, opts)
 		if err != nil {
 			fatal(err)
 		}
-		if want("5") {
-			emitFigure(dxbar.Figure5From(pts), *outDir, *svg, *md)
+		if want(p.a) {
+			emitFigure(figA, *outDir, *svg, *md)
 		}
-		if want("6") {
-			emitFigure(dxbar.Figure6From(pts), *outDir, *svg, *md)
+		if want(p.b) {
+			emitFigure(figB, *outDir, *svg, *md)
 		}
-		if *hist {
+		if p.a == "5" && *hist {
 			emitLatency(pts, *outDir)
 			if *profile && len(pts) > 0 {
 				last := pts[len(pts)-1]
@@ -216,28 +217,26 @@ func main() {
 			}
 		}
 	}
-	for _, p := range pairs {
-		if !want(p.a) && !want(p.b) {
-			continue
-		}
-		if diag.Interrupted() {
-			logger.Warn("interrupted; stopping before figures", "figs", p.a+"/"+p.b)
-			break
-		}
-		figA, figB, err := p.run(q, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		if want(p.a) {
-			emitFigure(figA, *outDir, *svg, *md)
-		}
-		if want(p.b) {
-			emitFigure(figB, *outDir, *svg, *md)
-		}
-	}
 	if diag.Interrupted() {
 		logger.Warn("sweep interrupted; figures emitted so far are complete, the rest were skipped")
 	}
+}
+
+// qualities are the -quality values.
+var qualities = map[string]dxbar.Quality{"quick": dxbar.Quick, "full": dxbar.Full}
+
+// validate rejects a -fig or -quality no figure or quality answers to, before
+// any cycle is simulated. PointCount knows the figure IDs: every figure costs
+// runs, an unknown ID none.
+func validate(fig, quality string) error {
+	q, ok := qualities[quality]
+	if !ok {
+		return fmt.Errorf("unknown -quality %q (quick | full)", quality)
+	}
+	if fig != "all" && fig != "table3" && dxbar.PointCount(fig, q) == 0 {
+		return fmt.Errorf("unknown -fig %q (5 6 7 8 9 10 11 12 | table3 | all)", fig)
+	}
+	return nil
 }
 
 // emitLatency prints the per-point latency comparison table (flagging

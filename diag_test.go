@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dxbar/internal/diag"
@@ -33,6 +34,12 @@ func findBundle(t *testing.T, dir string) (string, map[string]any) {
 		t.Fatalf("expected exactly one bundle under %s, found %d", dir, len(entries))
 	}
 	bdir := filepath.Join(dir, entries[0].Name())
+	return bdir, readManifest(t, bdir)
+}
+
+// readManifest parses a bundle directory's manifest.json.
+func readManifest(t *testing.T, bdir string) map[string]any {
+	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(bdir, "manifest.json"))
 	if err != nil {
 		t.Fatalf("bundle incomplete (no manifest): %v", err)
@@ -41,7 +48,7 @@ func findBundle(t *testing.T, dir string) (string, map[string]any) {
 	if err := json.Unmarshal(raw, &manifest); err != nil {
 		t.Fatalf("manifest.json invalid: %v", err)
 	}
-	return bdir, manifest
+	return manifest
 }
 
 // assertBundleComplete checks the bundle holds exactly the golden file set and
@@ -272,45 +279,48 @@ func TestDiagFaultLatency(t *testing.T) {
 	}
 }
 
-// TestDiagDefaultsRouting: package defaults reach runs whose Config carries
-// no diagnostics knobs (the dxbar-sweep path), and a per-run Config wins over
-// them.
+// TestDiagDefaultsRouting: the diagnostics a sweep's options carry — detector
+// config and bundle directory — reach every run of the batch, whose Configs
+// carry no diagnostics knobs of their own (the dxbar-sweep path), and a run's
+// own DisableDiag still wins over them.
 func TestDiagDefaultsRouting(t *testing.T) {
 	dir := t.TempDir()
-	var fired int
-	SetDiagDefaults(&diag.Config{
-		MaxFlitAge: 500, Window: 128,
-		StallCycles: 1 << 40, StormMinCount: 1 << 40,
-		OnAnomaly: func(diag.Anomaly) { fired++ },
-	}, dir)
-	defer SetDiagDefaults(nil, "")
-
-	res, err := Run(Config{
+	var fired atomic.Int64
+	opts := SweepOptions{
+		Diag: &diag.Config{
+			MaxFlitAge: 500, Window: 128,
+			StallCycles: 1 << 40, StormMinCount: 1 << 40,
+			OnAnomaly: func(diag.Anomaly) { fired.Add(1) },
+		},
+		DiagDir: dir,
+	}
+	saturated := Config{
 		Design: DesignDXbar, Routing: "DOR", Pattern: "UR",
 		Load: 0.95, WarmupCycles: 200, MeasureCycles: 3000, Seed: 42,
-	})
+	}
+	other, off := saturated, saturated
+	other.Seed = 43
+	off.DisableDiag = true
+	res, err := opts.runMany([]Config{saturated, other, off})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fired == 0 || len(res.Anomalies) == 0 {
-		t.Fatal("package-default detector config did not reach the run")
+	if fired.Load() == 0 || len(res[0].Anomalies) == 0 || len(res[1].Anomalies) == 0 {
+		t.Fatal("the options' detector config did not reach every run")
 	}
-	if _, err := os.ReadDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	bdir, manifest := findBundle(t, dir)
-	assertBundleComplete(t, bdir, manifest)
-
-	// DisableDiag beats the defaults.
-	res2, err := Run(Config{
-		Design: DesignDXbar, Routing: "DOR", Pattern: "UR",
-		Load: 0.95, WarmupCycles: 200, MeasureCycles: 3000, Seed: 42,
-		DisableDiag: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Anomalies) != 0 {
+	if len(res[2].Anomalies) != 0 {
 		t.Error("DisableDiag run still recorded anomalies")
+	}
+	// One auto-dumped bundle per monitored run, none for the disabled one.
+	bundles, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bundles) != 2 {
+		t.Fatalf("%d bundles under the options' DiagDir, want 2", len(bundles))
+	}
+	for _, b := range bundles {
+		bdir := filepath.Join(dir, b.Name())
+		assertBundleComplete(t, bdir, readManifest(t, bdir))
 	}
 }

@@ -1,9 +1,7 @@
 package dxbar
 
 // This file is the run-health glue between the public Run path and
-// internal/diag: package-level diagnostics defaults (how dxbar-sweep gives
-// every run a -diag-dir without threading it through every figure function),
-// per-run monitor construction, and post-mortem bundle assembly.
+// internal/diag: per-run monitor construction and post-mortem bundle assembly.
 
 import (
 	"fmt"
@@ -11,7 +9,6 @@ import (
 	"log/slog"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dxbar/internal/diag"
 	"dxbar/internal/events"
@@ -20,39 +17,6 @@ import (
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 )
-
-var (
-	diagDefaultsMu sync.RWMutex
-	diagDefaultCfg *diag.Config
-	diagDefaultDir string
-)
-
-// SetDiagDefaults installs process-wide diagnostics defaults: runs whose
-// Config.Diag is nil use cfg (copied; nil clears), and runs whose
-// Config.DiagDir is empty write post-mortem bundles under dir ("" disables).
-// The CLIs call it once at startup so every run they trigger — including the
-// sweep figure functions, whose signatures carry no diagnostics knobs —
-// shares one logger and bundle directory. Safe for concurrent use with Run.
-func SetDiagDefaults(cfg *diag.Config, dir string) {
-	diagDefaultsMu.Lock()
-	defer diagDefaultsMu.Unlock()
-	if cfg == nil {
-		diagDefaultCfg = nil
-	} else {
-		c := *cfg
-		diagDefaultCfg = &c
-	}
-	diagDefaultDir = dir
-}
-
-func diagDefaults() (diag.Config, string) {
-	diagDefaultsMu.RLock()
-	defer diagDefaultsMu.RUnlock()
-	if diagDefaultCfg == nil {
-		return diag.Config{}, diagDefaultDir
-	}
-	return *diagDefaultCfg, diagDefaultDir
-}
 
 // runDiag is one run's resolved diagnostics: the monitor the engine feeds,
 // the bundle directory, and the registry/logger the bundle writer uses.
@@ -63,30 +27,23 @@ type runDiag struct {
 	logger *slog.Logger
 }
 
-// newRunDiag resolves a run's diagnostics from its config and the package
-// defaults. Returns a zero runDiag (nil monitor — every hook no-ops) when
-// diagnostics are disabled.
+// newRunDiag resolves a run's diagnostics from its config (a nil Config.Diag
+// means diag's built-in thresholds). Returns a zero runDiag (nil monitor —
+// every hook no-ops) when diagnostics are disabled.
 func newRunDiag(cfg Config, nodes int) runDiag {
 	if cfg.DisableDiag {
 		return runDiag{}
 	}
 	var dcfg diag.Config
-	dir := cfg.DiagDir
 	if cfg.Diag != nil {
 		dcfg = *cfg.Diag
-	} else {
-		var defDir string
-		dcfg, defDir = diagDefaults()
-		if dir == "" {
-			dir = defDir
-		}
 	}
 	if dcfg.Registry == nil {
 		dcfg.Registry = cfg.Metrics
 	}
 	return runDiag{
 		mon:    diag.NewMonitor(dcfg, nodes),
-		dir:    dir,
+		dir:    cfg.DiagDir,
 		reg:    dcfg.Registry,
 		logger: dcfg.Logger,
 	}
@@ -160,14 +117,6 @@ type bundleShards struct {
 // or after the run, so everything it reads is consistent; it allocates
 // freely — the failure path is not the hot path.
 func writeRunBundle(dir, reason string, cycle uint64, cfg Config, net *Network, coll *stats.Collector, rec *events.Recorder, reg *metrics.Registry, mon *diag.Monitor, ckpt *checkpointTracker) (string, error) {
-	// The config is scrubbed of its live attachments: handles and callbacks
-	// are not configuration, and some (the registry, the diag callbacks)
-	// cannot marshal.
-	scrubbed := cfg
-	scrubbed.Metrics = nil
-	scrubbed.Progress = nil
-	scrubbed.Diag = nil
-
 	rebal, migrated := net.Engine.ShardRebalances()
 	state := bundleRunState{
 		Reason:         reason,
@@ -204,7 +153,7 @@ func writeRunBundle(dir, reason string, cycle uint64, cfg Config, net *Network, 
 			Anomalies: mon.Anomalies(),
 			Dropped:   mon.DroppedAnomalies(),
 		}),
-		diag.JSONEntry("config.json", scrubbed),
+		diag.JSONEntry("config.json", cfg.withoutHandles()),
 		diag.GoroutinesEntry(),
 		diag.JSONEntry("latency.json", latency),
 		diag.MetricsEntry(reg),

@@ -176,19 +176,19 @@ type Config struct {
 	// break bit-identity comparisons of whole Results.
 	ShardProfile bool
 	// Diag overrides the run-health monitor's configuration (detector
-	// windows, thresholds, logger, callback). Nil uses the package defaults
-	// (SetDiagDefaults, else diag's built-ins) — the monitor itself is on by
-	// default: every Run carries the progress watchdog, the flit-age
-	// watermark, the storm detectors and the fault-detection-latency tracker
-	// at zero allocations per cycle, and detectors only observe, so results
-	// are bit-identical with diagnostics on or off. The monitor's metrics
-	// default into Config.Metrics when Diag.Registry is nil.
+	// windows, thresholds, logger, callback). Nil uses diag's built-in
+	// thresholds and no logger — the monitor itself is on by default: every
+	// Run carries the progress watchdog, the flit-age watermark, the storm
+	// detectors and the fault-detection-latency tracker at zero allocations
+	// per cycle, and detectors only observe, so results are bit-identical
+	// with diagnostics on or off. The monitor's metrics default into
+	// Config.Metrics when Diag.Registry is nil.
 	Diag *diag.Config
 	// DiagDir, when non-empty, is the directory post-mortem bundles are
 	// written under: on the run's first anomaly, on SIGQUIT
-	// (diag.RequestDump), and at the end of an interrupted run. Empty falls
-	// back to the SetDiagDefaults directory; empty both ways disables bundle
-	// writing (detectors still run and Result.Anomalies is still populated).
+	// (diag.RequestDump), and at the end of an interrupted run. Empty disables
+	// bundle writing (detectors still run and Result.Anomalies is still
+	// populated).
 	DiagDir string
 	// DisableDiag turns the run-health monitor off entirely (benchmark
 	// harnesses measuring the engine alone, or A/B-testing the detectors
@@ -343,6 +343,34 @@ func (c *Config) withDefaults() Config {
 		}
 	}
 	return cfg
+}
+
+// withoutHandles and experiment are the one declaration of which Config
+// fields are not part of the experiment; checkpoints, post-mortem bundles and
+// the ledger key all read it, and TestLedgerKeyInvariance fails for a field
+// that is neither listed here nor proven to change the key.
+//
+// withoutHandles drops the live handles: attachments of this process, which
+// are not configuration and cannot marshal (the registry, the progress
+// tracker, the diag config with its logger and callbacks). What remains is
+// what a checkpoint or a bundle's config.json saves.
+func (c Config) withoutHandles() Config {
+	c.Metrics, c.Progress, c.Diag = nil, nil, nil
+	return c
+}
+
+// experiment additionally zeroes the execution-only fields — how a run is
+// parallelized, checkpointed, archived and where its bundles go, never what
+// Result it produces. What remains is what the ledger key hashes. Fields that
+// do change Result contents (SampleInterval, EventTrace, TrackUtilization,
+// ShardProfile, DisableDiag, fault knobs…) stay.
+func (c Config) experiment() Config {
+	c = c.withoutHandles()
+	c.Shards, c.RebalanceInterval = 0, 0
+	c.DiagDir = ""
+	c.CheckpointInterval, c.CheckpointDir, c.CheckpointKeep = 0, "", 0
+	c.LedgerDir, c.LedgerReuse = "", false
+	return c
 }
 
 // bufferDepthFor returns the engine credit/buffer depth for a design.

@@ -3,6 +3,7 @@ package dxbar
 import (
 	"fmt"
 
+	"dxbar/internal/diag"
 	"dxbar/internal/energy"
 	"dxbar/internal/metrics"
 	"dxbar/internal/stats"
@@ -77,8 +78,12 @@ type SweepPoint struct {
 	Result Result
 }
 
-// SweepOptions are per-point extras a load sweep can carry beyond the
-// quality axes (LoadSweepOpts).
+// SweepOptions is everything a batch of runs inherits from its caller that is
+// not the experiment itself: how each run executes, what watches it and where
+// it is archived. The zero value runs bare. It is the only way such settings
+// reach the runs behind a figure — nothing is read from package state, so two
+// sweeps in one process never share a logger, ledger or progress count by
+// accident.
 type SweepOptions struct {
 	// EventTrace enables the flight recorder with that ring capacity at
 	// every sweep point (Config.EventTrace). 0 leaves tracing off.
@@ -101,16 +106,35 @@ type SweepOptions struct {
 	// records instead of re-simulating (Config.LedgerReuse).
 	LedgerDir   string
 	LedgerReuse bool
+	// Diag is the run-health monitor configuration of every sweep point
+	// (Config.Diag): one logger, one set of detector thresholds. DiagDir is
+	// where their post-mortem bundles go (Config.DiagDir).
+	Diag    *diag.Config
+	DiagDir string
+	// OnRunDone, when non-nil, is called once after every completed run of
+	// the batch, successful or failed — the sweep-progress source (typically
+	// a closure that Add(1)s a metrics.Progress). It is called from worker
+	// goroutines and must be safe for concurrent use.
+	OnRunDone func()
 }
 
-// LoadSweep runs every figure design over the quality's load axis in
+// runMany is RunMany for a sweep: every config inherits the options, and
+// OnRunDone fires after each run.
+func (o SweepOptions) runMany(configs []Config) ([]Result, error) {
+	for i := range configs {
+		c := &configs[i]
+		c.EventTrace, c.EventKinds = o.EventTrace, o.EventKinds
+		c.Shards, c.ShardProfile = o.Shards, o.ShardProfile
+		c.Metrics = o.Metrics
+		c.LedgerDir, c.LedgerReuse = o.LedgerDir, o.LedgerReuse
+		c.Diag, c.DiagDir = o.Diag, o.DiagDir
+	}
+	return runPool(configs, 0, (*runner).run, o.OnRunDone)
+}
+
+// LoadSweepOpts runs every figure design over the quality's load axis in
 // parallel under the given synthetic pattern. Points come back design-major
 // in the paper's legend order, loads ascending within each design.
-func LoadSweep(pattern string, q Quality, seed int64) ([]SweepPoint, error) {
-	return LoadSweepOpts(pattern, q, seed, SweepOptions{})
-}
-
-// LoadSweepOpts is LoadSweep with per-point options (event tracing).
 func LoadSweepOpts(pattern string, q Quality, seed int64, opts SweepOptions) ([]SweepPoint, error) {
 	var configs []Config
 	var pts []SweepPoint
@@ -119,14 +143,11 @@ func LoadSweepOpts(pattern string, q Quality, seed int64, opts SweepOptions) ([]
 			configs = append(configs, Config{
 				Design: fd.Design, Routing: fd.Routing, Pattern: pattern, Load: l,
 				WarmupCycles: q.Warmup, MeasureCycles: q.Measure, Seed: seed,
-				EventTrace: opts.EventTrace, EventKinds: opts.EventKinds,
-				Shards: opts.Shards, Metrics: opts.Metrics, ShardProfile: opts.ShardProfile,
-				LedgerDir: opts.LedgerDir, LedgerReuse: opts.LedgerReuse,
 			})
 			pts = append(pts, SweepPoint{Label: fd.Label, Load: l})
 		}
 	}
-	results, err := RunMany(configs, 0)
+	results, err := opts.runMany(configs)
 	if err != nil {
 		return nil, err
 	}
@@ -157,14 +178,14 @@ func sweepSeries(pts []SweepPoint, y func(SweepPoint) float64) []Series {
 	return series
 }
 
-// Figure5From builds Fig. 5 (accepted vs offered load) from LoadSweep points.
+// Figure5From builds Fig. 5 (accepted vs offered load) from LoadSweepOpts points.
 func Figure5From(pts []SweepPoint) Figure {
 	return Figure{ID: "fig5", Title: "Throughput, Uniform Random",
 		XLabel: "offered load (fraction of capacity)", YLabel: "accepted load",
 		Series: sweepSeries(pts, func(p SweepPoint) float64 { return p.Result.AcceptedLoad })}
 }
 
-// Figure6From builds Fig. 6 (energy vs offered load) from LoadSweep points.
+// Figure6From builds Fig. 6 (energy vs offered load) from LoadSweepOpts points.
 func Figure6From(pts []SweepPoint) Figure {
 	return Figure{ID: "fig6", Title: "Energy, Uniform Random",
 		XLabel: "offered load (fraction of capacity)", YLabel: "average energy (nJ/packet)",
@@ -174,7 +195,7 @@ func Figure6From(pts []SweepPoint) Figure {
 // Figure5 regenerates "Throughput of Uniform Random traffic pattern":
 // accepted vs offered load for the six designs.
 func Figure5(q Quality, seed int64) (Figure, error) {
-	pts, err := LoadSweep("UR", q, seed)
+	pts, err := LoadSweepOpts("UR", q, seed, SweepOptions{})
 	if err != nil {
 		return Figure{}, err
 	}
@@ -184,7 +205,7 @@ func Figure5(q Quality, seed int64) (Figure, error) {
 // Figure6 regenerates "Power of Uniform Random traffic pattern": average
 // energy per packet vs offered load.
 func Figure6(q Quality, seed int64) (Figure, error) {
-	pts, err := LoadSweep("UR", q, seed)
+	pts, err := LoadSweepOpts("UR", q, seed, SweepOptions{})
 	if err != nil {
 		return Figure{}, err
 	}
@@ -196,10 +217,10 @@ var patternAxis = []string{"UR", "NUR", "BR", "BF", "CP", "MT", "PS", "NB", "TOR
 
 // PointCount reports how many simulation runs regenerating a figure costs at
 // the given quality — the progress total for sweep drivers (each completed
-// run fires OnRunDone once). Figs. 5/6, 7/8, 9/10 and 11/12 each share one
-// sweep, so a pair regenerated together (LoadSweep with Figure5From and
-// Figure6From; Figure7And8, Figure9And10, Figure11And12) costs what either
-// figure costs alone. Table 3 and unknown IDs cost no runs.
+// run fires SweepOptions.OnRunDone once). Figs. 5/6, 7/8, 9/10 and 11/12 each
+// share one sweep, so a pair regenerated together (LoadSweepOpts with
+// Figure5From and Figure6From; Figure7And8, Figure9And10, Figure11And12)
+// costs what either figure costs alone. Table 3 and unknown IDs cost no runs.
 func PointCount(id string, q Quality) int {
 	switch id {
 	case "5", "6":
@@ -215,8 +236,9 @@ func PointCount(id string, q Quality) int {
 }
 
 // Figure7And8 regenerates Figs. 7 and 8 from one sweep: throughput and energy
-// at offered load 0.5 across all nine synthetic patterns.
-func Figure7And8(q Quality, seed int64) (thr, en Figure, err error) {
+// at offered load 0.5 across all nine synthetic patterns. Every run inherits
+// opts.
+func Figure7And8(q Quality, seed int64, opts SweepOptions) (thr, en Figure, err error) {
 	thr = Figure{ID: "fig7", Title: "Throughput at offered load 0.5, all synthetic patterns",
 		XLabel: "pattern", YLabel: "accepted load"}
 	en = Figure{ID: "fig8", Title: "Energy at offered load 0.5, all synthetic patterns",
@@ -234,7 +256,7 @@ func Figure7And8(q Quality, seed int64) (thr, en Figure, err error) {
 			})
 		}
 	}
-	results, e := RunMany(configs, 0)
+	results, e := opts.runMany(configs)
 	if e != nil {
 		return Figure{}, Figure{}, e
 	}
@@ -255,22 +277,23 @@ func Figure7And8(q Quality, seed int64) (thr, en Figure, err error) {
 // Figure7 regenerates "Throughput at an offered load = 0.5 of all synthetic
 // traces".
 func Figure7(q Quality, seed int64) (Figure, error) {
-	thr, _, err := Figure7And8(q, seed)
+	thr, _, err := Figure7And8(q, seed, SweepOptions{})
 	return thr, err
 }
 
 // Figure8 regenerates "Energy consumed at an offered load = 0.5 of all
 // synthetic traces".
 func Figure8(q Quality, seed int64) (Figure, error) {
-	_, en, err := Figure7And8(q, seed)
+	_, en, err := Figure7And8(q, seed, SweepOptions{})
 	return en, err
 }
 
 // Figure9And10 regenerates Figs. 9 and 10 from one closed-loop matrix: the
 // SPLASH-2 substitute for every benchmark × design. Fig. 9 normalizes
 // execution time to the Buffered 4 baseline, as the paper's "Normalized
-// Execution Time" axis does.
-func Figure9And10(q Quality, seed int64) (timeFig, enFig Figure, err error) {
+// Execution Time" axis does. Closed-loop runs carry no observation settings
+// of their own, so of opts only OnRunDone applies.
+func Figure9And10(q Quality, seed int64, opts SweepOptions) (timeFig, enFig Figure, err error) {
 	benches := SplashBenchmarks()
 	xs := make([]float64, len(benches))
 	for i := range xs {
@@ -291,7 +314,7 @@ func Figure9And10(q Quality, seed int64) (timeFig, enFig Figure, err error) {
 			}
 		}
 	}
-	runs, e := RunManySplash(configs, 0)
+	runs, e := runPool(configs, 0, (*runner).runSplash, opts.OnRunDone)
 	if e != nil {
 		return Figure{}, Figure{}, e
 	}
@@ -332,13 +355,13 @@ func Figure9And10(q Quality, seed int64) (timeFig, enFig Figure, err error) {
 // Figure9 regenerates "Normalized time of simulation of all SPLASH-2
 // traces".
 func Figure9(q Quality, seed int64) (Figure, error) {
-	tf, _, err := Figure9And10(q, seed)
+	tf, _, err := Figure9And10(q, seed, SweepOptions{})
 	return tf, err
 }
 
 // Figure10 regenerates "Energy consumed of all SPLASH-2 traces".
 func Figure10(q Quality, seed int64) (Figure, error) {
-	_, ef, err := Figure9And10(q, seed)
+	_, ef, err := Figure9And10(q, seed, SweepOptions{})
 	return ef, err
 }
 
@@ -355,8 +378,8 @@ type FaultPoint struct {
 
 // FaultSweep runs DXbar under uniform-random traffic with crossbar faults
 // for both routing algorithms over the given fault fractions and loads
-// (Figs. 11 and 12 plot slices of this data).
-func FaultSweep(q Quality, seed int64, loads []float64) ([]FaultPoint, error) {
+// (Figs. 11 and 12 plot slices of this data). Every run inherits opts.
+func FaultSweep(q Quality, seed int64, loads []float64, opts SweepOptions) ([]FaultPoint, error) {
 	if loads == nil {
 		loads = q.Loads
 	}
@@ -374,7 +397,7 @@ func FaultSweep(q Quality, seed int64, loads []float64) ([]FaultPoint, error) {
 			}
 		}
 	}
-	results, err := RunMany(configs, 0)
+	results, err := opts.runMany(configs)
 	if err != nil {
 		return nil, err
 	}
@@ -410,9 +433,9 @@ func faultSeries(q Quality, pts []FaultPoint, y func(FaultPoint) float64) []Seri
 	return series
 }
 
-// Figure11And12 regenerates Figs. 11 and 12 from one fault sweep.
-func Figure11And12(q Quality, seed int64) (thr, en Figure, err error) {
-	pts, err := FaultSweep(q, seed, nil)
+// Figure11And12 regenerates Figs. 11 and 12 from one fault sweep under opts.
+func Figure11And12(q Quality, seed int64, opts SweepOptions) (thr, en Figure, err error) {
+	pts, err := FaultSweep(q, seed, nil, opts)
 	if err != nil {
 		return Figure{}, Figure{}, err
 	}
@@ -429,14 +452,14 @@ func Figure11And12(q Quality, seed int64) (thr, en Figure, err error) {
 // accepted load vs offered load per fault fraction, for DOR (a) and WF (b),
 // plus latency (c).
 func Figure11(q Quality, seed int64) (Figure, error) {
-	thr, _, err := Figure11And12(q, seed)
+	thr, _, err := Figure11And12(q, seed, SweepOptions{})
 	return thr, err
 }
 
 // Figure12 regenerates the fault-tolerance latency/power plots: average
 // energy vs offered load per fault fraction and routing algorithm.
 func Figure12(q Quality, seed int64) (Figure, error) {
-	_, en, err := Figure11And12(q, seed)
+	_, en, err := Figure11And12(q, seed, SweepOptions{})
 	return en, err
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"dxbar/internal/metrics"
 )
 
 func sampleLineFigure() Figure {
@@ -134,7 +136,7 @@ func TestFigure5And11EndToEnd(t *testing.T) {
 func TestFaultSweepShape(t *testing.T) {
 	q := Quality{Warmup: 100, Measure: 300, Loads: []float64{0.1},
 		FaultFractions: []float64{0, 0.5}, SplashSeeds: 1}
-	pts, err := FaultSweep(q, 3, nil)
+	pts, err := FaultSweep(q, 3, nil, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,28 +193,42 @@ func TestAllFigureGeneratorsEndToEnd(t *testing.T) {
 
 // A figure pair regenerated together runs its sweep once — PointCount runs,
 // not twice that — and yields exactly the figures the single-figure entry
-// points return (what dxbar-sweep -fig all relies on).
+// points return (what dxbar-sweep -fig all relies on). The options reach every
+// run of the sweep: a shared registry sees their cycles and flits, and each
+// completed point is archived once (the `dxbar-sweep -fig 7 -http -ledger`
+// path, which used to serve only the diag families).
 func TestFigurePairsShareOneSweep(t *testing.T) {
 	q := Quality{Warmup: 100, Measure: 300, Loads: []float64{0.1},
 		FaultFractions: []float64{0, 1.0}, SplashSeeds: 1}
-	var runs atomic.Int64
-	OnRunDone(func() { runs.Add(1) })
-	defer OnRunDone(nil)
 	for _, pair := range []struct {
 		id   string
-		both func(Quality, int64) (Figure, Figure, error)
+		both func(Quality, int64, SweepOptions) (Figure, Figure, error)
 		a, b func(Quality, int64) (Figure, error)
 	}{
 		{"7", Figure7And8, Figure7, Figure8},
 		{"11", Figure11And12, Figure11, Figure12},
 	} {
-		runs.Store(0)
-		figA, figB, err := pair.both(q, 5)
+		var runs atomic.Int64
+		reg := metrics.NewRegistry()
+		opts := SweepOptions{
+			Metrics: reg, LedgerDir: t.TempDir(),
+			OnRunDone: func() { runs.Add(1) },
+		}
+		figA, figB, err := pair.both(q, 5, opts)
 		if err != nil {
 			t.Fatalf("fig %s pair: %v", pair.id, err)
 		}
-		if got, want := runs.Load(), int64(PointCount(pair.id, q)); got != want {
+		want := PointCount(pair.id, q)
+		if got := runs.Load(); got != int64(want) {
 			t.Errorf("fig %s pair: %d runs, want PointCount = %d", pair.id, got, want)
+		}
+		for _, name := range []string{metrics.MetricCycles, metrics.MetricEjectedFlits} {
+			if v, _ := reg.Sum(name); v <= 0 {
+				t.Errorf("fig %s pair: %s = %v on the sweep's registry, want > 0", pair.id, name, v)
+			}
+		}
+		if v, _ := reg.Sum(metrics.MetricLedgerRecords); v != float64(want) {
+			t.Errorf("fig %s pair: %s = %v, want PointCount = %d", pair.id, metrics.MetricLedgerRecords, v, want)
 		}
 		wantA, errA := pair.a(q, 5)
 		wantB, errB := pair.b(q, 5)

@@ -217,9 +217,12 @@ func renderLabels(labels []Label) string {
 }
 
 // lookup returns the series for (name, labels), creating family and series
-// as needed. Registering an existing name with a different kind or help
+// as needed, and runs init on it before releasing the registry lock — where
+// the accessors create the series' handle, so that runs registering the same
+// series concurrently (a sweep's workers sharing one registry) all get the
+// one handle. Registering an existing name with a different kind or help
 // string panics: both are programmer errors, not runtime conditions.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *series {
+func (r *Registry) lookup(name, help string, kind metricKind, labels []Label, init func(*series)) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.index[name]
@@ -237,6 +240,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *s
 		f.index[key] = s
 		f.series = append(f.series, s)
 	}
+	init(s)
 	return s
 }
 
@@ -288,11 +292,11 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.counter == nil && s.floatCounter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.counter == nil && s.floatCounter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // FloatCounter returns the float counter for (name, labels). A name holds
@@ -301,11 +305,11 @@ func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounte
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.floatCounter == nil && s.counter == nil {
-		s.floatCounter = &FloatCounter{}
-	}
-	return s.floatCounter
+	return r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.floatCounter == nil && s.counter == nil {
+			s.floatCounter = &FloatCounter{}
+		}
+	}).floatCounter
 }
 
 // Gauge returns the gauge for (name, labels).
@@ -313,11 +317,11 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.gauge == nil && s.floatGauge == nil && s.gaugeFn == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.gauge == nil && s.floatGauge == nil && s.gaugeFn == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // FloatGauge returns the float gauge for (name, labels).
@@ -325,11 +329,11 @@ func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.floatGauge == nil && s.gauge == nil && s.gaugeFn == nil {
-		s.floatGauge = &FloatGauge{}
-	}
-	return s.floatGauge
+	return r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.floatGauge == nil && s.gauge == nil && s.gaugeFn == nil {
+			s.floatGauge = &FloatGauge{}
+		}
+	}).floatGauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape time.
@@ -339,10 +343,11 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return
 	}
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.gaugeFn == nil && s.gauge == nil && s.floatGauge == nil {
-		s.gaugeFn = fn
-	}
+	r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.gaugeFn == nil && s.gauge == nil && s.floatGauge == nil {
+			s.gaugeFn = fn
+		}
+	})
 }
 
 // Histogram returns the histogram for (name, labels), creating it with the
@@ -351,9 +356,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		s.hist = NewHistogram(bounds)
-	}
-	return s.hist
+	return r.lookup(name, help, kindHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			s.hist = NewHistogram(bounds)
+		}
+	}).hist
 }

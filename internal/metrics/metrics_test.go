@@ -79,6 +79,27 @@ func TestRegistryDedupByNameAndLabels(t *testing.T) {
 	}
 }
 
+// Runs that register the same series at the same moment — a sweep's workers
+// sharing one registry — must all get the one handle, or increments are lost
+// (run under -race: the handle is created inside the registry lock).
+func TestRegistryDedupConcurrent(t *testing.T) {
+	r := NewRegistry()
+	const workers = 16
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.Counter("dxbar_shared_total", "help").Add(1)
+			r.Histogram("dxbar_shared_hist", "help", []float64{1, 2})
+		}()
+	}
+	wg.Wait()
+	if got, _ := r.Sum("dxbar_shared_total"); got != workers {
+		t.Fatalf("shared counter = %v after %d concurrent registrations, want %d", got, workers, workers)
+	}
+}
+
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dxbar_kind_total", "help")

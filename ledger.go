@@ -17,36 +17,11 @@ package dxbar
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"dxbar/internal/metrics"
 	"dxbar/internal/runstore"
 	"dxbar/internal/stats"
 )
-
-var (
-	ledgerDefaultsMu    sync.RWMutex
-	ledgerDefaultDir    string
-	ledgerDefaultsReuse bool
-)
-
-// SetLedgerDefaults installs package-level ledger settings consumed by any
-// run whose Config.LedgerDir is empty — the hook the sweep CLI uses so every
-// run a figure function triggers internally archives into (and, with reuse,
-// is served from) one shared ledger, the same way SetDiagDefaults threads
-// the shared logger and registry. Clear with SetLedgerDefaults("", false).
-// An explicit Config.LedgerDir always wins over the default.
-func SetLedgerDefaults(dir string, reuse bool) {
-	ledgerDefaultsMu.Lock()
-	defer ledgerDefaultsMu.Unlock()
-	ledgerDefaultDir, ledgerDefaultsReuse = dir, reuse
-}
-
-func ledgerDefaults() (string, bool) {
-	ledgerDefaultsMu.RLock()
-	defer ledgerDefaultsMu.RUnlock()
-	return ledgerDefaultDir, ledgerDefaultsReuse
-}
 
 // LedgerRecord is one archived run entry (see internal/runstore.Record):
 // schema version, content key, environment stamp, and the raw config/result
@@ -85,30 +60,16 @@ func (l *Ledger) Lookup(key string) (*LedgerRecord, bool) { return l.store.Looku
 func (l *Ledger) Path(key string) string { return l.store.Path(key) }
 
 // LedgerKey returns the content address Run archives c under: a SHA-256
-// over the defaulted, scrubbed configuration. Execution-layer fields that
-// cannot change the Result (live handles, checkpoint/ledger/diag
+// over the defaulted configuration's experiment (Config.experiment). Fields
+// that cannot change the Result (live handles, checkpoint/ledger/diag
 // directories, shard count — sharding is bit-identical) are excluded, so a
 // sequential run and a sharded run of the same experiment share one record.
 func LedgerKey(c Config) (string, error) {
-	cfgJSON, err := ledgerConfigJSON(c.withDefaults())
+	cfgJSON, err := json.Marshal(c.withDefaults().experiment())
 	if err != nil {
 		return "", err
 	}
 	return runstore.Key(runstore.KindRun, cfgJSON)
-}
-
-// ledgerConfigJSON marshals the key-relevant slice of a defaulted config:
-// scrubConfig's live handles plus every field that only changes how a run
-// executes or observes itself — never what Result it produces. Fields that
-// do change Result contents (SampleInterval, EventTrace, TrackUtilization,
-// ShardProfile, DisableDiag, fault knobs…) stay in the key.
-func ledgerConfigJSON(cfg Config) ([]byte, error) {
-	k := scrubConfig(cfg) // Metrics, Progress, Diag
-	k.LedgerDir, k.LedgerReuse = "", false
-	k.CheckpointInterval, k.CheckpointKeep = 0, 0
-	k.CheckpointDir, k.DiagDir = "", ""
-	k.Shards, k.RebalanceInterval = 0, 0
-	return json.Marshal(k)
 }
 
 // ledgerReusable reports whether a config's Result can be faithfully

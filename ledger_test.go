@@ -84,41 +84,97 @@ func TestLedgerBitIdentity(t *testing.T) {
 	}
 }
 
-// TestLedgerKeyInvariance: execution-layer knobs (shard count, checkpoint
-// and ledger directories) must not change the content key; result-shaping
-// knobs must.
+// configExperimentFields are the Config fields that shape the Result and so
+// belong in the ledger key. Every other field must be dropped by
+// Config.withoutHandles (a live handle) or by Config.experiment alone
+// (execution-only); TestLedgerKeyInvariance holds the three classes to a
+// partition of Config, so a new field has to be put in one of them.
+var configExperimentFields = []string{
+	"Design", "Routing", "Width", "Height", "Pattern", "Load", "FlitsPerPacket",
+	"WarmupCycles", "MeasureCycles", "Seed",
+	"FaultFraction", "FaultCycle", "FaultGranularity",
+	"FairnessThreshold", "BufferDepth", "CreditDelay",
+	"PortOrderArbitration", "ReferenceArbitration",
+	"TrackUtilization", "SampleInterval", "EventTrace", "EventKinds",
+	"ShardProfile", "DisableDiag",
+}
+
+// perturb sets a Config field to a non-zero value different from its current
+// one.
+func perturb(t *testing.T, f reflect.Value) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(f.String() + "x")
+	case reflect.Int, reflect.Int64:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	case reflect.Float64:
+		f.SetFloat(f.Float() + 0.05)
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Slice:
+		f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+	case reflect.Pointer:
+		f.Set(reflect.New(f.Type().Elem()))
+	default:
+		t.Fatalf("perturb: no rule for kind %s", f.Kind())
+	}
+}
+
+// TestLedgerKeyInvariance walks every Config field: each is exactly one of
+// live handle, execution-only or experiment; perturbing a handle or an
+// execution-only field (shard count, checkpoint/ledger/diag directories…)
+// must not change the content key, perturbing an experiment field must.
 func TestLedgerKeyInvariance(t *testing.T) {
 	base := ledgerTestConfig()
+	base = base.withDefaults()
 	k0, err := LedgerKey(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	same := base
-	same.Shards = 4
-	same.RebalanceInterval = 512
-	same.LedgerDir = "/somewhere/else"
-	same.LedgerReuse = true
-	same.CheckpointDir = "/ckpt"
-	same.CheckpointInterval = 100
-	same.DiagDir = "/diag"
-	if k, _ := LedgerKey(same); k != k0 {
-		t.Fatal("execution-layer fields leaked into the ledger key")
+	// The key hashes the JSON of the whole stripped Config, so it moves when a
+	// field is added, renamed or reclassified — and every archived record
+	// with it. Pinned so that cannot happen unnoticed.
+	if want := "1e6c64e97279a27a965be1d50127d10dbe331a40b9ce583634ac83f3b413e748"; k0 != want {
+		t.Errorf("ledger key of the fixed config is %s, want %s: existing ledgers no longer match", k0, want)
 	}
 
-	for name, mut := range map[string]func(*Config){
-		"seed":        func(c *Config) { c.Seed++ },
-		"load":        func(c *Config) { c.Load += 0.05 },
-		"design":      func(c *Config) { c.Design = DesignFlitBless },
-		"trace":       func(c *Config) { c.EventTrace = 128 },
-		"samples":     func(c *Config) { c.SampleInterval = 100 },
-		"disablediag": func(c *Config) { c.DisableDiag = true },
-	} {
+	experiment := map[string]bool{}
+	for _, name := range configExperimentFields {
+		experiment[name] = true
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
 		c := base
-		mut(&c)
-		if k, _ := LedgerKey(c); k == k0 {
-			t.Fatalf("%s change did not change the ledger key", name)
+		perturb(t, reflect.ValueOf(&c).Elem().Field(i))
+		handle := reflect.ValueOf(c.withoutHandles()).Field(i).IsZero()
+		execOnly := !handle && reflect.ValueOf(c.experiment()).Field(i).IsZero()
+		classes := 0
+		for _, in := range []bool{handle, execOnly, experiment[name]} {
+			if in {
+				classes++
+			}
 		}
+		if classes != 1 {
+			t.Errorf("Config.%s is in %d classes (handle %v, execution-only %v, experiment %v), want exactly one: "+
+				"list it in Config.withoutHandles, Config.experiment or configExperimentFields",
+				name, classes, handle, execOnly, experiment[name])
+			continue
+		}
+		k, err := LedgerKey(c)
+		if err != nil {
+			t.Fatalf("Config.%s perturbed: %v", name, err)
+		}
+		if changed := k != k0; changed != experiment[name] {
+			t.Errorf("perturbing Config.%s: key changed = %v, want %v", name, changed, experiment[name])
+		}
+		delete(experiment, name)
+	}
+	for name := range experiment {
+		t.Errorf("configExperimentFields names %s, which is not a Config field", name)
 	}
 }
 
@@ -242,7 +298,7 @@ func TestLedgerRewindNotArchived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Rewind(path, 100, 0); err != nil {
+	if _, err := Rewind(path, 100, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	recs, err = l.List()

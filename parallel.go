@@ -4,31 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// onRunDone holds the batch-progress hook (see OnRunDone).
-var onRunDone atomic.Pointer[func()]
-
-// OnRunDone installs a process-wide hook invoked once after every completed
-// RunMany / RunManySplash job, successful or failed — the sweep-progress
-// source for the /progress endpoint and the CLI progress line (hooks
-// typically close over a metrics.Progress and Add(1)). fn must be safe for
-// concurrent calls from worker goroutines; nil removes the hook.
-func OnRunDone(fn func()) {
-	if fn == nil {
-		onRunDone.Store(nil)
-		return
-	}
-	onRunDone.Store(&fn)
-}
-
-// runDone fires the OnRunDone hook, if any.
-func runDone() {
-	if fn := onRunDone.Load(); fn != nil {
-		(*fn)()
-	}
-}
 
 // RunMany executes a batch of independent simulations on a worker pool and
 // returns results in input order. workers <= 0 uses GOMAXPROCS. Each
@@ -47,21 +23,21 @@ func runDone() {
 // combined with errors.Join (nil when every run succeeded); use
 // errors.Is/As to inspect individual causes.
 func RunMany(configs []Config, workers int) ([]Result, error) {
-	return runPool(configs, workers, (*runner).run)
+	return runPool(configs, workers, (*runner).run, nil)
 }
 
 // RunManySplash is RunMany for the closed-loop coherence workloads: worker
 // goroutines with per-worker engine reuse, zero-valued results for failed
 // configs, and an errors.Join-combined error.
 func RunManySplash(configs []SplashConfig, workers int) ([]SplashResult, error) {
-	return runPool(configs, workers, (*runner).runSplash)
+	return runPool(configs, workers, (*runner).runSplash, nil)
 }
 
 // runPool is the worker pool behind RunMany and RunManySplash: run(r, c) for
 // every config on min(workers, len(configs)) goroutines, each with a runner
-// of its own, results and errors in input order, the OnRunDone hook fired
-// after every job.
-func runPool[C, R any](configs []C, workers int, run func(*runner, C) (R, error)) ([]R, error) {
+// of its own, results and errors in input order, done (when non-nil) called
+// from the worker after every job.
+func runPool[C, R any](configs []C, workers int, run func(*runner, C) (R, error), done func()) ([]R, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -83,7 +59,9 @@ func runPool[C, R any](configs []C, workers int, run func(*runner, C) (R, error)
 			r := newRunner()
 			for i := range jobs {
 				results[i], errs[i] = run(r, configs[i])
-				runDone()
+				if done != nil {
+					done()
+				}
 			}
 		}()
 	}

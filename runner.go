@@ -1,6 +1,7 @@
 package dxbar
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -166,16 +167,13 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 		ledKey     string
 		ledCfgJSON []byte
 	)
-	if cfg.LedgerDir == "" {
-		cfg.LedgerDir, cfg.LedgerReuse = ledgerDefaults()
-	}
 	if cfg.LedgerDir != "" {
 		var err error
 		led, err = OpenLedger(cfg.LedgerDir)
 		if err != nil {
 			return Result{}, err
 		}
-		ledCfgJSON, err = ledgerConfigJSON(cfg)
+		ledCfgJSON, err = json.Marshal(cfg.experiment())
 		if err != nil {
 			return Result{}, err
 		}

@@ -6,15 +6,10 @@
 # the go toolchain.
 set -eu
 
-WORK="$(mktemp -d)"
-SIM_PID=""
-cleanup() {
-	[ -n "$SIM_PID" ] && kill "$SIM_PID" 2>/dev/null || true
-	rm -rf "$WORK"
-}
-trap cleanup EXIT INT TERM
+# shellcheck source=scripts/lib.sh
+. "$(dirname "$0")/lib.sh"
 
-go build -o "$WORK/dxbar-sim" ./cmd/dxbar-sim
+build_tool dxbar-sim
 
 # Shared run shape: small mesh, long enough to straddle several checkpoints.
 RUN_FLAGS="-design dxbar -width 4 -height 4 -load 0.3 -seed 11 -warmup 500 -measure 2000000"
@@ -55,15 +50,11 @@ else
 	# on disk, so the resume below still proves recovery — note it and go on.
 	wait "$SIM_PID" 2>/dev/null || true
 	SIM_PID=""
-	echo "checkpoint-smoke: run finished before kill -9 landed; resuming from its last checkpoint anyway"
+	echo "$TAG: run finished before kill -9 landed; resuming from its last checkpoint anyway"
 fi
 
 set -- "$WORK/ckpt"/ckpt-*.dxsn
-[ -e "$1" ] || {
-	echo "checkpoint-smoke: no checkpoint files under $WORK/ckpt" >&2
-	cat "$WORK/kill.stderr" >&2
-	exit 1
-}
+[ -e "$1" ] || fail "no checkpoint files under $WORK/ckpt" "$WORK/kill.stderr"
 
 # 3. Resume from the directory (newest checkpoint wins) and compare the
 #    deterministic summary against the uninterrupted reference.
@@ -71,9 +62,7 @@ set -- "$WORK/ckpt"/ckpt-*.dxsn
 
 summary "$WORK/ref.stdout" >"$WORK/ref.summary"
 summary "$WORK/res.stdout" >"$WORK/res.summary"
-if ! diff -u "$WORK/ref.summary" "$WORK/res.summary"; then
-	echo "checkpoint-smoke: resumed run diverged from the uninterrupted reference" >&2
-	exit 1
-fi
+diff -u "$WORK/ref.summary" "$WORK/res.summary" ||
+	fail "resumed run diverged from the uninterrupted reference"
 
-echo "checkpoint-smoke: ok (kill -9 mid-run, resumed bit-identical)"
+echo "$TAG: ok (kill -9 mid-run, resumed bit-identical)"

@@ -14,15 +14,10 @@ set -eu
 
 PORT="${1:-18231}"
 BASE="http://127.0.0.1:$PORT"
-WORK="$(mktemp -d)"
-SIM_PID=""
-cleanup() {
-	[ -n "$SIM_PID" ] && kill "$SIM_PID" 2>/dev/null || true
-	rm -rf "$WORK"
-}
-trap cleanup EXIT INT TERM
+# shellcheck source=scripts/lib.sh
+. "$(dirname "$0")/lib.sh"
 
-go build -o "$WORK/dxbar-sim" ./cmd/dxbar-sim
+build_tool dxbar-sim
 
 # --- Phase 1: run ledger ---------------------------------------------------
 
@@ -30,17 +25,10 @@ LEDGER="$WORK/ledger"
 "$WORK/dxbar-sim" -warmup 100 -measure 500 -ledger "$LEDGER" >/dev/null
 
 records=$(ls "$LEDGER"/run-*.json 2>/dev/null | wc -l)
-if [ "$records" -ne 1 ]; then
-	echo "dashboard-smoke: expected 1 ledger record after the run, found $records" >&2
-	ls -l "$LEDGER" >&2 || true
-	exit 1
-fi
+[ "$records" -eq 1 ] || fail "expected 1 ledger record after the run, found $records"
 REC="$(ls "$LEDGER"/run-*.json)"
 for field in '"schema"' '"key"' '"config"' '"result"' '"env"'; do
-	if ! grep -q "$field" "$REC"; then
-		echo "dashboard-smoke: ledger record $REC is missing $field" >&2
-		exit 1
-	fi
+	grep -q "$field" "$REC" || fail "ledger record $REC is missing $field"
 done
 
 # Same config + seed with -ledger-reuse must be served from the archive:
@@ -48,48 +36,22 @@ done
 "$WORK/dxbar-sim" -warmup 100 -measure 500 -ledger "$LEDGER" -ledger-reuse \
 	>"$WORK/reuse.out" 2>&1
 records=$(ls "$LEDGER"/run-*.json | wc -l)
-if [ "$records" -ne 1 ]; then
-	echo "dashboard-smoke: -ledger-reuse wrote a duplicate record ($records files)" >&2
-	exit 1
-fi
+[ "$records" -eq 1 ] || fail "-ledger-reuse wrote a duplicate record ($records files)"
 
-echo "dashboard-smoke: ledger ok ($(basename "$REC"))"
+echo "$TAG: ledger ok ($(basename "$REC"))"
 
 # --- Phase 2: live dashboard + SSE -----------------------------------------
 
 "$WORK/dxbar-sim" -measure 50000000 -http "127.0.0.1:$PORT" \
 	>/dev/null 2>"$WORK/sim.stderr" &
 SIM_PID=$!
-
-ready=""
-for _ in $(seq 1 60); do
-	if curl -sf "$BASE/healthz" >/dev/null 2>&1; then
-		ready=yes
-		break
-	fi
-	if ! kill -0 "$SIM_PID" 2>/dev/null; then
-		echo "dashboard-smoke: dxbar-sim exited before serving" >&2
-		cat "$WORK/sim.stderr" >&2
-		exit 1
-	fi
-	sleep 0.25
-done
-if [ -z "$ready" ]; then
-	echo "dashboard-smoke: /healthz never came up on $BASE" >&2
-	exit 1
-fi
+wait_healthz "$BASE" "$SIM_PID" "$WORK/sim.stderr"
 
 # The root path serves the self-contained dashboard page.
 PAGE="$WORK/page.html"
 curl -sf "$BASE/" >"$PAGE"
-grep -q '<title>dxbar telemetry</title>' "$PAGE" || {
-	echo "dashboard-smoke: / is not serving the dashboard page" >&2
-	exit 1
-}
-grep -q 'EventSource' "$PAGE" || {
-	echo "dashboard-smoke: dashboard page has no EventSource wiring" >&2
-	exit 1
-}
+grep -q '<title>dxbar telemetry</title>' "$PAGE" || fail "/ is not serving the dashboard page"
+grep -q 'EventSource' "$PAGE" || fail "dashboard page has no EventSource wiring"
 
 # /events must stream at least two SSE data frames while the run is live.
 # The hub emits one frame immediately on subscribe and then one per sampling
@@ -97,15 +59,7 @@ grep -q 'EventSource' "$PAGE" || {
 FRAMES="$WORK/frames.txt"
 curl -sf --max-time 4 -N "$BASE/events" >"$FRAMES" 2>/dev/null || true
 frames=$(grep -c '^data: ' "$FRAMES" || true)
-if [ "$frames" -lt 2 ]; then
-	echo "dashboard-smoke: expected >=2 SSE frames from /events, got $frames" >&2
-	cat "$FRAMES" >&2
-	exit 1
-fi
-grep -q '"schema":1' "$FRAMES" || {
-	echo "dashboard-smoke: SSE frames carry no schema stamp" >&2
-	head -2 "$FRAMES" >&2
-	exit 1
-}
+[ "$frames" -ge 2 ] || fail "expected >=2 SSE frames from /events, got $frames" "$FRAMES"
+grep -q '"schema":1' "$FRAMES" || fail "SSE frames carry no schema stamp" "$FRAMES"
 
-echo "dashboard-smoke: ok ($frames SSE frames, dashboard live at $BASE/)"
+echo "$TAG: ok ($frames SSE frames, dashboard live at $BASE/)"

@@ -6,16 +6,11 @@
 # toolchain.
 set -eu
 
-WORK="$(mktemp -d)"
 DIAG="${1:-diag-artifacts}"
-SIM_PID=""
-cleanup() {
-	[ -n "$SIM_PID" ] && kill "$SIM_PID" 2>/dev/null || true
-	rm -rf "$WORK"
-}
-trap cleanup EXIT INT TERM
+# shellcheck source=scripts/lib.sh
+. "$(dirname "$0")/lib.sh"
 
-go build -o "$WORK/dxbar-sim" ./cmd/dxbar-sim
+build_tool dxbar-sim
 rm -rf "$DIAG"
 
 # The bundle's required file set; manifest.json is written last, so its
@@ -25,16 +20,9 @@ BUNDLE_FILES="anomalies.json config.json goroutines.txt latency.json manifest.js
 check_bundle() {
 	bdir="$1"
 	for f in $BUNDLE_FILES; do
-		if [ ! -s "$bdir/$f" ]; then
-			echo "diag-smoke: bundle $bdir is missing or has empty $f" >&2
-			ls -l "$bdir" >&2 || true
-			exit 1
-		fi
+		[ -s "$bdir/$f" ] || fail "bundle $bdir is missing or has empty $f"
 	done
-	grep -q '"schema"' "$bdir/manifest.json" || {
-		echo "diag-smoke: $bdir/manifest.json has no schema field" >&2
-		exit 1
-	}
+	grep -q '"schema"' "$bdir/manifest.json" || fail "$bdir/manifest.json has no schema field"
 }
 
 # 1. Forced anomaly: far past saturation with a low age watermark, the
@@ -43,27 +31,14 @@ check_bundle() {
 	-diag-dir "$DIAG/anomaly" -diag-max-age 500 -diag-window 128 \
 	-log-format json >"$WORK/run.stdout" 2>"$WORK/run.stderr"
 
-grep -q '"kind":"starvation"' "$WORK/run.stderr" || {
-	echo "diag-smoke: no structured starvation record on stderr" >&2
-	cat "$WORK/run.stderr" >&2
-	exit 1
-}
-grep -q 'starvation' "$WORK/run.stdout" || {
-	echo "diag-smoke: run report has no anomaly table" >&2
-	cat "$WORK/run.stdout" >&2
-	exit 1
-}
+grep -q '"kind":"starvation"' "$WORK/run.stderr" ||
+	fail "no structured starvation record on stderr" "$WORK/run.stderr"
+grep -q 'starvation' "$WORK/run.stdout" || fail "run report has no anomaly table" "$WORK/run.stdout"
 set -- "$DIAG"/anomaly/dxbar-diag-anomaly-starvation-*
-[ -d "$1" ] || {
-	echo "diag-smoke: no anomaly bundle under $DIAG/anomaly" >&2
-	exit 1
-}
+[ -d "$1" ] || fail "no anomaly bundle under $DIAG/anomaly"
 check_bundle "$1"
-grep -q '"reason": "anomaly-starvation"' "$1/manifest.json" || {
-	echo "diag-smoke: bundle reason is not anomaly-starvation" >&2
-	cat "$1/manifest.json" >&2
-	exit 1
-}
+grep -q '"reason": "anomaly-starvation"' "$1/manifest.json" ||
+	fail "bundle reason is not anomaly-starvation" "$1/manifest.json"
 
 # 2. SIGQUIT on a live healthy run: the dump request is consumed at the next
 #    detector-window boundary and writes a signal bundle while the run keeps
@@ -72,11 +47,7 @@ grep -q '"reason": "anomaly-starvation"' "$1/manifest.json" || {
 	>/dev/null 2>"$WORK/sig.stderr" &
 SIM_PID=$!
 sleep 1
-kill -0 "$SIM_PID" 2>/dev/null || {
-	echo "diag-smoke: dxbar-sim exited before SIGQUIT" >&2
-	cat "$WORK/sig.stderr" >&2
-	exit 1
-}
+kill -0 "$SIM_PID" 2>/dev/null || fail "dxbar-sim exited before SIGQUIT" "$WORK/sig.stderr"
 kill -QUIT "$SIM_PID"
 
 bdir=""
@@ -88,20 +59,9 @@ for _ in $(seq 1 40); do
 	fi
 	sleep 0.25
 done
-[ -n "$bdir" ] || {
-	echo "diag-smoke: SIGQUIT produced no signal bundle" >&2
-	cat "$WORK/sig.stderr" >&2
-	exit 1
-}
-kill -0 "$SIM_PID" 2>/dev/null || {
-	echo "diag-smoke: SIGQUIT killed the run instead of snapshotting it" >&2
-	exit 1
-}
+[ -n "$bdir" ] || fail "SIGQUIT produced no signal bundle" "$WORK/sig.stderr"
+kill -0 "$SIM_PID" 2>/dev/null || fail "SIGQUIT killed the run instead of snapshotting it"
 check_bundle "$bdir"
-grep -q '"reason": "signal"' "$bdir/manifest.json" || {
-	echo "diag-smoke: bundle reason is not signal" >&2
-	cat "$bdir/manifest.json" >&2
-	exit 1
-}
+grep -q '"reason": "signal"' "$bdir/manifest.json" || fail "bundle reason is not signal" "$bdir/manifest.json"
 
-echo "diag-smoke: ok (anomaly + SIGQUIT bundles complete under $DIAG)"
+echo "$TAG: ok (anomaly + SIGQUIT bundles complete under $DIAG)"
