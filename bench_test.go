@@ -16,6 +16,9 @@ package dxbar
 import (
 	"fmt"
 	"testing"
+
+	"dxbar/internal/stats"
+	"dxbar/internal/topology"
 )
 
 // benchQ is the quality used by the figure benchmarks: the paper's load
@@ -303,6 +306,34 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 	}
 	// 1000 cycles × 64 routers per iteration.
 	b.ReportMetric(float64(b.N)*1000*64/b.Elapsed().Seconds(), "router-cycles/s")
+}
+
+// BenchmarkIdleStep measures what a router with nothing to do costs the
+// engine: an 8×8 network of each design with no traffic source, reported as
+// ns per router-cycle. It is the number the activity-driven router phase
+// (DESIGN.md §5) moves — a quiescent router costs one byte test instead of a
+// Step — and AFC, which never reports quiescent, is the in-table control.
+// The end-to-end judge for idle-path changes is the benchmark's `splash`
+// workload; this is the kernel-level view.
+func BenchmarkIdleStep(b *testing.B) {
+	const cycles = 10_000
+	for _, d := range AllDesigns {
+		b.Run(string(d), func(b *testing.B) {
+			mesh := topology.MustMesh(8, 8)
+			net, err := NewNetwork(NetworkOptions{
+				Design: d, Mesh: mesh,
+				Stats: stats.NewCollector(mesh.Nodes(), 0, ^uint64(0)),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Engine.Run(cycles)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cycles*float64(mesh.Nodes())), "ns/router-cycle")
+		})
+	}
 }
 
 // BenchmarkExtensionAFC compares the AFC extension design (network-wide

@@ -57,56 +57,65 @@ func resultJSON(t *testing.T, r Result) []byte {
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	for _, tc := range checkpointCases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := checkpointWindow(tc.cfg)
-			ref, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refJSON := resultJSON(t, ref)
+			// Checkpoints at cycles 96 and 192.
+			checkResumeIdentity(t, checkpointWindow(tc.cfg), 96, 2)
+		})
+	}
+}
 
-			dir := t.TempDir()
-			ckptCfg := cfg
-			ckptCfg.CheckpointInterval = 96
-			ckptCfg.CheckpointDir = dir
-			ckptCfg.CheckpointKeep = 10
-			got, err := Run(ckptCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(refJSON, resultJSON(t, got)) {
-				t.Fatalf("checkpointing perturbed the run: results differ from uncheckpointed reference")
-			}
+// checkResumeIdentity runs cfg uninterrupted, then again writing a checkpoint
+// every interval cycles (want of them), and requires the checkpointed run and
+// a Resume from every checkpoint — on the run's own backend and on the other
+// one — to reproduce the uninterrupted Result byte for byte.
+func checkResumeIdentity(t *testing.T, cfg Config, interval uint64, want int) {
+	t.Helper()
+	ref, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON := resultJSON(t, ref)
 
-			paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*.dxsn"))
-			if err != nil || len(paths) != 2 {
-				t.Fatalf("want checkpoints at cycles 96 and 192, got %v (err %v)", paths, err)
-			}
-			for _, p := range paths {
-				// Resume writes further checkpoints into the same directory;
-				// that must not disturb bit-identity either.
-				res, err := Resume(p)
-				if err != nil {
-					t.Fatalf("resume %s: %v", p, err)
-				}
-				if !bytes.Equal(refJSON, resultJSON(t, res)) {
-					t.Errorf("resume from %s: result differs from uninterrupted run", filepath.Base(p))
-				}
-				// Cross-backend restore: flip sequential <-> sharded.
-				res, err = ResumeWith(p, func(c *Config) {
-					if c.Shards > 1 {
-						c.Shards = 0
-					} else {
-						c.Shards = 4
-					}
-				})
-				if err != nil {
-					t.Fatalf("cross-backend resume %s: %v", p, err)
-				}
-				if !bytes.Equal(refJSON, resultJSON(t, res)) {
-					t.Errorf("cross-backend resume from %s: result differs", filepath.Base(p))
-				}
+	dir := t.TempDir()
+	ckptCfg := cfg
+	ckptCfg.CheckpointInterval = interval
+	ckptCfg.CheckpointDir = dir
+	ckptCfg.CheckpointKeep = 10
+	got, err := Run(ckptCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refJSON, resultJSON(t, got)) {
+		t.Fatalf("checkpointing perturbed the run: results differ from uncheckpointed reference")
+	}
+
+	paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*.dxsn"))
+	if err != nil || len(paths) != want {
+		t.Fatalf("want %d checkpoints (every %d cycles), got %v (err %v)", want, interval, paths, err)
+	}
+	for _, p := range paths {
+		// Resume writes further checkpoints into the same directory;
+		// that must not disturb bit-identity either.
+		res, err := Resume(p)
+		if err != nil {
+			t.Fatalf("resume %s: %v", p, err)
+		}
+		if !bytes.Equal(refJSON, resultJSON(t, res)) {
+			t.Errorf("resume from %s: result differs from uninterrupted run", filepath.Base(p))
+		}
+		// Cross-backend restore: flip sequential <-> sharded.
+		res, err = ResumeWith(p, func(c *Config) {
+			if c.Shards > 1 {
+				c.Shards = 0
+			} else {
+				c.Shards = 4
 			}
 		})
+		if err != nil {
+			t.Fatalf("cross-backend resume %s: %v", p, err)
+		}
+		if !bytes.Equal(refJSON, resultJSON(t, res)) {
+			t.Errorf("cross-backend resume from %s: result differs", filepath.Base(p))
+		}
 	}
 }
 

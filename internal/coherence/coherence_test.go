@@ -234,3 +234,39 @@ func TestSharedVsPrivateAddressSpaces(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateDrainsByTruncation pins the outbox contract: an empty outbox
+// yields nil without being touched, a drained one keeps its capacity for the
+// node's next message (the returned slice aliases it, as sim.SourceAdapter's
+// does), and nothing is delivered twice.
+func TestGenerateDrainsByTruncation(t *testing.T) {
+	mesh := topology.MustMesh(4, 4)
+	prof, _ := ProfileByName("FFT")
+	s, err := NewSystem(mesh, prof, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := s.Generate(3, 0); out != nil {
+		t.Fatalf("empty outbox generated %v", out)
+	}
+	s.send(GetS, 64, 3, 5, 3, 0, 0)
+	s.send(GetM, 65, 3, 6, 3, 0, 0)
+	first := s.Generate(3, 0)
+	if len(first) != 2 || first[0].Dst != 5 || first[1].Dst != 6 {
+		t.Fatalf("first drain = %v, want the two queued messages in order", first)
+	}
+	if out := s.Generate(3, 1); out != nil {
+		t.Fatalf("drained outbox generated %v again", out)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.Generate(3, 2) }); allocs != 0 {
+		t.Errorf("Generate on an empty outbox allocates %.0f times", allocs)
+	}
+	s.send(Put, 66, 3, 7, 3, 0, 2)
+	second := s.Generate(3, 2)
+	if len(second) != 1 || second[0].Dst != 7 {
+		t.Fatalf("second drain = %v, want the one new message", second)
+	}
+	if &first[0] != &second[0] {
+		t.Error("the drained outbox's backing array was not reused")
+	}
+}

@@ -214,15 +214,19 @@ func (s *System) tickTile(t *tile, cycle uint64) {
 		return
 	}
 	t.opsLeft--
+	s.issueOp(t, cycle)
+	if t.opsLeft == 0 && len(t.outstanding) == 0 {
+		s.tileFinished(t)
+	}
+}
+
+// issueOp performs the tile's next memory operation: a cache hit only
+// advances nextReadyCycle; an L2 miss opens a directory transaction.
+func (s *System) issueOp(t *tile, cycle uint64) {
 	gap := uint64(1)
 	if s.prof.ComputeGap > 0 {
 		gap = uint64(t.rng.Intn(2*s.prof.ComputeGap) + 1) // mean ≈ ComputeGap
 	}
-	defer func() {
-		if t.opsLeft == 0 && len(t.outstanding) == 0 {
-			s.tileFinished(t)
-		}
-	}()
 	// Hit/miss determination: emergent from real caches in detailed mode,
 	// drawn from the profile rates otherwise. Both paths agree on the
 	// access latencies charged into nextReadyCycle.
@@ -310,10 +314,16 @@ func (s *System) tileFinished(t *tile) {
 	}
 }
 
-// Generate implements sim.Source: drains the node's outbox.
+// Generate implements sim.Source: drains the node's outbox. The returned
+// slice aliases the outbox's backing array, which the node's next send reuses
+// — the same contract as sim.SourceAdapter: the engine consumes it within the
+// Generate call's cycle, before anything can send again.
 func (s *System) Generate(node int, cycle uint64) []*traffic.PacketSpec {
 	out := s.outbox[node]
-	s.outbox[node] = nil
+	if len(out) == 0 {
+		return nil
+	}
+	s.outbox[node] = out[:0]
 	return out
 }
 

@@ -143,8 +143,16 @@ type waiter struct {
 	port flit.Port // buffer index, or Local for the injection port
 }
 
-// Step implements sim.Router.
-func (d *DXbar) Step(cycle uint64) {
+// Step implements sim.Router. It reports quiescent when the four input
+// buffers are empty and the fault state machine has no transition left to
+// take (no fault planned, or already detected): a sleeping router must not
+// miss the cycle its fault manifests or is detected, because both are
+// recorded, and reported to the run-health monitor, with the cycle they
+// happen on. That is all the state a Step can move on its own — the crossbars
+// are rebuilt from the detector at the top of every Step, and the fairness
+// counter only moves while flits wait — so with nothing buffered, latched or
+// queued another Step changes nothing.
+func (d *DXbar) Step(cycle uint64) (quiescent bool) {
 	d.primary.Reset()
 	d.secondary.Reset()
 	detected := d.applyFaults(cycle)
@@ -153,9 +161,10 @@ func (d *DXbar) Step(cycle uint64) {
 		// the bit-parallel fast path; the degraded whole-fabric modes and the
 		// reference oracle share the branchy path below.
 		d.stepFast(cycle, detected)
-		return
+	} else {
+		d.stepBranchy(cycle, detected)
 	}
-	d.stepBranchy(cycle, detected)
+	return d.bufMask == 0 && (!d.detector.Active() || d.detectedSeen)
 }
 
 // applyFaults advances the fault state machine: manifest faults are applied

@@ -84,8 +84,13 @@ func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault *faul
 // Call before the first Step.
 func (u *Unified) SetReferenceArbitration(on bool) { u.reference = on }
 
-// Step implements sim.Router.
-func (u *Unified) Step(cycle uint64) {
+// Step implements sim.Router. It reports quiescent when the four input
+// buffers are empty and no fault manifestation is pending (the unified design
+// has no detection transition): the allocator is age-based and stateless
+// between cycles, the crossbar is rebuilt at the top of every Step and the
+// fairness counter only moves while flits wait, so with nothing buffered,
+// latched or queued another Step changes nothing.
+func (u *Unified) Step(cycle uint64) (quiescent bool) {
 	env := u.env
 	u.xbar.Reset()
 
@@ -215,6 +220,7 @@ func (u *Unified) Step(cycle uint64) {
 		env.Stats().FairnessFlip(cycle)
 		env.Events().Record(cycle, events.FairnessFlip, env.Node, flit.Invalid, 0, 0, int32(u.fair.Flips()))
 	}
+	return u.Occupancy() == 0 && (!u.detector.Active() || u.manifestSeen)
 }
 
 func (u *Unified) collectWaiters() []waiter {

@@ -22,6 +22,8 @@ const (
 	MetricBuffered        = "dxbar_buffered_flits"
 	MetricCyclesPerSec    = "dxbar_cycles_per_second"
 	MetricLatency         = "dxbar_packet_latency_cycles"
+	MetricRouterSteps     = "dxbar_router_steps_total"
+	MetricRouterSkipped   = "dxbar_router_steps_skipped_total"
 	MetricShardBusy       = "dxbar_shard_router_phase_seconds_total"
 	MetricShardWait       = "dxbar_shard_barrier_wait_seconds_total"
 	MetricShardImbalance  = "dxbar_shard_imbalance_ratio"
@@ -106,6 +108,7 @@ type SimTelemetry struct {
 	inFlight, queued, buffered                        *Gauge
 	cyclesPerSec                                      *FloatGauge
 	latency                                           *Histogram
+	routerSteps, routerSkipped                        *Counter
 
 	shardBusy, shardWait []*FloatCounter
 	shardImbalance       *FloatGauge
@@ -117,6 +120,7 @@ type SimTelemetry struct {
 	lastGauge SimGauges
 	lastRate  float64
 
+	lastSteps, lastSkipped       uint64
 	lastBusy, lastWait           []time.Duration
 	lastRebalances, lastMigrated uint64
 	lastNodes                    []int64
@@ -148,6 +152,8 @@ func NewSimTelemetry(r *Registry, o SimTelemetryOptions) *SimTelemetry {
 	t.queued = r.Gauge(MetricQueued, "Flits waiting in source injection queues.")
 	t.buffered = r.Gauge(MetricBuffered, "Downstream buffer slots held by credit flow control.")
 	t.cyclesPerSec = r.FloatGauge(MetricCyclesPerSec, "Simulation speed over the last publish interval.")
+	t.routerSteps = r.Counter(MetricRouterSteps, "Router-steps executed by the activity-driven router phase (awake routers).")
+	t.routerSkipped = r.Counter(MetricRouterSkipped, "Router-steps skipped because the router was quiescent with no new input.")
 	if len(o.LatencyBounds) > 0 {
 		t.latency = r.Histogram(MetricLatency, "In-window packet latency distribution, in cycles.", o.LatencyBounds)
 	}
@@ -249,6 +255,20 @@ func (t *SimTelemetry) OnPublish(c uint64, g SimGauges, busy, wait []time.Durati
 	if total > 0 {
 		t.shardImbalance.Set(float64(max) * float64(n) / float64(total))
 	}
+}
+
+// OnRouterSteps publishes the activity-driven router phase's running totals
+// at the publish interval: router-steps executed and router-steps skipped
+// (delta-tracked, like every engine counter). Their sum is nodes × cycles;
+// skipped ÷ sum is the share of the router phase the run did not pay for.
+// Allocation-free.
+func (t *SimTelemetry) OnRouterSteps(executed, skipped uint64) {
+	if t == nil {
+		return
+	}
+	t.routerSteps.Add(executed - t.lastSteps)
+	t.routerSkipped.Add(skipped - t.lastSkipped)
+	t.lastSteps, t.lastSkipped = executed, skipped
 }
 
 // OnShardState publishes the dynamic-rebalancing series at the publish

@@ -203,16 +203,24 @@ func (a *AFC) Occupancy() int {
 	return total
 }
 
-// Step implements sim.Router.
-func (a *AFC) Step(cycle uint64) {
+// Step implements sim.Router. It never reports quiescent: the network-wide
+// AFCController's mode policy is a time-triggered state machine (observation
+// windows, drain barrier), and without the engine's PreCycle hook it is
+// ticked from here, by whichever router steps first in a cycle — so an idle
+// AFC router's Step is not a no-op for the network, and a network of sleeping
+// routers would stop its clock. Untangling that (the controller ticked by the
+// engine alone) is out of scope here; every AFC router steps every cycle,
+// exactly as before.
+func (a *AFC) Step(cycle uint64) (quiescent bool) {
 	a.ctrl.tick(cycle)
 	if a.ctrl.Buffered() || a.Occupancy() > 0 {
 		// Buffered mode — and the tail of a buffered→bufferless drain,
 		// where leftover buffered flits still leave through the allocator.
 		a.stepBuffered(cycle)
-		return
+		return false
 	}
 	a.stepBufferless(cycle)
+	return false
 }
 
 // stepBufferless is Flit-Bless switching with AFC accounting.

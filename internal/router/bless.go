@@ -59,11 +59,14 @@ func NewBless(env *sim.Env, algo routing.Algorithm) *Bless {
 // before the first Step.
 func (b *Bless) SetReferenceArbitration(on bool) { b.reference = on }
 
-// Step implements sim.Router.
-func (b *Bless) Step(cycle uint64) {
+// Step implements sim.Router. It always reports quiescent: the router is a
+// pure function of this cycle's input latches and the injection head — it has
+// no buffer, pipeline register or timer, so a Step with nothing latched and
+// nothing queued (the engine checks the queue) touches no state.
+func (b *Bless) Step(cycle uint64) (quiescent bool) {
 	if !b.reference {
 		b.stepFast(cycle)
-		return
+		return true
 	}
 	env := b.env
 	mesh := env.Mesh()
@@ -108,6 +111,7 @@ func (b *Bless) Step(cycle uint64) {
 		}
 		b.send(assigned, f, cycle)
 	}
+	return true
 }
 
 // assign picks the output port for f: Local when it has arrived and the

@@ -124,8 +124,12 @@ func (b *Buffered) SetReferenceArbitration(on bool) { b.reference = on }
 // fifoDepth is the per-FIFO capacity (4 flits, paper §III.A).
 const fifoDepth = 4
 
-// Step implements sim.Router.
-func (b *Buffered) Step(cycle uint64) {
+// Step implements sim.Router. It reports quiescent when every input FIFO is
+// empty after the step: the FIFOs (with their RC eligibility stamps) are the
+// router's only cross-cycle flit storage, the round-robin arbiters move only
+// on a grant, and returned credits matter only to a router with something to
+// send — so with nothing buffered, latched or queued another Step is a no-op.
+func (b *Buffered) Step(cycle uint64) (quiescent bool) {
 	env := b.env
 
 	// Buffer writes (BW stage): flits become eligible next cycle (RC).
@@ -191,6 +195,7 @@ func (b *Buffered) Step(cycle uint64) {
 			b.send(outPort, c.f, cycle)
 		}
 	}
+	return b.Occupancy() == 0
 }
 
 // pickQueue selects the FIFO an arrival on port p is written to:

@@ -92,11 +92,15 @@ func minimalPorts(env *sim.Env, at, dst int) routing.PortList {
 	return ports
 }
 
-// Step implements sim.Router.
-func (s *Scarab) Step(cycle uint64) {
+// Step implements sim.Router. It always reports quiescent: like Flit-Bless
+// the router holds nothing between cycles (a flit it cannot forward is
+// dropped, and the retransmission comes back through the engine's wheel, which
+// wakes the source), so a Step without latched or queued flits touches no
+// state.
+func (s *Scarab) Step(cycle uint64) (quiescent bool) {
 	if !s.reference {
 		s.stepFast(cycle)
-		return
+		return true
 	}
 	env := s.env
 	mesh := env.Mesh()
@@ -143,7 +147,7 @@ func (s *Scarab) Step(cycle uint64) {
 					env.ConsumeInjection(cycle)
 					s.send(flit.Local, f, cycle)
 				}
-				return
+				return true
 			}
 			if p := s.freeProductive(f); p != flit.Invalid {
 				env.ConsumeInjection(cycle)
@@ -151,6 +155,7 @@ func (s *Scarab) Step(cycle uint64) {
 			}
 		}
 	}
+	return true
 }
 
 // stepFast is the bit-parallel path: arrivals gathered into an SoA

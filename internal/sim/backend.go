@@ -91,10 +91,50 @@ func (b seqBackend) profile() (busy, wait []time.Duration) { return nil, nil }
 func (b seqBackend) resetProfile()                         {}
 
 func (b seqBackend) routerPhase(c uint64) {
-	for i, r := range b.e.routers {
-		r.Step(c)
-		checkConsumed(b.e.envs[i], i, c)
+	e := b.e
+	e.steps.add(e.stepNodes(e.allNodes, c), len(e.allNodes))
+}
+
+// routerSteps counts router-steps executed and skipped by the activity-driven
+// router phase. Each backend owns its own (the engine for the sequential one,
+// every shard for the sharded one, folded into the engine's at the barrier):
+// RunMany steps several engines on several goroutines, so a counter shared
+// between engines would be a contended cache line on the hottest loop.
+type routerSteps struct {
+	executed, skipped uint64
+}
+
+// add records one router phase over total nodes of which stepped were stepped.
+func (s *routerSteps) add(stepped, total int) {
+	s.executed += uint64(stepped)
+	s.skipped += uint64(total - stepped)
+}
+
+// stepNodes is the activity-driven router phase over a list of nodes, the one
+// loop both backends run (the sequential one over every node, a shard worker
+// over its tile). A node whose awake flag is clear costs one byte test. An
+// awake one is stepped and checked exactly as the engine always has, and goes
+// to sleep only when its router reported quiescent and the engine's own
+// per-node inputs — the injection deque and the spec ring — are empty too (a
+// non-empty queue is work the router may pick up on any later cycle).
+// Whatever delivers the next input sets the flag again (land loop, pushSpec,
+// pushFrontInjection), always from the engine's sequential phases, so a shard
+// worker only ever touches its own nodes' flags. It returns the number of
+// routers stepped.
+func (e *Engine) stepNodes(nodes []int, c uint64) (stepped int) {
+	for _, n := range nodes {
+		if e.awake[n] == 0 && !e.stepAll {
+			continue
+		}
+		stepped++
+		quiescent := e.routers[n].Step(c)
+		env := e.envs[n]
+		checkConsumed(env, n, c)
+		if quiescent && env.injection.len() == 0 && env.pendingSpecs.len() == 0 {
+			e.awake[n] = 0
+		}
 	}
+	return stepped
 }
 
 // checkConsumed panics if a router left an input latch occupied — the
@@ -161,6 +201,10 @@ type shard struct {
 	// cycle, so the barrier can skip the env scan entirely in the common
 	// case of none.
 	retx int
+
+	// steps counts this cycle's router-steps, folded into the engine's
+	// totals (and zeroed) at the barrier.
+	steps routerSteps
 }
 
 // shardedBackend runs the router phase tile-parallel over a 2D tile grid.
@@ -328,10 +372,7 @@ func (b *shardedBackend) routerPhase(c uint64) {
 func (b *shardedBackend) runShard(s *shard, c uint64) {
 	e := b.e
 	start := time.Now()
-	for _, n := range s.nodes {
-		e.routers[n].Step(c)
-		checkConsumed(e.envs[n], n, c)
-	}
+	s.steps.add(e.stepNodes(s.nodes, c), len(s.nodes))
 	end := time.Now()
 	b.busy[s.id] += end.Sub(start)
 	b.finish[s.id] = end
@@ -376,6 +417,9 @@ func (b *shardedBackend) merge(c uint64) {
 	for _, s := range b.shards {
 		retx += s.retx
 		s.retx = 0
+		e.steps.executed += s.steps.executed
+		e.steps.skipped += s.steps.skipped
+		s.steps = routerSteps{}
 	}
 	e.retransmits += uint64(retx)
 	// Replay per-env stages in ascending node order. The env scan is O(N),

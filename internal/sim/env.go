@@ -338,10 +338,21 @@ func (env *Env) ScheduleRetransmit(f *flit.Flit, delay uint64) {
 	env.shard.retx++
 }
 
-func (env *Env) pushBackInjection(f *flit.Flit)  { env.injection.pushBack(f) }
-func (env *Env) pushFrontInjection(f *flit.Flit) { env.injection.pushFront(f) }
-func (env *Env) pushSpec(s traffic.PacketSpec)   { env.pendingSpecs.pushBack(s) }
-func (env *Env) injectionLen() int               { return env.injection.len() + env.pendingSpecs.flits }
+// pushFrontInjection (a delivered retransmission) and pushSpec (a generated
+// packet) are the two ways work enters a node from its own PE; both wake the
+// node's router (see Engine.stepNodes). They run in the engine's sequential
+// pre-router phase, never concurrently with shard workers.
+func (env *Env) pushFrontInjection(f *flit.Flit) {
+	env.injection.pushFront(f)
+	env.engine.awake[env.Node] = 1
+}
+
+func (env *Env) pushSpec(s traffic.PacketSpec) {
+	env.pendingSpecs.pushBack(s)
+	env.engine.awake[env.Node] = 1
+}
+
+func (env *Env) injectionLen() int { return env.injection.len() + env.pendingSpecs.flits }
 
 // injectionSlack is the minimum number of materialized flits topUpInjection
 // keeps at the front of the injection deque while specs are pending. Routers

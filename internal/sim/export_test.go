@@ -1,0 +1,29 @@
+package sim
+
+import "fmt"
+
+// Test-only views of the activity-driven router phase (see stepNodes), for the
+// external test package: the differential oracle switch and the awake flags.
+
+// SetStepAll makes the engine step every router every cycle, as it did before
+// the router phase became activity-driven.
+func (e *Engine) SetStepAll(on bool) { e.stepAll = on }
+
+// Asleep reports whether node n's router is currently being skipped.
+func (e *Engine) Asleep(n int) bool { return e.awake[n] == 0 }
+
+// CheckSleepInvariant verifies, between cycles, that every sleeping node has
+// no input the engine knows of: nothing latched, nothing queued for injection
+// and no pending packet spec.
+func (e *Engine) CheckSleepInvariant() error {
+	for n, env := range e.envs {
+		if e.awake[n] != 0 {
+			continue
+		}
+		if env.InMask != 0 || env.injection.len() != 0 || env.pendingSpecs.len() != 0 {
+			return fmt.Errorf("cycle %d: node %d sleeps with InMask=%#x, %d injection flits, %d pending specs",
+				e.cycle, n, env.InMask, env.injection.len(), env.pendingSpecs.len())
+		}
+	}
+	return nil
+}

@@ -9,7 +9,9 @@
 //
 // Each cycle has two phases. In the router phase every router consumes the
 // flits latched on its input ports and fills its output latches (its SA/ST
-// pipeline stage). In the link phase the engine advances every link
+// pipeline stage); the phase is activity-driven — a router that reported
+// itself quiescent is not stepped again until an input reaches its node (see
+// Router and Engine.stepNodes). In the link phase the engine advances every link
 // pipeline: a flit written to an output latch at cycle c spends cycle c+1 on
 // the link (LT) and is visible to the downstream router at cycle c+2 —
 // matching the paper's 2-stage per-hop pipeline for DXbar / Flit-Bless /
@@ -39,8 +41,18 @@ import (
 // Router is one switching node. Step must consume every flit present on the
 // Env's In latches (buffering, switching, deflecting or dropping it) and may
 // fill each Out latch with at most one flit.
+//
+// The result is the router's half of the activity-driven router phase:
+// quiescent = true is a promise that another Step without new input would
+// change nothing — no flit sits in any buffer or pipeline register and no
+// time-triggered transition (a fault manifesting or being detected) is
+// pending. The engine then stops stepping the node until an input reaches it
+// (a landed flit, a generated packet, a delivered retransmission); the
+// injection queue is the engine's to check, not the router's. The zero value
+// means "step me again", so a design that has not reasoned about quiescence is
+// merely slow, never wrong.
 type Router interface {
-	Step(cycle uint64)
+	Step(cycle uint64) (quiescent bool)
 }
 
 // Source generates packets. Generate is called once per node per cycle,
@@ -133,6 +145,23 @@ type Engine struct {
 	linkStage [][]*flit.Flit
 	linkMask  []uint8
 
+	// awake[n] != 0 means node n's router must be stepped this cycle (see
+	// stepNodes, the one place the flag is tested and cleared). It is set
+	// wherever an input reaches a node — the land loop, pushSpec, retransmit
+	// delivery — and for every node on construction, Reset and Restore. One
+	// byte per node, not one bit, so shard workers clearing their own nodes'
+	// flags write disjoint variables. Derived state: never serialized.
+	awake []uint8
+	// allNodes lists every node in ascending order: the sequential backend's
+	// argument to stepNodes (a shard passes its tile's list).
+	allNodes []int
+	// stepAll disables the skip (every router steps every cycle) — the
+	// unexported differential oracle the activity tests compare against.
+	stepAll bool
+	// steps counts the sequential backend's router-steps; the sharded backend
+	// counts per shard and folds into it at the barrier (routerSteps).
+	steps routerSteps
+
 	reasm []*flit.Reassembler
 
 	// wheel holds scheduled retransmissions: flits parked until the cycle
@@ -209,6 +238,8 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		sink:        cfg.Sink,
 		linkStage:   make([][]*flit.Flit, n),
 		linkMask:    make([]uint8, n),
+		awake:       make([]uint8, n),
+		allNodes:    make([]int, n),
 		reasm:       make([]*flit.Reassembler, n),
 		wheel:       newEventWheel(64),
 		pool:        flit.NewPool(),
@@ -224,6 +255,7 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	}
 	e.envs = make([]*Env, n)
 	for i := 0; i < n; i++ {
+		e.allNodes[i] = i
 		e.linkStage[i] = make([]*flit.Flit, flit.NumLinkPorts)
 		e.reasm[i] = flit.NewReassembler()
 		e.envs[i] = newEnv(e, i, cfg.BufferDepth, cfg.CreditDelay)
@@ -262,7 +294,16 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	for i := 0; i < n; i++ {
 		e.routers[i] = factory(e.envs[i])
 	}
+	e.wakeAll()
 	return e, nil
+}
+
+// wakeAll marks every node for stepping — the state of an engine whose
+// routers have not yet reported anything (construction, Reset, Restore).
+func (e *Engine) wakeAll() {
+	for i := range e.awake {
+		e.awake[i] = 1
+	}
 }
 
 // installDiag hands the run-health monitor its trace widener. It runs after
@@ -369,6 +410,15 @@ func (e *Engine) ShardRebalances() (rebalances, nodesMigrated uint64) {
 	return sb.rebalances, sb.migrated
 }
 
+// RouterSteps reports the activity-driven router phase's totals so far:
+// router-steps executed, and router-steps skipped because the node was
+// quiescent with no new input (executed + skipped = nodes × cycles). The
+// split is an execution profile, not a result — an engine restored from a
+// snapshot steps every router once more than the uninterrupted run did.
+func (e *Engine) RouterSteps() (executed, skipped uint64) {
+	return e.steps.executed, e.steps.skipped
+}
+
 // ScheduleRetransmit re-enqueues f at the front of its source's injection
 // queue after delay cycles (SCARAB NACK path, fault recovery). The flit's
 // route/hop state is reset at reinjection time.
@@ -446,6 +496,7 @@ func (e *Engine) Step() {
 			}
 			nb.In[q] = f
 			nb.InMask |= 1 << uint(q)
+			e.awake[nb.Node] = 1
 			row[p] = nil
 		}
 	}
@@ -585,6 +636,7 @@ func (e *Engine) publishGauges(c uint64) {
 		QueuedFlits:   e.QueuedFlits(),
 		BufferedFlits: e.bufferedFlits(),
 	}, busy, wait)
+	e.telemetry.OnRouterSteps(e.steps.executed, e.steps.skipped)
 	if sb, ok := e.backend.(*shardedBackend); ok {
 		e.telemetry.OnShardState(sb.rebalances, sb.migrated, sb.nodeCounts)
 	}
@@ -709,6 +761,7 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	e.preCycle = cfg.PreCycle
 	e.cycle = 0
 	e.retransmits = 0
+	e.steps = routerSteps{}
 	e.backend.resetProfile()
 	if sb, ok := e.backend.(*shardedBackend); ok {
 		// The rebalance schedule may change between runs; the partition
@@ -731,6 +784,7 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 		e.linkMask[i] = 0
 		e.routers[i] = factory(e.envs[i])
 	}
+	e.wakeAll()
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 // It exists to exercise the engine contract in isolation.
 type passthrough struct{ env *Env }
 
-func (r *passthrough) Step(cycle uint64) {
+func (r *passthrough) Step(cycle uint64) bool {
 	env := r.env
 	for p := flit.North; p <= flit.West; p++ {
 		f := env.In[p]
@@ -37,6 +37,7 @@ func (r *passthrough) Step(cycle uint64) {
 		env.ConsumeInjection(cycle)
 		env.Send(flit.East, f)
 	}
+	return false
 }
 
 func testEngine(t *testing.T, src Source, depth int) (*Engine, *stats.Collector, *energy.Meter) {
@@ -138,7 +139,7 @@ func TestEjectionAtWrongNodePanics(t *testing.T) {
 // routerFunc adapts a closure to Router.
 type routerFunc func(cycle uint64)
 
-func (f routerFunc) Step(cycle uint64) { f(cycle) }
+func (f routerFunc) Step(cycle uint64) bool { f(cycle); return false }
 
 func TestUnconsumedInputPanics(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)

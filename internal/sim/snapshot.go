@@ -240,6 +240,9 @@ func (e *Engine) loadState(data []byte) error {
 	}
 	e.cycle = cycle
 	e.retransmits = retransmits
+	// The awake flags are derived state and not in the stream: every router
+	// steps once after a restore and reports its quiescence afresh.
+	e.wakeAll()
 
 	r.Expect("SRC ")
 	hasSrc := r.Bool()

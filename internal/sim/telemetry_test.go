@@ -47,7 +47,7 @@ func testBernoulli(t *testing.T, mesh *topology.Mesh) *traffic.Bernoulli {
 // designs (which live above this package).
 type passthroughXY struct{ env *Env }
 
-func (r *passthroughXY) Step(cycle uint64) {
+func (r *passthroughXY) Step(cycle uint64) bool {
 	env := r.env
 	for p := flit.North; p <= flit.West; p++ {
 		f := env.In[p]
@@ -64,6 +64,7 @@ func (r *passthroughXY) Step(cycle uint64) {
 			env.Send(out, f)
 		}
 	}
+	return false
 }
 
 func (r *passthroughXY) forward(f *flit.Flit) {
@@ -118,6 +119,10 @@ func TestTelemetryPublishesCounters(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, metrics.MetricCycles+" 200") {
 		t.Errorf("cycles counter missing or wrong:\n%s", out)
+	}
+	// The test router never reports quiescent: 16 nodes step all 200 cycles.
+	if !strings.Contains(out, metrics.MetricRouterSteps+" 3200") || !strings.Contains(out, metrics.MetricRouterSkipped+" 0") {
+		t.Errorf("router-step counters missing or wrong:\n%s", out)
 	}
 	if coll.TotalGenerated() == 0 {
 		t.Fatal("test produced no traffic; telemetry assertions vacuous")

@@ -61,36 +61,46 @@ func TestRebalanceBitIdentity(t *testing.T) {
 		for _, seed := range []int64{7, 42} {
 			for _, shards := range []int{4, 6} {
 				t.Run(fmt.Sprintf("%s/seed%d/shards%d", d, seed, shards), func(t *testing.T) {
-					seq := rebalanceNetwork(t, d, 8, 8, 0.3, seed, 1, nil)
-					seq.Engine.Run(cycles)
-
-					sharded := rebalanceNetwork(t, d, 8, 8, 0.3, seed, shards, nil)
-					forced := 0
-					for c := 0; c < cycles; c += 100 {
-						sharded.Engine.Run(100)
-						if sharded.Engine.RebalanceShards() {
-							forced++
-						}
-					}
-					if forced == 0 {
-						t.Fatal("no forced migration succeeded; the test exercised nothing")
-					}
-
-					if !reflect.DeepEqual(seq.Stats.Results(), sharded.Stats.Results()) {
-						t.Errorf("results differ from sequential after %d forced migrations\nseq:     %+v\nsharded: %+v",
-							forced, seq.Stats.Results(), sharded.Stats.Results())
-					}
-					if seqE, shE := seq.Meter.Snapshot(), sharded.Meter.Snapshot(); !reflect.DeepEqual(seqE, shE) {
-						t.Errorf("energy counts differ from sequential\nseq:     %+v\nsharded: %+v", seqE, shE)
-					}
-					rebalances, migrated := sharded.Engine.ShardRebalances()
-					if rebalances != uint64(forced) || migrated == 0 {
-						t.Errorf("ShardRebalances() = (%d, %d), want (%d, >0)", rebalances, migrated, forced)
-					}
+					checkForcedRebalance(t, d, 0.3, seed, shards, cycles)
 				})
 			}
 		}
 	}
+}
+
+// checkForcedRebalance runs the design sequentially and on the given shard
+// count with a migration forced every 100 cycles, and requires identical
+// results, energy counts and a consistent rebalance tally. It returns both
+// networks for further assertions.
+func checkForcedRebalance(t *testing.T, d Design, load float64, seed int64, shards int, cycles uint64) (seq, sharded *Network) {
+	t.Helper()
+	seq = rebalanceNetwork(t, d, 8, 8, load, seed, 1, nil)
+	seq.Engine.Run(cycles)
+
+	sharded = rebalanceNetwork(t, d, 8, 8, load, seed, shards, nil)
+	forced := 0
+	for c := uint64(0); c < cycles; c += 100 {
+		sharded.Engine.Run(100)
+		if sharded.Engine.RebalanceShards() {
+			forced++
+		}
+	}
+	if forced == 0 {
+		t.Fatal("no forced migration succeeded; the test exercised nothing")
+	}
+
+	if !reflect.DeepEqual(seq.Stats.Results(), sharded.Stats.Results()) {
+		t.Errorf("results differ from sequential after %d forced migrations\nseq:     %+v\nsharded: %+v",
+			forced, seq.Stats.Results(), sharded.Stats.Results())
+	}
+	if seqE, shE := seq.Meter.Snapshot(), sharded.Meter.Snapshot(); !reflect.DeepEqual(seqE, shE) {
+		t.Errorf("energy counts differ from sequential\nseq:     %+v\nsharded: %+v", seqE, shE)
+	}
+	rebalances, migrated := sharded.Engine.ShardRebalances()
+	if rebalances != uint64(forced) || migrated == 0 {
+		t.Errorf("ShardRebalances() = (%d, %d), want (%d, >0)", rebalances, migrated, forced)
+	}
+	return seq, sharded
 }
 
 // quadrantSource is the adversarial hotspot workload: only nodes in the

@@ -104,10 +104,17 @@ func TestShardBitIdentityLargeMesh(t *testing.T) {
 // the second run goes through Engine.Reset instead of a fresh build, and
 // both must still match a sequential run.
 func TestShardEngineReuse(t *testing.T) {
-	cfg := Config{
+	checkEngineReuse(t, Config{
 		Design: DesignSCARAB, Width: 8, Height: 8, Pattern: "UR", Load: 0.2,
 		WarmupCycles: 200, MeasureCycles: 800, Seed: 5, Shards: 2,
-	}
+	})
+}
+
+// checkEngineReuse runs cfg twice on one RunMany worker (fresh engine, then
+// the same engine after Reset) and requires both results to equal a fresh
+// sequential run's.
+func checkEngineReuse(t *testing.T, cfg Config) {
+	t.Helper()
 	batch, err := RunMany([]Config{cfg, cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +127,7 @@ func TestShardEngineReuse(t *testing.T) {
 	}
 	for i, got := range batch {
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("run %d of reused sharded engine differs from sequential", i)
+			t.Errorf("run %d of the reused engine (shards=%d) differs from sequential", i, cfg.Shards)
 		}
 	}
 }
