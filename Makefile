@@ -110,10 +110,15 @@ checkpoint-smoke:
 # The checkpoint/replay determinism suite under the race detector: resume
 # bit-identity across designs, seeds and both engine backends, snapshot
 # round-trip byte stability, corrupt-input robustness, rewind renormalization
-# and the committed golden checkpoint (cross-version format stability).
+# and the committed golden checkpoint (cross-version format stability). Then
+# the sharded engine's per-cycle differential oracle (Engine.Snapshot bytes
+# equal to the sequential engine's every 50 cycles: all designs past
+# saturation, fault plans, forced migrations, the closed loop) with the
+# barrier driven on 1, 2 and 4 processors.
 determinism:
 	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine' .
 	$(GO) test -race -count=1 ./internal/snapshot/
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Lockstep' .
 
 clean:
 	rm -rf results flightrecorder_trace.json diag-artifacts

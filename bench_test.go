@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"testing"
 
+	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
+	"dxbar/internal/traffic"
 )
 
 // benchQ is the quality used by the figure benchmarks: the paper's load
@@ -333,6 +335,61 @@ func BenchmarkIdleStep(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*cycles*float64(mesh.Nodes())), "ns/router-cycle")
 		})
+	}
+}
+
+// BenchmarkShardedStep is the sequential-vs-sharded column of the operating
+// point grid: dxbar under UR traffic below saturation at the two mesh sizes
+// sharding is meant for, on the sequential engine and on 2 and 4 shards,
+// reported as ns per router-cycle and as speed-up over the sequential row of
+// the same mesh (1.00 on that row itself). Each iteration is one 500-cycle
+// Engine.Run on a warmed network, so entering and leaving the worker scope is
+// inside the measurement. The end-to-end judge for sharding changes is the
+// benchmark's `mesh32_sharded` workload; this is the kernel-level view, and
+// on a machine with fewer cores than shards the rows above its core count
+// show oversubscription, not scaling.
+func BenchmarkShardedStep(b *testing.B) {
+	const cycles = 500
+	for _, m := range []struct {
+		w, h int
+		load float64
+	}{{32, 32, 0.1}, {64, 64, 0.05}} {
+		seq := 0.0
+		for _, shards := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%dx%d/shards%d", m.w, m.h, shards), func(b *testing.B) {
+				mesh := topology.MustMesh(m.w, m.h)
+				pat, err := traffic.New("UR", mesh)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bern, err := traffic.NewBernoulli(mesh, pat, m.load, 1, benchSeed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				net, err := NewNetwork(NetworkOptions{
+					Design: DesignDXbar, Mesh: mesh,
+					Source: &sim.SourceAdapter{B: bern},
+					Stats:  stats.NewCollector(mesh.Nodes(), 0, ^uint64(0)),
+					Shards: shards,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				net.Engine.Run(1000)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					net.Engine.Run(cycles)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / (float64(b.N) * cycles * float64(mesh.Nodes()))
+				if shards == 1 {
+					seq = ns
+				}
+				b.ReportMetric(ns, "ns/router-cycle")
+				if seq > 0 {
+					b.ReportMetric(seq/ns, "x-sequential")
+				}
+			})
+		}
 	}
 }
 

@@ -140,6 +140,23 @@ func (c *Credits) Return() {
 	}
 }
 
+// ReturnLate is Return for a caller that runs after this cycle's Tick has
+// already advanced the pipeline (the sharded engine's barrier replaying a
+// credit return that crossed a tile boundary): the credit enters one stage
+// further along — on the default delay-1 pipeline it matures at once — so the
+// counter ends the cycle in exactly the state Return followed by Tick leaves.
+func (c *Credits) ReturnLate() {
+	if d := len(c.inflight); d == 1 {
+		c.available++
+	} else {
+		c.inflight[d-2]++
+		c.pendingCnt++
+	}
+	if c.pendingCnt+c.available > c.max {
+		panic("buffer: credit overflow (more credits returned than consumed)")
+	}
+}
+
 // Tick advances the return pipeline by one cycle. The idle check is split
 // from the pipeline shift so Tick inlines into the engine's per-cycle
 // credit sweep — most counters are idle most cycles, and the sweep visits

@@ -216,6 +216,56 @@ func TestCreditsConservationProperty(t *testing.T) {
 	}
 }
 
+// Property: Tick followed by ReturnLate leaves a counter in exactly the state
+// Return followed by Tick does — for every pipeline depth and any legal
+// history before it. This is what lets the sharded engine replay a cross-tile
+// credit return at the barrier, after the owning tile has already ticked.
+func TestCreditsReturnLateEqualsReturnThenTick(t *testing.T) {
+	for delay := 1; delay <= 4; delay++ {
+		f := func(ops []uint8, late uint8) bool {
+			a, b := NewCredits(4, delay), NewCredits(4, delay)
+			for _, op := range ops {
+				switch op % 3 {
+				case 0:
+					if a.CanSend() {
+						a.Consume()
+						b.Consume()
+					}
+				case 1:
+					if a.Outstanding() > 0 {
+						a.Return()
+						b.Return()
+					}
+				case 2:
+					a.Tick()
+					b.Tick()
+				}
+			}
+			n := int(late) % (a.Outstanding() + 1)
+			for i := 0; i < n; i++ {
+				a.Return()
+			}
+			a.Tick()
+			b.Tick()
+			for i := 0; i < n; i++ {
+				b.ReturnLate()
+			}
+			// Compare now and as the pipelines drain.
+			for i := 0; i <= delay; i++ {
+				if a.Available() != b.Available() || a.pending() != b.pending() || a.HasPending() != b.HasPending() {
+					return false
+				}
+				a.Tick()
+				b.Tick()
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Errorf("delay %d: %v", delay, err)
+		}
+	}
+}
+
 func TestCreditsBadConfigPanics(t *testing.T) {
 	for _, cfg := range [][2]int{{0, 1}, {4, 0}, {-1, 2}} {
 		func() {

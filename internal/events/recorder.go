@@ -109,6 +109,35 @@ func (r *Recorder) DrainTo(dst *Recorder) {
 	r.total = 0
 }
 
+// DrainMerged replays the events of several stages into dst in ascending
+// node order and empties them. Every stage must already hold its events in
+// ascending node order — the sharded engine's tiles record their ejections
+// while walking their nodes in order — so this is a k-way merge that
+// reproduces the sequence one recorder visited by every node in turn would
+// hold; events of the same node keep their stage's order.
+func DrainMerged(dst *Recorder, stages []*Recorder) {
+	for {
+		var next *Recorder
+		for _, s := range stages {
+			// A stage's head is otherwise always 0: it serves as the cursor.
+			if s != nil && s.head < s.size && (next == nil || s.ring[s.head].Node < next.ring[next.head].Node) {
+				next = s
+			}
+		}
+		if next == nil {
+			break
+		}
+		ev := &next.ring[next.head]
+		next.head++
+		dst.Record(ev.Cycle, ev.Kind, int(ev.Node), ev.Port, ev.PacketID, ev.FlitID, ev.Detail)
+	}
+	for _, s := range stages {
+		if s != nil {
+			s.ring, s.head, s.size, s.total = s.ring[:0], 0, 0, 0
+		}
+	}
+}
+
 // Record appends one event to the ring, overwriting the oldest entry once
 // the ring is full, and bumps the node's counter for the kind. It never
 // allocates; on a nil recorder (tracing disabled) or a masked-out kind it

@@ -94,3 +94,43 @@ func TestStageSteadyStateNoGrowth(t *testing.T) {
 		t.Errorf("%.2f allocations per staged cycle in steady state, want 0", avg)
 	}
 }
+
+// TestDrainMergedOrdersByNode: stages that each hold an ascending-node run of
+// events, with node ranges that interleave across stages (as the tiles of a 2D
+// grid do in row-major node order), merge into the sequence a single recorder
+// visited in node order holds — wrapping ring included.
+func TestDrainMergedOrdersByNode(t *testing.T) {
+	direct := NewRecorder(8, 12)
+	master := NewRecorder(8, 12)
+	tiles := [][]int{{0, 1, 4, 5}, {2, 3, 6, 7}}
+	stages := make([]*Recorder, len(tiles)+1) // one nil slot: tracing-off stages are nil
+	for i := range tiles {
+		stages[i] = master.NewStage()
+	}
+	for cycle := uint64(0); cycle < 3; cycle++ {
+		for node := 0; node < 8; node++ {
+			if (node+int(cycle))%3 != 0 {
+				direct.Record(cycle, Eject, node, flit.Local, uint64(node), cycle, 0)
+			}
+		}
+		for i, nodes := range tiles {
+			for _, node := range nodes {
+				if (node+int(cycle))%3 != 0 {
+					stages[i].Record(cycle, Eject, node, flit.Local, uint64(node), cycle, 0)
+				}
+			}
+		}
+		DrainMerged(master, stages)
+	}
+	if !reflect.DeepEqual(direct.Events(), master.Events()) {
+		t.Errorf("ring differs:\ndirect: %v\nmerged: %v", direct.Events(), master.Events())
+	}
+	if !reflect.DeepEqual(direct.Matrix(), master.Matrix()) || direct.Total() != master.Total() {
+		t.Error("counter matrix or totals differ")
+	}
+	for i, s := range stages {
+		if s.Len() != 0 {
+			t.Errorf("stage %d not empty after merge: %d events", i, s.Len())
+		}
+	}
+}

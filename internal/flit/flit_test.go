@@ -220,3 +220,53 @@ func TestReassemblerPermutationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPoolSettle drives two tile-local pools against the engine's: flits
+// taken from one and returned to the other keep the network-wide outstanding
+// count exact, and a drained or bloated local free list is brought back to its
+// target — with no flit created or lost along the way.
+func TestPoolSettle(t *testing.T) {
+	master, src, dst := NewPool(), NewPool(), NewPool()
+	master.Prime(100)
+	master.Settle(src, 16)
+	master.Settle(dst, 16)
+	if src.FreeLen() != 16 || dst.FreeLen() != 16 || master.FreeLen() != 68 {
+		t.Fatalf("initial fill: src %d dst %d master %d, want 16 16 68", src.FreeLen(), dst.FreeLen(), master.FreeLen())
+	}
+	settle := func() {
+		master.Settle(src, 16)
+		master.Settle(dst, 16)
+		if src.Outstanding() != 0 || dst.Outstanding() != 0 {
+			t.Errorf("local balances not folded: src %d dst %d", src.Outstanding(), dst.Outstanding())
+		}
+	}
+	// Six flits in flight from src: its free list stays above the half-target
+	// low-water mark, so only the balance moves.
+	var fs []*Flit
+	for i := 0; i < 6; i++ {
+		fs = append(fs, src.Get())
+	}
+	settle()
+	if master.Outstanding() != 6 || src.FreeLen() != 10 {
+		t.Errorf("in flight: master outstanding %d, src free %d, want 6 10", master.Outstanding(), src.FreeLen())
+	}
+	for _, f := range fs {
+		dst.Put(f)
+	}
+	settle()
+	if master.Outstanding() != 0 || dst.FreeLen() != 22 {
+		t.Errorf("landed: master outstanding %d, dst free %d, want 0 22", master.Outstanding(), dst.FreeLen())
+	}
+	// Keep the flow going: src drains below half its target and is refilled,
+	// dst grows past twice its own and is trimmed.
+	for i := 0; i < 11; i++ {
+		dst.Put(src.Get())
+		settle()
+	}
+	if src.FreeLen() < 8 || dst.FreeLen() > 32 {
+		t.Errorf("after sustained flow: src free %d (want >= 8), dst free %d (want <= 32)", src.FreeLen(), dst.FreeLen())
+	}
+	if total := master.FreeLen() + src.FreeLen() + dst.FreeLen(); total != 100 || master.Outstanding() != 0 {
+		t.Errorf("flits not conserved: %d free, %d outstanding, want 100 and 0", total, master.Outstanding())
+	}
+}

@@ -1,10 +1,11 @@
 package flit
 
-// Pool is a per-engine free list of Flit objects. The simulation engine is
-// single-threaded, so a plain LIFO free list beats sync.Pool here: no
-// locking, no per-P caches that drain under GC pressure, and deterministic
-// reuse order (the same seed replays the same pointer lifetimes, which keeps
-// runs bit-for-bit reproducible).
+// Pool is a per-engine free list of Flit objects. A pool is only ever used
+// from one goroutine at a time (the sharded engine gives every tile its own
+// and reconciles them with the engine's between cycles, see Settle), so a
+// plain LIFO free list beats sync.Pool here: no locking and no per-P caches
+// that drain under GC pressure. Nothing a run computes depends on which Flit
+// object carries a flit.
 //
 // Ownership rule: a flit has exactly one owner at any cycle — an input
 // latch, an output latch, a link stage, a buffer slot, an injection queue or
@@ -56,6 +57,28 @@ func (p *Pool) Prime(n int) {
 // has handed out. After a network drains completely this must equal zero;
 // the leak regression test asserts exactly that.
 func (p *Pool) Outstanding() int { return p.outstanding }
+
+// Settle reconciles a tile-local pool with p, the engine's own, between
+// cycles. local's outstanding balance — its Gets minus Puts since the last
+// call, negative for a tile that ejects more than it injects — moves into p's,
+// so p.Outstanding() is the network-wide count again; and local's free list is
+// brought back to target flits once it has drifted below half or above twice
+// that, so a sustained flow of traffic from one tile to another neither
+// starves the sender nor hoards at the receiver. O(1) when neither happened.
+func (p *Pool) Settle(local *Pool, target int) {
+	p.outstanding += local.outstanding
+	local.outstanding = 0
+	switch n := len(local.free); {
+	case n < target/2:
+		p.Prime(target - n)
+		cut := len(p.free) - (target - n)
+		local.free = append(local.free, p.free[cut:]...)
+		p.free = p.free[:cut]
+	case n > 2*target:
+		p.free = append(p.free, local.free[target:]...)
+		local.free = local.free[:target]
+	}
+}
 
 // FreeLen returns the free-list length (diagnostics).
 func (p *Pool) FreeLen() int { return len(p.free) }

@@ -166,11 +166,11 @@ func NewSimTelemetry(r *Registry, o SimTelemetryOptions) *SimTelemetry {
 		t.lastNodes = make([]int64, o.Shards)
 		for i := 0; i < o.Shards; i++ {
 			l := Label{Key: "shard", Value: strconv.Itoa(i)}
-			t.shardBusy[i] = r.FloatCounter(MetricShardBusy, "Cumulative router-phase execution time per shard.", l)
-			t.shardWait[i] = r.FloatCounter(MetricShardWait, "Cumulative barrier-wait time per shard (idle until the slowest shard finishes).", l)
+			t.shardBusy[i] = r.FloatCounter(MetricShardBusy, "Cumulative time per shard inside its tile's phases: router steps, link landing and launch, ejection, credit ticks.", l)
+			t.shardWait[i] = r.FloatCounter(MetricShardWait, "Cumulative barrier-wait time per shard: the parallel phases' wall time, coordinator's release to last arrival seen, minus the shard's busy time (wake-up latency plus idling for the slowest shard).", l)
 			t.shardNodes[i] = r.Gauge(MetricShardNodes, "Mesh nodes currently owned by the shard's tile (rebalancing migrates them).", l)
 		}
-		t.shardImbalance = r.FloatGauge(MetricShardImbalance, "Max/mean cumulative router-phase time across shards (1.0 = perfectly balanced).")
+		t.shardImbalance = r.FloatGauge(MetricShardImbalance, "Max/mean cumulative tile-phase time across shards (1.0 = perfectly balanced).")
 		t.shardRebalances = r.Counter(MetricShardRebalances, "Dynamic shard rebalancing passes that migrated a boundary row or column.")
 		t.shardMigrated = r.Counter(MetricShardMigrated, "Mesh nodes migrated between shards by dynamic rebalancing.")
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // The tests in this file pin the activity-driven router phase (Router.Step's
-// quiescent result, Engine.stepNodes) against every real router design. They
+// quiescent result, Engine.tilePhase) against every real router design. They
 // live in the external test package because the designs import sim.
 
 // stoppingSource forwards its inner source until cycle stop, then goes

@@ -2,51 +2,31 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dxbar/internal/energy"
+	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
 )
 
-// backend executes the router phase (SA/ST for every node) of one cycle.
-// Two implementations exist behind this interface: the sequential backend
-// steps every router on the calling goroutine; the sharded backend fans the
-// mesh's tiles out over worker goroutines and reconciles their staged side
-// effects at a barrier. Both leave the engine in the exact same state after
-// every cycle — the sharded engine's determinism contract is bit-identity
-// with the sequential one.
-type backend interface {
-	// routerPhase steps every router for cycle c and applies all router
-	// side effects (latches, credits, meter, stats, events, retransmits)
-	// to the engine's master state before returning.
-	routerPhase(c uint64)
-	// shardCount reports the number of parallel shards (1 for sequential).
-	shardCount() int
-	// profile returns the cumulative per-shard router-phase and barrier-wait
-	// times (nil for the sequential backend). The returned slices are live —
-	// callers on the coordinating goroutine read them between cycles.
-	profile() (busy, wait []time.Duration)
-	// resetProfile zeroes the profiler accumulators (Engine.Reset — a reused
-	// engine must not leak the previous run's times into the next one).
-	resetProfile()
-}
-
 // DefaultRebalanceInterval is the default number of cycles between dynamic
 // shard-rebalancing checks (Config.RebalanceInterval = 0). Long enough that
-// each window's busy times average over thousands of router phases, short
+// each window's busy times average over thousands of tile phases, short
 // enough that a shifting hotspot is chased within a fraction of a typical
 // measurement run.
 const DefaultRebalanceInterval = 1024
 
 // rebalanceThreshold is the minimum window imbalance ratio (max/mean
-// per-shard router-phase time) that triggers a boundary migration. Below it
-// the partition is considered balanced: migrating a row or column has a
-// rewiring cost and jitters the profile, so the engine only moves work when
-// at least one shard is clearly hotter than the mean.
+// per-shard busy time) that triggers a boundary migration. Below it the
+// partition is considered balanced: migrating a row or column has a rewiring
+// cost and jitters the profile, so the engine only moves work when at least
+// one shard is clearly hotter than the mean.
 const rebalanceThreshold = 1.15
 
 // resolveRebalanceInterval maps Config.RebalanceInterval onto the backend's
@@ -78,28 +58,11 @@ func ResolveShards(n, width, height int) int {
 	return gx * gy
 }
 
-// seqBackend is the single-threaded router phase: every router steps on the
-// calling goroutine in node order, writing directly to the engine's master
-// meter, collector and recorder.
-type seqBackend struct {
-	e *Engine
-}
-
-func (b seqBackend) shardCount() int { return 1 }
-
-func (b seqBackend) profile() (busy, wait []time.Duration) { return nil, nil }
-func (b seqBackend) resetProfile()                         {}
-
-func (b seqBackend) routerPhase(c uint64) {
-	e := b.e
-	e.steps.add(e.stepNodes(e.allNodes, c), len(e.allNodes))
-}
-
 // routerSteps counts router-steps executed and skipped by the activity-driven
-// router phase. Each backend owns its own (the engine for the sequential one,
-// every shard for the sharded one, folded into the engine's at the barrier):
-// RunMany steps several engines on several goroutines, so a counter shared
-// between engines would be a contended cache line on the hottest loop.
+// router phase. Every tile owns its own, folded into the engine's after the
+// tile phase: RunMany steps several engines on several goroutines, so a
+// counter shared between engines would be a contended cache line on the
+// hottest loop.
 type routerSteps struct {
 	executed, skipped uint64
 }
@@ -110,31 +73,245 @@ func (s *routerSteps) add(stepped, total int) {
 	s.skipped += uint64(total - stepped)
 }
 
-// stepNodes is the activity-driven router phase over a list of nodes, the one
-// loop both backends run (the sequential one over every node, a shard worker
-// over its tile). A node whose awake flag is clear costs one byte test. An
-// awake one is stepped and checked exactly as the engine always has, and goes
-// to sleep only when its router reported quiescent and the engine's own
-// per-node inputs — the injection deque and the spec ring — are empty too (a
-// non-empty queue is work the router may pick up on any later cycle).
-// Whatever delivers the next input sets the flag again (land loop, pushSpec,
-// pushFrontInjection), always from the engine's sequential phases, so a shard
-// worker only ever touches its own nodes' flags. It returns the number of
-// routers stepped.
-func (e *Engine) stepNodes(nodes []int, c uint64) (stepped int) {
-	for _, n := range nodes {
-		if e.awake[n] == 0 && !e.stepAll {
+// absorb folds t into s and zeroes t.
+func (s *routerSteps) absorb(t *routerSteps) {
+	s.executed += t.executed
+	s.skipped += t.skipped
+	*t = routerSteps{}
+}
+
+// tile is the unit the per-node work of a cycle runs over: a list of nodes
+// plus everything Engine.tilePhase may write on their behalf without touching
+// another tile's memory. The sequential engine is one tile that owns every
+// node and writes straight through to the engine's meter, collector, recorder
+// and pool; the sharded engine has one per shard, each writing scratch state
+// the barrier folds back (see shardedBackend.merge).
+type tile struct {
+	id int
+	// nodes lists the tile's node indices in ascending order. Rebalancing
+	// rewrites it between cycles; a sharded tile's capacity is the whole mesh
+	// so migrations never allocate.
+	nodes []int
+
+	// staged marks a tile of the sharded engine: effects that must reach the
+	// engine in node order (completed packets, retransmissions, events) are
+	// parked in the lists below instead of applied. On the sequential engine's
+	// single tile, node order is simply the order things happen in.
+	staged bool
+
+	// meter, coll, rec and pool are what the tile's phase writes through: the
+	// engine's own on the sequential tile, scratch instances on a sharded one
+	// (rec then holds only the tile's ejection events; router events go to the
+	// per-node stages, see Engine.wireCollectors).
+	meter *energy.Meter
+	coll  *stats.Collector
+	rec   *events.Recorder
+	pool  *flit.Pool
+
+	// steps counts the tile's router-steps since the engine last folded them.
+	steps routerSteps
+
+	// Effects of the current cycle that cross the tile's boundary or must be
+	// replayed in node order, emptied by the barrier's merge — so between
+	// cycles, where snapshots are taken, every list is empty. landings and
+	// creditReturns are only ever appended for links whose far end belongs to
+	// another tile (Env.crossMask); retx and done are in ascending node order
+	// because the tile walks its nodes in that order, and retxAt/doneAt are
+	// the merge's cursors into them.
+	landings      []stagedLanding
+	creditReturns []stagedCredit
+	retx          []stagedRetx
+	done          []flit.Packet
+	retxAt        int
+	doneAt        int
+}
+
+// stagedLanding is a flit that finished its link traversal into a node of
+// another tile: env.In[port] is written by the barrier, because a node's input
+// latches, InMask and awake flag are only ever written by the goroutine that
+// owns its tile — or by the coordinator while no tile is running.
+type stagedLanding struct {
+	env  *Env
+	port flit.Port
+	f    *flit.Flit
+}
+
+// stagedCredit is one deferred ReturnCredit call whose upstream counter
+// belongs to another tile.
+type stagedCredit struct {
+	env  *Env
+	port flit.Port
+}
+
+// stagedRetx is one retransmission a router of the given node scheduled
+// during a sharded tile phase, parked until the barrier inserts it into the
+// engine's event wheel in node order (the wheel's slot order is delivery
+// order at the retransmit cycle, so insertion order must match the sequential
+// engine's).
+type stagedRetx struct {
+	node  int
+	f     *flit.Flit
+	delay uint64
+}
+
+// tilePhase is one tile's whole cycle: everything in Engine.Step that is
+// per-node work. The sequential engine runs it once over every node; the
+// sharded engine runs one per tile concurrently, with no synchronization
+// between them until all are done. Two phases over the tile's nodes:
+//
+//  1. Router phase (SA/ST), activity-driven. A node whose awake flag is clear
+//     costs one byte test. An awake one first materializes queued packet specs
+//     into flits from the tile's pool when its injection deque runs low, then
+//     steps, and goes to sleep only when its router reported quiescent and the
+//     engine's own per-node inputs — the injection deque and the spec ring —
+//     are empty too (a non-empty queue is work the router may pick up on any
+//     later cycle). Whatever delivers the next input sets the flag again.
+//  2. Link phase, three walks: land the flits that spent this cycle on the
+//     wires out of the tile's nodes, launch the ones the routers just
+//     switched (ejecting at Local), tick the credit pipelines. Ports are
+//     visited in ascending bit order and nodes in ascending order, which
+//     fixes the order of ejections and therefore of Eject events and Sink
+//     deliveries. One walk doing all three per node is ≈ 5 % faster at 32×32
+//     and 64×64 (each Env is visited once) and ≈ 5 % slower at 8×8, where
+//     everything is in cache and three tight loops win; the 8×8 case is what
+//     the paper's figures run, so three walks it is.
+//
+// Safety of running tiles concurrently rests on ownership: everything written
+// here belongs to one of the tile's own nodes (latches, link stage, masks,
+// awake flag, queues, reassembler, downstream credit counters), to the tile
+// (scratch meter and collector, pool, stages), or is a per-node row of the
+// master collector (LinkEvent). The two writes that would reach a neighbour —
+// landing a flit and returning a credit — are staged when the neighbour is
+// another tile's (Env.crossMask) and replayed by the barrier.
+func (e *Engine) tilePhase(t *tile, c uint64) {
+	envs, awake := e.envs, e.awake
+	stepped := 0
+	for _, n := range t.nodes {
+		if awake[n] == 0 && !e.stepAll {
 			continue
 		}
 		stepped++
+		env := envs[n]
+		if env.pendingSpecs.len() > 0 {
+			env.topUpInjection(t.pool)
+		}
 		quiescent := e.routers[n].Step(c)
-		env := e.envs[n]
 		checkConsumed(env, n, c)
 		if quiescent && env.injection.len() == 0 && env.pendingSpecs.len() == 0 {
-			e.awake[n] = 0
+			awake[n] = 0
 		}
 	}
-	return stepped
+	t.steps.add(stepped, len(t.nodes))
+
+	linkMask, linkStage := e.linkMask, e.linkStage
+	for _, u := range t.nodes {
+		m := linkMask[u]
+		if m == 0 {
+			continue
+		}
+		linkMask[u] = 0
+		env, row := envs[u], linkStage[u]
+		for b := m; b != 0; b &= b - 1 {
+			p := bits.TrailingZeros8(b)
+			f := row[p]
+			row[p] = nil
+			if env.crossMask&(1<<uint(p)) != 0 {
+				t.landings = append(t.landings, stagedLanding{env: env.nbrEnv[p], port: env.nbrIn[p], f: f})
+			} else {
+				e.land(env.nbrEnv[p], env.nbrIn[p], f, c)
+			}
+		}
+	}
+	launched := 0
+	for _, u := range t.nodes {
+		env := envs[u]
+		m := env.outMask
+		if m == 0 {
+			continue
+		}
+		env.outMask = 0
+		if m&(1<<uint(flit.Local)) != 0 {
+			f := env.out[flit.Local]
+			env.out[flit.Local] = nil
+			e.eject(t, u, f, c)
+			m &^= 1 << uint(flit.Local)
+		}
+		row := linkStage[u]
+		for b := m; b != 0; b &= b - 1 {
+			p := flit.Port(bits.TrailingZeros8(b))
+			f := env.out[p]
+			env.out[p] = nil
+			f.Hops++
+			// The master collector, not the tile's scratch: link-use rows
+			// are per node, so concurrent tiles write disjoint counters.
+			e.coll.LinkEvent(u, p, c)
+			row[p] = f
+		}
+		launched += bits.OnesCount8(m)
+		linkMask[u] |= m
+	}
+	// The mask check is hoisted out of the call so idle envs (no credits in
+	// flight) cost one load per cycle, not a call.
+	for _, u := range t.nodes {
+		if env := envs[u]; env.creditTickMask != 0 {
+			env.tickCredits()
+		}
+	}
+	t.meter.AddLinkTraversals(uint64(launched))
+}
+
+// land latches f on input port q of nb for the next cycle's router phase and
+// wakes the node.
+func (e *Engine) land(nb *Env, q flit.Port, f *flit.Flit, c uint64) {
+	if nb.In[q] != nil {
+		panic(latchCollision{node: nb.Node, port: q, cycle: c})
+	}
+	nb.In[q] = f
+	nb.InMask |= 1 << uint(q)
+	e.awake[nb.Node] = 1
+}
+
+// latchCollision is land's panic value: formatting is deferred to Error so
+// that land stays small enough to inline into the link phase.
+type latchCollision struct {
+	node  int
+	port  flit.Port
+	cycle uint64
+}
+
+func (l latchCollision) Error() string {
+	return fmt.Sprintf("sim: input latch collision at node %d port %s cycle %d", l.node, l.port, l.cycle)
+}
+
+// eject ends f's network life at node, on behalf of tile t.
+func (e *Engine) eject(t *tile, node int, f *flit.Flit, c uint64) {
+	if int(f.Dst) != node {
+		panic(fmt.Sprintf("sim: flit %v ejected at wrong node %d", f, node))
+	}
+	t.coll.EjectedFlit(c)
+	t.rec.Record(c, events.Eject, node, flit.Local, f.PacketID, f.ID, int32(c-f.InjectionCycle))
+	pkt, done := e.reasm[node].Accept(f, c)
+	// Reassembly has folded the flit's counters into the packet, so the flit
+	// returns to the pool here.
+	t.pool.Put(f)
+	if !done {
+		return
+	}
+	if t.staged {
+		t.done = append(t.done, pkt)
+		return
+	}
+	e.deliver(pkt, c)
+}
+
+// deliver records a completed packet and hands it to the sink. The coherence
+// substrate behind Sink is single-threaded and order-sensitive, so this runs
+// on the coordinating goroutine only, in ascending order of destination node.
+func (e *Engine) deliver(pkt flit.Packet, c uint64) {
+	e.coll.PacketDone(pkt)
+	if e.sink != nil {
+		e.sink.Deliver(pkt, c)
+	}
 }
 
 // checkConsumed panics if a router left an input latch occupied — the
@@ -155,108 +332,102 @@ func checkConsumed(env *Env, node int, c uint64) {
 	env.InMask = 0
 }
 
-// stagedCredit is one deferred ReturnCredit call (sharded mode).
-type stagedCredit struct {
-	env  *Env
-	port flit.Port
-}
-
-// stagedRetx is one retransmission a router scheduled during the parallel
-// router phase, parked per-env until the barrier inserts it into the
-// engine's event wheel in node order (the wheel's slot order is delivery
-// order at the retransmit cycle, so insertion order must match the
-// sequential engine's).
-type stagedRetx struct {
-	f     *flit.Flit
-	delay uint64
-}
-
-// shard owns one tile of the mesh inside the sharded backend: the tile's
-// node list plus the scratch state its worker may write during the router
-// phase without touching another shard's memory. Everything staged here is
-// either commutative (meter and collector counters) or replayed in node
-// order at the barrier (events, retransmits), which is what preserves
-// bit-identity with the sequential engine.
-type shard struct {
-	id int
-	// nodes lists the tile's node indices in ascending order. Rebalancing
-	// rewrites it between cycles; capacity is preallocated to the whole mesh
-	// so migrations never allocate.
-	nodes []int
-
-	// meter and coll are the shard-local scratch the tile's routers write
-	// through their Env; the barrier absorbs both into the master.
-	meter *energy.Meter
-	coll  *stats.Collector
-
-	// creditReturns stages upstream credit returns. A returned credit
-	// enters the counter's delay pipeline and is invisible until the
-	// engine ticks the pipelines after the link phase, so applying returns
-	// at the barrier instead of mid-phase is observationally identical —
-	// staging exists to keep one shard from writing a neighbour shard's
-	// counter concurrently.
-	creditReturns []stagedCredit
-
-	// retx counts retransmissions staged across the shard's envs this
-	// cycle, so the barrier can skip the env scan entirely in the common
-	// case of none.
-	retx int
-
-	// steps counts this cycle's router-steps, folded into the engine's
-	// totals (and zeroed) at the barrier.
-	steps routerSteps
-}
-
-// shardedBackend runs the router phase tile-parallel over a 2D tile grid.
-// Each cycle it spawns one goroutine per extra shard (shard 0 runs inline on
-// the caller), barriers on a WaitGroup, then merges the staged side effects:
+// A goroutine waiting at the cycle barrier (shardedBackend.await) polls the
+// counter it waits on for up to barrierSpin, then polls between up to
+// barrierYields runtime.Gosched calls, then parks on a condition variable.
+// Each stage is there for a measured reason (DESIGN.md §5c has the numbers).
+// Parking every cycle, which this barrier replaced, is a sleep/wake through
+// the scheduler: tens of microseconds on a virtual machine, more than the
+// coordinator's whole serial section at 32×32. Yielding alone is cheap but
+// lets two waiters trade processors through the scheduler's global run queue,
+// after which each tile's working set sits in the other core's cache — time
+// inside the tile phases doubled. The spin touches one cache line and keeps
+// every goroutine where its data is.
 //
-//  1. per-env event stages drain into the master recorder, and staged
-//     retransmissions enter the event wheel, both in ascending node order —
-//     exactly the order the sequential engine would have produced;
-//  2. staged credit returns are applied (order-insensitive: returns ride
-//     the credit delay pipeline and only become visible at Tick);
-//  3. shard scratch meters and collectors are absorbed into the masters
-//     (order-insensitive: pure counter sums).
+// The spin stage is skipped when the tiles outnumber the processors: there a
+// waiter's processor is what another tile is waiting for, and a yield hands
+// it over at once, so the run makes progress on any GOMAXPROCS, 1 included.
+// And every stage is bounded, so a coordinator busy in a checkpoint hook or a
+// RunUntil predicate finds its workers parked, not burning CPU.
+const (
+	barrierSpin   = 100 * time.Microsecond
+	barrierYields = 1024
+)
+
+// shardedBackend runs the tile phases of a cycle concurrently, one tile per
+// shard of a 2D grid over the mesh, and reconciles what they staged.
 //
-// Because every cross-shard effect is staged and replayed in a
-// partition-independent order, the *shape* of the partition never leaks into
-// results — which is what makes dynamic rebalancing safe: the backend may
-// migrate boundary rows and columns between tiles at any barrier and stay
-// bit-identical to the sequential engine.
+// Workers live exactly as long as one Run or RunUntil call: start launches
+// one goroutine per tile but the first (which runs inline on the coordinating
+// goroutine), stop joins them, and an engine that is not inside a run owns no
+// goroutine — an idle or abandoned engine holds nothing but memory. A bare
+// Step outside a run executes the tiles one after the other on the caller.
+// Either way the cycle has the same shape, and exactly one barrier:
 //
-// Goroutine spawn per cycle costs well under a microsecond against router
-// phases that run hundreds of microseconds on the large meshes sharding
-// targets, reuses pooled goroutine stacks (no steady-state allocation), and
-// leaves the engine with no background goroutines to manage — an idle or
-// abandoned engine holds no resources beyond its memory.
+//	coordinator: PreCycle, retransmit delivery, generation   (Engine.Step)
+//	release ────────────────────────────────────────────────
+//	every tile:  tilePhase — router steps, land, launch/eject, credit ticks
+//	arrive  ────────────────────────────────────────────────
+//	coordinator: merge, rebalancing check, observers         (merge, Step)
+//
+// Because every effect that crosses a tile boundary is staged and replayed in
+// a partition-independent order (see merge), the *shape* of the partition
+// never leaks into results — which is what makes dynamic rebalancing safe: the
+// backend may migrate boundary rows and columns between tiles at any barrier
+// and stay bit-identical to the sequential engine.
 type shardedBackend struct {
-	e      *Engine
-	shards []*shard
-	wg     sync.WaitGroup
+	e     *Engine
+	tiles []*tile
 
-	// Execution profiler. Each worker times its own router phase and writes
-	// only its own slot (busy accumulates, finish is per-cycle scratch); the
-	// coordinator folds finish times into the barrier-wait accumulators after
-	// wg.Wait, whose happens-before edge makes the cross-goroutine reads
-	// safe. The profiler observes the phase without feeding any simulation
-	// state, so it cannot perturb bit-identity, and its cost — two time.Now
-	// calls per shard per cycle — is noise against router phases that run for
-	// tens of microseconds; it is therefore always on. It doubles as the
-	// input signal for dynamic rebalancing below.
+	// Barrier. The coordinator publishes the cycle and bumps release to start
+	// a tile phase; each worker bumps arrived when its tile is done. Both
+	// sides wait in await: polling, then parking on a condition variable of
+	// mu; the waking side takes mu around its Signal/Broadcast, so a waiter
+	// that checked the counter and is about to park cannot miss the wake-up
+	// (spin is whether await may use its spin stage). The atomics are also the
+	// happens-before edges that make the workers' writes visible to merge and
+	// the coordinator's (cycle, quit, the partition, generated specs) to the
+	// workers.
+	release atomic.Uint64
+	arrived atomic.Int32
+	spin    bool
+	mu      sync.Mutex
+	wake    sync.Cond // workers, for release to advance
+	done    sync.Cond // coordinator, for arrived to reach len(workers)
+	wg      sync.WaitGroup
+	// workers[i] runs tile i+1 for the duration of a run scope. They are
+	// pre-bound zero-argument closures because `go f()` on one starts without
+	// heap allocation, whereas a go statement with arguments allocates a
+	// wrapper closure every call — entering a run must allocate nothing.
+	workers []func()
+	// live is true inside a run scope; gen0 is release's value when the scope
+	// started (each worker counts releases from it); cycle and quit carry the
+	// coordinator's instructions across a release.
+	live  bool
+	gen0  uint64
+	cycle uint64
+	quit  bool
+
+	// Execution profiler, always on (two time.Now calls per tile per cycle
+	// plus two for the phase, against phases of tens of microseconds); it
+	// observes without feeding any simulation state, so it cannot perturb
+	// bit-identity, and it is the input signal for dynamic rebalancing below.
+	// Whoever runs a tile adds the phase's duration to its busy slot; after
+	// the barrier the coordinator charges every shard phase-wall-time minus
+	// its own busy time as wait — release-to-start latency, the gap to the
+	// slowest tile and the coordinator's own wake-up all included — so per
+	// shard busy + wait is exactly the time the engine spent in parallel
+	// phases. serial is the rest of a run scope: everything the coordinator
+	// did between one phase's end and the next one's release (mark).
 	busy   []time.Duration
 	wait   []time.Duration
-	finish []time.Time
+	spent  []time.Duration // this phase's busy time per tile
+	serial time.Duration
+	mark   time.Time
 
-	// cycle carries the current cycle to the workers; it is written before
-	// the spawns (a happens-before edge) and read-only during the phase.
-	cycle uint64
-	// workers[i] runs shard i+1 for the current cycle. They are pre-bound
-	// zero-argument closures because `go f()` on one spawns without heap
-	// allocation, whereas a go statement with arguments allocates a wrapper
-	// closure every call — which would break the engine's zero-alloc
-	// steady state.
-	workers []func()
+	// ejections lists the tiles' ejection-event stages for events.DrainMerged
+	// (nil entries when tracing is off).
+	ejections []*events.Recorder
 
 	// Partition state. The mesh is divided into gy horizontal bands of rows;
 	// band j spans rows [ycuts[j], ycuts[j+1]) and is divided into gx column
@@ -268,16 +439,16 @@ type shardedBackend struct {
 	gx, gy int
 	ycuts  []int
 	xcuts  [][]int
-	// nodeCounts mirrors len(shards[i].nodes) for telemetry (published as the
-	// dxbar_shard_nodes gauge without touching shard internals).
+	// nodeCounts mirrors len(tiles[i].nodes) for telemetry (published as the
+	// dxbar_shard_nodes gauge without touching tile internals).
 	nodeCounts []int
 
 	// Dynamic rebalancing: every interval cycles the backend compares the
-	// shards' router-phase times over the window just ended and, when the
-	// hottest shard exceeds rebalanceThreshold times the mean, migrates one
-	// boundary row or column from it toward its coolest neighbour.
-	// interval <= 0 disables the checks (Engine.RebalanceShards still forces
-	// passes manually).
+	// shards' busy times over the window just ended and, when the hottest
+	// shard exceeds rebalanceThreshold times the mean, migrates one boundary
+	// row or column from it toward its coolest neighbour. interval <= 0
+	// disables the checks (Engine.RebalanceShards still forces passes
+	// manually).
 	interval   uint64
 	lastBusy   []time.Duration
 	winBusy    []time.Duration
@@ -291,10 +462,11 @@ func newShardedBackend(e *Engine, n, rebalanceInterval int) *shardedBackend {
 	count := gx * gy
 	b := &shardedBackend{
 		e:          e,
-		shards:     make([]*shard, count),
+		tiles:      make([]*tile, count),
 		busy:       make([]time.Duration, count),
 		wait:       make([]time.Duration, count),
-		finish:     make([]time.Time, count),
+		spent:      make([]time.Duration, count),
+		ejections:  make([]*events.Recorder, count),
 		gx:         gx,
 		gy:         gy,
 		ycuts:      topology.SplitEven(m.Height, gy),
@@ -303,98 +475,183 @@ func newShardedBackend(e *Engine, n, rebalanceInterval int) *shardedBackend {
 		lastBusy:   make([]time.Duration, count),
 		winBusy:    make([]time.Duration, count),
 	}
+	b.wake.L, b.done.L = &b.mu, &b.mu
 	b.interval = resolveRebalanceInterval(rebalanceInterval)
 	for j := 0; j < gy; j++ {
 		b.xcuts[j] = topology.SplitEven(m.Width, gx)
 	}
-	for i := range b.shards {
-		b.shards[i] = &shard{id: i, nodes: make([]int, 0, m.Nodes())}
+	for i := range b.tiles {
+		b.tiles[i] = &tile{id: i, staged: true, nodes: make([]int, 0, m.Nodes()), pool: flit.NewPool()}
 	}
 	for j := 0; j < gy; j++ {
 		for i := 0; i < gx; i++ {
-			b.rebuildShard(i, j)
+			b.rebuildTile(i, j)
 		}
 	}
-	for i := 1; i < len(b.shards); i++ {
-		s := b.shards[i]
-		b.workers = append(b.workers, func() {
-			b.runShard(s, b.cycle)
-			b.wg.Done()
-		})
+	b.markBoundaries()
+	b.settlePools()
+	for _, t := range b.tiles[1:] {
+		b.workers = append(b.workers, func() { b.work(t) })
 	}
 	return b
 }
 
-// rebuildShard regenerates tile (i, j)'s node list from its rectangle and
-// rewires the migrated envs to the owning shard's scratch collectors. It
-// never allocates: node capacity is the whole mesh, and the env stages /
-// retransmit buffers are per-env, so they follow the node wherever it goes.
-func (b *shardedBackend) rebuildShard(i, j int) {
-	s := b.shards[j*b.gx+i]
+// rebuildTile regenerates tile (i, j)'s node list from its rectangle and
+// hands the envs to their (new) owner. It never allocates: node capacity is
+// the whole mesh, and the per-node event stages follow the node wherever it
+// goes. At construction the tile's scratch collectors do not exist yet —
+// Engine.wireCollectors runs right after and wires every env.
+func (b *shardedBackend) rebuildTile(i, j int) {
+	t := b.tiles[j*b.gx+i]
 	w := b.e.mesh.Width
-	s.nodes = s.nodes[:0]
+	t.nodes = t.nodes[:0]
 	for y := b.ycuts[j]; y < b.ycuts[j+1]; y++ {
 		for x := b.xcuts[j][i]; x < b.xcuts[j][i+1]; x++ {
 			n := y*w + x
-			s.nodes = append(s.nodes, n)
-			// At construction the scratch collectors do not exist yet —
-			// wireCollectors runs right after and wires every env. During a
-			// mid-run migration they do, and only the env's ownership
-			// changes.
-			if s.meter != nil {
-				env := b.e.envs[n]
-				env.shard = s
-				env.meter = s.meter
-				env.coll = s.coll
+			t.nodes = append(t.nodes, n)
+			env := b.e.envs[n]
+			env.tile, env.meter, env.coll = t, t.meter, t.coll
+		}
+	}
+	b.nodeCounts[t.id] = len(t.nodes)
+}
+
+// markBoundaries recomputes every env's crossMask from the current partition
+// (construction and after each migration — O(nodes), against the thousand
+// cycles between rebalancing passes).
+func (b *shardedBackend) markBoundaries() {
+	for _, env := range b.e.envs {
+		env.crossMask = 0
+		for p, nb := range env.nbrEnv {
+			if nb != nil && nb.tile != env.tile {
+				env.crossMask |= 1 << uint(p)
 			}
 		}
 	}
-	b.nodeCounts[s.id] = len(s.nodes)
 }
 
-func (b *shardedBackend) shardCount() int { return len(b.shards) }
+// settlePools reconciles every tile's flit pool with the engine's (see
+// flit.Pool.Settle). A tile materializes at most a few flits per node per
+// cycle, so eight per node — refilled at four — never runs dry in steady
+// state; a pool that does run dry allocates, which is slow, never wrong.
+func (b *shardedBackend) settlePools() {
+	for _, t := range b.tiles {
+		b.e.pool.Settle(t.pool, 8*len(t.nodes))
+	}
+}
 
-func (b *shardedBackend) routerPhase(c uint64) {
-	b.cycle = c
+// start opens a run scope: it launches the workers, which then wait at the
+// barrier for the first release.
+func (b *shardedBackend) start() {
+	b.gen0 = b.release.Load()
+	b.quit = false
+	b.spin = len(b.tiles) <= runtime.GOMAXPROCS(0)
 	b.wg.Add(len(b.workers))
 	for _, w := range b.workers {
 		go w()
 	}
-	b.runShard(b.shards[0], c)
+	b.live = true
+	b.mark = time.Now()
+}
+
+// stop closes the run scope: it releases the workers one last time with quit
+// set and returns once every one of them has left its loop.
+func (b *shardedBackend) stop() {
+	b.quit = true
+	b.releaseWorkers()
 	b.wg.Wait()
-	b.settleWaits()
+	b.live = false
+	b.serial += time.Since(b.mark)
+}
+
+// work is a worker goroutine's whole life: one tile phase per release until
+// the scope ends.
+func (b *shardedBackend) work(t *tile) {
+	defer b.wg.Done()
+	for gen := b.gen0 + 1; ; gen++ {
+		b.await(func() bool { return b.release.Load() >= gen }, &b.wake)
+		if b.quit {
+			return
+		}
+		b.runTile(t, b.cycle)
+		if b.arrived.Add(1) == int32(len(b.workers)) {
+			b.mu.Lock()
+			b.done.Signal()
+			b.mu.Unlock()
+		}
+	}
+}
+
+func (b *shardedBackend) allArrived() bool { return b.arrived.Load() == int32(len(b.workers)) }
+
+func (b *shardedBackend) releaseWorkers() {
+	b.arrived.Store(0)
+	b.release.Add(1)
+	b.mu.Lock()
+	b.wake.Broadcast()
+	b.mu.Unlock()
+}
+
+// await blocks until ready reports true, which the goroutine that makes it
+// true follows with a Signal or Broadcast on parked under mu. See barrierSpin
+// for the stages.
+func (b *shardedBackend) await(ready func() bool, parked *sync.Cond) {
+	if b.spin {
+		for deadline := time.Now().Add(barrierSpin); time.Now().Before(deadline); {
+			for i := 0; i < 256; i++ {
+				if ready() {
+					return
+				}
+			}
+		}
+	}
+	for i := 0; i < barrierYields; i++ {
+		if ready() {
+			return
+		}
+		runtime.Gosched()
+	}
+	b.mu.Lock()
+	for !ready() {
+		parked.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// runTile is tilePhase under the profiler's clock.
+func (b *shardedBackend) runTile(t *tile, c uint64) {
+	start := time.Now()
+	b.e.tilePhase(t, c)
+	b.spent[t.id] = time.Since(start)
+}
+
+// phase runs the tile phases of cycle c — on the run scope's workers, or one
+// after the other on the caller outside a scope — then merges what they
+// staged into the engine's master state.
+func (b *shardedBackend) phase(c uint64) {
+	t0 := time.Now()
+	if b.live {
+		b.serial += t0.Sub(b.mark)
+		b.cycle = c
+		b.releaseWorkers()
+		b.runTile(b.tiles[0], c)
+		b.await(b.allArrived, &b.done)
+	} else {
+		for _, t := range b.tiles {
+			b.runTile(t, c)
+		}
+	}
+	b.mark = time.Now()
+	wall := b.mark.Sub(t0)
+	for i, d := range b.spent {
+		b.busy[i] += d
+		b.wait[i] += wall - d
+	}
 	b.merge(c)
 	if b.interval > 0 && (c+1)%b.interval == 0 {
 		b.rebalance(false)
 	}
 }
-
-func (b *shardedBackend) runShard(s *shard, c uint64) {
-	e := b.e
-	start := time.Now()
-	s.steps.add(e.stepNodes(s.nodes, c), len(s.nodes))
-	end := time.Now()
-	b.busy[s.id] += end.Sub(start)
-	b.finish[s.id] = end
-}
-
-// settleWaits charges each shard the time it spent idle at the barrier this
-// cycle: the gap between its own finish and the slowest shard's. The slowest
-// shard's wait is zero by construction — a persistently zero-wait shard is
-// the bottleneck tile.
-func (b *shardedBackend) settleWaits() {
-	last := b.finish[0]
-	for _, t := range b.finish[1:] {
-		if t.After(last) {
-			last = t
-		}
-	}
-	for i, t := range b.finish {
-		b.wait[i] += last.Sub(t)
-	}
-}
-
-func (b *shardedBackend) profile() (busy, wait []time.Duration) { return b.busy, b.wait }
 
 func (b *shardedBackend) resetProfile() {
 	for i := range b.busy {
@@ -402,46 +659,104 @@ func (b *shardedBackend) resetProfile() {
 		b.wait[i] = 0
 		b.lastBusy[i] = 0
 	}
+	b.serial = 0
 	b.rebalances = 0
 	b.migrated = 0
 }
 
-// merge applies every staged side effect of the finished router phase to
-// the engine's master state. It runs on the coordinating goroutine after
-// the barrier, so it needs no synchronization beyond the WaitGroup's
-// happens-before edge.
+// merge applies everything the finished tile phases staged to the engine's
+// master state. It runs on the coordinating goroutine after the barrier — the
+// arrived counter is its happens-before edge — and leaves every stage empty.
+// Each category is either replayed in the order the sequential engine
+// produces it, or provably indifferent to order:
+//
+//   - Events: the sequential cycle records every router's events node by node,
+//     then every ejection node by node. Router events sit in per-node stages,
+//     drained in node order; ejection events sit in per-tile stages, each in
+//     node order, merged by node.
+//   - Retransmissions enter the event wheel merged by scheduling node — slot
+//     order is delivery order, so it must match.
+//   - Completed packets reach the collector and the Sink merged by
+//     destination node, the order the sequential engine ejects in.
+//   - Boundary landings each fill a distinct, empty input latch: any order.
+//   - Cross-tile credit returns, meter and collector counters, pool balances
+//     and router-step counts are sums: any order. A return is applied with
+//     Credits.ReturnLate because the owning tile has already ticked the
+//     counter this cycle; the sequential engine returns, then ticks.
 func (b *shardedBackend) merge(c uint64) {
 	e := b.e
-
-	retx := 0
-	for _, s := range b.shards {
-		retx += s.retx
-		s.retx = 0
-		e.steps.executed += s.steps.executed
-		e.steps.skipped += s.steps.skipped
-		s.steps = routerSteps{}
+	retx, done := 0, 0
+	for _, t := range b.tiles {
+		e.steps.absorb(&t.steps)
+		retx += len(t.retx)
+		done += len(t.done)
 	}
-	e.retransmits += uint64(retx)
-	// Replay per-env stages in ascending node order. The env scan is O(N),
-	// so skip it when there is nothing to replay (tracing off and no
-	// retransmissions scheduled — the overwhelmingly common cycle).
-	if e.rec != nil || retx > 0 {
+	if e.rec != nil {
 		for _, env := range e.envs {
 			env.rec.DrainTo(e.rec)
-			for _, rx := range env.pendingRetx {
-				e.wheel.schedule(c, c+rx.delay, rx.f)
-			}
-			env.pendingRetx = env.pendingRetx[:0]
 		}
+		events.DrainMerged(e.rec, b.ejections)
 	}
-
-	for _, s := range b.shards {
-		for _, cr := range s.creditReturns {
-			cr.env.applyReturn(cr.port)
+	if retx > 0 {
+		e.retransmits += uint64(retx)
+		b.mergeByNode(func(t *tile) int {
+			if t.retxAt == len(t.retx) {
+				return -1
+			}
+			return t.retx[t.retxAt].node
+		}, func(t *tile) {
+			rx := t.retx[t.retxAt]
+			t.retxAt++
+			e.wheel.schedule(c, c+rx.delay, rx.f)
+		})
+	}
+	for _, t := range b.tiles {
+		for _, l := range t.landings {
+			e.land(l.env, l.port, l.f, c)
 		}
-		s.creditReturns = s.creditReturns[:0]
-		e.meter.Absorb(s.meter)
-		e.coll.AbsorbRouterPhase(s.coll)
+		t.landings = t.landings[:0]
+		for _, cr := range t.creditReturns {
+			cr.env.applyLateReturn(cr.port)
+		}
+		t.creditReturns = t.creditReturns[:0]
+		e.meter.Absorb(t.meter)
+		e.coll.AbsorbTile(t.coll)
+	}
+	b.settlePools()
+	if done > 0 {
+		b.mergeByNode(func(t *tile) int {
+			if t.doneAt == len(t.done) {
+				return -1
+			}
+			return int(t.done[t.doneAt].Dst)
+		}, func(t *tile) {
+			t.doneAt++
+			e.deliver(t.done[t.doneAt-1], c)
+		})
+	}
+	for _, t := range b.tiles {
+		t.retx, t.retxAt = t.retx[:0], 0
+		t.done, t.doneAt = t.done[:0], 0
+	}
+}
+
+// mergeByNode consumes the tiles' staged lists in ascending node order: a
+// k-way merge of lists that are each ascending already, one node's entries
+// staying in the order they were staged. head reports the node of a tile's
+// next entry (negative when it has none left), take consumes that entry.
+func (b *shardedBackend) mergeByNode(head func(*tile) int, take func(*tile)) {
+	for {
+		var next *tile
+		least := 0
+		for _, t := range b.tiles {
+			if n := head(t); n >= 0 && (next == nil || n < least) {
+				next, least = t, n
+			}
+		}
+		if next == nil {
+			return
+		}
+		take(next)
 	}
 }
 
@@ -455,12 +770,12 @@ const (
 	moveNone
 )
 
-// rebalance runs one rebalancing pass: it reads the per-shard router-phase
-// profile over the window since the last pass and migrates one boundary
+// rebalance runs one rebalancing pass: it reads the per-shard busy profile
+// over the window since the last pass and migrates one boundary
 // column (between the hottest tile and its in-band neighbour) or one
 // boundary row (between the hottest tile's band and an adjacent band) from
 // hot to cold. It runs on the coordinating goroutine between cycles, so the
-// partition is stable for the whole of every router phase. force skips the
+// partition is stable for the whole of every tile phase. force skips the
 // imbalance threshold and, when no candidate is profitable, executes the
 // first feasible move anyway (tests force deterministic migrations with it).
 // It reports whether a migration happened. Bit-identity is unaffected either
@@ -479,7 +794,7 @@ func (b *shardedBackend) rebalance(force bool) bool {
 		}
 	}
 	max = b.winBusy[hot]
-	if !force && (total == 0 || float64(max)*float64(len(b.shards)) <= rebalanceThreshold*float64(total)) {
+	if !force && (total == 0 || float64(max)*float64(len(b.tiles)) <= rebalanceThreshold*float64(total)) {
 		return false
 	}
 
@@ -539,28 +854,29 @@ func (b *shardedBackend) rebalance(force bool) bool {
 	case moveColWest:
 		b.xcuts[hj][hi]++
 		b.migrated += uint64(bandHeight)
-		b.rebuildShard(hi-1, hj)
-		b.rebuildShard(hi, hj)
+		b.rebuildTile(hi-1, hj)
+		b.rebuildTile(hi, hj)
 	case moveColEast:
 		b.xcuts[hj][hi+1]--
 		b.migrated += uint64(bandHeight)
-		b.rebuildShard(hi, hj)
-		b.rebuildShard(hi+1, hj)
+		b.rebuildTile(hi, hj)
+		b.rebuildTile(hi+1, hj)
 	case moveRowNorth:
 		b.ycuts[hj]++
 		b.migrated += uint64(b.e.mesh.Width)
 		for i := 0; i < b.gx; i++ {
-			b.rebuildShard(i, hj-1)
-			b.rebuildShard(i, hj)
+			b.rebuildTile(i, hj-1)
+			b.rebuildTile(i, hj)
 		}
 	case moveRowSouth:
 		b.ycuts[hj+1]--
 		b.migrated += uint64(b.e.mesh.Width)
 		for i := 0; i < b.gx; i++ {
-			b.rebuildShard(i, hj)
-			b.rebuildShard(i, hj+1)
+			b.rebuildTile(i, hj)
+			b.rebuildTile(i, hj+1)
 		}
 	}
+	b.markBoundaries()
 	b.rebalances++
 	return true
 }

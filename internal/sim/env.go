@@ -44,6 +44,12 @@ type Env struct {
 	portMask       uint8
 	blockedMask    uint8
 	creditTickMask uint8
+	// crossMask marks the cardinal ports whose neighbour belongs to another
+	// tile of the sharded engine (always 0 on the sequential one): a flit
+	// landing through such a port, or a credit returned up it, is staged for
+	// the barrier instead of written into the neighbour. Derived from the
+	// partition (shardedBackend.markBoundaries), never serialized.
+	crossMask uint8
 
 	// neighbors caches the node reached through each cardinal output port
 	// (-1 = no link), so look-ahead sends skip the mesh arithmetic.
@@ -75,22 +81,15 @@ type Env struct {
 	bufferDepth  int
 	creditDelay  int
 
-	// meter, coll and rec are what this node's router writes through: the
-	// engine's masters in sequential mode, or the owning shard's scratch
-	// meter/collector and a per-env event stage in sharded mode (see
-	// Engine.wireCollectors). Routers never see the difference.
+	// tile is the tile that owns this node (the sequential engine's only one,
+	// or a shard's), and meter, coll and rec are what the node's router writes
+	// through: the engine's masters on the sequential engine, the owning
+	// tile's scratch meter/collector and a per-env event stage on the sharded
+	// one (see Engine.wireCollectors). Routers never see the difference.
+	tile  *tile
 	meter *energy.Meter
 	coll  *stats.Collector
 	rec   *events.Recorder
-
-	// shard is the owning shard in sharded mode (nil = sequential). When
-	// set, ReturnCredit and ScheduleRetransmit stage instead of applying —
-	// the barrier replays them so no worker writes cross-shard state.
-	shard *shard
-
-	// pendingRetx holds retransmissions staged during the parallel router
-	// phase, drained into the event wheel in node order at the barrier.
-	pendingRetx []stagedRetx
 }
 
 func newEnv(e *Engine, node, bufferDepth, creditDelay int) *Env {
@@ -158,8 +157,8 @@ func (env *Env) wireCredits() {
 func (env *Env) Mesh() *topology.Mesh { return env.engine.mesh }
 
 // Meter returns the energy meter this router records into (the engine's in
-// sequential mode, the shard's scratch in sharded mode — absorbed into the
-// engine's at every cycle barrier).
+// sequential mode, the owning tile's scratch in sharded mode — absorbed into
+// the engine's at every cycle barrier).
 func (env *Env) Meter() *energy.Meter { return env.meter }
 
 // Stats returns the statistics collector this router records into (the
@@ -264,30 +263,35 @@ func (env *Env) OutputFree(p flit.Port) bool { return env.out[p] == nil }
 
 // ReturnCredit hands one credit back to the upstream neighbour feeding
 // input port p (call when a flit that arrived through p frees its buffer
-// slot, or immediately when it bypasses buffering entirely). In sharded
-// mode the return is staged and applied at the cycle barrier: the upstream
-// counter may belong to another shard, and since a returned credit rides
-// the delay pipeline and only becomes visible at the post-link-phase Tick,
-// barrier-time application is observationally identical to the sequential
-// engine's mid-phase application.
+// slot, or immediately when it bypasses buffering entirely). When that
+// neighbour belongs to another tile of the sharded engine the return is
+// staged for the cycle barrier: the counter is the neighbour's to write.
 func (env *Env) ReturnCredit(p flit.Port) {
 	c := env.upCredits[p]
 	if c == nil {
 		return
 	}
-	if s := env.shard; s != nil {
-		s.creditReturns = append(s.creditReturns, stagedCredit{env: env, port: p})
+	if env.crossMask&(1<<uint(p)) != 0 {
+		env.tile.creditReturns = append(env.tile.creditReturns, stagedCredit{env: env, port: p})
 		return
 	}
 	c.Return()
 	env.upOwner[p].creditTickMask |= env.upBit[p]
 }
 
-// applyReturn performs the staged credit return for input port p (barrier
-// replay in sharded mode — same effect as the sequential direct path).
-func (env *Env) applyReturn(p flit.Port) {
-	env.upCredits[p].Return()
-	env.upOwner[p].creditTickMask |= env.upBit[p]
+// applyLateReturn performs a staged credit return for input port p at the
+// barrier, after the owning tile has already run the counter's tickCredits
+// for this cycle — so it leaves the counter and the owner's masks as Return
+// followed by that tick would have (see buffer.Credits.ReturnLate).
+func (env *Env) applyLateReturn(p flit.Port) {
+	c, owner := env.upCredits[p], env.upOwner[p]
+	c.ReturnLate()
+	if c.CanSend() {
+		owner.blockedMask &^= env.upBit[p]
+	}
+	if c.HasPending() {
+		owner.creditTickMask |= env.upBit[p]
+	}
 }
 
 // DownstreamCredits exposes the credit counter for output port p (nil when
@@ -320,12 +324,13 @@ func (env *Env) ConsumeInjection(cycle uint64) *flit.Flit {
 
 // ScheduleRetransmit asks the engine to re-enqueue f at its source after
 // delay cycles (see Engine.ScheduleRetransmit). In sharded mode the wheel
-// insertion is staged per-env and replayed in node order at the barrier, so
-// the wheel's delivery order matches the sequential engine's; the
-// Retransmit event is recorded into the env's stage at call time so it
+// insertion is staged on the owning tile and replayed in node order at the
+// barrier, so the wheel's delivery order matches the sequential engine's;
+// the Retransmit event is recorded into the env's stage at call time so it
 // stays interleaved with the router's other events.
 func (env *Env) ScheduleRetransmit(f *flit.Flit, delay uint64) {
-	if env.shard == nil {
+	t := env.tile
+	if !t.staged {
 		env.engine.ScheduleRetransmit(f, delay)
 		return
 	}
@@ -334,14 +339,13 @@ func (env *Env) ScheduleRetransmit(f *flit.Flit, delay uint64) {
 	}
 	env.rec.Record(env.engine.cycle, events.Retransmit, int(f.Src), flit.Invalid,
 		f.PacketID, f.ID, int32(delay))
-	env.pendingRetx = append(env.pendingRetx, stagedRetx{f: f, delay: delay})
-	env.shard.retx++
+	t.retx = append(t.retx, stagedRetx{node: env.Node, f: f, delay: delay})
 }
 
 // pushFrontInjection (a delivered retransmission) and pushSpec (a generated
 // packet) are the two ways work enters a node from its own PE; both wake the
-// node's router (see Engine.stepNodes). They run in the engine's sequential
-// pre-router phase, never concurrently with shard workers.
+// node's router (see Engine.tilePhase). They run on the coordinating
+// goroutine before the tile phases are released, never concurrently with them.
 func (env *Env) pushFrontInjection(f *flit.Flit) {
 	env.injection.pushFront(f)
 	env.engine.awake[env.Node] = 1
@@ -362,9 +366,8 @@ const injectionSlack = 8
 
 // topUpInjection materializes queued packet specs (whole packets, FIFO)
 // until the injection deque holds at least injectionSlack flits or no specs
-// remain. It runs in the engine's single-threaded generation phase, so the
-// shared flit pool is never touched concurrently by the parallel router
-// phase — routers only ever pop already-materialized flits.
+// remain. It runs at the head of the node's router step, out of the owning
+// tile's pool — routers only ever pop already-materialized flits.
 func (env *Env) topUpInjection(pool *flit.Pool) {
 	for env.injection.len() < injectionSlack && env.pendingSpecs.len() > 0 {
 		spec := env.pendingSpecs.popFront()
@@ -421,7 +424,6 @@ func (env *Env) reset() {
 	env.creditTickMask = 0
 	env.injection.clear()
 	env.pendingSpecs.clear()
-	env.pendingRetx = env.pendingRetx[:0]
 	for _, c := range env.downCredits {
 		if c != nil {
 			c.Reset()

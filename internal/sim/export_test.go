@@ -1,8 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
-// Test-only views of the activity-driven router phase (see stepNodes), for the
+// Test-only views of the activity-driven router phase (see tilePhase), for the
 // external test package: the differential oracle switch and the awake flags.
 
 // SetStepAll makes the engine step every router every cycle, as it did before
@@ -26,4 +29,15 @@ func (e *Engine) CheckSleepInvariant() error {
 		}
 	}
 	return nil
+}
+
+// CoordinatorSerial reports the time a sharded engine's run scopes have spent
+// outside parallel tile phases — the coordinating goroutine's serial sections
+// (0 on a sequential engine). Together with ShardProfiles it accounts for the
+// whole wall time of Run.
+func (e *Engine) CoordinatorSerial() time.Duration {
+	if e.sharded == nil {
+		return 0
+	}
+	return e.sharded.serial
 }

@@ -11,7 +11,7 @@
 // flits latched on its input ports and fills its output latches (its SA/ST
 // pipeline stage); the phase is activity-driven — a router that reported
 // itself quiescent is not stepped again until an input reaches its node (see
-// Router and Engine.stepNodes). In the link phase the engine advances every link
+// Router and Engine.tilePhase). In the link phase the engine advances every link
 // pipeline: a flit written to an output latch at cycle c spends cycle c+1 on
 // the link (LT) and is visible to the downstream router at cycle c+2 —
 // matching the paper's 2-stage per-hop pipeline for DXbar / Flit-Bless /
@@ -111,8 +111,9 @@ type Config struct {
 	Diag *diag.Monitor
 	// Shards selects the cycle-engine backend: 0 or 1 runs the sequential
 	// engine, n > 1 partitions the mesh into a boundary-minimizing 2D grid
-	// of rectangular tiles stepped by parallel worker goroutines with a
-	// two-phase barrier per cycle, and a negative value auto-sizes to
+	// of rectangular tiles whose whole cycle — router steps and link phase —
+	// runs on parallel worker goroutines (alive only inside Run/RunUntil)
+	// that meet at one barrier per cycle, and a negative value auto-sizes to
 	// GOMAXPROCS. The effective count is the largest feasible grid
 	// factorization at most the request (ResolveShards). Results are
 	// bit-identical to the sequential engine for every design, shard count
@@ -120,7 +121,7 @@ type Config struct {
 	Shards int
 	// RebalanceInterval is the period, in cycles, of the sharded backend's
 	// dynamic rebalancing checks: every interval cycles it compares the
-	// per-shard router-phase times over the window just ended and migrates a
+	// per-shard busy times over the window just ended and migrates a
 	// boundary row or column from the hottest tile toward a cooler
 	// neighbour. 0 selects DefaultRebalanceInterval; a negative value
 	// disables automatic rebalancing (Engine.RebalanceShards still forces
@@ -140,26 +141,23 @@ type Engine struct {
 
 	// linkStage[n][p] holds the flit traversing the link out of node n's
 	// port p during the current cycle (the LT stage); linkMask[n] mirrors the
-	// row as a bitmask so the land loop touches only nodes with in-flight
+	// row as a bitmask so the link phase touches only nodes with in-flight
 	// flits — one byte load per idle node instead of four pointer loads.
 	linkStage [][]*flit.Flit
 	linkMask  []uint8
 
 	// awake[n] != 0 means node n's router must be stepped this cycle (see
-	// stepNodes, the one place the flag is tested and cleared). It is set
-	// wherever an input reaches a node — the land loop, pushSpec, retransmit
+	// tilePhase, the one place the flag is tested and cleared). It is set
+	// wherever an input reaches a node — a landing flit, pushSpec, retransmit
 	// delivery — and for every node on construction, Reset and Restore. One
-	// byte per node, not one bit, so shard workers clearing their own nodes'
+	// byte per node, not one bit, so shard workers writing their own nodes'
 	// flags write disjoint variables. Derived state: never serialized.
 	awake []uint8
-	// allNodes lists every node in ascending order: the sequential backend's
-	// argument to stepNodes (a shard passes its tile's list).
-	allNodes []int
 	// stepAll disables the skip (every router steps every cycle) — the
 	// unexported differential oracle the activity tests compare against.
 	stepAll bool
-	// steps counts the sequential backend's router-steps; the sharded backend
-	// counts per shard and folds into it at the barrier (routerSteps).
+	// steps counts router-steps: every tile counts its own and the engine
+	// folds them in after the tile phase (routerSteps).
 	steps routerSteps
 
 	reasm []*flit.Reassembler
@@ -168,7 +166,10 @@ type Engine struct {
 	// they re-enter their source's injection queue.
 	wheel eventWheel
 
-	// pool recycles ejected flits back to the generation path.
+	// pool recycles ejected flits back to materialization. The sequential
+	// tile uses it directly; sharded tiles have pools of their own, settled
+	// against this one at every barrier, so its Outstanding stays the
+	// network-wide count between cycles.
 	pool *flit.Pool
 
 	// rec is the flight recorder (nil when tracing is off).
@@ -176,11 +177,11 @@ type Engine struct {
 
 	preCycle func(cycle uint64)
 
-	// backend runs the router phase: sequential, or sharded over worker
-	// goroutines (see backend.go). shards is the resolved shard count the
-	// backend was built for.
-	backend backend
-	shards  int
+	// tiles partition the nodes for tilePhase: one tile holding every node on
+	// the sequential engine, the sharded backend's otherwise (sharded is nil
+	// on the sequential engine — see backend.go).
+	tiles   []*tile
+	sharded *shardedBackend
 
 	bufferDepth int
 	creditDelay int
@@ -239,7 +240,6 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		linkStage:   make([][]*flit.Flit, n),
 		linkMask:    make([]uint8, n),
 		awake:       make([]uint8, n),
-		allNodes:    make([]int, n),
 		reasm:       make([]*flit.Reassembler, n),
 		wheel:       newEventWheel(64),
 		pool:        flit.NewPool(),
@@ -255,7 +255,6 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	}
 	e.envs = make([]*Env, n)
 	for i := 0; i < n; i++ {
-		e.allNodes[i] = i
 		e.linkStage[i] = make([]*flit.Flit, flit.NumLinkPorts)
 		e.reasm[i] = flit.NewReassembler()
 		e.envs[i] = newEnv(e, i, cfg.BufferDepth, cfg.CreditDelay)
@@ -282,11 +281,15 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	// queued as specs, not flits, so this bound holds at any load.
 	perNode := 2*flit.NumPorts + flit.NumLinkPorts + 4*cfg.BufferDepth + 16
 	e.pool.Prime(n * perNode)
-	e.shards = ResolveShards(cfg.Shards, cfg.Mesh.Width, cfg.Mesh.Height)
-	if e.shards > 1 {
-		e.backend = newShardedBackend(e, e.shards, cfg.RebalanceInterval)
+	if shards := ResolveShards(cfg.Shards, cfg.Mesh.Width, cfg.Mesh.Height); shards > 1 {
+		e.sharded = newShardedBackend(e, shards, cfg.RebalanceInterval)
+		e.tiles = e.sharded.tiles
 	} else {
-		e.backend = seqBackend{e}
+		all := &tile{nodes: make([]int, n), pool: e.pool}
+		for i := range all.nodes {
+			all.nodes[i] = i
+		}
+		e.tiles = []*tile{all}
 	}
 	e.wireCollectors()
 	e.installDiag()
@@ -319,6 +322,11 @@ func (e *Engine) installDiag() {
 	}
 	e.mon.SetTraceWidener(func() {
 		e.rec.Widen()
+		for _, t := range e.tiles {
+			if t.rec != e.rec {
+				t.rec.Widen()
+			}
+		}
 		for _, env := range e.envs {
 			if env.rec != e.rec {
 				env.rec.Widen()
@@ -327,37 +335,23 @@ func (e *Engine) installDiag() {
 	})
 }
 
-// wireCollectors points every Env at the meter, collector and recorder its
-// router must write through: the engine's masters in sequential mode, the
-// owning shard's scratch (and a per-env event stage) in sharded mode. Runs
-// at construction and again on Reset, because Reset swaps the masters.
+// wireCollectors points every tile and Env at the meter, collector and
+// recorder they must write through: the engine's masters on the sequential
+// engine; on the sharded one a scratch meter and collector per tile, an event
+// stage per tile for its ejections and one per env for its router. Runs at
+// construction and again on Reset, because Reset swaps the masters.
 func (e *Engine) wireCollectors() {
-	sb, sharded := e.backend.(*shardedBackend)
-	if !sharded {
-		for _, env := range e.envs {
-			env.shard = nil
-			env.meter = e.meter
-			env.coll = e.coll
-			env.rec = e.rec
+	for _, t := range e.tiles {
+		t.meter, t.coll, t.rec = e.meter, e.coll, e.rec
+		if t.staged {
+			t.meter, t.coll, t.rec = e.meter.Scratch(), e.coll.Scratch(), e.rec.NewStage()
+			e.sharded.ejections[t.id] = t.rec
 		}
-		return
-	}
-	for _, s := range sb.shards {
-		s.meter = e.meter.Scratch()
-		s.coll = e.coll.Scratch()
-		for _, n := range s.nodes {
+		for _, n := range t.nodes {
 			env := e.envs[n]
-			env.shard = s
-			env.meter = s.meter
-			env.coll = s.coll
-			env.rec = e.rec.NewStage()
-			if env.pendingRetx == nil {
-				// A router stages at most one retransmit per consumed flit:
-				// the port count bounds it. Preallocating keeps the steady
-				// state allocation-free even on nodes that drop rarely —
-				// growing 64 nil slices by occasional single appends would
-				// otherwise trickle allocations for thousands of cycles.
-				env.pendingRetx = make([]stagedRetx, 0, flit.NumPorts)
+			env.tile, env.meter, env.coll, env.rec = t, t.meter, t.coll, e.rec
+			if t.staged {
+				env.rec = e.rec.NewStage()
 			}
 		}
 	}
@@ -380,9 +374,8 @@ func (e *Engine) Mesh() *topology.Mesh { return e.mesh }
 // network has zero outstanding flits).
 func (e *Engine) Pool() *flit.Pool { return e.pool }
 
-// Shards returns the resolved shard count of the engine's router-phase
-// backend (1 = sequential).
-func (e *Engine) Shards() int { return e.backend.shardCount() }
+// Shards returns the resolved shard count of the engine (1 = sequential).
+func (e *Engine) Shards() int { return len(e.tiles) }
 
 // RebalanceShards forces one shard-rebalancing pass right now, between
 // cycles, regardless of the configured interval or the imbalance threshold:
@@ -392,22 +385,17 @@ func (e *Engine) Shards() int { return e.backend.shardCount() }
 // it to force deterministic migrations mid-run; results are bit-identical
 // whether or when it is called.
 func (e *Engine) RebalanceShards() bool {
-	sb, ok := e.backend.(*shardedBackend)
-	if !ok {
-		return false
-	}
-	return sb.rebalance(true)
+	return e.sharded != nil && e.sharded.rebalance(true)
 }
 
 // ShardRebalances reports the dynamic-rebalancing totals so far: the number
 // of passes that migrated work, and the total mesh nodes moved between
 // shards. Zero on a sequential engine.
 func (e *Engine) ShardRebalances() (rebalances, nodesMigrated uint64) {
-	sb, ok := e.backend.(*shardedBackend)
-	if !ok {
+	if e.sharded == nil {
 		return 0, 0
 	}
-	return sb.rebalances, sb.migrated
+	return e.sharded.rebalances, e.sharded.migrated
 }
 
 // RouterSteps reports the activity-driven router phase's totals so far:
@@ -437,7 +425,9 @@ func (e *Engine) ScheduleRetransmit(f *flit.Flit, delay uint64) {
 	e.wheel.schedule(e.cycle, e.cycle+delay, f)
 }
 
-// Step advances the network by one cycle.
+// Step advances the network by one cycle. On a sharded engine outside
+// Run/RunUntil the tiles run one after the other on the caller — same code,
+// same results, no goroutines.
 func (e *Engine) Step() {
 	c := e.cycle
 
@@ -452,87 +442,31 @@ func (e *Engine) Step() {
 	}
 
 	// Generation. Packets are queued as compact specs; flits materialize
-	// out of the pool only when a node's injection deque runs low, so the
-	// live flit population tracks the in-network load, not the injection
-	// backlog (which grows without bound above saturation and would
-	// otherwise force a fresh allocation for every backlog increment).
+	// out of a pool only when a node's injection deque runs low (tilePhase),
+	// so the live flit population tracks the in-network load, not the
+	// injection backlog (which grows without bound above saturation and would
+	// otherwise force a fresh allocation for every backlog increment). A
+	// source draws from one random stream in node order, which pins this loop
+	// to one goroutine.
 	if e.source != nil {
-		for nIdx, env := range e.envs {
-			for _, spec := range e.source.Generate(nIdx, c) {
+		for n := range e.envs {
+			for _, spec := range e.source.Generate(n, c) {
 				e.coll.PacketInjected(c)
 				e.coll.GeneratedFlits(c, int(spec.NumFlits))
-				env.pushSpec(*spec)
-			}
-			if env.pendingSpecs.len() > 0 {
-				env.topUpInjection(e.pool)
+				e.envs[n].pushSpec(*spec)
 			}
 		}
 	}
 
-	// Router phase (SA/ST): sequential or tile-parallel, depending on the
-	// backend. Either way every staged side effect is applied to master
-	// state before the link phase below observes it.
-	e.backend.routerPhase(c)
-
-	// Link phase: first land the flits that spent this cycle on the wire,
-	// then launch the freshly switched ones onto the wire. Both loops walk
-	// activity bitmasks (linkMask / env.outMask) and visit ports in
-	// ascending bit order — the same order the dense loops used — so idle
-	// nodes cost one byte test and event ordering is unchanged.
-	for u := range e.envs {
-		m := e.linkMask[u]
-		if m == 0 {
-			continue
-		}
-		e.linkMask[u] = 0
-		row := e.linkStage[u]
-		uenv := e.envs[u]
-		for b := m; b != 0; b &= b - 1 {
-			p := flit.Port(bits.TrailingZeros8(b))
-			f := row[p]
-			nb, q := uenv.nbrEnv[p], uenv.nbrIn[p]
-			if nb.In[q] != nil {
-				panic(fmt.Sprintf("sim: input latch collision at node %d port %s cycle %d", nb.Node, q, c))
-			}
-			nb.In[q] = f
-			nb.InMask |= 1 << uint(q)
-			e.awake[nb.Node] = 1
-			row[p] = nil
-		}
-	}
-	launched := 0
-	for u, env := range e.envs {
-		m := env.outMask
-		if m == 0 {
-			continue
-		}
-		env.outMask = 0
-		// Ejection.
-		if m&(1<<uint(flit.Local)) != 0 {
-			f := env.out[flit.Local]
-			env.out[flit.Local] = nil
-			e.eject(u, f, c)
-			m &^= 1 << uint(flit.Local)
-		}
-		for b := m; b != 0; b &= b - 1 {
-			p := flit.Port(bits.TrailingZeros8(b))
-			f := env.out[p]
-			env.out[p] = nil
-			f.Hops++
-			e.coll.LinkEvent(u, p, c)
-			e.linkStage[u][p] = f
-		}
-		launched += bits.OnesCount8(m)
-		e.linkMask[u] |= m
-	}
-	e.meter.AddLinkTraversals(uint64(launched))
-
-	// Credit pipelines. The mask check is hoisted out of the call so idle
-	// envs (no credits in flight) cost one load per cycle, not a call.
-	for _, env := range e.envs {
-		if env.creditTickMask != 0 {
-			env.tickCredits()
-		}
+	// Everything per-node — router phase (SA/ST) and link phase — sequential
+	// or tile-parallel. Either way every staged side effect is applied to
+	// master state before the observers below look at it.
+	if e.sharded != nil {
+		e.sharded.phase(c)
+	} else {
+		t := e.tiles[0]
+		e.tilePhase(t, c)
+		e.steps.absorb(&t.steps)
 	}
 
 	// Time-series sampling: when the collector's sampler is due, hand it
@@ -630,14 +564,17 @@ func (e *Engine) counterSnapshot() metrics.SimCounters {
 // publishGauges runs the interval leg of telemetry publication: network
 // gauges, the shard execution profile and the latency-histogram snapshot.
 func (e *Engine) publishGauges(c uint64) {
-	busy, wait := e.backend.profile()
+	var busy, wait []time.Duration
+	if e.sharded != nil {
+		busy, wait = e.sharded.busy, e.sharded.wait
+	}
 	e.telemetry.OnPublish(c, metrics.SimGauges{
 		InFlightFlits: e.pool.Outstanding(),
 		QueuedFlits:   e.QueuedFlits(),
 		BufferedFlits: e.bufferedFlits(),
 	}, busy, wait)
 	e.telemetry.OnRouterSteps(e.steps.executed, e.steps.skipped)
-	if sb, ok := e.backend.(*shardedBackend); ok {
+	if sb := e.sharded; sb != nil {
 		e.telemetry.OnShardState(sb.rebalances, sb.migrated, sb.nodeCounts)
 	}
 	if h := e.telemetry.Latency(); h != nil {
@@ -663,10 +600,14 @@ type ShardProfile struct {
 	// Shard is the shard index; Nodes the number of mesh nodes in its tile.
 	Shard int
 	Nodes int
-	// RouterPhase is the cumulative wall time the shard spent stepping its
-	// routers; BarrierWait the cumulative time it sat idle at the cycle
-	// barrier waiting for the slowest shard. A shard with near-zero
-	// BarrierWait is the bottleneck tile.
+	// RouterPhase is the cumulative time the shard's goroutine spent in its
+	// tile's phases — the whole per-node cycle: router steps, link landing
+	// and launch, ejection, credit ticks. BarrierWait is the rest of the
+	// parallel phases' wall time, measured from the coordinator's release to
+	// the moment it has seen every tile arrive: wake-up latency after the
+	// release, then idling for the slowest tile. RouterPhase + BarrierWait is
+	// the same for every shard; the one with the smallest wait is the
+	// bottleneck tile.
 	RouterPhase time.Duration
 	BarrierWait time.Duration
 }
@@ -675,15 +616,15 @@ type ShardProfile struct {
 // backend, or nil for a sequential engine. Allocates; call at end of run,
 // not per cycle.
 func (e *Engine) ShardProfiles() []ShardProfile {
-	sb, ok := e.backend.(*shardedBackend)
-	if !ok {
+	sb := e.sharded
+	if sb == nil {
 		return nil
 	}
-	out := make([]ShardProfile, len(sb.shards))
-	for i, s := range sb.shards {
+	out := make([]ShardProfile, len(sb.tiles))
+	for i, t := range sb.tiles {
 		out[i] = ShardProfile{
 			Shard:       i,
-			Nodes:       len(s.nodes),
+			Nodes:       len(t.nodes),
 			RouterPhase: sb.busy[i],
 			BarrierWait: sb.wait[i],
 		}
@@ -701,24 +642,6 @@ func (e *Engine) bufferedFlits() int {
 		total += env.creditOccupancy()
 	}
 	return total
-}
-
-func (e *Engine) eject(node int, f *flit.Flit, c uint64) {
-	if int(f.Dst) != node {
-		panic(fmt.Sprintf("sim: flit %v ejected at wrong node %d", f, node))
-	}
-	e.coll.EjectedFlit(c)
-	e.rec.Record(c, events.Eject, node, flit.Local, f.PacketID, f.ID, int32(c-f.InjectionCycle))
-	pkt, done := e.reasm[node].Accept(f, c)
-	// Ejection ends the flit's network life: reassembly has folded its
-	// counters into the packet, so the flit returns to the pool here.
-	e.pool.Put(f)
-	if done {
-		e.coll.PacketDone(pkt)
-		if e.sink != nil {
-			e.sink.Deliver(pkt, c)
-		}
-	}
 }
 
 // Reset rewires the engine for a fresh run without reallocating its bulk
@@ -748,8 +671,8 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 		return fmt.Errorf("sim: Reset requires BufferDepth=%d CreditDelay=%d (got %d, %d)",
 			e.bufferDepth, e.creditDelay, cfg.BufferDepth, cfg.CreditDelay)
 	}
-	if got := ResolveShards(cfg.Shards, e.mesh.Width, e.mesh.Height); got != e.shards {
-		return fmt.Errorf("sim: Reset requires Shards resolving to %d (got %d)", e.shards, got)
+	if got := ResolveShards(cfg.Shards, e.mesh.Width, e.mesh.Height); got != len(e.tiles) {
+		return fmt.Errorf("sim: Reset requires Shards resolving to %d (got %d)", len(e.tiles), got)
 	}
 	e.meter = cfg.Meter
 	e.coll = cfg.Stats
@@ -762,11 +685,11 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	e.cycle = 0
 	e.retransmits = 0
 	e.steps = routerSteps{}
-	e.backend.resetProfile()
-	if sb, ok := e.backend.(*shardedBackend); ok {
+	if sb := e.sharded; sb != nil {
 		// The rebalance schedule may change between runs; the partition
 		// itself carries over (it only decides worker assignment, never
 		// results, so a reused engine keeps its learned balance).
+		sb.resetProfile()
 		sb.interval = resolveRebalanceInterval(cfg.RebalanceInterval)
 	}
 	e.wheel.reset()
@@ -792,27 +715,37 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 // honors stop requests (diag.Interrupt, Monitor.RequestStop) at cycle
 // boundaries — the graceful-shutdown path; the check is two atomic loads per
 // cycle and steers nothing else, so results stay bit-identical.
-func (e *Engine) Run(n uint64) {
-	if m := e.mon; m != nil {
-		for i := uint64(0); i < n; i++ {
-			if m.StopRequested() {
-				return
-			}
-			e.Step()
-			if e.ckptFn != nil && e.cycle == e.nextCkpt {
-				e.ckptFn(e.cycle)
-				e.nextCkpt += e.ckptEvery
-			}
-		}
-		return
+func (e *Engine) Run(n uint64) { e.run(n, nil) }
+
+// RunUntil advances the engine until pred returns true (checked after every
+// cycle) or maxCycles elapse; it reports whether pred fired. Like Run it
+// stops early on a stop request and drives the checkpoint hook.
+func (e *Engine) RunUntil(pred func() bool, maxCycles uint64) bool {
+	return e.run(maxCycles, pred)
+}
+
+// run is the one cycle loop. It owns the sharded engine's worker scope: the
+// tile workers start here and are joined before it returns, whichever way it
+// returns, so no goroutine outlives the call.
+func (e *Engine) run(n uint64, pred func() bool) bool {
+	if sb := e.sharded; sb != nil && !sb.live && n > 0 {
+		sb.start()
+		defer sb.stop()
 	}
 	for i := uint64(0); i < n; i++ {
+		if e.mon.StopRequested() {
+			return false
+		}
 		e.Step()
 		if e.ckptFn != nil && e.cycle == e.nextCkpt {
 			e.ckptFn(e.cycle)
 			e.nextCkpt += e.ckptEvery
 		}
+		if pred != nil && pred() {
+			return true
+		}
 	}
+	return false
 }
 
 // SetCheckpointHook arranges for fn to run inside Run after every step that
@@ -830,18 +763,6 @@ func (e *Engine) SetCheckpointHook(every uint64, fn func(cycle uint64)) {
 	e.ckptFn = fn
 	e.ckptEvery = every
 	e.nextCkpt = (e.cycle/every + 1) * every
-}
-
-// RunUntil advances the engine until pred returns true (checked after every
-// cycle) or maxCycles elapse; it reports whether pred fired.
-func (e *Engine) RunUntil(pred func() bool, maxCycles uint64) bool {
-	for i := uint64(0); i < maxCycles; i++ {
-		e.Step()
-		if pred() {
-			return true
-		}
-	}
-	return false
 }
 
 // QueuedFlits returns the total number of flits waiting in injection queues

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestScratchAbsorbRouterPhase drives the four router-phase entry points
-// through a scratch collector and checks absorption reproduces direct
-// recording exactly, zeroes the scratch, and leaves droppedByNode untouched
-// when nothing dropped.
+// TestScratchAbsorbRouterPhase drives the entry points a tile's worker uses —
+// the routers' five and the link phase's EjectedFlit — through a scratch
+// collector and checks AbsorbTile reproduces direct recording exactly, zeroes
+// the scratch, and leaves droppedByNode untouched when nothing dropped.
 func TestScratchAbsorbRouterPhase(t *testing.T) {
 	direct := NewCollector(4, 100, 1<<40)
 	master := NewCollector(4, 100, 1<<40)
@@ -27,10 +27,13 @@ func TestScratchAbsorbRouterPhase(t *testing.T) {
 		// Out-of-window events must not count (cycle 50 < start 100).
 		c.BufferingEvent(50)
 		c.DroppedFlit(50, 0)
+		c.EjectedFlit(50)
+		c.EjectedFlit(200)
+		c.DeflectedFlit()
 	}
 	record(direct)
 	record(scratch)
-	master.AbsorbRouterPhase(scratch)
+	master.AbsorbTile(scratch)
 
 	if direct.bufferedSum != master.bufferedSum || direct.routedFlits != master.routedFlits ||
 		direct.fairnessFlips != master.fairnessFlips || direct.droppedFlits != master.droppedFlits {
@@ -38,12 +41,19 @@ func TestScratchAbsorbRouterPhase(t *testing.T) {
 			direct.bufferedSum, direct.routedFlits, direct.fairnessFlips, direct.droppedFlits,
 			master.bufferedSum, master.routedFlits, master.fairnessFlips, master.droppedFlits)
 	}
+	if direct.totalEjected != master.totalEjected || direct.ejectedFlits != master.ejectedFlits ||
+		direct.totalDropped != master.totalDropped || direct.totalDeflected != master.totalDeflected {
+		t.Errorf("absorbed whole-run totals differ from direct: direct {%d %d %d %d}, master {%d %d %d %d}",
+			direct.totalEjected, direct.ejectedFlits, direct.totalDropped, direct.totalDeflected,
+			master.totalEjected, master.ejectedFlits, master.totalDropped, master.totalDeflected)
+	}
 	if !reflect.DeepEqual(direct.droppedByNode, master.droppedByNode) {
 		t.Errorf("droppedByNode differs: direct %v, master %v", direct.droppedByNode, master.droppedByNode)
 	}
 
 	// The scratch must be fully zeroed so the next cycle reuses it cleanly.
-	if scratch.bufferedSum != 0 || scratch.routedFlits != 0 || scratch.fairnessFlips != 0 || scratch.droppedFlits != 0 {
+	if scratch.bufferedSum != 0 || scratch.routedFlits != 0 || scratch.fairnessFlips != 0 || scratch.droppedFlits != 0 ||
+		scratch.totalEjected != 0 || scratch.ejectedFlits != 0 || scratch.totalDropped != 0 || scratch.totalDeflected != 0 {
 		t.Error("scratch counters not zeroed after absorb")
 	}
 	for i, v := range scratch.droppedByNode {
@@ -54,7 +64,7 @@ func TestScratchAbsorbRouterPhase(t *testing.T) {
 
 	// A second, drop-free absorption round on the same scratch.
 	scratch.BufferingEvent(300)
-	master.AbsorbRouterPhase(scratch)
+	master.AbsorbTile(scratch)
 	if master.bufferedSum != direct.bufferedSum+1 {
 		t.Errorf("second absorb: bufferedSum = %d, want %d", master.bufferedSum, direct.bufferedSum+1)
 	}

@@ -174,21 +174,27 @@ func (c *Collector) FairnessFlip(cycle uint64) {
 }
 
 // Scratch returns an empty collector with the same node count and
-// measurement window, for staging the router-phase events of one shard of
-// the parallel cycle engine. The window must match so the scratch applies
-// the same in-window gating the real collector would.
+// measurement window, for staging the events one tile of the sharded cycle
+// engine records during its phase. The window must match so the scratch
+// applies the same in-window gating the real collector would.
 func (c *Collector) Scratch() *Collector {
 	return NewCollector(c.nodes, c.start, c.end)
 }
 
-// AbsorbRouterPhase folds the counters a shard's routers staged in s back
-// into c and zeroes them. Routers touch exactly five collector entry points
-// during their Step — BufferingEvent, RoutedEvent, DroppedFlit, DeflectedFlit
-// and FairnessFlip (everything else is recorded by the engine's sequential
-// phases) — so those are the fields a scratch can accumulate. All are
-// commutative counters, which is why barrier-time absorption in any shard
+// AbsorbTile folds the counters a tile staged in s back into c and zeroes
+// them. A tile's worker touches exactly six collector entry points on its
+// scratch — the routers' BufferingEvent, RoutedEvent, DroppedFlit,
+// DeflectedFlit and FairnessFlip, and the link phase's EjectedFlit
+// (generation and completed packets are recorded on the real collector by
+// the coordinating goroutine, and LinkEvent writes per-node rows there
+// directly) — so those are the fields a scratch can accumulate. All are
+// commutative counters, which is why barrier-time absorption in any tile
 // order reproduces the sequential totals bit-identically.
-func (c *Collector) AbsorbRouterPhase(s *Collector) {
+func (c *Collector) AbsorbTile(s *Collector) {
+	c.totalEjected += s.totalEjected
+	c.ejectedFlits += s.ejectedFlits
+	s.totalEjected = 0
+	s.ejectedFlits = 0
 	c.bufferedSum += s.bufferedSum
 	c.routedFlits += s.routedFlits
 	c.fairnessFlips += s.fairnessFlips

@@ -47,7 +47,7 @@ func TestAbsorbRouterPhaseTotalDropped(t *testing.T) {
 	// A drop outside the window leaves the windowed counter zero — the exact
 	// case the absorb early-return used to skip entirely.
 	s.DroppedFlit(5, 2)
-	c.AbsorbRouterPhase(s)
+	c.AbsorbTile(s)
 	if got := c.TotalDropped(); got != 1 {
 		t.Fatalf("TotalDropped after absorb = %d, want 1", got)
 	}

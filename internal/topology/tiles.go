@@ -29,8 +29,13 @@ func SplitEven(size, parts int) []int {
 // factorizations with gx <= width and gy <= height are feasible — every tile
 // must own at least one column and one row; when no factorization of n fits
 // (n = 13 on an 8×8 mesh), n is reduced until one does, so the effective
-// tile count is the largest feasible m <= n. Ties prefer the wider grid
-// (larger gx). n < 1 is clamped to 1.
+// tile count is the largest feasible m <= n. Ties prefer the taller grid
+// (larger gy): nodes are numbered row-major, so a band of whole rows is one
+// contiguous run of node indices and every per-node array the engine keeps
+// (flags, masks, credit counters, the envs themselves) splits between such
+// tiles at one place instead of at every row — two tiles side by side share
+// every cache line of a byte-per-node array (2 shards at 32×32: 260 ns per
+// router-cycle as 2×1, 212 ns as 1×2). n < 1 is clamped to 1.
 func Grid2D(width, height, n int) (gx, gy int) {
 	if n < 1 {
 		n = 1
@@ -45,7 +50,8 @@ func Grid2D(width, height, n int) (gx, gy int) {
 				continue
 			}
 			cost := (d-1)*height + (n/d-1)*width
-			if bestCost < 0 || cost < bestCost || (cost == bestCost && d > gx) {
+			// d ascends, so of equal costs the first — the tallest grid — stays.
+			if bestCost < 0 || cost < bestCost {
 				bestCost, gx, gy = cost, d, n/d
 			}
 		}

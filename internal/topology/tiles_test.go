@@ -39,8 +39,9 @@ func TestGrid2DFeasibility(t *testing.T) {
 		{8, 8, 1, 1, 1},
 		{8, 8, 4, 2, 2},       // square grid beats 4 or 1x4 strips
 		{8, 8, 16, 4, 4},      // square again
-		{8, 8, 8, 4, 2},       // cost 3*8+1*8 = 32 beats 8x1 (56) and 2x4 (32, tie -> wider)
-		{8, 8, 13, 4, 3},      // 13 is infeasible; falls back to 12 = 4x3
+		{8, 8, 2, 1, 2},       // tie with 2x1 -> taller: row bands are contiguous node ranges
+		{8, 8, 8, 2, 4},       // cost 1*8+3*8 = 32 beats 8x1 (56) and 4x2 (32, tie -> taller)
+		{8, 8, 13, 3, 4},      // 13 is infeasible; falls back to 12 = 3x4 (tie with 4x3)
 		{8, 2, 4, 4, 1},       // only 2 rows: 2x2 (cost 2+8=10) loses to 4x1 (3*2=6)
 		{2, 8, 4, 1, 4},       // transposed
 		{4, 4, 32, 4, 4},      // clamped to the 16-node mesh

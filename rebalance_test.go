@@ -68,6 +68,30 @@ func TestRebalanceBitIdentity(t *testing.T) {
 	}
 }
 
+// TestRebalanceLockstep is the per-cycle form of TestRebalanceBitIdentity:
+// with a migration forced every 100 cycles, the sharded engine's snapshot
+// must equal the sequential engine's every 50 — so a boundary that moved
+// while flits were on the links it cut, credits were in flight across it or
+// retransmissions were parked next to it is checked on the spot.
+func TestRebalanceLockstep(t *testing.T) {
+	for _, d := range []Design{DesignDXbar, DesignSCARAB, DesignFlitBless, DesignBuffered4} {
+		for _, shards := range []int{4, 6} {
+			t.Run(fmt.Sprintf("%s/shards%d", d, shards), func(t *testing.T) {
+				seq, sharded := oracleNetwork(t, d, 8, 8, 0.6, 1, false), oracleNetwork(t, d, 8, 8, 0.6, shards, false)
+				forced := 0
+				lockstep(t, seq, sharded, 1000, 50, func() {
+					if sharded.Engine.Cycle()%100 == 0 && sharded.Engine.RebalanceShards() {
+						forced++
+					}
+				}, nil)
+				if forced == 0 {
+					t.Fatal("no forced migration succeeded; the test exercised nothing")
+				}
+			})
+		}
+	}
+}
+
 // checkForcedRebalance runs the design sequentially and on the given shard
 // count with a migration forced every 100 cycles, and requires identical
 // results, energy counts and a consistent rebalance tally. It returns both

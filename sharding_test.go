@@ -1,12 +1,18 @@
 package dxbar
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"dxbar/internal/events"
+	"dxbar/internal/faults"
 	"dxbar/internal/sim"
+	"dxbar/internal/stats"
+	"dxbar/internal/topology"
+	"dxbar/internal/traffic"
 )
 
 // shardCounts are the shard counts the determinism tests sweep: the
@@ -99,6 +105,130 @@ func TestShardBitIdentityLargeMesh(t *testing.T) {
 	}
 }
 
+// snapshotBytes serializes the network's engine between cycles.
+func snapshotBytes(t *testing.T, net *Network) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := net.Engine.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// lockstep is the per-cycle differential oracle: it advances a sequential and
+// a sharded engine of the same network side by side and requires their
+// Engine.Snapshot streams — every latch, link register, queue, credit
+// pipeline, the retransmit wheel, the collector, the meter and the event ring
+// — to be byte-identical every `every` cycles, so a divergence is caught
+// within `every` cycles of where it happens instead of as a different total
+// at the end of the run. Equal bytes also prove the sharded engine's stages
+// are empty between cycles: the format has no room for them. between, when
+// non-nil, runs after every comparison (forced migrations); stop, when
+// non-nil, ends the run early once it reports true on both sides.
+func lockstep(t *testing.T, seq, sharded *Network, cycles, every uint64, between func(), stop func() bool) {
+	t.Helper()
+	for done := uint64(0); done < cycles; done += every {
+		seq.Engine.Run(every)
+		sharded.Engine.Run(every)
+		a, b := snapshotBytes(t, seq), snapshotBytes(t, sharded)
+		if !bytes.Equal(a, b) {
+			at := 0
+			for at < len(a) && at < len(b) && a[at] == b[at] {
+				at++
+			}
+			t.Fatalf("engines diverged by cycle %d: snapshots of %d and %d bytes first differ at byte %d",
+				seq.Engine.Cycle(), len(a), len(b), at)
+		}
+		if between != nil {
+			between()
+		}
+		if stop != nil && stop() {
+			return
+		}
+	}
+}
+
+// oracleNetwork builds one side of a lockstep pair: the design on a w×h mesh
+// under UR traffic with the flight recorder on (so snapshots cover event
+// order), automatic rebalancing off, and an optional crossbar fault plan.
+func oracleNetwork(t *testing.T, d Design, w, h int, load float64, shards int, faulty bool) *Network {
+	t.Helper()
+	mesh := topology.MustMesh(w, h)
+	pat, err := traffic.New("UR", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bern, err := traffic.NewBernoulli(mesh, pat, load, 1, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NetworkOptions{
+		Design: d, Mesh: mesh,
+		Source:            &sim.SourceAdapter{B: bern},
+		Stats:             stats.NewCollector(mesh.Nodes(), 0, 1<<40),
+		Events:            events.NewRecorder(mesh.Nodes(), 256),
+		Shards:            shards,
+		RebalanceInterval: -1,
+	}
+	if faulty {
+		if o.FaultPlan, err = faults.NewPlan(mesh.Nodes(), 0.5, 120, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net, err := NewNetwork(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestShardLockstepAllDesigns runs the oracle over every design at UR 0.6 —
+// past saturation for all of them, so SCARAB's drops and NACK-driven
+// retransmissions, Flit-Bless's deflections and the buffered designs' credit
+// returns all cross tile boundaries constantly — on 2, 3, 4 and 6 shards
+// (1×2, 1×3, 2×2 and 2×3 grids) and on a non-square mesh.
+func TestShardLockstepAllDesigns(t *testing.T) {
+	for _, d := range AllDesigns {
+		for _, shards := range []int{1, 2, 3, 4, 6} {
+			t.Run(fmt.Sprintf("%s/shards%d", d, shards), func(t *testing.T) {
+				lockstep(t, oracleNetwork(t, d, 8, 8, 0.6, 1, false), oracleNetwork(t, d, 8, 8, 0.6, shards, false), 600, 50, nil, nil)
+			})
+		}
+		t.Run(fmt.Sprintf("%s/12x5/shards6", d), func(t *testing.T) {
+			lockstep(t, oracleNetwork(t, d, 12, 5, 0.6, 1, false), oracleNetwork(t, d, 12, 5, 0.6, 6, false), 400, 50, nil, nil)
+		})
+	}
+}
+
+// TestShardLockstepFaults runs the oracle through a crossbar fault plan
+// manifesting mid-run on the two fault-tolerant designs.
+func TestShardLockstepFaults(t *testing.T) {
+	for _, d := range []Design{DesignDXbar, DesignUnified} {
+		t.Run(string(d), func(t *testing.T) {
+			lockstep(t, oracleNetwork(t, d, 8, 8, 0.4, 1, true), oracleNetwork(t, d, 8, 8, 0.4, 4, true), 600, 50, nil, nil)
+		})
+	}
+}
+
+// TestShardLockstepClosedLoop runs the oracle on the coherence closed loop,
+// where the order of Sink deliveries feeds back into what is injected next: a
+// sharded engine that delivered one cycle's packets in any order but
+// ascending destination node would drive its coherence system — and within a
+// few cycles its network — somewhere else.
+func TestShardLockstepClosedLoop(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			seq, sharded := newSplashRun(t, DesignDXbar, "LU", 1), newSplashRun(t, DesignDXbar, "LU", shards)
+			lockstep(t, seq.net, sharded.net, 3_000_000, 50, nil, func() bool {
+				return seq.sys.Quiesced() && sharded.sys.Quiesced()
+			})
+			if !seq.sys.Quiesced() || seq.sys.FinishCycle() != sharded.sys.FinishCycle() {
+				t.Errorf("finish cycles differ or run unfinished: sequential %d, sharded %d", seq.sys.FinishCycle(), sharded.sys.FinishCycle())
+			}
+		})
+	}
+}
+
 // TestShardEngineReuse checks determinism through the runner's engine
 // recycling: RunMany gives both identical sharded jobs to one worker, so
 // the second run goes through Engine.Reset instead of a fresh build, and
@@ -133,8 +263,8 @@ func checkEngineReuse(t *testing.T, cfg Config) {
 }
 
 // TestShardZeroAllocSteadyState extends the zero-allocation guard to the
-// sharded engine: the per-cycle worker spawns, staging slices and barrier
-// must all reuse capacity once warm.
+// sharded engine: entering and leaving Run (the worker scope), the staging
+// slices, the tile pools and the barrier must all reuse capacity once warm.
 func TestShardZeroAllocSteadyState(t *testing.T) {
 	load := map[Design]float64{DesignFlitBless: 0.12, DesignSCARAB: 0.10}
 	for _, d := range AllDesigns {
@@ -155,7 +285,7 @@ func TestShardZeroAllocSteadyState(t *testing.T) {
 
 // TestShardZeroAllocSteadyStateLargeMesh is the sharded counterpart of the
 // sequential large-mesh guard: at 16×16, 32×32 and 64×64 the tile-parallel
-// backend — worker spawns, staging slices, profiler, rebalancing passes —
+// backend — worker scopes, staging slices, profiler, rebalancing passes —
 // must also run allocation-free once warm (the ISSUE-7 acceptance bar is
 // 0 allocs/cycle at 64×64 for both engines). The default rebalance interval
 // (1024) fires several times inside the measured window, so the guard covers
