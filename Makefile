@@ -113,7 +113,7 @@ checkpoint-smoke:
 # and the committed golden checkpoint (cross-version format stability). Then
 # the sharded engine's per-cycle differential oracle (Engine.Snapshot bytes
 # equal to the sequential engine's every 50 cycles: all designs past
-# saturation, fault plans, forced migrations, the closed loop) with the
+# saturation, fault plans, the closed loop) with the
 # barrier driven on 1, 2 and 4 processors.
 determinism:
 	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine' .

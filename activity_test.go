@@ -2,7 +2,6 @@ package dxbar
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -40,15 +39,23 @@ func TestActivityBitIdentityLowLoad(t *testing.T) {
 	}
 }
 
-// TestActivityRebalanceLowLoad forces shard migrations through a run in which
-// most routers sleep: a sleeping node must stay asleep (and wake correctly)
-// across a change of owning shard. It also pins the share of skipped steps
-// the low-load tests rely on.
-func TestActivityRebalanceLowLoad(t *testing.T) {
+// TestActivityShardedLowLoad runs a mesh in which most routers sleep on the
+// sequential engine and on four shards: a node sleeps and wakes the same way
+// whichever tile owns it. It also pins the share of skipped steps the
+// low-load tests rely on.
+func TestActivityShardedLowLoad(t *testing.T) {
 	const cycles = 2000
 	for _, d := range []Design{DesignDXbar, DesignSCARAB, DesignBuffered4} {
 		t.Run(string(d), func(t *testing.T) {
-			seq, sharded := checkForcedRebalance(t, d, idleLoad, 42, 4, cycles)
+			seq, sharded := oracleNetwork(t, d, 8, 8, idleLoad, 1, false), oracleNetwork(t, d, 8, 8, idleLoad, 4, false)
+			seq.Engine.Run(cycles)
+			sharded.Engine.Run(cycles)
+			if !reflect.DeepEqual(seq.Stats.Results(), sharded.Stats.Results()) {
+				t.Errorf("results differ from sequential\nseq:     %+v\nsharded: %+v", seq.Stats.Results(), sharded.Stats.Results())
+			}
+			if seqE, shE := seq.Meter.Snapshot(), sharded.Meter.Snapshot(); !reflect.DeepEqual(seqE, shE) {
+				t.Errorf("energy counts differ from sequential\nseq:     %+v\nsharded: %+v", seqE, shE)
+			}
 			for name, e := range map[string]*Network{"sequential": seq, "sharded": sharded} {
 				executed, skipped := e.Engine.RouterSteps()
 				if executed+skipped != cycles*64 {
@@ -63,7 +70,7 @@ func TestActivityRebalanceLowLoad(t *testing.T) {
 }
 
 // splashRun is one hand-built closed-loop run (RunSplash without the facade,
-// so the test can shard it, migrate it and snapshot it mid-run).
+// so the test can shard it and snapshot it mid-run).
 type splashRun struct {
 	sys  *coherence.System
 	net  *Network
@@ -85,7 +92,7 @@ func newSplashRun(t *testing.T, d Design, bench string, shards int) *splashRun {
 	r.opts = NetworkOptions{
 		Design: d, Mesh: mesh, Source: sys, Sink: sys, PreCycle: sys.PreCycle,
 		Stats:  stats.NewCollector(mesh.Nodes(), 0, 3_000_000),
-		Shards: shards, RebalanceInterval: -1,
+		Shards: shards,
 	}
 	if r.net, err = NewNetwork(r.opts); err != nil {
 		t.Fatal(err)
@@ -111,9 +118,9 @@ func (r *splashRun) finish(t *testing.T) splashOutcome {
 
 // TestActivityBitIdentitySplash runs one SPLASH-2 profile — the lightly
 // loaded closed loop the activity-driven router phase exists for — on every
-// execution path: sequential, two shards, two shards with migrations forced
-// mid-run, and an engine snapshot taken mid-run (most nodes asleep) restored
-// into a fresh engine that finishes the run.
+// execution path: sequential, two shards, and an engine snapshot taken
+// mid-run (most nodes asleep) restored into a fresh engine that finishes the
+// run.
 func TestActivityBitIdentitySplash(t *testing.T) {
 	const bench = "LU"
 	for _, d := range []Design{DesignDXbar, DesignBuffered4, DesignFlitBless} {
@@ -132,19 +139,6 @@ func TestActivityBitIdentitySplash(t *testing.T) {
 			}
 
 			check("2 shards", newSplashRun(t, d, bench, 2).finish(t))
-
-			moved := newSplashRun(t, d, bench, 2)
-			forced := 0
-			for i := 0; i < 10; i++ {
-				moved.net.Engine.Run(want.cycles / 20)
-				if moved.net.Engine.RebalanceShards() {
-					forced++
-				}
-			}
-			if forced == 0 {
-				t.Fatal("no forced migration succeeded")
-			}
-			check(fmt.Sprintf("2 shards, %d forced migrations", forced), moved.finish(t))
 
 			// The coherence system is not part of the engine snapshot: the
 			// restored engine keeps driving the same live system, exactly as

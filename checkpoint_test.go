@@ -421,7 +421,10 @@ func TestCheckpointPruning(t *testing.T) {
 // the completed run against the committed expectation — the cross-version
 // gate: any accidental format-version bump or silent layout drift breaks
 // decoding of yesterday's files, and this test, loudly. Regenerate both files
-// with DXBAR_UPDATE_GOLDEN=1 after an intentional format change.
+// with DXBAR_UPDATE_GOLDEN=1 after an intentional format change. As committed,
+// the file's config JSON still carries the retired "RebalanceInterval" key, so
+// restoring it also proves that a Config field can be dropped without
+// orphaning old checkpoints: unknown keys are ignored.
 func TestGoldenCheckpoint(t *testing.T) {
 	ckptPath := filepath.Join("bench", "golden.ckpt")
 	expPath := filepath.Join("bench", "golden_expected.json")

@@ -100,13 +100,11 @@ type bundleAnomalies struct {
 	Dropped   uint64         `json:"dropped"`
 }
 
-// bundleShards is shards.json: the shard layout, execution profile and
-// rebalance counters of the run so far.
+// bundleShards is shards.json: the shard layout and execution profile of the
+// run so far.
 type bundleShards struct {
-	Shards     int                `json:"shards"`
-	Profile    []sim.ShardProfile `json:"profile,omitempty"`
-	Rebalances uint64             `json:"rebalances"`
-	Migrated   uint64             `json:"nodes_migrated"`
+	Shards  int                `json:"shards"`
+	Profile []sim.ShardProfile `json:"profile,omitempty"`
 }
 
 // writeRunBundle writes one self-contained post-mortem bundle for a live (or
@@ -117,7 +115,6 @@ type bundleShards struct {
 // or after the run, so everything it reads is consistent; it allocates
 // freely — the failure path is not the hot path.
 func writeRunBundle(dir, reason string, cycle uint64, cfg Config, net *Network, coll *stats.Collector, rec *events.Recorder, reg *metrics.Registry, mon *diag.Monitor, ckpt *checkpointTracker) (string, error) {
-	rebal, migrated := net.Engine.ShardRebalances()
 	state := bundleRunState{
 		Reason:         reason,
 		Cycle:          cycle,
@@ -159,10 +156,8 @@ func writeRunBundle(dir, reason string, cycle uint64, cfg Config, net *Network, 
 		diag.MetricsEntry(reg),
 		diag.JSONEntry("run.json", state),
 		diag.JSONEntry("shards.json", bundleShards{
-			Shards:     net.Engine.Shards(),
-			Profile:    net.Engine.ShardProfiles(),
-			Rebalances: rebal,
-			Migrated:   migrated,
+			Shards:  net.Engine.Shards(),
+			Profile: net.Engine.ShardProfiles(),
 		}),
 		diag.BundleEntry{Name: "trace.json", Write: func(w io.Writer) error {
 			return report.WriteChromeTrace(w, trace)

@@ -142,22 +142,17 @@ type Config struct {
 	// entry may be a comma-separated list; see events.KindNames). Empty
 	// records every kind.
 	EventKinds []string
-	// Shards runs the router phase of every cycle on that many parallel
+	// Shards runs every per-node step of the cycle — router steps, link
+	// landing and launch, ejection, credit ticks — on that many parallel
 	// workers, each owning a rectangular tile of the mesh (a 2D grid chosen
-	// to minimize boundary links). 0 or 1 selects the sequential engine;
+	// to minimize boundary links, fixed for the run). 0 or 1 selects the
+	// sequential engine;
 	// AutoShards (-1) sizes to the available CPUs; an infeasible value is
 	// reduced to the largest grid factorization that fits the mesh. Results
 	// are bit-identical to the sequential engine for every design, shard
 	// count and seed — sharding only changes wall-clock time, and only pays
 	// off on large meshes (16×16 and up).
 	Shards int
-	// RebalanceInterval paces the sharded engine's dynamic tile rebalancing:
-	// every that many cycles the backend compares the per-shard router-phase
-	// times and migrates a boundary row or column from the hottest tile
-	// toward a cooler neighbour. 0 uses the engine default (1024); a
-	// negative value disables rebalancing. Migration never changes results —
-	// only which worker steps which node.
-	RebalanceInterval int
 	// Metrics attaches a live telemetry registry: the engine publishes flit
 	// and packet counters every cycle and gauges, the latency histogram and
 	// the per-shard execution profile at the metrics publish interval. Serve
@@ -279,15 +274,11 @@ type Result struct {
 	// ShardImbalance is the max/mean cumulative router-phase time across
 	// shards (1.0 = perfectly balanced; 0 when ShardProfile is nil). A high
 	// ratio means the tile grid is uneven for this workload and faster
-	// shards burn their surplus in BarrierWait — sustained imbalance is what
-	// dynamic rebalancing erodes.
+	// shards burn their surplus in BarrierWait. It is a wall-clock reading:
+	// the shipped patterns split their traffic over equal tiles to within a
+	// few percent, and on a shared host scheduling noise reads higher than
+	// that (EXPERIMENTS.md, "Reading the shard imbalance ratio").
 	ShardImbalance float64
-	// ShardRebalances and ShardNodesMigrated count the dynamic rebalancing
-	// passes that moved work and the total nodes they migrated between
-	// shards (populated only with Config.ShardProfile, like ShardProfile —
-	// migration activity is wall-clock-driven and varies run to run).
-	ShardRebalances    uint64
-	ShardNodesMigrated uint64
 	// Anomalies holds the run-health monitor's anomaly records in firing
 	// order (nil on a healthy run, or with Config.DisableDiag). Detector
 	// inputs are deterministic simulation state, so the records are
@@ -366,7 +357,7 @@ func (c Config) withoutHandles() Config {
 // ShardProfile, DisableDiag, fault knobs…) stay.
 func (c Config) experiment() Config {
 	c = c.withoutHandles()
-	c.Shards, c.RebalanceInterval = 0, 0
+	c.Shards = 0
 	c.DiagDir = ""
 	c.CheckpointInterval, c.CheckpointDir, c.CheckpointKeep = 0, "", 0
 	c.LedgerDir, c.LedgerReuse = "", false
@@ -517,11 +508,9 @@ type NetworkOptions struct {
 	// Events attaches a flight recorder; nil (the default) disables runtime
 	// event tracing at zero cost.
 	Events *events.Recorder
-	// Shards parallelizes the router phase (see Config.Shards).
+	// Shards parallelizes every per-node step of the cycle (see
+	// Config.Shards).
 	Shards int
-	// RebalanceInterval paces dynamic tile rebalancing (see
-	// Config.RebalanceInterval).
-	RebalanceInterval int
 	// Telemetry attaches a live-metrics publication handle (see
 	// Config.Metrics; built with metrics.NewSimTelemetry). Nil disables
 	// publication at zero cost.
@@ -584,19 +573,18 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 		}
 	}
 	return sim.Config{
-		Mesh:              o.Mesh,
-		Meter:             meter,
-		Stats:             o.Stats,
-		Source:            o.Source,
-		Sink:              o.Sink,
-		BufferDepth:       depth,
-		CreditDelay:       o.CreditDelay,
-		PreCycle:          preCycle,
-		Events:            o.Events,
-		Telemetry:         o.Telemetry,
-		Diag:              o.Diag,
-		Shards:            o.Shards,
-		RebalanceInterval: o.RebalanceInterval,
+		Mesh:        o.Mesh,
+		Meter:       meter,
+		Stats:       o.Stats,
+		Source:      o.Source,
+		Sink:        o.Sink,
+		BufferDepth: depth,
+		CreditDelay: o.CreditDelay,
+		PreCycle:    preCycle,
+		Events:      o.Events,
+		Telemetry:   o.Telemetry,
+		Diag:        o.Diag,
+		Shards:      o.Shards,
 	}, factory, meter, nil
 }
 

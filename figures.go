@@ -90,8 +90,8 @@ type SweepOptions struct {
 	EventTrace int
 	// EventKinds restricts the recorder's kinds (Config.EventKinds).
 	EventKinds []string
-	// Shards parallelizes the router phase at every sweep point
-	// (Config.Shards). Results are bit-identical either way.
+	// Shards parallelizes every per-node step of the cycle at every sweep
+	// point (Config.Shards). Results are bit-identical either way.
 	Shards int
 	// Metrics attaches a shared live-telemetry registry to every sweep
 	// point (Config.Metrics): counters aggregate across the whole sweep,

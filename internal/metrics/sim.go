@@ -9,27 +9,24 @@ import (
 // tests and the CI smoke probe assert against the same strings the engine
 // publishes.
 const (
-	MetricCycles          = "dxbar_cycles_total"
-	MetricInjectedFlits   = "dxbar_flits_injected_total"
-	MetricEjectedFlits    = "dxbar_flits_ejected_total"
-	MetricDroppedFlits    = "dxbar_flits_dropped_total"
-	MetricRetransmits     = "dxbar_flits_retransmitted_total"
-	MetricDeflectedFlits  = "dxbar_flits_deflected_total"
-	MetricPacketsIn       = "dxbar_packets_injected_total"
-	MetricPacketsOut      = "dxbar_packets_delivered_total"
-	MetricInFlight        = "dxbar_in_flight_flits"
-	MetricQueued          = "dxbar_queued_flits"
-	MetricBuffered        = "dxbar_buffered_flits"
-	MetricCyclesPerSec    = "dxbar_cycles_per_second"
-	MetricLatency         = "dxbar_packet_latency_cycles"
-	MetricRouterSteps     = "dxbar_router_steps_total"
-	MetricRouterSkipped   = "dxbar_router_steps_skipped_total"
-	MetricShardBusy       = "dxbar_shard_router_phase_seconds_total"
-	MetricShardWait       = "dxbar_shard_barrier_wait_seconds_total"
-	MetricShardImbalance  = "dxbar_shard_imbalance_ratio"
-	MetricShardRebalances = "dxbar_shard_rebalances_total"
-	MetricShardMigrated   = "dxbar_shard_nodes_migrated_total"
-	MetricShardNodes      = "dxbar_shard_nodes"
+	MetricCycles         = "dxbar_cycles_total"
+	MetricInjectedFlits  = "dxbar_flits_injected_total"
+	MetricEjectedFlits   = "dxbar_flits_ejected_total"
+	MetricDroppedFlits   = "dxbar_flits_dropped_total"
+	MetricRetransmits    = "dxbar_flits_retransmitted_total"
+	MetricDeflectedFlits = "dxbar_flits_deflected_total"
+	MetricPacketsIn      = "dxbar_packets_injected_total"
+	MetricPacketsOut     = "dxbar_packets_delivered_total"
+	MetricInFlight       = "dxbar_in_flight_flits"
+	MetricQueued         = "dxbar_queued_flits"
+	MetricBuffered       = "dxbar_buffered_flits"
+	MetricCyclesPerSec   = "dxbar_cycles_per_second"
+	MetricLatency        = "dxbar_packet_latency_cycles"
+	MetricRouterSteps    = "dxbar_router_steps_total"
+	MetricRouterSkipped  = "dxbar_router_steps_skipped_total"
+	MetricShardBusy      = "dxbar_shard_router_phase_seconds_total"
+	MetricShardWait      = "dxbar_shard_barrier_wait_seconds_total"
+	MetricShardImbalance = "dxbar_shard_imbalance_ratio"
 )
 
 // Metric names published by the run ledger (dxbar.Config.LedgerDir) and the
@@ -112,20 +109,15 @@ type SimTelemetry struct {
 
 	shardBusy, shardWait []*FloatCounter
 	shardImbalance       *FloatGauge
-	shardNodes           []*Gauge
-	shardRebalances      *Counter
-	shardMigrated        *Counter
 
 	last      SimCounters
 	lastGauge SimGauges
 	lastRate  float64
 
-	lastSteps, lastSkipped       uint64
-	lastBusy, lastWait           []time.Duration
-	lastRebalances, lastMigrated uint64
-	lastNodes                    []int64
-	rateWall                     time.Time
-	rateCycle                    uint64
+	lastSteps, lastSkipped uint64
+	lastBusy, lastWait     []time.Duration
+	rateWall               time.Time
+	rateCycle              uint64
 }
 
 // NewSimTelemetry registers the engine-facing series in r and returns the
@@ -162,17 +154,12 @@ func NewSimTelemetry(r *Registry, o SimTelemetryOptions) *SimTelemetry {
 		t.shardWait = make([]*FloatCounter, o.Shards)
 		t.lastBusy = make([]time.Duration, o.Shards)
 		t.lastWait = make([]time.Duration, o.Shards)
-		t.shardNodes = make([]*Gauge, o.Shards)
-		t.lastNodes = make([]int64, o.Shards)
 		for i := 0; i < o.Shards; i++ {
 			l := Label{Key: "shard", Value: strconv.Itoa(i)}
 			t.shardBusy[i] = r.FloatCounter(MetricShardBusy, "Cumulative time per shard inside its tile's phases: router steps, link landing and launch, ejection, credit ticks.", l)
 			t.shardWait[i] = r.FloatCounter(MetricShardWait, "Cumulative barrier-wait time per shard: the parallel phases' wall time, coordinator's release to last arrival seen, minus the shard's busy time (wake-up latency plus idling for the slowest shard).", l)
-			t.shardNodes[i] = r.Gauge(MetricShardNodes, "Mesh nodes currently owned by the shard's tile (rebalancing migrates them).", l)
 		}
 		t.shardImbalance = r.FloatGauge(MetricShardImbalance, "Max/mean cumulative tile-phase time across shards (1.0 = perfectly balanced).")
-		t.shardRebalances = r.Counter(MetricShardRebalances, "Dynamic shard rebalancing passes that migrated a boundary row or column.")
-		t.shardMigrated = r.Counter(MetricShardMigrated, "Mesh nodes migrated between shards by dynamic rebalancing.")
 	}
 	return t
 }
@@ -271,29 +258,6 @@ func (t *SimTelemetry) OnRouterSteps(executed, skipped uint64) {
 	t.lastSteps, t.lastSkipped = executed, skipped
 }
 
-// OnShardState publishes the dynamic-rebalancing series at the publish
-// interval: the rebalancing-pass and migrated-node counters (delta-tracked,
-// like every engine counter) and the per-shard node-ownership gauges.
-// nodeCounts is the backend's live per-shard tile size. No-op on nil
-// telemetry or a sequential engine (no shard series registered).
-// Allocation-free.
-func (t *SimTelemetry) OnShardState(rebalances, migrated uint64, nodeCounts []int) {
-	if t == nil || t.shardRebalances == nil {
-		return
-	}
-	t.shardRebalances.Add(rebalances - t.lastRebalances)
-	t.shardMigrated.Add(migrated - t.lastMigrated)
-	t.lastRebalances, t.lastMigrated = rebalances, migrated
-	n := len(nodeCounts)
-	if n > len(t.shardNodes) {
-		n = len(t.shardNodes)
-	}
-	for i := 0; i < n; i++ {
-		t.shardNodes[i].Add(int64(nodeCounts[i]) - t.lastNodes[i])
-		t.lastNodes[i] = int64(nodeCounts[i])
-	}
-}
-
 // Detach removes this engine's contribution from the shared gauges (a
 // finished run must not leave stale in-flight or rate readings behind) and
 // stops advancing progress. Counters — cumulative by design — stay. The
@@ -308,8 +272,4 @@ func (t *SimTelemetry) Detach() {
 	t.lastGauge = SimGauges{}
 	t.cyclesPerSec.Add(-t.lastRate)
 	t.lastRate = 0
-	for i, g := range t.shardNodes {
-		g.Add(-t.lastNodes[i])
-		t.lastNodes[i] = 0
-	}
 }

@@ -15,32 +15,6 @@ import (
 	"dxbar/internal/topology"
 )
 
-// DefaultRebalanceInterval is the default number of cycles between dynamic
-// shard-rebalancing checks (Config.RebalanceInterval = 0). Long enough that
-// each window's busy times average over thousands of tile phases, short
-// enough that a shifting hotspot is chased within a fraction of a typical
-// measurement run.
-const DefaultRebalanceInterval = 1024
-
-// rebalanceThreshold is the minimum window imbalance ratio (max/mean
-// per-shard busy time) that triggers a boundary migration. Below it the
-// partition is considered balanced: migrating a row or column has a rewiring
-// cost and jitters the profile, so the engine only moves work when at least
-// one shard is clearly hotter than the mean.
-const rebalanceThreshold = 1.15
-
-// resolveRebalanceInterval maps Config.RebalanceInterval onto the backend's
-// check period: 0 = DefaultRebalanceInterval, negative = disabled.
-func resolveRebalanceInterval(n int) uint64 {
-	switch {
-	case n == 0:
-		return DefaultRebalanceInterval
-	case n < 0:
-		return 0
-	}
-	return uint64(n)
-}
-
 // ResolveShards maps a Config.Shards request onto an effective shard count
 // for a width×height mesh: 0 or 1 selects the sequential engine, a negative
 // value auto-sizes to GOMAXPROCS, and any larger request is resolved to the
@@ -88,9 +62,8 @@ func (s *routerSteps) absorb(t *routerSteps) {
 // the barrier folds back (see shardedBackend.merge).
 type tile struct {
 	id int
-	// nodes lists the tile's node indices in ascending order. Rebalancing
-	// rewrites it between cycles; a sharded tile's capacity is the whole mesh
-	// so migrations never allocate.
+	// nodes lists the tile's node indices in ascending order, fixed at
+	// construction.
 	nodes []int
 
 	// staged marks a tile of the sharded engine: effects that must reach the
@@ -368,13 +341,12 @@ const (
 //	release ────────────────────────────────────────────────
 //	every tile:  tilePhase — router steps, land, launch/eject, credit ticks
 //	arrive  ────────────────────────────────────────────────
-//	coordinator: merge, rebalancing check, observers         (merge, Step)
+//	coordinator: merge, observers                            (merge, Step)
 //
+// The partition is computed once, in newShardedBackend, and never changes.
 // Because every effect that crosses a tile boundary is staged and replayed in
-// a partition-independent order (see merge), the *shape* of the partition
-// never leaks into results — which is what makes dynamic rebalancing safe: the
-// backend may migrate boundary rows and columns between tiles at any barrier
-// and stay bit-identical to the sequential engine.
+// a partition-independent order (see merge), its shape never leaks into
+// results: any shard count is bit-identical to the sequential engine.
 type shardedBackend struct {
 	e     *Engine
 	tiles []*tile
@@ -386,8 +358,7 @@ type shardedBackend struct {
 	// that checked the counter and is about to park cannot miss the wake-up
 	// (spin is whether await may use its spin stage). The atomics are also the
 	// happens-before edges that make the workers' writes visible to merge and
-	// the coordinator's (cycle, quit, the partition, generated specs) to the
-	// workers.
+	// the coordinator's (cycle, quit, generated specs) to the workers.
 	release atomic.Uint64
 	arrived atomic.Int32
 	spin    bool
@@ -411,14 +382,14 @@ type shardedBackend struct {
 	// Execution profiler, always on (two time.Now calls per tile per cycle
 	// plus two for the phase, against phases of tens of microseconds); it
 	// observes without feeding any simulation state, so it cannot perturb
-	// bit-identity, and it is the input signal for dynamic rebalancing below.
-	// Whoever runs a tile adds the phase's duration to its busy slot; after
-	// the barrier the coordinator charges every shard phase-wall-time minus
-	// its own busy time as wait — release-to-start latency, the gap to the
-	// slowest tile and the coordinator's own wake-up all included — so per
-	// shard busy + wait is exactly the time the engine spent in parallel
-	// phases. serial is the rest of a run scope: everything the coordinator
-	// did between one phase's end and the next one's release (mark).
+	// bit-identity. Whoever runs a tile adds the phase's duration to its busy
+	// slot; after the barrier the coordinator charges every shard
+	// phase-wall-time minus its own busy time as wait — release-to-start
+	// latency, the gap to the slowest tile and the coordinator's own wake-up
+	// all included — so per shard busy + wait is exactly the time the engine
+	// spent in parallel phases. serial is the rest of a run scope: everything
+	// the coordinator did between one phase's end and the next one's release
+	// (mark).
 	busy   []time.Duration
 	wait   []time.Duration
 	spent  []time.Duration // this phase's busy time per tile
@@ -428,106 +399,54 @@ type shardedBackend struct {
 	// ejections lists the tiles' ejection-event stages for events.DrainMerged
 	// (nil entries when tracing is off).
 	ejections []*events.Recorder
-
-	// Partition state. The mesh is divided into gy horizontal bands of rows;
-	// band j spans rows [ycuts[j], ycuts[j+1]) and is divided into gx column
-	// ranges of its own: tile (i, j) — shard j*gx+i — spans columns
-	// [xcuts[j][i], xcuts[j][i+1]). Bands keep private x-cuts so column
-	// migrations in one band never disturb another; every tile stays a
-	// rectangle, so a node's owning shard follows from its coordinates and
-	// the cuts alone throughout a run.
-	gx, gy int
-	ycuts  []int
-	xcuts  [][]int
-	// nodeCounts mirrors len(tiles[i].nodes) for telemetry (published as the
-	// dxbar_shard_nodes gauge without touching tile internals).
-	nodeCounts []int
-
-	// Dynamic rebalancing: every interval cycles the backend compares the
-	// shards' busy times over the window just ended and, when the hottest
-	// shard exceeds rebalanceThreshold times the mean, migrates one boundary
-	// row or column from it toward its coolest neighbour. interval <= 0
-	// disables the checks (Engine.RebalanceShards still forces passes
-	// manually).
-	interval   uint64
-	lastBusy   []time.Duration
-	winBusy    []time.Duration
-	rebalances uint64
-	migrated   uint64
 }
 
-func newShardedBackend(e *Engine, n, rebalanceInterval int) *shardedBackend {
+// newShardedBackend partitions the mesh into the boundary-minimizing grid of
+// near-equal rectangles (topology.Grid2D, topology.SplitEven): tile (i, j) —
+// shard j*gx+i — owns columns [xcuts[i], xcuts[i+1]) of rows [ycuts[j],
+// ycuts[j+1]), listed row-major and therefore ascending. Ownership and
+// Env.crossMask are facts from here on; Engine.wireCollectors, which runs
+// right after construction and again on Reset, only swaps what the tiles
+// write through.
+func newShardedBackend(e *Engine, n int) *shardedBackend {
 	m := e.mesh
 	gx, gy := m.Grid2D(n)
 	count := gx * gy
 	b := &shardedBackend{
-		e:          e,
-		tiles:      make([]*tile, count),
-		busy:       make([]time.Duration, count),
-		wait:       make([]time.Duration, count),
-		spent:      make([]time.Duration, count),
-		ejections:  make([]*events.Recorder, count),
-		gx:         gx,
-		gy:         gy,
-		ycuts:      topology.SplitEven(m.Height, gy),
-		xcuts:      make([][]int, gy),
-		nodeCounts: make([]int, count),
-		lastBusy:   make([]time.Duration, count),
-		winBusy:    make([]time.Duration, count),
+		e:         e,
+		tiles:     make([]*tile, count),
+		busy:      make([]time.Duration, count),
+		wait:      make([]time.Duration, count),
+		spent:     make([]time.Duration, count),
+		ejections: make([]*events.Recorder, count),
 	}
 	b.wake.L, b.done.L = &b.mu, &b.mu
-	b.interval = resolveRebalanceInterval(rebalanceInterval)
-	for j := 0; j < gy; j++ {
-		b.xcuts[j] = topology.SplitEven(m.Width, gx)
-	}
-	for i := range b.tiles {
-		b.tiles[i] = &tile{id: i, staged: true, nodes: make([]int, 0, m.Nodes()), pool: flit.NewPool()}
-	}
+	xcuts, ycuts := topology.SplitEven(m.Width, gx), topology.SplitEven(m.Height, gy)
 	for j := 0; j < gy; j++ {
 		for i := 0; i < gx; i++ {
-			b.rebuildTile(i, j)
+			t := &tile{id: j*gx + i, staged: true, pool: flit.NewPool()}
+			for y := ycuts[j]; y < ycuts[j+1]; y++ {
+				for x := xcuts[i]; x < xcuts[i+1]; x++ {
+					node := y*m.Width + x
+					t.nodes = append(t.nodes, node)
+					e.envs[node].tile = t
+				}
+			}
+			b.tiles[t.id] = t
 		}
 	}
-	b.markBoundaries()
-	b.settlePools()
-	for _, t := range b.tiles[1:] {
-		b.workers = append(b.workers, func() { b.work(t) })
-	}
-	return b
-}
-
-// rebuildTile regenerates tile (i, j)'s node list from its rectangle and
-// hands the envs to their (new) owner. It never allocates: node capacity is
-// the whole mesh, and the per-node event stages follow the node wherever it
-// goes. At construction the tile's scratch collectors do not exist yet —
-// Engine.wireCollectors runs right after and wires every env.
-func (b *shardedBackend) rebuildTile(i, j int) {
-	t := b.tiles[j*b.gx+i]
-	w := b.e.mesh.Width
-	t.nodes = t.nodes[:0]
-	for y := b.ycuts[j]; y < b.ycuts[j+1]; y++ {
-		for x := b.xcuts[j][i]; x < b.xcuts[j][i+1]; x++ {
-			n := y*w + x
-			t.nodes = append(t.nodes, n)
-			env := b.e.envs[n]
-			env.tile, env.meter, env.coll = t, t.meter, t.coll
-		}
-	}
-	b.nodeCounts[t.id] = len(t.nodes)
-}
-
-// markBoundaries recomputes every env's crossMask from the current partition
-// (construction and after each migration — O(nodes), against the thousand
-// cycles between rebalancing passes).
-func (b *shardedBackend) markBoundaries() {
-	for _, env := range b.e.envs {
-		env.crossMask = 0
+	for _, env := range e.envs {
 		for p, nb := range env.nbrEnv {
 			if nb != nil && nb.tile != env.tile {
 				env.crossMask |= 1 << uint(p)
 			}
 		}
 	}
+	b.settlePools()
+	for _, t := range b.tiles[1:] {
+		b.workers = append(b.workers, func() { b.work(t) })
+	}
+	return b
 }
 
 // settlePools reconciles every tile's flit pool with the engine's (see
@@ -648,20 +567,14 @@ func (b *shardedBackend) phase(c uint64) {
 		b.wait[i] += wall - d
 	}
 	b.merge(c)
-	if b.interval > 0 && (c+1)%b.interval == 0 {
-		b.rebalance(false)
-	}
 }
 
 func (b *shardedBackend) resetProfile() {
 	for i := range b.busy {
 		b.busy[i] = 0
 		b.wait[i] = 0
-		b.lastBusy[i] = 0
 	}
 	b.serial = 0
-	b.rebalances = 0
-	b.migrated = 0
 }
 
 // merge applies everything the finished tile phases staged to the engine's
@@ -758,125 +671,4 @@ func (b *shardedBackend) mergeByNode(head func(*tile) int, take func(*tile)) {
 		}
 		take(next)
 	}
-}
-
-// Migration kinds of one rebalancing move, ordered by preference when a
-// forced pass finds no profitable candidate.
-const (
-	moveColWest  = iota // hot tile's westmost column -> western neighbour
-	moveColEast         // hot tile's eastmost column -> eastern neighbour
-	moveRowNorth        // hot band's top row -> band above (all its tiles)
-	moveRowSouth        // hot band's bottom row -> band below
-	moveNone
-)
-
-// rebalance runs one rebalancing pass: it reads the per-shard busy profile
-// over the window since the last pass and migrates one boundary
-// column (between the hottest tile and its in-band neighbour) or one
-// boundary row (between the hottest tile's band and an adjacent band) from
-// hot to cold. It runs on the coordinating goroutine between cycles, so the
-// partition is stable for the whole of every tile phase. force skips the
-// imbalance threshold and, when no candidate is profitable, executes the
-// first feasible move anyway (tests force deterministic migrations with it).
-// It reports whether a migration happened. Bit-identity is unaffected either
-// way: the partition only decides which worker steps which node, never what
-// the step computes.
-func (b *shardedBackend) rebalance(force bool) bool {
-	var total, max time.Duration
-	hot := 0
-	for i, cum := range b.busy {
-		w := cum - b.lastBusy[i]
-		b.lastBusy[i] = cum
-		b.winBusy[i] = w
-		total += w
-		if w > b.winBusy[hot] {
-			hot = i
-		}
-	}
-	max = b.winBusy[hot]
-	if !force && (total == 0 || float64(max)*float64(len(b.tiles)) <= rebalanceThreshold*float64(total)) {
-		return false
-	}
-
-	// Per-node busy rates decide where work should flow. A column move
-	// helps when the hot tile's rate exceeds its in-band neighbour's; a row
-	// move compares whole bands, because shifting a y-cut migrates a full
-	// mesh row across every tile pair of the two bands.
-	rate := func(id int) float64 {
-		if b.nodeCounts[id] == 0 {
-			return 0
-		}
-		return float64(b.winBusy[id]) / float64(b.nodeCounts[id])
-	}
-	bandRate := func(j int) float64 {
-		var busy time.Duration
-		nodes := 0
-		for i := 0; i < b.gx; i++ {
-			busy += b.winBusy[j*b.gx+i]
-			nodes += b.nodeCounts[j*b.gx+i]
-		}
-		if nodes == 0 {
-			return 0
-		}
-		return float64(busy) / float64(nodes)
-	}
-
-	hi, hj := hot%b.gx, hot/b.gx
-	tileWidth := b.xcuts[hj][hi+1] - b.xcuts[hj][hi]
-	bandHeight := b.ycuts[hj+1] - b.ycuts[hj]
-
-	// Candidate moves, scored by the rate gap work would flow down. A forced
-	// pass keeps the first feasible move even at zero gain (kind order is the
-	// tie-break); an unforced pass requires a strictly positive gap.
-	best, bestGain := moveNone, 0.0
-	consider := func(kind int, gain float64) {
-		if gain > bestGain || (force && best == moveNone) {
-			best, bestGain = kind, gain
-		}
-	}
-	if hi > 0 && tileWidth > 1 {
-		consider(moveColWest, rate(hot)-rate(hot-1))
-	}
-	if hi < b.gx-1 && tileWidth > 1 {
-		consider(moveColEast, rate(hot)-rate(hot+1))
-	}
-	if hj > 0 && bandHeight > 1 {
-		consider(moveRowNorth, bandRate(hj)-bandRate(hj-1))
-	}
-	if hj < b.gy-1 && bandHeight > 1 {
-		consider(moveRowSouth, bandRate(hj)-bandRate(hj+1))
-	}
-	if best == moveNone || (!force && bestGain <= 0) {
-		return false
-	}
-
-	switch best {
-	case moveColWest:
-		b.xcuts[hj][hi]++
-		b.migrated += uint64(bandHeight)
-		b.rebuildTile(hi-1, hj)
-		b.rebuildTile(hi, hj)
-	case moveColEast:
-		b.xcuts[hj][hi+1]--
-		b.migrated += uint64(bandHeight)
-		b.rebuildTile(hi, hj)
-		b.rebuildTile(hi+1, hj)
-	case moveRowNorth:
-		b.ycuts[hj]++
-		b.migrated += uint64(b.e.mesh.Width)
-		for i := 0; i < b.gx; i++ {
-			b.rebuildTile(i, hj-1)
-			b.rebuildTile(i, hj)
-		}
-	case moveRowSouth:
-		b.ycuts[hj+1]--
-		b.migrated += uint64(b.e.mesh.Width)
-		for i := 0; i < b.gx; i++ {
-			b.rebuildTile(i, hj)
-			b.rebuildTile(i, hj+1)
-		}
-	}
-	b.markBoundaries()
-	b.rebalances++
-	return true
 }

@@ -47,8 +47,8 @@ type Env struct {
 	// crossMask marks the cardinal ports whose neighbour belongs to another
 	// tile of the sharded engine (always 0 on the sequential one): a flit
 	// landing through such a port, or a credit returned up it, is staged for
-	// the barrier instead of written into the neighbour. Derived from the
-	// partition (shardedBackend.markBoundaries), never serialized.
+	// the barrier instead of written into the neighbour. Fixed with the
+	// partition at construction (newShardedBackend), never serialized.
 	crossMask uint8
 
 	// neighbors caches the node reached through each cardinal output port
@@ -81,11 +81,12 @@ type Env struct {
 	bufferDepth  int
 	creditDelay  int
 
-	// tile is the tile that owns this node (the sequential engine's only one,
-	// or a shard's), and meter, coll and rec are what the node's router writes
-	// through: the engine's masters on the sequential engine, the owning
-	// tile's scratch meter/collector and a per-env event stage on the sharded
-	// one (see Engine.wireCollectors). Routers never see the difference.
+	// tile is the tile that owns this node for the engine's lifetime (the
+	// sequential engine's only one, or a shard's), and meter, coll and rec are
+	// what the node's router writes through: the engine's masters on the
+	// sequential engine, the owning tile's scratch meter/collector and a
+	// per-env event stage on the sharded one (see Engine.wireCollectors).
+	// Routers never see the difference.
 	tile  *tile
 	meter *energy.Meter
 	coll  *stats.Collector

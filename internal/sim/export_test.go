@@ -41,3 +41,19 @@ func (e *Engine) CoordinatorSerial() time.Duration {
 	}
 	return e.sharded.serial
 }
+
+// Partition returns a copy of the engine's partition: every tile's node list
+// and every node's crossMask.
+func (e *Engine) Partition() (tiles [][]int, cross []uint8) {
+	for _, t := range e.tiles {
+		tiles = append(tiles, append([]int(nil), t.nodes...))
+	}
+	for _, env := range e.envs {
+		cross = append(cross, env.crossMask)
+	}
+	return tiles, cross
+}
+
+// PassthroughFactory builds the minimal XY router of telemetry_test.go, so
+// the external test package can drive sim.New and Engine.Reset directly.
+func PassthroughFactory(env *Env) Router { return &passthroughXY{env: env} }

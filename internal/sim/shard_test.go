@@ -2,12 +2,15 @@ package sim_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"dxbar"
 	"dxbar/internal/diag"
+	"dxbar/internal/energy"
+	"dxbar/internal/flit"
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
@@ -50,6 +53,116 @@ func shardNet(t testing.TB, w, h int, load float64, shards int, opts func(*dxbar
 		t.Fatalf("Shards() = %d, want %d", got, shards)
 	}
 	return net
+}
+
+// TestShardPartitionStatic pins the partition as a construction-time fact:
+// tile (i, j) of the topology.Grid2D grid is exactly its topology.SplitEven
+// rectangle, listed ascending; a port's crossMask bit is set iff the link
+// leaves the tile, seen the same from both ends; and nothing an engine does
+// afterwards — a run, a bare Step, a Reset and a second run — changes either.
+func TestShardPartitionStatic(t *testing.T) {
+	for _, c := range []struct{ w, h, shards int }{
+		{8, 8, 1}, {8, 8, 2}, {8, 8, 4}, {8, 8, 6}, {12, 5, 6}, {7, 3, 3}, {32, 32, 2},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/shards%d", c.w, c.h, c.shards), func(t *testing.T) {
+			mesh := topology.MustMesh(c.w, c.h)
+			pat, err := traffic.New("UR", mesh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := func() sim.Config {
+				bern, err := traffic.NewBernoulli(mesh, pat, 0.1, 1, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim.Config{
+					Mesh: mesh, Meter: energy.NewMeter(), Stats: stats.NewCollector(mesh.Nodes(), 0, 1<<40),
+					Source: &sim.SourceAdapter{B: bern}, Shards: c.shards,
+				}
+			}
+			eng, err := sim.New(cfg(), sim.PassthroughFactory)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			gx, gy := 1, 1
+			if c.shards > 1 {
+				gx, gy = mesh.Grid2D(c.shards)
+			}
+			xcuts, ycuts := topology.SplitEven(c.w, gx), topology.SplitEven(c.h, gy)
+			wantTiles := make([][]int, gx*gy)
+			owner := make([]int, mesh.Nodes())
+			for j := 0; j < gy; j++ {
+				for i := 0; i < gx; i++ {
+					for y := ycuts[j]; y < ycuts[j+1]; y++ {
+						for x := xcuts[i]; x < xcuts[i+1]; x++ {
+							wantTiles[j*gx+i] = append(wantTiles[j*gx+i], mesh.Node(x, y))
+							owner[mesh.Node(x, y)] = j*gx + i
+						}
+					}
+				}
+			}
+			wantCross := make([]uint8, mesh.Nodes())
+			for n := range wantCross {
+				for p := flit.North; p <= flit.West; p++ {
+					if nb := mesh.Neighbor(n, p); nb >= 0 && owner[nb] != owner[n] {
+						wantCross[n] |= 1 << uint(p)
+					}
+				}
+			}
+
+			check := func(when string) {
+				t.Helper()
+				tiles, cross := eng.Partition()
+				if !reflect.DeepEqual(tiles, wantTiles) {
+					t.Fatalf("%s: tiles = %v, want the SplitEven rectangles %v", when, tiles, wantTiles)
+				}
+				if !reflect.DeepEqual(cross, wantCross) {
+					t.Fatalf("%s: crossMask = %v, want %v", when, cross, wantCross)
+				}
+				seen := make([]bool, mesh.Nodes())
+				for id, nodes := range tiles {
+					for k, n := range nodes {
+						if k > 0 && n <= nodes[k-1] {
+							t.Fatalf("%s: tile %d not ascending at %d: %v", when, id, k, nodes)
+						}
+						if seen[n] {
+							t.Fatalf("%s: node %d is in two tiles", when, n)
+						}
+						seen[n] = true
+					}
+				}
+				for n, ok := range seen {
+					if !ok {
+						t.Fatalf("%s: node %d is in no tile", when, n)
+					}
+				}
+				for n := range cross {
+					for p := flit.North; p <= flit.West; p++ {
+						nb := mesh.Neighbor(n, p)
+						if nb < 0 {
+							continue
+						}
+						here, there := cross[n]>>uint(p)&1, cross[nb]>>uint(p.Opposite())&1
+						if here != there {
+							t.Fatalf("%s: link %d-%s->%d crosses at one end only", when, n, p, nb)
+						}
+					}
+				}
+			}
+			check("after construction")
+			eng.Run(300)
+			check("after Run")
+			eng.Step()
+			check("after a bare Step")
+			if err := eng.Reset(cfg(), sim.PassthroughFactory); err != nil {
+				t.Fatal(err)
+			}
+			check("after Reset")
+			eng.Run(300)
+			check("after Reset and a second Run")
+		})
+	}
 }
 
 // TestShardProfileAccountsForRunWall: per shard, RouterPhase + BarrierWait is

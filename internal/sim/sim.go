@@ -116,17 +116,9 @@ type Config struct {
 	// that meet at one barrier per cycle, and a negative value auto-sizes to
 	// GOMAXPROCS. The effective count is the largest feasible grid
 	// factorization at most the request (ResolveShards). Results are
-	// bit-identical to the sequential engine for every design, shard count
-	// and rebalancing schedule.
+	// bit-identical to the sequential engine for every design and shard
+	// count. The partition is fixed for the engine's lifetime.
 	Shards int
-	// RebalanceInterval is the period, in cycles, of the sharded backend's
-	// dynamic rebalancing checks: every interval cycles it compares the
-	// per-shard busy times over the window just ended and migrates a
-	// boundary row or column from the hottest tile toward a cooler
-	// neighbour. 0 selects DefaultRebalanceInterval; a negative value
-	// disables automatic rebalancing (Engine.RebalanceShards still forces
-	// passes manually). Ignored by the sequential engine.
-	RebalanceInterval int
 }
 
 // Engine drives one network.
@@ -282,12 +274,13 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	perNode := 2*flit.NumPorts + flit.NumLinkPorts + 4*cfg.BufferDepth + 16
 	e.pool.Prime(n * perNode)
 	if shards := ResolveShards(cfg.Shards, cfg.Mesh.Width, cfg.Mesh.Height); shards > 1 {
-		e.sharded = newShardedBackend(e, shards, cfg.RebalanceInterval)
+		e.sharded = newShardedBackend(e, shards)
 		e.tiles = e.sharded.tiles
 	} else {
 		all := &tile{nodes: make([]int, n), pool: e.pool}
 		for i := range all.nodes {
 			all.nodes[i] = i
+			e.envs[i].tile = all
 		}
 		e.tiles = []*tile{all}
 	}
@@ -349,7 +342,7 @@ func (e *Engine) wireCollectors() {
 		}
 		for _, n := range t.nodes {
 			env := e.envs[n]
-			env.tile, env.meter, env.coll, env.rec = t, t.meter, t.coll, e.rec
+			env.meter, env.coll, env.rec = t.meter, t.coll, e.rec
 			if t.staged {
 				env.rec = e.rec.NewStage()
 			}
@@ -376,27 +369,6 @@ func (e *Engine) Pool() *flit.Pool { return e.pool }
 
 // Shards returns the resolved shard count of the engine (1 = sequential).
 func (e *Engine) Shards() int { return len(e.tiles) }
-
-// RebalanceShards forces one shard-rebalancing pass right now, between
-// cycles, regardless of the configured interval or the imbalance threshold:
-// the first feasible boundary migration executes even at zero measured gain.
-// It reports whether a migration happened (false on a sequential engine or
-// when the partition is down to single-row, single-column tiles). Tests use
-// it to force deterministic migrations mid-run; results are bit-identical
-// whether or when it is called.
-func (e *Engine) RebalanceShards() bool {
-	return e.sharded != nil && e.sharded.rebalance(true)
-}
-
-// ShardRebalances reports the dynamic-rebalancing totals so far: the number
-// of passes that migrated work, and the total mesh nodes moved between
-// shards. Zero on a sequential engine.
-func (e *Engine) ShardRebalances() (rebalances, nodesMigrated uint64) {
-	if e.sharded == nil {
-		return 0, 0
-	}
-	return e.sharded.rebalances, e.sharded.migrated
-}
 
 // RouterSteps reports the activity-driven router phase's totals so far:
 // router-steps executed, and router-steps skipped because the node was
@@ -574,9 +546,6 @@ func (e *Engine) publishGauges(c uint64) {
 		BufferedFlits: e.bufferedFlits(),
 	}, busy, wait)
 	e.telemetry.OnRouterSteps(e.steps.executed, e.steps.skipped)
-	if sb := e.sharded; sb != nil {
-		e.telemetry.OnShardState(sb.rebalances, sb.migrated, sb.nodeCounts)
-	}
 	if h := e.telemetry.Latency(); h != nil {
 		e.coll.PublishLatency(h)
 	}
@@ -685,12 +654,8 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	e.cycle = 0
 	e.retransmits = 0
 	e.steps = routerSteps{}
-	if sb := e.sharded; sb != nil {
-		// The rebalance schedule may change between runs; the partition
-		// itself carries over (it only decides worker assignment, never
-		// results, so a reused engine keeps its learned balance).
-		sb.resetProfile()
-		sb.interval = resolveRebalanceInterval(cfg.RebalanceInterval)
+	if e.sharded != nil {
+		e.sharded.resetProfile()
 	}
 	e.wheel.reset()
 	e.pool.DropOutstanding()

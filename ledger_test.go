@@ -1,6 +1,7 @@
 package dxbar
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -137,7 +138,7 @@ func TestLedgerKeyInvariance(t *testing.T) {
 	// The key hashes the JSON of the whole stripped Config, so it moves when a
 	// field is added, renamed or reclassified — and every archived record
 	// with it. Pinned so that cannot happen unnoticed.
-	if want := "1e6c64e97279a27a965be1d50127d10dbe331a40b9ce583634ac83f3b413e748"; k0 != want {
+	if want := "d8bfbb35c7899d910f59721cf0c5dd392b8ab1d819a224cd9d0f6d0a36e391e3"; k0 != want {
 		t.Errorf("ledger key of the fixed config is %s, want %s: existing ledgers no longer match", k0, want)
 	}
 
@@ -224,6 +225,26 @@ func TestLedgerSharded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, got) {
 		t.Fatal("sharded reuse differs from the sequential archive")
+	}
+}
+
+// TestLedgerResultRetiredKeys: records archived while the sharded engine still
+// moved its tile boundaries carry ShardRebalances / ShardNodesMigrated in the
+// Result JSON and RebalanceInterval in the config. They must keep decoding,
+// the retired keys ignored.
+func TestLedgerResultRetiredKeys(t *testing.T) {
+	rec := &LedgerRecord{
+		Kind:   "run",
+		Key:    "0123456789abcdef",
+		Config: json.RawMessage(`{"Design":"dxbar","Shards":0,"RebalanceInterval":-1}`),
+		Result: json.RawMessage(`{"Design":"dxbar","Packets":42,"ShardImbalance":1.5,"ShardRebalances":3,"ShardNodesMigrated":96}`),
+	}
+	res, err := LedgerResult(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Design != DesignDXbar || res.Packets != 42 || res.ShardImbalance != 1.5 {
+		t.Fatalf("decoded %+v, want the surviving fields intact", res)
 	}
 }
 

@@ -260,7 +260,6 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 		ReferenceArbitration: cfg.ReferenceArbitration,
 		Events:               rec,
 		Shards:               cfg.Shards,
-		RebalanceInterval:    cfg.RebalanceInterval,
 		Telemetry:            tel,
 		Diag:                 dg.mon,
 	})
@@ -392,7 +391,6 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 	if cfg.ShardProfile {
 		res.ShardProfile = net.Engine.ShardProfiles()
 		res.ShardImbalance = shardImbalance(res.ShardProfile)
-		res.ShardRebalances, res.ShardNodesMigrated = net.Engine.ShardRebalances()
 	}
 	res.Anomalies = dg.mon.Anomalies()
 	res.AnomaliesDropped = dg.mon.DroppedAnomalies()

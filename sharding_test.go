@@ -122,10 +122,9 @@ func snapshotBytes(t *testing.T, net *Network) []byte {
 // — to be byte-identical every `every` cycles, so a divergence is caught
 // within `every` cycles of where it happens instead of as a different total
 // at the end of the run. Equal bytes also prove the sharded engine's stages
-// are empty between cycles: the format has no room for them. between, when
-// non-nil, runs after every comparison (forced migrations); stop, when
+// are empty between cycles: the format has no room for them. stop, when
 // non-nil, ends the run early once it reports true on both sides.
-func lockstep(t *testing.T, seq, sharded *Network, cycles, every uint64, between func(), stop func() bool) {
+func lockstep(t *testing.T, seq, sharded *Network, cycles, every uint64, stop func() bool) {
 	t.Helper()
 	for done := uint64(0); done < cycles; done += every {
 		seq.Engine.Run(every)
@@ -139,9 +138,6 @@ func lockstep(t *testing.T, seq, sharded *Network, cycles, every uint64, between
 			t.Fatalf("engines diverged by cycle %d: snapshots of %d and %d bytes first differ at byte %d",
 				seq.Engine.Cycle(), len(a), len(b), at)
 		}
-		if between != nil {
-			between()
-		}
 		if stop != nil && stop() {
 			return
 		}
@@ -150,7 +146,7 @@ func lockstep(t *testing.T, seq, sharded *Network, cycles, every uint64, between
 
 // oracleNetwork builds one side of a lockstep pair: the design on a w×h mesh
 // under UR traffic with the flight recorder on (so snapshots cover event
-// order), automatic rebalancing off, and an optional crossbar fault plan.
+// order) and an optional crossbar fault plan.
 func oracleNetwork(t *testing.T, d Design, w, h int, load float64, shards int, faulty bool) *Network {
 	t.Helper()
 	mesh := topology.MustMesh(w, h)
@@ -164,11 +160,10 @@ func oracleNetwork(t *testing.T, d Design, w, h int, load float64, shards int, f
 	}
 	o := NetworkOptions{
 		Design: d, Mesh: mesh,
-		Source:            &sim.SourceAdapter{B: bern},
-		Stats:             stats.NewCollector(mesh.Nodes(), 0, 1<<40),
-		Events:            events.NewRecorder(mesh.Nodes(), 256),
-		Shards:            shards,
-		RebalanceInterval: -1,
+		Source: &sim.SourceAdapter{B: bern},
+		Stats:  stats.NewCollector(mesh.Nodes(), 0, 1<<40),
+		Events: events.NewRecorder(mesh.Nodes(), 256),
+		Shards: shards,
 	}
 	if faulty {
 		if o.FaultPlan, err = faults.NewPlan(mesh.Nodes(), 0.5, 120, 5); err != nil {
@@ -191,11 +186,11 @@ func TestShardLockstepAllDesigns(t *testing.T) {
 	for _, d := range AllDesigns {
 		for _, shards := range []int{1, 2, 3, 4, 6} {
 			t.Run(fmt.Sprintf("%s/shards%d", d, shards), func(t *testing.T) {
-				lockstep(t, oracleNetwork(t, d, 8, 8, 0.6, 1, false), oracleNetwork(t, d, 8, 8, 0.6, shards, false), 600, 50, nil, nil)
+				lockstep(t, oracleNetwork(t, d, 8, 8, 0.6, 1, false), oracleNetwork(t, d, 8, 8, 0.6, shards, false), 600, 50, nil)
 			})
 		}
 		t.Run(fmt.Sprintf("%s/12x5/shards6", d), func(t *testing.T) {
-			lockstep(t, oracleNetwork(t, d, 12, 5, 0.6, 1, false), oracleNetwork(t, d, 12, 5, 0.6, 6, false), 400, 50, nil, nil)
+			lockstep(t, oracleNetwork(t, d, 12, 5, 0.6, 1, false), oracleNetwork(t, d, 12, 5, 0.6, 6, false), 400, 50, nil)
 		})
 	}
 }
@@ -205,7 +200,7 @@ func TestShardLockstepAllDesigns(t *testing.T) {
 func TestShardLockstepFaults(t *testing.T) {
 	for _, d := range []Design{DesignDXbar, DesignUnified} {
 		t.Run(string(d), func(t *testing.T) {
-			lockstep(t, oracleNetwork(t, d, 8, 8, 0.4, 1, true), oracleNetwork(t, d, 8, 8, 0.4, 4, true), 600, 50, nil, nil)
+			lockstep(t, oracleNetwork(t, d, 8, 8, 0.4, 1, true), oracleNetwork(t, d, 8, 8, 0.4, 4, true), 600, 50, nil)
 		})
 	}
 }
@@ -219,7 +214,7 @@ func TestShardLockstepClosedLoop(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			seq, sharded := newSplashRun(t, DesignDXbar, "LU", 1), newSplashRun(t, DesignDXbar, "LU", shards)
-			lockstep(t, seq.net, sharded.net, 3_000_000, 50, nil, func() bool {
+			lockstep(t, seq.net, sharded.net, 3_000_000, 50, func() bool {
 				return seq.sys.Quiesced() && sharded.sys.Quiesced()
 			})
 			if !seq.sys.Quiesced() || seq.sys.FinishCycle() != sharded.sys.FinishCycle() {
@@ -285,11 +280,9 @@ func TestShardZeroAllocSteadyState(t *testing.T) {
 
 // TestShardZeroAllocSteadyStateLargeMesh is the sharded counterpart of the
 // sequential large-mesh guard: at 16×16, 32×32 and 64×64 the tile-parallel
-// backend — worker scopes, staging slices, profiler, rebalancing passes —
-// must also run allocation-free once warm (the ISSUE-7 acceptance bar is
-// 0 allocs/cycle at 64×64 for both engines). The default rebalance interval
-// (1024) fires several times inside the measured window, so the guard covers
-// migration-driven node-list rebuilds too.
+// backend — worker scopes, staging slices, profiler — must also run
+// allocation-free once warm (the ISSUE-7 acceptance bar is 0 allocs/cycle at
+// 64×64 for both engines).
 func TestShardZeroAllocSteadyStateLargeMesh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-mesh warmups are seconds of simulated work")
