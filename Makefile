@@ -24,12 +24,13 @@ test: test-race examples-smoke
 	$(GO) -C benchmark test .
 
 # Race-detector pass over the packages plus the concurrent paths of the root
-# package: the RunMany batch runner, the sharded cycle engine and the
-# fast-vs-reference arbitration identity suite (which drives every design's
-# bit-parallel core against its branchy oracle, sharded runs included).
+# package: the RunMany batch runner and the execution-path oracle's sharded
+# and reference-arbitration suites (oracle_test.go: every design's
+# bit-parallel core against its branchy twin, sharded runs included) and its
+# crossing rows, where shards meet observers, resumes and restores.
 test-race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run 'TestRunMany|TestShard|TestArbitrationBitIdentity' .
+	$(GO) test -race -run 'TestRunMany|TestShard|TestArbitrationBitIdentity|TestOracleCrossings' .
 
 race:
 	$(GO) test -race ./...
@@ -111,14 +112,17 @@ checkpoint-smoke:
 # bit-identity across designs, seeds and both engine backends, snapshot
 # round-trip byte stability, corrupt-input robustness, rewind renormalization
 # and the committed golden checkpoint (cross-version format stability). Then
-# the sharded engine's per-cycle differential oracle (Engine.Snapshot bytes
-# equal to the sequential engine's every 50 cycles: all designs past
-# saturation, fault plans, the closed loop) with the
-# barrier driven on 1, 2 and 4 processors.
+# the execution-path oracle's lockstep suites (oracle_test.go: Engine.Snapshot
+# digests equal to the sequential engine's every 50 cycles — all designs past
+# saturation, fault plans, the closed loop) with the barrier driven on 1, 2
+# and 4 processors, and a minute of FuzzExecutionPaths: random rows and path
+# subsets held to the same oracle (the crossing rows run under -race in
+# test-race).
 determinism:
 	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine' .
 	$(GO) test -race -count=1 ./internal/snapshot/
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Lockstep' .
+	$(GO) test -race -run '^$$' -fuzz FuzzExecutionPaths -fuzztime 60s .
 
 clean:
 	rm -rf results flightrecorder_trace.json diag-artifacts

@@ -15,12 +15,12 @@ package dxbar
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
-	"dxbar/internal/sim"
+	"dxbar/internal/report"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
-	"dxbar/internal/traffic"
 )
 
 // benchQ is the quality used by the figure benchmarks: the paper's load
@@ -34,18 +34,22 @@ var benchQ = Quality{
 
 const benchSeed = 42
 
-func printFigure(fig Figure) {
-	fmt.Printf("\n== %s: %s ==\n   x: %s | y: %s\n", fig.ID, fig.Title, fig.XLabel, fig.YLabel)
-	for _, s := range fig.Series {
-		fmt.Printf("%-22s", s.Label)
-		for i := range s.X {
-			if s.XNames != nil {
-				fmt.Printf(" %s=%.3f", s.XNames[i], s.Y[i])
-			} else {
-				fmt.Printf(" %.2f:%.3f", s.X[i], s.Y[i])
-			}
+// benchFigure times one figure generator and prints the figure it regenerates
+// (on the first iteration only).
+func benchFigure(b *testing.B, generate func(Quality, int64) (Figure, error)) {
+	for i := 0; i < b.N; i++ {
+		fig, err := generate(benchQ, benchSeed)
+		if err != nil {
+			b.Fatal(err)
 		}
-		fmt.Println()
+		if i == 0 {
+			b.StopTimer()
+			fmt.Println()
+			if err := report.WriteText(os.Stdout, fig); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 	}
 }
 
@@ -65,131 +69,35 @@ func BenchmarkTable3AreaEnergy(b *testing.B) {
 
 // BenchmarkFig5ThroughputUR regenerates Fig. 5: accepted vs offered load
 // under uniform random traffic for all six designs.
-func BenchmarkFig5ThroughputUR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure5(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig5ThroughputUR(b *testing.B) { benchFigure(b, Figure5) }
 
 // BenchmarkFig6EnergyUR regenerates Fig. 6: average energy per packet vs
 // offered load under uniform random traffic.
-func BenchmarkFig6EnergyUR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure6(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig6EnergyUR(b *testing.B) { benchFigure(b, Figure6) }
 
 // BenchmarkFig7SyntheticThroughput regenerates Fig. 7: throughput at
 // offered load 0.5 across all nine synthetic patterns.
-func BenchmarkFig7SyntheticThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure7(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig7SyntheticThroughput(b *testing.B) { benchFigure(b, Figure7) }
 
 // BenchmarkFig8SyntheticEnergy regenerates Fig. 8: energy at offered load
 // 0.5 across all nine synthetic patterns.
-func BenchmarkFig8SyntheticEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure8(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig8SyntheticEnergy(b *testing.B) { benchFigure(b, Figure8) }
 
 // BenchmarkFig9SplashTime regenerates Fig. 9: normalized execution time of
 // the nine SPLASH-2 (substitute) workloads on every design.
-func BenchmarkFig9SplashTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure9(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig9SplashTime(b *testing.B) { benchFigure(b, Figure9) }
 
 // BenchmarkFig10SplashEnergy regenerates Fig. 10: energy per packet of the
 // nine SPLASH-2 (substitute) workloads on every design.
-func BenchmarkFig10SplashEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure10(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig10SplashEnergy(b *testing.B) { benchFigure(b, Figure10) }
 
 // BenchmarkFig11FaultThroughputLatency regenerates Fig. 11: DXbar
 // throughput under 0-100% crossbar faults for DOR and WF routing.
-func BenchmarkFig11FaultThroughputLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure11(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig11FaultThroughputLatency(b *testing.B) { benchFigure(b, Figure11) }
 
 // BenchmarkFig12FaultPower regenerates Fig. 12: DXbar latency/power under
 // 0-100% crossbar faults for DOR and WF routing.
-func BenchmarkFig12FaultPower(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := Figure12(benchQ, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			printFigure(fig)
-			b.StartTimer()
-		}
-	}
-}
+func BenchmarkFig12FaultPower(b *testing.B) { benchFigure(b, Figure12) }
 
 // BenchmarkBufferingProbability checks §III.C's observation that past
 // saturation only ~1/6 of DXbar flits are buffered per router traversal.
@@ -358,17 +266,9 @@ func BenchmarkShardedStep(b *testing.B) {
 		for _, shards := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%dx%d/shards%d", m.w, m.h, shards), func(b *testing.B) {
 				mesh := topology.MustMesh(m.w, m.h)
-				pat, err := traffic.New("UR", mesh)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bern, err := traffic.NewBernoulli(mesh, pat, m.load, 1, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
 				net, err := NewNetwork(NetworkOptions{
 					Design: DesignDXbar, Mesh: mesh,
-					Source: &sim.SourceAdapter{B: bern},
+					Source: bernoulliSource(b, mesh, "UR", m.load, 1, benchSeed),
 					Stats:  stats.NewCollector(mesh.Nodes(), 0, ^uint64(0)),
 					Shards: shards,
 				})

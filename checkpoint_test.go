@@ -9,28 +9,9 @@ import (
 	"testing"
 
 	"dxbar/internal/metrics"
-	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
-	"dxbar/internal/traffic"
 )
-
-// checkpointCases cover every serialization surface: the paper routers with
-// fault latches, SCARAB's drop/NACK path (the retransmit wheel), the buffered
-// baseline's FIFO pipelines, AFC's shared mode controller, multi-flit packets
-// (the reassemblers), the sharded backend and the flight recorder.
-var checkpointCases = []struct {
-	name string
-	cfg  Config
-}{
-	{"dxbar_faults", Config{Design: DesignDXbar, Load: 0.30, Seed: 7, FaultFraction: 0.5}},
-	{"unified", Config{Design: DesignUnified, Load: 0.30, Seed: 11, Pattern: "BR"}},
-	{"scarab_retx", Config{Design: DesignSCARAB, Load: 0.45, Seed: 3}},
-	{"buffered4_multiflit", Config{Design: DesignBuffered4, Load: 0.25, Seed: 5, FlitsPerPacket: 4}},
-	{"afc_shared", Config{Design: DesignAFC, Load: 0.40, Seed: 9}},
-	{"flitbless_sharded", Config{Design: DesignFlitBless, Load: 0.30, Seed: 2, Shards: 4}},
-	{"dxbar_sharded_trace", Config{Design: DesignDXbar, Load: 0.30, Seed: 7, Shards: 4, EventTrace: 256}},
-}
 
 // checkpointWindow applies the shared small-run shape: 4×4 mesh, warmup 64,
 // measure 192 (total 256), checkpoints at cycles 96 and 192.
@@ -38,117 +19,6 @@ func checkpointWindow(cfg Config) Config {
 	cfg.Width, cfg.Height = 4, 4
 	cfg.WarmupCycles, cfg.MeasureCycles = 64, 192
 	return cfg
-}
-
-func resultJSON(t *testing.T, r Result) []byte {
-	t.Helper()
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatalf("marshal result: %v", err)
-	}
-	return b
-}
-
-// TestCheckpointResumeBitIdentity is the oracle of the checkpoint subsystem:
-// snapshot at cycle C, restore, run to the end — the Result must be
-// byte-identical to the uninterrupted run's, for every design, from every
-// checkpoint the run wrote, and across engine backends (a checkpoint taken
-// on the sharded engine restores into the sequential one and vice versa).
-func TestCheckpointResumeBitIdentity(t *testing.T) {
-	for _, tc := range checkpointCases {
-		t.Run(tc.name, func(t *testing.T) {
-			// Checkpoints at cycles 96 and 192.
-			checkResumeIdentity(t, checkpointWindow(tc.cfg), 96, 2)
-		})
-	}
-}
-
-// checkResumeIdentity runs cfg uninterrupted, then again writing a checkpoint
-// every interval cycles (want of them), and requires the checkpointed run and
-// a Resume from every checkpoint — on the run's own backend and on the other
-// one — to reproduce the uninterrupted Result byte for byte.
-func checkResumeIdentity(t *testing.T, cfg Config, interval uint64, want int) {
-	t.Helper()
-	ref, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON := resultJSON(t, ref)
-
-	dir := t.TempDir()
-	ckptCfg := cfg
-	ckptCfg.CheckpointInterval = interval
-	ckptCfg.CheckpointDir = dir
-	ckptCfg.CheckpointKeep = 10
-	got, err := Run(ckptCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refJSON, resultJSON(t, got)) {
-		t.Fatalf("checkpointing perturbed the run: results differ from uncheckpointed reference")
-	}
-
-	paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*.dxsn"))
-	if err != nil || len(paths) != want {
-		t.Fatalf("want %d checkpoints (every %d cycles), got %v (err %v)", want, interval, paths, err)
-	}
-	for _, p := range paths {
-		// Resume writes further checkpoints into the same directory;
-		// that must not disturb bit-identity either.
-		res, err := Resume(p)
-		if err != nil {
-			t.Fatalf("resume %s: %v", p, err)
-		}
-		if !bytes.Equal(refJSON, resultJSON(t, res)) {
-			t.Errorf("resume from %s: result differs from uninterrupted run", filepath.Base(p))
-		}
-		// Cross-backend restore: flip sequential <-> sharded.
-		res, err = ResumeWith(p, func(c *Config) {
-			if c.Shards > 1 {
-				c.Shards = 0
-			} else {
-				c.Shards = 4
-			}
-		})
-		if err != nil {
-			t.Fatalf("cross-backend resume %s: %v", p, err)
-		}
-		if !bytes.Equal(refJSON, resultJSON(t, res)) {
-			t.Errorf("cross-backend resume from %s: result differs", filepath.Base(p))
-		}
-	}
-}
-
-// snapshotPair builds two structurally identical 4×4 networks (separate
-// collectors, meters and sources) for round-trip tests.
-func snapshotPair(t *testing.T, design Design) (a, b *Network) {
-	t.Helper()
-	build := func() *Network {
-		mesh, err := topology.NewMesh(4, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pattern, err := traffic.New("UR", mesh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bern, err := traffic.NewBernoulli(mesh, pattern, 0.3, 2, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coll := stats.NewCollector(mesh.Nodes(), 64, 4096)
-		net, err := NewNetwork(NetworkOptions{
-			Design: design,
-			Mesh:   mesh,
-			Source: &sim.SourceAdapter{B: bern},
-			Stats:  coll,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	return build(), build()
 }
 
 // TestSnapshotRoundTripByteStable asserts Snapshot → Restore → Snapshot is
@@ -231,7 +101,7 @@ func TestRestoreEngineCorruptInput(t *testing.T) {
 // engine is impossible because the caller discards the engine on error.
 func FuzzRestoreEngine(f *testing.F) {
 	for _, d := range []Design{DesignDXbar, DesignSCARAB} {
-		a, _ := snapshotPairF(f, d)
+		a, _ := snapshotPair(f, d)
 		a.Engine.Run(150)
 		var buf bytes.Buffer
 		if err := a.Engine.Snapshot(&buf); err != nil {
@@ -242,33 +112,22 @@ func FuzzRestoreEngine(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DXSN"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, net := snapshotPairF(t, DesignDXbar)
+		_, net := snapshotPair(t, DesignDXbar)
 		_ = net.Engine.Restore(data) // must not panic
 	})
 }
 
-// snapshotPairF is snapshotPair over the fuzzing/testing split interface.
-func snapshotPairF(tb testing.TB, design Design) (a, b *Network) {
+// snapshotPair builds two structurally identical 4×4 networks (separate
+// collectors, meters and sources) for round-trip tests and fuzz targets.
+func snapshotPair(tb testing.TB, design Design) (a, b *Network) {
 	tb.Helper()
 	build := func() *Network {
-		mesh, err := topology.NewMesh(4, 4)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		pattern, err := traffic.New("UR", mesh)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		bern, err := traffic.NewBernoulli(mesh, pattern, 0.3, 2, 21)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		coll := stats.NewCollector(mesh.Nodes(), 64, 4096)
+		mesh := topology.MustMesh(4, 4)
 		net, err := NewNetwork(NetworkOptions{
 			Design: design,
 			Mesh:   mesh,
-			Source: &sim.SourceAdapter{B: bern},
-			Stats:  coll,
+			Source: bernoulliSource(tb, mesh, "UR", 0.3, 2, 21),
+			Stats:  stats.NewCollector(mesh.Nodes(), 64, 4096),
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -310,32 +169,16 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // checkpoint hook: between writes the cycle loop must stay allocation-free
 // (the hook is a nil check and a compare per cycle).
 func TestCheckpointZeroAllocBetweenWrites(t *testing.T) {
-	build := func() *Network {
-		mesh, err := topology.NewMesh(4, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pattern, err := traffic.New("UR", mesh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bern, err := traffic.NewBernoulli(mesh, pattern, 0.25, 1, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coll := stats.NewCollector(mesh.Nodes(), 64, 1<<30)
-		net, err := NewNetwork(NetworkOptions{
-			Design: DesignDXbar,
-			Mesh:   mesh,
-			Source: &sim.SourceAdapter{B: bern},
-			Stats:  coll,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
+	mesh := topology.MustMesh(4, 4)
+	net, err := NewNetwork(NetworkOptions{
+		Design: DesignDXbar,
+		Mesh:   mesh,
+		Source: bernoulliSource(t, mesh, "UR", 0.25, 1, 21),
+		Stats:  stats.NewCollector(mesh.Nodes(), 64, 1<<30),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	net := build()
 	net.Engine.SetCheckpointHook(1<<40, func(uint64) {})
 	net.Engine.Run(3000)
 	avg := testing.AllocsPerRun(5, func() { net.Engine.Run(200) })
@@ -350,17 +193,12 @@ func TestCheckpointZeroAllocBetweenWrites(t *testing.T) {
 // comparable to the full run's, not diluted by never-simulated cycles.
 func TestRewindPartialWindowNormalized(t *testing.T) {
 	cfg := checkpointWindow(Config{Design: DesignDXbar, Load: 0.3, Seed: 7})
-	full, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := run(t, cfg)
 	dir := t.TempDir()
 	ckptCfg := cfg
 	ckptCfg.CheckpointInterval = 96
 	ckptCfg.CheckpointDir = dir
-	if _, err := Run(ckptCfg); err != nil {
-		t.Fatal(err)
-	}
+	run(t, ckptCfg)
 	paths, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.dxsn"))
 	if len(paths) == 0 {
 		t.Fatal("no checkpoints written")
@@ -402,9 +240,7 @@ func TestCheckpointPruning(t *testing.T) {
 	cfg.CheckpointInterval = 32 // checkpoints at 32, 64, ..., 256
 	cfg.CheckpointDir = dir
 	cfg.CheckpointKeep = 2
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	run(t, cfg)
 	paths, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.dxsn"))
 	if len(paths) != 2 {
 		t.Fatalf("want 2 retained checkpoints, got %d: %v", len(paths), paths)
@@ -462,9 +298,7 @@ func regenerateGolden(t *testing.T, ckptPath, expPath string) {
 	cfg := goldenConfig()
 	cfg.CheckpointInterval = 128 // one checkpoint, at cycle 128
 	cfg.CheckpointDir = dir
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	run(t, cfg)
 	src := filepath.Join(dir, fmt.Sprintf("ckpt-%012d.dxsn", 128))
 	data, err := os.ReadFile(src)
 	if err != nil {

@@ -29,7 +29,7 @@ var logger *slog.Logger
 
 func main() {
 	var (
-		design   = flag.String("design", "dxbar", "router design: dxbar | unified | flitbless | scarab | buffered4 | buffered8")
+		design   = flag.String("design", "dxbar", "router design, one of "+fmt.Sprint(dxbar.AllDesigns))
 		routing  = flag.String("routing", "DOR", "routing algorithm: DOR | WF")
 		pattern  = flag.String("pattern", "UR", "traffic pattern: UR NUR BR BF CP MT PS NB TOR")
 		load     = flag.Float64("load", 0.3, "offered load in flits/node/cycle (fraction of capacity)")
@@ -48,7 +48,7 @@ func main() {
 		trace    = flag.Int("trace", 0, "flight-recorder ring capacity in events (0 disables runtime event tracing)")
 		traceOut = flag.String("trace-out", "", "write the recorded events as Chrome trace-event JSON to this file (load at ui.perfetto.dev; requires -trace)")
 		traceEv  = flag.String("trace-events", "", "comma-separated event kinds to record (default all; e.g. inject,buffered,eject)")
-		shards   = flag.Int("shards", 0, "parallel router-phase shards (0/1 sequential, -1 auto-sizes to CPUs; bit-identical results)")
+		shards   = flag.Int("shards", 0, "parallel tile workers, each owning its nodes' whole cycle (0/1 sequential, -1 auto-sizes to CPUs; bit-identical results)")
 		httpAddr = flag.String("http", "", "serve live telemetry on this address (dashboard at /, /events SSE, /metrics, /healthz, /progress, /debug/pprof), e.g. :8080")
 		profile  = flag.Bool("shard-profile", false, "print the per-shard execution profile after the run (requires -shards > 1)")
 

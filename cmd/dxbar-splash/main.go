@@ -7,137 +7,201 @@
 //	dxbar-splash -bench all                         # full design matrix
 //	dxbar-splash -bench FFT -record fft.trc         # capture a trace
 //	dxbar-splash -replay fft.trc -design flitbless  # replay it open-loop
+//
+// The exit status is 2 for a flag combination the tool cannot honour (checked
+// before anything is written) and 1 for a run that failed.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
 
 	"dxbar"
 	"dxbar/internal/diag"
 )
 
-// logger is the tool-wide structured logger, configured from -v and
-// -log-format before anything can fail.
-var logger *slog.Logger
-
 func main() {
-	var (
-		bench   = flag.String("bench", "all", "benchmark name (see -list) or 'all'")
-		design  = flag.String("design", "", "router design; empty = full design matrix")
-		routing = flag.String("routing", "DOR", "routing algorithm: DOR | WF")
-		seed    = flag.Int64("seed", 42, "random seed")
-		list    = flag.Bool("list", false, "list benchmarks and exit")
-		record  = flag.String("record", "", "record the workload's trace to this file")
-		replay  = flag.String("replay", "", "replay a recorded trace instead of a benchmark")
-		detail  = flag.Bool("detailed", false, "use real set-associative L1/L2 caches instead of profile hit rates")
-		ledger  = flag.String("ledger", "", "run-ledger directory: archive each completed run's full result under its content key (see dxbar-report)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		verbose   = flag.Bool("v", false, "verbose (debug-level) logging")
-		logFormat = flag.String("log-format", diag.LogText, "structured log format on stderr: text | json")
-	)
-	flag.Parse()
+// options are the parsed flags; set names the ones given on the command line.
+type options struct {
+	bench, design, routing string
+	seed                   int64
+	list, detailed         bool
+	record, replay, ledger string
+	set                    map[string]bool
+}
 
-	var err error
-	logger, err = diag.NewLogger(os.Stderr, *logFormat, *verbose)
+// run is main with its process edges injected: the exit status is the return
+// value and both streams are parameters.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dxbar-splash", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := options{set: map[string]bool{}}
+	fs.StringVar(&o.bench, "bench", "all", "benchmark name (see -list) or 'all'")
+	fs.StringVar(&o.design, "design", "", "router design, one of "+fmt.Sprint(dxbar.AllDesigns)+"; empty = the paper's six-design matrix (-replay: dxbar)")
+	fs.StringVar(&o.routing, "routing", "DOR", "routing algorithm: DOR | WF")
+	fs.Int64Var(&o.seed, "seed", 42, "random seed")
+	fs.BoolVar(&o.list, "list", false, "list benchmarks and exit")
+	fs.StringVar(&o.record, "record", "", "record one benchmark's trace (-bench, -seed) to this file")
+	fs.StringVar(&o.replay, "replay", "", "replay a recorded trace (on -design, -routing) instead of a benchmark")
+	fs.BoolVar(&o.detailed, "detailed", false, "use real set-associative L1/L2 caches instead of profile hit rates")
+	fs.StringVar(&o.ledger, "ledger", "", "run-ledger directory: archive each completed run's full result under its content key (see dxbar-report)")
+	verbose := fs.Bool("v", false, "verbose (debug-level) logging")
+	logFormat := fs.String("log-format", diag.LogText, "structured log format on stderr: text | json")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	logger, err := diag.NewLogger(stderr, *logFormat, *verbose)
+	if err == nil {
+		err = o.validate()
+	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "dxbar-splash:", err)
+		return 2
 	}
 
-	if *list {
+	switch {
+	case o.list:
 		for _, b := range dxbar.SplashBenchmarks() {
-			fmt.Println(b)
+			fmt.Fprintln(stdout, b)
 		}
-		return
+	case o.replay != "":
+		err = o.runReplay(stdout)
+	case o.record != "":
+		err = o.runRecord(stdout)
+	default:
+		err = o.runMatrix(stdout)
 	}
+	if err != nil {
+		logger.Error("fatal", "err", err)
+		return 1
+	}
+	return 0
+}
 
-	if *replay != "" {
-		runReplay(*replay, *design, *routing)
-		return
+// validate rejects what the chosen mode would otherwise ignore or fail on
+// half-way: it runs before the first file is created.
+func (o *options) validate() error {
+	reject := func(mode string, flags ...string) error {
+		for _, f := range flags {
+			if o.set[f] {
+				return fmt.Errorf("-%s does not apply to -%s", f, mode)
+			}
+		}
+		return nil
 	}
-	if *record != "" {
-		runRecord(*bench, *seed, *record)
-		return
+	if o.design != "" && !slices.Contains(dxbar.AllDesigns, dxbar.Design(o.design)) {
+		return fmt.Errorf("unknown -design %q (want one of %v)", o.design, dxbar.AllDesigns)
 	}
+	if o.bench != "all" && !slices.Contains(dxbar.SplashBenchmarks(), o.bench) {
+		return fmt.Errorf("unknown -bench %q (want 'all' or one of %v)", o.bench, dxbar.SplashBenchmarks())
+	}
+	switch {
+	case o.record != "" && o.replay != "":
+		return fmt.Errorf("-record and -replay are separate modes; give one")
+	case o.record != "":
+		if o.bench == "all" {
+			return fmt.Errorf("-record captures one benchmark: name it with -bench (see -list)")
+		}
+		// The trace is what the workload generates, captured on the default
+		// design with profile hit rates.
+		return reject("record", "design", "routing", "detailed", "ledger")
+	case o.replay != "":
+		return reject("replay", "bench", "seed", "detailed", "ledger")
+	}
+	return nil
+}
 
+// runMatrix runs benchmarks × designs closed-loop and prints one row each.
+func (o *options) runMatrix(stdout io.Writer) error {
 	benches := dxbar.SplashBenchmarks()
-	if *bench != "all" {
-		benches = []string{*bench}
+	if o.bench != "all" {
+		benches = []string{o.bench}
 	}
-	designs := []dxbar.Design{dxbar.DesignFlitBless, dxbar.DesignSCARAB,
-		dxbar.DesignBuffered4, dxbar.DesignBuffered8, dxbar.DesignDXbar, dxbar.DesignUnified}
-	if *design != "" {
-		designs = []dxbar.Design{dxbar.Design(*design)}
+	designs := dxbar.Designs
+	if o.design != "" {
+		designs = []dxbar.Design{dxbar.Design(o.design)}
 	}
-
 	var led *dxbar.Ledger
-	if *ledger != "" {
-		led, err = dxbar.OpenLedger(*ledger)
-		if err != nil {
-			fatal(err)
+	if o.ledger != "" {
+		var err error
+		if led, err = dxbar.OpenLedger(o.ledger); err != nil {
+			return err
 		}
 	}
 
-	fmt.Printf("%-10s %-10s %-4s %10s %10s %10s %8s %8s %12s\n",
+	fmt.Fprintf(stdout, "%-10s %-10s %-4s %10s %10s %10s %8s %8s %12s\n",
 		"benchmark", "design", "alg", "exec (cyc)", "packets", "lat (cyc)", "p50", "p99", "nJ/packet")
 	for _, b := range benches {
 		for _, d := range designs {
 			cfg := dxbar.SplashConfig{
-				Design: d, Routing: *routing, Benchmark: b, Seed: *seed,
-				DetailedCaches: *detail,
+				Design: d, Routing: o.routing, Benchmark: b, Seed: o.seed,
+				DetailedCaches: o.detailed,
 			}
 			res, err := dxbar.RunSplash(cfg)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if led != nil {
 				if _, err := led.ArchiveSplash(cfg, res); err != nil {
-					fatal(err)
+					return err
 				}
 			}
-			fmt.Printf("%-10s %-10s %-4s %10d %10d %10.1f %8d %8d %12.4f\n",
+			fmt.Fprintf(stdout, "%-10s %-10s %-4s %10d %10d %10.1f %8d %8d %12.4f\n",
 				b, d, res.Routing, res.ExecutionCycles, res.Packets, res.AvgLatency,
 				res.P50Latency, res.P99Latency, res.AvgEnergyNJ)
 		}
 	}
+	return nil
 }
 
-func runRecord(bench string, seed int64, path string) {
-	f, err := os.Create(path)
+// runRecord writes the trace to a temporary file beside the target and
+// renames it into place, so a failed recording leaves nothing behind.
+func (o *options) runRecord(stdout io.Writer) error {
+	tmp, err := os.CreateTemp(filepath.Dir(o.record), filepath.Base(o.record)+".*.tmp")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := dxbar.RecordSplash(dxbar.SplashConfig{Benchmark: bench, Seed: seed}, f); err != nil {
-		fatal(err)
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	err = dxbar.RecordSplash(dxbar.SplashConfig{Benchmark: o.bench, Seed: o.seed}, tmp)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-	fmt.Printf("recorded %s trace to %s\n", bench, path)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), o.record)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "recorded %s trace to %s\n", o.bench, o.record)
+	return nil
 }
 
-func runReplay(path, design, routing string) {
-	if design == "" {
-		design = string(dxbar.DesignDXbar)
+func (o *options) runReplay(stdout io.Writer) error {
+	design := dxbar.DesignDXbar
+	if o.design != "" {
+		design = dxbar.Design(o.design)
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(o.replay)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
-	res, err := dxbar.RunTrace(dxbar.Design(design), routing, f, 0)
+	res, err := dxbar.RunTrace(design, o.routing, f, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("replay on %s (%s): completed in %d cycles, %d packets, lat %.1f, %.4f nJ/packet\n",
+	fmt.Fprintf(stdout, "replay on %s (%s): completed in %d cycles, %d packets, lat %.1f, %.4f nJ/packet\n",
 		res.Design, res.Routing, res.CompletionCycles, res.Packets, res.AvgLatency, res.AvgEnergyNJ)
-}
-
-func fatal(err error) {
-	if logger != nil {
-		logger.Error("fatal", "err", err)
-	} else {
-		fmt.Fprintln(os.Stderr, "dxbar-splash:", err)
-	}
-	os.Exit(1)
+	return nil
 }

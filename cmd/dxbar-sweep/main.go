@@ -44,7 +44,7 @@ func main() {
 		md          = flag.Bool("md", false, "also write a Markdown table of each figure to -out")
 		hist        = flag.Bool("hist", false, "for figs 5/6: print the per-point latency table and write per-point latency histograms (NDJSON + CSV) to -out")
 		trace       = flag.Int("trace", 0, "for figs 5/6 with -hist: flight-recorder ring capacity per sweep point; writes one Chrome trace JSON per point to -out (0 disables)")
-		shards      = flag.Int("shards", 0, "router-phase shards for the -hist load sweep (0/1 sequential, -1 = one per CPU); results are bit-identical either way")
+		shards      = flag.Int("shards", 0, "parallel tile workers per run of the -hist load sweep, each owning its nodes' whole cycle (0/1 sequential, -1 = one per CPU); results are bit-identical either way")
 		profile     = flag.Bool("shard-profile", false, "with -hist and -shards > 1: print the final sweep point's per-shard execution profile")
 		httpAddr    = flag.String("http", "", "serve live telemetry on this address (dashboard at /, /events SSE, /metrics, /healthz, /progress, /debug/pprof), e.g. :8080")
 		quiet       = flag.Bool("quiet", false, "suppress the periodic progress line on stderr")
@@ -279,15 +279,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// toReport converts a facade figure to the report package's shape.
-func toReport(fig dxbar.Figure) report.Figure {
-	out := report.Figure{ID: fig.ID, Title: fig.Title, XLabel: fig.XLabel, YLabel: fig.YLabel}
-	for _, s := range fig.Series {
-		out.Series = append(out.Series, report.Series{Label: s.Label, X: s.X, Y: s.Y, XNames: s.XNames})
-	}
-	return out
-}
-
 func table3Report() report.Table {
 	t := report.Table{
 		Title:   "Table III: area and energy estimation (65 nm, 1.0 V, 1 GHz)",
@@ -319,14 +310,13 @@ func emitTable3(outDir string, md bool) {
 }
 
 func emitFigure(fig dxbar.Figure, outDir string, svg, md bool) {
-	r := toReport(fig)
-	if err := report.WriteText(os.Stdout, r); err != nil {
+	if err := report.WriteText(os.Stdout, fig); err != nil {
 		fatal(err)
 	}
 	if outDir == "" {
 		return
 	}
-	writeFile(outDir, fig.ID+".csv", func(f *os.File) error { return report.WriteCSV(f, r) })
+	writeFile(outDir, fig.ID+".csv", func(f *os.File) error { return report.WriteCSV(f, fig) })
 	if svg {
 		writeFile(outDir, fig.ID+".svg", func(f *os.File) error {
 			_, err := f.WriteString(dxbar.FigureSVG(fig))
@@ -334,7 +324,7 @@ func emitFigure(fig dxbar.Figure, outDir string, svg, md bool) {
 		})
 	}
 	if md {
-		writeFile(outDir, fig.ID+".md", func(f *os.File) error { return report.WriteMarkdown(f, r) })
+		writeFile(outDir, fig.ID+".md", func(f *os.File) error { return report.WriteMarkdown(f, fig) })
 	}
 }
 

@@ -73,47 +73,6 @@ func assertBundleComplete(t *testing.T, bdir string, manifest map[string]any) {
 	}
 }
 
-// TestDiagBitIdentity is the diagnostics half of the observability contract:
-// the always-on detectors observe deterministic engine state and never steer,
-// so disabling them must not change a single bit of the Result — for every
-// design, on both engines.
-func TestDiagBitIdentity(t *testing.T) {
-	// Below-saturation loads (cf. the zero-alloc guard): healthy runs, where
-	// the Anomalies/Interrupted fields are zero-valued on both sides.
-	load := map[Design]float64{DesignFlitBless: 0.12, DesignSCARAB: 0.10}
-	for _, d := range AllDesigns {
-		t.Run(string(d), func(t *testing.T) {
-			l, ok := load[d]
-			if !ok {
-				l = 0.3
-			}
-			for _, seed := range []int64{1, 42} {
-				for _, shards := range []int{0, 2} {
-					cfg := Config{
-						Design: d, Routing: "DOR", Pattern: "UR", Load: l,
-						WarmupCycles: 200, MeasureCycles: 800,
-						Seed: seed, Shards: shards,
-					}
-					on, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					offCfg := cfg
-					offCfg.DisableDiag = true
-					off, err := Run(offCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(on, off) {
-						t.Errorf("seed %d shards %d: result with diagnostics differs from without\non:  %+v\noff: %+v",
-							seed, shards, on, off)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestDiagForcedStarvation drives the network far past saturation with a low
 // age watermark: the starvation detector must fire, count in
 // dxbar_anomaly_total, surface in the Result, and leave one complete
@@ -121,7 +80,7 @@ func TestDiagBitIdentity(t *testing.T) {
 func TestDiagForcedStarvation(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	res, err := Run(Config{
+	res := run(t, Config{
 		Design: DesignDXbar, Routing: "DOR", Pattern: "UR",
 		Load:         0.95, // far past saturation: the injection backlog ages fast
 		WarmupCycles: 200, MeasureCycles: 3000, Seed: 42,
@@ -137,9 +96,6 @@ func TestDiagForcedStarvation(t *testing.T) {
 			Registry:      reg,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	if len(res.Anomalies) == 0 {
 		t.Fatal("no anomalies on a saturated run with a 500-cycle age watermark")
@@ -194,7 +150,7 @@ func TestDiagForcedStarvation(t *testing.T) {
 func TestDiagSignalDump(t *testing.T) {
 	dir := t.TempDir()
 	diag.RequestDump()
-	res, err := Run(Config{
+	res := run(t, Config{
 		Design: DesignDXbar, Routing: "DOR", Pattern: "UR", Load: 0.3,
 		WarmupCycles: 200, MeasureCycles: 800, Seed: 42,
 		DiagDir: dir,
@@ -203,9 +159,6 @@ func TestDiagSignalDump(t *testing.T) {
 		// inside the run.
 		Diag: &diag.Config{Window: 128},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Interrupted {
 		t.Error("a dump request must not interrupt the run")
 	}
@@ -226,15 +179,12 @@ func TestDiagInterrupt(t *testing.T) {
 	t.Cleanup(diag.ClearInterrupt)
 	dir := t.TempDir()
 	diag.Interrupt()
-	res, err := Run(Config{
+	res := run(t, Config{
 		Design: DesignDXbar, Routing: "DOR", Pattern: "UR", Load: 0.3,
 		WarmupCycles: 200, MeasureCycles: 1 << 40, // would run ~forever without the interrupt
 		Seed:    42,
 		DiagDir: dir,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !res.Interrupted {
 		t.Fatal("Result.Interrupted not set on an interrupted run")
 	}
@@ -251,7 +201,7 @@ func TestDiagInterrupt(t *testing.T) {
 func TestDiagFaultLatency(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		reg := metrics.NewRegistry()
-		_, err := Run(Config{
+		run(t, Config{
 			Design: DesignDXbar, Routing: "WF", Pattern: "UR", Load: 0.3,
 			WarmupCycles: 200, MeasureCycles: 1500, Seed: 42,
 			FaultFraction: 0.5, FaultGranularity: "crossbar",
@@ -259,9 +209,6 @@ func TestDiagFaultLatency(t *testing.T) {
 			Metrics: reg,
 			Diag:    &diag.Config{Registry: reg, Window: 128},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var prom strings.Builder
 		if err := reg.WritePrometheus(&prom); err != nil {
 			t.Fatal(err)

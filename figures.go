@@ -6,6 +6,7 @@ import (
 	"dxbar/internal/diag"
 	"dxbar/internal/energy"
 	"dxbar/internal/metrics"
+	"dxbar/internal/report"
 	"dxbar/internal/stats"
 	"dxbar/internal/viz"
 )
@@ -39,20 +40,13 @@ var Full = Quality{
 	SplashSeeds:    3,
 }
 
-// Series is one labelled curve or bar group.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-	// XNames labels categorical X axes (patterns, benchmarks).
-	XNames []string
-}
-
-// Figure is regenerated data for one paper figure.
-type Figure struct {
-	ID, Title, XLabel, YLabel string
-	Series                    []Series
-}
+// Series is one labelled curve or bar group and Figure the regenerated data
+// for one paper figure. They are internal/report's types, so a figure goes to
+// the text/CSV/Markdown writers and the SVG renderer as it is.
+type (
+	Series = report.Series
+	Figure = report.Figure
+)
 
 // figureDesigns are the six designs in the paper's legend order, with the
 // routing algorithm each uses in Figs. 5-10.
@@ -484,16 +478,11 @@ func Heatmap(r Result) string {
 // categorical axes (Figs. 7-10). The matching CSV from cmd/dxbar-sweep is
 // the figure's table view.
 func FigureSVG(fig Figure) string {
-	chart := viz.Chart{Title: fig.Title, XLabel: fig.XLabel, YLabel: fig.YLabel}
-	categorical := false
+	chart := viz.Chart{Title: fig.Title, XLabel: fig.XLabel, YLabel: fig.YLabel, Series: fig.Series}
 	for _, s := range fig.Series {
-		chart.Series = append(chart.Series, viz.Series{Label: s.Label, X: s.X, Y: s.Y, XNames: s.XNames})
 		if s.XNames != nil {
-			categorical = true
+			return viz.BarSVG(chart)
 		}
-	}
-	if categorical {
-		return viz.BarSVG(chart)
 	}
 	return viz.LineSVG(chart)
 }

@@ -281,11 +281,8 @@ func TestSplashFiguresEndToEnd(t *testing.T) {
 
 // Heatmap rendering through the facade.
 func TestHeatmapFacade(t *testing.T) {
-	res, err := Run(Config{Design: DesignDXbar, Pattern: "NUR", Load: 0.2,
+	res := run(t, Config{Design: DesignDXbar, Pattern: "NUR", Load: 0.2,
 		WarmupCycles: 200, MeasureCycles: 800, Seed: 3, TrackUtilization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hm := Heatmap(res)
 	if len(hm) == 0 || hm == "(utilization tracking was not enabled)" {
 		t.Errorf("heatmap missing: %q", hm)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dxbar/internal/events"
-	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
 	"dxbar/internal/traffic"
@@ -18,20 +17,12 @@ import (
 func tracedNetwork(t *testing.T, design Design, load float64) (*Network, *events.Recorder) {
 	t.Helper()
 	mesh := topology.MustMesh(8, 8)
-	pat, err := traffic.New("UR", mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bern, err := traffic.NewBernoulli(mesh, pat, load, 1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coll := stats.NewCollector(mesh.Nodes(), 0, 1<<40)
 	rec := events.NewRecorder(mesh.Nodes(), 4096)
 	net, err := NewNetwork(NetworkOptions{
 		Design: design,
 		Mesh:   mesh,
-		Source: &sim.SourceAdapter{B: bern},
+		Source: bernoulliSource(t, mesh, "UR", load, 1, 42),
 		Stats:  coll,
 		Events: rec,
 	})
@@ -45,14 +36,9 @@ func tracedNetwork(t *testing.T, design Design, load float64) (*Network, *events
 // runs with the flight recorder ENABLED: recording into the (wrapping) ring
 // must not allocate either, for every design.
 func TestStepZeroAllocTraced(t *testing.T) {
-	load := map[Design]float64{DesignFlitBless: 0.12, DesignSCARAB: 0.10}
 	for _, d := range AllDesigns {
 		t.Run(string(d), func(t *testing.T) {
-			l, ok := load[d]
-			if !ok {
-				l = 0.3
-			}
-			net, rec := tracedNetwork(t, d, l)
+			net, rec := tracedNetwork(t, d, steadyLoad(d))
 			net.Engine.Run(3000)
 			if rec.Overwritten() == 0 {
 				t.Fatalf("%s: ring did not wrap after warmup; the test must cover the overwrite path", d)
@@ -135,14 +121,11 @@ func TestPacketPathThreeHops(t *testing.T) {
 // TestEventKindsMask: Config.EventKinds filters at record time — a SCARAB
 // run traced for drops only must yield a ring of nothing but Drop events.
 func TestEventKindsMask(t *testing.T) {
-	res, err := Run(Config{
+	res := run(t, Config{
 		Design: DesignSCARAB, Pattern: "UR", Load: 0.3, Seed: 7,
 		WarmupCycles: 200, MeasureCycles: 1000,
 		EventTrace: 1 << 14, EventKinds: []string{"drop"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(res.Events) == 0 {
 		t.Fatal("no drop events recorded at a saturating SCARAB load")
 	}
@@ -164,50 +147,15 @@ func TestEventKindsMask(t *testing.T) {
 	}
 }
 
-// TestTraceBitIdentity: enabling the flight recorder must not change the
-// simulation — every measured metric of a traced run equals the untraced
-// run's, bit for bit.
-func TestTraceBitIdentity(t *testing.T) {
-	cfg := Config{
-		Design: DesignDXbar, Pattern: "NUR", Load: 0.35, Seed: 11,
-		WarmupCycles: 300, MeasureCycles: 1500,
-	}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.EventTrace = 1 << 12
-	traced, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.Events == nil || traced.RouterEvents == nil {
-		t.Fatal("traced run returned no event data")
-	}
-	// Strip the event payload; everything else must match exactly.
-	traced.Events = nil
-	traced.EventsRecorded = 0
-	traced.EventsOverwritten = 0
-	traced.RouterEvents = nil
-	plainJSON, _ := json.Marshal(plain)
-	tracedJSON, _ := json.Marshal(traced)
-	if !bytes.Equal(plainJSON, tracedJSON) {
-		t.Errorf("traced run diverged from untraced run:\nuntraced: %s\ntraced:   %s", plainJSON, tracedJSON)
-	}
-}
-
 // TestFairnessFlipsSurfaced: at a load where DXbar's buffers are busy the
 // fairness counter flips and both the stats counter and the event matrix
 // see it (satellite #1).
 func TestFairnessFlipsSurfaced(t *testing.T) {
-	res, err := Run(Config{
+	res := run(t, Config{
 		Design: DesignDXbar, Pattern: "UR", Load: 0.45, Seed: 7,
 		WarmupCycles: 500, MeasureCycles: 2000,
 		EventTrace: 1 << 12, EventKinds: []string{"fairness_flip"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.FairnessFlips == 0 {
 		t.Error("no fairness flips surfaced at a load past DXbar's buffering point")
 	}
@@ -219,13 +167,10 @@ func TestFairnessFlipsSurfaced(t *testing.T) {
 // TestDroppedByNodeSum: the per-node drop counters partition the window
 // total (satellite #3), and the drop heatmap renders.
 func TestDroppedByNodeSum(t *testing.T) {
-	res, err := Run(Config{
+	res := run(t, Config{
 		Design: DesignSCARAB, Pattern: "UR", Load: 0.3, Seed: 7,
 		WarmupCycles: 200, MeasureCycles: 1000,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.DroppedFlits == 0 {
 		t.Fatal("no drops at a saturating SCARAB load")
 	}
@@ -244,15 +189,12 @@ func TestDroppedByNodeSum(t *testing.T) {
 // TestChromeTraceFromRun: a traced run exports valid Chrome trace JSON with
 // the required fields on every event.
 func TestChromeTraceFromRun(t *testing.T) {
-	res, err := Run(Config{
+	res := run(t, Config{
 		Design: DesignDXbar, Pattern: "UR", Load: 0.3, Seed: 7,
 		Width: 4, Height: 4,
 		WarmupCycles: 100, MeasureCycles: 400,
 		EventTrace: 1 << 12,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, TraceRecordFor("dxbar test", res)); err != nil {
 		t.Fatal(err)

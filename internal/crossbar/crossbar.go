@@ -149,12 +149,6 @@ func (x *XBar) FreeOutMask() uint64 {
 	return ^x.outMask & (uint64(1)<<uint(x.numOut) - 1)
 }
 
-// RowUsable reports whether input row in can currently drive anything at
-// all: the crossbar is alive and the row's occupancy bit is clear.
-func (x *XBar) RowUsable(in int) bool {
-	return !x.dead && x.inMask&(1<<uint(in)) == 0
-}
-
 // Traversals returns the cumulative number of successful connections, which
 // the energy model multiplies by the per-flit crossbar energy.
 func (x *XBar) Traversals() uint64 { return x.traversals }

@@ -11,7 +11,7 @@ package flit
 // latch, an output latch, a link stage, a buffer slot, an injection queue or
 // the retransmit wheel. The owner that removes a flit from the network for
 // good (the engine, at ejection) must Put it back. Producers overwrite every
-// field when they acquire a flit (see traffic.PacketSpec.AppendFlits); the
+// field when they acquire a flit (see traffic.PacketSpec.MaterializeFlit); the
 // pool never zeroes.
 type Pool struct {
 	free        []*Flit

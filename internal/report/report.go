@@ -13,17 +13,18 @@ import (
 	"strings"
 )
 
-// Series mirrors the facade's figure series (kept structurally identical so
-// callers can convert with a one-line loop, while this package stays free
-// of the simulator).
+// Series is one labelled curve or bar group. The facade's dxbar.Series and
+// viz.Series are aliases of it, so a figure needs no conversion on its way to
+// a writer or a renderer.
 type Series struct {
-	Label  string
-	X      []float64
-	Y      []float64
+	Label string
+	X     []float64
+	Y     []float64
+	// XNames labels categorical X axes (patterns, benchmarks).
 	XNames []string
 }
 
-// Figure mirrors the facade's figure.
+// Figure is regenerated data for one paper figure (dxbar.Figure is an alias).
 type Figure struct {
 	ID, Title, XLabel, YLabel string
 	Series                    []Series

@@ -191,9 +191,6 @@ func NewAFC(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) *AFC {
 // identical to). Call before the first Step.
 func (a *AFC) SetReferenceArbitration(on bool) { a.reference = on }
 
-// Controller exposes the shared controller (diagnostics and tests).
-func (a *AFC) Controller() *AFCController { return a.ctrl }
-
 // Occupancy returns buffered flits across the input FIFOs.
 func (a *AFC) Occupancy() int {
 	total := 0

@@ -189,30 +189,14 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	return w.Close()
 }
 
-// RestoreEngine builds a fresh engine from cfg and factory, then overwrites
-// its state from a Snapshot stream. The config must describe the same network
-// shape the snapshot was taken from (mesh size, buffer depth, credit delay,
-// router design); observation-layer differences — tracing on or off, shard
-// count, diagnostics — are allowed, because they never influence results.
-//
-// On any decode or validation error the half-built engine is discarded and
-// only the error returns: nothing half-restores, and the caller's own engine
-// (if any) is untouched.
-func RestoreEngine(data []byte, cfg Config, factory RouterFactory) (*Engine, error) {
-	e, err := New(cfg, factory)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.loadState(data); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // Restore overwrites this engine's state from a Snapshot stream. The engine
 // must be freshly built (New) or freshly Reset — restore assumes every queue,
 // latch and accumulator is empty, exactly the state a failed restore leaves
-// untouched. On error the engine must be discarded or Reset before use.
+// untouched — and must have the network shape the snapshot was taken from
+// (mesh size, buffer depth, credit delay, router design); observation-layer
+// differences — tracing on or off, shard count, diagnostics — are allowed,
+// because they never influence results. On error the engine must be discarded
+// or Reset before use.
 func (e *Engine) Restore(data []byte) error { return e.loadState(data) }
 
 func (e *Engine) loadState(data []byte) error {

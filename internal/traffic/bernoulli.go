@@ -29,19 +29,6 @@ func (p PacketSpec) Flits() []*flit.Flit {
 	return fs
 }
 
-// AppendFlits materializes the spec's flits out of the pool and appends them
-// to dst — the allocation-free path the engine uses on every cycle. Every
-// flit field is overwritten, so pooled flits carry no state from their
-// previous life.
-func (p PacketSpec) AppendFlits(dst []*flit.Flit, pool *flit.Pool) []*flit.Flit {
-	for i := uint16(0); i < p.NumFlits; i++ {
-		f := pool.Get()
-		p.fill(f, i)
-		dst = append(dst, f)
-	}
-	return dst
-}
-
 // MaterializeFlit builds flit seq of the packet out of the pool (the
 // engine's lazy injection path materializes one packet at a time this way).
 func (p PacketSpec) MaterializeFlit(pool *flit.Pool, seq uint16) *flit.Flit {

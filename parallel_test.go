@@ -18,10 +18,7 @@ func TestRunManyMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range configs {
-		seq, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq := run(t, cfg)
 		if !reflect.DeepEqual(par[i], seq) {
 			t.Errorf("config %d: parallel result differs from sequential\npar: %+v\nseq: %+v", i, par[i], seq)
 		}
@@ -86,10 +83,7 @@ func TestRunManySingleWorkerReusesEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range configs {
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := run(t, cfg)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("config %d (%s): reused-engine result differs from fresh run\ngot:  %+v\nwant: %+v",
 				i, cfg.Design, got[i], want)

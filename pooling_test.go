@@ -11,6 +11,50 @@ import (
 	"dxbar/internal/traffic"
 )
 
+// steadyLoad is a uniform-random load below the design's saturation point:
+// past saturation the source queues (and with them the flit pool) grow without
+// bound, which is real work, not a pooling regression — and a healthy run for
+// the run-health monitor, which then reports nothing.
+func steadyLoad(d Design) float64 {
+	switch d {
+	case DesignFlitBless:
+		return 0.12
+	case DesignSCARAB:
+		return 0.10
+	}
+	return 0.3
+}
+
+// bernoulliSource is the open-loop source of a test network: Bernoulli
+// injection of the named pattern at the given load.
+func bernoulliSource(tb testing.TB, mesh *topology.Mesh, pattern string, load float64, flits int, seed int64) *sim.SourceAdapter {
+	tb.Helper()
+	pat, err := traffic.New(pattern, mesh)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bern, err := traffic.NewBernoulli(mesh, pat, load, flits, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &sim.SourceAdapter{B: bern}
+}
+
+// drainSource is a Bernoulli source that falls silent at cycle stop, so that
+// the network can drain. Embedding the adapter keeps the random stream's
+// position in the engine's snapshots.
+type drainSource struct {
+	*sim.SourceAdapter
+	stop uint64
+}
+
+func (s *drainSource) Generate(node int, cycle uint64) []*traffic.PacketSpec {
+	if cycle >= s.stop {
+		return nil
+	}
+	return s.SourceAdapter.Generate(node, cycle)
+}
+
 // steadyNetwork builds an 8×8 network of the given design driven by
 // uniform-random Bernoulli traffic, for allocation and leak tests.
 func steadyNetwork(t *testing.T, design Design, load float64) *Network {
@@ -29,14 +73,6 @@ func steadyShardedNetwork(t *testing.T, design Design, load float64, shards int)
 func steadyMeshNetwork(t *testing.T, design Design, w, h int, load float64, shards int) *Network {
 	t.Helper()
 	mesh := topology.MustMesh(w, h)
-	pat, err := traffic.New("UR", mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bern, err := traffic.NewBernoulli(mesh, pat, load, 1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coll := stats.NewCollector(mesh.Nodes(), 0, 1<<40)
 	// Sampling is on (with a capacity small enough that the ring wraps
 	// during the alloc test) so the zero-alloc guard below also covers the
@@ -45,7 +81,7 @@ func steadyMeshNetwork(t *testing.T, design Design, w, h int, load float64, shar
 	net, err := NewNetwork(NetworkOptions{
 		Design: design,
 		Mesh:   mesh,
-		Source: &sim.SourceAdapter{B: bern},
+		Source: bernoulliSource(t, mesh, "UR", load, 1, 42),
 		Stats:  coll,
 		Shards: shards,
 		// The run-health monitor is on by default in the public Run path, so
@@ -64,17 +100,9 @@ func steadyMeshNetwork(t *testing.T, design Design, w, h int, load float64, shar
 // warmup (flit pool populated, event wheel and router scratch at their
 // steady sizes) the cycle loop must not allocate at all, for every design.
 func TestStepZeroAllocSteadyState(t *testing.T) {
-	// Loads are below each design's saturation point: past saturation the
-	// source queues (and with them the flit pool) grow without bound, which
-	// is real work, not a pooling regression.
-	load := map[Design]float64{DesignFlitBless: 0.12, DesignSCARAB: 0.10}
 	for _, d := range AllDesigns {
 		t.Run(string(d), func(t *testing.T) {
-			l, ok := load[d]
-			if !ok {
-				l = 0.3
-			}
-			net := steadyNetwork(t, d, l)
+			net := steadyNetwork(t, d, steadyLoad(d))
 			net.Engine.Run(3000)
 			avg := testing.AllocsPerRun(5, func() { net.Engine.Run(200) })
 			if avg != 0 {
@@ -124,20 +152,6 @@ func TestStepZeroAllocSteadyStateLargeMesh(t *testing.T) {
 	}
 }
 
-// stoppingSource gates a source off after a fixed cycle so the network can
-// drain completely.
-type stoppingSource struct {
-	inner sim.Source
-	stop  uint64
-}
-
-func (s *stoppingSource) Generate(node int, cycle uint64) []*traffic.PacketSpec {
-	if cycle >= s.stop {
-		return nil
-	}
-	return s.inner.Generate(node, cycle)
-}
-
 // TestPoolNoLeakAfterDrain checks the pooling ownership discipline: every
 // flit acquired from the pool is released exactly once (at ejection), so a
 // drained network has zero outstanding flits — across the buffered,
@@ -147,19 +161,11 @@ func TestPoolNoLeakAfterDrain(t *testing.T) {
 	for _, d := range []Design{DesignDXbar, DesignUnified, DesignFlitBless, DesignSCARAB, DesignBuffered4} {
 		t.Run(string(d), func(t *testing.T) {
 			mesh := topology.MustMesh(4, 4)
-			pat, err := traffic.New("UR", mesh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bern, err := traffic.NewBernoulli(mesh, pat, 0.4, 2, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
 			coll := stats.NewCollector(mesh.Nodes(), 0, 1<<40)
 			net, err := NewNetwork(NetworkOptions{
 				Design: d,
 				Mesh:   mesh,
-				Source: &stoppingSource{inner: &sim.SourceAdapter{B: bern}, stop: 500},
+				Source: &drainSource{bernoulliSource(t, mesh, "UR", 0.4, 2, 7), 500},
 				Stats:  coll,
 			})
 			if err != nil {

@@ -11,11 +11,8 @@ import (
 
 func quick45(t *testing.T, d Design, routing string) Result {
 	t.Helper()
-	res, err := Run(Config{Design: d, Routing: routing, Pattern: "UR", Load: 0.45,
+	res := run(t, Config{Design: d, Routing: routing, Pattern: "UR", Load: 0.45,
 		WarmupCycles: 1000, MeasureCycles: 4000, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return res
 }
 
@@ -87,11 +84,8 @@ func TestHeadlineEnergyOrdering(t *testing.T) {
 // ("Flit-Bless and SCARAB use as little energy as DXbar does at zero load").
 func TestZeroLoadEnergyParity(t *testing.T) {
 	get := func(d Design) float64 {
-		res, err := Run(Config{Design: d, Pattern: "UR", Load: 0.05,
+		res := run(t, Config{Design: d, Pattern: "UR", Load: 0.05,
 			WarmupCycles: 500, MeasureCycles: 2000, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res.AvgEnergyNJ
 	}
 	dx, fb := get(DesignDXbar), get(DesignFlitBless)
@@ -119,12 +113,9 @@ func TestUnifiedMatchesDual(t *testing.T) {
 // faults; WF degrades more than DOR.
 func TestHeadlineFaultDegradation(t *testing.T) {
 	run := func(algo string, faults float64) Result {
-		res, err := Run(Config{Design: DesignDXbar, Routing: algo, Pattern: "UR",
+		res := run(t, Config{Design: DesignDXbar, Routing: algo, Pattern: "UR",
 			Load: 0.35, WarmupCycles: 1000, MeasureCycles: 4000, Seed: 42,
 			FaultFraction: faults, FaultCycle: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 	dor0, dor100 := run("DOR", 0), run("DOR", 1.0)
@@ -225,12 +216,9 @@ func TestAllSplashBenchmarksComplete(t *testing.T) {
 // 2x2 steering reroutes around it after detection.
 func TestCrosspointFaultsGentlerThanCrossbarFaults(t *testing.T) {
 	run := func(gran string) Result {
-		res, err := Run(Config{Design: DesignDXbar, Pattern: "UR", Load: 0.35,
+		res := run(t, Config{Design: DesignDXbar, Pattern: "UR", Load: 0.35,
 			WarmupCycles: 1000, MeasureCycles: 4000, Seed: 42,
 			FaultFraction: 1.0, FaultCycle: 10, FaultGranularity: gran})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 	healthy := quick45(t, DesignDXbar, "DOR")

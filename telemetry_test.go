@@ -2,7 +2,6 @@ package dxbar
 
 import (
 	"io"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
-	"dxbar/internal/traffic"
 )
 
 // steadyTelemeteredNetwork is steadyShardedNetwork with a full live-metrics
@@ -21,14 +19,6 @@ import (
 func steadyTelemeteredNetwork(t *testing.T, shards int) (*Network, *metrics.Registry) {
 	t.Helper()
 	mesh := topology.MustMesh(8, 8)
-	pat, err := traffic.New("UR", mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bern, err := traffic.NewBernoulli(mesh, pat, 0.3, 1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coll := stats.NewCollector(mesh.Nodes(), 0, 1<<40)
 	coll.EnableTimeSeries(64, 32)
 	reg := metrics.NewRegistry()
@@ -40,7 +30,7 @@ func steadyTelemeteredNetwork(t *testing.T, shards int) (*Network, *metrics.Regi
 	net, err := NewNetwork(NetworkOptions{
 		Design:    DesignDXbar,
 		Mesh:      mesh,
-		Source:    &sim.SourceAdapter{B: bern},
+		Source:    bernoulliSource(t, mesh, "UR", 0.3, 1, 42),
 		Stats:     coll,
 		Shards:    shards,
 		Telemetry: tel,
@@ -53,43 +43,6 @@ func steadyTelemeteredNetwork(t *testing.T, shards int) (*Network, *metrics.Regi
 		t.Fatal(err)
 	}
 	return net, reg
-}
-
-// TestTelemetryBitIdentity is the observability contract: attaching a
-// registry and progress tracker must not change a single bit of the Result,
-// on either engine. Telemetry publication reads simulation state; it never
-// feeds back into it.
-func TestTelemetryBitIdentity(t *testing.T) {
-	base := Config{
-		Design: DesignDXbar, Routing: "DOR", Pattern: "UR", Load: 0.3,
-		WarmupCycles: 300, MeasureCycles: 1200, Seed: 42,
-	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"sequential", 0},
-		{"sharded", 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plainCfg := base
-			plainCfg.Shards = tc.shards
-			plain, err := Run(plainCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			telCfg := plainCfg
-			telCfg.Metrics = metrics.NewRegistry()
-			telCfg.Progress = metrics.NewProgress("cycles", 0)
-			tel, err := Run(telCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, tel) {
-				t.Errorf("telemetered result differs from plain run\nplain: %+v\ntel:   %+v", plain, tel)
-			}
-		})
-	}
 }
 
 // TestStepZeroAllocTelemetry extends the zero-allocation guard to a fully
