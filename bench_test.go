@@ -246,6 +246,30 @@ func BenchmarkIdleStep(b *testing.B) {
 	}
 }
 
+// BenchmarkClosedLoop is the kernel-level view of the benchmark's `splash`
+// workload: one RunSplash per iteration — coherence system and network built,
+// run to completion — on the lightest, the heaviest and the sleepiest profile,
+// reported as ns per router-cycle of the run's execution time; -benchmem adds
+// the allocations of a whole run, construction included.
+func BenchmarkClosedLoop(b *testing.B) {
+	for _, d := range []Design{DesignDXbar, DesignBuffered4} {
+		for _, bench := range []string{"LU", "Ocean", "Water"} {
+			b.Run(fmt.Sprintf("%s/%s", d, bench), func(b *testing.B) {
+				b.ReportAllocs()
+				var cycles uint64
+				for i := 0; i < b.N; i++ {
+					res, err := RunSplash(SplashConfig{Design: d, Benchmark: bench, Seed: benchSeed})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles += res.ExecutionCycles
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(cycles)*64), "ns/router-cycle")
+			})
+		}
+	}
+}
+
 // BenchmarkShardedStep is the sequential-vs-sharded column of the operating
 // point grid: dxbar under UR traffic below saturation at the two mesh sizes
 // sharding is meant for, on the sequential engine and on 2 and 4 shards,

@@ -56,6 +56,11 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 			"replay on flitbless (DOR): completed in 10492 cycles, 4646 packets, lat 12.7, 0.6758 nJ/packet\n"},
 		{[]string{"-replay", trace},
 			"replay on dxbar (DOR): completed in 10492 cycles, 4646 packets, lat 12.6, 0.6689 nJ/packet\n"},
+		// The recording went through the recorder's forwarded NextPending and
+		// the replay asks the player which nodes are due: the figures are the
+		// ones per-node polling of both produced.
+		{[]string{"-replay", trace, "-design", "buffered4"},
+			"replay on buffered4 (DOR): completed in 10499 cycles, 4646 packets, lat 18.0, 0.9927 nJ/packet\n"},
 		{[]string{"-bench", "LU", "-design", "dxbar"},
 			"benchmark  design     alg  exec (cyc)    packets  lat (cyc)      p50      p99    nJ/packet\n" +
 				"LU         dxbar      DOR       10477       4646       12.9       12       27       0.6689\n"},

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"dxbar/internal/energy"
@@ -10,6 +12,7 @@ import (
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
+	"dxbar/internal/traffic"
 )
 
 func TestProfilesComplete(t *testing.T) {
@@ -69,6 +72,13 @@ func tinyProfile() Profile {
 // completion.
 func runSystem(t *testing.T, prof Profile, seed int64) (*System, *stats.Collector) {
 	t.Helper()
+	return runSystemThrough(t, prof, seed, func(sys *System) sim.Source { return sys })
+}
+
+// runSystemThrough is runSystem with the engine's view of the system as a
+// Source chosen by the caller.
+func runSystemThrough(t *testing.T, prof Profile, seed int64, source func(*System) sim.Source) (*System, *stats.Collector) {
+	t.Helper()
 	mesh := topology.MustMesh(4, 4)
 	sys, err := NewSystem(mesh, prof, seed)
 	if err != nil {
@@ -78,7 +88,7 @@ func runSystem(t *testing.T, prof Profile, seed int64) (*System, *stats.Collecto
 	algo := routing.DOR{}
 	eng, err := sim.New(sim.Config{
 		Mesh: mesh, Meter: energy.NewMeter(), Stats: coll,
-		Source: sys, Sink: sys, BufferDepth: 4, PreCycle: sys.PreCycle,
+		Source: source(sys), Sink: sys, BufferDepth: 4, PreCycle: sys.PreCycle,
 	}, func(env *sim.Env) sim.Router { return router.NewBuffered(env, algo, false) })
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +120,132 @@ func TestWorkloadDeterministic(t *testing.T) {
 		if b.MsgCounts[typ] != n {
 			t.Errorf("message count %v differs: %d vs %d", typ, n, b.MsgCounts[typ])
 		}
+	}
+	// The lightest and the heaviest profile, pinned to what the substrate
+	// produced (seed 42, 4×4 Buffered 4) when its event queue was a map of
+	// closures and every tile was polled every cycle: every RNG draw, packet
+	// ID and outbox append still happens in that order. ids is an FNV-1a hash
+	// over every generated packet's ID, endpoints and cycle in generation order
+	// — the network does not care which of two packets got which ID, so only
+	// this catches two tiles' sends changing places within a cycle.
+	for _, pin := range []struct {
+		bench                string
+		finish, packets, ids uint64
+		counts               map[MsgType]uint64
+	}{
+		{"LU", 10408, 1100, 0xb7a18dcd54135852, map[MsgType]uint64{GetS: 242, GetM: 101, Data: 343, Inv: 2, InvAck: 2, Unblock: 343, Put: 60, PutAck: 60}},
+		{"Ocean", 6039, 5252, 0x3429eefb6c00d075, map[MsgType]uint64{GetS: 992, GetM: 555, Data: 1539, FwdGetS: 6, FwdGetM: 1, Inv: 17, InvAck: 17,
+			Unblock: 1547, Put: 457, PutAck: 457, UpgAck: 8}},
+	} {
+		prof, _ := ProfileByName(pin.bench)
+		var trace *idTrace
+		sys, coll := runSystemThrough(t, prof, 42, func(sys *System) sim.Source {
+			trace = &idTrace{sys: sys, hash: 14695981039346656037}
+			return trace
+		})
+		if got := coll.Results().Packets; sys.FinishCycle() != pin.finish || got != pin.packets || trace.hash != pin.ids {
+			t.Errorf("%s: finished at cycle %d with %d packets delivered, ID trace %#x, want %d, %d and %#x",
+				pin.bench, sys.FinishCycle(), got, trace.hash, pin.finish, pin.packets, pin.ids)
+		}
+		if !reflect.DeepEqual(sys.MsgCounts, pin.counts) {
+			t.Errorf("%s: message counts %v, want %v", pin.bench, sys.MsgCounts, pin.counts)
+		}
+	}
+}
+
+// idTrace shows a System to the engine as a plain Source (per-node polling)
+// and hashes what it generates.
+type idTrace struct {
+	sys  *System
+	hash uint64
+}
+
+func (s *idTrace) Generate(node int, cycle uint64) []*traffic.PacketSpec {
+	specs := s.sys.Generate(node, cycle)
+	for _, p := range specs {
+		for _, v := range []uint64{p.ID, uint64(p.Src), uint64(p.Dst), p.Cycle} {
+			s.hash = (s.hash ^ v) * 1099511628211
+		}
+	}
+	return specs
+}
+
+// checkCalendars is the polling form of the substrate's per-cycle loops, kept
+// as a reference predicate: after PreCycle(cycle) the incrementally maintained
+// sets and counts must equal what a scan of every tile, outbox, calendar slot
+// and table slot finds.
+func checkCalendars(t *testing.T, s *System, cycle uint64) {
+	t.Helper()
+	events := 0
+	for i := range s.events {
+		for n := s.events[i].head; n != 0; n = s.nodes[n-1].next {
+			events++
+		}
+	}
+	flights := 0
+	for _, f := range s.flights {
+		if f.id != 0 {
+			flights++
+		}
+	}
+	if events != s.nEvents || flights != s.nFlights {
+		t.Fatalf("cycle %d: counted %d events and %d messages in flight, the calendar holds %d and the table %d", cycle, s.nEvents, s.nFlights, events, flights)
+	}
+	due, pending, ready := make(nodeSet, len(s.due)), make(nodeSet, len(s.due)), make([]uint64, len(s.ready))
+	for n := range s.tiles {
+		tl := &s.tiles[n]
+		switch {
+		case tl.opsLeft <= 0:
+		case cycle >= tl.nextReadyCycle:
+			due.add(n)
+		default:
+			nodeSet(ready[int(tl.nextReadyCycle%s.readyLen)*len(s.due):]).add(n)
+		}
+		if len(s.outbox[n]) > 0 {
+			pending.add(n)
+		}
+	}
+	if !slices.Equal(pending, s.pending) {
+		t.Fatalf("cycle %d: pending set %x, the outboxes hold packets at %x", cycle, s.pending, pending)
+	}
+	if !slices.Equal(due, s.due) || !slices.Equal(ready, s.ready) {
+		t.Fatalf("cycle %d: due set %x and ready calendar %x, the tiles' opsLeft and nextReadyCycle say %x and %x", cycle, s.due, s.ready, due, ready)
+	}
+}
+
+// TestCalendarsMatchReference runs all nine profiles to completion on the 8×8
+// mesh of the figures, and LU on real caches (a run several times as long) on
+// a 4×4 one, and holds every cycle to checkCalendars.
+func TestCalendarsMatchReference(t *testing.T) {
+	profs := Profiles()
+	profs = append(profs, profs[1].Detailed())
+	for _, prof := range profs {
+		name, mesh := prof.Name, topology.MustMesh(8, 8)
+		if prof.DetailedCaches {
+			name, mesh = name+"-detailed", topology.MustMesh(4, 4)
+		}
+		t.Run(name, func(t *testing.T) {
+			sys, err := NewSystem(mesh, prof, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			algo := routing.DOR{}
+			eng, err := sim.New(sim.Config{
+				Mesh: mesh, Meter: energy.NewMeter(), Stats: stats.NewCollector(mesh.Nodes(), 0, 10_000_000),
+				Source: sys, Sink: sys, BufferDepth: 4,
+				PreCycle: func(cycle uint64) {
+					sys.PreCycle(cycle)
+					checkCalendars(t, sys, cycle)
+				},
+			}, func(env *sim.Env) sim.Router { return router.NewBuffered(env, algo, false) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eng.RunUntil(sys.Quiesced, 2_000_000) {
+				t.Fatalf("workload did not finish; outstanding=%d finished=%d", sys.OutstandingMessages(), sys.finished)
+			}
+			checkCalendars(t, sys, eng.Cycle()-1)
+		})
 	}
 }
 
@@ -223,7 +359,7 @@ func TestExecutionTimeScalesWithIntensity(t *testing.T) {
 func TestSharedVsPrivateAddressSpaces(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	sys, _ := NewSystem(mesh, tinyProfile(), 1)
-	t0, t1 := sys.tiles[0], sys.tiles[1]
+	t0, t1 := &sys.tiles[0], &sys.tiles[1]
 	for i := 0; i < 100; i++ {
 		a0, a1 := sys.privateAddr(t0), sys.privateAddr(t1)
 		if a0 == a1 {

@@ -17,6 +17,13 @@
 // *network-visible* behaviour matters for Figs. 9-10 — message mix, sizes,
 // request-reply dependences, per-benchmark intensity and sharing — and the
 // substitute generates exactly that structure (see DESIGN.md §4).
+//
+// A cycle costs what happens in it (System): a ready calendar — a ring of
+// tile bitsets, 2·ComputeGap + L2AccessLatency long — names the tiles that
+// may issue, an event calendar — a ring of typed records, MemoryLatency long
+// — the directory and memory accesses that end, a node bitset the outboxes
+// to drain. Messages, misses and events are values in reused tables and
+// directory entries come from slab chunks: steady state allocates nothing.
 package coherence
 
 // Latency and structural constants from Tables I and II.

@@ -1,6 +1,9 @@
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MsgType enumerates the MESI directory-protocol messages that travel the
 // network.
@@ -71,19 +74,19 @@ func (t MsgType) Flits() int {
 	return CtrlFlits
 }
 
-// message is one in-flight protocol message; the System maps packet IDs to
-// messages so Sink deliveries can be dispatched.
+// message is one protocol message, a small value: the in-flight table, the
+// event calendar and the wait queues hold messages, not pointers to them.
 type message struct {
-	typ  MsgType
 	addr uint64
+	typ  MsgType
 	// from and to are tile/directory node indices.
-	from, to int
+	from, to int32
 	// requester is the tile the transaction serves (meaningful for
 	// Fwd*/Inv, whose reply targets differ from their sender).
-	requester int
+	requester int32
 	// acks is the invalidation-ack count carried by a Data reply for a
 	// GetM over shared state.
-	acks int
+	acks int32
 }
 
 // dirState is a directory entry's stable MESI state (the requester-side
@@ -109,22 +112,37 @@ func (s dirState) String() string {
 	return "?"
 }
 
-// dirEntry is the directory's view of one block.
+// dirEntry is the directory's view of one block. Entries are carved from
+// slab chunks (System.entry) and never move, so events may point at them.
 type dirEntry struct {
-	state   dirState
-	owner   int
-	sharers map[int]bool
+	state dirState
 	// busy marks an in-flight transaction; further requests queue.
-	busy bool
-	// waiting holds requests that arrived while busy, FIFO.
-	waiting []*message
+	busy  bool
+	owner int32
+	// sharers is a bitset over tiles: ascending iteration is the sorted
+	// order invalidations must go out in.
+	sharers nodeSet
+	// waiting holds the requests that arrived while busy, FIFO.
+	waiting fifo
 }
 
-func (e *dirEntry) addSharer(tile int) {
-	if e.sharers == nil {
-		e.sharers = make(map[int]bool, 4)
+// nodeSet is a bitset over node indices.
+type nodeSet []uint64
+
+func (b nodeSet) add(n int)      { b[n>>6] |= 1 << (uint(n) & 63) }
+func (b nodeSet) remove(n int)   { b[n>>6] &^= 1 << (uint(n) & 63) }
+func (b nodeSet) has(n int) bool { return b[n>>6]>>(uint(n)&63)&1 != 0 }
+
+// next returns the lowest member that is at least from, or -1.
+func (b nodeSet) next(from int) int {
+	for w := from >> 6; w < len(b); w++ {
+		x := b[w]
+		if w == from>>6 {
+			x &= ^uint64(0) << (uint(from) & 63)
+		}
+		if x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
 	}
-	e.sharers[tile] = true
+	return -1
 }
-
-func (e *dirEntry) clearSharers() { e.sharers = nil }

@@ -225,7 +225,12 @@ func TestActivitySkipMatchesStepAll(t *testing.T) {
 				all := newActivityNet(t, tc.design, load, 500, tc.faulty)
 				all.Engine.SetStepAll(true)
 				for c := 0; c < 800; c += 50 {
-					skip.Engine.Run(50)
+					for i := 0; i < 50; i++ {
+						skip.Engine.Step()
+						if err := skip.Engine.CheckSleepInvariant(); err != nil {
+							t.Fatal(err)
+						}
+					}
 					all.Engine.Run(50)
 					if d := observe(t, all).diff(observe(t, skip)); d != "" {
 						t.Fatalf("by cycle %d the activity-driven run diverged from step-everything: %s", c+50, d)

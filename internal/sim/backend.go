@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -63,8 +64,9 @@ func (s *routerSteps) absorb(t *routerSteps) {
 type tile struct {
 	id int
 	// nodes lists the tile's node indices in ascending order, fixed at
-	// construction.
+	// construction; envs are their Envs, in the same order.
 	nodes []int
+	envs  []*Env
 
 	// staged marks a tile of the sharded engine: effects that must reach the
 	// engine in node order (completed packets, retransmissions, events) are
@@ -83,6 +85,21 @@ type tile struct {
 
 	// steps counts the tile's router-steps since the engine last folded them.
 	steps routerSteps
+
+	// Per-node byte flags, indexed by position in nodes (bind). awake[i] != 0:
+	// the node's router must be stepped this cycle — set wherever an input
+	// reaches the node (a landing flit, pushSpec, retransmit delivery) and for
+	// every node on construction, Reset and Restore; cleared in tilePhase alone.
+	// linkMask[i] has bit p set while a flit is on the link out of port p
+	// (Engine.linkStage), creditTick[i] while the credit counter of port p has
+	// returns in flight (set by the upstream ReturnCredit). Bytes, not bits:
+	// whoever delivers an input writes a flag with a plain store, and the phase
+	// reads them eight to a load (gather64). All three stay below 0x80.
+	awake, linkMask, creditTick []uint8
+	// stepped is the set of nodes stepped this cycle, inflight the set with
+	// linkMask != 0: bitsets over positions in nodes, written by this tile's
+	// phase only. Derived state, never serialized (Engine.deriveSets).
+	stepped, inflight []uint64
 
 	// Effects of the current cycle that cross the tile's boundary or must be
 	// replayed in node order, emptied by the barrier's merge — so between
@@ -127,107 +144,152 @@ type stagedRetx struct {
 	delay uint64
 }
 
+// bind completes a tile whose node list is final: every node learns its tile
+// and position, and the tile gets its flags and sets — allocations of its own
+// in whole cache lines (the sets' spare capacity is the padding), so two
+// tiles' workers never write the same line.
+func (t *tile) bind(e *Engine) {
+	n := len(t.nodes)
+	pad := (n + 63) &^ 63
+	flags := make([]uint8, 3*pad)
+	t.awake, t.linkMask, t.creditTick = flags[:pad], flags[pad:2*pad], flags[2*pad:]
+	t.stepped = make([]uint64, pad/64, (pad/64+7)&^7)
+	t.inflight = make([]uint64, pad/64, (pad/64+7)&^7)
+	t.envs = make([]*Env, n)
+	for i, node := range t.nodes {
+		env := e.envs[node]
+		env.tile, env.slot, env.wake = t, i, &t.awake[i]
+		t.envs[i] = env
+	}
+}
+
+// gather64 returns the set of non-zero bytes among flags[:64], bit i for
+// flags[i]. Every flag must be below 0x80.
+func gather64(flags []uint8) (set uint64) {
+	_ = flags[63]
+	for k := 0; k < 64; k += 8 {
+		x := binary.LittleEndian.Uint64(flags[k:])
+		x = (x + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080 // bit 7 of every non-zero byte
+		set |= (x >> 7) * 0x0102040810204080 >> 56 << k   // those eight bits, packed
+	}
+	return set
+}
+
 // tilePhase is one tile's whole cycle: everything in Engine.Step that is
 // per-node work. The sequential engine runs it once over every node; the
 // sharded engine runs one per tile concurrently, with no synchronization
-// between them until all are done. Two phases over the tile's nodes:
+// between them until all are done. Every walk visits a set's members, not the
+// tile's nodes, so a cycle costs what is active in it:
 //
-//  1. Router phase (SA/ST), activity-driven. A node whose awake flag is clear
-//     costs one byte test. An awake one first materializes queued packet specs
-//     into flits from the tile's pool when its injection deque runs low, then
-//     steps, and goes to sleep only when its router reported quiescent and the
-//     engine's own per-node inputs — the injection deque and the spec ring —
-//     are empty too (a non-empty queue is work the router may pick up on any
-//     later cycle). Whatever delivers the next input sets the flag again.
+//  1. Router phase (SA/ST) over the awake flags, gathered into stepped. A
+//     stepped node first materializes queued packet specs into flits from the
+//     tile's pool when its injection deque runs low, then steps, and goes to
+//     sleep only when its router reported quiescent and the engine's own
+//     per-node inputs — the injection deque and the spec ring — are empty too
+//     (a non-empty queue is work the router may pick up on any later cycle).
+//     Whatever delivers the next input sets the flag again.
 //  2. Link phase, three walks: land the flits that spent this cycle on the
-//     wires out of the tile's nodes, launch the ones the routers just
-//     switched (ejecting at Local), tick the credit pipelines. Ports are
-//     visited in ascending bit order and nodes in ascending order, which
-//     fixes the order of ejections and therefore of Eject events and Sink
-//     deliveries. One walk doing all three per node is ≈ 5 % faster at 32×32
-//     and 64×64 (each Env is visited once) and ≈ 5 % slower at 8×8, where
-//     everything is in cache and three tight loops win; the 8×8 case is what
-//     the paper's figures run, so three walks it is.
+//     wires (the inflight set), launch the ones the routers just switched,
+//     ejecting at Local (only a stepped router can have driven an output, so
+//     the walk is over stepped, and it leaves the next cycle's inflight set
+//     behind), tick the credit pipelines (the creditTick flags, gathered).
+//     Ports are visited in ascending bit order and nodes in ascending order,
+//     which fixes the order of ejections and therefore of Eject events and
+//     Sink deliveries. Three walks, not one doing all three per node, because
+//     that is what is faster at the figures' 8×8 (DESIGN.md §5c).
 //
 // Safety of running tiles concurrently rests on ownership: everything written
-// here belongs to one of the tile's own nodes (latches, link stage, masks,
-// awake flag, queues, reassembler, downstream credit counters), to the tile
-// (scratch meter and collector, pool, stages), or is a per-node row of the
+// here belongs to one of the tile's own nodes (latches, link stage, flags,
+// queues, reassembler, downstream credit counters), to the tile (sets,
+// scratch meter and collector, pool, stages), or is a per-node row of the
 // master collector (LinkEvent). The two writes that would reach a neighbour —
 // landing a flit and returning a credit — are staged when the neighbour is
 // another tile's (Env.crossMask) and replayed by the barrier.
 func (e *Engine) tilePhase(t *tile, c uint64) {
-	envs, awake := e.envs, e.awake
+	envs := t.envs
 	stepped := 0
-	for _, n := range t.nodes {
-		if awake[n] == 0 && !e.stepAll {
-			continue
+	for j := range t.stepped {
+		w := gather64(t.awake[j<<6:])
+		if e.stepAll {
+			w = ^uint64(0) >> uint(max(0, 64*(j+1)-len(envs)))
 		}
-		stepped++
-		env := envs[n]
-		if env.pendingSpecs.len() > 0 {
-			env.topUpInjection(t.pool)
-		}
-		quiescent := e.routers[n].Step(c)
-		checkConsumed(env, n, c)
-		if quiescent && env.injection.len() == 0 && env.pendingSpecs.len() == 0 {
-			awake[n] = 0
+		t.stepped[j] = w
+		stepped += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			i := j<<6 | bits.TrailingZeros64(w)
+			env := envs[i]
+			if env.pendingSpecs.len() > 0 {
+				env.topUpInjection(t.pool)
+			}
+			quiescent := e.routers[env.Node].Step(c)
+			checkConsumed(env, env.Node, c)
+			if quiescent && env.injection.len() == 0 && env.pendingSpecs.len() == 0 {
+				t.awake[i] = 0
+			}
 		}
 	}
-	t.steps.add(stepped, len(t.nodes))
+	t.steps.add(stepped, len(envs))
 
-	linkMask, linkStage := e.linkMask, e.linkStage
-	for _, u := range t.nodes {
-		m := linkMask[u]
-		if m == 0 {
-			continue
-		}
-		linkMask[u] = 0
-		env, row := envs[u], linkStage[u]
-		for b := m; b != 0; b &= b - 1 {
-			p := bits.TrailingZeros8(b)
-			f := row[p]
-			row[p] = nil
-			if env.crossMask&(1<<uint(p)) != 0 {
-				t.landings = append(t.landings, stagedLanding{env: env.nbrEnv[p], port: env.nbrIn[p], f: f})
-			} else {
-				e.land(env.nbrEnv[p], env.nbrIn[p], f, c)
+	linkStage := e.linkStage
+	for j, w := range t.inflight {
+		for ; w != 0; w &= w - 1 {
+			i := j<<6 | bits.TrailingZeros64(w)
+			m := t.linkMask[i]
+			t.linkMask[i] = 0
+			env := envs[i]
+			row := linkStage[env.Node]
+			for b := m; b != 0; b &= b - 1 {
+				p := bits.TrailingZeros8(b)
+				f := row[p]
+				row[p] = nil
+				if env.crossMask&(1<<uint(p)) != 0 {
+					t.landings = append(t.landings, stagedLanding{env: env.nbrEnv[p], port: env.nbrIn[p], f: f})
+				} else {
+					e.land(env.nbrEnv[p], env.nbrIn[p], f, c)
+				}
 			}
 		}
 	}
 	launched := 0
-	for _, u := range t.nodes {
-		env := envs[u]
-		m := env.outMask
-		if m == 0 {
-			continue
+	for j, w := range t.stepped {
+		var flying uint64
+		for ; w != 0; w &= w - 1 {
+			i := j<<6 | bits.TrailingZeros64(w)
+			env := envs[i]
+			m, u := env.outMask, env.Node
+			if m == 0 {
+				continue
+			}
+			env.outMask = 0
+			if m&(1<<uint(flit.Local)) != 0 {
+				f := env.out[flit.Local]
+				env.out[flit.Local] = nil
+				e.eject(t, u, f, c)
+				if m &^= 1 << uint(flit.Local); m == 0 {
+					continue
+				}
+			}
+			row := linkStage[u]
+			for b := m; b != 0; b &= b - 1 {
+				p := flit.Port(bits.TrailingZeros8(b))
+				f := env.out[p]
+				env.out[p] = nil
+				f.Hops++
+				// The master collector, not the tile's scratch: link-use rows
+				// are per node, so concurrent tiles write disjoint counters.
+				e.coll.LinkEvent(u, p, c)
+				row[p] = f
+			}
+			launched += bits.OnesCount8(m)
+			t.linkMask[i] = m
+			flying |= w & -w
 		}
-		env.outMask = 0
-		if m&(1<<uint(flit.Local)) != 0 {
-			f := env.out[flit.Local]
-			env.out[flit.Local] = nil
-			e.eject(t, u, f, c)
-			m &^= 1 << uint(flit.Local)
-		}
-		row := linkStage[u]
-		for b := m; b != 0; b &= b - 1 {
-			p := flit.Port(bits.TrailingZeros8(b))
-			f := env.out[p]
-			env.out[p] = nil
-			f.Hops++
-			// The master collector, not the tile's scratch: link-use rows
-			// are per node, so concurrent tiles write disjoint counters.
-			e.coll.LinkEvent(u, p, c)
-			row[p] = f
-		}
-		launched += bits.OnesCount8(m)
-		linkMask[u] |= m
+		t.inflight[j] = flying
 	}
-	// The mask check is hoisted out of the call so idle envs (no credits in
-	// flight) cost one load per cycle, not a call.
-	for _, u := range t.nodes {
-		if env := envs[u]; env.creditTickMask != 0 {
-			env.tickCredits()
+	for j := range t.stepped {
+		for w := gather64(t.creditTick[j<<6:]); w != 0; w &= w - 1 {
+			i := j<<6 | bits.TrailingZeros64(w)
+			t.creditTick[i] = envs[i].tickCredits(t.creditTick[i])
 		}
 	}
 	t.meter.AddLinkTraversals(uint64(launched))
@@ -241,7 +303,7 @@ func (e *Engine) land(nb *Env, q flit.Port, f *flit.Flit, c uint64) {
 	}
 	nb.In[q] = f
 	nb.InMask |= 1 << uint(q)
-	e.awake[nb.Node] = 1
+	*nb.wake = 1
 }
 
 // latchCollision is land's panic value: formatting is deferred to Error so
@@ -427,11 +489,10 @@ func newShardedBackend(e *Engine, n int) *shardedBackend {
 			t := &tile{id: j*gx + i, staged: true, pool: flit.NewPool()}
 			for y := ycuts[j]; y < ycuts[j+1]; y++ {
 				for x := xcuts[i]; x < xcuts[i+1]; x++ {
-					node := y*m.Width + x
-					t.nodes = append(t.nodes, node)
-					e.envs[node].tile = t
+					t.nodes = append(t.nodes, y*m.Width+x)
 				}
 			}
+			t.bind(e)
 			b.tiles[t.id] = t
 		}
 	}

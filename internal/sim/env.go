@@ -21,6 +21,8 @@ type Env struct {
 	engine *Engine
 	// Node is this router's node index.
 	Node int
+	// wake is the node's awake flag in its tile: a landing writes both lines.
+	wake *uint8
 	// In holds the flit latched on each cardinal input port this cycle
 	// (nil = none). The router must consume every entry during Step. InMask
 	// mirrors it (bit p set = In[p] != nil, maintained by the engine's land
@@ -38,12 +40,10 @@ type Env struct {
 	// portMask caches the node's cardinal link bitmask; blockedMask tracks
 	// output ports whose downstream credits are exhausted (bit maintained at
 	// Consume time in Send and at maturation time in tickCredits, the only
-	// two places Available changes mid-run); creditTickMask tracks counters
-	// with returns in flight (set by the upstream Return closure), so the
-	// per-cycle credit sweep touches only live pipelines.
-	portMask       uint8
-	blockedMask    uint8
-	creditTickMask uint8
+	// two places Available changes mid-run). The counters with returns in
+	// flight are flagged in the owning tile's creditTick byte.
+	portMask    uint8
+	blockedMask uint8
 	// crossMask marks the cardinal ports whose neighbour belongs to another
 	// tile of the sharded engine (always 0 on the sequential one): a flit
 	// landing through such a port, or a credit returned up it, is staged for
@@ -60,11 +60,11 @@ type Env struct {
 	downCredits [flit.NumLinkPorts]*buffer.Credits
 	// upCredits[p] is the neighbour counter replenished when a flit that
 	// arrived through input port p frees its slot (nil when bufferless or no
-	// link); upOwner/upBit locate the bit to set in that neighbour's
-	// creditTickMask. Plain data instead of a closure keeps ReturnCredit
+	// link); upTick/upBit locate the bit to set in that neighbour's
+	// creditTick flag. Plain data instead of a closure keeps ReturnCredit
 	// direct-call inlinable on the hot path.
 	upCredits [flit.NumLinkPorts]*buffer.Credits
-	upOwner   [flit.NumLinkPorts]*Env
+	upTick    [flit.NumLinkPorts]*uint8
 	upBit     [flit.NumLinkPorts]uint8
 
 	// nbrEnv[p] is the Env reached through output port p (nil when the link
@@ -82,12 +82,14 @@ type Env struct {
 	creditDelay  int
 
 	// tile is the tile that owns this node for the engine's lifetime (the
-	// sequential engine's only one, or a shard's), and meter, coll and rec are
+	// sequential engine's only one, or a shard's) and slot its position there
+	// (tile.bind); meter, coll and rec are
 	// what the node's router writes through: the engine's masters on the
 	// sequential engine, the owning tile's scratch meter/collector and a
 	// per-env event stage on the sharded one (see Engine.wireCollectors).
 	// Routers never see the difference.
 	tile  *tile
+	slot  int
 	meter *energy.Meter
 	coll  *stats.Collector
 	rec   *events.Recorder
@@ -148,7 +150,6 @@ func (env *Env) wireCredits() {
 		counter := env.engine.envs[nb].downCredits[p.Opposite()]
 		if counter != nil {
 			env.upCredits[p] = counter
-			env.upOwner[p] = env.engine.envs[nb]
 			env.upBit[p] = uint8(1) << uint(p.Opposite())
 		}
 	}
@@ -277,7 +278,7 @@ func (env *Env) ReturnCredit(p flit.Port) {
 		return
 	}
 	c.Return()
-	env.upOwner[p].creditTickMask |= env.upBit[p]
+	*env.upTick[p] |= env.upBit[p]
 }
 
 // applyLateReturn performs a staged credit return for input port p at the
@@ -285,13 +286,13 @@ func (env *Env) ReturnCredit(p flit.Port) {
 // for this cycle — so it leaves the counter and the owner's masks as Return
 // followed by that tick would have (see buffer.Credits.ReturnLate).
 func (env *Env) applyLateReturn(p flit.Port) {
-	c, owner := env.upCredits[p], env.upOwner[p]
+	c, owner := env.upCredits[p], env.nbrEnv[p] // links are two-way: the feeder of input p
 	c.ReturnLate()
 	if c.CanSend() {
 		owner.blockedMask &^= env.upBit[p]
 	}
 	if c.HasPending() {
-		owner.creditTickMask |= env.upBit[p]
+		*env.upTick[p] |= env.upBit[p]
 	}
 }
 
@@ -349,12 +350,12 @@ func (env *Env) ScheduleRetransmit(f *flit.Flit, delay uint64) {
 // goroutine before the tile phases are released, never concurrently with them.
 func (env *Env) pushFrontInjection(f *flit.Flit) {
 	env.injection.pushFront(f)
-	env.engine.awake[env.Node] = 1
+	*env.wake = 1
 }
 
 func (env *Env) pushSpec(s traffic.PacketSpec) {
 	env.pendingSpecs.pushBack(s)
-	env.engine.awake[env.Node] = 1
+	*env.wake = 1
 }
 
 func (env *Env) injectionLen() int { return env.injection.len() + env.pendingSpecs.flits }
@@ -392,9 +393,9 @@ func (env *Env) creditOccupancy() int {
 	return total
 }
 
-func (env *Env) tickCredits() {
-	m := env.creditTickMask
-	var still uint8
+// tickCredits ticks the credit pipelines flagged in m (the node's creditTick
+// byte) and returns the ones still carrying returns.
+func (env *Env) tickCredits(m uint8) (still uint8) {
 	for b := m; b != 0; b &= b - 1 {
 		p := bits.TrailingZeros8(b)
 		c := env.downCredits[p]
@@ -406,7 +407,7 @@ func (env *Env) tickCredits() {
 			still |= uint8(1) << uint(p)
 		}
 	}
-	env.creditTickMask = still
+	return still
 }
 
 // reset clears all per-run state: latches, the injection queue and the
@@ -422,7 +423,6 @@ func (env *Env) reset() {
 	env.outMask = 0
 	env.blockedMask = 0
 	env.InMask = 0
-	env.creditTickMask = 0
 	env.injection.clear()
 	env.pendingSpecs.clear()
 	for _, c := range env.downCredits {

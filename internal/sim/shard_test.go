@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dxbar"
 	"dxbar/internal/diag"
@@ -162,6 +163,41 @@ func TestShardPartitionStatic(t *testing.T) {
 			eng.Run(300)
 			check("after Reset and a second Run")
 		})
+	}
+}
+
+// TestTileSetsOwnCacheLines pins the layout the concurrent tile phases rely
+// on: the flags and sets a tile's phase writes are allocations of its own, in
+// whole 64-byte lines, so that no two tiles' workers ever write the same cache
+// line (side-by-side tiles sharing lines cost mesh32_sharded 23 % when PR17
+// measured it).
+func TestTileSetsOwnCacheLines(t *testing.T) {
+	for _, c := range []struct{ w, h, shards int }{{8, 8, 1}, {8, 8, 4}, {12, 5, 6}, {32, 32, 2}} {
+		net := shardNet(t, c.w, c.h, 0.1, c.shards, nil)
+		flags, sets := net.Engine.TileSets()
+		if len(flags) != c.shards || len(sets) != 2*c.shards {
+			t.Fatalf("%dx%d/%d shards: %d flag and %d set arrays", c.w, c.h, c.shards, len(flags), len(sets))
+		}
+		type span struct{ lo, hi uintptr }
+		var spans []span
+		add := func(kind string, base unsafe.Pointer, bytes int) {
+			lo := uintptr(base)
+			if bytes == 0 || bytes%64 != 0 || lo%64 != 0 {
+				t.Errorf("%dx%d/%d shards: %s array of %d bytes at %#x is not whole cache lines", c.w, c.h, c.shards, kind, bytes, lo)
+			}
+			for _, o := range spans {
+				if lo < o.hi && o.lo < lo+uintptr(bytes) {
+					t.Errorf("%dx%d/%d shards: %s array [%#x, %#x) overlaps [%#x, %#x)", c.w, c.h, c.shards, kind, lo, lo+uintptr(bytes), o.lo, o.hi)
+				}
+			}
+			spans = append(spans, span{lo, lo + uintptr(bytes)})
+		}
+		for _, f := range flags {
+			add("flag", unsafe.Pointer(unsafe.SliceData(f)), len(f))
+		}
+		for _, s := range sets {
+			add("set", unsafe.Pointer(unsafe.SliceData(s)), 8*len(s))
+		}
 	}
 }
 

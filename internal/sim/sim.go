@@ -55,11 +55,22 @@ type Router interface {
 	Step(cycle uint64) (quiescent bool)
 }
 
-// Source generates packets. Generate is called once per node per cycle,
-// before the router phase; returned packets are enqueued at the node's
-// injection queue in order.
+// Source generates packets. Generate is called once per node per cycle, in
+// ascending node order, before the router phase; returned packets are enqueued
+// at the node's injection queue in order.
 type Source interface {
 	Generate(node int, cycle uint64) []*traffic.PacketSpec
+}
+
+// PendingSource is a Source that knows which nodes have output: NextPending
+// returns the lowest node at or above from whose Generate would return packets
+// this cycle (negative: none), and the engine calls Generate for those nodes
+// only. The capability is looked for when the engine is given the source (New,
+// Reset). A source that must draw per node per cycle (SourceAdapter) cannot
+// promise silence for the nodes passed over and keeps the per-node loop.
+type PendingSource interface {
+	Source
+	NextPending(from int, cycle uint64) int
 }
 
 // Sink observes completed packets (after reassembly). Closed-loop workloads
@@ -127,24 +138,16 @@ type Engine struct {
 	meter   *energy.Meter
 	coll    *stats.Collector
 	source  Source
+	pending PendingSource // source, when it has the capability
 	sink    Sink
 	routers []Router
 	envs    []*Env
 
 	// linkStage[n][p] holds the flit traversing the link out of node n's
-	// port p during the current cycle (the LT stage); linkMask[n] mirrors the
-	// row as a bitmask so the link phase touches only nodes with in-flight
-	// flits — one byte load per idle node instead of four pointer loads.
+	// port p during the current cycle (the LT stage); the owning tile's
+	// linkMask flag mirrors the row as a bitmask.
 	linkStage [][]*flit.Flit
-	linkMask  []uint8
 
-	// awake[n] != 0 means node n's router must be stepped this cycle (see
-	// tilePhase, the one place the flag is tested and cleared). It is set
-	// wherever an input reaches a node — a landing flit, pushSpec, retransmit
-	// delivery — and for every node on construction, Reset and Restore. One
-	// byte per node, not one bit, so shard workers writing their own nodes'
-	// flags write disjoint variables. Derived state: never serialized.
-	awake []uint8
 	// stepAll disables the skip (every router steps every cycle) — the
 	// unexported differential oracle the activity tests compare against.
 	stepAll bool
@@ -230,8 +233,6 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		source:      cfg.Source,
 		sink:        cfg.Sink,
 		linkStage:   make([][]*flit.Flit, n),
-		linkMask:    make([]uint8, n),
-		awake:       make([]uint8, n),
 		reasm:       make([]*flit.Reassembler, n),
 		wheel:       newEventWheel(64),
 		pool:        flit.NewPool(),
@@ -242,6 +243,7 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		bufferDepth: cfg.BufferDepth,
 		creditDelay: cfg.CreditDelay,
 	}
+	e.pending, _ = cfg.Source.(PendingSource)
 	if cfg.BufferDepth > 0 {
 		e.creditSlab = buffer.NewCreditsSlab(n*flit.NumLinkPorts, cfg.BufferDepth, cfg.CreditDelay)
 	}
@@ -280,9 +282,16 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		all := &tile{nodes: make([]int, n), pool: e.pool}
 		for i := range all.nodes {
 			all.nodes[i] = i
-			e.envs[i].tile = all
 		}
+		all.bind(e)
 		e.tiles = []*tile{all}
+	}
+	for _, env := range e.envs {
+		for p, o := range env.nbrEnv { // links are two-way: o feeds input port p
+			if env.upCredits[p] != nil {
+				env.upTick[p] = &o.tile.creditTick[o.slot]
+			}
+		}
 	}
 	e.wireCollectors()
 	e.installDiag()
@@ -290,15 +299,21 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	for i := 0; i < n; i++ {
 		e.routers[i] = factory(e.envs[i])
 	}
-	e.wakeAll()
+	e.deriveSets()
 	return e, nil
 }
 
-// wakeAll marks every node for stepping — the state of an engine whose
-// routers have not yet reported anything (construction, Reset, Restore).
-func (e *Engine) wakeAll() {
-	for i := range e.awake {
-		e.awake[i] = 1
+// deriveSets rebuilds the tiles' derived state (construction, Reset, Restore):
+// every node is marked for stepping — no router has reported anything yet —
+// and the inflight sets are gathered from the linkMask flags.
+func (e *Engine) deriveSets() {
+	for _, t := range e.tiles {
+		for i := range t.nodes {
+			t.awake[i] = 1
+		}
+		for j := range t.inflight {
+			t.inflight[j] = gather64(t.linkMask[j<<6:])
+		}
 	}
 }
 
@@ -419,10 +434,15 @@ func (e *Engine) Step() {
 	// injection backlog (which grows without bound above saturation and would
 	// otherwise force a fresh allocation for every backlog increment). A
 	// source draws from one random stream in node order, which pins this loop
-	// to one goroutine.
-	if e.source != nil {
-		for n := range e.envs {
-			for _, spec := range e.source.Generate(n, c) {
+	// to one goroutine. A PendingSource names the nodes worth asking.
+	if src, pending := e.source, e.pending; src != nil {
+		for n := 0; n < len(e.envs); n++ {
+			if pending != nil {
+				if n = pending.NextPending(n, c); n < 0 || n >= len(e.envs) {
+					break
+				}
+			}
+			for _, spec := range src.Generate(n, c) {
 				e.coll.PacketInjected(c)
 				e.coll.GeneratedFlits(c, int(spec.NumFlits))
 				e.envs[n].pushSpec(*spec)
@@ -498,7 +518,7 @@ func (e *Engine) observeDiagWindow(c uint64) {
 				oldest, node = f, int32(u)
 			}
 		}
-		for b := e.linkMask[u]; b != 0; b &= b - 1 {
+		for b := env.tile.linkMask[env.slot]; b != 0; b &= b - 1 {
 			if f := e.linkStage[u][bits.TrailingZeros8(b)]; f != nil && (oldest == nil || f.InjectionCycle < oldest.InjectionCycle) {
 				oldest, node = f, int32(u)
 			}
@@ -646,6 +666,7 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	e.meter = cfg.Meter
 	e.coll = cfg.Stats
 	e.source = cfg.Source
+	e.pending, _ = cfg.Source.(PendingSource)
 	e.sink = cfg.Sink
 	e.rec = cfg.Events
 	e.telemetry = cfg.Telemetry
@@ -669,10 +690,13 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 		for p := range e.linkStage[i] {
 			e.linkStage[i][p] = nil
 		}
-		e.linkMask[i] = 0
 		e.routers[i] = factory(e.envs[i])
 	}
-	e.wakeAll()
+	for _, t := range e.tiles {
+		clear(t.linkMask)
+		clear(t.creditTick)
+	}
+	e.deriveSets()
 	return nil
 }
 

@@ -57,7 +57,7 @@ func (env *Env) RegisterShared(s SharedState) {
 }
 
 // linkMaskLimit bounds every port bitmask in the stream: InMask, linkMask,
-// blockedMask and creditTickMask only ever carry cardinal-port bits.
+// blockedMask and creditTick only ever carry cardinal-port bits.
 const linkMaskLimit = 1 << flit.NumLinkPorts
 
 // Snapshot serializes the engine's complete simulation state — every flit in
@@ -103,7 +103,7 @@ func (e *Engine) Snapshot(out io.Writer) error {
 			flit.Save(w, env.In[bits.TrailingZeros8(b)])
 		}
 		w.U8(env.blockedMask)
-		w.U8(env.creditTickMask)
+		w.U8(env.tile.creditTick[env.slot])
 		w.U32(uint32(env.injection.len()))
 		for i := 0; i < env.injection.len(); i++ {
 			flit.Save(w, env.injection.buf[(env.injection.head+i)&(len(env.injection.buf)-1)])
@@ -115,9 +115,10 @@ func (e *Engine) Snapshot(out io.Writer) error {
 	}
 
 	w.Tag("LINK")
-	for u := range e.envs {
-		w.U8(e.linkMask[u])
-		for b := e.linkMask[u]; b != 0; b &= b - 1 {
+	for u, env := range e.envs {
+		mask := env.tile.linkMask[env.slot]
+		w.U8(mask)
+		for b := mask; b != 0; b &= b - 1 {
 			flit.Save(w, e.linkStage[u][bits.TrailingZeros8(b)])
 		}
 	}
@@ -224,9 +225,6 @@ func (e *Engine) loadState(data []byte) error {
 	}
 	e.cycle = cycle
 	e.retransmits = retransmits
-	// The awake flags are derived state and not in the stream: every router
-	// steps once after a restore and reports its quiescence afresh.
-	e.wakeAll()
 
 	r.Expect("SRC ")
 	hasSrc := r.Bool()
@@ -271,7 +269,7 @@ func (e *Engine) loadState(data []byte) error {
 			return fmt.Errorf("sim: snapshot credit masks out of range at node %d", env.Node)
 		}
 		env.blockedMask = blocked
-		env.creditTickMask = tick
+		env.tile.creditTick[env.slot] = tick
 		ninj := r.Len(1 << 24)
 		if err := r.Err(); err != nil {
 			return err
@@ -297,7 +295,7 @@ func (e *Engine) loadState(data []byte) error {
 	}
 
 	r.Expect("LINK")
-	for u := range e.envs {
+	for u, env := range e.envs {
 		mask := r.U8()
 		if r.Err() == nil && uint(mask) >= linkMaskLimit {
 			return fmt.Errorf("sim: snapshot link mask %#x out of range at node %d", mask, u)
@@ -310,8 +308,12 @@ func (e *Engine) loadState(data []byte) error {
 			}
 			e.linkStage[u][p] = f
 		}
-		e.linkMask[u] = mask
+		env.tile.linkMask[env.slot] = mask
 	}
+	// The awake flags and the inflight sets are derived state and not in the
+	// stream: every router steps once after a restore and reports its
+	// quiescence afresh.
+	e.deriveSets()
 
 	r.Expect("WHEL")
 	nslots := r.Len(1 << 20)

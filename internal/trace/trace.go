@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 
 	"dxbar/internal/flit"
 	"dxbar/internal/traffic"
@@ -107,7 +108,7 @@ func Read(r io.Reader) (*Trace, error) {
 }
 
 // Recorder wraps a Source and captures everything it generates. It
-// implements sim.Source.
+// implements sim.Source and sim.PendingSource.
 type Recorder struct {
 	Inner interface {
 		Generate(node int, cycle uint64) []*traffic.PacketSpec
@@ -130,28 +131,52 @@ func (r *Recorder) Generate(node int, cycle uint64) []*traffic.PacketSpec {
 	return specs
 }
 
-// Player replays a trace open-loop. It implements sim.Source. Records must
-// be grouped by cycle in nondecreasing order per source node, which is how
-// Recorder lays them down.
+// NextPending implements sim.PendingSource by forwarding to an Inner that has
+// the capability; without it every node is named pending, which is the
+// engine's per-node polling.
+func (r *Recorder) NextPending(from int, cycle uint64) int {
+	if p, ok := r.Inner.(interface{ NextPending(int, uint64) int }); ok {
+		return p.NextPending(from, cycle)
+	}
+	return from
+}
+
+// Player replays a trace open-loop. It implements sim.Source and
+// sim.PendingSource. Records must be grouped by cycle in nondecreasing order
+// per source node, which is how Recorder lays them down.
 type Player struct {
-	byNode map[int][]Record
-	pos    map[int]int
+	// srcs lists the source nodes with records, ascending; recs[k] are the
+	// records of srcs[k] and pos[k] the next one to replay.
+	srcs   []int
+	recs   [][]Record
+	pos    []int
 	nextID uint64
 }
 
 // NewPlayer indexes a trace for replay.
 func NewPlayer(t *Trace) *Player {
-	p := &Player{byNode: make(map[int][]Record), pos: make(map[int]int), nextID: 1}
+	byNode := make(map[int][]Record)
 	for _, r := range t.Records {
-		p.byNode[int(r.Src)] = append(p.byNode[int(r.Src)], r)
+		byNode[int(r.Src)] = append(byNode[int(r.Src)], r)
+	}
+	p := &Player{pos: make([]int, len(byNode)), nextID: 1}
+	for n := range byNode {
+		p.srcs = append(p.srcs, n)
+	}
+	sort.Ints(p.srcs)
+	for _, n := range p.srcs {
+		p.recs = append(p.recs, byNode[n])
 	}
 	return p
 }
 
 // Generate implements sim.Source.
 func (p *Player) Generate(node int, cycle uint64) []*traffic.PacketSpec {
-	recs := p.byNode[node]
-	i := p.pos[node]
+	k := sort.SearchInts(p.srcs, node)
+	if k == len(p.srcs) || p.srcs[k] != node {
+		return nil
+	}
+	recs, i := p.recs[k], p.pos[k]
 	var out []*traffic.PacketSpec
 	for i < len(recs) && recs[i].Cycle <= cycle {
 		r := recs[i]
@@ -166,15 +191,26 @@ func (p *Player) Generate(node int, cycle uint64) []*traffic.PacketSpec {
 		p.nextID++
 		i++
 	}
-	p.pos[node] = i
+	p.pos[k] = i
 	return out
+}
+
+// NextPending implements sim.PendingSource: the lowest node at or above from
+// whose next record is due by cycle, or -1.
+func (p *Player) NextPending(from int, cycle uint64) int {
+	for k := sort.SearchInts(p.srcs, from); k < len(p.srcs); k++ {
+		if i := p.pos[k]; i < len(p.recs[k]) && p.recs[k][i].Cycle <= cycle {
+			return p.srcs[k]
+		}
+	}
+	return -1
 }
 
 // Remaining returns the number of unreplayed records.
 func (p *Player) Remaining() int {
 	total := 0
-	for node, recs := range p.byNode {
-		total += len(recs) - p.pos[node]
+	for k, recs := range p.recs {
+		total += len(recs) - p.pos[k]
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,63 @@ func TestPlayerReplaysEverything(t *testing.T) {
 	}
 	if total != 3 || p.Remaining() != 0 {
 		t.Errorf("replayed %d records, remaining %d", total, p.Remaining())
+	}
+}
+
+// pendingInner is a Source with the NextPending capability: node 5 only.
+type pendingInner struct{}
+
+func (pendingInner) Generate(node int, cycle uint64) []*traffic.PacketSpec { return nil }
+func (pendingInner) NextPending(from int, cycle uint64) int {
+	if from <= 5 {
+		return 5
+	}
+	return -1
+}
+
+// The recorder forwards the capability of what it wraps, and names every node
+// pending — per-node polling — when the wrapped source has none.
+func TestRecorderForwardsPending(t *testing.T) {
+	var _ sim.PendingSource = (*Recorder)(nil)
+	fwd := &Recorder{Inner: pendingInner{}}
+	if a, b := fwd.NextPending(0, 7), fwd.NextPending(6, 7); a != 5 || b != -1 {
+		t.Errorf("forwarded NextPending = %d, %d, want 5, -1", a, b)
+	}
+	mesh := topology.MustMesh(8, 8)
+	pat, _ := traffic.New("UR", mesh)
+	bern, _ := traffic.NewBernoulli(mesh, pat, 0.5, 1, 1)
+	polled := &Recorder{Inner: &sim.SourceAdapter{B: bern}}
+	for _, from := range []int{0, 17, 63, 64} {
+		if got := polled.NextPending(from, 3); got != from {
+			t.Errorf("NextPending(%d) over a source without the capability = %d, want %d", from, got, from)
+		}
+	}
+}
+
+// The player names exactly the nodes whose next record is due, ascending.
+func TestPlayerNextPending(t *testing.T) {
+	var _ sim.PendingSource = (*Player)(nil)
+	p := NewPlayer(sample())
+	due := func(cycle uint64) (nodes []int) {
+		for n := p.NextPending(0, cycle); n >= 0; n = p.NextPending(n+1, cycle) {
+			nodes = append(nodes, n)
+		}
+		return nodes
+	}
+	if got := due(0); !slices.Equal(got, []int{1}) {
+		t.Errorf("due at cycle 0: %v, want [1]", got)
+	}
+	p.Generate(1, 0)
+	if got := due(2); got != nil {
+		t.Errorf("due at cycle 2: %v, want none", got)
+	}
+	if got := due(3); !slices.Equal(got, []int{2, 9}) {
+		t.Errorf("due at cycle 3: %v, want [2 9]", got)
+	}
+	p.Generate(2, 3)
+	p.Generate(9, 3)
+	if got := due(100); got != nil || p.Remaining() != 0 {
+		t.Errorf("after replaying everything: due %v, %d records remaining", got, p.Remaining())
 	}
 }
 

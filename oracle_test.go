@@ -16,6 +16,7 @@ import (
 	"dxbar/internal/events"
 	"dxbar/internal/faults"
 	"dxbar/internal/metrics"
+	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
 	"dxbar/internal/traffic"
@@ -39,9 +40,11 @@ const lockstepEvery = 50
 type equivCase struct {
 	group, name string
 	// cfg is the open-loop run; with bench set the row is that SPLASH-2
-	// profile run closed-loop to completion on cfg.Design instead.
+	// profile run closed-loop to completion on cfg.Design instead (with ops
+	// memory operations per processor, when set).
 	cfg   Config
 	bench string
+	ops   int
 	// live rows are stepped by the oracle itself, because the facade hides the
 	// engine: they are compared on liveResult and held to the lockstep standard
 	// too. Closed-loop rows are always live. Every other row goes through Run,
@@ -68,10 +71,11 @@ const (
 	ledgerArchived     // archived into a run ledger
 	ledgerServed       // served from that archive without simulating
 	midrunRestore      // live rows: Engine.Snapshot at half time, restored into a fresh engine
+	polled             // closed-loop rows: the system behind a wrapper that hides sim.PendingSource
 )
 
 var viaNames = [...]string{"", "checkpointed@%d", "resume@%d", "resume@%d-other", "reused", "nodiag", "telemetry", "traced",
-	"ledger-archived", "ledger-served", "midrun-restore"}
+	"ledger-archived", "ledger-served", "midrun-restore", "polled"}
 
 // payload is each path's declared normalisation: the Result fields that way of
 // running adds or withholds by design, cleared on both sides before they are
@@ -239,6 +243,9 @@ func liveNetwork(t *testing.T, cfg Config, p path, sys *coherence.System) *Netwo
 	}
 	if sys != nil {
 		o.Source, o.Sink, o.PreCycle = sys, sys, sys.PreCycle
+		if p.via == polled { // only Generate shows through: the engine asks every node
+			o.Source = struct{ sim.Source }{sys}
+		}
 		o.Stats = stats.NewCollector(mesh.Nodes(), 0, 3_000_000)
 	} else {
 		o.Source = &drainSource{bernoulliSource(t, mesh, cfg.Pattern, cfg.Load, cfg.FlitsPerPacket, cfg.Seed), total}
@@ -286,6 +293,9 @@ func runLive(t *testing.T, c *equivCase, p path) outcome {
 		prof, ok := coherence.ProfileByName(c.bench)
 		if !ok {
 			t.Fatalf("unknown benchmark %q", c.bench)
+		}
+		if c.ops > 0 {
+			prof.OpsPerProc = c.ops
 		}
 		var err error
 		if sys, err = coherence.NewSystem(topology.MustMesh(cfg.Width, cfg.Height), prof, 42); err != nil {
@@ -480,9 +490,16 @@ var equivCases = func() (rows []equivCase) {
 	// The lightly loaded closed loop, where the order of Sink deliveries feeds
 	// back into what is injected next: a sharded engine that delivered a
 	// cycle's packets in any order but ascending destination node would drive
-	// its coherence system, and soon its network, somewhere else.
-	for _, d := range []Design{DesignDXbar, DesignBuffered4, DesignFlitBless} {
-		rows = append(rows, equivCase{group: "closed-loop", name: string(d), cfg: Config{Design: d}, bench: "LU", asleep: true})
+	// its coherence system, and soon its network, somewhere else. The six
+	// design/routing pairs of Figure 9 on its lightest and its heaviest
+	// benchmark: LU keeps 6.5 of 64 nodes awake per cycle, Ocean 40.
+	for _, fd := range figureDesigns {
+		name := string(fd.Design)
+		if fd.Routing != "DOR" {
+			name += "-" + strings.ToLower(fd.Routing)
+		}
+		rows = append(rows, equivCase{group: "closed-loop", name: name, cfg: Config{Design: fd.Design, Routing: fd.Routing}, bench: "LU", asleep: true},
+			equivCase{group: "closed-loop", name: name + "/Ocean", cfg: Config{Design: fd.Design, Routing: fd.Routing}, bench: "Ocean"})
 	}
 	// DXbar's configuration axes: another productive-port set per hop, age-free
 	// arbitration, a fairness threshold that flips the unified fabric's
@@ -575,7 +592,7 @@ func TestActivityBitIdentityLowLoad(t *testing.T) {
 }
 func TestActivityShardedLowLoad(t *testing.T) { assertAll(t, rows("idle-live"), shards(4)) }
 func TestActivityBitIdentitySplash(t *testing.T) {
-	assertAll(t, rows("closed-loop"), shards(2), seq.through(midrunRestore))
+	assertAll(t, rows("closed-loop"), shards(2), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore), seq.through(polled))
 }
 func TestActivityEngineReuse(t *testing.T) {
 	assertAll(t, rows("reuse-idle"), seq.through(reused), shards(2), shards(2).through(reused))
@@ -616,8 +633,10 @@ func TestOracleCrossings(t *testing.T) {
 // FuzzExecutionPaths decodes its input into a row — small meshes, non-square
 // ones and ones the shard count does not divide among them, at most 400 cycles
 // — and a subset of the paths, and holds the facade run and its live twin to
-// assertEquivalent, the twin with the conservation audit on. The committed
-// corpus (testdata/fuzz/FuzzExecutionPaths) runs with the tests.
+// assertEquivalent, the twin with the conservation audit on; with the
+// closed-loop bit set, a SPLASH-2 profile of at most 150 operations per
+// processor on the same design and mesh as well. The committed corpus
+// (testdata/fuzz/FuzzExecutionPaths) runs with the tests.
 func FuzzExecutionPaths(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		at := func(i int) int {
@@ -663,5 +682,17 @@ func FuzzExecutionPaths(f *testing.F) {
 		// tolerance on the dual crossbar only): its flits never drain.
 		c.live, c.conserve = true, cfg.Design != DesignUnified || cfg.FaultFraction == 0
 		assertEquivalent(t, &c, live...)
+		if b := at(17); b&1 != 0 && cfg.Width*cfg.Height >= coherence.NumDirectories {
+			benches := SplashBenchmarks()
+			loop := equivCase{cfg: Config{Design: cfg.Design, Routing: cfg.Routing, Width: cfg.Width, Height: cfg.Height},
+				bench: benches[b>>1%len(benches)], ops: 30 * (1 + b>>5%5)}
+			var closed []path
+			for i, p := range []path{shards(k), seq.through(midrunRestore), shards(k).through(midrunRestore), seq.through(polled)} {
+				if at(18)>>i&1 != 0 {
+					closed = append(closed, p)
+				}
+			}
+			assertEquivalent(t, &loop, closed...)
+		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dxbar/internal/coherence"
 	"dxbar/internal/diag"
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
@@ -184,5 +185,45 @@ func TestPoolNoLeakAfterDrain(t *testing.T) {
 				t.Errorf("%s: %d flits leaked from the pool", d, got)
 			}
 		})
+	}
+}
+
+// TestClosedLoopZeroAllocSteadyState is the closed-loop twin of
+// TestStepZeroAllocSteadyState: once the coherence substrate's calendars,
+// in-flight table and outboxes have reached their working size, a cycle of a
+// SPLASH-2 run allocates nothing but the slab chunk a first-touched directory
+// entry occasionally needs — on the lightest and the heaviest profile, three
+// designs, sequential and sharded.
+func TestClosedLoopZeroAllocSteadyState(t *testing.T) {
+	for _, bench := range []string{"LU", "Ocean"} {
+		for _, d := range []Design{DesignDXbar, DesignBuffered4, DesignFlitBless} {
+			for _, shards := range []int{0, 2} {
+				t.Run(fmt.Sprintf("%s/%s/shards%d", bench, d, shards), func(t *testing.T) {
+					mesh := topology.MustMesh(8, 8)
+					prof, _ := coherence.ProfileByName(bench)
+					sys, err := coherence.NewSystem(mesh, prof, 42)
+					if err != nil {
+						t.Fatal(err)
+					}
+					net, err := NewNetwork(NetworkOptions{
+						Design: d, Mesh: mesh, Shards: shards, Source: sys, Sink: sys, PreCycle: sys.PreCycle,
+						Stats: stats.NewCollector(mesh.Nodes(), 0, 1<<40),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					net.Engine.Run(2000)
+					const window = 200
+					avg := testing.AllocsPerRun(10, func() { net.Engine.Run(window) })
+					if sys.Done() {
+						t.Fatal("the workload finished inside the measured windows")
+					}
+					if avg > 0.05*window {
+						t.Errorf("%.1f allocations per %d-cycle window in steady state, want at most %.0f", avg, window, 0.05*window)
+					}
+					t.Logf("%.2f allocations per %d-cycle window", avg, window)
+				})
+			}
+		}
 	}
 }

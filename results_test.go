@@ -2,7 +2,14 @@ package dxbar
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"dxbar/internal/coherence"
+	"dxbar/internal/sim"
+	"dxbar/internal/stats"
+	"dxbar/internal/topology"
+	"dxbar/internal/trace"
 )
 
 // These tests guard the paper's headline qualitative results — the "shape"
@@ -176,6 +183,70 @@ func TestTraceRoundTripAllDesigns(t *testing.T) {
 		if res.Packets == 0 {
 			t.Fatalf("%s delivered nothing", d)
 		}
+	}
+}
+
+// A recording through the recorder's forwarded NextPending is the recording
+// per-node polling makes, byte for byte, and a replay through the player's
+// NextPending ends where a polled replay ends.
+func TestTraceForwardedMatchesPolled(t *testing.T) {
+	record := func(hide bool) []byte {
+		mesh := topology.MustMesh(8, 8)
+		prof, _ := coherence.ProfileByName("LU")
+		sys, err := coherence.NewSystem(mesh, prof, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &trace.Recorder{Inner: sys, Trace: trace.Trace{Width: 8, Height: 8}}
+		if hide {
+			rec.Inner = struct{ sim.Source }{sys}
+		}
+		net, err := NewNetwork(NetworkOptions{Design: DesignDXbar, Mesh: mesh, Source: rec, Sink: sys, PreCycle: sys.PreCycle,
+			Stats: stats.NewCollector(mesh.Nodes(), 0, 1<<40)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !net.Engine.RunUntil(sys.Quiesced, 3_000_000) {
+			t.Fatal("LU did not finish")
+		}
+		var buf bytes.Buffer
+		if err := rec.Trace.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	raw := record(false)
+	if !bytes.Equal(raw, record(true)) {
+		t.Fatal("the forwarded recording differs from the polled one")
+	}
+	replay := func(hide bool) (uint64, stats.Results) {
+		tr, err := trace.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mesh, player := topology.MustMesh(tr.Width, tr.Height), trace.NewPlayer(tr)
+		var src sim.Source = player
+		if hide {
+			src = struct{ sim.Source }{player}
+		}
+		net, err := NewNetwork(NetworkOptions{Design: DesignBuffered4, Mesh: mesh, Source: src, Stats: stats.NewCollector(mesh.Nodes(), 0, 1<<40)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := func() bool {
+			return player.Remaining() == 0 && net.Engine.QueuedFlits() == 0 && net.Engine.Pool().Outstanding() == 0
+		}
+		if !net.Engine.RunUntil(done, 3_000_000) {
+			t.Fatal("replay did not drain")
+		}
+		return net.Engine.Cycle(), net.Stats.Results()
+	}
+	cycles, res := replay(false)
+	if polledCycles, polledRes := replay(true); cycles != polledCycles || !reflect.DeepEqual(res, polledRes) {
+		t.Errorf("replay through NextPending ended at cycle %d with %+v, polled at cycle %d with %+v", cycles, res, polledCycles, polledRes)
+	}
+	if res.Packets != 4646 {
+		t.Errorf("replayed %d packets, want LU's 4646", res.Packets)
 	}
 }
 
