@@ -6,7 +6,7 @@ GO ?= go
 # example never requires touching this file.
 EXAMPLES := $(notdir $(wildcard examples/*))
 
-.PHONY: all build test test-race race lint bench benchmark figures figures-full examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
+.PHONY: all build test test-race race lint census bench benchmark figures figures-full examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
 
 all: build test
 
@@ -50,6 +50,12 @@ lint:
 	else \
 		echo "lint: shellcheck not installed, skipping (apt install shellcheck)"; \
 	fi
+
+# Shell census (ROADMAP item 5): where every exported root symbol, CLI flag,
+# diag/metrics option field and dxbar_* series is reached, and the non-test
+# line count per package. Informational — it reports, it does not gate.
+census:
+	@sh scripts/census.sh
 
 # Every paper table/figure plus the ablation and extension harnesses.
 bench:

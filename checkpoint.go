@@ -85,11 +85,7 @@ func writeCheckpoint(dir string, keep int, cfg Config, cyc uint64, pastWarmup bo
 	w.U64(cyc)
 	w.Bytes(cfgJSON)
 	w.Bool(pastWarmup)
-	w.U64(base.CrossbarTraversals)
-	w.U64(base.LinkTraversals)
-	w.U64(base.BufferWrites)
-	w.U64(base.BufferReads)
-	w.U64(base.NackHops)
+	base.SaveState(w)
 	w.Bytes(engBuf.Bytes())
 	if err := w.Close(); err != nil {
 		tmp.Close()
@@ -156,11 +152,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	ck := &Checkpoint{Cycle: r.U64()}
 	cfgJSON := r.Bytes()
 	ck.PastWarmup = r.Bool()
-	ck.Base.CrossbarTraversals = r.U64()
-	ck.Base.LinkTraversals = r.U64()
-	ck.Base.BufferWrites = r.U64()
-	ck.Base.BufferReads = r.U64()
-	ck.Base.NackHops = r.U64()
+	ck.Base.LoadState(r)
 	eng := r.Bytes()
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("dxbar: checkpoint %s: %w", path, err)

@@ -92,7 +92,7 @@ func TestRejectsNonLedgerInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	splash, err := s.Put(&runstore.Record{Kind: runstore.KindSplash, Config: []byte(`{"Benchmark":"FFT"}`), Result: []byte(`{}`)})
+	splash, err := s.Put(&runstore.Record{Kind: "splash", Config: []byte(`{"Benchmark":"FFT"}`), Result: []byte(`{}`)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ type options struct {
 	bench, design, routing string
 	seed                   int64
 	list, detailed         bool
-	record, replay, ledger string
+	record, replay         string
 	set                    map[string]bool
 }
 
@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.record, "record", "", "record one benchmark's trace (-bench, -seed) to this file")
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded trace (on -design, -routing) instead of a benchmark")
 	fs.BoolVar(&o.detailed, "detailed", false, "use real set-associative L1/L2 caches instead of profile hit rates")
-	fs.StringVar(&o.ledger, "ledger", "", "run-ledger directory: archive each completed run's full result under its content key (see dxbar-report)")
 	verbose := fs.Bool("v", false, "verbose (debug-level) logging")
 	logFormat := fs.String("log-format", diag.LogText, "structured log format on stderr: text | json")
 	if err := fs.Parse(args); err != nil {
@@ -112,9 +111,9 @@ func (o *options) validate() error {
 		}
 		// The trace is what the workload generates, captured on the default
 		// design with profile hit rates.
-		return reject("record", "design", "routing", "detailed", "ledger")
+		return reject("record", "design", "routing", "detailed")
 	case o.replay != "":
-		return reject("replay", "bench", "seed", "detailed", "ledger")
+		return reject("replay", "bench", "seed", "detailed")
 	}
 	return nil
 }
@@ -129,30 +128,17 @@ func (o *options) runMatrix(stdout io.Writer) error {
 	if o.design != "" {
 		designs = []dxbar.Design{dxbar.Design(o.design)}
 	}
-	var led *dxbar.Ledger
-	if o.ledger != "" {
-		var err error
-		if led, err = dxbar.OpenLedger(o.ledger); err != nil {
-			return err
-		}
-	}
 
 	fmt.Fprintf(stdout, "%-10s %-10s %-4s %10s %10s %10s %8s %8s %12s\n",
 		"benchmark", "design", "alg", "exec (cyc)", "packets", "lat (cyc)", "p50", "p99", "nJ/packet")
 	for _, b := range benches {
 		for _, d := range designs {
-			cfg := dxbar.SplashConfig{
+			res, err := dxbar.RunSplash(dxbar.SplashConfig{
 				Design: d, Routing: o.routing, Benchmark: b, Seed: o.seed,
 				DetailedCaches: o.detailed,
-			}
-			res, err := dxbar.RunSplash(cfg)
+			})
 			if err != nil {
 				return err
-			}
-			if led != nil {
-				if _, err := led.ArchiveSplash(cfg, res); err != nil {
-					return err
-				}
 			}
 			fmt.Fprintf(stdout, "%-10s %-10s %-4s %10d %10d %10.1f %8d %8d %12.4f\n",
 				b, d, res.Routing, res.ExecutionCycles, res.Packets, res.AvgLatency,

@@ -19,7 +19,7 @@ func TestUsageErrors(t *testing.T) {
 		"record with -design":   {"-bench", "LU", "-record", out, "-design", "scarab"},
 		"record with -detailed": {"-bench", "LU", "-record", out, "-detailed"},
 		"record, unknown bench": {"-bench", "Cholesky", "-record", out},
-		"unknown design":        {"-bench", "LU", "-design", "wormhole", "-ledger", filepath.Join(dir, "ledger")},
+		"unknown design":        {"-bench", "LU", "-design", "wormhole"},
 		"replay with -bench":    {"-replay", "in.trace", "-bench", "LU"},
 		"unknown log format":    {"-list", "-log-format", "xml"},
 		"unknown flag":          {"-shards", "2"},

@@ -129,7 +129,7 @@ func writeRunBundle(dir, reason string, cycle uint64, cfg Config, net *Network, 
 		InFlightFlits:  net.Engine.Pool().Outstanding(),
 		QueuedFlits:    net.Engine.QueuedFlits(),
 		EjectedFlits:   coll.TotalEjected(),
-		DroppedFlits:   coll.TotalDropped(),
+		DroppedFlits:   coll.Total("totalDropped"),
 		MaxFlitAge:     mon.MaxFlitAge(),
 		Interrupted:    diag.Interrupted(),
 		LastCheckpoint: ckpt.get(),

@@ -154,8 +154,8 @@ type Config struct {
 	// off on large meshes (16×16 and up).
 	Shards int
 	// Metrics attaches a live telemetry registry: the engine publishes flit
-	// and packet counters every cycle and gauges, the latency histogram and
-	// the per-shard execution profile at the metrics publish interval. Serve
+	// and packet counters, gauges, the latency histogram and the per-shard
+	// execution profile at the metrics publish interval and at run end. Serve
 	// it with metrics.StartServer (the -http flag of the CLIs). A registry
 	// may be shared by many concurrent runs — counters aggregate across
 	// them. Nil (the default) disables publication at zero cost, and results
@@ -364,107 +364,85 @@ func (c Config) experiment() Config {
 	return c
 }
 
-// bufferDepthFor returns the engine credit/buffer depth for a design.
-func bufferDepthFor(d Design) (int, error) {
-	switch d {
-	case DesignDXbar, DesignUnified, DesignBuffered4, DesignAFC:
-		return 4, nil
-	case DesignBuffered8:
-		return 8, nil
-	case DesignFlitBless, DesignSCARAB:
-		return 0, nil
-	}
-	return 0, fmt.Errorf("dxbar: unknown design %q", d)
+// designRouter is what every design's router offers the factory beyond
+// sim.Router.
+type designRouter interface {
+	sim.Router
+	SetReferenceArbitration(bool)
 }
 
-// meterFor returns the design's energy meter.
-func meterFor(d Design) *energy.Meter {
-	switch d {
-	case DesignUnified:
-		return energy.NewUnifiedMeter()
-	case DesignBuffered8:
-		return energy.NewBuffered8Meter()
-	default:
-		return energy.NewMeter()
-	}
+// routerArgs is what a design's router constructor reads: one network's
+// options (defaults applied) and what prepare resolved from them.
+type routerArgs struct {
+	NetworkOptions
+	// algo is the one routing table the design reads, precomputed once per
+	// network and shared by all its routers (handed a table for their own
+	// mesh, the constructors' NewTable returns it as-is). A nil mesh (invalid
+	// options, rejected by sim.New before the factory runs) leaves the bare
+	// algorithm.
+	algo  routing.Algorithm
+	depth int
+	afc   *router.AFCController // set by the afc row's shared hook
 }
 
-// factoryFor builds the per-node router factory, plus an optional per-cycle
-// hook a design needs run before the router phase (AFC's shared mode
-// controller; nil for the other designs).
-//
-// The one routing table the design reads is precomputed here, once per
-// network, and shared by all its routers (handed a table for their own mesh,
-// the constructors' NewTable returns it as-is). SCARAB's minimal-adaptive
-// routing has no Config knob, so it replaces algo. A nil mesh (invalid
-// options, rejected by sim.New before the factory runs) skips the table.
-func factoryFor(d Design, algo routing.Algorithm, mesh *topology.Mesh, threshold, depth int, portOrder, reference bool, plan *faults.Plan, nodes int) (sim.RouterFactory, func(uint64), error) {
-	if d == DesignSCARAB {
-		algo = routing.MinimalAdaptive{}
-	}
-	if mesh != nil {
-		algo = routing.NewTable(algo, mesh, nodes)
-	}
-	detectorFor := func(node int) *faults.Detector {
-		f, ok := plan.ForRouter(node)
-		return faults.NewDetector(f, plan.DetectionDelay, ok)
-	}
-	switch d {
-	case DesignDXbar:
-		return func(env *sim.Env) sim.Router {
-			r := core.NewDXbarDepth(env, algo, threshold, depth, detectorFor(env.Node))
-			r.SetPortOrderArbitration(portOrder)
-			r.SetReferenceArbitration(reference)
+func (a *routerArgs) detector(node int) *faults.Detector {
+	f, ok := a.FaultPlan.ForRouter(node)
+	return faults.NewDetector(f, a.FaultPlan.DetectionDelay, ok)
+}
+
+// designTable is the one declaration of what distinguishes the designs when a
+// network is assembled: the engine's credit/buffer depth (0 = bufferless), the
+// energy meter, whether crossbar faults are modelled and whether
+// NetworkOptions.BufferDepth applies, a routing algorithm of the design's own
+// (algo, replacing the configured one), the per-node router constructor, and
+// an optional hook that builds network-wide state before the routers and
+// returns a function to run before every cycle's router phase.
+var designTable = map[Design]struct {
+	depth                    int
+	meter                    func() *energy.Meter
+	faultable, depthOverride bool
+	algo                     routing.Algorithm
+	router                   func(env *sim.Env, a *routerArgs) designRouter
+	shared                   func(a *routerArgs, nodes int) (preCycle func(uint64))
+}{
+	DesignDXbar: {depth: 4, meter: energy.NewMeter, faultable: true, depthOverride: true,
+		router: func(env *sim.Env, a *routerArgs) designRouter {
+			r := core.NewDXbarDepth(env, a.algo, a.FairnessThreshold, a.depth, a.detector(env.Node))
+			r.SetPortOrderArbitration(a.PortOrderArbitration)
 			return r
-		}, nil, nil
-	case DesignUnified:
-		return func(env *sim.Env) sim.Router {
-			r := core.NewUnified(env, algo, threshold, detectorFor(env.Node))
-			r.SetReferenceArbitration(reference)
-			return r
-		}, nil, nil
-	case DesignFlitBless:
-		return func(env *sim.Env) sim.Router {
-			r := router.NewBless(env, algo)
-			r.SetReferenceArbitration(reference)
-			return r
-		}, nil, nil
-	case DesignSCARAB:
-		minTable, _ := algo.(*routing.Table)
-		return func(env *sim.Env) sim.Router {
-			r := router.NewScarabTable(env, minTable)
-			r.SetReferenceArbitration(reference)
-			return r
-		}, nil, nil
-	case DesignBuffered4:
-		return func(env *sim.Env) sim.Router {
-			r := router.NewBuffered(env, algo, false)
-			r.SetReferenceArbitration(reference)
-			return r
-		}, nil, nil
-	case DesignBuffered8:
-		return func(env *sim.Env) sim.Router {
-			r := router.NewBuffered(env, algo, true)
-			r.SetReferenceArbitration(reference)
-			return r
-		}, nil, nil
-	case DesignAFC:
-		// One mode controller is shared by every router of the network. Its
-		// policy ticks once per cycle *before* the router phase, so that the
-		// sharded engine's workers read a stable mode (the guarded tick
-		// inside AFC.Step then no-ops). The policy observes exactly the
-		// state it saw when the first-stepping router ticked it, because
-		// nothing between cycle start and the router phase touches the
-		// controller — so sequential results are unchanged.
-		ctrl := router.NewAFCController(nodes)
-		return func(env *sim.Env) sim.Router {
-			env.RegisterShared(ctrl)
-			r := router.NewAFC(env, algo, ctrl)
-			r.SetReferenceArbitration(reference)
-			return r
-		}, ctrl.Tick, nil
-	}
-	return nil, nil, fmt.Errorf("dxbar: unknown design %q", d)
+		}},
+	DesignUnified: {depth: 4, meter: energy.NewUnifiedMeter, faultable: true,
+		router: func(env *sim.Env, a *routerArgs) designRouter {
+			return core.NewUnified(env, a.algo, a.FairnessThreshold, a.detector(env.Node))
+		}},
+	DesignFlitBless: {meter: energy.NewMeter,
+		router: func(env *sim.Env, a *routerArgs) designRouter { return router.NewBless(env, a.algo) }},
+	// SCARAB's minimal-adaptive routing has no Config knob.
+	DesignSCARAB: {meter: energy.NewMeter, algo: routing.MinimalAdaptive{},
+		router: func(env *sim.Env, a *routerArgs) designRouter {
+			minTable, _ := a.algo.(*routing.Table)
+			return router.NewScarabTable(env, minTable)
+		}},
+	DesignBuffered4: {depth: 4, meter: energy.NewMeter,
+		router: func(env *sim.Env, a *routerArgs) designRouter { return router.NewBuffered(env, a.algo, false) }},
+	DesignBuffered8: {depth: 8, meter: energy.NewBuffered8Meter,
+		router: func(env *sim.Env, a *routerArgs) designRouter { return router.NewBuffered(env, a.algo, true) }},
+	// One mode controller is shared by every router of an AFC network. Its
+	// policy ticks once per cycle *before* the router phase, so that the
+	// sharded engine's workers read a stable mode (the guarded tick inside
+	// AFC.Step then no-ops). The policy observes exactly the state it saw when
+	// the first-stepping router ticked it, because nothing between cycle start
+	// and the router phase touches the controller — so sequential results are
+	// unchanged.
+	DesignAFC: {depth: 4, meter: energy.NewMeter,
+		shared: func(a *routerArgs, nodes int) func(uint64) {
+			a.afc = router.NewAFCController(nodes)
+			return a.afc.Tick
+		},
+		router: func(env *sim.Env, a *routerArgs) designRouter {
+			env.RegisterShared(a.afc)
+			return router.NewAFC(env, a.algo, a.afc)
+		}},
 }
 
 // Network bundles a ready-to-run engine with its meter and collector, for
@@ -535,31 +513,42 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 	if o.FaultPlan == nil {
 		o.FaultPlan = faults.Empty()
 	}
-	if o.FaultPlan.Count() > 0 && o.Design != DesignDXbar && o.Design != DesignUnified {
+	spec, known := designTable[o.Design]
+	if o.FaultPlan.Count() > 0 && !spec.faultable {
 		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: fault injection is only supported for the dxbar/unified designs, not %q", o.Design)
 	}
 	algo, err := routing.New(o.Routing)
 	if err != nil {
 		return sim.Config{}, nil, nil, err
 	}
-	depth, err := bufferDepthFor(o.Design)
-	if err != nil {
-		return sim.Config{}, nil, nil, err
+	if !known {
+		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: unknown design %q", o.Design)
 	}
+	depth := spec.depth
 	if o.BufferDepth != 0 {
-		if o.Design != DesignDXbar {
+		if !spec.depthOverride {
 			return sim.Config{}, nil, nil, fmt.Errorf("dxbar: BufferDepth override is only supported for the dxbar design")
 		}
 		depth = o.BufferDepth
 	}
-	meter := meterFor(o.Design)
+	meter := spec.meter()
+	if spec.algo != nil {
+		algo = spec.algo
+	}
 	nodes := 0
 	if o.Mesh != nil {
 		nodes = o.Mesh.Nodes()
+		algo = routing.NewTable(algo, o.Mesh, nodes)
 	}
-	factory, designPreCycle, err := factoryFor(o.Design, algo, o.Mesh, o.FairnessThreshold, depth, o.PortOrderArbitration, o.ReferenceArbitration, o.FaultPlan, nodes)
-	if err != nil {
-		return sim.Config{}, nil, nil, err
+	args := &routerArgs{NetworkOptions: o, algo: algo, depth: depth}
+	var designPreCycle func(uint64)
+	if spec.shared != nil {
+		designPreCycle = spec.shared(args, nodes)
+	}
+	factory := func(env *sim.Env) sim.Router {
+		r := spec.router(env, args)
+		r.SetReferenceArbitration(args.ReferenceArbitration)
+		return r
 	}
 	preCycle := o.PreCycle
 	if designPreCycle != nil {

@@ -126,27 +126,32 @@ func (o SweepOptions) runMany(configs []Config) ([]Result, error) {
 	return runPool(configs, 0, (*runner).run, o.OnRunDone)
 }
 
-// LoadSweepOpts runs every figure design over the quality's load axis in
-// parallel under the given synthetic pattern. Points come back design-major
-// in the paper's legend order, loads ascending within each design.
-func LoadSweepOpts(pattern string, q Quality, seed int64, opts SweepOptions) ([]SweepPoint, error) {
-	var configs []Config
-	var pts []SweepPoint
+// loadSweepConfigs builds the LoadSweepOpts sweep: design-major in the
+// paper's legend order, loads ascending within each design.
+func loadSweepConfigs(pattern string, q Quality, seed int64) (configs []Config) {
 	for _, fd := range figureDesigns {
 		for _, l := range q.Loads {
 			configs = append(configs, Config{
 				Design: fd.Design, Routing: fd.Routing, Pattern: pattern, Load: l,
 				WarmupCycles: q.Warmup, MeasureCycles: q.Measure, Seed: seed,
 			})
-			pts = append(pts, SweepPoint{Label: fd.Label, Load: l})
 		}
 	}
+	return configs
+}
+
+// LoadSweepOpts runs every figure design over the quality's load axis in
+// parallel under the given synthetic pattern. Points come back design-major
+// in the paper's legend order, loads ascending within each design.
+func LoadSweepOpts(pattern string, q Quality, seed int64, opts SweepOptions) ([]SweepPoint, error) {
+	configs := loadSweepConfigs(pattern, q, seed)
 	results, err := opts.runMany(configs)
 	if err != nil {
 		return nil, err
 	}
-	for i := range pts {
-		pts[i].Result = results[i]
+	pts := make([]SweepPoint, len(results))
+	for i, res := range results {
+		pts[i] = SweepPoint{Label: figureDesigns[i/len(q.Loads)].Label, Load: configs[i].Load, Result: res}
 	}
 	return pts, nil
 }
@@ -211,22 +216,38 @@ var patternAxis = []string{"UR", "NUR", "BR", "BF", "CP", "MT", "PS", "NB", "TOR
 
 // PointCount reports how many simulation runs regenerating a figure costs at
 // the given quality — the progress total for sweep drivers (each completed
-// run fires SweepOptions.OnRunDone once). Figs. 5/6, 7/8, 9/10 and 11/12 each
-// share one sweep, so a pair regenerated together (LoadSweepOpts with
-// Figure5From and Figure6From; Figure7And8, Figure9And10, Figure11And12)
-// costs what either figure costs alone. Table 3 and unknown IDs cost no runs.
+// run fires SweepOptions.OnRunDone once). It is the length of the config list
+// the figure's sweep builds, so it cannot drift from the sweep. Figs. 5/6,
+// 7/8, 9/10 and 11/12 each share one sweep, so a pair regenerated together
+// (LoadSweepOpts with Figure5From and Figure6From; Figure7And8, Figure9And10,
+// Figure11And12) costs what either figure costs alone. Table 3 and unknown
+// IDs cost no runs.
 func PointCount(id string, q Quality) int {
 	switch id {
 	case "5", "6":
-		return len(figureDesigns) * len(q.Loads)
+		return len(loadSweepConfigs("UR", q, 0))
 	case "7", "8":
-		return len(figureDesigns) * len(patternAxis)
+		return len(patternConfigs(q, 0))
 	case "9", "10":
-		return len(figureDesigns) * len(SplashBenchmarks()) * q.SplashSeeds
+		return len(splashConfigs(q, 0))
 	case "11", "12":
-		return 2 * len(q.FaultFractions) * len(q.Loads)
+		return len(faultSweepConfigs(q, 0, q.Loads))
 	}
 	return 0
+}
+
+// patternConfigs builds the Fig. 7/8 sweep: every figure design under every
+// synthetic pattern at offered load 0.5, design-major.
+func patternConfigs(q Quality, seed int64) (configs []Config) {
+	for _, fd := range figureDesigns {
+		for _, p := range patternAxis {
+			configs = append(configs, Config{
+				Design: fd.Design, Routing: fd.Routing, Pattern: p, Load: 0.5,
+				WarmupCycles: q.Warmup, MeasureCycles: q.Measure, Seed: seed,
+			})
+		}
+	}
+	return configs
 }
 
 // Figure7And8 regenerates Figs. 7 and 8 from one sweep: throughput and energy
@@ -241,16 +262,7 @@ func Figure7And8(q Quality, seed int64, opts SweepOptions) (thr, en Figure, err 
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	var configs []Config
-	for _, fd := range figureDesigns {
-		for _, p := range patternAxis {
-			configs = append(configs, Config{
-				Design: fd.Design, Routing: fd.Routing, Pattern: p, Load: 0.5,
-				WarmupCycles: q.Warmup, MeasureCycles: q.Measure, Seed: seed,
-			})
-		}
-	}
-	results, e := opts.runMany(configs)
+	results, e := opts.runMany(patternConfigs(q, seed))
 	if e != nil {
 		return Figure{}, Figure{}, e
 	}
@@ -282,6 +294,21 @@ func Figure8(q Quality, seed int64) (Figure, error) {
 	return en, err
 }
 
+// splashConfigs builds the Fig. 9/10 closed-loop matrix: design-major, then
+// benchmark, then seed.
+func splashConfigs(q Quality, seed int64) (configs []SplashConfig) {
+	for _, fd := range figureDesigns {
+		for _, b := range SplashBenchmarks() {
+			for s := 0; s < q.SplashSeeds; s++ {
+				configs = append(configs, SplashConfig{
+					Design: fd.Design, Routing: fd.Routing, Benchmark: b, Seed: seed + int64(s),
+				})
+			}
+		}
+	}
+	return configs
+}
+
 // Figure9And10 regenerates Figs. 9 and 10 from one closed-loop matrix: the
 // SPLASH-2 substitute for every benchmark × design. Fig. 9 normalizes
 // execution time to the Buffered 4 baseline, as the paper's "Normalized
@@ -298,17 +325,7 @@ func Figure9And10(q Quality, seed int64, opts SweepOptions) (timeFig, enFig Figu
 	enFig = Figure{ID: "fig10", Title: "Energy, SPLASH-2 traces",
 		XLabel: "benchmark", YLabel: "average energy (nJ/packet)"}
 
-	var configs []SplashConfig
-	for _, fd := range figureDesigns {
-		for _, b := range benches {
-			for s := 0; s < q.SplashSeeds; s++ {
-				configs = append(configs, SplashConfig{
-					Design: fd.Design, Routing: fd.Routing, Benchmark: b, Seed: seed + int64(s),
-				})
-			}
-		}
-	}
-	runs, e := runPool(configs, 0, (*runner).runSplash, opts.OnRunDone)
+	runs, e := runPool(splashConfigs(q, seed), 0, (*runner).runSplash, opts.OnRunDone)
 	if e != nil {
 		return Figure{}, Figure{}, e
 	}
@@ -370,15 +387,9 @@ type FaultPoint struct {
 	Delivered uint64
 }
 
-// FaultSweep runs DXbar under uniform-random traffic with crossbar faults
-// for both routing algorithms over the given fault fractions and loads
-// (Figs. 11 and 12 plot slices of this data). Every run inherits opts.
-func FaultSweep(q Quality, seed int64, loads []float64, opts SweepOptions) ([]FaultPoint, error) {
-	if loads == nil {
-		loads = q.Loads
-	}
-	var configs []Config
-	var keys []FaultPoint
+// faultSweepConfigs builds the FaultSweep sweep: routing algorithm, then
+// fault fraction, then load.
+func faultSweepConfigs(q Quality, seed int64, loads []float64) (configs []Config) {
 	for _, algo := range []string{"DOR", "WF"} {
 		for _, f := range q.FaultFractions {
 			for _, l := range loads {
@@ -387,22 +398,31 @@ func FaultSweep(q Quality, seed int64, loads []float64, opts SweepOptions) ([]Fa
 					WarmupCycles: q.Warmup, MeasureCycles: q.Measure, Seed: seed,
 					FaultFraction: f, FaultCycle: 10,
 				})
-				keys = append(keys, FaultPoint{Fraction: f, Routing: algo, Load: l})
 			}
 		}
 	}
+	return configs
+}
+
+// FaultSweep runs DXbar under uniform-random traffic with crossbar faults
+// for both routing algorithms over the given fault fractions and loads
+// (Figs. 11 and 12 plot slices of this data). Every run inherits opts.
+func FaultSweep(q Quality, seed int64, loads []float64, opts SweepOptions) ([]FaultPoint, error) {
+	if loads == nil {
+		loads = q.Loads
+	}
+	configs := faultSweepConfigs(q, seed, loads)
 	results, err := opts.runMany(configs)
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]FaultPoint, len(keys))
+	pts := make([]FaultPoint, len(results))
 	for i, res := range results {
-		p := keys[i]
-		p.Accepted = res.AcceptedLoad
-		p.Latency = res.AvgLatency
-		p.EnergyNJ = res.AvgEnergyNJ
-		p.Delivered = res.Packets
-		pts[i] = p
+		c := configs[i]
+		pts[i] = FaultPoint{
+			Fraction: c.FaultFraction, Routing: c.Routing, Load: c.Load,
+			Accepted: res.AcceptedLoad, Latency: res.AvgLatency, EnergyNJ: res.AvgEnergyNJ, Delivered: res.Packets,
+		}
 	}
 	return pts, nil
 }

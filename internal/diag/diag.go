@@ -144,11 +144,6 @@ type Config struct {
 	// counted in DroppedAnomalies, and the dxbar_anomaly_total counters are
 	// exact regardless).
 	MaxRecords int
-	// WidenTrace opens the flight recorder's event-kind mask to every kind
-	// on the first anomaly, so the ring captures full detail for the tail of
-	// the run. Opt-in: widening changes Result.Events, so it is excluded
-	// from the bit-identity guarantee (everything else still holds).
-	WidenTrace bool
 	// OnAnomaly, when non-nil, is called synchronously for every anomaly
 	// (after the record and metrics are updated).
 	OnAnomaly func(Anomaly)
@@ -229,10 +224,8 @@ type Monitor struct {
 	counts  [NumKinds]uint64
 	dropped uint64
 
-	widen   func()
-	widened bool
-	dump    func(cycle uint64, reason string)
-	dumped  bool
+	dump   func(cycle uint64, reason string)
+	dumped bool
 
 	stop    atomic.Bool
 	dumpReq atomic.Bool
@@ -280,16 +273,6 @@ func NewMonitor(cfg Config, nodes int) *Monitor {
 			m.faultBounds)
 	}
 	return m
-}
-
-// SetTraceWidener installs the engine's event-mask widener (nil clears it).
-// Called by the engine at wiring time; fired at most once, on the first
-// anomaly, and only with Config.WidenTrace.
-func (m *Monitor) SetTraceWidener(fn func()) {
-	if m != nil {
-		m.widen = fn
-		m.widened = false
-	}
 }
 
 // SetDumper installs the post-mortem bundle writer. The monitor calls it
@@ -380,8 +363,8 @@ func (m *Monitor) ObserveWindow(s WindowSample) {
 }
 
 // fire records one anomaly: counters, the bounded record slice, the metric,
-// the structured log record, the callback, and — once — the trace widening
-// and the automatic post-mortem dump.
+// the structured log record, the callback, and — once — the automatic
+// post-mortem dump.
 func (m *Monitor) fire(a Anomaly) {
 	m.counts[a.Kind]++
 	m.anomalyTotal[a.Kind].Add(1)
@@ -389,10 +372,6 @@ func (m *Monitor) fire(a Anomaly) {
 		m.records = append(m.records, a)
 	} else {
 		m.dropped++
-	}
-	if m.cfg.WidenTrace && m.widen != nil && !m.widened {
-		m.widened = true
-		m.widen()
 	}
 	if l := m.cfg.Logger; l != nil {
 		l.Warn("anomaly detected",

@@ -6,26 +6,28 @@ import (
 	"dxbar/internal/snapshot"
 )
 
+// scalars lists the detector state the DIAG section opens with, in stream
+// order: the progress watchdog, the window baselines, the starvation latch and
+// the dropped-record count.
+func (m *Monitor) scalars() [numScalars]*uint64 {
+	return [numScalars]*uint64{&m.lastEjected, &m.lastProgress, &m.nextWindow, &m.windows, &m.lastDeflect,
+		&m.lastRetx, &m.deflectBase, &m.retxBase, &m.maxAgeSeen, &m.lastStarved, &m.dropped}
+}
+
+const numScalars = 11
+
 // SaveState serializes the monitor's detector state so a restored run
 // reproduces the exact anomaly stream of the uninterrupted one: the progress
 // watchdog, the window baselines, the starvation latch, the recorded
-// anomalies, and the fault-latency accounting. Hooks (widener, dumper, stop
-// flags) and registry handles are wiring, re-created on restore; the
-// flit-age gauge's delta tracker is registry-coupled and starts fresh.
+// anomalies, and the fault-latency accounting. Hooks (dumper, stop flags) and
+// registry handles are wiring, re-created on restore; the flit-age gauge's
+// delta tracker is registry-coupled and starts fresh.
 func (m *Monitor) SaveState(w *snapshot.Writer) {
 	w.Tag("DIAG")
-	w.U64(m.lastEjected)
-	w.U64(m.lastProgress)
-	w.U64(m.nextWindow)
-	w.U64(m.windows)
-	w.U64(m.lastDeflect)
-	w.U64(m.lastRetx)
-	w.U64(m.deflectBase)
-	w.U64(m.retxBase)
-	w.U64(m.maxAgeSeen)
-	w.U64(m.lastStarved)
-	w.U64(m.dropped)
-	w.Bool(m.widened)
+	for _, p := range m.scalars() {
+		w.U64(*p)
+	}
+	w.Bool(false) // retired "trace widened" flag: the byte keeps the section layout
 	w.Bool(m.dumped)
 	for k := Kind(0); k < NumKinds; k++ {
 		w.U64(m.counts[k])
@@ -58,18 +60,11 @@ func (m *Monitor) SaveState(w *snapshot.Writer) {
 // case the section is decoded and discarded.
 func LoadState(r *snapshot.Reader, dst *Monitor) error {
 	r.Expect("DIAG")
-	lastEjected := r.U64()
-	lastProgress := r.U64()
-	nextWindow := r.U64()
-	windows := r.U64()
-	lastDeflect := r.U64()
-	lastRetx := r.U64()
-	deflectBase := r.U64()
-	retxBase := r.U64()
-	maxAgeSeen := r.U64()
-	lastStarved := r.U64()
-	dropped := r.U64()
-	widened := r.Bool()
+	var scalars [numScalars]uint64 // staged, so a nil dst still decodes the section
+	for i := range scalars {
+		scalars[i] = r.U64()
+	}
+	r.Bool() // retired "trace widened" flag
 	dumped := r.Bool()
 	var counts [NumKinds]uint64
 	for k := Kind(0); k < NumKinds; k++ {
@@ -128,18 +123,9 @@ func LoadState(r *snapshot.Reader, dst *Monitor) error {
 	if dst == nil {
 		return nil
 	}
-	dst.lastEjected = lastEjected
-	dst.lastProgress = lastProgress
-	dst.nextWindow = nextWindow
-	dst.windows = windows
-	dst.lastDeflect = lastDeflect
-	dst.lastRetx = lastRetx
-	dst.deflectBase = deflectBase
-	dst.retxBase = retxBase
-	dst.maxAgeSeen = maxAgeSeen
-	dst.lastStarved = lastStarved
-	dst.dropped = dropped
-	dst.widened = widened
+	for i, p := range dst.scalars() {
+		*p = scalars[i]
+	}
 	dst.dumped = dumped
 	dst.counts = counts
 	// Append into the existing backing array so the MaxRecords capacity (and

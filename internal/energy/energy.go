@@ -46,13 +46,23 @@ const (
 type Meter struct {
 	crossbarPJ float64
 	unified    bool
+	buffered8  bool
+	counts     Counts
+}
 
-	crossbarTraversals uint64
-	linkTraversals     uint64
-	bufferWrites       uint64
-	bufferReads        uint64
-	nackHops           uint64
-	buffered8          bool
+// Counts is a snapshot of the raw event counters.
+type Counts struct {
+	CrossbarTraversals uint64
+	LinkTraversals     uint64
+	BufferWrites       uint64
+	BufferReads        uint64
+	NackHops           uint64
+}
+
+// fields lists the counters once, in serialization order: Absorb, Sub and the
+// snapshot codec loop over it, so a sixth counter is a field and an entry here.
+func (c *Counts) fields() [5]*uint64 {
+	return [5]*uint64{&c.CrossbarTraversals, &c.LinkTraversals, &c.BufferWrites, &c.BufferReads, &c.NackHops}
 }
 
 // NewMeter returns a meter using the plain-crossbar traversal energy.
@@ -69,23 +79,23 @@ func NewBuffered8Meter() *Meter {
 }
 
 // CrossbarTraversal records one flit crossing a crossbar.
-func (m *Meter) CrossbarTraversal() { m.crossbarTraversals++ }
+func (m *Meter) CrossbarTraversal() { m.counts.CrossbarTraversals++ }
 
 // LinkTraversal records one flit crossing an inter-router link.
-func (m *Meter) LinkTraversal() { m.linkTraversals++ }
+func (m *Meter) LinkTraversal() { m.counts.LinkTraversals++ }
 
 // AddLinkTraversals records n link traversals at once (the engine's link
 // phase batches its per-cycle count into one add).
-func (m *Meter) AddLinkTraversals(n uint64) { m.linkTraversals += n }
+func (m *Meter) AddLinkTraversals(n uint64) { m.counts.LinkTraversals += n }
 
 // BufferWrite records one flit written into an input/secondary buffer.
-func (m *Meter) BufferWrite() { m.bufferWrites++ }
+func (m *Meter) BufferWrite() { m.counts.BufferWrites++ }
 
 // BufferRead records one flit read out of a buffer.
-func (m *Meter) BufferRead() { m.bufferReads++ }
+func (m *Meter) BufferRead() { m.counts.BufferReads++ }
 
 // NackHops records h hops on the dedicated NACK network (SCARAB).
-func (m *Meter) NackHops(h int) { m.nackHops += uint64(h) }
+func (m *Meter) NackHops(h int) { m.counts.NackHops += uint64(h) }
 
 // Scratch returns an empty meter for staging events on behalf of this one
 // (the sharded engine gives each shard a scratch meter for its router
@@ -98,47 +108,23 @@ func (m *Meter) Scratch() *Meter { return &Meter{} }
 // the same totals as sequential metering — which is what keeps the sharded
 // engine's energy results bit-identical.
 func (m *Meter) Absorb(s *Meter) {
-	m.crossbarTraversals += s.crossbarTraversals
-	m.linkTraversals += s.linkTraversals
-	m.bufferWrites += s.bufferWrites
-	m.bufferReads += s.bufferReads
-	m.nackHops += s.nackHops
-	s.crossbarTraversals = 0
-	s.linkTraversals = 0
-	s.bufferWrites = 0
-	s.bufferReads = 0
-	s.nackHops = 0
-}
-
-// Counts is a snapshot of the raw event counters.
-type Counts struct {
-	CrossbarTraversals uint64
-	LinkTraversals     uint64
-	BufferWrites       uint64
-	BufferReads        uint64
-	NackHops           uint64
+	from := s.counts.fields()
+	for i, f := range m.counts.fields() {
+		*f += *from[i]
+	}
+	s.counts = Counts{}
 }
 
 // Snapshot returns the current counters.
-func (m *Meter) Snapshot() Counts {
-	return Counts{
-		CrossbarTraversals: m.crossbarTraversals,
-		LinkTraversals:     m.linkTraversals,
-		BufferWrites:       m.bufferWrites,
-		BufferReads:        m.bufferReads,
-		NackHops:           m.nackHops,
-	}
-}
+func (m *Meter) Snapshot() Counts { return m.counts }
 
 // Sub returns c - base, counter-wise.
 func (c Counts) Sub(base Counts) Counts {
-	return Counts{
-		CrossbarTraversals: c.CrossbarTraversals - base.CrossbarTraversals,
-		LinkTraversals:     c.LinkTraversals - base.LinkTraversals,
-		BufferWrites:       c.BufferWrites - base.BufferWrites,
-		BufferReads:        c.BufferReads - base.BufferReads,
-		NackHops:           c.NackHops - base.NackHops,
+	from := base.fields()
+	for i, f := range c.fields() {
+		*f -= *from[i]
 	}
+	return c
 }
 
 // EnergyPJ converts an event-count snapshot into picojoules under this

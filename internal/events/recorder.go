@@ -68,17 +68,6 @@ func (r *Recorder) Enabled(k Kind) bool {
 	return r != nil && r.mask&(1<<uint(k)) != 0
 }
 
-// Widen opens the recorder's filter to every event kind. The diagnostics
-// layer uses it on the first anomaly so the ring captures full detail for
-// the tail of a sick run; the engine applies it to the master recorder and
-// every staged recorder (stages copy the mask at creation, so widening the
-// master alone would leave the sharded router phase filtered). Nil-safe.
-func (r *Recorder) Widen() {
-	if r != nil {
-		r.mask = MaskOf()
-	}
-}
-
 // NewStage returns a staging recorder with the same kind mask as r: a
 // growable event buffer with no counter matrix, filled by one node's router
 // during the parallel router phase and emptied by DrainTo at the cycle

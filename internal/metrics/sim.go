@@ -39,10 +39,33 @@ const (
 	MetricSSEDropped      = "dxbar_sse_dropped_frames_total"
 )
 
-// DefaultPublishInterval is the gauge/histogram/shard-profile publish period
-// in cycles. Counters publish every cycle (a handful of atomic adds); the
-// interval only paces the O(nodes) gauge scans and the histogram copy.
+// DefaultPublishInterval is the publish period in cycles of every engine
+// series. 64 cycles is under a millisecond of wall time, and every consumer —
+// a scrape, an SSE frame, the progress line — samples at least 100 ms apart;
+// the interval paces the O(nodes) gauge scans and the histogram copy.
 const DefaultPublishInterval = 64
+
+// simCounters declares the monotonic counters an engine publishes, once:
+// series name, help text, and source — the name of the engine's running total
+// the series follows (a stats.Collector whole-run total, or one the engine
+// keeps itself). NewSimTelemetry registers the rows and OnPublish publishes
+// each row's delta against the previous publish, so several engines sharing
+// one registry (a sweep's worker pool) aggregate into process-wide series. A
+// new counter series is one row here and its line in METRICS.md
+// (TestMetricsDocumented compares the two). The cycle count leads because the
+// simulation rate and the progress tracker read row 0.
+var simCounters = [...]struct{ name, help, source string }{
+	{MetricCycles, "Simulated cycles.", "cycle"},
+	{MetricInjectedFlits, "Flits offered by traffic sources.", "totalGenerated"},
+	{MetricEjectedFlits, "Flits delivered at their destination.", "totalEjected"},
+	{MetricDroppedFlits, "Flits dropped in the network (SCARAB, fault casualties).", "totalDropped"},
+	{MetricRetransmits, "Source retransmissions scheduled (NACKs, fault recovery).", "retransmits"},
+	{MetricDeflectedFlits, "Flits deflected away from a productive output port (bufferless designs).", "totalDeflected"},
+	{MetricPacketsIn, "Packets injected into the network.", "totalPacketsInjected"},
+	{MetricPacketsOut, "Packets fully delivered (reassembled).", "totalPacketsDelivered"},
+	{MetricRouterSteps, "Router-steps executed by the activity-driven router phase (awake routers).", "routerSteps"},
+	{MetricRouterSkipped, "Router-steps skipped because the router was quiescent with no new input.", "routerStepsSkipped"},
+}
 
 // SimTelemetryOptions configures NewSimTelemetry.
 type SimTelemetryOptions struct {
@@ -52,34 +75,26 @@ type SimTelemetryOptions struct {
 	// LatencyBounds are the latency histogram's bucket upper bounds
 	// (stats.LatencyBucketUppers). Empty disables the latency series.
 	LatencyBounds []float64
-	// Interval overrides DefaultPublishInterval (cycles between gauge /
-	// histogram / shard publishes).
+	// Interval overrides DefaultPublishInterval (cycles between publishes).
 	Interval uint64
-	// Progress, when non-nil, is advanced to the engine's cycle count every
-	// cycle (the /progress source for single runs).
+	// Progress, when non-nil, is advanced to the engine's cycle count at
+	// every publish (the /progress source for single runs).
 	Progress *Progress
 }
 
-// SimCounters is the per-cycle publication payload: running totals the
-// engine reads off its collector and its own state. SimTelemetry converts
-// them to deltas, so several engines sharing one registry (a sweep's worker
-// pool) aggregate into process-wide series.
-type SimCounters struct {
-	Cycles           uint64
-	InjectedFlits    uint64
-	EjectedFlits     uint64
-	DroppedFlits     uint64
-	RetransmitFlits  uint64
-	DeflectedFlits   uint64
-	PacketsInjected  uint64
-	PacketsDelivered uint64
-}
-
-// SimGauges is the interval publication payload: instantaneous network state
-// only the engine can see.
+// SimGauges is the instantaneous network state only the engine can see,
+// gathered once per cycle in which a publish or a time-series sample
+// (stats.Collector.RecordSample) is due.
 type SimGauges struct {
+	// InFlightFlits is the number of live flits anywhere in the network —
+	// queues, latches, links, buffers and the retransmit wheel (the flit
+	// pool's outstanding count).
 	InFlightFlits int
-	QueuedFlits   int
+	// QueuedFlits is the total injection-queue backlog across all nodes.
+	QueuedFlits int
+	// BufferedFlits is the number of downstream buffer slots held by credit
+	// flow control (consumed credits, including those riding the return
+	// pipeline). Always 0 for bufferless designs.
 	BufferedFlits int
 }
 
@@ -99,25 +114,21 @@ type SimTelemetry struct {
 
 	progress *Progress
 
-	cycles, injected, ejected, dropped, retransmitted *Counter
-	deflected                                         *Counter
-	packetsIn, packetsOut                             *Counter
-	inFlight, queued, buffered                        *Gauge
-	cyclesPerSec                                      *FloatGauge
-	latency                                           *Histogram
-	routerSteps, routerSkipped                        *Counter
+	counters                   [len(simCounters)]*Counter
+	inFlight, queued, buffered *Gauge
+	cyclesPerSec               *FloatGauge
+	latency                    *Histogram
 
 	shardBusy, shardWait []*FloatCounter
 	shardImbalance       *FloatGauge
 
-	last      SimCounters
+	last      [len(simCounters)]uint64
 	lastGauge SimGauges
 	lastRate  float64
 
-	lastSteps, lastSkipped uint64
-	lastBusy, lastWait     []time.Duration
-	rateWall               time.Time
-	rateCycle              uint64
+	lastBusy, lastWait []time.Duration
+	rateWall           time.Time
+	rateCycle          uint64
 }
 
 // NewSimTelemetry registers the engine-facing series in r and returns the
@@ -132,20 +143,13 @@ func NewSimTelemetry(r *Registry, o SimTelemetryOptions) *SimTelemetry {
 		t.interval = DefaultPublishInterval
 	}
 	t.nextPublish = t.interval - 1
-	t.cycles = r.Counter(MetricCycles, "Simulated cycles.")
-	t.injected = r.Counter(MetricInjectedFlits, "Flits offered by traffic sources.")
-	t.ejected = r.Counter(MetricEjectedFlits, "Flits delivered at their destination.")
-	t.dropped = r.Counter(MetricDroppedFlits, "Flits dropped in the network (SCARAB, fault casualties).")
-	t.retransmitted = r.Counter(MetricRetransmits, "Source retransmissions scheduled (NACKs, fault recovery).")
-	t.deflected = r.Counter(MetricDeflectedFlits, "Flits deflected away from a productive output port (bufferless designs).")
-	t.packetsIn = r.Counter(MetricPacketsIn, "Packets injected into the network.")
-	t.packetsOut = r.Counter(MetricPacketsOut, "Packets fully delivered (reassembled).")
+	for i, row := range simCounters {
+		t.counters[i] = r.Counter(row.name, row.help)
+	}
 	t.inFlight = r.Gauge(MetricInFlight, "Live flits anywhere in the network (pool outstanding).")
 	t.queued = r.Gauge(MetricQueued, "Flits waiting in source injection queues.")
 	t.buffered = r.Gauge(MetricBuffered, "Downstream buffer slots held by credit flow control.")
 	t.cyclesPerSec = r.FloatGauge(MetricCyclesPerSec, "Simulation speed over the last publish interval.")
-	t.routerSteps = r.Counter(MetricRouterSteps, "Router-steps executed by the activity-driven router phase (awake routers).")
-	t.routerSkipped = r.Counter(MetricRouterSkipped, "Router-steps skipped because the router was quiescent with no new input.")
 	if len(o.LatencyBounds) > 0 {
 		t.latency = r.Histogram(MetricLatency, "In-window packet latency distribution, in cycles.", o.LatencyBounds)
 	}
@@ -173,53 +177,42 @@ func (t *SimTelemetry) Latency() *Histogram {
 	return t.latency
 }
 
-// OnCycle publishes the cheap per-cycle series: counter deltas against the
-// previous call, plus the progress tracker. Allocation-free.
-func (t *SimTelemetry) OnCycle(now SimCounters) {
-	if t == nil {
-		return
-	}
-	t.cycles.Add(now.Cycles - t.last.Cycles)
-	t.injected.Add(now.InjectedFlits - t.last.InjectedFlits)
-	t.ejected.Add(now.EjectedFlits - t.last.EjectedFlits)
-	t.dropped.Add(now.DroppedFlits - t.last.DroppedFlits)
-	t.retransmitted.Add(now.RetransmitFlits - t.last.RetransmitFlits)
-	t.deflected.Add(now.DeflectedFlits - t.last.DeflectedFlits)
-	t.packetsIn.Add(now.PacketsInjected - t.last.PacketsInjected)
-	t.packetsOut.Add(now.PacketsDelivered - t.last.PacketsDelivered)
-	t.last = now
-	t.progress.Set(now.Cycles)
-}
-
-// PublishDue reports whether the interval publication (OnPublish and the
-// latency histogram) is due at cycle c. False on nil telemetry.
+// PublishDue reports whether a publication (OnPublish and the latency
+// histogram) is due at cycle c. False on nil telemetry.
 func (t *SimTelemetry) PublishDue(c uint64) bool {
 	return t != nil && c >= t.nextPublish
 }
 
-// OnPublish publishes the interval series: gauge deltas, the simulation
-// rate, and — when busy/wait are non-empty — the per-shard profiler series
-// and the imbalance ratio. busy and wait are the backend's cumulative
-// per-shard router-phase and barrier-wait times. Allocation-free.
-func (t *SimTelemetry) OnPublish(c uint64, g SimGauges, busy, wait []time.Duration) {
+// OnPublish publishes every engine series at cycle c: the simCounters rows as
+// deltas of the running totals (read is called with each row's source),
+// progress, gauge deltas, the simulation rate, and — when busy/wait are
+// non-empty — the per-shard profiler series and the imbalance ratio. busy and
+// wait are the backend's cumulative per-shard tile-phase and barrier-wait
+// times. Allocation-free.
+func (t *SimTelemetry) OnPublish(c uint64, read func(source string) uint64, g SimGauges, busy, wait []time.Duration) {
 	if t == nil {
 		return
 	}
 	t.nextPublish = c + t.interval
 
-	t.inFlight.Add(int64(g.InFlightFlits - t.lastGauge.InFlightFlits))
-	t.queued.Add(int64(g.QueuedFlits - t.lastGauge.QueuedFlits))
-	t.buffered.Add(int64(g.BufferedFlits - t.lastGauge.BufferedFlits))
-	t.lastGauge = g
+	for i, row := range simCounters {
+		now := read(row.source)
+		t.counters[i].Add(now - t.last[i])
+		t.last[i] = now
+	}
+	cycles := t.last[0]
+	t.progress.Set(cycles)
+
+	t.setGauges(g)
 
 	now := time.Now()
 	if dt := now.Sub(t.rateWall).Seconds(); dt > 0 {
-		rate := float64(t.last.Cycles-t.rateCycle) / dt
+		rate := float64(cycles-t.rateCycle) / dt
 		t.cyclesPerSec.Add(rate - t.lastRate)
 		t.lastRate = rate
 	}
 	t.rateWall = now
-	t.rateCycle = t.last.Cycles
+	t.rateCycle = cycles
 
 	if len(busy) == 0 || t.shardBusy == nil {
 		return
@@ -244,18 +237,13 @@ func (t *SimTelemetry) OnPublish(c uint64, g SimGauges, busy, wait []time.Durati
 	}
 }
 
-// OnRouterSteps publishes the activity-driven router phase's running totals
-// at the publish interval: router-steps executed and router-steps skipped
-// (delta-tracked, like every engine counter). Their sum is nodes × cycles;
-// skipped ÷ sum is the share of the router phase the run did not pay for.
-// Allocation-free.
-func (t *SimTelemetry) OnRouterSteps(executed, skipped uint64) {
-	if t == nil {
-		return
-	}
-	t.routerSteps.Add(executed - t.lastSteps)
-	t.routerSkipped.Add(skipped - t.lastSkipped)
-	t.lastSteps, t.lastSkipped = executed, skipped
+// setGauges moves the shared gauges by this engine's change since its last
+// reading, so concurrent engines contribute additively.
+func (t *SimTelemetry) setGauges(g SimGauges) {
+	t.inFlight.Add(int64(g.InFlightFlits - t.lastGauge.InFlightFlits))
+	t.queued.Add(int64(g.QueuedFlits - t.lastGauge.QueuedFlits))
+	t.buffered.Add(int64(g.BufferedFlits - t.lastGauge.BufferedFlits))
+	t.lastGauge = g
 }
 
 // Detach removes this engine's contribution from the shared gauges (a
@@ -266,10 +254,7 @@ func (t *SimTelemetry) Detach() {
 	if t == nil {
 		return
 	}
-	t.inFlight.Add(int64(-t.lastGauge.InFlightFlits))
-	t.queued.Add(int64(-t.lastGauge.QueuedFlits))
-	t.buffered.Add(int64(-t.lastGauge.BufferedFlits))
-	t.lastGauge = SimGauges{}
+	t.setGauges(SimGauges{})
 	t.cyclesPerSec.Add(-t.lastRate)
 	t.lastRate = 0
 }

@@ -6,10 +6,12 @@ import (
 	"time"
 )
 
+// noTotals is the read function of an engine that has counted nothing.
+func noTotals(string) uint64 { return 0 }
+
 func TestSimTelemetryNil(t *testing.T) {
 	var st *SimTelemetry
-	st.OnCycle(SimCounters{Cycles: 1})
-	st.OnPublish(1, SimGauges{}, nil, nil)
+	st.OnPublish(1, noTotals, SimGauges{}, nil, nil)
 	st.Detach()
 	if st.PublishDue(0) {
 		t.Fatal("nil telemetry must never be due")
@@ -19,29 +21,57 @@ func TestSimTelemetryNil(t *testing.T) {
 	}
 }
 
+// TestSimTelemetryCounterDeltas drives every row of the counter table the way
+// an engine does: the row's running total moves every cycle, the series moves
+// only when a publish is due (once per interval, by the delta since the last
+// one), a final publish — the engine's FlushTelemetry — makes it exact, and a
+// second engine over the same registry aggregates instead of overwriting.
 func TestSimTelemetryCounterDeltas(t *testing.T) {
-	r := NewRegistry()
-	st := NewSimTelemetry(r, SimTelemetryOptions{})
-	st.OnCycle(SimCounters{Cycles: 1, InjectedFlits: 4, EjectedFlits: 2})
-	st.OnCycle(SimCounters{Cycles: 2, InjectedFlits: 9, EjectedFlits: 7, DroppedFlits: 1})
-	// A second engine over the same registry must aggregate, not overwrite.
-	st2 := NewSimTelemetry(r, SimTelemetryOptions{})
-	st2.OnCycle(SimCounters{Cycles: 10})
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		MetricCycles + " 12",
-		MetricInjectedFlits + " 9",
-		MetricEjectedFlits + " 7",
-		MetricDroppedFlits + " 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
+	seen := map[string]bool{}
+	for i, row := range simCounters {
+		if row.name == "" || row.help == "" || row.source == "" || seen[row.name] || seen[row.source] {
+			t.Fatalf("row %d (%+v): name, help and source must be set and unique", i, row)
 		}
+		seen[row.name], seen[row.source] = true, true
+		t.Run(row.name, func(t *testing.T) {
+			r := NewRegistry()
+			st := NewSimTelemetry(r, SimTelemetryOptions{Interval: 8})
+			var running uint64 // this row's total; every other source reads 0
+			read := func(source string) uint64 {
+				if source == row.source {
+					return running
+				}
+				return 0
+			}
+			series := r.Counter(row.name, "")
+			publishes := 0
+			for c := uint64(0); c < 20; c++ {
+				running += 3
+				if !st.PublishDue(c) {
+					continue
+				}
+				st.OnPublish(c, read, SimGauges{}, nil, nil)
+				publishes++
+				if got := series.Value(); got != running {
+					t.Fatalf("cycle %d: series = %d right after a publish, want the total %d", c, got, running)
+				}
+			}
+			if publishes != 2 { // cycles 7 and 15
+				t.Fatalf("%d publishes in 20 cycles at interval 8, want 2", publishes)
+			}
+			if got := series.Value(); got != 48 {
+				t.Fatalf("series = %d between publishes, want 48 (the total at cycle 15)", got)
+			}
+			st.OnPublish(20, read, SimGauges{}, nil, nil) // the flush
+			if got := series.Value(); got != running {
+				t.Fatalf("series = %d after the flush, want exactly %d", got, running)
+			}
+			st2 := NewSimTelemetry(r, SimTelemetryOptions{})
+			st2.OnPublish(63, func(string) uint64 { return 10 }, SimGauges{}, nil, nil)
+			if got := series.Value(); got != running+10 {
+				t.Fatalf("series = %d with a second engine, want %d", got, running+10)
+			}
+		})
 	}
 }
 
@@ -53,7 +83,7 @@ func TestSimTelemetryPublishInterval(t *testing.T) {
 	if !st.PublishDue(7) {
 		t.Fatal("cycle 7 must be due with interval 8")
 	}
-	st.OnPublish(7, SimGauges{}, nil, nil)
+	st.OnPublish(7, noTotals, SimGauges{}, nil, nil)
 	if st.PublishDue(8) {
 		t.Fatal("cycle 8 must not be due right after a publish at 7")
 	}
@@ -65,7 +95,7 @@ func TestSimTelemetryPublishInterval(t *testing.T) {
 func TestSimTelemetryGaugesAndDetach(t *testing.T) {
 	r := NewRegistry()
 	st := NewSimTelemetry(r, SimTelemetryOptions{})
-	st.OnPublish(63, SimGauges{InFlightFlits: 5, QueuedFlits: 3, BufferedFlits: 2}, nil, nil)
+	st.OnPublish(63, noTotals, SimGauges{InFlightFlits: 5, QueuedFlits: 3, BufferedFlits: 2}, nil, nil)
 
 	inFlight := r.Gauge(MetricInFlight, "")
 	if got := inFlight.Value(); got != 5 {
@@ -73,7 +103,7 @@ func TestSimTelemetryGaugesAndDetach(t *testing.T) {
 	}
 	// Second engine contributes additively.
 	st2 := NewSimTelemetry(r, SimTelemetryOptions{})
-	st2.OnPublish(63, SimGauges{InFlightFlits: 2}, nil, nil)
+	st2.OnPublish(63, noTotals, SimGauges{InFlightFlits: 2}, nil, nil)
 	if got := inFlight.Value(); got != 7 {
 		t.Fatalf("in-flight gauge after second engine = %d, want 7", got)
 	}
@@ -93,7 +123,7 @@ func TestSimTelemetryShardSeries(t *testing.T) {
 	st := NewSimTelemetry(r, SimTelemetryOptions{Shards: 2})
 	busy := []time.Duration{3 * time.Second, time.Second}
 	wait := []time.Duration{0, 2 * time.Second}
-	st.OnPublish(63, SimGauges{}, busy, wait)
+	st.OnPublish(63, noTotals, SimGauges{}, busy, wait)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -115,7 +145,7 @@ func TestSimTelemetryShardSeries(t *testing.T) {
 	// Cumulative inputs must publish as deltas: doubling busy time adds the
 	// difference, not the new total.
 	busy[0], busy[1] = 6*time.Second, 2*time.Second
-	st.OnPublish(127, SimGauges{}, busy, wait)
+	st.OnPublish(127, noTotals, SimGauges{}, busy, wait)
 	fc := r.FloatCounter(MetricShardBusy, "", Label{Key: "shard", Value: "0"})
 	if got := fc.Value(); got != 6 {
 		t.Fatalf("shard 0 busy counter = %v, want 6", got)
@@ -125,7 +155,12 @@ func TestSimTelemetryShardSeries(t *testing.T) {
 func TestSimTelemetryProgress(t *testing.T) {
 	p := NewProgress("cycles", 100)
 	st := NewSimTelemetry(nil, SimTelemetryOptions{Progress: p})
-	st.OnCycle(SimCounters{Cycles: 42})
+	st.OnPublish(41, func(source string) uint64 {
+		if source == simCounters[0].source {
+			return 42
+		}
+		return 0
+	}, SimGauges{}, nil, nil)
 	if got := p.Snapshot().Done; got != 42 {
 		t.Fatalf("progress done = %d, want 42", got)
 	}

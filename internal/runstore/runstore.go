@@ -33,13 +33,10 @@ import (
 // misinterpreting them.
 const Schema = 1
 
-// Record kinds: the payload family a record archives.
-const (
-	// KindRun is an open-loop synthetic-traffic run (dxbar.Result).
-	KindRun = "run"
-	// KindSplash is a closed-loop coherence run (dxbar.SplashResult).
-	KindSplash = "splash"
-)
+// KindRun is the one record kind written: an open-loop synthetic-traffic run
+// (dxbar.Result). The kind is part of the content key and readers reject any
+// other, so a ledger written by a build with more kinds stays safe to open.
+const KindRun = "run"
 
 // recordPattern matches the files a Store writes.
 const recordPattern = "run-*.json"
@@ -94,7 +91,7 @@ type Record struct {
 	Schema int `json:"schema"`
 	// Key is the content address: Key(Kind, Config).
 	Key string `json:"key"`
-	// Kind is the payload family (KindRun, KindSplash).
+	// Kind is the payload family (KindRun).
 	Kind string `json:"kind"`
 	// CreatedAt is the archive time (UTC).
 	CreatedAt time.Time `json:"created_at"`

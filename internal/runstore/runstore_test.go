@@ -38,7 +38,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 	// Kind is part of the address: the same config under another kind must
 	// not alias.
-	ks, err := Key(KindSplash, a)
+	ks, err := Key("splash", a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,8 +99,8 @@ func observe(t *testing.T, n activityNet) observed {
 	return observed{
 		snapshot: buf.Bytes(),
 		meter:    n.Meter.Snapshot(),
-		totals: [6]uint64{c.TotalGenerated(), c.TotalEjected(), c.TotalDropped(),
-			c.TotalDeflected(), c.TotalPacketsInjected(), c.TotalPacketsDelivered()},
+		totals: [6]uint64{c.Total("totalGenerated"), c.TotalEjected(), c.Total("totalDropped"),
+			c.Total("totalDeflected"), c.Total("totalPacketsInjected"), c.Total("totalPacketsDelivered")},
 		recLen:   n.rec.Len(),
 		recTotal: n.rec.Total(),
 	}

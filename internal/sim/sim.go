@@ -106,11 +106,11 @@ type Config struct {
 	// routers record unconditionally).
 	Events *events.Recorder
 	// Telemetry, when non-nil, receives the engine's live publication
-	// stream: counter deltas every cycle, gauges / the latency histogram /
-	// the shard execution profile at the telemetry's publish interval. Nil
-	// disables publication entirely (the nil check is the only per-cycle
-	// cost). Publication reads simulation state but never writes it, so
-	// results are bit-identical with telemetry on or off.
+	// stream — counter deltas, gauges, the latency histogram, the shard
+	// execution profile — at the telemetry's publish interval. Nil disables
+	// publication entirely (the nil check is the only per-cycle cost).
+	// Publication reads simulation state but never writes it, so results are
+	// bit-identical with telemetry on or off.
 	Telemetry *metrics.SimTelemetry
 	// Diag, when non-nil, is the run-health monitor: the engine feeds its
 	// progress watchdog every cycle and its windowed detectors (flit-age
@@ -294,7 +294,6 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		}
 	}
 	e.wireCollectors()
-	e.installDiag()
 	e.routers = make([]Router, n)
 	for i := 0; i < n; i++ {
 		e.routers[i] = factory(e.envs[i])
@@ -315,32 +314,6 @@ func (e *Engine) deriveSets() {
 			t.inflight[j] = gather64(t.linkMask[j<<6:])
 		}
 	}
-}
-
-// installDiag hands the run-health monitor its trace widener. It runs after
-// wireCollectors (construction and Reset) because widening must reach the
-// per-env staged recorders, which wireCollectors just rebuilt.
-func (e *Engine) installDiag() {
-	if e.mon == nil {
-		return
-	}
-	if e.rec == nil {
-		e.mon.SetTraceWidener(nil)
-		return
-	}
-	e.mon.SetTraceWidener(func() {
-		e.rec.Widen()
-		for _, t := range e.tiles {
-			if t.rec != e.rec {
-				t.rec.Widen()
-			}
-		}
-		for _, env := range e.envs {
-			if env.rec != e.rec {
-				env.rec.Widen()
-			}
-		}
-	})
 }
 
 // wireCollectors points every tile and Env at the meter, collector and
@@ -461,29 +434,21 @@ func (e *Engine) Step() {
 		e.steps.absorb(&t.steps)
 	}
 
-	// Time-series sampling: when the collector's sampler is due, hand it
-	// the gauges only the engine can see. SampleDue is a nil check plus a
-	// compare, and RecordSample writes into a preallocated ring, so the
-	// cycle loop stays allocation-free with sampling enabled.
-	if e.coll.SampleDue(c) {
-		e.coll.RecordSample(c, stats.Probe{
-			InFlightFlits: e.pool.Outstanding(),
-			QueuedFlits:   e.QueuedFlits(),
-			BufferedFlits: e.bufferedFlits(),
-		})
-	}
-
 	e.cycle++
 
-	// Live telemetry. The per-cycle leg is a handful of atomic counter
-	// deltas; the O(nodes) gauge scans, the latency-histogram copy and the
-	// shard execution profile only run at the telemetry's publish interval.
-	// All of it reads state and writes none back, so the simulation is
-	// bit-identical with telemetry on or off, and none of it allocates.
-	if t := e.telemetry; t != nil {
-		t.OnCycle(e.counterSnapshot())
-		if t.PublishDue(c) {
-			e.publishGauges(c)
+	// Sampling and live telemetry: the collector's time-series ring and the
+	// telemetry's publish interval each say when they are due (a nil check
+	// plus a compare), and a due cycle gathers the gauges only the engine can
+	// see once for both. All of it reads state and writes none back, so the
+	// simulation is bit-identical with either on or off, and none of it
+	// allocates (RecordSample writes into a preallocated ring).
+	if sample, publish := e.coll.SampleDue(c), e.telemetry.PublishDue(c); sample || publish {
+		g := e.gauges()
+		if sample {
+			e.coll.RecordSample(c, g)
+		}
+		if publish {
+			e.publish(c, g)
 		}
 	}
 
@@ -527,7 +492,7 @@ func (e *Engine) observeDiagWindow(c uint64) {
 	s := diag.WindowSample{
 		Cycle:       c,
 		OldestNode:  node,
-		Deflected:   e.coll.TotalDeflected(),
+		Deflected:   e.coll.Total("totalDeflected"),
 		Retransmits: e.retransmits,
 	}
 	if oldest != nil {
@@ -538,34 +503,40 @@ func (e *Engine) observeDiagWindow(c uint64) {
 	e.mon.ObserveWindow(s)
 }
 
-// counterSnapshot gathers the whole-run totals the telemetry publishes as
-// monotonic counters.
-func (e *Engine) counterSnapshot() metrics.SimCounters {
-	return metrics.SimCounters{
-		Cycles:           e.cycle,
-		InjectedFlits:    e.coll.TotalGenerated(),
-		EjectedFlits:     e.coll.TotalEjected(),
-		DroppedFlits:     e.coll.TotalDropped(),
-		RetransmitFlits:  e.retransmits,
-		DeflectedFlits:   e.coll.TotalDeflected(),
-		PacketsInjected:  e.coll.TotalPacketsInjected(),
-		PacketsDelivered: e.coll.TotalPacketsDelivered(),
+// gauges scans the network for the instantaneous state the sampler and the
+// telemetry both report: O(nodes), so only on a cycle one of them is due.
+func (e *Engine) gauges() metrics.SimGauges {
+	g := metrics.SimGauges{InFlightFlits: e.pool.Outstanding(), QueuedFlits: e.QueuedFlits()}
+	for _, env := range e.envs {
+		g.BufferedFlits += env.creditOccupancy()
 	}
+	return g
 }
 
-// publishGauges runs the interval leg of telemetry publication: network
-// gauges, the shard execution profile and the latency-histogram snapshot.
-func (e *Engine) publishGauges(c uint64) {
+// total reads the running total a telemetry counter row names as its source:
+// the engine's own, or one of the collector's whole-run totals.
+func (e *Engine) total(source string) uint64 {
+	switch source {
+	case "cycle":
+		return e.cycle
+	case "retransmits":
+		return e.retransmits
+	case "routerSteps":
+		return e.steps.executed
+	case "routerStepsSkipped":
+		return e.steps.skipped
+	}
+	return e.coll.Total(source)
+}
+
+// publish hands the telemetry every series: counter totals, network gauges,
+// the shard execution profile and the latency-histogram snapshot.
+func (e *Engine) publish(c uint64, g metrics.SimGauges) {
 	var busy, wait []time.Duration
 	if e.sharded != nil {
 		busy, wait = e.sharded.busy, e.sharded.wait
 	}
-	e.telemetry.OnPublish(c, metrics.SimGauges{
-		InFlightFlits: e.pool.Outstanding(),
-		QueuedFlits:   e.QueuedFlits(),
-		BufferedFlits: e.bufferedFlits(),
-	}, busy, wait)
-	e.telemetry.OnRouterSteps(e.steps.executed, e.steps.skipped)
+	e.telemetry.OnPublish(c, e.total, g, busy, wait)
 	if h := e.telemetry.Latency(); h != nil {
 		e.coll.PublishLatency(h)
 	}
@@ -573,14 +544,12 @@ func (e *Engine) publishGauges(c uint64) {
 
 // FlushTelemetry forces a final publication of every telemetry series — the
 // run usually ends between publish intervals, which would otherwise leave
-// the gauges, the latency histogram and the shard profile up to one interval
-// stale. No-op without telemetry.
+// every series up to one interval stale; after it the counters equal the
+// run's totals exactly. No-op without telemetry.
 func (e *Engine) FlushTelemetry() {
-	if e.telemetry == nil {
-		return
+	if e.telemetry != nil {
+		e.publish(e.cycle, e.gauges())
 	}
-	e.telemetry.OnCycle(e.counterSnapshot())
-	e.publishGauges(e.cycle)
 }
 
 // ShardProfile is the execution profile of one shard of the parallel cycle
@@ -619,18 +588,6 @@ func (e *Engine) ShardProfiles() []ShardProfile {
 		}
 	}
 	return out
-}
-
-// bufferedFlits returns the number of downstream buffer slots held by
-// credit flow control across the whole network — consumed credits,
-// including those still riding the return pipelines. 0 for bufferless
-// designs.
-func (e *Engine) bufferedFlits() int {
-	total := 0
-	for _, env := range e.envs {
-		total += env.creditOccupancy()
-	}
-	return total
 }
 
 // Reset rewires the engine for a fresh run without reallocating its bulk
@@ -683,7 +640,6 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	e.shared = e.shared[:0]
 	e.ckptFn, e.ckptEvery, e.nextCkpt = nil, 0, 0
 	e.wireCollectors()
-	e.installDiag()
 	for i := range e.envs {
 		e.envs[i].reset()
 		e.reasm[i].Reset()

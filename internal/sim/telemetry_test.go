@@ -109,8 +109,22 @@ func TestTelemetryPublishesCounters(t *testing.T) {
 		LatencyBounds: stats.LatencyBucketUppers(),
 	})
 	eng, coll := telemetryEngine(t, 1, tel)
-	eng.Run(200)
+	// Counters publish once per interval (every row's source resolves on a
+	// real engine, or the first publish panics) and exactly on the flush.
+	eng.Run(40)
+	if got, _ := reg.Value(metrics.MetricCycles); got != 32 {
+		t.Errorf("cycles counter = %v after 40 cycles at interval 16, want 32 (the last publish)", got)
+	}
+	eng.Run(160)
 	eng.FlushTelemetry()
+	for name, want := range map[string]uint64{
+		metrics.MetricInjectedFlits: coll.Total("totalGenerated"), metrics.MetricEjectedFlits: coll.TotalEjected(),
+		metrics.MetricPacketsIn: coll.Total("totalPacketsInjected"), metrics.MetricPacketsOut: coll.Total("totalPacketsDelivered"),
+	} {
+		if got, _ := reg.Value(name); got != float64(want) {
+			t.Errorf("%s = %v after the flush, want the run's total %d", name, got, want)
+		}
+	}
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -124,7 +138,7 @@ func TestTelemetryPublishesCounters(t *testing.T) {
 	if !strings.Contains(out, metrics.MetricRouterSteps+" 3200") || !strings.Contains(out, metrics.MetricRouterSkipped+" 0") {
 		t.Errorf("router-step counters missing or wrong:\n%s", out)
 	}
-	if coll.TotalGenerated() == 0 {
+	if coll.Total("totalGenerated") == 0 {
 		t.Fatal("test produced no traffic; telemetry assertions vacuous")
 	}
 	for _, name := range []string{

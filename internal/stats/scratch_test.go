@@ -1,8 +1,12 @@
 package stats
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"dxbar/internal/snapshot"
 )
 
 // TestScratchAbsorbRouterPhase drives the entry points a tile's worker uses —
@@ -35,26 +39,16 @@ func TestScratchAbsorbRouterPhase(t *testing.T) {
 	record(scratch)
 	master.AbsorbTile(scratch)
 
-	if direct.bufferedSum != master.bufferedSum || direct.routedFlits != master.routedFlits ||
-		direct.fairnessFlips != master.fairnessFlips || direct.droppedFlits != master.droppedFlits {
-		t.Errorf("absorbed counters differ from direct: direct {%d %d %d %d}, master {%d %d %d %d}",
-			direct.bufferedSum, direct.routedFlits, direct.fairnessFlips, direct.droppedFlits,
-			master.bufferedSum, master.routedFlits, master.fairnessFlips, master.droppedFlits)
-	}
-	if direct.totalEjected != master.totalEjected || direct.ejectedFlits != master.ejectedFlits ||
-		direct.totalDropped != master.totalDropped || direct.totalDeflected != master.totalDeflected {
-		t.Errorf("absorbed whole-run totals differ from direct: direct {%d %d %d %d}, master {%d %d %d %d}",
-			direct.totalEjected, direct.ejectedFlits, direct.totalDropped, direct.totalDeflected,
-			master.totalEjected, master.ejectedFlits, master.totalDropped, master.totalDeflected)
+	if direct.n != master.n {
+		t.Errorf("absorbed counters differ from direct:\ndirect %v\nmaster %v", direct.n, master.n)
 	}
 	if !reflect.DeepEqual(direct.droppedByNode, master.droppedByNode) {
 		t.Errorf("droppedByNode differs: direct %v, master %v", direct.droppedByNode, master.droppedByNode)
 	}
 
 	// The scratch must be fully zeroed so the next cycle reuses it cleanly.
-	if scratch.bufferedSum != 0 || scratch.routedFlits != 0 || scratch.fairnessFlips != 0 || scratch.droppedFlits != 0 ||
-		scratch.totalEjected != 0 || scratch.ejectedFlits != 0 || scratch.totalDropped != 0 || scratch.totalDeflected != 0 {
-		t.Error("scratch counters not zeroed after absorb")
+	if scratch.n != [numCounters]uint64{} {
+		t.Errorf("scratch counters not zeroed after absorb: %v", scratch.n)
 	}
 	for i, v := range scratch.droppedByNode {
 		if v != 0 {
@@ -65,8 +59,8 @@ func TestScratchAbsorbRouterPhase(t *testing.T) {
 	// A second, drop-free absorption round on the same scratch.
 	scratch.BufferingEvent(300)
 	master.AbsorbTile(scratch)
-	if master.bufferedSum != direct.bufferedSum+1 {
-		t.Errorf("second absorb: bufferedSum = %d, want %d", master.bufferedSum, direct.bufferedSum+1)
+	if master.n[bufferedSum] != direct.n[bufferedSum]+1 {
+		t.Errorf("second absorb: bufferedSum = %d, want %d", master.n[bufferedSum], direct.n[bufferedSum]+1)
 	}
 }
 
@@ -83,8 +77,54 @@ func TestScratchInheritsWindow(t *testing.T) {
 	probe.RoutedEvent(499)
 	probe.RoutedEvent(500)
 	probe.RoutedEvent(1000)
-	want := probe.routedFlits
-	if scratch.routedFlits != want {
-		t.Errorf("scratch windowing differs from parent: got %d in-window events, want %d", scratch.routedFlits, want)
+	want := probe.n[routedFlits]
+	if scratch.n[routedFlits] != want {
+		t.Errorf("scratch windowing differs from parent: got %d in-window events, want %d", scratch.n[routedFlits], want)
+	}
+}
+
+// TestCounterBlock walks every index of the counter block: whatever a counter
+// is, a tile's scratch hands it to the master and is left zero, a snapshot
+// round trip restores it, and — where it has a name — Total reads it. A
+// counter added to the enum is covered here without anyone listing it again.
+func TestCounterBlock(t *testing.T) {
+	for i := counter(0); i < numCounters; i++ {
+		name := totalNames[i]
+		if name == "" {
+			name = fmt.Sprintf("counter%d", i)
+		}
+		t.Run(name, func(t *testing.T) {
+			master := NewCollector(4, 100, 200)
+			master.n[i], master.latencyMax = 5, 40
+			scratch := master.Scratch()
+			scratch.n[i], scratch.latencyMax = 7, 90 // no tile records a latency; absorbing must not sum or take one
+			master.AbsorbTile(scratch)
+			want := [numCounters]uint64{}
+			want[i] = 12
+			if master.n != want || scratch.n != ([numCounters]uint64{}) || master.latencyMax != 40 {
+				t.Fatalf("after AbsorbTile: master %v (latencyMax %d), scratch %v", master.n, master.latencyMax, scratch.n)
+			}
+			if totalNames[i] != "" && master.Total(name) != 12 {
+				t.Errorf("Total(%q) = %d, want 12", name, master.Total(name))
+			}
+
+			var buf bytes.Buffer
+			w := snapshot.NewWriter(&buf)
+			master.SaveState(w)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := snapshot.NewReader(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := NewCollector(4, 100, 200)
+			if err := restored.LoadState(r); err != nil {
+				t.Fatal(err)
+			}
+			if restored.n != want || restored.latencyMax != 40 {
+				t.Errorf("after the round trip: %v (latencyMax %d), want %v (40)", restored.n, restored.latencyMax, want)
+			}
+		})
 	}
 }

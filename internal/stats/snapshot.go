@@ -58,33 +58,21 @@ func loadHistogram(r *snapshot.Reader, h *Histogram) error {
 	return nil
 }
 
-// SaveState serializes the collector: the measurement window, every counter,
-// the per-node drop array, the latency histogram, and — when enabled — the
-// time-series ring (normalized oldest-first) and the link-utilization matrix
-// (sparse, non-zero cells only).
+// SaveState serializes the collector: the measurement window, the counter
+// block in enum order (latencyMax, which is outside the block, keeps its place
+// in the stream before hopSum), the per-node drop array, the latency
+// histogram, and — when enabled — the time-series ring (normalized
+// oldest-first) and the link-utilization matrix (sparse, non-zero cells only).
 func (c *Collector) SaveState(w *snapshot.Writer) {
 	w.Tag("STAT")
 	w.U64(c.start)
 	w.U64(c.end)
-	w.U64(c.generatedFlits)
-	w.U64(c.ejectedFlits)
-	w.U64(c.totalGenerated)
-	w.U64(c.totalEjected)
-	w.U64(c.totalDropped)
-	w.U64(c.totalDeflected)
-	w.U64(c.totalPacketsInjected)
-	w.U64(c.totalPacketsDelivered)
-	w.U64(c.packets)
-	w.U64(c.packetsInjected)
-	w.U64(c.latencySum)
-	w.U64(c.latencyMax)
-	w.U64(c.hopSum)
-	w.U64(c.deflectSum)
-	w.U64(c.retransSum)
-	w.U64(c.bufferedSum)
-	w.U64(c.routedFlits)
-	w.U64(c.droppedFlits)
-	w.U64(c.fairnessFlips)
+	for i, v := range c.n {
+		if counter(i) == hopSum {
+			w.U64(c.latencyMax)
+		}
+		w.U64(v)
+	}
 	w.U32(uint32(len(c.droppedByNode)))
 	for _, v := range c.droppedByNode {
 		w.U64(v)
@@ -140,25 +128,12 @@ func (c *Collector) LoadState(r *snapshot.Reader) error {
 	r.Expect("STAT")
 	c.start = r.U64()
 	c.end = r.U64()
-	c.generatedFlits = r.U64()
-	c.ejectedFlits = r.U64()
-	c.totalGenerated = r.U64()
-	c.totalEjected = r.U64()
-	c.totalDropped = r.U64()
-	c.totalDeflected = r.U64()
-	c.totalPacketsInjected = r.U64()
-	c.totalPacketsDelivered = r.U64()
-	c.packets = r.U64()
-	c.packetsInjected = r.U64()
-	c.latencySum = r.U64()
-	c.latencyMax = r.U64()
-	c.hopSum = r.U64()
-	c.deflectSum = r.U64()
-	c.retransSum = r.U64()
-	c.bufferedSum = r.U64()
-	c.routedFlits = r.U64()
-	c.droppedFlits = r.U64()
-	c.fairnessFlips = r.U64()
+	for i := range c.n {
+		if counter(i) == hopSum {
+			c.latencyMax = r.U64()
+		}
+		c.n[i] = r.U64()
+	}
 	n := r.Len(len(c.droppedByNode))
 	if err := r.Err(); err != nil {
 		return err

@@ -19,31 +19,14 @@ type Collector struct {
 	nodes      int
 	start, end uint64 // measurement window [start, end)
 
-	generatedFlits uint64
-	ejectedFlits   uint64
-
-	// totalGenerated/totalEjected/totalDropped and the packet totals count
-	// across the whole run (no window); the time-series sampler derives
-	// per-interval flow deltas from the flit totals, and live telemetry
-	// (internal/metrics) publishes all of them as monotonic counters.
-	totalGenerated        uint64
-	totalEjected          uint64
-	totalDropped          uint64
-	totalDeflected        uint64
-	totalPacketsInjected  uint64
-	totalPacketsDelivered uint64
-
-	packets         uint64
-	packetsInjected uint64 // packets injected in-window (PacketInjected)
-	latencySum      uint64
-	latencyMax      uint64
-	hopSum          uint64
-	deflectSum      uint64
-	retransSum      uint64
-	bufferedSum     uint64 // buffering events observed via BufferingEvent
-	routedFlits     uint64 // flit-router traversals observed via RoutedEvent
-	droppedFlits    uint64
-	fairnessFlips   uint64 // priority flips observed via FairnessFlip
+	// n is the counter block: every summed event count of the run, indexed by
+	// the counter enum below. Everything that must treat the counters alike —
+	// tile absorption, the snapshot section — loops
+	// over it, so a counter is declared once, in the enum.
+	n [numCounters]uint64
+	// latencyMax is a maximum, not a sum, so it lives outside the block: a
+	// loop that adds blocks together must not touch it.
+	latencyMax uint64
 
 	// droppedByNode counts in-window drops at each router, so heatmaps can
 	// show *where* drops cluster instead of only how many happened.
@@ -61,6 +44,47 @@ type Collector struct {
 	// are the mesh dimensions, used to average only over links that exist.
 	linkUse               [][]uint64
 	utilWidth, utilHeight int
+}
+
+// counter indexes Collector.n. The order is the STAT snapshot section's
+// scalar order (SaveState), so entries are appended at the end or the format
+// changes; latencyMax is serialized between latencySum and hopSum.
+type counter uint8
+
+const (
+	generatedFlits counter = iota // in-window flits offered by sources
+	ejectedFlits                  // in-window flits delivered
+	// The total* counters cover the whole run (no window): the time-series
+	// sampler derives per-interval flow deltas from the flit totals, and live
+	// telemetry (internal/metrics) publishes them as monotonic counters.
+	totalGenerated
+	totalEjected
+	totalDropped
+	totalDeflected
+	totalPacketsInjected
+	totalPacketsDelivered
+	packets         // completed packets injected in-window
+	packetsInjected // packets injected in-window (PacketInjected)
+	latencySum
+	hopSum
+	deflectSum
+	retransSum
+	bufferedSum   // buffering events observed via BufferingEvent
+	routedFlits   // flit-router traversals observed via RoutedEvent
+	droppedFlits  // in-window drops; droppedByNode is their per-router split
+	fairnessFlips // priority flips observed via FairnessFlip
+	numCounters
+)
+
+// totalNames gives the whole-run totals the names telemetry reads them by
+// (Total). A counter nobody looks up by name needs no entry.
+var totalNames = [numCounters]string{
+	totalGenerated:        "totalGenerated",
+	totalEjected:          "totalEjected",
+	totalDropped:          "totalDropped",
+	totalDeflected:        "totalDeflected",
+	totalPacketsInjected:  "totalPacketsInjected",
+	totalPacketsDelivered: "totalPacketsDelivered",
 }
 
 // NewCollector returns a collector for a network with the given node count
@@ -82,17 +106,17 @@ func (c *Collector) InWindow(cycle uint64) bool {
 
 // GeneratedFlits records n flits offered by sources at the given cycle.
 func (c *Collector) GeneratedFlits(cycle uint64, n int) {
-	c.totalGenerated += uint64(n)
+	c.n[totalGenerated] += uint64(n)
 	if c.InWindow(cycle) {
-		c.generatedFlits += uint64(n)
+		c.n[generatedFlits] += uint64(n)
 	}
 }
 
 // EjectedFlit records one flit delivered at the given cycle.
 func (c *Collector) EjectedFlit(cycle uint64) {
-	c.totalEjected++
+	c.n[totalEjected]++
 	if c.InWindow(cycle) {
-		c.ejectedFlits++
+		c.n[ejectedFlits]++
 	}
 }
 
@@ -102,9 +126,9 @@ func (c *Collector) EjectedFlit(cycle uint64) {
 // is biased downward exactly when the network saturates, because the
 // slowest packets are the ones that have not finished yet.
 func (c *Collector) PacketInjected(cycle uint64) {
-	c.totalPacketsInjected++
+	c.n[totalPacketsInjected]++
 	if c.InWindow(cycle) {
-		c.packetsInjected++
+		c.n[packetsInjected]++
 	}
 }
 
@@ -112,20 +136,20 @@ func (c *Collector) PacketInjected(cycle uint64) {
 // delivery of the last flit (source queueing included). Only packets
 // injected inside the window contribute.
 func (c *Collector) PacketDone(p flit.Packet) {
-	c.totalPacketsDelivered++
+	c.n[totalPacketsDelivered]++
 	if !c.InWindow(p.InjectionCycle) {
 		return
 	}
 	lat := p.CompletionCycle - p.InjectionCycle
-	c.packets++
-	c.latencySum += lat
+	c.n[packets]++
+	c.n[latencySum] += lat
 	if lat > c.latencyMax {
 		c.latencyMax = lat
 	}
 	c.latHist.Record(lat)
-	c.hopSum += uint64(p.Hops)
-	c.deflectSum += uint64(p.Deflections)
-	c.retransSum += uint64(p.Retransmits)
+	c.n[hopSum] += uint64(p.Hops)
+	c.n[deflectSum] += uint64(p.Deflections)
+	c.n[retransSum] += uint64(p.Retransmits)
 }
 
 // BufferingEvent records one flit entering a buffer. Like the other event
@@ -134,23 +158,23 @@ func (c *Collector) PacketDone(p flit.Packet) {
 // traversals.
 func (c *Collector) BufferingEvent(cycle uint64) {
 	if c.InWindow(cycle) {
-		c.bufferedSum++
+		c.n[bufferedSum]++
 	}
 }
 
 // RoutedEvent records one flit traversing a router (switch traversal).
 func (c *Collector) RoutedEvent(cycle uint64) {
 	if c.InWindow(cycle) {
-		c.routedFlits++
+		c.n[routedFlits]++
 	}
 }
 
 // DroppedFlit records one flit dropped at the given node (SCARAB, or an
 // undetected-fault casualty that will be recovered by retransmission).
 func (c *Collector) DroppedFlit(cycle uint64, node int) {
-	c.totalDropped++
+	c.n[totalDropped]++
 	if c.InWindow(cycle) {
-		c.droppedFlits++
+		c.n[droppedFlits]++
 		c.droppedByNode[node]++
 	}
 }
@@ -161,7 +185,7 @@ func (c *Collector) DroppedFlit(cycle uint64, node int) {
 // both of which window it themselves (per-packet windowed deflections come
 // from PacketDone).
 func (c *Collector) DeflectedFlit() {
-	c.totalDeflected++
+	c.n[totalDeflected]++
 }
 
 // FairnessFlip records one fairness-counter priority flip (§II.A.2): the
@@ -169,7 +193,7 @@ func (c *Collector) DeflectedFlit() {
 // priority flipped to the waiters (DXbar/unified).
 func (c *Collector) FairnessFlip(cycle uint64) {
 	if c.InWindow(cycle) {
-		c.fairnessFlips++
+		c.n[fairnessFlips]++
 	}
 }
 
@@ -182,36 +206,24 @@ func (c *Collector) Scratch() *Collector {
 }
 
 // AbsorbTile folds the counters a tile staged in s back into c and zeroes
-// them. A tile's worker touches exactly six collector entry points on its
-// scratch — the routers' BufferingEvent, RoutedEvent, DroppedFlit,
-// DeflectedFlit and FairnessFlip, and the link phase's EjectedFlit
-// (generation and completed packets are recorded on the real collector by
-// the coordinating goroutine, and LinkEvent writes per-node rows there
-// directly) — so those are the fields a scratch can accumulate. All are
-// commutative counters, which is why barrier-time absorption in any tile
-// order reproduces the sequential totals bit-identically.
+// them: the whole block, then the per-node drop rows. A tile's worker reaches
+// its scratch through the routers' BufferingEvent, RoutedEvent, DroppedFlit,
+// DeflectedFlit and FairnessFlip and the link phase's EjectedFlit (generation
+// and completed packets are recorded on the real collector by the
+// coordinating goroutine, and LinkEvent writes per-node rows there directly),
+// but nothing here depends on that list — a counter a tile bumps is absorbed
+// because it is in the block. All are commutative sums, which is why
+// barrier-time absorption in any tile order reproduces the sequential totals
+// bit-identically; latencyMax is not a sum and no tile records latencies.
 func (c *Collector) AbsorbTile(s *Collector) {
-	c.totalEjected += s.totalEjected
-	c.ejectedFlits += s.ejectedFlits
-	s.totalEjected = 0
-	s.ejectedFlits = 0
-	c.bufferedSum += s.bufferedSum
-	c.routedFlits += s.routedFlits
-	c.fairnessFlips += s.fairnessFlips
-	c.totalDeflected += s.totalDeflected
-	s.bufferedSum = 0
-	s.routedFlits = 0
-	s.fairnessFlips = 0
-	s.totalDeflected = 0
-	// totalDropped counts out-of-window drops too, so it must be absorbed
-	// even when the windowed droppedFlits below short-circuits.
-	c.totalDropped += s.totalDropped
-	s.totalDropped = 0
-	if s.droppedFlits == 0 {
+	dropped := s.n[droppedFlits] // droppedByNode holds in-window drops only
+	for i, v := range s.n {
+		c.n[i] += v
+	}
+	s.n = [numCounters]uint64{}
+	if dropped == 0 {
 		return
 	}
-	c.droppedFlits += s.droppedFlits
-	s.droppedFlits = 0
 	for i, v := range s.droppedByNode {
 		if v != 0 {
 			c.droppedByNode[i] += v
@@ -284,31 +296,31 @@ func (c *Collector) Results() Results {
 		window = 1 // run interrupted before the window opened: no rates to report
 	}
 	r := Results{
-		OfferedLoad:   float64(c.generatedFlits) / (window * float64(c.nodes)),
-		AcceptedLoad:  float64(c.ejectedFlits) / (window * float64(c.nodes)),
+		OfferedLoad:   float64(c.n[generatedFlits]) / (window * float64(c.nodes)),
+		AcceptedLoad:  float64(c.n[ejectedFlits]) / (window * float64(c.nodes)),
 		MaxLatency:    c.latencyMax,
-		Packets:       c.packets,
-		DroppedFlits:  c.droppedFlits,
-		FairnessFlips: c.fairnessFlips,
+		Packets:       c.n[packets],
+		DroppedFlits:  c.n[droppedFlits],
+		FairnessFlips: c.n[fairnessFlips],
 	}
-	if c.droppedFlits > 0 {
+	if c.n[droppedFlits] > 0 {
 		r.DroppedByNode = append([]uint64(nil), c.droppedByNode...)
 	}
-	if c.packets > 0 {
-		r.AvgLatency = float64(c.latencySum) / float64(c.packets)
-		r.AvgHops = float64(c.hopSum) / float64(c.packets)
-		r.DeflectionsPerPacket = float64(c.deflectSum) / float64(c.packets)
-		r.RetransmitsPerPacket = float64(c.retransSum) / float64(c.packets)
+	if c.n[packets] > 0 {
+		r.AvgLatency = float64(c.n[latencySum]) / float64(c.n[packets])
+		r.AvgHops = float64(c.n[hopSum]) / float64(c.n[packets])
+		r.DeflectionsPerPacket = float64(c.n[deflectSum]) / float64(c.n[packets])
+		r.RetransmitsPerPacket = float64(c.n[retransSum]) / float64(c.n[packets])
 		r.P50Latency = c.latHist.Quantile(0.50)
 		r.P90Latency = c.latHist.Quantile(0.90)
 		r.P99Latency = c.latHist.Quantile(0.99)
 		r.LatencyHistogram = c.latHist.snapshot()
 	}
-	if c.packetsInjected > c.packets {
-		r.InFlightPackets = c.packetsInjected - c.packets
+	if c.n[packetsInjected] > c.n[packets] {
+		r.InFlightPackets = c.n[packetsInjected] - c.n[packets]
 	}
-	if c.routedFlits > 0 {
-		r.BufferingProbability = float64(c.bufferedSum) / float64(c.routedFlits)
+	if c.n[routedFlits] > 0 {
+		r.BufferingProbability = float64(c.n[bufferedSum]) / float64(c.n[routedFlits])
 	}
 	return r
 }

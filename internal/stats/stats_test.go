@@ -129,11 +129,11 @@ func TestEventRecorderWindowing(t *testing.T) {
 		c.RoutedEvent(cycle)
 		c.DroppedFlit(cycle, 0)
 	}
-	if c.bufferedSum != 3 {
-		t.Errorf("buffered = %d, want 3 (window [100,200))", c.bufferedSum)
+	if c.n[bufferedSum] != 3 {
+		t.Errorf("buffered = %d, want 3 (window [100,200))", c.n[bufferedSum])
 	}
-	if c.routedFlits != 3 {
-		t.Errorf("routed = %d, want 3", c.routedFlits)
+	if c.n[routedFlits] != 3 {
+		t.Errorf("routed = %d, want 3", c.n[routedFlits])
 	}
 	r := c.Results()
 	if r.DroppedFlits != 3 {

@@ -2,36 +2,33 @@ package stats
 
 import "dxbar/internal/metrics"
 
-// Live-telemetry bridge: the whole-run totals the engine publishes as
-// monotonic counters every cycle, and the latency-histogram export it
-// publishes at the metrics interval. All of these are plain field reads or a
-// fixed-size copy — nothing here allocates, so the cycle loop keeps its
-// zero-allocation steady state with telemetry enabled.
+// Live-telemetry bridge: the whole-run totals and the latency-histogram
+// export the engine publishes at the metrics interval. All of these are plain
+// reads or a fixed-size copy — nothing here allocates, so the cycle loop keeps
+// its zero-allocation steady state with telemetry enabled.
 
-// TotalGenerated returns flits offered by sources across the whole run.
-func (c *Collector) TotalGenerated() uint64 { return c.totalGenerated }
+// TotalEjected returns flits delivered across the whole run — a getter of its
+// own because the progress watchdog reads it every cycle.
+func (c *Collector) TotalEjected() uint64 { return c.n[totalEjected] }
 
-// TotalEjected returns flits delivered across the whole run.
-func (c *Collector) TotalEjected() uint64 { return c.totalEjected }
-
-// TotalDropped returns flits dropped across the whole run.
-func (c *Collector) TotalDropped() uint64 { return c.totalDropped }
-
-// TotalDeflected returns flits deflected across the whole run.
-func (c *Collector) TotalDeflected() uint64 { return c.totalDeflected }
-
-// TotalPacketsInjected returns packets injected across the whole run.
-func (c *Collector) TotalPacketsInjected() uint64 { return c.totalPacketsInjected }
-
-// TotalPacketsDelivered returns packets completed across the whole run.
-func (c *Collector) TotalPacketsDelivered() uint64 { return c.totalPacketsDelivered }
+// Total returns the whole-run total called name (totalNames): how the
+// telemetry counter table (internal/metrics) names its sources, and how every
+// reader off the cycle path gets one. An unknown name is a bug and panics.
+func (c *Collector) Total(name string) uint64 {
+	for i, n := range totalNames {
+		if n == name {
+			return c.n[i]
+		}
+	}
+	panic("stats: no whole-run total named " + name)
+}
 
 // PublishLatency copies the in-window latency distribution into h
 // (registered with LatencyBucketUppers bounds). The histogram's fixed bucket
 // array maps 1:1 onto the metrics bounds, so this is a straight copy under
 // h's mutex — no allocation, no iteration over packets.
 func (c *Collector) PublishLatency(h *metrics.Histogram) {
-	h.Update(c.latHist.counts[:], c.latHist.total, float64(c.latencySum))
+	h.Update(c.latHist.counts[:], c.latHist.total, float64(c.n[latencySum]))
 }
 
 // LatencyBucketUppers returns the inclusive upper bound of every latency

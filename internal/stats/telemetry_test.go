@@ -21,19 +21,19 @@ func TestWholeRunTotals(t *testing.T) {
 	c.EjectedFlit(150)
 	c.DroppedFlit(150, 0)
 
-	if got := c.TotalGenerated(); got != 5 {
+	if got := c.Total("totalGenerated"); got != 5 {
 		t.Errorf("TotalGenerated = %d, want 5", got)
 	}
 	if got := c.TotalEjected(); got != 2 {
 		t.Errorf("TotalEjected = %d, want 2", got)
 	}
-	if got := c.TotalDropped(); got != 2 {
+	if got := c.Total("totalDropped"); got != 2 {
 		t.Errorf("TotalDropped = %d, want 2", got)
 	}
-	if got := c.TotalPacketsInjected(); got != 1 {
+	if got := c.Total("totalPacketsInjected"); got != 1 {
 		t.Errorf("TotalPacketsInjected = %d, want 1", got)
 	}
-	if got := c.TotalPacketsDelivered(); got != 1 {
+	if got := c.Total("totalPacketsDelivered"); got != 1 {
 		t.Errorf("TotalPacketsDelivered = %d, want 1", got)
 	}
 	if r := c.Results(); r.DroppedFlits != 1 {
@@ -48,10 +48,10 @@ func TestAbsorbRouterPhaseTotalDropped(t *testing.T) {
 	// case the absorb early-return used to skip entirely.
 	s.DroppedFlit(5, 2)
 	c.AbsorbTile(s)
-	if got := c.TotalDropped(); got != 1 {
+	if got := c.Total("totalDropped"); got != 1 {
 		t.Fatalf("TotalDropped after absorb = %d, want 1", got)
 	}
-	if s.totalDropped != 0 {
+	if s.n[totalDropped] != 0 {
 		t.Fatal("scratch totalDropped not zeroed by absorb")
 	}
 }

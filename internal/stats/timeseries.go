@@ -1,5 +1,7 @@
 package stats
 
+import "dxbar/internal/metrics"
+
 // Time-series sampling: periodic snapshots of network state taken from the
 // engine's cycle loop. Averaged-over-the-window metrics hide transients —
 // saturation onset, the queue growth behind a fault's BIST detection window,
@@ -9,22 +11,6 @@ package stats
 // when the ring fills it overwrites the oldest sample, keeping the most
 // recent window of the run.
 
-// Probe carries the engine-side gauges read at each sample point. The
-// collector owns the flow counters (injected/ejected deltas); the engine
-// supplies the instantaneous state it alone can see.
-type Probe struct {
-	// InFlightFlits is the number of live flits anywhere in the network —
-	// queues, latches, links, buffers and the retransmit wheel (the flit
-	// pool's outstanding count).
-	InFlightFlits int
-	// QueuedFlits is the total injection-queue backlog across all nodes.
-	QueuedFlits int
-	// BufferedFlits is the number of downstream buffer slots held by credit
-	// flow control (consumed credits, including those riding the return
-	// pipeline). Always 0 for bufferless designs.
-	BufferedFlits int
-}
-
 // Sample is one periodic snapshot.
 type Sample struct {
 	// Cycle is the cycle the sample was taken at.
@@ -33,7 +19,8 @@ type Sample struct {
 	// sample (unwindowed, so warmup transients are visible too).
 	InjectedFlits uint64
 	EjectedFlits  uint64
-	// InFlightFlits, QueuedFlits and BufferedFlits are the Probe gauges.
+	// InFlightFlits, QueuedFlits and BufferedFlits are the engine's gauges
+	// (metrics.SimGauges) at the sample point.
 	InFlightFlits int
 	QueuedFlits   int
 	BufferedFlits int
@@ -82,21 +69,21 @@ func (c *Collector) SampleDue(cycle uint64) bool {
 // RecordSample stores one snapshot. The engine calls it at the end of a
 // cycle for which SampleDue returned true; the collector fills in the flow
 // deltas from its cumulative counters. Never allocates.
-func (c *Collector) RecordSample(cycle uint64, p Probe) {
+func (c *Collector) RecordSample(cycle uint64, p metrics.SimGauges) {
 	ts := c.ts
 	if ts == nil {
 		return
 	}
 	s := Sample{
 		Cycle:         cycle,
-		InjectedFlits: c.totalGenerated - ts.lastGen,
-		EjectedFlits:  c.totalEjected - ts.lastEject,
+		InjectedFlits: c.n[totalGenerated] - ts.lastGen,
+		EjectedFlits:  c.n[totalEjected] - ts.lastEject,
 		InFlightFlits: p.InFlightFlits,
 		QueuedFlits:   p.QueuedFlits,
 		BufferedFlits: p.BufferedFlits,
 	}
-	ts.lastGen = c.totalGenerated
-	ts.lastEject = c.totalEjected
+	ts.lastGen = c.n[totalGenerated]
+	ts.lastEject = c.n[totalEjected]
 	if ts.size < len(ts.ring) {
 		ts.ring[(ts.head+ts.size)%len(ts.ring)] = s
 		ts.size++

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"dxbar/internal/metrics"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ func TestTimeSeriesDisabledByDefault(t *testing.T) {
 	if c.SampleDue(0) || c.SampleDue(99) || c.Samples() != nil || c.SampleInterval() != 0 {
 		t.Error("sampling must be off until enabled")
 	}
-	c.RecordSample(10, Probe{}) // must be a no-op
+	c.RecordSample(10, metrics.SimGauges{}) // must be a no-op
 	if c.Samples() != nil {
 		t.Error("RecordSample without enabling must not record")
 	}
@@ -27,7 +28,7 @@ func TestTimeSeriesSamplesFlowDeltas(t *testing.T) {
 			c.EjectedFlit(cycle)
 		}
 		if c.SampleDue(cycle) {
-			c.RecordSample(cycle, Probe{InFlightFlits: int(cycle), QueuedFlits: 1, BufferedFlits: 3})
+			c.RecordSample(cycle, metrics.SimGauges{InFlightFlits: int(cycle), QueuedFlits: 1, BufferedFlits: 3})
 		}
 	}
 	s := c.Samples()
@@ -64,7 +65,7 @@ func TestTimeSeriesRingOverwritesOldest(t *testing.T) {
 		if !c.SampleDue(cycle) {
 			t.Fatalf("interval-1 sampling must be due every cycle (cycle %d)", cycle)
 		}
-		c.RecordSample(cycle, Probe{})
+		c.RecordSample(cycle, metrics.SimGauges{})
 	}
 	s := c.Samples()
 	if len(s) != 4 {
@@ -84,7 +85,7 @@ func TestTimeSeriesRecordSampleDoesNotAllocate(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		c.GeneratedFlits(cycle, 1)
 		c.EjectedFlit(cycle)
-		c.RecordSample(cycle, Probe{InFlightFlits: 1})
+		c.RecordSample(cycle, metrics.SimGauges{InFlightFlits: 1})
 		cycle++
 	})
 	if avg != 0 {

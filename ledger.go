@@ -113,24 +113,6 @@ func (l *Ledger) archiveRun(key string, cfgJSON []byte, res Result, meta map[str
 	return l.store.Put(rec)
 }
 
-// ArchiveSplash archives a closed-loop coherence run under the hash of its
-// defaulted SplashConfig.
-func (l *Ledger) ArchiveSplash(c SplashConfig, res SplashResult) (string, error) {
-	cfgJSON, err := json.Marshal(splashDefaults(c))
-	if err != nil {
-		return "", fmt.Errorf("dxbar: ledger: marshal splash config: %w", err)
-	}
-	resJSON, err := json.Marshal(res)
-	if err != nil {
-		return "", fmt.Errorf("dxbar: ledger: marshal splash result: %w", err)
-	}
-	return l.store.Put(&runstore.Record{
-		Kind:   runstore.KindSplash,
-		Config: cfgJSON,
-		Result: resJSON,
-	})
-}
-
 // LedgerResult decodes a run record back into a Result, rebuilding the
 // latency histogram from its archived bucket form. The decoded Result is
 // deep-equal to the one the archiving run returned (for configs

@@ -2,10 +2,10 @@ package dxbar
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
+
+	"dxbar/internal/runstore"
 )
 
 // ledgerTestConfig is a short deterministic run used across the ledger suite.
@@ -171,46 +171,22 @@ func TestLedgerResultRetiredKeys(t *testing.T) {
 	}
 }
 
-// TestLedgerSplashArchive covers the closed-loop archive path.
-func TestLedgerSplashArchive(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenLedger(dir)
+// TestLedgerResultRejectsForeignKind: a record of any kind but "run" (older
+// builds archived closed-loop runs as "splash") lists, but is not a Result.
+func TestLedgerResultRejectsForeignKind(t *testing.T) {
+	l, err := OpenLedger(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SplashConfig{Design: DesignDXbar, Benchmark: "fft", Seed: 3}
-	res := SplashResult{ExecutionCycles: 1234, Packets: 99, Design: DesignDXbar, Benchmark: "fft"}
-	path, err := l.ArchiveSplash(cfg, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
+	if _, err := l.store.Put(&runstore.Record{Kind: "splash", Config: []byte(`{"Benchmark":"fft"}`), Result: []byte(`{"Packets":99}`)}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := l.List()
-	if err != nil || len(recs) != 1 {
+	if err != nil || len(recs) != 1 || recs[0].Kind != "splash" {
 		t.Fatalf("list: %v, %d records", err, len(recs))
 	}
-	if recs[0].Kind != "splash" {
-		t.Fatalf("kind = %q", recs[0].Kind)
-	}
-	// A splash record is not a run: LedgerResult must refuse it.
 	if _, err := LedgerResult(recs[0]); err == nil {
 		t.Fatal("LedgerResult accepted a splash record")
-	}
-	// Defaulted and explicit configs share a key.
-	again := cfg
-	again.Width, again.Height = 8, 8
-	again.MaxCycles = 3_000_000
-	again.Routing = "DOR"
-	if _, err := l.ArchiveSplash(again, res); err != nil {
-		t.Fatal(err)
-	}
-	if recs, _ := l.List(); len(recs) != 1 {
-		t.Fatalf("defaulted splash config did not dedup: %d records", len(recs))
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "run-*.json")); len(files) != 1 {
-		t.Fatalf("expected one record file, found %d", len(files))
 	}
 }
 

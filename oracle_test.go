@@ -319,7 +319,7 @@ func runLive(t *testing.T, c *equivCase, p path) outcome {
 		// Generated = ejected + live (in the network, in a buffer, dropped and
 		// on the retransmit wheel, or materialized at a source) + the flits of
 		// packets still queued as specs.
-		gen, held := net.Stats.TotalGenerated(), net.Stats.TotalEjected()+uint64(eng.Pool().Outstanding())
+		gen, held := net.Stats.Total("totalGenerated"), net.Stats.TotalEjected()+uint64(eng.Pool().Outstanding())
 		if c.conserve && (gen < held || gen > held+uint64(eng.QueuedFlits())) {
 			t.Fatalf("%s: cycle %d: %d flits generated, %d ejected or live, %d queued", p, eng.Cycle(), gen, held, eng.QueuedFlits())
 		}
@@ -352,9 +352,9 @@ func runLive(t *testing.T, c *equivCase, p path) outcome {
 		if !eng.RunUntil(func() bool { return eng.QueuedFlits() == 0 && eng.Pool().Outstanding() == 0 }, 100_000) {
 			t.Fatalf("%s: network did not drain: %d flits live, %d queued", p, eng.Pool().Outstanding(), eng.QueuedFlits())
 		}
-		if s := net.Stats; s.TotalGenerated() != s.TotalEjected() || s.TotalPacketsInjected() != s.TotalPacketsDelivered() {
+		if s := net.Stats; s.Total("totalGenerated") != s.TotalEjected() || s.Total("totalPacketsInjected") != s.Total("totalPacketsDelivered") {
 			t.Errorf("%s: drained with %d of %d flits and %d of %d packets delivered", p,
-				s.TotalEjected(), s.TotalGenerated(), s.TotalPacketsDelivered(), s.TotalPacketsInjected())
+				s.TotalEjected(), s.Total("totalGenerated"), s.Total("totalPacketsDelivered"), s.Total("totalPacketsInjected"))
 		}
 	}
 	return out

@@ -418,8 +418,8 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 	return res, nil
 }
 
-// splashDefaults applies SplashConfig's defaults (shared with the ledger's
-// key computation, which must hash the defaulted config).
+// splashDefaults applies SplashConfig's defaults (shared by RunSplash and
+// RecordSplash).
 func splashDefaults(c SplashConfig) SplashConfig {
 	if c.Width == 0 {
 		c.Width = 8
