@@ -6,7 +6,7 @@ GO ?= go
 # example never requires touching this file.
 EXAMPLES := $(notdir $(wildcard examples/*))
 
-.PHONY: all build test test-race race lint census bench benchmark figures figures-full examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
+.PHONY: all build test test-race race lint census bench benchmark pairs figures figures-full examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
 
 all: build test
 
@@ -66,6 +66,14 @@ bench:
 # benchmark/out/; see benchmark/README.md for -trace 1, -selfcheck and -list.
 benchmark:
 	bash benchmark/run.sh
+
+# The speed-claim rule applied for you: N alternating parent/change runs of
+# one workload — `make pairs WORKLOAD=steady8 [N=10] [SEED=7] [PARENT=<ref>]`
+# — with each side's quartiles, the wins and the parent-IQR test per
+# end-to-end metric (scripts/pairs.sh; a few minutes per workload).
+N ?= 10
+pairs:
+	PAIRS_PARENT=$(PARENT) sh scripts/pairs.sh $(WORKLOAD) $(N) $(SEED)
 
 # Regenerate every figure as CSV + SVG + Markdown under results/.
 figures:

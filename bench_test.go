@@ -222,9 +222,8 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 // engine: an 8×8 network of each design with no traffic source, reported as
 // ns per router-cycle. It is the number the activity-driven router phase
 // (DESIGN.md §5) moves — a quiescent router costs one byte test instead of a
-// Step — and AFC, which never reports quiescent, is the in-table control.
-// The end-to-end judge for idle-path changes is the benchmark's `splash`
-// workload; this is the kernel-level view.
+// Step, on every design. The end-to-end judge for idle-path changes is the
+// benchmark's `splash` workload; this is the kernel-level view.
 func BenchmarkIdleStep(b *testing.B) {
 	const cycles = 10_000
 	for _, d := range AllDesigns {

@@ -428,12 +428,9 @@ var designTable = map[Design]struct {
 	DesignBuffered8: {depth: 8, meter: energy.NewBuffered8Meter,
 		router: func(env *sim.Env, a *routerArgs) designRouter { return router.NewBuffered(env, a.algo, true) }},
 	// One mode controller is shared by every router of an AFC network. Its
-	// policy ticks once per cycle *before* the router phase, so that the
-	// sharded engine's workers read a stable mode (the guarded tick inside
-	// AFC.Step then no-ops). The policy observes exactly the state it saw when
-	// the first-stepping router ticked it, because nothing between cycle start
-	// and the router phase touches the controller — so sequential results are
-	// unchanged.
+	// policy ticks once per cycle *before* the router phase — from this hook
+	// and nowhere else — so that the sharded engine's workers read a stable
+	// mode and a network of sleeping routers keeps its clock.
 	DesignAFC: {depth: 4, meter: energy.NewMeter,
 		shared: func(a *routerArgs, nodes int) func(uint64) {
 			a.afc = router.NewAFCController(nodes)

@@ -49,6 +49,7 @@ type DualInput struct {
 	numPorts, numOut int
 	swaps            uint64
 	outWinner        []int       // per-Allocate scratch
+	won              []uint64    // per-Allocate scratch: outputs each port won in stage 1
 	grants           []DualGrant // per-Allocate scratch, aliased by the result
 	// prefOut/otherOut are AllocateFast's per-output requester-port masks
 	// (bit p of prefOut[o] = port p's preferred-class sub-input wants o).
@@ -65,6 +66,7 @@ func NewDualInput(numPorts, numOut int) *DualInput {
 		numPorts:  numPorts,
 		numOut:    numOut,
 		outWinner: make([]int, numOut),
+		won:       make([]uint64, numPorts),
 		grants:    make([]DualGrant, numPorts),
 		prefOut:   make([]uint64, numOut),
 		otherOut:  make([]uint64, numOut),
@@ -183,21 +185,21 @@ func (d *DualInput) AllocateFast(reqs []DualRequest, preferBuffered bool) []Dual
 // stage2 runs the per-port serial V:1 arbitration over d.outWinner — the
 // shared back half of Allocate and AllocateFast.
 func (d *DualInput) stage2(reqs []DualRequest, pref, other int) []DualGrant {
-	outWinner := d.outWinner
-	grants := d.grants
+	grants, won := d.grants, d.won
 	for p := range grants {
 		grants[p] = DualGrant{-1, -1}
+		won[p] = 0
 	}
-	for p := 0; p < d.numPorts; p++ {
-		var grantedMask uint64
-		for o := 0; o < d.numOut; o++ {
-			if outWinner[o] == p {
-				grantedMask |= 1 << uint(o)
-			}
+	var winners uint64
+	for o, p := range d.outWinner {
+		if p >= 0 {
+			won[p] |= 1 << uint(o)
+			winners |= 1 << uint(p)
 		}
-		if grantedMask == 0 {
-			continue
-		}
+	}
+	for m := winners; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		grantedMask := won[p]
 		r := &reqs[p]
 		// First V:1 arbiter: the preferred sub-input if it can use a
 		// granted output, otherwise the other one.

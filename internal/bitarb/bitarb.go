@@ -164,41 +164,47 @@ func (s *Separable) Allocate(req []uint64) []int {
 	if len(req) != s.numIn {
 		panic("bitarb: request matrix has wrong input count")
 	}
-	// Transpose the request matrix into per-output request words, touching
-	// only the set bits.
-	outReq := s.outReq
-	for o := range outReq {
-		outReq[o] = 0
-	}
+	grant := s.grant
 	inAny := uint64(0)
 	for i, m := range req {
-		for ; m != 0; m &= m - 1 {
-			outReq[bits.TrailingZeros64(m)] |= 1 << uint(i)
-		}
-		if req[i] != 0 {
+		grant[i] = -1
+		if m != 0 {
 			inAny |= 1 << uint(i)
 		}
 	}
-	// Stage 1: each output picks one input (peek only).
 	inWon := s.inWon
-	for m := inAny; m != 0; m &= m - 1 {
-		inWon[bits.TrailingZeros64(m)] = 0
-	}
-	for o := 0; o < s.numOut; o++ {
-		r := outReq[o]
-		if r == 0 {
-			continue
+	if inAny&(inAny-1) == 0 {
+		// Zero or one requesting input: 79 % of the calls in the closed-loop
+		// splash runs, 29 % at 8×8 UR 0.3 (counted; CHANGES.md PR24). A
+		// lone requester is the stage-1 winner of every output it asks
+		// for, wherever those outputs' pointers stand, so what it won is
+		// what it asked for and stage 2 below is the whole allocation.
+		if inAny != 0 {
+			i := bits.TrailingZeros64(inAny)
+			inWon[i] = req[i]
 		}
-		if w := GrantRot(r, int(s.outPtr[o])); w >= 0 {
-			inWon[w] |= 1 << uint(o)
+	} else {
+		// Transpose the request matrix into per-output request words,
+		// touching only the set bits.
+		outReq := s.outReq
+		for o := range outReq {
+			outReq[o] = 0
+		}
+		for i, m := range req {
+			inWon[i] = 0
+			for ; m != 0; m &= m - 1 {
+				outReq[bits.TrailingZeros64(m)] |= 1 << uint(i)
+			}
+		}
+		// Stage 1: each output picks one input (peek only).
+		for o, r := range outReq {
+			if w := GrantRot(r, int(s.outPtr[o])); w >= 0 {
+				inWon[w] |= 1 << uint(o)
+			}
 		}
 	}
 	// Stage 2: each input picks one of the outputs granted to it, and the
 	// matched pair's pointers advance.
-	grant := s.grant
-	for i := range grant {
-		grant[i] = -1
-	}
 	for m := inAny; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		o := GrantRot(inWon[i], int(s.inPtr[i]))

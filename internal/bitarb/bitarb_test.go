@@ -1,10 +1,12 @@
 package bitarb
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"dxbar/internal/arbiter"
+	"dxbar/internal/snapshot"
 )
 
 // TestGrantRotMatchesCyclicScan checks the doubly-shifted-mask grant against
@@ -147,10 +149,21 @@ func (r *refSeparable) allocate(req []uint64) []int {
 	return r.s.Allocate(r.req)
 }
 
+// pointerBytes is an allocator's rotation pointers as its SaveState writes
+// them: per output, then per input (bitarb appends its match counter).
+func pointerBytes(s interface{ SaveState(*snapshot.Writer) }) []byte {
+	var buf bytes.Buffer
+	s.SaveState(snapshot.NewWriter(&buf))
+	return buf.Bytes()
+}
+
 // TestSeparableMatchesReference drives the bit-parallel allocator and the
-// branchy reference in lockstep over random request matrices: grants must be
-// identical every round (which also pins the internal pointer states
-// together, since pointers advance only on grants).
+// branchy reference in lockstep over random request matrices: grants and both
+// pointer arrays must be identical every round. At the routers' 5×5 radix
+// every round is followed by one matrix of the zero-/one-requester shortcut's
+// whole domain — the all-zero matrix and each single input with each of its
+// 31 request masks — so the shortcut is taken from whatever pointer state the
+// random rounds left behind.
 func TestSeparableMatchesReference(t *testing.T) {
 	cases := []struct{ in, out int }{{5, 5}, {4, 5}, {8, 8}, {16, 16}, {64, 64}}
 	for _, c := range cases {
@@ -158,6 +171,20 @@ func TestSeparableMatchesReference(t *testing.T) {
 		ref := newRefSeparable(c.in, c.out)
 		rng := rand.New(rand.NewSource(int64(c.in*100 + c.out)))
 		req := make([]uint64, c.in)
+		step := func(round int) {
+			t.Helper()
+			fg := fast.Allocate(req)
+			rg := ref.allocate(req)
+			for i := range fg {
+				if fg[i] != rg[i] {
+					t.Fatalf("%dx%d round %d input %d: fast=%d ref=%d (req=%#x)",
+						c.in, c.out, round, i, fg[i], rg[i], req)
+				}
+			}
+			if fp, rp := pointerBytes(fast), pointerBytes(ref.s); !bytes.Equal(fp[:len(rp)], rp) {
+				t.Fatalf("%dx%d round %d: rotation pointers diverged after req=%#x", c.in, c.out, round, req)
+			}
+		}
 		for round := 0; round < 4096; round++ {
 			for i := range req {
 				switch round % 5 {
@@ -169,13 +196,11 @@ func TestSeparableMatchesReference(t *testing.T) {
 					req[i] = rng.Uint64() & LowMask(c.out)
 				}
 			}
-			fg := fast.Allocate(req)
-			rg := ref.allocate(req)
-			for i := range fg {
-				if fg[i] != rg[i] {
-					t.Fatalf("%dx%d round %d input %d: fast=%d ref=%d (req=%#x)",
-						c.in, c.out, round, i, fg[i], rg[i], req[i])
-				}
+			step(round)
+			if c.in == 5 && c.out == 5 {
+				clear(req)
+				req[round/32%5] = uint64(round % 32)
+				step(round)
 			}
 		}
 	}

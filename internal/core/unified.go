@@ -24,8 +24,7 @@ import (
 // overhead, at 15 pJ/flit instead of 13 pJ/flit switching energy (pair the
 // router with energy.NewUnifiedMeter).
 type Unified struct {
-	env  *sim.Env
-	algo routing.Algorithm
+	env *sim.Env
 
 	xbar    *crossbar.Unified
 	alloc   *arbiter.DualInput
@@ -34,8 +33,9 @@ type Unified struct {
 	fair     *fairness
 	detector *faults.Detector
 
-	// table is the precomputed form of algo (shared network-wide when the
-	// factory passes a *routing.Table); portMask caches the node's links.
+	// table is the precomputed form of the routing algorithm (shared
+	// network-wide when the factory passes a *routing.Table); portMask caches
+	// the node's links.
 	table    *routing.Table
 	portMask uint8
 
@@ -59,7 +59,6 @@ type Unified struct {
 func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault *faults.Detector) *Unified {
 	u := &Unified{
 		env:      env,
-		algo:     algo,
 		xbar:     crossbar.NewUnified(flit.NumPorts),
 		alloc:    arbiter.NewDualInput(flit.NumPorts, flit.NumPorts),
 		fair:     newFairness(threshold),
@@ -137,7 +136,7 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 	sendable := uint64(env.SendableMask())
 	reqs := u.reqs
 	for i := range reqs {
-		reqs[i] = arbiter.DualRequest{}
+		reqs[i].Want = [2]uint64{} // Age is only read where Want is set
 	}
 	var waiterAt [flit.NumPorts]*waiter
 	for p := flit.North; p <= flit.West; p++ {
@@ -155,13 +154,7 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 		if w.port == flit.Local {
 			idx = secondaryInjIn
 		}
-		var mask uint64
-		ports := u.waiterPorts(w.f)
-		for k := 0; k < ports.Len(); k++ {
-			mask |= 1 << uint(ports.At(k))
-		}
-		mask &= sendable
-		if mask != 0 {
+		if mask := uint64(u.table.ProductiveMaskAt(env.Node, int(w.f.Dst))) & sendable; mask != 0 {
 			reqs[idx].Want[arbiter.SubBuffered] = mask
 			reqs[idx].Age[arbiter.SubBuffered] = w.f.InjectionCycle
 			waiterAt[idx] = w
@@ -245,13 +238,6 @@ func (u *Unified) requestPort(f *flit.Flit) flit.Port {
 		return r
 	}
 	return u.table.RequestAt(u.env.Node, int(f.Dst))
-}
-
-func (u *Unified) waiterPorts(f *flit.Flit) routing.PortList {
-	if int(f.Dst) == u.env.Node {
-		return routing.Ports(flit.Local)
-	}
-	return u.table.ProductiveAt(u.env.Node, int(f.Dst))
 }
 
 func (u *Unified) dispatchWaiter(w waiter, out flit.Port, cycle uint64) {

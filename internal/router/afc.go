@@ -3,8 +3,6 @@ package router
 import (
 	"sync/atomic"
 
-	"dxbar/internal/arbiter"
-	"dxbar/internal/bitarb"
 	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/routing"
@@ -34,25 +32,17 @@ import (
 // drain cost is AFC's coarser adaptation penalty, which is the paper's
 // qualitative point about per-router mode complexity.
 type AFC struct {
-	env  *sim.Env
-	algo routing.Algorithm
 	ctrl *AFCController
 
-	fifos [flit.NumLinkPorts]*entryQueue
-	// alloc is the branchy reference allocator, fast its bit-parallel twin
-	// (grant-for-grant identical; reference selects which one runs).
-	alloc     *arbiter.Separable
-	fast      *bitarb.Separable
-	reference bool
-
-	// table is the precomputed form of algo (shared network-wide when the
-	// factory passes a *routing.Table); links caches the node's link count.
-	table *routing.Table
-	links int
+	// buf is the buffered mode: a Buffered 4 pipeline (input bank, separable
+	// allocator, routing table) that this router drives with the controller's
+	// injection gate and flit census. The bufferless mode shares its env and
+	// table.
+	buf   Buffered
+	links int // the node's link count
 
 	// Per-Step scratch, reused across cycles.
 	arrivals []*flit.Flit
-	req      [flit.NumPorts]uint64
 }
 
 // AFC controller states.
@@ -119,16 +109,11 @@ func (c *AFCController) Draining() bool { return c.draining }
 func (c *AFCController) InjectionAllowed() bool { return !c.draining }
 
 // Tick runs the mode policy for the cycle. The engine calls it once per
-// cycle (PreCycle hook) before any router steps; the call is idempotent per
-// cycle, so the fallback call at the top of Step — which keeps standalone
-// sequential use working without the hook — is a read-only no-op when the
-// engine already ticked.
-func (c *AFCController) Tick(cycle uint64) { c.tick(cycle) }
-
-// tick runs the mode policy once per cycle (repeat calls within a cycle
-// return without writing, so concurrently-stepping routers only race on the
-// started/lastTick reads — and only when nothing is writing them).
-func (c *AFCController) tick(cycle uint64) {
+// cycle (PreCycle hook) before any router steps, so routers — on concurrent
+// shard workers too — read a stable mode all phase; nothing else ticks it, so
+// whoever steps AFC routers by hand calls Tick first. Repeat calls within a
+// cycle change nothing.
+func (c *AFCController) Tick(cycle uint64) {
 	if c.started && cycle == c.lastTick {
 		return
 	}
@@ -169,60 +154,50 @@ func (c *AFCController) tick(cycle uint64) {
 // bufferless mode every arrival is consumed in its arrival cycle, so the
 // credit loop never throttles deflection).
 func NewAFC(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) *AFC {
-	mesh := env.Mesh()
-	a := &AFC{
-		env:      env,
-		algo:     algo,
+	return &AFC{
 		ctrl:     ctrl,
-		alloc:    arbiter.NewSeparable(flit.NumPorts, flit.NumPorts),
-		fast:     bitarb.NewSeparable(flit.NumPorts, flit.NumPorts),
-		table:    routing.NewTable(algo, mesh, mesh.Nodes()),
-		links:    mesh.LinkCount(env.Node),
+		buf:      newBuffered(env, algo, false),
+		links:    env.Mesh().LinkCount(env.Node),
 		arrivals: make([]*flit.Flit, 0, flit.NumPorts),
 	}
-	for p := range a.fifos {
-		a.fifos[p] = &entryQueue{}
-	}
-	return a
 }
 
 // SetReferenceArbitration switches the router to the branchy reference
 // allocator (the oracle the bit-parallel one is proven grant-for-grant
 // identical to). Call before the first Step.
-func (a *AFC) SetReferenceArbitration(on bool) { a.reference = on }
+func (a *AFC) SetReferenceArbitration(on bool) { a.buf.reference = on }
 
 // Occupancy returns buffered flits across the input FIFOs.
-func (a *AFC) Occupancy() int {
-	total := 0
-	for _, q := range a.fifos {
-		total += q.len()
-	}
-	return total
-}
+func (a *AFC) Occupancy() int { return a.buf.bank.count }
 
-// Step implements sim.Router. It never reports quiescent: the network-wide
-// AFCController's mode policy is a time-triggered state machine (observation
-// windows, drain barrier), and without the engine's PreCycle hook it is
-// ticked from here, by whichever router steps first in a cycle — so an idle
-// AFC router's Step is not a no-op for the network, and a network of sleeping
-// routers would stop its clock. Untangling that (the controller ticked by the
-// engine alone) is out of scope here; every AFC router steps every cycle,
-// exactly as before.
+// Step implements sim.Router. It reports quiescent when the input FIFOs are
+// empty after the step, as Buffered does: bufferless mode holds nothing
+// across cycles, the mode policy is ticked by the engine (AFCController.Tick)
+// whether or not any router steps, and a node with injection backlog — which
+// is what a drain barrier leaves waiting — is kept awake by the engine's own
+// rule.
 func (a *AFC) Step(cycle uint64) (quiescent bool) {
-	a.ctrl.tick(cycle)
-	if a.ctrl.Buffered() || a.Occupancy() > 0 {
+	if a.ctrl.Buffered() || a.buf.bank.count > 0 {
 		// Buffered mode — and the tail of a buffered→bufferless drain,
 		// where leftover buffered flits still leave through the allocator.
-		a.stepBuffered(cycle)
-		return false
+		// The census moves at the network's edges: in at the PE, out at Local.
+		injected, ejected := a.buf.step(cycle, a.ctrl.InjectionAllowed())
+		if injected {
+			a.ctrl.netFlits.Add(1)
+			a.ctrl.windowInjections.Add(1)
+		}
+		if ejected {
+			a.ctrl.netFlits.Add(-1)
+		}
+	} else {
+		a.stepBufferless(cycle)
 	}
-	a.stepBufferless(cycle)
-	return false
+	return a.buf.bank.count == 0
 }
 
 // stepBufferless is Flit-Bless switching with AFC accounting.
 func (a *AFC) stepBufferless(cycle uint64) {
-	env := a.env
+	env := a.buf.env
 
 	arrivals := a.arrivals[:0]
 	for p := flit.North; p <= flit.West; p++ {
@@ -258,7 +233,7 @@ func (a *AFC) stepBufferless(cycle uint64) {
 			a.ctrl.netFlits.Add(-1)
 		}
 		free &^= 1 << uint(out)
-		a.send(out, f, cycle)
+		a.buf.send(out, f, cycle)
 	}
 }
 
@@ -266,13 +241,13 @@ func (a *AFC) stepBufferless(cycle uint64) {
 // free-output bitmask (never Invalid for a legal candidate count, by the
 // port-counting argument).
 func (a *AFC) deflectionAssign(f *flit.Flit, free uint8, cycle uint64) flit.Port {
-	env := a.env
+	env := a.buf.env
 	node := env.Node
 	if int(f.Dst) == node && free&(1<<uint(flit.Local)) != 0 {
 		return flit.Local
 	}
-	order := a.table.DeflectionAt(node, int(f.Dst))
-	prodLen := a.table.ProductiveLenAt(node, int(f.Dst))
+	order := a.buf.table.DeflectionAt(node, int(f.Dst))
+	prodLen := a.buf.table.ProductiveLenAt(node, int(f.Dst))
 	for i := 0; i < order.Len(); i++ {
 		p := order.At(i)
 		if free&(1<<uint(p)) != 0 {
@@ -286,97 +261,4 @@ func (a *AFC) deflectionAssign(f *flit.Flit, free uint8, cycle uint64) flit.Port
 		}
 	}
 	return flit.Invalid
-}
-
-// stepBuffered is the generic buffered baseline with AFC accounting.
-func (a *AFC) stepBuffered(cycle uint64) {
-	env := a.env
-
-	for p := flit.North; p <= flit.West; p++ {
-		f := env.In[p]
-		if f == nil {
-			continue
-		}
-		env.In[p] = nil
-		env.InMask &^= 1 << uint(p)
-		a.fifos[p].push(bufEntry{f: f, ready: cycle + 1})
-		f.Buffered++
-		env.Meter().BufferWrite()
-		env.Stats().BufferingEvent(cycle)
-		env.Events().Record(cycle, events.Buffered, env.Node, p, f.PacketID, f.ID, int32(a.fifos[p].len()))
-	}
-
-	// Request matrix: one output-mask word per input. Sendability is one
-	// bitmask for the whole round — nothing launches before allocation, so
-	// it equals a CanSend call per probe.
-	for i := range a.req {
-		a.req[i] = 0
-	}
-	sendable := uint64(env.SendableMask())
-	heads := [flit.NumPorts]*flit.Flit{}
-
-	desired := func(f *flit.Flit) routing.PortList {
-		if int(f.Dst) == env.Node {
-			return routing.Ports(flit.Local)
-		}
-		return a.table.ProductiveAt(env.Node, int(f.Dst))
-	}
-	request := func(i int, f *flit.Flit) {
-		ports := desired(f)
-		for k := 0; k < ports.Len(); k++ {
-			if bit := uint64(1) << uint(ports.At(k)); sendable&bit != 0 {
-				a.req[i] |= bit
-			}
-		}
-	}
-	for p := flit.North; p <= flit.West; p++ {
-		h := a.fifos[p].head()
-		if h == nil || h.ready > cycle {
-			continue
-		}
-		heads[p] = h.f
-		request(int(p), h.f)
-	}
-	if a.ctrl.InjectionAllowed() {
-		if f := env.InjectionHead(); f != nil {
-			heads[flit.Local] = f
-			request(int(flit.Local), f)
-		}
-	}
-
-	var grants []int
-	if a.reference {
-		grants = a.alloc.AllocateMask(a.req[:])
-	} else {
-		grants = a.fast.Allocate(a.req[:])
-	}
-	for i, o := range grants {
-		if o == -1 || heads[i] == nil {
-			continue
-		}
-		out := flit.Port(o)
-		if i == int(flit.Local) {
-			env.ConsumeInjection(cycle)
-			a.ctrl.netFlits.Add(1)
-			a.ctrl.windowInjections.Add(1)
-		} else {
-			a.fifos[i].pop()
-			env.Meter().BufferRead()
-			env.ReturnCredit(flit.Port(i))
-		}
-		if out == flit.Local {
-			a.ctrl.netFlits.Add(-1)
-		}
-		a.send(out, heads[i], cycle)
-	}
-}
-
-func (a *AFC) send(p flit.Port, f *flit.Flit, cycle uint64) {
-	env := a.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if p != flit.Local {
-		f.Route = a.table.RequestAt(env.Neighbor(p), int(f.Dst))
-	}
-	env.Send(p, f)
 }

@@ -15,7 +15,7 @@ func afcFactory(algo routing.Algorithm) (sim.RouterFactory, *AFCController) {
 
 func TestAFCStartsBufferless(t *testing.T) {
 	factory, ctrl := afcFactory(routing.DOR{})
-	h := newHarness(t, factory, 4, spec(1, 0, 15, 0))
+	h := newHarnessPreCycle(t, factory, 4, ctrl.Tick, spec(1, 0, 15, 0))
 	h.eng.Run(20)
 	if ctrl.Buffered() {
 		t.Error("AFC must start in bufferless mode")
@@ -48,7 +48,7 @@ func TestAFCSwitchesToBufferedUnderPressure(t *testing.T) {
 		}
 	}
 	factory, ctrl := afcFactory(routing.DOR{})
-	h := newHarness(t, factory, 4, specs...)
+	h := newHarnessPreCycle(t, factory, 4, ctrl.Tick, specs...)
 	h.eng.Run(800)
 	if !ctrl.Buffered() {
 		t.Error("sustained contention must switch AFC to buffered mode")
@@ -71,7 +71,7 @@ func TestAFCReturnsToBufferlessWhenQuiet(t *testing.T) {
 		}
 	}
 	factory, ctrl := afcFactory(routing.DOR{})
-	h := newHarness(t, factory, 4, specs...)
+	h := newHarnessPreCycle(t, factory, 4, ctrl.Tick, specs...)
 	h.eng.Run(400)
 	if !ctrl.Buffered() {
 		t.Skip("contention did not trip the threshold in this scenario")
@@ -103,7 +103,7 @@ func TestAFCDrainBarrierLosesNothing(t *testing.T) {
 		}
 	}
 	factory, ctrl := afcFactory(routing.DOR{})
-	h := newHarness(t, factory, 4, specs...)
+	h := newHarnessPreCycle(t, factory, 4, ctrl.Tick, specs...)
 	h.eng.Run(4000)
 	if got := h.coll.Results().Packets; got != uint64(len(specs)) {
 		t.Errorf("packets = %d, want %d", got, len(specs))
@@ -117,15 +117,15 @@ func TestAFCControllerHysteresis(t *testing.T) {
 		t.Fatal("fresh controller state wrong")
 	}
 	// Quiet window: no switch.
-	c.tick(0)
-	c.tick(AFCWindow + 1)
+	c.Tick(0)
+	c.Tick(AFCWindow + 1)
 	if c.Draining() {
 		t.Fatal("quiet network must not start a transition")
 	}
 	// Hot window: deflections above threshold start a drain.
 	hot := AFCOnDeflectionRate * 64 * AFCWindow
 	c.windowDeflections.Store(int64(hot) + 1)
-	c.tick(2*AFCWindow + 2)
+	c.Tick(2*AFCWindow + 2)
 	if !c.Draining() || !c.Buffered() == false {
 		// Draining toward buffered but not yet flipped.
 		if c.Buffered() {
@@ -137,7 +137,7 @@ func TestAFCControllerHysteresis(t *testing.T) {
 	}
 	// Drain completes when the network is empty.
 	c.netFlits.Store(0)
-	c.tick(2*AFCWindow + 3)
+	c.Tick(2*AFCWindow + 3)
 	if !c.Buffered() || c.Draining() {
 		t.Fatal("drain completion must flip the mode")
 	}

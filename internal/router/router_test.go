@@ -35,12 +35,19 @@ type harness struct {
 
 func newHarness(t *testing.T, factory sim.RouterFactory, depth int, specs ...*traffic.PacketSpec) *harness {
 	t.Helper()
+	return newHarnessPreCycle(t, factory, depth, nil, specs...)
+}
+
+// newHarnessPreCycle is newHarness with an engine PreCycle hook (the AFC
+// controller's Tick: nothing else drives its mode policy).
+func newHarnessPreCycle(t *testing.T, factory sim.RouterFactory, depth int, preCycle func(uint64), specs ...*traffic.PacketSpec) *harness {
+	t.Helper()
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 100000)
 	meter := energy.NewMeter()
 	eng, err := sim.New(sim.Config{
 		Mesh: mesh, Meter: meter, Stats: coll,
-		Source: &scripted{specs: specs}, BufferDepth: depth,
+		Source: &scripted{specs: specs}, BufferDepth: depth, PreCycle: preCycle,
 	}, factory)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 func saveEntryQueue(w *snapshot.Writer, q *entryQueue) {
 	w.U32(uint32(q.count))
 	for i := 0; i < q.count; i++ {
-		e := &q.entries[(q.headIdx+i)%fifoDepth]
+		e := &q.entries[(q.headIdx+i)&(fifoDepth-1)]
 		flit.Save(w, e.f)
 		w.U64(e.ready)
 	}
@@ -43,16 +43,22 @@ func loadEntryQueue(r *snapshot.Reader, q *entryQueue, pool *flit.Pool, nodes in
 // FIFO contents with eligibility timestamps, the split-input steering
 // pointers, and both allocators' rotation pointers (the branchy reference and
 // its bit-parallel twin both persist so a restored run is bit-identical under
-// either Config.ReferenceArbitration setting).
+// either Config.ReferenceArbitration setting). The bank's derived state — the
+// entries' request masks, the non-empty mask, the count — is not written.
 func (b *Buffered) SaveState(w *snapshot.Writer) {
 	w.Tag("BUFD")
-	for p := range b.fifos {
-		w.U32(uint32(len(b.fifos[p])))
-		for _, q := range b.fifos[p] {
-			saveEntryQueue(w, q)
+	nq := int(b.bank.nq)
+	for p := 0; p < flit.NumLinkPorts; p++ {
+		w.U32(uint32(nq))
+		for i := p * nq; i < (p+1)*nq; i++ {
+			saveEntryQueue(w, &b.bank.q[i])
 		}
-		w.Int(b.nextFIFO[p])
+		w.Int(int(b.bank.next[p]))
 	}
+	b.saveAllocators(w)
+}
+
+func (b *Buffered) saveAllocators(w *snapshot.Writer) {
 	b.alloc.SaveState(w)
 	b.fast.SaveState(w)
 }
@@ -60,16 +66,17 @@ func (b *Buffered) SaveState(w *snapshot.Writer) {
 // LoadState restores the buffered baseline.
 func (b *Buffered) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error {
 	r.Expect("BUFD")
-	for p := range b.fifos {
-		n := r.Len(len(b.fifos[p]))
+	nq := int(b.bank.nq)
+	for p := 0; p < flit.NumLinkPorts; p++ {
+		n := r.Len(nq)
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if n != len(b.fifos[p]) {
-			return fmt.Errorf("router: snapshot FIFO bank width %d != configured %d", n, len(b.fifos[p]))
+		if n != nq {
+			return fmt.Errorf("router: snapshot FIFO bank width %d != configured %d", n, nq)
 		}
-		for _, q := range b.fifos[p] {
-			if err := loadEntryQueue(r, q, pool, nodes); err != nil {
+		for i := p * nq; i < (p+1)*nq; i++ {
+			if err := loadEntryQueue(r, &b.bank.q[i], pool, nodes); err != nil {
 				return err
 			}
 		}
@@ -77,11 +84,16 @@ func (b *Buffered) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) err
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if nf < 0 || nf >= len(b.fifos[p]) {
+		if nf < 0 || nf >= nq {
 			return fmt.Errorf("router: snapshot FIFO steering pointer %d out of range", nf)
 		}
-		b.nextFIFO[p] = nf
+		b.bank.next[p] = uint8(nf)
 	}
+	b.bank.rebuild(b.table, b.env.Node)
+	return b.loadAllocators(r)
+}
+
+func (b *Buffered) loadAllocators(r *snapshot.Reader) error {
 	if err := b.alloc.LoadState(r); err != nil {
 		return err
 	}
@@ -92,25 +104,22 @@ func (b *Buffered) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) err
 // controller is engine-level shared state, serialized once, not per router).
 func (a *AFC) SaveState(w *snapshot.Writer) {
 	w.Tag("AFCR")
-	for _, q := range a.fifos {
-		saveEntryQueue(w, q)
+	for i := range a.buf.bank.q[:flit.NumLinkPorts] { // one FIFO per input
+		saveEntryQueue(w, &a.buf.bank.q[i])
 	}
-	a.alloc.SaveState(w)
-	a.fast.SaveState(w)
+	a.buf.saveAllocators(w)
 }
 
 // LoadState restores the AFC router.
 func (a *AFC) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error {
 	r.Expect("AFCR")
-	for _, q := range a.fifos {
-		if err := loadEntryQueue(r, q, pool, nodes); err != nil {
+	for i := range a.buf.bank.q[:flit.NumLinkPorts] {
+		if err := loadEntryQueue(r, &a.buf.bank.q[i], pool, nodes); err != nil {
 			return err
 		}
 	}
-	if err := a.alloc.LoadState(r); err != nil {
-		return err
-	}
-	return a.fast.LoadState(r)
+	a.buf.bank.rebuild(a.buf.table, a.buf.env.Node)
+	return a.buf.loadAllocators(r)
 }
 
 // SaveState serializes the network-wide AFC mode controller: the mode state

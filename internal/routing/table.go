@@ -63,8 +63,8 @@ func (MinimalAdaptive) Productive(m Mesh, at, dst int) PortList {
 // 3-bit port entries plus a 3-bit length). The deflection order depends only
 // on the productive list and the port mask, so it is stored once per
 // (distinct list, mask). A query on the cycle hot path is two small loads, a
-// subtract and a table load, and the table takes 4·nodes + 3(2W−1)(2H−1)
-// bytes plus the deflection block: 64 KiB at 64×64, not the 64 MiB of one
+// subtract and a table load, and the table takes 4·nodes + 4(2W−1)(2H−1)
+// bytes plus the deflection block: 80 KiB at 64×64, not the 64 MiB of one
 // entry per node pair.
 //
 // A Table is itself an Algorithm (the mesh argument of the interface methods
@@ -77,6 +77,7 @@ type Table struct {
 	bias  int      // offset code of (dx, dy) = (0, 0)
 	node  []uint32 // per node: offset code<<4 | port mask
 	prod  []uint16 // per offset: packed Productive
+	want  []uint8  // per offset: Productive as an output-port bitmask (ProductiveMaskAt)
 	class []uint8  // per offset: which distinct productive list it holds
 	defl  []uint16 // per class × port mask: packed DeflectionOrder
 }
@@ -135,7 +136,7 @@ func NewTable(algo Algorithm, m Mesh, nodes int) *Table {
 	}
 	stride, offsets := 2*w-1, (2*w-1)*(2*h-1)
 	t := &Table{algo: algo, w: w, bias: w - 1 + (h-1)*stride, node: make([]uint32, nodes),
-		prod: make([]uint16, offsets), class: make([]uint8, offsets)}
+		prod: make([]uint16, offsets), want: make([]uint8, offsets), class: make([]uint8, offsets)}
 	for n := range t.node {
 		x, y := m.XY(n)
 		t.node[n] = uint32(x+y*stride)<<4 | uint32(m.PortMask(n))
@@ -143,7 +144,14 @@ func NewTable(algo Algorithm, m Mesh, nodes int) *Table {
 	var lists []uint16 // the distinct productive lists, by class
 	var pm Mesh = probe{stride}
 	for i := range t.prod {
-		t.prod[i] = packList(algo.Productive(pm, t.bias, i))
+		l := algo.Productive(pm, t.bias, i)
+		t.prod[i] = packList(l)
+		for _, p := range l.Slice() {
+			t.want[i] |= 1 << uint(p)
+		}
+		if l.Len() == 0 { // arrived: the empty list means eject
+			t.want[i] = 1 << uint(flit.Local)
+		}
 		c := slices.Index(lists, t.prod[i])
 		if c < 0 {
 			c, lists = len(lists), append(lists, t.prod[i])
@@ -172,6 +180,12 @@ func (t *Table) Productive(_ Mesh, at, dst int) PortList { return t.ProductiveAt
 
 // ProductiveAt is the table-native productive query (no interface, no mesh).
 func (t *Table) ProductiveAt(at, dst int) PortList { return unpackList(t.prod[t.offset(at, dst)]) }
+
+// ProductiveMaskAt is the switch-allocation request of a flit for dst held at
+// node `at`: ProductiveAt as an output-port bitmask, or Local's bit alone when
+// the flit has arrived. One byte load, so a router can take it once per hop
+// (at buffer write) and keep it beside the flit.
+func (t *Table) ProductiveMaskAt(at, dst int) uint8 { return t.want[t.offset(at, dst)] }
 
 // RequestAt is the look-ahead routing decision at node `at`: the preferred
 // productive port, or Local when the flit has arrived.

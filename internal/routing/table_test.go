@@ -39,7 +39,7 @@ func portsEqual(a, b PortList) bool {
 	return true
 }
 
-// checkPair compares all five table queries for one (at, dst) pair against
+// checkPair compares all six table queries for one (at, dst) pair against
 // the direct computation.
 func checkPair(t *testing.T, tab *Table, a Algorithm, m Mesh, at, dst int) {
 	t.Helper()
@@ -60,6 +60,16 @@ func checkPair(t *testing.T, tab *Table, a Algorithm, m Mesh, at, dst int) {
 	if got := tab.ProductiveLenAt(at, dst); got != wantProd.Len() {
 		t.Fatalf("%s at=%d dst=%d: productive len %d, want %d", a.Name(), at, dst, got, wantProd.Len())
 	}
+	wantMask := uint8(1) << flit.Local // arrived: the request is for ejection
+	if wantProd.Len() > 0 {
+		wantMask = 0
+		for _, p := range wantProd.Slice() {
+			wantMask |= 1 << p
+		}
+	}
+	if got := tab.ProductiveMaskAt(at, dst); got != wantMask {
+		t.Fatalf("%s at=%d dst=%d: productive mask %05b, want %05b (the bits of %v)", a.Name(), at, dst, got, wantMask, wantProd.Slice())
+	}
 }
 
 // TestTableMatchesAlgorithm verifies the table against the direct
@@ -68,7 +78,7 @@ func checkPair(t *testing.T, tab *Table, a Algorithm, m Mesh, at, dst int) {
 // 64×64 — the table is a pure cache, so any divergence is an indexing or
 // packing bug.
 func TestTableMatchesAlgorithm(t *testing.T) {
-	for _, g := range []grid{{1, 1}, {1, 8}, {8, 1}, {2, 2}, {4, 7}, {8, 8}, {3, 16}, {16, 16}, {64, 64}} {
+	for _, g := range []grid{{1, 1}, {1, 8}, {8, 1}, {2, 2}, {4, 7}, {12, 5}, {8, 8}, {3, 16}, {16, 16}, {64, 64}} {
 		var m Mesh = g
 		if g.w >= 2 && g.h >= 2 {
 			m = topology.MustMesh(g.w, g.h)
@@ -128,7 +138,7 @@ func TestAlgorithmsTranslationInvariant(t *testing.T) {
 
 // tableBytes is the heap storage behind a table's slices.
 func tableBytes(t *Table) int {
-	return 4*len(t.node) + 2*len(t.prod) + len(t.class) + 2*len(t.defl)
+	return 4*len(t.node) + 2*len(t.prod) + len(t.want) + len(t.class) + 2*len(t.defl)
 }
 
 // TestTableStorageGrowsWithOffsets: storage is per node and per offset, never
@@ -137,8 +147,8 @@ func TestTableStorageGrowsWithOffsets(t *testing.T) {
 	for _, a := range tableAlgos {
 		for _, w := range []int{8, 32, 64} {
 			tab := NewTable(a, topology.MustMesh(w, w), w*w)
-			if want := (2*w - 1) * (2*w - 1); len(tab.prod) != want || len(tab.class) != want {
-				t.Errorf("%s %dx%d: %d productive / %d class entries, want %d", a.Name(), w, w, len(tab.prod), len(tab.class), want)
+			if want := (2*w - 1) * (2*w - 1); len(tab.prod) != want || len(tab.want) != want || len(tab.class) != want {
+				t.Errorf("%s %dx%d: %d productive / %d mask / %d class entries, want %d", a.Name(), w, w, len(tab.prod), len(tab.want), len(tab.class), want)
 			}
 			if len(tab.node) != w*w || len(tab.defl) > 18*16 {
 				t.Errorf("%s %dx%d: %d node / %d deflection entries", a.Name(), w, w, len(tab.node), len(tab.defl))

@@ -459,6 +459,18 @@ var equivCases = func() (rows []equivCase) {
 		live("saturated-12x5", string(d)+"/12x5", Config{Design: d, Width: 12, Height: 5, Load: 0.6, WarmupCycles: 100, MeasureCycles: 300})
 		live("multiflit", string(d), Config{Design: d, Load: 0.3, FlitsPerPacket: 4, WarmupCycles: 100, MeasureCycles: 300})
 	}
+	for _, d := range []Design{DesignBuffered8, DesignAFC} {
+		// The FIFO input bank past saturation under adaptive routing: request
+		// masks of more than one bit, both heads of a split input asking for
+		// the same output, AFC in its buffered mode. The bank's request masks
+		// and occupancy summary are derived state that no snapshot carries, so
+		// the paths that restore (the live twin's midrun-restore, the facade
+		// twin's resumes) are the ones that prove it is rebuilt.
+		wf := Config{Design: d, Routing: "WF", Load: 0.6, WarmupCycles: 100, MeasureCycles: 500}
+		live("saturated", string(d)+"/wf", wf)
+		wf.Seed = 17
+		add("saturated-wf", string(d), wf)
+	}
 	for _, d := range []Design{DesignDXbar, DesignUnified, DesignFlitBless, DesignAFC} {
 		// Transpose keeps specific ports contended; butterfly and neighbour
 		// vary the hop-distance mix.
@@ -628,6 +640,8 @@ func TestOracleCrossings(t *testing.T) {
 	cross("idle-crosspoint-faults", rows("idle-faulted"), resumeSweep(shards(4), 500, 1)...)
 	cross("idle-crosspoint-faults-live", rows("idle-faulted-live"), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("closed-loop-reference", rows("closed-loop", "dxbar"), reference, shards(4).through(midrunRestore))
+	cross("input-bank-restore", rows("saturated", "buffered8/wf", "afc/wf"), reference, seq.through(midrunRestore), shards(4).through(midrunRestore))
+	cross("input-bank-resume", rows("saturated-wf"), append(resumeSweep(seq, 200, 2), reference)...)
 }
 
 // FuzzExecutionPaths decodes its input into a row — small meshes, non-square
