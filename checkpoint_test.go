@@ -2,12 +2,16 @@ package dxbar
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"dxbar/internal/diag"
+	"dxbar/internal/events"
+	"dxbar/internal/faults"
 	"dxbar/internal/metrics"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
@@ -59,6 +63,115 @@ func TestSnapshotRoundTripByteStable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotFormatPinned pins the byte stream across versions, section by
+// section: the SHA-256 of Engine.Snapshot for every design (DXbar and Unified
+// also under a fault plan, AFC also on two shards, whose stream must equal the
+// sequential one) on a 4×4 mesh past saturation with 4-flit packets and every
+// observer attached, at three cycles each. TestSnapshotRoundTripByteStable
+// passes any change made alike on both sides and bench/golden.ckpt covers
+// DXbar alone; these digests were computed once and only move with
+// snapshot.Version.
+func TestSnapshotFormatPinned(t *testing.T) {
+	pinned := []struct {
+		name    string
+		design  Design
+		faulted bool
+		shards  int
+		digests [3]string
+	}{
+		{"flitbless", DesignFlitBless, false, 0, [3]string{
+			"82a34aae34cff2ee825ea073238510800964623c0a015fef35d1b05f04d55270",
+			"ba34c27ba1de1f79b99b20d52b3dd96282c394790789ff6791631ca62b97022f",
+			"a7798b1510da53179dd28867f270ba57a51bb66d93a28bc9163a42210fe2c2a9"}},
+		{"scarab", DesignSCARAB, false, 0, [3]string{
+			"a9a3b59cdd34913ac149292156767bc05b12627ae9e79a4b8fbb82e691b14b4c",
+			"cfa78b7d92b7fe3953d2c116ddaf8d59b7b5940ca165c829897b63f5f57964a3",
+			"67bf20d9f1ec3b371fe5bedd9e016e022fc22cb15e6a78dae64beb0a67960446"}},
+		{"buffered4", DesignBuffered4, false, 0, [3]string{
+			"b179e76810992b51957ae2a86408d141c55164c86d28743bfb43c0c6efb1c351",
+			"cca40091a24c62160e2cd2656c34fd605b19f3567d7627cedb0e53b4cbb02c8f",
+			"c09b4e35bf43f1a7de01aaffcded4ede4ca29475974c965923aeb13f685ad1d0"}},
+		{"buffered8", DesignBuffered8, false, 0, [3]string{
+			"fa14bb6d63c5df82ad144f72cf5ee84c2acbaaec8f84c0608660eb30bb3037fa",
+			"2c0c79ac733060d1e421a3c1477055728eb1d10349712703d1ade27fd7155295",
+			"2ab8556a0525daf253a3c1b1d913194d65021db6632195f54a79d0fdf2da7a76"}},
+		{"dxbar", DesignDXbar, false, 0, [3]string{
+			"5892fa4f51be034c180833ef9a9ed7b3c37fd294871843f024218c9c0029714a",
+			"9c07e96be9c286a8f50a49702cb94b8cd99e7edde97eb4d7a9a0a392d6feb3b5",
+			"3e15cbbfdc42f2b653f8b4eadb07d6007f10243f2a85d4f6374492176a639b53"}},
+		{"unified", DesignUnified, false, 0, [3]string{
+			"96dc9c098ec635e3835926ea4b8c83a84350349b9d0c2161bdfdf5454d4a82af",
+			"e64f239041d117dbf4e7951bc214afbdbac6761be1df1bfd17bd93021b1b1800",
+			"c4d810e6fc3723fdfa32b95c892b03b6f78f041adcc7eea50e2cc358114e3ad2"}},
+		{"afc", DesignAFC, false, 0, [3]string{
+			"aaff6ada52731291a8f4e967b85b5f43c309865231b1c879dad833af24d57484",
+			"84a05a34e780707cd1b58216bc132f1cbde28d7b877608cd7f634c390a7c7c99",
+			"2cdc78e777a0fc64e5f1184661d01ecfd7ebe6dcbbddad08c8fa6387fdc19338"}},
+		{"dxbar/faulted", DesignDXbar, true, 0, [3]string{
+			"5892fa4f51be034c180833ef9a9ed7b3c37fd294871843f024218c9c0029714a",
+			"9cf6195290068d900f808fac33538bdf259d09ec38332fc00a9f42fe9c8c653a",
+			"06e74175e8c1c4b3a9f3f00e1a2309e16875b65360d4eab89ec0ed7dc7095e6e"}},
+		{"unified/faulted", DesignUnified, true, 0, [3]string{
+			"96dc9c098ec635e3835926ea4b8c83a84350349b9d0c2161bdfdf5454d4a82af",
+			"05982430a85b39fccf62b0ef0a8678a5a5d6be314ca7104e1dbbe282dba670d5",
+			"78bb8eca87ac35eedcb22ab7ee8e90c036fa1f956804dc44c85a965bf56c589e"}},
+		{"afc/shards2", DesignAFC, false, 2, [3]string{
+			"aaff6ada52731291a8f4e967b85b5f43c309865231b1c879dad833af24d57484",
+			"84a05a34e780707cd1b58216bc132f1cbde28d7b877608cd7f634c390a7c7c99",
+			"2cdc78e777a0fc64e5f1184661d01ecfd7ebe6dcbbddad08c8fa6387fdc19338"}},
+	}
+	for _, row := range pinned {
+		t.Run(row.name, func(t *testing.T) {
+			net := observedNetwork(t, row.design, row.faulted, row.shards)
+			for i, at := range [3]uint64{80, 200, 400} {
+				net.Engine.Run(at - net.Engine.Cycle())
+				var buf bytes.Buffer
+				if err := net.Engine.Snapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != row.digests[i] {
+					t.Errorf("cycle %d: snapshot digest %s, want %s (a format change must bump snapshot.Version)", at, got, row.digests[i])
+				}
+			}
+		})
+	}
+}
+
+// observedNetwork builds a 4×4 network past saturation (UR 0.6, 4-flit
+// packets) with every observer whose state a snapshot carries: a flight
+// recorder, a run-health monitor tuned to fire, the time-series sampler (a
+// ring that wraps) and link utilization. faulted adds a fault plan manifesting
+// at cycle 100 (DXbar and Unified only).
+func observedNetwork(tb testing.TB, design Design, faulted bool, shards int) *Network {
+	tb.Helper()
+	mesh := topology.MustMesh(4, 4)
+	coll := stats.NewCollector(mesh.Nodes(), 64, 4096)
+	coll.EnableTimeSeries(16, 8)
+	coll.EnableLinkUtilization(mesh.Width, mesh.Height)
+	o := NetworkOptions{
+		Design: design,
+		Mesh:   mesh,
+		Source: bernoulliSource(tb, mesh, "UR", 0.6, 4, 21),
+		Stats:  coll,
+		Events: events.NewRecorder(mesh.Nodes(), 128),
+		Diag: diag.NewMonitor(diag.Config{Window: 32, StallCycles: 16, MaxFlitAge: 48,
+			StormFactor: 1.5, StormMinCount: 8, MaxRecords: 4}, mesh.Nodes()),
+		Shards: shards,
+	}
+	if faulted {
+		plan, err := faults.NewPlan(mesh.Nodes(), 0.25, 100, 21)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		o.FaultPlan = plan
+	}
+	net, err := NewNetwork(o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net
 }
 
 // TestRestoreEngineCorruptInput walks every truncation and every single-byte
