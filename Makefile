@@ -131,12 +131,14 @@ checkpoint-smoke:
 # saturation, fault plans, the closed loop) with the barrier driven on 1, 2
 # and 4 processors, and a minute of FuzzExecutionPaths: random rows and path
 # subsets held to the same oracle (the crossing rows run under -race in
-# test-race).
+# test-race), then 30 s of FuzzRestoreEngine: mutated snapshots of every
+# design, CRC recomputed, restored and run on — an error, never a panic.
 determinism:
 	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine' .
 	$(GO) test -race -count=1 ./internal/snapshot/
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Lockstep' .
 	$(GO) test -race -run '^$$' -fuzz FuzzExecutionPaths -fuzztime 60s .
+	$(GO) test -run '^$$' -fuzz FuzzRestoreEngine -fuzztime 30s .
 
 clean:
 	rm -rf results flightrecorder_trace.json diag-artifacts

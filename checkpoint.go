@@ -69,10 +69,12 @@ func writeCheckpoint(dir string, keep int, cfg Config, cyc uint64, pastWarmup bo
 	if err != nil {
 		return "", err
 	}
+	ck := &Checkpoint{Cycle: cyc, PastWarmup: pastWarmup, Base: base}
 	var engBuf bytes.Buffer
 	if err := eng.Snapshot(&engBuf); err != nil {
 		return "", err
 	}
+	ck.engine = engBuf.Bytes()
 
 	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
 	if err != nil {
@@ -81,13 +83,10 @@ func writeCheckpoint(dir string, keep int, cfg Config, cyc uint64, pastWarmup bo
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 
 	w := snapshot.NewWriter(tmp)
-	w.Tag("CKPT")
-	w.U64(cyc)
-	w.Bytes(cfgJSON)
-	w.Bool(pastWarmup)
-	base.SaveState(w)
-	w.Bytes(engBuf.Bytes())
-	if err := w.Close(); err != nil {
+	if err = ck.state(w, &cfgJSON); err == nil {
+		err = w.Close()
+	}
+	if err != nil {
 		tmp.Close()
 		return "", err
 	}
@@ -148,13 +147,12 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dxbar: checkpoint %s: %w", path, err)
 	}
-	r.Expect("CKPT")
-	ck := &Checkpoint{Cycle: r.U64()}
-	cfgJSON := r.Bytes()
-	ck.PastWarmup = r.Bool()
-	ck.Base.LoadState(r)
-	eng := r.Bytes()
-	if err := r.Close(); err != nil {
+	ck := &Checkpoint{}
+	var cfgJSON []byte
+	if err = ck.state(r, &cfgJSON); err == nil {
+		err = r.Close()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("dxbar: checkpoint %s: %w", path, err)
 	}
 	if err := json.Unmarshal(cfgJSON, &ck.Config); err != nil {
@@ -162,8 +160,20 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 	// The engine blob aliases the file buffer; copy so the Checkpoint owns
 	// its bytes independent of the (now unreferenced) read buffer.
-	ck.engine = append([]byte(nil), eng...)
+	ck.engine = append([]byte(nil), ck.engine...)
 	return ck, nil
+}
+
+// state is the CKPT section's codec: the cycle, the scrubbed config JSON, the
+// warmup-boundary energy baseline and the nested engine stream.
+func (ck *Checkpoint) state(s *snapshot.Stream, cfgJSON *[]byte) error {
+	s.Tag("CKPT")
+	s.U64(&ck.Cycle)
+	s.Bytes(cfgJSON)
+	s.Bool(&ck.PastWarmup)
+	ck.Base.State(s)
+	s.Bytes(&ck.engine)
+	return s.Err()
 }
 
 // Resume continues a checkpointed run to its configured end. The result is

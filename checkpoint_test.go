@@ -3,11 +3,16 @@ package dxbar
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"dxbar/internal/diag"
 	"dxbar/internal/events"
@@ -174,9 +179,12 @@ func observedNetwork(tb testing.TB, design Design, faulted bool, shards int) *Ne
 	return net
 }
 
-// TestRestoreEngineCorruptInput walks every truncation and every single-byte
-// flip of a real snapshot through Restore: each must fail with an error —
-// never panic — and the CRC makes all bit flips detectable.
+// TestRestoreEngineCorruptInput walks truncations and single-byte flips of a
+// real snapshot through Restore. With the CRC left alone every one must fail —
+// the checksum makes all bit flips detectable. With the CRC recomputed
+// (withCRC) a flip reaches the decoders: over every design's snapshot, every
+// observer attached, a flip may restore or fail, but it must not panic, at
+// restore or in the 30 cycles after it.
 func TestRestoreEngineCorruptInput(t *testing.T) {
 	a, _ := snapshotPair(t, DesignSCARAB)
 	a.Engine.Run(200)
@@ -207,26 +215,134 @@ func TestRestoreEngineCorruptInput(t *testing.T) {
 	if err := buffered.Engine.Restore(data); err == nil {
 		t.Fatal("snapshot restored into an engine of a different design")
 	}
+
+	for _, d := range AllDesigns {
+		net := observedNetwork(t, d, false, 0)
+		net.Engine.Run(100)
+		buf.Reset()
+		if err := net.Engine.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rejected, restored := 0, 0
+		for i := 0; i < buf.Len(); i += 43 {
+			mut := withCRC(buf.Bytes())
+			mut[i] ^= 0xff
+			if restoreAndRun(t, d, withCRC(mut), 30) == nil {
+				restored++
+			} else {
+				rejected++
+			}
+		}
+		t.Logf("%s: %d-byte snapshot, %d flips rejected, %d restored and ran", d, buf.Len(), rejected, restored)
+	}
 }
 
-// FuzzRestoreEngine throws arbitrary mutations of real snapshot bytes at
-// Restore. The contract under fuzzing is error-not-panic; a half-restored
-// engine is impossible because the caller discards the engine on error.
+// restoreAndRun restores data into a fresh observed network of design d and,
+// when that succeeds, runs it for cycles. A panic fails the test with the
+// stream that caused it.
+func restoreAndRun(t *testing.T, d Design, data []byte, cycles uint64) error {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("%s: panic on a CRC-valid %d-byte stream: %v\n%s", d, len(data), p, debug.Stack())
+		}
+	}()
+	net := observedNetwork(t, d, false, 0)
+	err := net.Engine.Restore(data)
+	if err == nil {
+		net.Engine.Run(cycles)
+	}
+	return err
+}
+
+// withCRC returns a copy of a snapshot stream with its CRC32 trailer
+// recomputed, so a mutation reaches the decoders instead of stopping at the
+// checksum.
+func withCRC(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if n := len(out) - 4; n >= 0 {
+		binary.LittleEndian.PutUint32(out[n:], crc32.ChecksumIEEE(out[:n]))
+	}
+	return out
+}
+
+// TestRestoreEngineForgedCounts restores CRC-valid streams whose fields were
+// raised past anything a run writes: a BERN draw count raised by 2^40 (a
+// replay of about 44 minutes) and a WHEL offset of 0xff0000c8 (a wheel grown
+// to a 96 GiB slice, a fatal out-of-memory). Each must fail within a second,
+// allocating no more than restoring the genuine stream does.
+func TestRestoreEngineForgedCounts(t *testing.T) {
+	net := observedNetwork(t, DesignSCARAB, false, 0)
+	net.Engine.Run(200)
+	var buf bytes.Buffer
+	if err := net.Engine.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restore := func(data []byte) (took time.Duration, alloc uint64, err error) {
+		net := observedNetwork(t, DesignSCARAB, false, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		err = net.Engine.Restore(data)
+		took = time.Since(start)
+		runtime.ReadMemStats(&after)
+		return took, after.TotalAlloc - before.TotalAlloc, err
+	}
+	_, genuine, err := restore(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		section string
+		forge   func(section []byte)
+	}{
+		{"BERN", func(p []byte) { binary.LittleEndian.PutUint64(p[4:], binary.LittleEndian.Uint64(p[4:])+1<<40) }},
+		{"WHEL", func(p []byte) {
+			if binary.LittleEndian.Uint32(p[4:]) == 0 {
+				t.Fatal("the retransmit wheel is empty: no offset to forge")
+			}
+			binary.LittleEndian.PutUint64(p[8:], 0xff0000c8)
+		}},
+	} {
+		data := append([]byte(nil), buf.Bytes()...)
+		c.forge(data[bytes.Index(data, []byte(c.section)):])
+		took, alloc, err := restore(withCRC(data))
+		if err == nil {
+			t.Errorf("%s: forged stream restored", c.section)
+		}
+		if took > time.Second || alloc > genuine+1<<20 {
+			t.Errorf("%s: failing took %v and %d bytes (a genuine restore: %d bytes)", c.section, took, alloc, genuine)
+		}
+		t.Logf("%s: %v", c.section, err)
+	}
+}
+
+// FuzzRestoreEngine throws mutations of real snapshots — every design, every
+// observer attached — at Restore into the seed's own design, with the CRC
+// trailer recomputed so a mutation reaches the decoders. The contract under
+// fuzzing: an error or a restored engine that runs on, never a panic; a
+// half-restored engine is impossible because the caller discards the engine
+// on error.
 func FuzzRestoreEngine(f *testing.F) {
-	for _, d := range []Design{DesignDXbar, DesignSCARAB} {
-		a, _ := snapshotPair(f, d)
-		a.Engine.Run(150)
+	for i, d := range AllDesigns {
+		net := observedNetwork(f, d, false, 0)
+		net.Engine.Run(150)
 		var buf bytes.Buffer
-		if err := a.Engine.Snapshot(&buf); err != nil {
+		if err := net.Engine.Snapshot(&buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(uint8(i), buf.Bytes())
 	}
-	f.Add([]byte{})
-	f.Add([]byte("DXSN"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, net := snapshotPair(t, DesignDXbar)
-		_ = net.Engine.Restore(data) // must not panic
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), []byte("DXSN"))
+	f.Fuzz(func(t *testing.T, design uint8, data []byte) {
+		// Restoring the injector replays its RNG position, in time linear in
+		// the cycle the stream claims (DESIGN.md §5e): a forged cycle paired
+		// with a forged position is a long run to restore, not a hang.
+		if len(data) >= 18 && binary.LittleEndian.Uint64(data[10:]) > 1<<20 {
+			t.Skip("claims a run longer than 2^20 cycles")
+		}
+		restoreAndRun(t, AllDesigns[int(design)%len(AllDesigns)], withCRC(data), 30)
 	})
 }
 
@@ -250,8 +366,9 @@ func snapshotPair(tb testing.TB, design Design) (a, b *Network) {
 	return build(), build()
 }
 
-// FuzzLoadCheckpoint fuzzes the checkpoint-file decoder the same way: any
-// mutation of a real file must produce an error, never a panic.
+// FuzzLoadCheckpoint fuzzes the checkpoint-file decoder the same way, CRC
+// recomputed: any mutation of a real file must produce an error or a
+// checkpoint, never a panic.
 func FuzzLoadCheckpoint(f *testing.F) {
 	dir := f.TempDir()
 	cfg := checkpointWindow(Config{Design: DesignDXbar, Load: 0.3, Seed: 7})
@@ -271,7 +388,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), "fuzz.dxsn")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+		if err := os.WriteFile(p, withCRC(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, _ = LoadCheckpoint(p) // must not panic

@@ -1,64 +1,33 @@
 package arbiter
 
-import (
-	"fmt"
+import "dxbar/internal/snapshot"
 
-	"dxbar/internal/snapshot"
-)
-
-// SaveState serializes the rotation pointer — the arbiter's only persistent
-// state (the grant history is the pointer).
-func (r *RoundRobin) SaveState(w *snapshot.Writer) {
-	w.Int(r.ptr)
+// State moves the rotation pointer — the arbiter's only persistent state (the
+// grant history is the pointer).
+func (r *RoundRobin) State(s *snapshot.Stream) error {
+	snapshot.Int(s, &r.ptr)
+	if r.ptr < 0 || r.ptr >= r.n {
+		return s.Failf("arbiter: snapshot rotation pointer %d out of [0,%d)", r.ptr, r.n)
+	}
+	return s.Err()
 }
 
-// LoadState restores the rotation pointer.
-func (r *RoundRobin) LoadState(rd *snapshot.Reader) error {
-	ptr := rd.Int()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if ptr < 0 || ptr >= r.n {
-		return fmt.Errorf("arbiter: snapshot rotation pointer %d out of [0,%d)", ptr, r.n)
-	}
-	r.ptr = ptr
-	return nil
-}
-
-// SaveState serializes the separable allocator: every output-stage and
-// input-stage rotation pointer.
-func (s *Separable) SaveState(w *snapshot.Writer) {
-	for _, a := range s.outArb {
-		a.SaveState(w)
-	}
-	for _, a := range s.inArb {
-		a.SaveState(w)
-	}
-}
-
-// LoadState restores the separable allocator's rotation pointers.
-func (s *Separable) LoadState(rd *snapshot.Reader) error {
-	for _, a := range s.outArb {
-		if err := a.LoadState(rd); err != nil {
-			return err
-		}
-	}
-	for _, a := range s.inArb {
-		if err := a.LoadState(rd); err != nil {
-			return err
+// State moves the separable allocator: every output-stage and input-stage
+// rotation pointer.
+func (s *Separable) State(st *snapshot.Stream) error {
+	for _, arbs := range [2][]*RoundRobin{s.outArb, s.inArb} {
+		for _, a := range arbs {
+			if err := a.State(st); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// SaveState serializes the dual-input allocator. Its arbitration is age-based
+// State moves the dual-input allocator. Its arbitration is age-based
 // (stateless between cycles); only the swap counter persists.
-func (d *DualInput) SaveState(w *snapshot.Writer) {
-	w.U64(d.swaps)
-}
-
-// LoadState restores the dual-input allocator's swap counter.
-func (d *DualInput) LoadState(rd *snapshot.Reader) error {
-	d.swaps = rd.U64()
-	return rd.Err()
+func (d *DualInput) State(s *snapshot.Stream) error {
+	s.U64(&d.swaps)
+	return s.Err()
 }

@@ -149,11 +149,11 @@ func (r *refSeparable) allocate(req []uint64) []int {
 	return r.s.Allocate(r.req)
 }
 
-// pointerBytes is an allocator's rotation pointers as its SaveState writes
-// them: per output, then per input (bitarb appends its match counter).
-func pointerBytes(s interface{ SaveState(*snapshot.Writer) }) []byte {
+// pointerBytes is an allocator's rotation pointers as its State writes them:
+// per output, then per input (bitarb appends its match counter).
+func pointerBytes(s interface{ State(*snapshot.Stream) error }) []byte {
 	var buf bytes.Buffer
-	s.SaveState(snapshot.NewWriter(&buf))
+	s.State(snapshot.NewWriter(&buf))
 	return buf.Bytes()
 }
 

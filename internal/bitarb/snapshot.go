@@ -1,63 +1,37 @@
 package bitarb
 
-import (
-	"fmt"
+import "dxbar/internal/snapshot"
 
-	"dxbar/internal/snapshot"
-)
-
-// SaveState serializes the arbiter's rotation pointer and fairness counters.
-func (r *RoundRobin) SaveState(w *snapshot.Writer) {
-	w.Int(r.ptr)
-	w.U64(r.grants)
-	w.U64(r.wraps)
+// State moves the arbiter's rotation pointer and fairness counters.
+func (r *RoundRobin) State(s *snapshot.Stream) error {
+	snapshot.Int(s, &r.ptr)
+	s.U64(&r.grants)
+	s.U64(&r.wraps)
+	if r.ptr < 0 || r.ptr >= r.n {
+		return s.Failf("bitarb: snapshot rotation pointer %d out of [0,%d)", r.ptr, r.n)
+	}
+	return s.Err()
 }
 
-// LoadState restores the arbiter's state.
-func (r *RoundRobin) LoadState(rd *snapshot.Reader) error {
-	ptr := rd.Int()
-	grants := rd.U64()
-	wraps := rd.U64()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if ptr < 0 || ptr >= r.n {
-		return fmt.Errorf("bitarb: snapshot rotation pointer %d out of [0,%d)", ptr, r.n)
-	}
-	r.ptr = ptr
-	r.grants = grants
-	r.wraps = wraps
-	return nil
-}
-
-// SaveState serializes the separable allocator: the per-output and per-input
-// rotation pointers plus the match counter.
-func (s *Separable) SaveState(w *snapshot.Writer) {
-	for _, p := range s.outPtr {
-		w.Int(int(p))
-	}
-	for _, p := range s.inPtr {
-		w.Int(int(p))
-	}
-	w.U64(s.grants)
-}
-
-// LoadState restores the separable allocator's state.
-func (s *Separable) LoadState(rd *snapshot.Reader) error {
+// State moves the separable allocator: the per-output and per-input rotation
+// pointers plus the match counter.
+func (s *Separable) State(st *snapshot.Stream) error {
 	for i := range s.outPtr {
-		p := rd.Int()
-		if rd.Err() == nil && (p < 0 || p >= s.numIn) {
-			return fmt.Errorf("bitarb: snapshot output pointer %d out of [0,%d)", p, s.numIn)
+		p := int(s.outPtr[i])
+		snapshot.Int(st, &p)
+		if p < 0 || p >= s.numIn {
+			return st.Failf("bitarb: snapshot output pointer %d out of [0,%d)", p, s.numIn)
 		}
 		s.outPtr[i] = int32(p)
 	}
 	for i := range s.inPtr {
-		p := rd.Int()
-		if rd.Err() == nil && (p < 0 || p >= s.numOut) {
-			return fmt.Errorf("bitarb: snapshot input pointer %d out of [0,%d)", p, s.numOut)
+		p := int(s.inPtr[i])
+		snapshot.Int(st, &p)
+		if p < 0 || p >= s.numOut {
+			return st.Failf("bitarb: snapshot input pointer %d out of [0,%d)", p, s.numOut)
 		}
 		s.inPtr[i] = int32(p)
 	}
-	s.grants = rd.U64()
-	return rd.Err()
+	st.U64(&s.grants)
+	return st.Err()
 }

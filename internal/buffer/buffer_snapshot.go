@@ -1,85 +1,51 @@
 package buffer
 
 import (
-	"fmt"
-
 	"dxbar/internal/flit"
 	"dxbar/internal/snapshot"
 )
 
-// SaveState serializes the FIFO contents oldest-first. The ring phase (head
-// position) is not captured: restore re-pushes from slot 0, which is
-// behaviourally identical and keeps the byte stream canonical regardless of
-// how the ring happened to be rotated.
-func (f *FIFO) SaveState(w *snapshot.Writer) {
-	w.U32(uint32(f.count))
-	for i := 0; i < f.count; i++ {
-		flit.Save(w, f.slots[(f.head+i)%len(f.slots)])
-	}
-}
-
-// LoadState restores the FIFO from a snapshot, drawing flits from the pool.
-// The FIFO must be empty (fresh or Reset).
-func (f *FIFO) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error {
-	n := r.Len(len(f.slots))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	f.head = 0
-	f.count = 0
-	for i := range f.slots {
-		f.slots[i] = nil
+// State moves the FIFO contents oldest-first. The ring phase (head position)
+// is not captured: loading refills an empty (fresh or Reset) FIFO from slot 0
+// with flits drawn from the pool, which is behaviourally identical and keeps
+// the byte stream canonical regardless of how the ring happened to be rotated.
+func (f *FIFO) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	n := s.Len(f.count, len(f.slots))
+	if s.Loading() {
+		clear(f.slots)
+		f.head, f.count = 0, n
+		for i := 0; i < n; i++ {
+			f.slots[i] = pool.Get()
+		}
 	}
 	for i := 0; i < n; i++ {
-		fl := pool.Get()
-		if err := flit.Load(r, fl, nodes); err != nil {
+		if err := flit.State(s, f.slots[(f.head+i)%len(f.slots)], nodes); err != nil {
 			return err
 		}
-		f.Push(fl)
 	}
-	return nil
+	return s.Err()
 }
 
-// SaveState serializes one credit counter: the available count, the pending
-// sum and the delay pipeline slots.
-func (c *Credits) SaveState(w *snapshot.Writer) {
-	w.Int(c.available)
-	w.Int(c.pendingCnt)
-	w.U32(uint32(len(c.inflight)))
-	for _, v := range c.inflight {
-		w.Int(v)
-	}
-}
-
-// LoadState restores one credit counter, validating the flow-control
-// invariants (pipeline length matches the configured delay, counts are
-// non-negative, and available + pending never exceeds capacity).
-func (c *Credits) LoadState(r *snapshot.Reader) error {
-	avail := r.Int()
-	pending := r.Int()
-	n := r.Len(len(c.inflight))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(c.inflight) {
-		return fmt.Errorf("buffer: snapshot credit delay %d != configured %d", n, len(c.inflight))
+// State moves one credit counter — the available count, the pending sum and
+// the delay pipeline slots — validating the flow-control invariants on the
+// way: the pipeline length matches the configured delay, counts are
+// non-negative, and available + pending never exceeds capacity.
+func (c *Credits) State(s *snapshot.Stream) error {
+	snapshot.Int(s, &c.available)
+	snapshot.Int(s, &c.pendingCnt)
+	if n := s.Len(len(c.inflight), len(c.inflight)); n != len(c.inflight) {
+		return s.Failf("buffer: snapshot credit delay %d != configured %d", n, len(c.inflight))
 	}
 	sum := 0
-	for i := 0; i < n; i++ {
-		v := r.Int()
-		if v < 0 || v > c.max {
-			return fmt.Errorf("buffer: snapshot credit pipeline slot out of range")
+	for i := range c.inflight {
+		snapshot.Int(s, &c.inflight[i])
+		if v := c.inflight[i]; v < 0 || v > c.max {
+			return s.Failf("buffer: snapshot credit pipeline slot out of range")
 		}
-		c.inflight[i] = v
-		sum += v
+		sum += c.inflight[i]
 	}
-	if err := r.Err(); err != nil {
-		return err
+	if c.available < 0 || c.pendingCnt != sum || c.available > c.max-sum {
+		return s.Failf("buffer: snapshot credits violate flow control (avail=%d pending=%d max=%d)", c.available, c.pendingCnt, c.max)
 	}
-	if avail < 0 || pending != sum || avail+pending > c.max {
-		return fmt.Errorf("buffer: snapshot credits violate flow control (avail=%d pending=%d max=%d)", avail, pending, c.max)
-	}
-	c.available = avail
-	c.pendingCnt = pending
-	return nil
+	return s.Err()
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"dxbar/internal/buffer"
 	"dxbar/internal/flit"
+	"dxbar/internal/sim"
 	"dxbar/internal/snapshot"
 )
 
@@ -13,76 +15,55 @@ import (
 // buffer contents, the fairness counter, and the one-shot event latches that
 // keep the flight recorder from re-reporting fault transitions.
 
-func (f *fairness) saveState(w *snapshot.Writer) {
-	w.Int(f.count)
-	w.U64(f.flips)
-}
-
-func (f *fairness) loadState(r *snapshot.Reader) error {
-	f.count = r.Int()
-	f.flips = r.U64()
-	return r.Err()
-}
-
-// SaveState serializes the DXbar router's persistent state.
-func (d *DXbar) SaveState(w *snapshot.Writer) {
-	w.Tag("DXBR")
-	for _, b := range d.buffers {
-		b.SaveState(w)
-	}
-	d.fair.saveState(w)
-	w.Bool(d.manifestSeen)
-	w.Bool(d.detectedSeen)
-}
-
-// LoadState restores the DXbar router. The occupied-buffer bitmask is
-// re-derived from the restored FIFOs rather than trusted from the stream.
-func (d *DXbar) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error {
-	r.Expect("DXBR")
-	d.bufMask = 0
-	for p, b := range d.buffers {
-		if err := b.LoadState(r, pool, nodes); err != nil {
+// buffersState moves the per-input FIFOs, each held to the credits its
+// upstream neighbour has spent on it (sim.Env.HeldCredits).
+func buffersState(s *snapshot.Stream, env *sim.Env, buffers []*buffer.FIFO, pool *flit.Pool, nodes int) error {
+	for p, b := range buffers {
+		if err := b.State(s, pool, nodes); err != nil {
 			return err
 		}
-		if b.Len() > 0 {
+		if held, ok := env.HeldCredits(flit.Port(p)); ok && held != b.Len() {
+			return s.Failf("core: snapshot buffer %d holds %d flits, its upstream credits say %d", p, b.Len(), held)
+		}
+	}
+	return nil
+}
+
+func (f *fairness) state(s *snapshot.Stream) {
+	snapshot.Int(s, &f.count)
+	s.U64(&f.flips)
+}
+
+// State moves the DXbar router's persistent state. Loading re-derives the
+// occupied-buffer bitmask from the restored FIFOs rather than trusting the
+// stream.
+func (d *DXbar) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	s.Tag("DXBR")
+	if err := buffersState(s, d.env, d.buffers[:], pool, nodes); err != nil {
+		return err
+	}
+	for p, b := range d.buffers {
+		if s.Loading() && b.Len() > 0 {
 			d.bufMask |= 1 << uint(p)
 		}
 	}
-	if err := d.fair.loadState(r); err != nil {
-		return err
-	}
-	d.manifestSeen = r.Bool()
-	d.detectedSeen = r.Bool()
-	return r.Err()
+	d.fair.state(s)
+	s.Bool(&d.manifestSeen)
+	s.Bool(&d.detectedSeen)
+	return s.Err()
 }
 
-// SaveState serializes the unified router's persistent state.
-func (u *Unified) SaveState(w *snapshot.Writer) {
-	w.Tag("UNIF")
-	for _, b := range u.buffers {
-		b.SaveState(w)
-	}
-	u.fair.saveState(w)
-	u.alloc.SaveState(w)
-	w.Bool(u.manifestSeen)
-	w.U64(u.lastSwaps)
-}
-
-// LoadState restores the unified router.
-func (u *Unified) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error {
-	r.Expect("UNIF")
-	for _, b := range u.buffers {
-		if err := b.LoadState(r, pool, nodes); err != nil {
-			return err
-		}
-	}
-	if err := u.fair.loadState(r); err != nil {
+// State moves the unified router's persistent state.
+func (u *Unified) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	s.Tag("UNIF")
+	if err := buffersState(s, u.env, u.buffers[:], pool, nodes); err != nil {
 		return err
 	}
-	if err := u.alloc.LoadState(r); err != nil {
+	u.fair.state(s)
+	if err := u.alloc.State(s); err != nil {
 		return err
 	}
-	u.manifestSeen = r.Bool()
-	u.lastSwaps = r.U64()
-	return r.Err()
+	s.Bool(&u.manifestSeen)
+	s.U64(&u.lastSwaps)
+	return s.Err()
 }

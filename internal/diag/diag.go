@@ -202,8 +202,7 @@ type WindowSample struct {
 // the fault-latency histogram uses atomics because routers call the fault
 // hooks from shard workers.
 type Monitor struct {
-	cfg   Config
-	nodes int
+	cfg Config
 
 	// Progress watchdog.
 	lastEjected  uint64
@@ -252,7 +251,6 @@ func NewMonitor(cfg Config, nodes int) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:         cfg,
-		nodes:       nodes,
 		nextWindow:  cfg.Window - 1,
 		records:     make([]Anomaly, 0, cfg.MaxRecords),
 		manifest:    make([]uint64, nodes),

@@ -1,7 +1,7 @@
 package diag
 
 import (
-	"fmt"
+	"sync/atomic"
 
 	"dxbar/internal/snapshot"
 )
@@ -16,126 +16,87 @@ func (m *Monitor) scalars() [numScalars]*uint64 {
 
 const numScalars = 11
 
-// SaveState serializes the monitor's detector state so a restored run
-// reproduces the exact anomaly stream of the uninterrupted one: the progress
-// watchdog, the window baselines, the starvation latch, the recorded
-// anomalies, and the fault-latency accounting. Hooks (dumper, stop flags) and
-// registry handles are wiring, re-created on restore; the flit-age gauge's
-// delta tracker is registry-coupled and starts fresh.
-func (m *Monitor) SaveState(w *snapshot.Writer) {
-	w.Tag("DIAG")
+// State moves the monitor's detector state so a restored run reproduces the
+// exact anomaly stream of the uninterrupted one: the progress watchdog, the
+// window baselines, the starvation latch, the recorded anomalies, and the
+// fault-latency accounting. Hooks (dumper, stop flags) and registry handles
+// are wiring, re-created on restore; the flit-age gauge's delta tracker is
+// registry-coupled and starts fresh.
+//
+// The receiver may be nil when loading (diagnostics disabled on the restoring
+// side): the section is then decoded and discarded. Loading keeps the record
+// slice's backing array, so the MaxRecords capacity (and with it the overflow
+// behaviour of future fires) survives the restore.
+func (m *Monitor) State(s *snapshot.Stream) error {
+	s.Tag("DIAG")
+	var discard Monitor
+	if m == nil {
+		m = &discard
+	}
 	for _, p := range m.scalars() {
-		w.U64(*p)
+		s.U64(p)
 	}
-	w.Bool(false) // retired "trace widened" flag: the byte keeps the section layout
-	w.Bool(m.dumped)
-	for k := Kind(0); k < NumKinds; k++ {
-		w.U64(m.counts[k])
+	var widened bool // retired "trace widened" flag: the byte keeps the section layout
+	s.Bool(&widened)
+	s.Bool(&m.dumped)
+	for k := range m.counts {
+		s.U64(&m.counts[k])
 	}
-	w.U32(uint32(len(m.records)))
-	for i := range m.records {
-		a := &m.records[i]
-		w.U8(uint8(a.Kind))
-		w.U64(a.Cycle)
-		w.I64(int64(a.Node))
-		w.U64(a.PacketID)
-		w.U64(a.FlitID)
-		w.U64(a.Value)
-		w.F64(a.Baseline)
+	nrec := s.Len(len(m.records), 1<<16)
+	if s.Loading() {
+		m.records = m.records[:0]
 	}
-	w.U32(uint32(len(m.manifest)))
-	for _, v := range m.manifest {
-		w.U64(v)
-	}
-	w.U32(uint32(len(m.faultBuckets)))
-	for i := range m.faultBuckets {
-		w.U64(m.faultBuckets[i].Load())
-	}
-	w.U64(m.faultCount.Load())
-	w.U64(m.faultSum.Load())
-}
-
-// LoadState restores a monitor built with the same configuration and node
-// count. dst may be nil (diagnostics disabled on the restore side), in which
-// case the section is decoded and discarded.
-func LoadState(r *snapshot.Reader, dst *Monitor) error {
-	r.Expect("DIAG")
-	var scalars [numScalars]uint64 // staged, so a nil dst still decodes the section
-	for i := range scalars {
-		scalars[i] = r.U64()
-	}
-	r.Bool() // retired "trace widened" flag
-	dumped := r.Bool()
-	var counts [NumKinds]uint64
-	for k := Kind(0); k < NumKinds; k++ {
-		counts[k] = r.U64()
-	}
-	nrec := r.Len(1 << 16)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	records := make([]Anomaly, 0, nrec)
 	for i := 0; i < nrec; i++ {
 		var a Anomaly
-		a.Kind = Kind(r.U8())
-		a.Cycle = r.U64()
-		a.Node = int32(r.I64())
-		a.PacketID = r.U64()
-		a.FlitID = r.U64()
-		a.Value = r.U64()
-		a.Baseline = r.F64()
-		if err := r.Err(); err != nil {
-			return err
+		if !s.Loading() {
+			a = m.records[i]
 		}
+		snapshot.Byte(s, &a.Kind)
+		s.U64(&a.Cycle)
+		snapshot.Int(s, &a.Node)
+		s.U64(&a.PacketID)
+		s.U64(&a.FlitID)
+		s.U64(&a.Value)
+		s.F64(&a.Baseline)
 		if a.Kind >= NumKinds {
-			return fmt.Errorf("diag: snapshot anomaly kind %d out of range", a.Kind)
+			return s.Failf("diag: snapshot anomaly kind %d out of range", a.Kind)
 		}
-		records = append(records, a)
+		if s.Loading() && m != &discard {
+			m.records = append(m.records, a)
+		}
 	}
-	nman := r.Len(1 << 24)
-	if err := r.Err(); err != nil {
-		return err
+	var scratch uint64
+	nman := s.Len(len(m.manifest), 1<<24)
+	if m != &discard && nman != len(m.manifest) {
+		return s.Failf("diag: snapshot manifest length %d != %d nodes", nman, len(m.manifest))
 	}
-	if dst != nil && nman != len(dst.manifest) {
-		return fmt.Errorf("diag: snapshot manifest length %d != %d nodes", nman, len(dst.manifest))
+	for i := 0; i < nman; i++ {
+		v := &scratch
+		if i < len(m.manifest) {
+			v = &m.manifest[i]
+		}
+		s.U64(v)
 	}
-	manifest := make([]uint64, nman)
-	for i := range manifest {
-		manifest[i] = r.U64()
+	var scratchBucket atomic.Uint64
+	nb := s.Len(len(m.faultBuckets), 64)
+	if m != &discard && nb != len(m.faultBuckets) {
+		return s.Failf("diag: snapshot fault-bucket count %d != %d", nb, len(m.faultBuckets))
 	}
-	nb := r.Len(64)
-	if err := r.Err(); err != nil {
-		return err
+	for i := 0; i < nb; i++ {
+		b := &scratchBucket
+		if i < len(m.faultBuckets) {
+			b = &m.faultBuckets[i]
+		}
+		atomicState(s, b)
 	}
-	if dst != nil && nb != len(dst.faultBuckets) {
-		return fmt.Errorf("diag: snapshot fault-bucket count %d != %d", nb, len(dst.faultBuckets))
-	}
-	buckets := make([]uint64, nb)
-	for i := range buckets {
-		buckets[i] = r.U64()
-	}
-	faultCount := r.U64()
-	faultSum := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	atomicState(s, &m.faultCount)
+	atomicState(s, &m.faultSum)
+	return s.Err()
+}
 
-	if dst == nil {
-		return nil
-	}
-	for i, p := range dst.scalars() {
-		*p = scalars[i]
-	}
-	dst.dumped = dumped
-	dst.counts = counts
-	// Append into the existing backing array so the MaxRecords capacity (and
-	// with it the overflow behaviour of future fires) survives the restore.
-	dst.records = append(dst.records[:0], records...)
-	copy(dst.manifest, manifest)
-	for i := range buckets {
-		dst.faultBuckets[i].Store(buckets[i])
-	}
-	dst.faultCount.Store(faultCount)
-	dst.faultSum.Store(faultSum)
-	return nil
+// atomicState moves an atomic counter.
+func atomicState(s *snapshot.Stream, a *atomic.Uint64) {
+	v := a.Load()
+	s.U64(&v)
+	a.Store(v)
 }

@@ -45,7 +45,6 @@ const (
 // measurement window.
 type Meter struct {
 	crossbarPJ float64
-	unified    bool
 	buffered8  bool
 	counts     Counts
 }
@@ -70,7 +69,7 @@ func NewMeter() *Meter { return &Meter{crossbarPJ: CrossbarPerFlit} }
 
 // NewUnifiedMeter returns a meter using the unified crossbar's 15 pJ/flit.
 func NewUnifiedMeter() *Meter {
-	return &Meter{crossbarPJ: UnifiedCrossbarPerFlit, unified: true}
+	return &Meter{crossbarPJ: UnifiedCrossbarPerFlit}
 }
 
 // NewBuffered8Meter returns a meter using the 8-slot buffer energies.
@@ -81,11 +80,8 @@ func NewBuffered8Meter() *Meter {
 // CrossbarTraversal records one flit crossing a crossbar.
 func (m *Meter) CrossbarTraversal() { m.counts.CrossbarTraversals++ }
 
-// LinkTraversal records one flit crossing an inter-router link.
-func (m *Meter) LinkTraversal() { m.counts.LinkTraversals++ }
-
-// AddLinkTraversals records n link traversals at once (the engine's link
-// phase batches its per-cycle count into one add).
+// AddLinkTraversals records n flits crossing inter-router links (the engine's
+// link phase batches its per-cycle count into one add).
 func (m *Meter) AddLinkTraversals(n uint64) { m.counts.LinkTraversals += n }
 
 // BufferWrite records one flit written into an input/secondary buffer.

@@ -9,8 +9,8 @@ import (
 func TestMeterAccumulation(t *testing.T) {
 	m := NewMeter()
 	m.CrossbarTraversal()
-	m.LinkTraversal()
-	m.LinkTraversal()
+	m.AddLinkTraversals(1)
+	m.AddLinkTraversals(1)
 	m.BufferWrite()
 	m.BufferRead()
 	m.NackHops(3)
@@ -42,9 +42,9 @@ func TestBuffered8MeterUsesLargerBufferEnergy(t *testing.T) {
 
 func TestSnapshotSub(t *testing.T) {
 	m := NewMeter()
-	m.LinkTraversal()
+	m.AddLinkTraversals(1)
 	base := m.Snapshot()
-	m.LinkTraversal()
+	m.AddLinkTraversals(1)
 	m.CrossbarTraversal()
 	d := m.Snapshot().Sub(base)
 	if d.LinkTraversals != 1 || d.CrossbarTraversals != 1 {

@@ -18,7 +18,7 @@ func TestScratchAbsorb(t *testing.T) {
 	record := func(m *Meter) {
 		m.CrossbarTraversal()
 		m.CrossbarTraversal()
-		m.LinkTraversal()
+		m.AddLinkTraversals(1)
 		m.BufferWrite()
 		m.BufferWrite()
 		m.BufferWrite()
@@ -61,7 +61,9 @@ func TestCountsFields(t *testing.T) {
 
 		var buf bytes.Buffer
 		w := snapshot.NewWriter(&buf)
-		master.SaveState(w)
+		if err := master.State(w); err != nil {
+			t.Fatal(err)
+		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +72,7 @@ func TestCountsFields(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := NewBuffered8Meter()
-		if err := restored.LoadState(r); err != nil {
+		if err := restored.State(r); err != nil {
 			t.Fatal(err)
 		}
 		if restored.Snapshot() != want {

@@ -1,109 +1,81 @@
 package events
 
-import (
-	"fmt"
+import "dxbar/internal/snapshot"
 
-	"dxbar/internal/flit"
-	"dxbar/internal/snapshot"
-)
-
-// SaveState serializes the master recorder: the kind mask, the whole-run
-// total, the counter matrix and the ring events in chronological order (the
-// ring phase is not captured — restore rebuilds from slot 0, which keeps the
-// byte stream canonical under any rotation).
+// State moves the master recorder: the kind mask, the whole-run total, the
+// counter matrix and the ring events in chronological order (the ring phase
+// is not captured — loading refills from slot 0, which keeps the byte stream
+// canonical under any rotation).
 //
-// SaveRecorderState/LoadRecorderState exist at the sim layer so an engine
-// with tracing off can still consume a traced snapshot and vice versa; this
-// method assumes a non-nil, non-stage recorder.
-func (r *Recorder) SaveState(w *snapshot.Writer) {
-	w.Tag("EVNT")
-	w.U32(r.mask)
-	w.U64(r.total)
-	w.U32(uint32(len(r.counts)))
-	for _, c := range r.counts {
-		w.U64(c)
+// The receiver may be nil when loading (tracing disabled on the restoring
+// side — e.g. a rewind with a different trace setup): the section is then
+// decoded and discarded. If the snapshot ring is deeper than the receiver's,
+// only the newest events are kept — the same overwrite-oldest semantics the
+// live ring applies. Saving needs a non-nil master (not a stage) recorder.
+func (r *Recorder) State(s *snapshot.Stream) error {
+	s.Tag("EVNT")
+	var discard Recorder
+	if r == nil {
+		r = &discard
 	}
-	w.U32(uint32(r.size))
-	for i := 0; i < r.size; i++ {
-		e := &r.ring[(r.head+i)%len(r.ring)]
-		w.U64(e.Cycle)
-		w.U64(e.PacketID)
-		w.U64(e.FlitID)
-		w.I64(int64(e.Detail))
-		w.I64(int64(e.Node))
-		w.U8(uint8(e.Kind))
-		w.U8(uint8(e.Port))
+	s.U32(&r.mask)
+	s.U64(&r.total)
+	nc := s.Len(len(r.counts), 1<<24)
+	if r != &discard && nc != len(r.counts) {
+		return s.Failf("events: snapshot counter matrix size %d != configured %d", nc, len(r.counts))
 	}
-}
-
-// LoadState restores a recorder built from the same run configuration. dst
-// may be nil (tracing disabled on the restore side — e.g. a rewind with a
-// different trace setup), in which case the section is decoded and discarded.
-// If the snapshot ring is deeper than dst's, only the newest events are kept
-// — the same overwrite-oldest semantics the live ring applies.
-func LoadState(r *snapshot.Reader, dst *Recorder) error {
-	r.Expect("EVNT")
-	mask := r.U32()
-	total := r.U64()
-	nc := r.Len(1 << 24)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if dst != nil && nc != len(dst.counts) {
-		return fmt.Errorf("events: snapshot counter matrix size %d != configured %d", nc, len(dst.counts))
-	}
+	var scratch uint64
 	for i := 0; i < nc; i++ {
-		v := r.U64()
-		if dst != nil {
-			dst.counts[i] = v
+		v := &scratch
+		if i < len(r.counts) {
+			v = &r.counts[i]
 		}
+		s.U64(v)
 	}
-	size := r.Len(1 << 24)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if dst != nil {
-		dst.mask = mask
-		dst.total = total
-		dst.head = 0
-		dst.size = 0
+	size := s.Len(r.size, 1<<24)
+	if s.Loading() {
+		r.head, r.size = 0, 0
 	}
 	for i := 0; i < size; i++ {
 		var e Event
-		e.Cycle = r.U64()
-		e.PacketID = r.U64()
-		e.FlitID = r.U64()
-		e.Detail = int32(r.I64())
-		e.Node = int32(r.I64())
-		e.Kind = Kind(r.U8())
-		e.Port = flit.Port(int8(r.U8()))
-		if err := r.Err(); err != nil {
-			return err
+		if !s.Loading() {
+			e = r.ring[(r.head+i)%len(r.ring)]
 		}
+		s.U64(&e.Cycle)
+		s.U64(&e.PacketID)
+		s.U64(&e.FlitID)
+		snapshot.Int(s, &e.Detail)
+		snapshot.Int(s, &e.Node)
+		snapshot.Byte(s, &e.Kind)
+		snapshot.Byte(s, &e.Port)
 		if int(e.Kind) >= NumKinds {
-			return fmt.Errorf("events: snapshot event kind %d out of range", e.Kind)
+			return s.Failf("events: snapshot event kind %d out of range", e.Kind)
 		}
-		if dst == nil {
+		if r == &discard {
 			continue
 		}
-		if int(e.Node) < 0 || int(e.Node) >= dst.nodes {
-			return fmt.Errorf("events: snapshot event node %d out of range", e.Node)
+		if int(e.Node) < 0 || int(e.Node) >= r.nodes {
+			return s.Failf("events: snapshot event node %d out of range", e.Node)
 		}
-		// Re-insert with ring semantics but without the mask filter or the
-		// counter bump — mask and counters were restored wholesale above.
-		idx := dst.head + dst.size
-		if idx >= len(dst.ring) {
-			idx -= len(dst.ring)
-		}
-		dst.ring[idx] = e
-		if dst.size < len(dst.ring) {
-			dst.size++
-		} else {
-			dst.head++
-			if dst.head == len(dst.ring) {
-				dst.head = 0
-			}
+		if s.Loading() {
+			r.refill(e)
 		}
 	}
-	return r.Err()
+	return s.Err()
+}
+
+// refill appends a loaded event with the ring's overwrite-oldest semantics,
+// but without the mask filter or the counter bump — mask and counters were
+// loaded wholesale.
+func (r *Recorder) refill(e Event) {
+	idx := r.head + r.size
+	if idx >= len(r.ring) {
+		idx -= len(r.ring)
+	}
+	r.ring[idx] = e
+	if r.size < len(r.ring) {
+		r.size++
+	} else if r.head++; r.head == len(r.ring) {
+		r.head = 0
+	}
 }

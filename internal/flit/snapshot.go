@@ -1,150 +1,101 @@
 package flit
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"dxbar/internal/snapshot"
 )
 
-// Save serializes one flit by value, in field-declaration order. Flits obey a
+// State moves one flit by value, in field-declaration order. Flits obey a
 // single-owner discipline at cycle boundaries (exactly one latch, deque,
-// buffer, link stage or wheel slot holds each), so every holder serializes its
+// buffer, link stage or wheel slot holds each), so every holder moves its
 // flits in place and the restore side repopulates the pool by Get-ing a fresh
-// flit per record — pool accounting matches automatically.
-func Save(w *snapshot.Writer, f *Flit) {
-	w.U64(f.ID)
-	w.U64(f.InjectionCycle)
-	w.U64(f.PacketID)
-	w.U64(f.EnqueueCycle)
-	w.I64(int64(f.Src))
-	w.I64(int64(f.Dst))
-	w.I64(int64(f.Hops))
-	w.I64(int64(f.Deflections))
-	w.I64(int64(f.Retransmits))
-	w.I64(int64(f.Buffered))
-	w.U16(f.Seq)
-	w.U16(f.NumFlits)
-	w.U8(uint8(f.Route))
-	w.U8(uint8(f.Kind))
-}
-
-// Load decodes one flit into f, validating endpoints against the mesh size
-// and the port/kind enums so a forged stream cannot smuggle out-of-range
-// indices into the engine's hot paths.
-func Load(r *snapshot.Reader, f *Flit, nodes int) error {
-	f.ID = r.U64()
-	f.InjectionCycle = r.U64()
-	f.PacketID = r.U64()
-	f.EnqueueCycle = r.U64()
-	f.Src = int32(r.I64())
-	f.Dst = int32(r.I64())
-	f.Hops = int32(r.I64())
-	f.Deflections = int32(r.I64())
-	f.Retransmits = int32(r.I64())
-	f.Buffered = int32(r.I64())
-	f.Seq = r.U16()
-	f.NumFlits = r.U16()
-	f.Route = Port(int8(r.U8()))
-	f.Kind = Kind(r.U8())
-	if err := r.Err(); err != nil {
-		return err
-	}
+// flit per record — pool accounting matches automatically. Endpoints are
+// validated against the mesh size and the port/kind enums so a forged stream
+// cannot smuggle out-of-range indices into the engine's hot paths.
+func State(s *snapshot.Stream, f *Flit, nodes int) error {
+	s.U64(&f.ID)
+	s.U64(&f.InjectionCycle)
+	s.U64(&f.PacketID)
+	s.U64(&f.EnqueueCycle)
+	snapshot.Int(s, &f.Src)
+	snapshot.Int(s, &f.Dst)
+	snapshot.Int(s, &f.Hops)
+	snapshot.Int(s, &f.Deflections)
+	snapshot.Int(s, &f.Retransmits)
+	snapshot.Int(s, &f.Buffered)
+	s.U16(&f.Seq)
+	s.U16(&f.NumFlits)
+	snapshot.Byte(s, &f.Route)
+	snapshot.Byte(s, &f.Kind)
 	if f.Src < 0 || int(f.Src) >= nodes || f.Dst < 0 || int(f.Dst) >= nodes {
-		return fmt.Errorf("flit: snapshot endpoints %d->%d out of range for %d nodes", f.Src, f.Dst, nodes)
+		return s.Failf("flit: snapshot endpoints %d->%d out of range for %d nodes", f.Src, f.Dst, nodes)
 	}
 	if f.Route != Invalid && (f.Route < 0 || f.Route >= Port(NumPorts)) {
-		return fmt.Errorf("flit: snapshot route port %d out of range", f.Route)
+		return s.Failf("flit: snapshot route port %d out of range", f.Route)
 	}
 	if f.NumFlits == 0 || f.Seq >= f.NumFlits {
-		return fmt.Errorf("flit: snapshot seq %d out of packet of %d flits", f.Seq, f.NumFlits)
+		return s.Failf("flit: snapshot seq %d out of packet of %d flits", f.Seq, f.NumFlits)
 	}
-	return nil
+	return s.Err()
 }
 
-// savePacket serializes an in-progress packet header.
-func savePacket(w *snapshot.Writer, p *Packet) {
-	w.U64(p.PacketID)
-	w.Int(p.Src)
-	w.Int(p.Dst)
-	w.U8(uint8(p.Kind))
-	w.Int(p.NumFlits)
-	w.U64(p.InjectionCycle)
-	w.U64(p.CompletionCycle)
-	w.Int(p.Hops)
-	w.Int(p.Deflections)
-	w.Int(p.Retransmits)
-}
-
-func loadPacket(r *snapshot.Reader, p *Packet, nodes int) error {
-	p.PacketID = r.U64()
-	p.Src = r.Int()
-	p.Dst = r.Int()
-	p.Kind = Kind(r.U8())
-	p.NumFlits = r.Int()
-	p.InjectionCycle = r.U64()
-	p.CompletionCycle = r.U64()
-	p.Hops = r.Int()
-	p.Deflections = r.Int()
-	p.Retransmits = r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+// state moves an in-progress packet header.
+func (p *Packet) state(s *snapshot.Stream, nodes int) error {
+	s.U64(&p.PacketID)
+	snapshot.Int(s, &p.Src)
+	snapshot.Int(s, &p.Dst)
+	snapshot.Byte(s, &p.Kind)
+	snapshot.Int(s, &p.NumFlits)
+	s.U64(&p.InjectionCycle)
+	s.U64(&p.CompletionCycle)
+	snapshot.Int(s, &p.Hops)
+	snapshot.Int(s, &p.Deflections)
+	snapshot.Int(s, &p.Retransmits)
 	if p.Src < 0 || p.Src >= nodes || p.Dst < 0 || p.Dst >= nodes {
-		return fmt.Errorf("flit: snapshot packet endpoints %d->%d out of range", p.Src, p.Dst)
+		return s.Failf("flit: snapshot packet endpoints %d->%d out of range", p.Src, p.Dst)
 	}
 	if p.NumFlits < 1 || p.NumFlits > 64 {
-		return fmt.Errorf("flit: snapshot packet flit count %d out of [1,64]", p.NumFlits)
+		return s.Failf("flit: snapshot packet flit count %d out of [1,64]", p.NumFlits)
 	}
-	return nil
+	return s.Err()
 }
 
-// SaveState serializes the reassembler's in-progress multi-flit packets,
-// sorted by packet ID so the byte stream is independent of map iteration
-// order (the Snapshot→Restore→Snapshot byte-stability property).
-func (ra *Reassembler) SaveState(w *snapshot.Writer) {
-	w.Tag("REAS")
-	w.U32(uint32(len(ra.pending)))
-	ids := make([]uint64, 0, len(ra.pending))
+// State moves the reassembler's in-progress multi-flit packets, sorted by
+// packet ID so the byte stream is independent of map iteration order (the
+// Snapshot→Restore→Snapshot byte-stability property). Loading refills the
+// table of a fresh (or Reset) reassembler entry by entry.
+func (ra *Reassembler) State(s *snapshot.Stream, nodes int) error {
+	s.Tag("REAS")
+	n := s.Len(len(ra.pending), 1<<20)
+	ids := make([]uint64, 0, len(ra.pending)) // empty when loading
 	for id := range ra.pending {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		a := ra.pending[id]
-		savePacket(w, &a.pkt)
-		w.U64(a.received)
-		w.Int(a.count)
-	}
-}
-
-// LoadState restores the pending-packet table. The reassembler must be fresh
-// (or Reset); entries are rebuilt one by one.
-func (ra *Reassembler) LoadState(r *snapshot.Reader, nodes int) error {
-	r.Expect("REAS")
-	n := r.Len(1 << 20)
-	if err := r.Err(); err != nil {
-		return err
-	}
+	slices.Sort(ids)
 	var prev uint64
 	for i := 0; i < n; i++ {
-		a := &assembly{}
-		if err := loadPacket(r, &a.pkt, nodes); err != nil {
+		var a *assembly
+		if s.Loading() {
+			a = new(assembly)
+		} else {
+			a = ra.pending[ids[i]]
+		}
+		if err := a.pkt.state(s, nodes); err != nil {
 			return err
 		}
-		a.received = r.U64()
-		a.count = r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
+		s.U64(&a.received)
+		snapshot.Int(s, &a.count)
 		if a.count < 1 || a.count > a.pkt.NumFlits {
-			return fmt.Errorf("flit: snapshot reassembly count %d out of range", a.count)
+			return s.Failf("flit: snapshot reassembly count %d out of range", a.count)
 		}
 		if i > 0 && a.pkt.PacketID <= prev {
-			return fmt.Errorf("flit: snapshot reassembly entries not strictly ascending")
+			return s.Failf("flit: snapshot reassembly entries not strictly ascending")
 		}
 		prev = a.pkt.PacketID
-		ra.pending[a.pkt.PacketID] = a
+		if s.Loading() {
+			ra.pending[prev] = a
+		}
 	}
-	return nil
+	return s.Err()
 }

@@ -193,7 +193,9 @@ func TestInputBankSaveLoad(t *testing.T) {
 
 		var buf bytes.Buffer
 		w := snapshot.NewWriter(&buf)
-		orig.SaveState(w)
+		if err := orig.State(w, nil, mesh.Nodes()); err != nil {
+			t.Fatal(err)
+		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +204,7 @@ func TestInputBankSaveLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		loaded := build(split)
-		if err := loaded.LoadState(r, flit.NewPool(), mesh.Nodes()); err != nil {
+		if err := loaded.State(r, flit.NewPool(), mesh.Nodes()); err != nil {
 			t.Fatal(err)
 		}
 		if loaded.bank.count != orig.bank.count || loaded.bank.nonEmpty != orig.bank.nonEmpty || loaded.bank.next != orig.bank.next {

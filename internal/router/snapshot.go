@@ -1,177 +1,122 @@
 package router
 
 import (
-	"fmt"
-
 	"dxbar/internal/flit"
 	"dxbar/internal/snapshot"
 )
 
-// saveEntryQueue serializes one buffered-baseline FIFO oldest-first,
-// including each entry's absolute eligibility cycle (the pipeline-delay
-// timestamp a restored run must honour exactly).
-func saveEntryQueue(w *snapshot.Writer, q *entryQueue) {
-	w.U32(uint32(q.count))
-	for i := 0; i < q.count; i++ {
-		e := &q.entries[(q.headIdx+i)&(fifoDepth-1)]
-		flit.Save(w, e.f)
-		w.U64(e.ready)
+// state moves one buffered-baseline FIFO oldest-first, including each entry's
+// absolute eligibility cycle (the pipeline-delay timestamp a restored run must
+// honour exactly). Loading refills the emptied queue from slot 0 with flits
+// drawn from the pool.
+func (q *entryQueue) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	n := s.Len(q.count, fifoDepth)
+	if s.Loading() {
+		*q = entryQueue{count: n}
+		for i := 0; i < n; i++ {
+			q.entries[i].f = pool.Get()
+		}
 	}
-}
-
-func loadEntryQueue(r *snapshot.Reader, q *entryQueue, pool *flit.Pool, nodes int) error {
-	n := r.Len(fifoDepth)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	*q = entryQueue{}
 	for i := 0; i < n; i++ {
-		f := pool.Get()
-		if err := flit.Load(r, f, nodes); err != nil {
+		e := &q.entries[(q.headIdx+i)&(fifoDepth-1)]
+		if err := flit.State(s, e.f, nodes); err != nil {
 			return err
 		}
-		ready := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		q.push(bufEntry{f: f, ready: ready})
+		s.U64(&e.ready)
 	}
-	return nil
+	return s.Err()
 }
 
-// SaveState serializes the buffered baseline's persistent state: the input
-// FIFO contents with eligibility timestamps, the split-input steering
-// pointers, and both allocators' rotation pointers (the branchy reference and
-// its bit-parallel twin both persist so a restored run is bit-identical under
-// either Config.ReferenceArbitration setting). The bank's derived state — the
-// entries' request masks, the non-empty mask, the count — is not written.
-func (b *Buffered) SaveState(w *snapshot.Writer) {
-	w.Tag("BUFD")
+// State moves the buffered baseline's persistent state: the input FIFO
+// contents with eligibility timestamps, the split-input steering pointers,
+// and both allocators' rotation pointers. The bank's derived state — the
+// entries' request masks, the non-empty mask, the count — is not in the
+// stream.
+func (b *Buffered) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	s.Tag("BUFD")
 	nq := int(b.bank.nq)
 	for p := 0; p < flit.NumLinkPorts; p++ {
-		w.U32(uint32(nq))
-		for i := p * nq; i < (p+1)*nq; i++ {
-			saveEntryQueue(w, &b.bank.q[i])
-		}
-		w.Int(int(b.bank.next[p]))
-	}
-	b.saveAllocators(w)
-}
-
-func (b *Buffered) saveAllocators(w *snapshot.Writer) {
-	b.alloc.SaveState(w)
-	b.fast.SaveState(w)
-}
-
-// LoadState restores the buffered baseline.
-func (b *Buffered) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error {
-	r.Expect("BUFD")
-	nq := int(b.bank.nq)
-	for p := 0; p < flit.NumLinkPorts; p++ {
-		n := r.Len(nq)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if n != nq {
-			return fmt.Errorf("router: snapshot FIFO bank width %d != configured %d", n, nq)
+		if n := s.Len(nq, nq); n != nq {
+			return s.Failf("router: snapshot FIFO bank width %d != configured %d", n, nq)
 		}
 		for i := p * nq; i < (p+1)*nq; i++ {
-			if err := loadEntryQueue(r, &b.bank.q[i], pool, nodes); err != nil {
+			if err := b.bank.q[i].state(s, pool, nodes); err != nil {
 				return err
 			}
 		}
-		nf := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
+		nf := int(b.bank.next[p])
+		snapshot.Int(s, &nf)
 		if nf < 0 || nf >= nq {
-			return fmt.Errorf("router: snapshot FIFO steering pointer %d out of range", nf)
+			return s.Failf("router: snapshot FIFO steering pointer %d out of range", nf)
 		}
 		b.bank.next[p] = uint8(nf)
 	}
-	b.bank.rebuild(b.table, b.env.Node)
-	return b.loadAllocators(r)
+	return b.allocState(s)
 }
 
-func (b *Buffered) loadAllocators(r *snapshot.Reader) error {
-	if err := b.alloc.LoadState(r); err != nil {
+// allocState rebuilds the bank's derived state after a load, holds each
+// input's FIFOs to the credits its upstream neighbour has spent on them
+// (sim.Env.HeldCredits), then moves both allocators (the branchy reference
+// and its bit-parallel twin both persist, so a restored run is bit-identical
+// under either Config.ReferenceArbitration setting).
+func (b *Buffered) allocState(s *snapshot.Stream) error {
+	if s.Loading() {
+		b.bank.rebuild(b.table, b.env.Node)
+	}
+	for p := flit.North; p <= flit.West; p++ {
+		i := uint8(p) << (b.bank.nq - 1)
+		n := b.bank.q[i].count
+		if b.bank.nq == 2 {
+			n += b.bank.q[i+1].count
+		}
+		if held, ok := b.env.HeldCredits(p); ok && held != n {
+			return s.Failf("router: snapshot input %d holds %d flits, its upstream credits say %d", p, n, held)
+		}
+	}
+	if err := b.alloc.State(s); err != nil {
 		return err
 	}
-	return b.fast.LoadState(r)
+	return b.fast.State(s)
 }
 
-// SaveState serializes the AFC router's persistent state (the shared mode
-// controller is engine-level shared state, serialized once, not per router).
-func (a *AFC) SaveState(w *snapshot.Writer) {
-	w.Tag("AFCR")
+// State moves the AFC router's persistent state (the shared mode controller is
+// engine-level shared state, moved once, not per router).
+func (a *AFC) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	s.Tag("AFCR")
 	for i := range a.buf.bank.q[:flit.NumLinkPorts] { // one FIFO per input
-		saveEntryQueue(w, &a.buf.bank.q[i])
-	}
-	a.buf.saveAllocators(w)
-}
-
-// LoadState restores the AFC router.
-func (a *AFC) LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error {
-	r.Expect("AFCR")
-	for i := range a.buf.bank.q[:flit.NumLinkPorts] {
-		if err := loadEntryQueue(r, &a.buf.bank.q[i], pool, nodes); err != nil {
+		if err := a.buf.bank.q[i].state(s, pool, nodes); err != nil {
 			return err
 		}
 	}
-	a.buf.bank.rebuild(a.buf.table, a.buf.env.Node)
-	return a.buf.loadAllocators(r)
+	return a.buf.allocState(s)
 }
 
-// SaveState serializes the network-wide AFC mode controller: the mode state
-// machine, the live flit census, and the decision window.
-func (c *AFCController) SaveState(w *snapshot.Writer) {
-	w.Tag("AFCC")
-	w.Int(c.mode)
-	w.Bool(c.draining)
-	w.Int(c.next)
-	w.I64(c.netFlits.Load())
-	w.U64(c.windowStart)
-	w.I64(c.windowDeflections.Load())
-	w.I64(c.windowInjections.Load())
-	w.U64(c.lastTick)
-	w.Bool(c.started)
-	w.U64(c.ModeSwitches)
-}
-
-// LoadState restores the AFC controller.
-func (c *AFCController) LoadState(r *snapshot.Reader) error {
-	r.Expect("AFCC")
-	mode := r.Int()
-	draining := r.Bool()
-	next := r.Int()
-	netFlits := r.I64()
-	windowStart := r.U64()
-	windowDeflections := r.I64()
-	windowInjections := r.I64()
-	lastTick := r.U64()
-	started := r.Bool()
-	modeSwitches := r.U64()
-	if err := r.Err(); err != nil {
-		return err
+// State moves the network-wide AFC mode controller: the mode state machine,
+// the live flit census, and the decision window.
+func (c *AFCController) State(s *snapshot.Stream) error {
+	s.Tag("AFCC")
+	netFlits, deflections, injections := c.netFlits.Load(), c.windowDeflections.Load(), c.windowInjections.Load()
+	snapshot.Int(s, &c.mode)
+	s.Bool(&c.draining)
+	snapshot.Int(s, &c.next)
+	snapshot.Int(s, &netFlits)
+	s.U64(&c.windowStart)
+	snapshot.Int(s, &deflections)
+	snapshot.Int(s, &injections)
+	s.U64(&c.lastTick)
+	s.Bool(&c.started)
+	s.U64(&c.ModeSwitches)
+	if c.mode != afcModeBufferless && c.mode != afcModeBuffered {
+		return s.Failf("router: snapshot AFC mode %d invalid", c.mode)
 	}
-	if mode != afcModeBufferless && mode != afcModeBuffered {
-		return fmt.Errorf("router: snapshot AFC mode %d invalid", mode)
-	}
-	if next != afcModeBufferless && next != afcModeBuffered {
-		return fmt.Errorf("router: snapshot AFC next mode %d invalid", next)
+	if c.next != afcModeBufferless && c.next != afcModeBuffered {
+		return s.Failf("router: snapshot AFC next mode %d invalid", c.next)
 	}
 	if netFlits < 0 {
-		return fmt.Errorf("router: snapshot AFC flit census %d negative", netFlits)
+		return s.Failf("router: snapshot AFC flit census %d negative", netFlits)
 	}
-	c.mode = mode
-	c.draining = draining
-	c.next = next
 	c.netFlits.Store(netFlits)
-	c.windowStart = windowStart
-	c.windowDeflections.Store(windowDeflections)
-	c.windowInjections.Store(windowInjections)
-	c.lastTick = lastTick
-	c.started = started
-	c.ModeSwitches = modeSwitches
-	return nil
+	c.windowDeflections.Store(deflections)
+	c.windowInjections.Store(injections)
+	return s.Err()
 }

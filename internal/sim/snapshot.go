@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"io"
 	"math/bits"
 
-	"dxbar/internal/diag"
-	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/snapshot"
 	"dxbar/internal/traffic"
@@ -17,8 +14,7 @@ import (
 // Designs whose routers are pure functions of their latched inputs —
 // Flit-Bless, SCARAB — simply don't implement it and serialize as absent.
 type RouterState interface {
-	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader, pool *flit.Pool, nodes int) error
+	State(s *snapshot.Stream, pool *flit.Pool, nodes int) error
 }
 
 // SharedState is network-wide design state owned by no single node (the AFC
@@ -26,23 +22,19 @@ type RouterState interface {
 // construction; the engine serializes each exactly once, in registration
 // order — which is node order, hence deterministic.
 type SharedState interface {
-	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader) error
+	State(s *snapshot.Stream) error
 }
 
 // sourceState is implemented by traffic sources whose generation stream
 // depends on mutable state (the Bernoulli injector's RNG position and packet
-// ID counter). A source that doesn't implement it is assumed stateless.
+// ID counter). A source that doesn't implement it is assumed stateless. cycle
+// is the snapshot's cycle, the bound on how far the source can have advanced.
 type sourceState interface {
-	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader) error
+	State(s *snapshot.Stream, cycle uint64) error
 }
 
-// SaveState implements sourceState by delegating to the wrapped injector.
-func (s *SourceAdapter) SaveState(w *snapshot.Writer) { s.B.SaveState(w) }
-
-// LoadState implements sourceState by delegating to the wrapped injector.
-func (s *SourceAdapter) LoadState(r *snapshot.Reader) error { return s.B.LoadState(r) }
+// State implements sourceState by delegating to the wrapped injector.
+func (s *SourceAdapter) State(st *snapshot.Stream, cycle uint64) error { return s.B.State(st, cycle) }
 
 // RegisterShared registers network-wide design state for serialization (see
 // SharedState). Registering the same state from every node is fine — only the
@@ -57,7 +49,9 @@ func (env *Env) RegisterShared(s SharedState) {
 }
 
 // linkMaskLimit bounds every port bitmask in the stream: InMask, linkMask,
-// blockedMask and creditTick only ever carry cardinal-port bits.
+// blockedMask and creditTick only ever carry cardinal-port bits — and of
+// those, only the node's links (portMask) or its credit counters
+// (creditMasks).
 const linkMaskLimit = 1 << flit.NumLinkPorts
 
 // Snapshot serializes the engine's complete simulation state — every flit in
@@ -73,121 +67,11 @@ const linkMaskLimit = 1 << flit.NumLinkPorts
 // worker steps which node, never results, so a snapshot taken on either
 // backend restores into either backend.
 func (e *Engine) Snapshot(out io.Writer) error {
-	w := snapshot.NewWriter(out)
-	nodes := len(e.envs)
-
-	w.Tag("ENGW")
-	w.U64(e.cycle)
-	w.U64(e.retransmits)
-	w.Int(e.bufferDepth)
-	w.Int(e.creditDelay)
-	w.Int(nodes)
-
-	w.Tag("SRC ")
-	if ss, ok := e.source.(sourceState); ok {
-		w.Bool(true)
-		ss.SaveState(w)
-	} else {
-		w.Bool(false)
+	s := snapshot.NewWriter(out)
+	if err := e.state(s); err != nil {
+		return err
 	}
-
-	w.Tag("CRED")
-	for i := range e.creditSlab {
-		e.creditSlab[i].SaveState(w)
-	}
-
-	w.Tag("ENVS")
-	for _, env := range e.envs {
-		w.U8(env.InMask)
-		for b := env.InMask; b != 0; b &= b - 1 {
-			flit.Save(w, env.In[bits.TrailingZeros8(b)])
-		}
-		w.U8(env.blockedMask)
-		w.U8(env.tile.creditTick[env.slot])
-		w.U32(uint32(env.injection.len()))
-		for i := 0; i < env.injection.len(); i++ {
-			flit.Save(w, env.injection.buf[(env.injection.head+i)&(len(env.injection.buf)-1)])
-		}
-		w.U32(uint32(env.pendingSpecs.len()))
-		for i := 0; i < env.pendingSpecs.len(); i++ {
-			traffic.SaveSpec(w, env.pendingSpecs.buf[(env.pendingSpecs.head+i)&(len(env.pendingSpecs.buf)-1)])
-		}
-	}
-
-	w.Tag("LINK")
-	for u, env := range e.envs {
-		mask := env.tile.linkMask[env.slot]
-		w.U8(mask)
-		for b := mask; b != 0; b &= b - 1 {
-			flit.Save(w, e.linkStage[u][bits.TrailingZeros8(b)])
-		}
-	}
-
-	// The wheel is stored as (offset, flits) pairs in ascending offset order —
-	// offset k means due at cycle+k — so the encoding is independent of the
-	// wheel's current capacity and head position.
-	w.Tag("WHEL")
-	nonEmpty := 0
-	for k := 0; k < len(e.wheel.slots); k++ {
-		if len(e.wheel.slots[(e.cycle+uint64(k))&e.wheel.mask]) > 0 {
-			nonEmpty++
-		}
-	}
-	w.U32(uint32(nonEmpty))
-	for k := 0; k < len(e.wheel.slots); k++ {
-		slot := e.wheel.slots[(e.cycle+uint64(k))&e.wheel.mask]
-		if len(slot) == 0 {
-			continue
-		}
-		w.U64(uint64(k))
-		w.U32(uint32(len(slot)))
-		for _, f := range slot {
-			flit.Save(w, f)
-		}
-	}
-
-	w.Tag("RASM")
-	for _, ra := range e.reasm {
-		ra.SaveState(w)
-	}
-
-	w.Tag("RTRS")
-	for _, rt := range e.routers {
-		if rs, ok := rt.(RouterState); ok {
-			w.Bool(true)
-			rs.SaveState(w)
-		} else {
-			w.Bool(false)
-		}
-	}
-
-	w.Tag("SHST")
-	w.U32(uint32(len(e.shared)))
-	for _, s := range e.shared {
-		s.SaveState(w)
-	}
-
-	e.coll.SaveState(w)
-	e.meter.SaveState(w)
-
-	w.Tag("TRCE")
-	if e.rec != nil {
-		w.Bool(true)
-		e.rec.SaveState(w)
-	} else {
-		w.Bool(false)
-	}
-
-	w.Tag("MONI")
-	if e.mon != nil {
-		w.Bool(true)
-		e.mon.SaveState(w)
-	} else {
-		w.Bool(false)
-	}
-
-	w.Tag("DONE")
-	return w.Close()
+	return s.Close()
 }
 
 // Restore overwrites this engine's state from a Snapshot stream. The engine
@@ -198,220 +82,298 @@ func (e *Engine) Snapshot(out io.Writer) error {
 // differences — tracing on or off, shard count, diagnostics — are allowed,
 // because they never influence results. On error the engine must be discarded
 // or Reset before use.
-func (e *Engine) Restore(data []byte) error { return e.loadState(data) }
-
-func (e *Engine) loadState(data []byte) error {
-	r, err := snapshot.NewReader(data)
+func (e *Engine) Restore(data []byte) error {
+	s, err := snapshot.NewReader(data)
 	if err != nil {
 		return err
 	}
+	if err := e.state(s); err != nil {
+		return err
+	}
+	return s.Close()
+}
+
+// state is the engine's codec: every section of the stream, in order, once
+// for both directions.
+func (e *Engine) state(s *snapshot.Stream) error {
 	nodes := len(e.envs)
 
-	r.Expect("ENGW")
-	cycle := r.U64()
-	retransmits := r.U64()
-	bufferDepth := r.Int()
-	creditDelay := r.Int()
-	snapNodes := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	s.Tag("ENGW")
+	s.U64(&e.cycle)
+	s.U64(&e.retransmits)
+	bufferDepth, creditDelay, snapNodes := e.bufferDepth, e.creditDelay, nodes
+	snapshot.Int(s, &bufferDepth)
+	snapshot.Int(s, &creditDelay)
+	snapshot.Int(s, &snapNodes)
 	if snapNodes != nodes {
-		return fmt.Errorf("sim: snapshot has %d nodes, engine has %d", snapNodes, nodes)
+		return s.Failf("sim: snapshot has %d nodes, engine has %d", snapNodes, nodes)
 	}
 	if bufferDepth != e.bufferDepth || creditDelay != e.creditDelay {
-		return fmt.Errorf("sim: snapshot BufferDepth=%d CreditDelay=%d, engine has %d, %d",
+		return s.Failf("sim: snapshot BufferDepth=%d CreditDelay=%d, engine has %d, %d",
 			bufferDepth, creditDelay, e.bufferDepth, e.creditDelay)
 	}
-	e.cycle = cycle
-	e.retransmits = retransmits
 
-	r.Expect("SRC ")
-	hasSrc := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	s.Tag("SRC ")
 	ss, ok := e.source.(sourceState)
-	if hasSrc != ok {
-		return fmt.Errorf("sim: snapshot source-state presence %v, engine source %v", hasSrc, ok)
+	has := ok
+	if s.Bool(&has); has != ok {
+		return s.Failf("sim: snapshot source-state presence %v, engine source %v", has, ok)
 	}
-	if hasSrc {
-		if err := ss.LoadState(r); err != nil {
+	if ok {
+		if err := ss.State(s, e.cycle); err != nil {
 			return err
 		}
 	}
 
-	r.Expect("CRED")
+	s.Tag("CRED")
 	for i := range e.creditSlab {
-		if err := e.creditSlab[i].LoadState(r); err != nil {
+		if err := e.creditSlab[i].State(s); err != nil {
 			return err
 		}
 	}
 
-	r.Expect("ENVS")
+	s.Tag("ENVS")
 	for _, env := range e.envs {
-		mask := r.U8()
-		if r.Err() == nil && uint(mask) >= linkMaskLimit {
-			return fmt.Errorf("sim: snapshot input mask %#x out of range at node %d", mask, env.Node)
+		if s.U8(&env.InMask); uint(env.InMask) >= linkMaskLimit || env.InMask&^env.portMask != 0 {
+			return s.Failf("sim: snapshot input mask %#x out of range at node %d", env.InMask, env.Node)
 		}
-		for b := mask; b != 0; b &= b - 1 {
-			p := bits.TrailingZeros8(b)
-			f := e.pool.Get()
-			if err := flit.Load(r, f, nodes); err != nil {
-				return err
-			}
-			env.In[p] = f
-		}
-		env.InMask = mask
-		blocked := r.U8()
-		tick := r.U8()
-		if r.Err() == nil && (uint(blocked) >= linkMaskLimit || uint(tick) >= linkMaskLimit) {
-			return fmt.Errorf("sim: snapshot credit masks out of range at node %d", env.Node)
-		}
-		env.blockedMask = blocked
-		env.tile.creditTick[env.slot] = tick
-		ninj := r.Len(1 << 24)
-		if err := r.Err(); err != nil {
+		if err := e.latchState(s, env.In[:], env.InMask, nodes); err != nil {
 			return err
 		}
-		for i := 0; i < ninj; i++ {
-			f := e.pool.Get()
-			if err := flit.Load(r, f, nodes); err != nil {
-				return err
-			}
-			env.injection.pushBack(f)
+		tick := &env.tile.creditTick[env.slot]
+		s.U8(&env.blockedMask)
+		if s.U8(tick); uint(env.blockedMask) >= linkMaskLimit || uint(*tick) >= linkMaskLimit {
+			return s.Failf("sim: snapshot credit masks out of range at node %d", env.Node)
 		}
-		nspec := r.Len(1 << 24)
-		if err := r.Err(); err != nil {
+		if blocked, pending := env.creditMasks(); env.blockedMask != blocked || *tick != pending {
+			return s.Failf("sim: snapshot credit masks %#x/%#x disagree with the counters (%#x/%#x) at node %d",
+				env.blockedMask, *tick, blocked, pending, env.Node)
+		}
+		if err := env.injection.state(s, e.pool, nodes); err != nil {
 			return err
 		}
-		for i := 0; i < nspec; i++ {
-			spec, err := traffic.LoadSpec(r, nodes)
-			if err != nil {
-				return err
-			}
-			env.pendingSpecs.pushBack(spec)
+		if err := env.pendingSpecs.state(s, nodes); err != nil {
+			return err
 		}
 	}
 
-	r.Expect("LINK")
+	s.Tag("LINK")
 	for u, env := range e.envs {
-		mask := r.U8()
-		if r.Err() == nil && uint(mask) >= linkMaskLimit {
-			return fmt.Errorf("sim: snapshot link mask %#x out of range at node %d", mask, u)
+		mask := &env.tile.linkMask[env.slot]
+		if s.U8(mask); uint(*mask) >= linkMaskLimit || *mask&^env.portMask != 0 {
+			return s.Failf("sim: snapshot link mask %#x out of range at node %d", *mask, u)
 		}
-		for b := mask; b != 0; b &= b - 1 {
-			p := bits.TrailingZeros8(b)
-			f := e.pool.Get()
-			if err := flit.Load(r, f, nodes); err != nil {
-				return err
-			}
-			e.linkStage[u][p] = f
-		}
-		env.tile.linkMask[env.slot] = mask
-	}
-	// The awake flags and the inflight sets are derived state and not in the
-	// stream: every router steps once after a restore and reports its
-	// quiescence afresh.
-	e.deriveSets()
-
-	r.Expect("WHEL")
-	nslots := r.Len(1 << 20)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	prevOffset := int64(-1)
-	for s := 0; s < nslots; s++ {
-		k := r.U64()
-		cnt := r.Len(1 << 20)
-		if err := r.Err(); err != nil {
+		if err := e.latchState(s, e.linkStage[u], *mask, nodes); err != nil {
 			return err
 		}
-		if int64(k) <= prevOffset {
-			return fmt.Errorf("sim: snapshot wheel offsets not ascending (%d after %d)", k, prevOffset)
-		}
-		prevOffset = int64(k)
-		if cnt == 0 {
-			return fmt.Errorf("sim: snapshot wheel slot at offset %d is empty", k)
-		}
-		for i := 0; i < cnt; i++ {
-			f := e.pool.Get()
-			if err := flit.Load(r, f, nodes); err != nil {
-				return err
-			}
-			e.wheel.schedule(e.cycle, e.cycle+k, f)
-		}
+	}
+	if s.Loading() {
+		// The awake flags and the inflight sets are derived state and not in
+		// the stream: every router steps once after a restore and reports its
+		// quiescence afresh.
+		e.deriveSets()
 	}
 
-	r.Expect("RASM")
+	if err := e.wheelState(s, nodes); err != nil {
+		return err
+	}
+
+	s.Tag("RASM")
 	for _, ra := range e.reasm {
-		if err := ra.LoadState(r, nodes); err != nil {
+		if err := ra.State(s, nodes); err != nil {
 			return err
 		}
 	}
 
-	r.Expect("RTRS")
+	s.Tag("RTRS")
 	for i, rt := range e.routers {
-		has := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
 		rs, stateful := rt.(RouterState)
-		if has != stateful {
-			return fmt.Errorf("sim: snapshot router-state presence %v at node %d, engine router %v (different design?)", has, i, stateful)
+		has := stateful
+		if s.Bool(&has); has != stateful {
+			return s.Failf("sim: snapshot router-state presence %v at node %d, engine router %v (different design?)", has, i, stateful)
 		}
-		if has {
-			if err := rs.LoadState(r, e.pool, nodes); err != nil {
+		if stateful {
+			if err := rs.State(s, e.pool, nodes); err != nil {
 				return err
 			}
 		}
 	}
 
-	r.Expect("SHST")
-	nsh := r.Len(1 << 16)
-	if err := r.Err(); err != nil {
-		return err
+	s.Tag("SHST")
+	if nsh := s.Len(len(e.shared), 1<<16); nsh != len(e.shared) {
+		return s.Failf("sim: snapshot has %d shared states, engine has %d", nsh, len(e.shared))
 	}
-	if nsh != len(e.shared) {
-		return fmt.Errorf("sim: snapshot has %d shared states, engine has %d", nsh, len(e.shared))
-	}
-	for _, s := range e.shared {
-		if err := s.LoadState(r); err != nil {
+	for _, sh := range e.shared {
+		if err := sh.State(s); err != nil {
 			return err
 		}
 	}
 
-	if err := e.coll.LoadState(r); err != nil {
+	if err := e.coll.State(s); err != nil {
 		return err
 	}
-	if err := e.meter.LoadState(r); err != nil {
+	if err := e.meter.State(s); err != nil {
 		return err
 	}
 
-	r.Expect("TRCE")
-	hasRec := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
+	// A nil recorder or monitor on the restoring side decodes its section and
+	// discards it — restoring with tracing off (or rewinding with a different
+	// trace config) is legal.
+	s.Tag("TRCE")
+	has = e.rec != nil
+	if s.Bool(&has); has {
+		if err := e.rec.State(s); err != nil {
+			return err
+		}
 	}
-	if hasRec {
-		// A nil destination decodes and discards — restoring with tracing off
-		// (or rewinding with a different trace config) is legal.
-		if err := events.LoadState(r, e.rec); err != nil {
+	s.Tag("MONI")
+	has = e.mon != nil
+	if s.Bool(&has); has {
+		if err := e.mon.State(s); err != nil {
 			return err
 		}
 	}
 
-	r.Expect("MONI")
-	hasMon := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
+	s.Tag("DONE")
+	return s.Err()
+}
+
+// creditMasks derives the node's two credit bitmasks from its downstream
+// counters: the output ports whose credits are exhausted (blockedMask) and
+// those with returns in flight (the creditTick flag). The stream carries both
+// masks; a load holds them to the counters, since a router trusting a clear
+// blocked bit would spend a credit it does not have.
+func (env *Env) creditMasks() (blocked, pending uint8) {
+	for p, c := range env.downCredits {
+		if c != nil && !c.CanSend() {
+			blocked |= 1 << p
+		}
+		if c != nil && c.HasPending() {
+			pending |= 1 << p
+		}
 	}
-	if hasMon {
-		if err := diag.LoadState(r, e.mon); err != nil {
+	return blocked, pending
+}
+
+// HeldCredits is how many flits the upstream counter of input port p says the
+// router holds from that input — credits spent and not yet returned, less the
+// flit on the link and the flit latched at p — and false when p carries no
+// credits (bufferless designs, mesh edges). Between cycles it equals the
+// router's buffered flits from p: a router's State holds its buffers to it,
+// so a checkpoint cannot hand a router more flits than its neighbour paid
+// for.
+func (env *Env) HeldCredits(p flit.Port) (int, bool) {
+	c := env.upCredits[p]
+	if c == nil {
+		return 0, false
+	}
+	held := c.Outstanding()
+	if env.In[p] != nil {
+		held--
+	}
+	if env.engine.linkStage[env.nbrEnv[p].Node][p.Opposite()] != nil { // links are two-way
+		held--
+	}
+	return held, true
+}
+
+// latchState moves the flits of the latches whose bits are set in mask;
+// loading fills those latches from the pool.
+func (e *Engine) latchState(s *snapshot.Stream, latch []*flit.Flit, mask uint8, nodes int) error {
+	for b := mask; b != 0; b &= b - 1 {
+		p := bits.TrailingZeros8(b)
+		if s.Loading() {
+			latch[p] = e.pool.Get()
+		}
+		if err := flit.State(s, latch[p], nodes); err != nil {
 			return err
 		}
 	}
+	return nil
+}
 
-	r.Expect("DONE")
-	return r.Close()
+// wheelState moves the retransmit wheel as (offset, flits) pairs in ascending
+// offset order — offset k means due at cycle+k — so the encoding is
+// independent of the wheel's current capacity and head position. Offsets are
+// held to the schedulers' horizon (wheelHorizon): a forged one can neither
+// grow the wheel without bound nor overflow its sizing.
+func (e *Engine) wheelState(s *snapshot.Stream, nodes int) error {
+	s.Tag("WHEL")
+	w := &e.wheel
+	nonEmpty := 0
+	for _, slot := range w.slots {
+		if len(slot) > 0 {
+			nonEmpty++
+		}
+	}
+	n := s.Len(nonEmpty, 1<<20)
+	horizon := e.wheelHorizon()
+	prev := int64(-1)
+	for i := 0; i < n; i++ {
+		var k uint64
+		var slot []*flit.Flit
+		if !s.Loading() { // the next non-empty slot, in due order
+			for k = uint64(prev + 1); len(w.slots[(e.cycle+k)&w.mask]) == 0; k++ {
+			}
+			slot = w.slots[(e.cycle+k)&w.mask]
+		}
+		s.U64(&k)
+		cnt := s.Len(len(slot), 1<<20)
+		if int64(k) <= prev {
+			return s.Failf("sim: snapshot wheel offsets not ascending (%d after %d)", k, prev)
+		}
+		if cnt == 0 {
+			return s.Failf("sim: snapshot wheel slot at offset %d is empty", k)
+		}
+		if k > horizon {
+			return s.Failf("sim: snapshot wheel offset %d beyond the retransmit horizon of %d cycles", k, horizon)
+		}
+		prev = int64(k)
+		for j := 0; j < cnt; j++ {
+			if s.Loading() {
+				f := e.pool.Get()
+				if err := flit.State(s, f, nodes); err != nil {
+					return err
+				}
+				w.schedule(e.cycle, e.cycle+k, f)
+			} else if err := flit.State(s, slot[j], nodes); err != nil {
+				return err
+			}
+		}
+	}
+	return s.Err()
+}
+
+// state moves the injection deque front to back; loading refills an empty
+// deque with flits drawn from the pool.
+func (q *flitDeque) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	n := s.Len(q.n, 1<<24)
+	for i := 0; i < n; i++ {
+		if s.Loading() {
+			q.pushBack(pool.Get())
+		}
+		if err := flit.State(s, q.buf[(q.head+i)&(len(q.buf)-1)], nodes); err != nil {
+			return err
+		}
+	}
+	return s.Err()
+}
+
+// state moves the queued packet specs front to back; loading refills an empty
+// deque.
+func (q *specDeque) state(s *snapshot.Stream, nodes int) error {
+	n := s.Len(q.n, 1<<24)
+	for i := 0; i < n; i++ {
+		var p traffic.PacketSpec
+		if !s.Loading() {
+			p = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		if err := p.State(s, nodes); err != nil {
+			return err
+		}
+		if s.Loading() {
+			q.pushBack(p)
+		}
+	}
+	return s.Err()
 }

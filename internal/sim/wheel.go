@@ -73,6 +73,11 @@ func (w *eventWheel) grow(now, at uint64) {
 	*w = next
 }
 
+// wheelHorizon is the furthest ahead the engine's schedulers put a flit:
+// SCARAB's NACK round trip, at most the mesh diameter + 1 cycles
+// (Scarab.drop). A snapshot's wheel offsets are held to it.
+func (e *Engine) wheelHorizon() uint64 { return uint64(e.mesh.Width + e.mesh.Height - 1) }
+
 // reset empties every slot, keeping the backing arrays (Engine.Reset).
 func (w *eventWheel) reset() {
 	for i := range w.slots {

@@ -5,35 +5,42 @@
 // of silently misaligning.
 //
 // The format is deliberately primitive — no reflection, no varints, no
-// self-describing schema. Every field is written and read by explicit code in
-// the package that owns it, in declaration order, so the byte stream is a
-// deterministic function of the simulation state (the round-trip property
-// Snapshot→Restore→Snapshot is byte-stable) and the CI determinism gate can
-// compare snapshots with cmp.
+// self-describing schema — and it is declared once. A Stream runs in one
+// direction, and every type that persists state has one
+// State(s *Stream, …) error function that moves each field through a pointer:
+// written from it when saving, read into it when loading. A field is listed
+// once, so save and load cannot drift apart; a codec branches on Loading only
+// where the format is genuinely asymmetric (derived state rebuilt after a
+// load, container refills, sparse encodings, decode-and-discard). Fields move
+// in declaration order, so the byte stream is a deterministic function of the
+// simulation state (Snapshot→Restore→Snapshot is byte-stable) and the CI
+// determinism gate can compare snapshots with cmp.
 //
-// Robustness contract: a Reader never panics on corrupt input. NewReader
-// verifies the magic, version and whole-stream CRC up front; every read
-// bounds-checks the remaining bytes; counts pass through Len, which validates
-// them against caller-supplied caps before anything allocates. Decoders
-// surface errors, callers discard the half-built object — nothing
-// half-restores.
+// Robustness contract: loading never panics on corrupt input. NewReader
+// verifies the magic, version and whole-stream CRC up front; every move
+// bounds-checks the remaining bytes (a load past the end yields zero);
+// counts pass through Len, which validates them against caller-supplied caps
+// before anything allocates, and yields 0 once any error holds. Errors are
+// sticky — the first one latches — and codecs return them; callers discard
+// the half-built object, so nothing half-restores.
 package snapshot
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 )
 
 // Magic is the four-byte stream magic.
 const Magic = "DXSN"
 
 // Version is the current format version. Bump on any incompatible layout
-// change; Readers reject other versions (the committed golden checkpoint in
-// bench/ turns an accidental bump or layout drift into a CI failure).
+// change; loading rejects other versions (the committed golden checkpoint in
+// bench/ and the root TestSnapshotFormatPinned digests turn an accidental bump
+// or layout drift into a CI failure).
 const Version = 1
 
 // headerLen is magic + version; trailerLen the CRC32.
@@ -42,119 +49,47 @@ const (
 	trailerLen = 4
 )
 
-// Writer serializes a snapshot stream to an io.Writer, accumulating a CRC32
-// (IEEE) over everything including the header; Close appends the CRC as a
-// little-endian trailer. Errors are sticky: the first I/O error latches and
-// every later call is a no-op, so callers check once at Close.
-type Writer struct {
-	w   io.Writer
-	crc hash.Hash32
-	err error
-	buf [8]byte
+// Stream is one snapshot stream, saving (NewWriter) or loading (NewReader).
+type Stream struct {
+	w   io.Writer // saving: the destination
+	crc uint32    // saving: CRC32 (IEEE) of everything written, header included
+
+	// data is a loading stream's payload (header included, trailer
+	// stripped), read from off on; or a saving stream's bytes not yet
+	// written, in a buffer borrowed from buffers.
+	data   []byte
+	off    int
+	borrow *[]byte
+
+	loading bool
+	err     error
 }
 
-// NewWriter starts a snapshot stream on w, writing the magic and version.
-func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w, crc: crc32.NewIEEE()}
-	sw.write([]byte(Magic))
-	sw.U16(Version)
-	return sw
+// chunkSize is how many bytes a saving stream gathers before writing them
+// out: one CRC update and one Write per chunk, not per field.
+const chunkSize = 4096
+
+// buffers recycles saving streams' buffers, so a snapshot allocates its
+// Stream and nothing else.
+var buffers = sync.Pool{New: func() any { b := make([]byte, 0, 2*chunkSize); return &b }}
+
+// NewWriter starts a saving stream on w, writing the magic and version. I/O
+// errors latch; Close writes what is pending, appends the CRC trailer and
+// reports them.
+func NewWriter(w io.Writer) *Stream {
+	b := buffers.Get().(*[]byte)
+	s := &Stream{w: w, data: (*b)[:0], borrow: b}
+	s.Tag(Magic)
+	v := uint16(Version)
+	s.U16(&v)
+	return s
 }
 
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
-	}
-	w.crc.Write(p)
-	_, w.err = w.w.Write(p)
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
-}
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.buf[:2], v)
-	w.write(w.buf[:2])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes a two's-complement little-endian int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as an I64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes an IEEE-754 float64 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bool writes a byte 0/1.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// Bytes writes a U32 length prefix followed by the raw bytes.
-func (w *Writer) Bytes(p []byte) {
-	w.U32(uint32(len(p)))
-	w.write(p)
-}
-
-// Tag writes a four-byte section tag. Tags cost four bytes per section and
-// buy misalignment detection: a decoder that drifted off-layout hits a tag
-// mismatch at the next section boundary instead of reading garbage to EOF.
-func (w *Writer) Tag(tag string) {
-	if len(tag) != 4 {
-		panic("snapshot: section tag must be 4 bytes")
-	}
-	w.write([]byte(tag))
-}
-
-// Err returns the sticky error, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Close writes the CRC trailer and returns the sticky error. The Writer must
-// not be used afterwards.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	binary.LittleEndian.PutUint32(w.buf[:4], w.crc.Sum32())
-	_, w.err = w.w.Write(w.buf[:4])
-	return w.err
-}
-
-// Reader decodes a snapshot stream from an in-memory byte slice. NewReader
-// verifies the whole stream (length, magic, version, CRC) before any field is
-// decoded, so decode-time errors can only come from structural validation —
-// counts out of range, tag mismatches, trailing bytes — never from flipped
-// bits. Errors are sticky; reads after an error return zero values.
-type Reader struct {
-	data []byte // payload, header included, trailer stripped
-	off  int
-	err  error
-}
-
-// NewReader validates data as a complete snapshot stream and positions a
-// Reader after the header. It never panics on arbitrary input.
-func NewReader(data []byte) (*Reader, error) {
+// NewReader verifies data as a complete snapshot stream (length, CRC, magic,
+// version) and returns a loading stream positioned after the header, so a
+// load can only fail on structure — counts out of range, tag mismatches,
+// trailing bytes — never on flipped bits. It never panics on arbitrary input.
+func NewReader(data []byte) (*Stream, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("snapshot: stream truncated (%d bytes)", len(data))
 	}
@@ -169,137 +104,214 @@ func NewReader(data []byte) (*Reader, error) {
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
 		return nil, fmt.Errorf("snapshot: unsupported format version %d (have %d)", v, Version)
 	}
-	return &Reader{data: body, off: headerLen}, nil
+	return &Stream{data: body, off: headerLen, loading: true}, nil
 }
 
-// fail latches the first error.
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
+// Loading reports the direction: true while restoring.
+func (s *Stream) Loading() bool { return s.loading }
+
+// flush writes a saving stream's pending bytes out, folding them into the
+// CRC, and returns the sticky error. Moves only append, so they inline
+// without a call; Tag and Len flush once a chunk has gathered, Bytes and
+// Close always.
+func (s *Stream) flush() error {
+	if s.err == nil {
+		s.crc = crc32.Update(s.crc, crc32.IEEETable, s.data)
+		_, s.err = s.w.Write(s.data)
+	}
+	s.data = s.data[:0]
+	return s.err
+}
+
+// eof latches io.ErrUnexpectedEOF unless an earlier error holds.
+func (s *Stream) eof() {
+	if s.err == nil {
+		s.err = io.ErrUnexpectedEOF
 	}
 }
 
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.data) {
-		r.fail(io.ErrUnexpectedEOF)
-		return nil
-	}
-	p := r.data[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	p := r.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-// I64 reads a two's-complement int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// F64 reads an IEEE-754 float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bool reads a byte and requires it to be 0 or 1.
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
+// U8 moves one byte.
+func (s *Stream) U8(p *uint8) {
+	switch {
+	case !s.loading:
+		s.data = append(s.data, *p)
+	case s.off < len(s.data):
+		*p = s.data[s.off]
+		s.off++
 	default:
-		r.fail(fmt.Errorf("snapshot: invalid boolean byte at offset %d", r.off-1))
-		return false
+		*p = 0
+		s.eof()
 	}
 }
 
-// Bytes reads a length-prefixed byte string. The returned slice aliases the
-// Reader's buffer; copy it if it must outlive the snapshot bytes.
-func (r *Reader) Bytes() []byte {
-	n := r.Len(len(r.data))
-	return r.take(n)
+// U16 moves a little-endian uint16.
+func (s *Stream) U16(p *uint16) {
+	switch {
+	case !s.loading:
+		s.data = binary.LittleEndian.AppendUint16(s.data, *p)
+	case s.off+2 <= len(s.data):
+		*p = binary.LittleEndian.Uint16(s.data[s.off:])
+		s.off += 2
+	default:
+		*p = 0
+		s.eof()
+	}
 }
 
-// Len reads a U32 count and validates it against both the caller's cap and
-// the bytes remaining in the stream — a count can never force a decoder to
-// allocate or loop beyond either. It returns 0 after a validation failure.
-func (r *Reader) Len(max int) int {
-	n := r.U32()
-	if r.err != nil {
-		return 0
+// U32 moves a little-endian uint32.
+func (s *Stream) U32(p *uint32) {
+	switch {
+	case !s.loading:
+		s.data = binary.LittleEndian.AppendUint32(s.data, *p)
+	case s.off+4 <= len(s.data):
+		*p = binary.LittleEndian.Uint32(s.data[s.off:])
+		s.off += 4
+	default:
+		*p = 0
+		s.eof()
 	}
-	if int64(n) > int64(max) {
-		r.fail(fmt.Errorf("snapshot: count %d exceeds limit %d at offset %d", n, max, r.off-4))
-		return 0
-	}
-	if int(n) > len(r.data)-r.off {
-		r.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	return int(n)
 }
 
-// Expect consumes a four-byte section tag and fails unless it matches.
-func (r *Reader) Expect(tag string) {
+// U64 moves a little-endian uint64.
+func (s *Stream) U64(p *uint64) {
+	switch {
+	case !s.loading:
+		s.data = binary.LittleEndian.AppendUint64(s.data, *p)
+	case s.off+8 <= len(s.data):
+		*p = binary.LittleEndian.Uint64(s.data[s.off:])
+		s.off += 8
+	default:
+		*p = 0
+		s.eof()
+	}
+}
+
+// F64 moves an IEEE-754 float64 bit pattern.
+func (s *Stream) F64(p *float64) {
+	v := math.Float64bits(*p)
+	s.U64(&v)
+	*p = math.Float64frombits(v)
+}
+
+// Bool moves a byte 0/1; loading any other byte fails.
+func (s *Stream) Bool(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
+	}
+	s.U8(&v)
+	if v > 1 {
+		s.Failf("snapshot: invalid boolean byte at offset %d", s.off-1)
+	}
+	*p = v == 1
+}
+
+// Int moves a signed integer of any width as a two's-complement int64;
+// loading truncates to the field's width, as a conversion does.
+func Int[T ~int | ~int8 | ~int16 | ~int32 | ~int64](s *Stream, p *T) {
+	v := uint64(int64(*p))
+	s.U64(&v)
+	*p = T(int64(v))
+}
+
+// Byte moves a one-byte enum or port as a U8.
+func Byte[T ~uint8 | ~int8](s *Stream, p *T) {
+	v := uint8(*p)
+	s.U8(&v)
+	*p = T(v)
+}
+
+// Len moves a count. Saving writes n as a U32. Loading reads one and fails
+// unless it is at most max and at most the bytes left in the stream — every
+// element costs at least a byte, so a count can never make a decoder allocate
+// or loop beyond the stream it came from. It returns the count (0 after an
+// error), so one loop serves both directions.
+func (s *Stream) Len(n, max int) int {
+	if !s.loading && len(s.data) >= chunkSize {
+		s.flush()
+	}
+	v := uint32(n)
+	s.U32(&v)
+	switch {
+	case s.err != nil:
+		return 0
+	case !s.loading:
+		return n
+	case int64(v) > int64(max):
+		s.Failf("snapshot: count %d exceeds limit %d at offset %d", v, max, s.off-4)
+		return 0
+	case int(v) > len(s.data)-s.off:
+		s.eof()
+		return 0
+	}
+	return int(v)
+}
+
+// Bytes moves a length-prefixed byte string. A loaded slice aliases the
+// stream's buffer; copy it if it must outlive the snapshot bytes.
+func (s *Stream) Bytes(p *[]byte) {
+	n := s.Len(len(*p), len(s.data))
+	if s.loading {
+		*p = s.data[s.off : s.off+n]
+		s.off += n
+	} else if s.flush() == nil {
+		s.crc = crc32.Update(s.crc, crc32.IEEETable, *p)
+		_, s.err = s.w.Write(*p)
+	}
+}
+
+// Tag moves a four-byte section tag; loading fails unless it matches. Tags
+// cost four bytes per section and buy misalignment detection: a decoder that
+// drifted off-layout hits a tag mismatch at the next section boundary instead
+// of reading garbage to EOF.
+func (s *Stream) Tag(tag string) {
 	if len(tag) != 4 {
 		panic("snapshot: section tag must be 4 bytes")
 	}
-	p := r.take(4)
-	if p == nil {
-		return
-	}
-	if string(p) != tag {
-		r.fail(fmt.Errorf("snapshot: section tag mismatch at offset %d: got %q, want %q", r.off-4, p, tag))
+	switch {
+	case !s.loading:
+		if len(s.data) >= chunkSize {
+			s.flush()
+		}
+		s.data = append(s.data, tag...)
+	case s.off+4 > len(s.data):
+		s.eof()
+	case s.err == nil && string(s.data[s.off:s.off+4]) != tag:
+		s.Failf("snapshot: section tag mismatch at offset %d: got %q, want %q", s.off, s.data[s.off:s.off+4], tag)
+	default:
+		s.off += 4
 	}
 }
 
-// Remaining returns the undecoded byte count.
-func (r *Reader) Remaining() int { return len(r.data) - r.off }
+// Failf latches a validation error unless an earlier error holds, and returns
+// the latched one: a codec's check reads `if bad { return s.Failf(…) }`. Call
+// it on the failing branch only — its arguments are boxed at the call, so a
+// check that passes allocates nothing.
+func (s *Stream) Failf(format string, args ...any) error {
+	if s.err == nil {
+		s.err = fmt.Errorf(format, args...)
+	}
+	return s.err
+}
 
 // Err returns the sticky error, if any.
-func (r *Reader) Err() error { return r.err }
+func (s *Stream) Err() error { return s.err }
 
-// Close verifies the stream was fully consumed and returns the sticky error.
-func (r *Reader) Close() error {
-	if r.err == nil && r.off != len(r.data) {
-		r.fail(fmt.Errorf("snapshot: %d trailing bytes after final section", len(r.data)-r.off))
+// Close ends the stream and returns the sticky error. Saving writes what is
+// pending and appends the CRC trailer; loading fails unless every byte was
+// consumed. The stream must not be used afterwards.
+func (s *Stream) Close() error {
+	if s.loading {
+		if s.err == nil && s.off != len(s.data) {
+			s.Failf("snapshot: %d trailing bytes after final section", len(s.data)-s.off)
+		}
+	} else {
+		if s.flush() == nil {
+			_, s.err = s.w.Write(binary.LittleEndian.AppendUint32(s.data, s.crc))
+		}
+		*s.borrow = s.data[:0]
+		buffers.Put(s.borrow)
+		s.data, s.borrow = nil, nil
 	}
-	return r.err
+	return s.err
 }

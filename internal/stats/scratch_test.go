@@ -110,7 +110,9 @@ func TestCounterBlock(t *testing.T) {
 
 			var buf bytes.Buffer
 			w := snapshot.NewWriter(&buf)
-			master.SaveState(w)
+			if err := master.State(w); err != nil {
+				t.Fatal(err)
+			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +121,7 @@ func TestCounterBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			restored := NewCollector(4, 100, 200)
-			if err := restored.LoadState(r); err != nil {
+			if err := restored.State(r); err != nil {
 				t.Fatal(err)
 			}
 			if restored.n != want || restored.latencyMax != 40 {

@@ -1,221 +1,151 @@
 package stats
 
-import (
-	"fmt"
+import "dxbar/internal/snapshot"
 
-	"dxbar/internal/snapshot"
-)
-
-// saveHistogram serializes the latency histogram sparsely: only non-zero
-// buckets, as strictly ascending (index, count) pairs.
-func saveHistogram(w *snapshot.Writer, h *Histogram) {
+// state moves the latency histogram sparsely: only non-zero buckets, as
+// strictly ascending (index, count) pairs.
+func (h *Histogram) state(s *snapshot.Stream) error {
 	nz := 0
 	for _, c := range h.counts {
 		if c != 0 {
 			nz++
 		}
 	}
-	w.U32(uint32(nz))
-	for i, c := range h.counts {
-		if c != 0 {
-			w.U32(uint32(i))
-			w.U64(c)
-		}
+	n := s.Len(nz, histBuckets)
+	if s.Loading() {
+		h.counts = [histBuckets]uint64{}
 	}
-	w.U64(h.total)
-	w.U64(h.max)
-}
-
-func loadHistogram(r *snapshot.Reader, h *Histogram) error {
-	n := r.Len(histBuckets)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	h.counts = [histBuckets]uint64{}
-	prev := -1
-	var sum uint64
+	prev, sum := -1, uint64(0)
 	for i := 0; i < n; i++ {
-		idx := int(r.U32())
-		c := r.U64()
-		if err := r.Err(); err != nil {
-			return err
+		var idx uint32
+		var c uint64
+		if !s.Loading() { // the next non-zero bucket
+			for idx = uint32(prev + 1); h.counts[idx] == 0; idx++ {
+			}
+			c = h.counts[idx]
 		}
-		if idx <= prev || idx >= histBuckets || c == 0 {
-			return fmt.Errorf("stats: snapshot histogram buckets malformed")
+		s.U32(&idx)
+		s.U64(&c)
+		if int(idx) <= prev || idx >= histBuckets || c == 0 {
+			return s.Failf("stats: snapshot histogram buckets malformed")
 		}
-		prev = idx
+		prev = int(idx)
 		h.counts[idx] = c
 		sum += c
 	}
-	h.total = r.U64()
-	h.max = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	s.U64(&h.total)
+	s.U64(&h.max)
 	if h.total != sum {
-		return fmt.Errorf("stats: snapshot histogram total %d != bucket sum %d", h.total, sum)
+		return s.Failf("stats: snapshot histogram total %d != bucket sum %d", h.total, sum)
 	}
-	return nil
+	return s.Err()
 }
 
-// SaveState serializes the collector: the measurement window, the counter
-// block in enum order (latencyMax, which is outside the block, keeps its place
-// in the stream before hopSum), the per-node drop array, the latency
-// histogram, and — when enabled — the time-series ring (normalized
-// oldest-first) and the link-utilization matrix (sparse, non-zero cells only).
-func (c *Collector) SaveState(w *snapshot.Writer) {
-	w.Tag("STAT")
-	w.U64(c.start)
-	w.U64(c.end)
-	for i, v := range c.n {
-		if counter(i) == hopSum {
-			w.U64(c.latencyMax)
-		}
-		w.U64(v)
-	}
-	w.U32(uint32(len(c.droppedByNode)))
-	for _, v := range c.droppedByNode {
-		w.U64(v)
-	}
-	saveHistogram(w, &c.latHist)
-
-	w.Bool(c.ts != nil)
-	if ts := c.ts; ts != nil {
-		w.U64(ts.interval)
-		w.U64(ts.next)
-		w.U64(ts.lastGen)
-		w.U64(ts.lastEject)
-		w.U32(uint32(ts.size))
-		for i := 0; i < ts.size; i++ {
-			s := &ts.ring[(ts.head+i)%len(ts.ring)]
-			w.U64(s.Cycle)
-			w.U64(s.InjectedFlits)
-			w.U64(s.EjectedFlits)
-			w.Int(s.InFlightFlits)
-			w.Int(s.QueuedFlits)
-			w.Int(s.BufferedFlits)
-		}
-	}
-
-	w.Bool(c.linkUse != nil)
-	if c.linkUse != nil {
-		nz := 0
-		for _, row := range c.linkUse {
-			for _, v := range row {
-				if v != 0 {
-					nz++
-				}
-			}
-		}
-		w.U32(uint32(nz))
-		for n, row := range c.linkUse {
-			for p, v := range row {
-				if v != 0 {
-					w.U32(uint32(n))
-					w.U32(uint32(p))
-					w.U64(v)
-				}
-			}
-		}
-	}
-}
-
-// LoadState restores a collector built with the same configuration (node
-// count, window, sampling and utilization options). Structural mismatches —
-// a snapshot with a time-series against a collector without one — are
-// configuration drift and surface as errors.
-func (c *Collector) LoadState(r *snapshot.Reader) error {
-	r.Expect("STAT")
-	c.start = r.U64()
-	c.end = r.U64()
+// State moves the collector: the measurement window, the counter block in
+// enum order (latencyMax, which is outside the block, keeps its place in the
+// stream before hopSum), the per-node drop array, the latency histogram, and —
+// when enabled — the time-series ring (normalized oldest-first) and the
+// link-utilization matrix (sparse, non-zero cells only). It restores into a
+// collector built with the same configuration (node count, window, sampling
+// and utilization options): structural mismatches — a snapshot with a time
+// series against a collector without one — are configuration drift and
+// surface as errors.
+func (c *Collector) State(s *snapshot.Stream) error {
+	s.Tag("STAT")
+	s.U64(&c.start)
+	s.U64(&c.end)
 	for i := range c.n {
 		if counter(i) == hopSum {
-			c.latencyMax = r.U64()
+			s.U64(&c.latencyMax)
 		}
-		c.n[i] = r.U64()
+		s.U64(&c.n[i])
 	}
-	n := r.Len(len(c.droppedByNode))
-	if err := r.Err(); err != nil {
-		return err
+	if n := s.Len(len(c.droppedByNode), len(c.droppedByNode)); n != len(c.droppedByNode) {
+		return s.Failf("stats: snapshot node count %d != configured %d", n, len(c.droppedByNode))
 	}
-	if n != len(c.droppedByNode) {
-		return fmt.Errorf("stats: snapshot node count %d != configured %d", n, len(c.droppedByNode))
+	for i := range c.droppedByNode {
+		s.U64(&c.droppedByNode[i])
 	}
-	for i := 0; i < n; i++ {
-		c.droppedByNode[i] = r.U64()
-	}
-	if err := loadHistogram(r, &c.latHist); err != nil {
+	if err := c.latHist.state(s); err != nil {
 		return err
 	}
 
-	hasTS := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasTS != (c.ts != nil) {
-		return fmt.Errorf("stats: snapshot time-series presence mismatch")
+	hasTS := c.ts != nil
+	if s.Bool(&hasTS); hasTS != (c.ts != nil) {
+		return s.Failf("stats: snapshot time-series presence mismatch")
 	}
 	if ts := c.ts; hasTS {
-		ts.interval = r.U64()
-		ts.next = r.U64()
-		ts.lastGen = r.U64()
-		ts.lastEject = r.U64()
-		size := r.Len(len(ts.ring))
-		if err := r.Err(); err != nil {
-			return err
+		s.U64(&ts.interval)
+		s.U64(&ts.next)
+		s.U64(&ts.lastGen)
+		s.U64(&ts.lastEject)
+		size := s.Len(ts.size, len(ts.ring))
+		if s.Loading() { // refill the ring from slot 0
+			ts.head, ts.size = 0, size
 		}
-		ts.head = 0
-		ts.size = size
 		for i := 0; i < size; i++ {
-			s := &ts.ring[i]
-			s.Cycle = r.U64()
-			s.InjectedFlits = r.U64()
-			s.EjectedFlits = r.U64()
-			s.InFlightFlits = r.Int()
-			s.QueuedFlits = r.Int()
-			s.BufferedFlits = r.Int()
+			x := &ts.ring[(ts.head+i)%len(ts.ring)]
+			s.U64(&x.Cycle)
+			s.U64(&x.InjectedFlits)
+			s.U64(&x.EjectedFlits)
+			snapshot.Int(s, &x.InFlightFlits)
+			snapshot.Int(s, &x.QueuedFlits)
+			snapshot.Int(s, &x.BufferedFlits)
 		}
 	}
 
-	hasUtil := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasUtil != (c.linkUse != nil) {
-		return fmt.Errorf("stats: snapshot link-utilization presence mismatch")
+	hasUtil := c.linkUse != nil
+	if s.Bool(&hasUtil); hasUtil != (c.linkUse != nil) {
+		return s.Failf("stats: snapshot link-utilization presence mismatch")
 	}
 	if hasUtil {
-		for _, row := range c.linkUse {
-			for p := range row {
-				row[p] = 0
+		return c.utilState(s)
+	}
+	return s.Err()
+}
+
+// utilState moves the link-utilization matrix sparsely: only non-zero cells,
+// as (node, port, count) triples in strictly ascending cell order.
+func (c *Collector) utilState(s *snapshot.Stream) error {
+	ports, nz := 0, 0
+	if len(c.linkUse) > 0 {
+		ports = len(c.linkUse[0])
+	}
+	for _, row := range c.linkUse {
+		for _, v := range row {
+			if v != 0 {
+				nz++
 			}
 		}
-		ports := 0
-		if len(c.linkUse) > 0 {
-			ports = len(c.linkUse[0])
-		}
-		nz := r.Len(len(c.linkUse) * ports)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		prev := -1
-		for i := 0; i < nz; i++ {
-			node := int(r.U32())
-			port := int(r.U32())
-			v := r.U64()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if node >= len(c.linkUse) || port >= ports || v == 0 {
-				return fmt.Errorf("stats: snapshot link-utilization cell out of range")
-			}
-			cell := node*ports + port
-			if cell <= prev {
-				return fmt.Errorf("stats: snapshot link-utilization cells not ascending")
-			}
-			prev = cell
-			c.linkUse[node][port] = v
+		if s.Loading() {
+			clear(row)
 		}
 	}
-	return r.Err()
+	n := s.Len(nz, len(c.linkUse)*ports)
+	prev := -1
+	for i := 0; i < n; i++ {
+		var node, port uint32
+		var v uint64
+		if !s.Loading() { // the next non-zero cell
+			cell := prev + 1
+			for c.linkUse[cell/ports][cell%ports] == 0 {
+				cell++
+			}
+			node, port = uint32(cell/ports), uint32(cell%ports)
+			v = c.linkUse[node][port]
+		}
+		s.U32(&node)
+		s.U32(&port)
+		s.U64(&v)
+		if int(node) >= len(c.linkUse) || int(port) >= ports || v == 0 {
+			return s.Failf("stats: snapshot link-utilization cell out of range")
+		}
+		cell := int(node)*ports + int(port)
+		if cell <= prev {
+			return s.Failf("stats: snapshot link-utilization cells not ascending")
+		}
+		prev = cell
+		c.linkUse[node][port] = v
+	}
+	return s.Err()
 }

@@ -47,8 +47,8 @@ type Collector struct {
 }
 
 // counter indexes Collector.n. The order is the STAT snapshot section's
-// scalar order (SaveState), so entries are appended at the end or the format
-// changes; latencyMax is serialized between latencySum and hopSum.
+// scalar order (Collector.State), so entries are appended at the end or the
+// format changes; latencyMax is serialized between latencySum and hopSum.
 type counter uint8
 
 const (

@@ -262,3 +262,33 @@ func TestPacketSpecFlits(t *testing.T) {
 		ids[f.ID] = true
 	}
 }
+
+// TestDrawsPerGenerateBound holds maxDrawsPerGenerate — the basis of the cap
+// on a snapshot's RNG position — against every pattern at load 1.0, where
+// every trial produces a packet and so calls Dest: on 4×4 and 8×8 meshes
+// (NUR's hot spots are a sixteenth of the 4×4 nodes), a run's draws stay
+// within the bound per node-cycle.
+func TestDrawsPerGenerateBound(t *testing.T) {
+	for _, size := range []int{4, 8} {
+		m := topology.MustMesh(size, size)
+		for _, name := range PatternNames {
+			p, err := New(name, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewBernoulli(m, p, 1.0, 1, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const cycles = 2000
+			for c := uint64(0); c < cycles; c++ {
+				for n := 0; n < m.Nodes(); n++ {
+					b.Generate(n, c)
+				}
+			}
+			if bound := uint64(maxDrawsPerGenerate * m.Nodes() * cycles); b.src.n > bound {
+				t.Errorf("%s on %d×%d: %d draws over %d node-cycles exceed %d per node-cycle", name, size, size, b.src.n, m.Nodes()*cycles, maxDrawsPerGenerate)
+			}
+		}
+	}
+}
