@@ -150,11 +150,19 @@ func (r *refSeparable) allocate(req []uint64) []int {
 }
 
 // pointerBytes is an allocator's rotation pointers as its State writes them:
-// per output, then per input (bitarb appends its match counter).
-func pointerBytes(s interface{ State(*snapshot.Stream) error }) []byte {
+// per output, then per input (bitarb appends its match counter), after the
+// stream header and without the CRC trailer.
+func pointerBytes(t *testing.T, s interface{ State(*snapshot.Stream) error }) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	s.State(snapshot.NewWriter(&buf))
-	return buf.Bytes()
+	w := snapshot.NewWriter(&buf)
+	if err := s.State(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[:buf.Len()-4]
 }
 
 // TestSeparableMatchesReference drives the bit-parallel allocator and the
@@ -181,7 +189,7 @@ func TestSeparableMatchesReference(t *testing.T) {
 						c.in, c.out, round, i, fg[i], rg[i], req)
 				}
 			}
-			if fp, rp := pointerBytes(fast), pointerBytes(ref.s); !bytes.Equal(fp[:len(rp)], rp) {
+			if fp, rp := pointerBytes(t, fast), pointerBytes(t, ref.s); !bytes.Equal(fp[:len(rp)], rp) {
 				t.Fatalf("%dx%d round %d: rotation pointers diverged after req=%#x", c.in, c.out, round, req)
 			}
 		}

@@ -16,14 +16,14 @@ import (
 // keep the flight recorder from re-reporting fault transitions.
 
 // buffersState moves the per-input FIFOs, each held to the credits its
-// upstream neighbour has spent on it (sim.Env.HeldCredits).
+// upstream neighbour has spent on it (sim.Env.CheckHeld).
 func buffersState(s *snapshot.Stream, env *sim.Env, buffers []*buffer.FIFO, pool *flit.Pool, nodes int) error {
 	for p, b := range buffers {
 		if err := b.State(s, pool, nodes); err != nil {
 			return err
 		}
-		if held, ok := env.HeldCredits(flit.Port(p)); ok && held != b.Len() {
-			return s.Failf("core: snapshot buffer %d holds %d flits, its upstream credits say %d", p, b.Len(), held)
+		if err := env.CheckHeld(s, flit.Port(p), b.Len()); err != nil {
+			return err
 		}
 	}
 	return nil

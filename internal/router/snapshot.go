@@ -56,7 +56,7 @@ func (b *Buffered) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 
 // allocState rebuilds the bank's derived state after a load, holds each
 // input's FIFOs to the credits its upstream neighbour has spent on them
-// (sim.Env.HeldCredits), then moves both allocators (the branchy reference
+// (sim.Env.CheckHeld), then moves both allocators (the branchy reference
 // and its bit-parallel twin both persist, so a restored run is bit-identical
 // under either Config.ReferenceArbitration setting).
 func (b *Buffered) allocState(s *snapshot.Stream) error {
@@ -69,8 +69,8 @@ func (b *Buffered) allocState(s *snapshot.Stream) error {
 		if b.bank.nq == 2 {
 			n += b.bank.q[i+1].count
 		}
-		if held, ok := b.env.HeldCredits(p); ok && held != n {
-			return s.Failf("router: snapshot input %d holds %d flits, its upstream credits say %d", p, n, held)
+		if err := b.env.CheckHeld(s, p, n); err != nil {
+			return err
 		}
 	}
 	if err := b.alloc.State(s); err != nil {

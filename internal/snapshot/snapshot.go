@@ -51,31 +51,24 @@ const (
 
 // Stream is one snapshot stream, saving (NewWriter) or loading (NewReader).
 type Stream struct {
-	w   io.Writer // saving: the destination
-	crc uint32    // saving: CRC32 (IEEE) of everything written, header included
-
 	// data is a loading stream's payload (header included, trailer
-	// stripped), read from off on; or a saving stream's bytes not yet
-	// written, in a buffer borrowed from buffers.
+	// stripped), read from off on; or everything a saving stream has moved,
+	// in a buffer borrowed from buffers and written to w at Close.
 	data   []byte
 	off    int
+	w      io.Writer
 	borrow *[]byte
 
 	loading bool
 	err     error
 }
 
-// chunkSize is how many bytes a saving stream gathers before writing them
-// out: one CRC update and one Write per chunk, not per field.
-const chunkSize = 4096
-
 // buffers recycles saving streams' buffers, so a snapshot allocates its
 // Stream and nothing else.
-var buffers = sync.Pool{New: func() any { b := make([]byte, 0, 2*chunkSize); return &b }}
+var buffers = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// NewWriter starts a saving stream on w, writing the magic and version. I/O
-// errors latch; Close writes what is pending, appends the CRC trailer and
-// reports them.
+// NewWriter starts a saving stream on w, moving the magic and version. Close
+// appends the CRC trailer and writes the whole stream to w in one call.
 func NewWriter(w io.Writer) *Stream {
 	b := buffers.Get().(*[]byte)
 	s := &Stream{w: w, data: (*b)[:0], borrow: b}
@@ -109,19 +102,6 @@ func NewReader(data []byte) (*Stream, error) {
 
 // Loading reports the direction: true while restoring.
 func (s *Stream) Loading() bool { return s.loading }
-
-// flush writes a saving stream's pending bytes out, folding them into the
-// CRC, and returns the sticky error. Moves only append, so they inline
-// without a call; Tag and Len flush once a chunk has gathered, Bytes and
-// Close always.
-func (s *Stream) flush() error {
-	if s.err == nil {
-		s.crc = crc32.Update(s.crc, crc32.IEEETable, s.data)
-		_, s.err = s.w.Write(s.data)
-	}
-	s.data = s.data[:0]
-	return s.err
-}
 
 // eof latches io.ErrUnexpectedEOF unless an earlier error holds.
 func (s *Stream) eof() {
@@ -227,9 +207,6 @@ func Byte[T ~uint8 | ~int8](s *Stream, p *T) {
 // or loop beyond the stream it came from. It returns the count (0 after an
 // error), so one loop serves both directions.
 func (s *Stream) Len(n, max int) int {
-	if !s.loading && len(s.data) >= chunkSize {
-		s.flush()
-	}
 	v := uint32(n)
 	s.U32(&v)
 	switch {
@@ -254,9 +231,8 @@ func (s *Stream) Bytes(p *[]byte) {
 	if s.loading {
 		*p = s.data[s.off : s.off+n]
 		s.off += n
-	} else if s.flush() == nil {
-		s.crc = crc32.Update(s.crc, crc32.IEEETable, *p)
-		_, s.err = s.w.Write(*p)
+	} else {
+		s.data = append(s.data, *p...)
 	}
 }
 
@@ -270,9 +246,6 @@ func (s *Stream) Tag(tag string) {
 	}
 	switch {
 	case !s.loading:
-		if len(s.data) >= chunkSize {
-			s.flush()
-		}
 		s.data = append(s.data, tag...)
 	case s.off+4 > len(s.data):
 		s.eof()
@@ -297,8 +270,8 @@ func (s *Stream) Failf(format string, args ...any) error {
 // Err returns the sticky error, if any.
 func (s *Stream) Err() error { return s.err }
 
-// Close ends the stream and returns the sticky error. Saving writes what is
-// pending and appends the CRC trailer; loading fails unless every byte was
+// Close ends the stream and returns the sticky error. Saving appends the CRC
+// trailer and writes the stream out; loading fails unless every byte was
 // consumed. The stream must not be used afterwards.
 func (s *Stream) Close() error {
 	if s.loading {
@@ -306,8 +279,9 @@ func (s *Stream) Close() error {
 			s.Failf("snapshot: %d trailing bytes after final section", len(s.data)-s.off)
 		}
 	} else {
-		if s.flush() == nil {
-			_, s.err = s.w.Write(binary.LittleEndian.AppendUint32(s.data, s.crc))
+		if s.err == nil {
+			s.data = binary.LittleEndian.AppendUint32(s.data, crc32.ChecksumIEEE(s.data))
+			_, s.err = s.w.Write(s.data)
 		}
 		*s.borrow = s.data[:0]
 		buffers.Put(s.borrow)
