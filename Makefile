@@ -23,14 +23,14 @@ test: test-race examples-smoke
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
 
-# Race-detector pass over the packages plus the concurrent paths of the root
-# package: the RunMany batch runner and the execution-path oracle's sharded
-# and reference-arbitration suites (oracle_test.go: every design's
-# bit-parallel core against its branchy twin, sharded runs included) and its
-# crossing rows, where shards meet observers, resumes and restores.
+# Race-detector pass over the packages — the per-package lockstep tests of
+# every bit-parallel router core against its branchy twin included — plus the
+# concurrent paths of the root package: the RunMany batch runner and the
+# execution-path oracle's sharded suites (oracle_test.go) and its crossing
+# rows, where shards meet observers, resumes and restores.
 test-race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run 'TestRunMany|TestShard|TestArbitrationBitIdentity|TestOracleCrossings' .
+	$(GO) test -race -run 'TestRunMany|TestShard|TestArbitrationBitIdentitySharded|TestOracleCrossings' .
 
 race:
 	$(GO) test -race ./...

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -314,6 +315,62 @@ func TestRestoreEngineForgedCounts(t *testing.T) {
 			t.Errorf("%s: failing took %v and %d bytes (a genuine restore: %d bytes)", c.section, took, alloc, genuine)
 		}
 		t.Logf("%s: %v", c.section, err)
+	}
+}
+
+// TestRestoreEngineRetiredPointers forges one non-zero rotation pointer into
+// the slots the buffered designs' stream keeps for the retired reference
+// allocator. They are saved as zeros; only a reference-arbitration run ever
+// moved them, and resuming one on the bit-parallel allocator would silently
+// diverge. Restore must fail, not panic.
+func TestRestoreEngineRetiredPointers(t *testing.T) {
+	for _, c := range []struct {
+		design Design
+		tag    string
+	}{{DesignBuffered8, "BUFD"}, {DesignAFC, "AFCR"}} {
+		t.Run(string(c.design), func(t *testing.T) {
+			net := observedNetwork(t, c.design, false, 0)
+			net.Engine.Run(200)
+			var buf bytes.Buffer
+			if err := net.Engine.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			// Router 0's section ends with the ten retired pointers, the
+			// allocator's ten pointers and its match counter, eight bytes
+			// each; router 1's presence byte and tag follow.
+			first := bytes.Index(data, []byte("RTRS")) + 4 + 1 + 4
+			next := first + bytes.Index(data[first:], []byte(c.tag)) - 1
+			slots := next - 8 - 80 - 80
+			if !bytes.Equal(data[slots:slots+80], make([]byte, 80)) {
+				t.Fatalf("retired pointer slots at offset %d are not zero: %x", slots, data[slots:slots+80])
+			}
+			forged := append([]byte(nil), data...)
+			forged[slots+8*3] = 1
+			err := restoreAndRun(t, c.design, withCRC(forged), 30)
+			if err == nil {
+				t.Fatal("a stream with a retired allocator pointer restored")
+			}
+			t.Log(err)
+		})
+	}
+}
+
+// TestResumeParentBuffered8 resumes a Buffered 8 checkpoint (4×4, WF, load
+// 0.45, 2-flit packets, cycle 128 of 256) written by the last build that still
+// had the reference allocator: its retired pointer slots hold zeros and its
+// config JSON the removed ReferenceArbitration key. The resumed run must equal
+// the uninterrupted one.
+func TestResumeParentBuffered8(t *testing.T) {
+	resumed, err := ResumeWith(filepath.Join("testdata", "buffered8.ckpt"), func(c *Config) {
+		c.CheckpointInterval, c.CheckpointDir = 0, ""
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(t, checkpointWindow(Config{Design: DesignBuffered8, Routing: "WF", Load: 0.45, FlitsPerPacket: 2, Seed: 7}))
+	if !reflect.DeepEqual(resumed, want) {
+		t.Fatalf("resumed run differs from the uninterrupted one in %v", diffFields(reflect.ValueOf(want), reflect.ValueOf(resumed)))
 	}
 }
 

@@ -126,12 +126,6 @@ type Config struct {
 	// PortOrderArbitration replaces DXbar's age-based arbitration with
 	// static port order (arbitration-policy ablation; DXbar only).
 	PortOrderArbitration bool
-	// ReferenceArbitration runs every router on its branchy reference
-	// arbitration/switching path instead of the bit-parallel one. Results are
-	// bit-identical either way (the equivalence suite proves it); the flag
-	// exists so those tests — and any future debugging of the fast path —
-	// can pin the oracle.
-	ReferenceArbitration bool
 	// EventTrace enables the flight recorder with a ring of that many
 	// events (see internal/events). 0 disables tracing; disabled runs are
 	// bit-identical to traced ones. The recorded tail is returned in
@@ -364,13 +358,6 @@ func (c Config) experiment() Config {
 	return c
 }
 
-// designRouter is what every design's router offers the factory beyond
-// sim.Router.
-type designRouter interface {
-	sim.Router
-	SetReferenceArbitration(bool)
-}
-
 // routerArgs is what a design's router constructor reads: one network's
 // options (defaults applied) and what prepare resolved from them.
 type routerArgs struct {
@@ -402,31 +389,31 @@ var designTable = map[Design]struct {
 	meter                    func() *energy.Meter
 	faultable, depthOverride bool
 	algo                     routing.Algorithm
-	router                   func(env *sim.Env, a *routerArgs) designRouter
+	router                   func(env *sim.Env, a *routerArgs) sim.Router
 	shared                   func(a *routerArgs, nodes int) (preCycle func(uint64))
 }{
 	DesignDXbar: {depth: 4, meter: energy.NewMeter, faultable: true, depthOverride: true,
-		router: func(env *sim.Env, a *routerArgs) designRouter {
+		router: func(env *sim.Env, a *routerArgs) sim.Router {
 			r := core.NewDXbarDepth(env, a.algo, a.FairnessThreshold, a.depth, a.detector(env.Node))
 			r.SetPortOrderArbitration(a.PortOrderArbitration)
 			return r
 		}},
 	DesignUnified: {depth: 4, meter: energy.NewUnifiedMeter, faultable: true,
-		router: func(env *sim.Env, a *routerArgs) designRouter {
+		router: func(env *sim.Env, a *routerArgs) sim.Router {
 			return core.NewUnified(env, a.algo, a.FairnessThreshold, a.detector(env.Node))
 		}},
 	DesignFlitBless: {meter: energy.NewMeter,
-		router: func(env *sim.Env, a *routerArgs) designRouter { return router.NewBless(env, a.algo) }},
+		router: func(env *sim.Env, a *routerArgs) sim.Router { return router.NewBless(env, a.algo) }},
 	// SCARAB's minimal-adaptive routing has no Config knob.
 	DesignSCARAB: {meter: energy.NewMeter, algo: routing.MinimalAdaptive{},
-		router: func(env *sim.Env, a *routerArgs) designRouter {
+		router: func(env *sim.Env, a *routerArgs) sim.Router {
 			minTable, _ := a.algo.(*routing.Table)
 			return router.NewScarabTable(env, minTable)
 		}},
 	DesignBuffered4: {depth: 4, meter: energy.NewMeter,
-		router: func(env *sim.Env, a *routerArgs) designRouter { return router.NewBuffered(env, a.algo, false) }},
+		router: func(env *sim.Env, a *routerArgs) sim.Router { return router.NewBuffered(env, a.algo, false) }},
 	DesignBuffered8: {depth: 8, meter: energy.NewBuffered8Meter,
-		router: func(env *sim.Env, a *routerArgs) designRouter { return router.NewBuffered(env, a.algo, true) }},
+		router: func(env *sim.Env, a *routerArgs) sim.Router { return router.NewBuffered(env, a.algo, true) }},
 	// One mode controller is shared by every router of an AFC network. Its
 	// policy ticks once per cycle *before* the router phase — from this hook
 	// and nowhere else — so that the sharded engine's workers read a stable
@@ -436,7 +423,7 @@ var designTable = map[Design]struct {
 			a.afc = router.NewAFCController(nodes)
 			return a.afc.Tick
 		},
-		router: func(env *sim.Env, a *routerArgs) designRouter {
+		router: func(env *sim.Env, a *routerArgs) sim.Router {
 			env.RegisterShared(a.afc)
 			return router.NewAFC(env, a.algo, a.afc)
 		}},
@@ -477,9 +464,6 @@ type NetworkOptions struct {
 	CreditDelay int
 	// PortOrderArbitration switches DXbar to static port-order arbitration.
 	PortOrderArbitration bool
-	// ReferenceArbitration selects the branchy reference arbitration paths
-	// (see Config.ReferenceArbitration).
-	ReferenceArbitration bool
 	// Events attaches a flight recorder; nil (the default) disables runtime
 	// event tracing at zero cost.
 	Events *events.Recorder
@@ -542,11 +526,7 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 	if spec.shared != nil {
 		designPreCycle = spec.shared(args, nodes)
 	}
-	factory := func(env *sim.Env) sim.Router {
-		r := spec.router(env, args)
-		r.SetReferenceArbitration(args.ReferenceArbitration)
-		return r
-	}
+	factory := func(env *sim.Env) sim.Router { return spec.router(env, args) }
 	preCycle := o.PreCycle
 	if designPreCycle != nil {
 		if user := o.PreCycle; user != nil {

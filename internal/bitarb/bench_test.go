@@ -4,55 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"dxbar/internal/arbiter"
 )
 
-// Grant-latency micro-benchmarks: the O(1) doubly-shifted-mask arbiter
+// Allocation-latency micro-benchmarks: the bit-parallel separable allocator
 // against the branchy cyclic-scan reference, at router radix (5), small
 // switch radix (8), concentrated radix (16) and full-word radix (64).
 // The CI `benchmark` job runs these after the whole-network workloads.
 
 var benchWidths = []int{5, 8, 16, 64}
-
-func benchMasks(n int, count int) []uint64 {
-	rng := rand.New(rand.NewSource(int64(n)))
-	masks := make([]uint64, count)
-	for i := range masks {
-		masks[i] = rng.Uint64() & LowMask(n)
-	}
-	return masks
-}
-
-func BenchmarkRoundRobinBitarb(b *testing.B) {
-	for _, n := range benchWidths {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := NewRoundRobin(n)
-			masks := benchMasks(n, 1024)
-			b.ResetTimer()
-			var sink int
-			for i := 0; i < b.N; i++ {
-				sink += r.Grant(masks[i&1023])
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkRoundRobinBranchy(b *testing.B) {
-	for _, n := range benchWidths {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := arbiter.NewRoundRobin(n)
-			masks := benchMasks(n, 1024)
-			b.ResetTimer()
-			var sink int
-			for i := 0; i < b.N; i++ {
-				sink += r.Grant(masks[i&1023])
-			}
-			_ = sink
-		})
-	}
-}
 
 func benchReqMatrices(n, count int) [][]uint64 {
 	rng := rand.New(rand.NewSource(int64(n) * 31))
@@ -60,7 +19,7 @@ func benchReqMatrices(n, count int) [][]uint64 {
 	for i := range ms {
 		m := make([]uint64, n)
 		for j := range m {
-			m[j] = rng.Uint64() & LowMask(n)
+			m[j] = rng.Uint64() & lowMask(n)
 		}
 		ms[i] = m
 	}

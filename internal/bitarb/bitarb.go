@@ -9,24 +9,15 @@
 // owns a request word whose bit i means "input i wants me"; the rotating
 // priority pointer splits the word into a high part (requesters at or past
 // the pointer) and a low part (wrapped requesters), and the grant is the
-// trailing-zero count of whichever part is non-empty. That is exactly the
-// cyclic scan the branchy reference arbiters in internal/arbiter perform,
-// so grants are bit-identical — the reference implementations remain the
-// oracle the equivalence tests run against.
+// trailing-zero count of whichever part is non-empty. That is exactly a
+// cyclic scan from the pointer, so grants are bit-identical to the branchy
+// arbiters this package replaced, which its tests keep as the oracle.
 package bitarb
 
 import (
 	"fmt"
 	"math/bits"
 )
-
-// LowMask returns the mask with the n low bits set (n in [0, 64]).
-func LowMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(n) - 1
-}
 
 // GrantRot picks the lowest set bit of mask at or above the rotation
 // pointer ptr, wrapping to the lowest set bit overall when the high part is
@@ -43,90 +34,24 @@ func GrantRot(mask uint64, ptr int) int {
 	return bits.TrailingZeros64(mask)
 }
 
-// RoundRobin is an n-requester rotating-priority arbiter with O(1) grants.
-// It is grant-for-grant identical to the branchy arbiter.RoundRobin: the
-// requester at the pointer has highest priority, and after a grant the
-// pointer moves one past the winner.
-type RoundRobin struct {
-	n     int
-	ptr   int
-	width uint64 // LowMask(n)
-	// grants/wraps are popcount-style fairness accounting: total grants
-	// issued and how many were wrapped (won from below the pointer).
-	grants, wraps uint64
-}
-
-// NewRoundRobin returns an arbiter over n requesters. n must be in (0, 64].
-func NewRoundRobin(n int) *RoundRobin {
-	if n <= 0 || n > 64 {
-		panic(fmt.Sprintf("bitarb: invalid round-robin width %d", n))
-	}
-	return &RoundRobin{n: n, width: LowMask(n)}
-}
-
-// Grant picks the winning requester from the request bitmask and advances
-// the rotation pointer one past the winner. It returns -1 if no bit is set.
-func (r *RoundRobin) Grant(mask uint64) int {
-	i := GrantRot(mask&r.width, r.ptr)
-	if i >= 0 {
-		r.grants++
-		if i < r.ptr {
-			r.wraps++
-		}
-		r.ptr = i + 1
-		if r.ptr == r.n {
-			r.ptr = 0
-		}
-	}
-	return i
-}
-
-// Peek is Grant without the pointer update.
-func (r *RoundRobin) Peek(mask uint64) int {
-	return GrantRot(mask&r.width, r.ptr)
-}
-
-// Commit moves the pointer past the given winner.
-func (r *RoundRobin) Commit(winner int) {
-	if winner >= 0 && winner < r.n {
-		r.grants++
-		if winner < r.ptr {
-			r.wraps++
-		}
-		r.ptr = winner + 1
-		if r.ptr == r.n {
-			r.ptr = 0
-		}
-	}
-}
-
-// Grants returns the number of grants issued (fairness accounting).
-func (r *RoundRobin) Grants() uint64 { return r.grants }
-
-// Wraps returns how many grants wrapped past the rotation pointer — a
-// starvation canary: with persistent all-contending load, wraps/grants
-// converges to (n-1)/n for a fair arbiter.
-func (r *RoundRobin) Wraps() uint64 { return r.wraps }
-
 // Separable is the bit-parallel output-first separable switch allocator:
 // stage 1 grants each output to one requesting input (per-output rotated-
 // priority round robin over the transposed request matrix), stage 2 grants
 // each input one of the outputs it won (per-input round robin), and only
 // the pointers of matched pairs advance. It is grant-for-grant identical to
-// the branchy arbiter.Separable, which the equivalence tests treat as the
-// oracle.
+// the branchy cyclic-scan allocator in the tests, which they treat as the
+// oracle (paper reference [14]: the Buffered 4/8 baselines' allocator).
 //
 // All state is contiguous: two pointer slices and two scratch word slices,
 // no per-arbiter objects.
 type Separable struct {
 	numIn, numOut int
-	inWidth       uint64
 	outPtr        []int32 // per output, rotation pointer over inputs
 	inPtr         []int32 // per input, rotation pointer over outputs
 	outReq        []uint64
 	inWon         []uint64
 	grant         []int
-	// grants/wraps: fairness accounting over stage-2 matches.
+	// grants counts stage-2 matches; it is part of the snapshot stream.
 	grants uint64
 }
 
@@ -136,25 +61,15 @@ func NewSeparable(numIn, numOut int) *Separable {
 		panic(fmt.Sprintf("bitarb: invalid separable radix %dx%d", numIn, numOut))
 	}
 	return &Separable{
-		numIn:   numIn,
-		numOut:  numOut,
-		inWidth: LowMask(numIn),
-		outPtr:  make([]int32, numOut),
-		inPtr:   make([]int32, numIn),
-		outReq:  make([]uint64, numOut),
-		inWon:   make([]uint64, numIn),
-		grant:   make([]int, numIn),
+		numIn:  numIn,
+		numOut: numOut,
+		outPtr: make([]int32, numOut),
+		inPtr:  make([]int32, numIn),
+		outReq: make([]uint64, numOut),
+		inWon:  make([]uint64, numIn),
+		grant:  make([]int, numIn),
 	}
 }
-
-// NumIn returns the input radix.
-func (s *Separable) NumIn() int { return s.numIn }
-
-// NumOut returns the output radix.
-func (s *Separable) NumOut() int { return s.numOut }
-
-// Grants returns the number of matches made (fairness accounting).
-func (s *Separable) Grants() uint64 { return s.grants }
 
 // Allocate computes a conflict-free matching for the request matrix req,
 // where req[i] is input i's requested-output bitmask. It returns grant[i] =

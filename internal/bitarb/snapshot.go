@@ -2,17 +2,6 @@ package bitarb
 
 import "dxbar/internal/snapshot"
 
-// State moves the arbiter's rotation pointer and fairness counters.
-func (r *RoundRobin) State(s *snapshot.Stream) error {
-	snapshot.Int(s, &r.ptr)
-	s.U64(&r.grants)
-	s.U64(&r.wraps)
-	if r.ptr < 0 || r.ptr >= r.n {
-		return s.Failf("bitarb: snapshot rotation pointer %d out of [0,%d)", r.ptr, r.n)
-	}
-	return s.Err()
-}
-
 // State moves the separable allocator: the per-output and per-input rotation
 // pointers plus the match counter.
 func (s *Separable) State(st *snapshot.Stream) error {

@@ -59,16 +59,13 @@ type DXbar struct {
 	// portOrder switches arbitration from age-based to static port order
 	// (an ablation of the paper's age-based priority, §II.A).
 	portOrder bool
-	// reference selects the branchy reference switching path over the
-	// bit-parallel one (the equivalence suite's oracle).
-	reference bool
 
 	// manifestSeen/detectedSeen latch the fault state machine's transitions
 	// so the flight recorder sees each exactly once.
 	manifestSeen, detectedSeen bool
 
 	// Per-Step scratch, reused across cycles. incoming/waiters serve the
-	// reference and degraded paths; ins/ws are the fast path's SoA gathers;
+	// degraded path; ins/ws are the fast path's SoA gathers;
 	// bufMask has bit p set while input buffer p is non-empty (maintained
 	// at every Push/Pop), so the waiter gather probes only occupied FIFOs.
 	bufMask uint8
@@ -104,11 +101,6 @@ func NewDXbar(env *sim.Env, algo routing.Algorithm, threshold int, fault *faults
 // arbitration instead of age-based (the arbitration-policy ablation). Call
 // before the first Step.
 func (d *DXbar) SetPortOrderArbitration(on bool) { d.portOrder = on }
-
-// SetReferenceArbitration switches the router to its branchy reference
-// switching path (the oracle the bit-parallel fast path is proven
-// bit-identical to). Call before the first Step.
-func (d *DXbar) SetReferenceArbitration(on bool) { d.reference = on }
 
 // NewDXbarDepth is NewDXbar with a configurable per-input buffer depth
 // (buffer-depth ablations). The engine's credit BufferDepth must match.
@@ -156,13 +148,11 @@ func (d *DXbar) Step(cycle uint64) (quiescent bool) {
 	d.primary.Reset()
 	d.secondary.Reset()
 	detected := d.applyFaults(cycle)
-	if !d.reference && !(detected && (d.primary.Dead() || d.secondary.Dead())) {
-		// Healthy (or not-yet-detected / crosspoint-degraded) operation runs
-		// the bit-parallel fast path; the degraded whole-fabric modes and the
-		// reference oracle share the branchy path below.
-		d.stepFast(cycle, detected)
+	if detected && (d.primary.Dead() || d.secondary.Dead()) {
+		d.stepDegraded(cycle)
 	} else {
-		d.stepBranchy(cycle, detected)
+		// Healthy (or not-yet-detected / crosspoint-degraded) operation.
+		d.stepFast(cycle, detected)
 	}
 	return d.bufMask == 0 && (!d.detector.Active() || d.detectedSeen)
 }
@@ -201,13 +191,39 @@ func (d *DXbar) applyFaults(cycle uint64) bool {
 	return detected
 }
 
-// stepBranchy is the reference switching path (and the only path for the
-// degraded whole-fabric modes, which are off the performance-critical
-// healthy operation).
-func (d *DXbar) stepBranchy(cycle uint64, detected bool) {
-	env := d.env
+// stepDegraded switches a router whose dead crossbar has been detected: the
+// degraded whole-fabric modes, off the performance-critical healthy operation
+// and so left branchy.
+func (d *DXbar) stepDegraded(cycle uint64) {
+	incoming := d.gatherIncoming()
+	waiters := d.collectWaiters()
+	waitersExist := len(waiters) > 0
+	flip := d.fair.flip(waitersExist)
 
-	// Gather incoming flits (age order) and waiting flits.
+	var primaryWon, waiterWon bool
+	if d.primary.Dead() {
+		// Degraded mode A: the primary fabric is out; every incoming flit
+		// is demuxed into its buffer and the router runs as a buffered
+		// router through the secondary crossbar. Only flits already
+		// buffered at the start of the cycle compete (a buffer cannot be
+		// written and read in the same cycle).
+		for _, in := range incoming {
+			d.bufferFlit(in.f, in.port, cycle)
+		}
+		waiterWon = d.allocateWaiters(waiters, true, cycle)
+	} else {
+		// Degraded mode B: the secondary fabric is out; the 2×2 steering
+		// crossbars give the buffers (and, on idle rows, the injection
+		// port) access to the primary crossbar. One flit per input row.
+		primaryWon, waiterWon = d.allocateDegradedPrimary(incoming, flip, cycle)
+	}
+	d.observeFairness(waitersExist, primaryWon, waiterWon, cycle)
+}
+
+// gatherIncoming takes this cycle's arrivals off the input latches into the
+// router's scratch, oldest first unless port-order arbitration is on.
+func (d *DXbar) gatherIncoming() []inFlit {
+	env := d.env
 	incoming := d.incoming[:0]
 	for p := flit.North; p <= flit.West; p++ {
 		if f := env.In[p]; f != nil {
@@ -219,52 +235,23 @@ func (d *DXbar) stepBranchy(cycle uint64, detected bool) {
 	if !d.portOrder {
 		sortInFlits(incoming)
 	}
+	return incoming
+}
 
-	waiters := d.collectWaiters()
-	waitersExist := len(waiters) > 0
-	flip := d.fair.flip(waitersExist)
-
-	var primaryWon, waiterWon bool
-	switch {
-	case detected && d.primary.Dead():
-		// Degraded mode A: the primary fabric is out; every incoming flit
-		// is demuxed into its buffer and the router runs as a buffered
-		// router through the secondary crossbar. Only flits already
-		// buffered at the start of the cycle compete (a buffer cannot be
-		// written and read in the same cycle).
-		for _, in := range incoming {
-			d.bufferFlit(in.f, in.port, cycle)
-		}
-		waiterWon = d.allocateWaiters(waiters, detected, cycle)
-	case detected && d.secondary.Dead():
-		// Degraded mode B: the secondary fabric is out; the 2×2 steering
-		// crossbars give the buffers (and, on idle rows, the injection
-		// port) access to the primary crossbar. One flit per input row.
-		primaryWon, waiterWon = d.allocateDegradedPrimary(incoming, flip, cycle)
-	default:
-		// Healthy (or not-yet-detected) operation.
-		// The pre-collected waiter list is used in both orders: a flit
-		// buffered this cycle must not be read back out in the same cycle.
-		if flip {
-			waiterWon = d.allocateWaiters(waiters, detected, cycle)
-			primaryWon = d.allocateIncoming(incoming, cycle)
-		} else {
-			primaryWon = d.allocateIncoming(incoming, cycle)
-			waiterWon = d.allocateWaiters(waiters, detected, cycle)
-		}
-	}
-
+// observeFairness feeds the cycle's outcome to the fairness counter and
+// records a priority flip.
+func (d *DXbar) observeFairness(waitersExist, primaryWon, waiterWon bool, cycle uint64) {
 	if d.fair.observe(waitersExist, primaryWon, waiterWon) {
-		env.Stats().FairnessFlip(cycle)
-		env.Events().Record(cycle, events.FairnessFlip, env.Node, flit.Invalid, 0, 0, int32(d.fair.Flips()))
+		d.env.Stats().FairnessFlip(cycle)
+		d.env.Events().Record(cycle, events.FairnessFlip, d.env.Node, flit.Invalid, 0, 0, int32(d.fair.Flips()))
 	}
 }
 
 // stepFast is the bit-parallel healthy-operation path: arrivals and waiters
 // are gathered into SoA PortStates and age-sorted by permuting one byte per
 // slot, sendability is one bitmask computed per cycle, crossbar probes use
-// the enum TryConnect, and every routing query is a table load. It is
-// bit-identical to stepBranchy (the equivalence suite drives both).
+// the enum TryConnect, and every routing query is a table load. The lockstep
+// tests hold it to the branchy healthy step it replaced.
 func (d *DXbar) stepFast(cycle uint64, detected bool) {
 	env := d.env
 
@@ -298,6 +285,8 @@ func (d *DXbar) stepFast(cycle uint64, detected bool) {
 	flip := d.fair.flip(waitersExist)
 	d.sendable = env.SendableMask()
 
+	// The gathered waiters are used in both orders: a flit buffered this
+	// cycle must not be read back out in the same cycle.
 	var primaryWon, waiterWon bool
 	if flip {
 		waiterWon = d.allocateWaitersFast(ws, detected, cycle)
@@ -306,16 +295,15 @@ func (d *DXbar) stepFast(cycle uint64, detected bool) {
 		primaryWon = d.allocateIncomingFast(ins, cycle)
 		waiterWon = d.allocateWaitersFast(ws, detected, cycle)
 	}
-
-	if d.fair.observe(waitersExist, primaryWon, waiterWon) {
-		env.Stats().FairnessFlip(cycle)
-		env.Events().Record(cycle, events.FairnessFlip, env.Node, flit.Invalid, 0, 0, int32(d.fair.Flips()))
-	}
+	d.observeFairness(waitersExist, primaryWon, waiterWon, cycle)
 }
 
-// allocateIncomingFast is allocateIncoming over the SoA gather: the request
-// port comes from the routing table, sendability from the cycle's bitmask,
-// and the crosspoint probe from the enum TryConnect.
+// allocateIncomingFast runs the primary-crossbar arbitration: each incoming
+// flit, oldest first, attempts its look-ahead output port; winners traverse
+// the primary crossbar and return their credit immediately, losers are
+// demuxed into their input buffer. Sendability comes from the cycle's
+// bitmask and the crosspoint probe from the enum TryConnect. Returns whether
+// any incoming flit won.
 func (d *DXbar) allocateIncomingFast(ins *PortState, cycle uint64) bool {
 	env := d.env
 	won := false
@@ -336,8 +324,9 @@ func (d *DXbar) allocateIncomingFast(ins *PortState, cycle uint64) bool {
 	return won
 }
 
-// requestPortFast is requestPort with the cached port mask and the routing
-// table in place of the mesh and Algorithm interface.
+// requestPortFast returns the output an incoming flit asks for: Local when it
+// has arrived, otherwise its look-ahead route — recomputed from the routing
+// table if that field is unusable.
 func (d *DXbar) requestPortFast(f *flit.Flit, dst int) flit.Port {
 	if dst == d.env.Node {
 		return flit.Local
@@ -471,44 +460,6 @@ func (d *DXbar) collectWaiters() []waiter {
 		sortWaiters(ws)
 	}
 	return ws
-}
-
-// allocateIncoming runs the primary-crossbar arbitration: each incoming
-// flit, oldest first, attempts its look-ahead output port; winners traverse
-// the primary crossbar and return their credit immediately, losers are
-// demuxed into their input buffer. Returns whether any incoming flit won.
-func (d *DXbar) allocateIncoming(incoming []inFlit, cycle uint64) bool {
-	won := false
-	for _, in := range incoming {
-		f, p := in.f, in.port
-		out := d.requestPort(f)
-		if out != flit.Invalid && d.env.CanSend(out) {
-			if err := d.primary.Connect(int(p), int(out)); err == nil {
-				d.env.ReturnCredit(p)
-				d.env.Events().Record(cycle, events.PrimaryWin, d.env.Node, p, f.PacketID, f.ID, int32(out))
-				d.sendVia(out, f, cycle)
-				won = true
-				continue
-			} else if !errors.Is(err, crossbar.ErrFault) && !errors.Is(err, crossbar.ErrBusy) {
-				panic(err)
-			}
-		}
-		d.bufferFlit(f, p, cycle)
-	}
-	return won
-}
-
-// requestPort returns the output an incoming flit asks for: its look-ahead
-// route, or Local when it has arrived.
-func (d *DXbar) requestPort(f *flit.Flit) flit.Port {
-	if int(f.Dst) == d.env.Node {
-		return flit.Local
-	}
-	if f.Route.IsCardinal() && d.env.HasLink(f.Route) {
-		return f.Route
-	}
-	// Defensive: recompute if the look-ahead field is unusable.
-	return routing.Request(d.algo, d.env.Mesh(), d.env.Node, int(f.Dst))
 }
 
 // allocateWaiters runs the secondary-crossbar arbitration: buffer heads and

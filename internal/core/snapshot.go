@@ -60,9 +60,9 @@ func (u *Unified) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 		return err
 	}
 	u.fair.state(s)
-	if err := u.alloc.State(s); err != nil {
-		return err
-	}
+	// The allocator's arbitration is age-based (stateless between cycles);
+	// only its swap counter persists.
+	s.U64(&u.alloc.swaps)
 	s.Bool(&u.manifestSeen)
 	s.U64(&u.lastSwaps)
 	return s.Err()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dxbar/internal/arbiter"
 	"dxbar/internal/buffer"
 	"dxbar/internal/crossbar"
 	"dxbar/internal/events"
@@ -16,7 +15,7 @@ import (
 // crossbar, so the bufferless (incoming) and buffered candidate of the same
 // input port can traverse simultaneously to different outputs. Allocation
 // uses the augmented separable output-first allocator with two serial V:1
-// arbiters per input and the conflict-free swap logic (arbiter.DualInput).
+// arbiters per input and the conflict-free swap logic (dualInput).
 //
 // Buffering, fairness and look-ahead behaviour match DXbar; only the
 // switch fabric and allocator differ — the paper reports "similar
@@ -27,7 +26,7 @@ type Unified struct {
 	env *sim.Env
 
 	xbar    *crossbar.Unified
-	alloc   *arbiter.DualInput
+	alloc   *dualInput
 	buffers [flit.NumLinkPorts]*buffer.FIFO
 
 	fair     *fairness
@@ -39,10 +38,6 @@ type Unified struct {
 	table    *routing.Table
 	portMask uint8
 
-	// reference selects the allocator's branchy stage-1 arbitration
-	// (DualInput.Allocate) over the bit-parallel one (AllocateFast).
-	reference bool
-
 	// manifestSeen latches the fault manifestation for the flight recorder;
 	// lastSwaps tracks the allocator's cumulative swap count so each cycle's
 	// delta can be recorded.
@@ -51,7 +46,7 @@ type Unified struct {
 
 	// Per-Step scratch, reused across cycles.
 	waiters []waiter
-	reqs    []arbiter.DualRequest
+	reqs    []dualRequest
 }
 
 // NewUnified builds a unified dual-input crossbar router. The engine must
@@ -60,11 +55,11 @@ func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault *faul
 	u := &Unified{
 		env:      env,
 		xbar:     crossbar.NewUnified(flit.NumPorts),
-		alloc:    arbiter.NewDualInput(flit.NumPorts, flit.NumPorts),
+		alloc:    newDualInput(flit.NumPorts, flit.NumPorts),
 		fair:     newFairness(threshold),
 		detector: fault,
 		waiters:  make([]waiter, 0, flit.NumPorts),
-		reqs:     make([]arbiter.DualRequest, flit.NumPorts),
+		reqs:     make([]dualRequest, flit.NumPorts),
 	}
 	if u.detector == nil {
 		u.detector = faults.NewDetector(faults.Fault{}, faults.DefaultDetectionDelay, false)
@@ -77,11 +72,6 @@ func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault *faul
 	u.portMask = mesh.PortMask(env.Node)
 	return u
 }
-
-// SetReferenceArbitration switches the router to the allocator's branchy
-// reference arbitration (the oracle AllocateFast is proven identical to).
-// Call before the first Step.
-func (u *Unified) SetReferenceArbitration(on bool) { u.reference = on }
 
 // Step implements sim.Router. It reports quiescent when the four input
 // buffers are empty and no fault manifestation is pending (the unified design
@@ -131,20 +121,20 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 	// port index 4, the injection flit's) full productive set. The request
 	// slice is the router's reusable scratch.
 	// Sendability is one bitmask for the whole allocation round: no flit is
-	// launched until after Allocate, so the mask computed here equals a
+	// launched until after allocate, so the mask computed here equals a
 	// CanSend call at every request-build probe.
 	sendable := uint64(env.SendableMask())
 	reqs := u.reqs
 	for i := range reqs {
-		reqs[i].Want = [2]uint64{} // Age is only read where Want is set
+		reqs[i].want = [2]uint64{} // age is only read where want is set
 	}
 	var waiterAt [flit.NumPorts]*waiter
 	for p := flit.North; p <= flit.West; p++ {
 		if f := arrived[p]; f != nil {
 			out := u.requestPort(f)
 			if out != flit.Invalid && sendable&(1<<uint(out)) != 0 {
-				reqs[p].Want[arbiter.SubBufferless] = 1 << uint(out)
-				reqs[p].Age[arbiter.SubBufferless] = f.InjectionCycle
+				reqs[p].want[subBufferless] = 1 << uint(out)
+				reqs[p].age[subBufferless] = f.InjectionCycle
 			}
 		}
 	}
@@ -155,27 +145,22 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 			idx = secondaryInjIn
 		}
 		if mask := uint64(u.table.ProductiveMaskAt(env.Node, int(w.f.Dst))) & sendable; mask != 0 {
-			reqs[idx].Want[arbiter.SubBuffered] = mask
-			reqs[idx].Age[arbiter.SubBuffered] = w.f.InjectionCycle
+			reqs[idx].want[subBuffered] = mask
+			reqs[idx].age[subBuffered] = w.f.InjectionCycle
 			waiterAt[idx] = w
 		}
 	}
 
-	var grants []arbiter.DualGrant
-	if u.reference {
-		grants = u.alloc.Allocate(reqs, flip)
-	} else {
-		grants = u.alloc.AllocateFast(reqs, flip)
-	}
-	if swaps := u.alloc.Swaps(); swaps != u.lastSwaps {
+	grants := u.alloc.allocate(reqs, flip)
+	if swaps := u.alloc.swaps; swaps != u.lastSwaps {
 		env.Events().Record(cycle, events.Swap, env.Node, flit.Invalid, 0, 0, int32(swaps-u.lastSwaps))
 		u.lastSwaps = swaps
 	}
 
 	var primaryWon, waiterWon bool
 	for p := 0; p < flit.NumPorts; p++ {
-		gIncoming := grants[p][arbiter.SubBufferless]
-		gBuffered := grants[p][arbiter.SubBuffered]
+		gIncoming := grants[p][subBufferless]
+		gBuffered := grants[p][subBuffered]
 		// Conflict-free swap (§II.B.2): when both sub-inputs won, the flit
 		// bound for the lower output column must enter from the low end.
 		entIncoming, entBuffered := crossbar.EntryLow, crossbar.EntryHigh
@@ -279,7 +264,7 @@ func (u *Unified) Occupancy() int {
 }
 
 // Swaps returns the allocator's conflict-free swap count.
-func (u *Unified) Swaps() uint64 { return u.alloc.Swaps() }
+func (u *Unified) Swaps() uint64 { return u.alloc.swaps }
 
 // FairnessFlips returns the fairness counter's flip count.
 func (u *Unified) FairnessFlips() uint64 { return u.fair.Flips() }

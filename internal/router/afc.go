@@ -162,11 +162,6 @@ func NewAFC(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) *AFC {
 	}
 }
 
-// SetReferenceArbitration switches the router to the branchy reference
-// allocator (the oracle the bit-parallel one is proven grant-for-grant
-// identical to). Call before the first Step.
-func (a *AFC) SetReferenceArbitration(on bool) { a.buf.reference = on }
-
 // Occupancy returns buffered flits across the input FIFOs.
 func (a *AFC) Occupancy() int { return a.buf.bank.count }
 

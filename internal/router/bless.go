@@ -28,138 +28,34 @@ import (
 // may eject per cycle; a new flit is injected whenever an input slot was
 // free, in keeping with the bufferless injection rule.
 type Bless struct {
-	env  *sim.Env
-	algo routing.Algorithm
+	env *sim.Env
 
-	// table precomputes algo (shared network-wide when the factory passes a
-	// *routing.Table); links caches the node's link count; reference selects
-	// the branchy oracle path over the bit-parallel one.
-	table     *routing.Table
-	links     int
-	reference bool
+	// table is the precomputed routing algorithm (shared network-wide when
+	// the factory passes a *routing.Table); links caches the node's link
+	// count.
+	table *routing.Table
+	links int
 
-	arrivals []*flit.Flit   // per-Step scratch, reused across cycles
-	cands    core.PortState // fast-path SoA gather, reused across cycles
+	cands core.PortState // SoA gather, reused across cycles
 }
 
 // NewBless builds a Flit-Bless router for the Env's node.
 func NewBless(env *sim.Env, algo routing.Algorithm) *Bless {
 	mesh := env.Mesh()
 	return &Bless{
-		env:      env,
-		algo:     algo,
-		table:    routing.NewTable(algo, mesh, mesh.Nodes()),
-		links:    mesh.LinkCount(env.Node),
-		arrivals: make([]*flit.Flit, 0, flit.NumPorts),
+		env:   env,
+		table: routing.NewTable(algo, mesh, mesh.Nodes()),
+		links: mesh.LinkCount(env.Node),
 	}
 }
 
-// SetReferenceArbitration switches the router to its branchy reference path
-// (the oracle the bit-parallel fast path is proven bit-identical to). Call
-// before the first Step.
-func (b *Bless) SetReferenceArbitration(on bool) { b.reference = on }
-
-// Step implements sim.Router. It always reports quiescent: the router is a
-// pure function of this cycle's input latches and the injection head — it has
-// no buffer, pipeline register or timer, so a Step with nothing latched and
-// nothing queued (the engine checks the queue) touches no state.
+// Step implements sim.Router: candidates gathered into an SoA PortState,
+// output availability tracked as one bitmask, every routing query a table
+// load. It always reports quiescent: the router is a pure function of this
+// cycle's input latches and the injection head — it has no buffer, pipeline
+// register or timer, so a Step with nothing latched and nothing queued (the
+// engine checks the queue) touches no state.
 func (b *Bless) Step(cycle uint64) (quiescent bool) {
-	if !b.reference {
-		b.stepFast(cycle)
-		return true
-	}
-	env := b.env
-	mesh := env.Mesh()
-	node := env.Node
-
-	// Gather and consume arrivals.
-	arrivals := b.arrivals[:0]
-	links := 0
-	for p := flit.North; p <= flit.West; p++ {
-		if mesh.HasPort(node, p) {
-			links++
-		}
-		if f := env.In[p]; f != nil {
-			env.In[p] = nil
-			arrivals = append(arrivals, f)
-		}
-	}
-	env.InMask = 0
-
-	// Injection rule: a free input slot this cycle admits one new flit,
-	// which then competes as the youngest candidate.
-	var injectee *flit.Flit
-	if len(arrivals) < links {
-		if f := env.InjectionHead(); f != nil {
-			arrivals = append(arrivals, f)
-			injectee = f
-		}
-	}
-
-	// Oldest-first arbitration over all candidates.
-	flit.SortByAge(arrivals)
-
-	for _, f := range arrivals {
-		assigned := b.assign(f, cycle)
-		if assigned == flit.Invalid {
-			// Unreachable by the port-counting argument (candidates never
-			// exceed available outputs); keep the invariant loud.
-			panic("router: bless failed to assign an output port")
-		}
-		if f == injectee {
-			env.ConsumeInjection(cycle)
-		}
-		b.send(assigned, f, cycle)
-	}
-	return true
-}
-
-// assign picks the output port for f: Local when it has arrived and the
-// ejection port is free, otherwise the best free port in deflection order.
-func (b *Bless) assign(f *flit.Flit, cycle uint64) flit.Port {
-	env := b.env
-	mesh := env.Mesh()
-	node := env.Node
-	if int(f.Dst) == node && env.OutputFree(flit.Local) {
-		return flit.Local
-	}
-	order := routing.DeflectionOrder(b.algo, mesh, node, int(f.Dst))
-	prod := b.algo.Productive(mesh, node, int(f.Dst))
-	for i := 0; i < order.Len(); i++ {
-		p := order.At(i)
-		if env.OutputFree(p) {
-			// Ports beyond the productive prefix are deflections; a flit
-			// that has arrived but lost ejection is also deflected.
-			if int(f.Dst) == node || i >= prod.Len() {
-				f.Deflections++
-				env.Stats().DeflectedFlit()
-				env.Events().Record(cycle, events.Deflect, node, p, f.PacketID, f.ID, int32(f.Deflections))
-			}
-			return p
-		}
-	}
-	return flit.Invalid
-}
-
-func (b *Bless) send(p flit.Port, f *flit.Flit, cycle uint64) {
-	env := b.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if p == flit.Local {
-		env.Send(p, f)
-		return
-	}
-	// Look-ahead: compute the flit's request at the downstream router.
-	next := env.Mesh().Neighbor(env.Node, p)
-	f.Route = routing.Request(b.algo, env.Mesh(), next, int(f.Dst))
-	env.Send(p, f)
-}
-
-// stepFast is the bit-parallel path: candidates gathered into an SoA
-// PortState, output availability tracked as one bitmask, every routing query
-// a table load. Bit-identical to the reference Step (the equivalence suite
-// drives both).
-func (b *Bless) stepFast(cycle uint64) {
 	env := b.env
 	ps := &b.cands
 	ps.Reset()
@@ -170,6 +66,8 @@ func (b *Bless) stepFast(cycle uint64) {
 		}
 	}
 	env.InMask = 0
+	// Injection rule: a free input slot this cycle admits one new flit,
+	// which then competes as the youngest candidate.
 	var injectee *flit.Flit
 	if ps.N < b.links {
 		if f := env.InjectionHead(); f != nil {
@@ -179,24 +77,30 @@ func (b *Bless) stepFast(cycle uint64) {
 	}
 	ps.SortAge()
 
+	// Oldest-first assignment over all candidates.
 	free := env.FreeOutMask()
 	for i := 0; i < ps.N; i++ {
 		s := ps.Order[i]
 		f := ps.Flits[s]
-		assigned := b.assignFast(f, int(ps.Dst[s]), free, cycle)
+		assigned := b.assign(f, int(ps.Dst[s]), free, cycle)
 		if assigned == flit.Invalid {
+			// Unreachable by the port-counting argument (candidates never
+			// exceed available outputs); keep the invariant loud.
 			panic("router: bless failed to assign an output port")
 		}
 		if f == injectee {
 			env.ConsumeInjection(cycle)
 		}
 		free &^= 1 << uint(assigned)
-		b.sendFast(assigned, f, cycle)
+		b.send(assigned, f, cycle)
 	}
+	return true
 }
 
-// assignFast is assign over the free-output bitmask and the routing table.
-func (b *Bless) assignFast(f *flit.Flit, dst int, free uint8, cycle uint64) flit.Port {
+// assign picks the output port for f from the free-output bitmask: Local
+// when it has arrived and the ejection port is free, otherwise the first free
+// port in deflection order.
+func (b *Bless) assign(f *flit.Flit, dst int, free uint8, cycle uint64) flit.Port {
 	env := b.env
 	node := env.Node
 	if dst == node && free&(1<<uint(flit.Local)) != 0 {
@@ -207,6 +111,8 @@ func (b *Bless) assignFast(f *flit.Flit, dst int, free uint8, cycle uint64) flit
 	for i := 0; i < order.Len(); i++ {
 		p := order.At(i)
 		if free&(1<<uint(p)) != 0 {
+			// Ports beyond the productive prefix are deflections; a flit
+			// that has arrived but lost ejection is also deflected.
 			if dst == node || i >= prodLen {
 				f.Deflections++
 				env.Stats().DeflectedFlit()
@@ -218,8 +124,9 @@ func (b *Bless) assignFast(f *flit.Flit, dst int, free uint8, cycle uint64) flit
 	return flit.Invalid
 }
 
-// sendFast is send with the table look-ahead.
-func (b *Bless) sendFast(p flit.Port, f *flit.Flit, cycle uint64) {
+// send launches f through p, computing its request at the downstream router
+// (look-ahead routing).
+func (b *Bless) send(p flit.Port, f *flit.Flit, cycle uint64) {
 	env := b.env
 	env.Meter().CrossbarTraversal()
 	env.Stats().RoutedEvent(cycle)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"dxbar/internal/arbiter"
 	"dxbar/internal/bitarb"
 	"dxbar/internal/events"
 	"dxbar/internal/flit"
@@ -23,13 +22,9 @@ import (
 // "the split design resembles DXbar only at the buffering and provides for
 // a fair comparison").
 type Buffered struct {
-	env  *sim.Env
-	bank inputBank
-	// alloc is the branchy reference allocator, fast its bit-parallel twin
-	// (grant-for-grant identical; reference selects which one runs).
-	alloc     *arbiter.Separable
-	fast      *bitarb.Separable
-	reference bool
+	env   *sim.Env
+	bank  inputBank
+	alloc *bitarb.Separable
 
 	// table is the precomputed form of the routing algorithm (shared
 	// network-wide when the factory passes a *routing.Table).
@@ -49,8 +44,7 @@ func newBuffered(env *sim.Env, algo routing.Algorithm, split bool) Buffered {
 	b := Buffered{
 		env:   env,
 		bank:  inputBank{nq: 1},
-		alloc: arbiter.NewSeparable(flit.NumPorts, flit.NumPorts),
-		fast:  bitarb.NewSeparable(flit.NumPorts, flit.NumPorts),
+		alloc: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts),
 		table: routing.NewTable(algo, mesh, mesh.Nodes()),
 	}
 	if split {
@@ -58,11 +52,6 @@ func newBuffered(env *sim.Env, algo routing.Algorithm, split bool) Buffered {
 	}
 	return b
 }
-
-// SetReferenceArbitration switches the router to the branchy reference
-// allocator (the oracle the bit-parallel one is proven grant-for-grant
-// identical to). Call before the first Step.
-func (b *Buffered) SetReferenceArbitration(on bool) { b.reference = on }
 
 // Step implements sim.Router. It reports quiescent when every input FIFO is
 // empty after the step: the FIFOs (with their RC eligibility stamps) are the
@@ -111,15 +100,9 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 			req[flit.Local] = uint64(b.table.ProductiveMaskAt(node, int(f.Dst)) & sendable)
 		}
 	}
-	var grants []int
-	if b.reference {
-		grants = b.alloc.AllocateMask(req[:])
-	} else {
-		grants = b.fast.Allocate(req[:])
-	}
 
 	// Switch traversal (ST).
-	for i, o := range grants {
+	for i, o := range b.alloc.Allocate(req[:]) {
 		if o == -1 {
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"dxbar/internal/arbiter"
 	"dxbar/internal/bitarb"
 	"dxbar/internal/flit"
 	"dxbar/internal/routing"
@@ -167,7 +166,7 @@ func TestInputBankSaveLoad(t *testing.T) {
 	table := routing.NewTable(routing.WestFirst{}, mesh, mesh.Nodes())
 	build := func(split bool) *Buffered {
 		b := &Buffered{env: &sim.Env{Node: node}, bank: inputBank{nq: 1}, table: table,
-			alloc: arbiter.NewSeparable(flit.NumPorts, flit.NumPorts), fast: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts)}
+			alloc: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts)}
 		if split {
 			b.bank.nq = 2
 		}
@@ -185,7 +184,7 @@ func TestInputBankSaveLoad(t *testing.T) {
 		// Move the ring heads off slot 0, so the stream is not the array.
 		var req [flit.NumPorts]uint64
 		orig.bank.requests(2, allOutputs, &req)
-		for i, o := range orig.fast.Allocate(req[:]) {
+		for i, o := range orig.alloc.Allocate(req[:]) {
 			if o >= 0 {
 				orig.bank.pop(flit.Port(i), o)
 			}
@@ -218,8 +217,8 @@ func TestInputBankSaveLoad(t *testing.T) {
 			if got != want {
 				t.Fatalf("split=%v cycle %d: loaded router requests %v, saved router %v", split, cycle, got, want)
 			}
-			wantGrants := slices.Clone(orig.fast.Allocate(want[:]))
-			if gotGrants := loaded.fast.Allocate(got[:]); !slices.Equal(gotGrants, wantGrants) {
+			wantGrants := slices.Clone(orig.alloc.Allocate(want[:]))
+			if gotGrants := loaded.alloc.Allocate(got[:]); !slices.Equal(gotGrants, wantGrants) {
 				t.Fatalf("split=%v cycle %d: loaded router grants %v, saved router %v", split, cycle, gotGrants, wantGrants)
 			}
 			for i, o := range wantGrants {

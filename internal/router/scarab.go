@@ -17,14 +17,11 @@ type Scarab struct {
 	env *sim.Env
 
 	// table is the precomputed minimal-adaptive routing (shared network-wide
-	// when built by the factory); links caches the node's link count;
-	// reference selects the branchy oracle path over the bit-parallel one.
-	table     *routing.Table
-	links     int
-	reference bool
+	// when built by the factory); links caches the node's link count.
+	table *routing.Table
+	links int
 
-	arrivals []*flit.Flit   // per-Step scratch, reused across cycles
-	cands    core.PortState // fast-path SoA gather, reused across cycles
+	cands core.PortState // SoA gather, reused across cycles
 }
 
 // NewScarab builds a SCARAB router. SCARAB's routing is minimal adaptive
@@ -43,125 +40,19 @@ func NewScarabTable(env *sim.Env, table *routing.Table) *Scarab {
 		table = routing.NewTable(routing.MinimalAdaptive{}, mesh, mesh.Nodes())
 	}
 	return &Scarab{
-		env:      env,
-		table:    table,
-		links:    mesh.LinkCount(env.Node),
-		arrivals: make([]*flit.Flit, 0, flit.NumPorts),
+		env:   env,
+		table: table,
+		links: mesh.LinkCount(env.Node),
 	}
 }
 
-// SetReferenceArbitration switches the router to its branchy reference path
-// (the oracle the bit-parallel fast path is proven bit-identical to). Call
-// before the first Step.
-func (s *Scarab) SetReferenceArbitration(on bool) { s.reference = on }
-
-// minimalPorts returns the (up to two) minimal directions toward dst,
-// larger-offset dimension first — SCARAB's fully adaptive minimal set.
-func minimalPorts(env *sim.Env, at, dst int) routing.PortList {
-	m := env.Mesh()
-	ax, ay := m.XY(at)
-	dx, dy := m.XY(dst)
-	var xPort, yPort flit.Port = flit.Invalid, flit.Invalid
-	if dx > ax {
-		xPort = flit.East
-	} else if dx < ax {
-		xPort = flit.West
-	}
-	if dy > ay {
-		yPort = flit.South
-	} else if dy < ay {
-		yPort = flit.North
-	}
-	xd, yd := abs(dx-ax), abs(dy-ay)
-	var ports routing.PortList
-	if xd >= yd {
-		if xPort != flit.Invalid {
-			ports.Add(xPort)
-		}
-		if yPort != flit.Invalid {
-			ports.Add(yPort)
-		}
-	} else {
-		if yPort != flit.Invalid {
-			ports.Add(yPort)
-		}
-		if xPort != flit.Invalid {
-			ports.Add(xPort)
-		}
-	}
-	return ports
-}
-
-// Step implements sim.Router. It always reports quiescent: like Flit-Bless
-// the router holds nothing between cycles (a flit it cannot forward is
-// dropped, and the retransmission comes back through the engine's wheel, which
-// wakes the source), so a Step without latched or queued flits touches no
-// state.
+// Step implements sim.Router: arrivals gathered into an SoA PortState, output
+// availability one bitmask, routing queries table loads. It always reports
+// quiescent: like Flit-Bless the router holds nothing between cycles (a flit
+// it cannot forward is dropped, and the retransmission comes back through the
+// engine's wheel, which wakes the source), so a Step without latched or queued
+// flits touches no state.
 func (s *Scarab) Step(cycle uint64) (quiescent bool) {
-	if !s.reference {
-		s.stepFast(cycle)
-		return true
-	}
-	env := s.env
-	mesh := env.Mesh()
-	node := env.Node
-
-	arrivals := s.arrivals[:0]
-	links := 0
-	for p := flit.North; p <= flit.West; p++ {
-		if mesh.HasPort(node, p) {
-			links++
-		}
-		if f := env.In[p]; f != nil {
-			env.In[p] = nil
-			arrivals = append(arrivals, f)
-		}
-	}
-	env.InMask = 0
-	flit.SortByAge(arrivals)
-
-	for _, f := range arrivals {
-		if int(f.Dst) == node {
-			if env.OutputFree(flit.Local) {
-				s.send(flit.Local, f, cycle)
-			} else {
-				s.drop(f, cycle)
-			}
-			continue
-		}
-		if p := s.freeProductive(f); p != flit.Invalid {
-			s.send(p, f, cycle)
-		} else {
-			s.drop(f, cycle)
-		}
-	}
-
-	// Injection: permitted when an input slot was free; the new flit is
-	// simply not injected (it waits in the queue) if its productive ports
-	// are taken — the source never drops.
-	if len(arrivals) < links {
-		if f := env.InjectionHead(); f != nil {
-			if int(f.Dst) == node {
-				// Patterns never map a node to itself; defensive.
-				if env.OutputFree(flit.Local) {
-					env.ConsumeInjection(cycle)
-					s.send(flit.Local, f, cycle)
-				}
-				return true
-			}
-			if p := s.freeProductive(f); p != flit.Invalid {
-				env.ConsumeInjection(cycle)
-				s.send(p, f, cycle)
-			}
-		}
-	}
-	return true
-}
-
-// stepFast is the bit-parallel path: arrivals gathered into an SoA
-// PortState, output availability one bitmask, routing queries table loads.
-// Bit-identical to the reference Step (the equivalence suite drives both).
-func (s *Scarab) stepFast(cycle uint64) {
 	env := s.env
 	node := env.Node
 
@@ -187,38 +78,42 @@ func (s *Scarab) stepFast(cycle uint64) {
 				out = flit.Local
 			}
 		} else {
-			out = s.freeProductiveFast(dst, free)
+			out = s.freeProductive(dst, free)
 		}
 		if out == flit.Invalid {
 			s.drop(f, cycle)
 			continue
 		}
 		free &^= 1 << uint(out)
-		s.sendFast(out, f, cycle)
+		s.send(out, f, cycle)
 	}
 
 	// Injection: permitted when an input slot was free (arrivals counted
-	// before injection, as in the reference path).
+	// before injection); the new flit is simply not injected (it waits in the
+	// queue) if its productive ports are taken — the source never drops.
 	if ps.N < s.links {
 		if f := env.InjectionHead(); f != nil {
 			if int(f.Dst) == node {
+				// Patterns never map a node to itself; defensive.
 				if free&(1<<uint(flit.Local)) != 0 {
 					env.ConsumeInjection(cycle)
-					s.sendFast(flit.Local, f, cycle)
+					s.send(flit.Local, f, cycle)
 				}
-				return
+				return true
 			}
-			if p := s.freeProductiveFast(int(f.Dst), free); p != flit.Invalid {
+			if p := s.freeProductive(int(f.Dst), free); p != flit.Invalid {
 				env.ConsumeInjection(cycle)
-				s.sendFast(p, f, cycle)
+				s.send(p, f, cycle)
 			}
 		}
 	}
+	return true
 }
 
-// freeProductiveFast is freeProductive over the routing table and the
-// free-output bitmask.
-func (s *Scarab) freeProductiveFast(dst int, free uint8) flit.Port {
+// freeProductive returns the first minimal direction toward dst that is
+// free in the output bitmask, larger-offset dimension first — SCARAB's fully
+// adaptive minimal set — or Invalid.
+func (s *Scarab) freeProductive(dst int, free uint8) flit.Port {
 	ports := s.table.ProductiveAt(s.env.Node, dst)
 	for i := 0; i < ports.Len(); i++ {
 		if p := ports.At(i); free&(1<<uint(p)) != 0 {
@@ -228,39 +123,14 @@ func (s *Scarab) freeProductiveFast(dst int, free uint8) flit.Port {
 	return flit.Invalid
 }
 
-// sendFast is send with the table look-ahead.
-func (s *Scarab) sendFast(p flit.Port, f *flit.Flit, cycle uint64) {
-	env := s.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if p != flit.Local {
-		f.Route = s.table.RequestAt(env.Neighbor(p), int(f.Dst))
-	}
-	env.Send(p, f)
-}
-
-func (s *Scarab) freeProductive(f *flit.Flit) flit.Port {
-	ports := minimalPorts(s.env, s.env.Node, int(f.Dst))
-	for i := 0; i < ports.Len(); i++ {
-		if p := ports.At(i); s.env.OutputFree(p) {
-			return p
-		}
-	}
-	return flit.Invalid
-}
-
+// send launches f through p, computing its request at the downstream router
+// (look-ahead routing).
 func (s *Scarab) send(p flit.Port, f *flit.Flit, cycle uint64) {
 	env := s.env
 	env.Meter().CrossbarTraversal()
 	env.Stats().RoutedEvent(cycle)
 	if p != flit.Local {
-		next := env.Mesh().Neighbor(env.Node, p)
-		ports := minimalPorts(env, next, int(f.Dst))
-		if ports.Len() == 0 {
-			f.Route = flit.Local
-		} else {
-			f.Route = ports.At(0)
-		}
+		f.Route = s.table.RequestAt(env.Neighbor(p), int(f.Dst))
 	}
 	env.Send(p, f)
 }
@@ -275,11 +145,4 @@ func (s *Scarab) drop(f *flit.Flit, cycle uint64) {
 	env.Events().Record(cycle, events.Drop, env.Node, flit.Invalid, f.PacketID, f.ID, int32(dist))
 	env.Meter().NackHops(dist)
 	env.ScheduleRetransmit(f, uint64(dist)+1)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -29,7 +29,7 @@ func (q *entryQueue) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error
 
 // State moves the buffered baseline's persistent state: the input FIFO
 // contents with eligibility timestamps, the split-input steering pointers,
-// and both allocators' rotation pointers. The bank's derived state — the
+// and the allocator's rotation pointers. The bank's derived state — the
 // entries' request masks, the non-empty mask, the count — is not in the
 // stream.
 func (b *Buffered) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
@@ -54,11 +54,16 @@ func (b *Buffered) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 	return b.allocState(s)
 }
 
+// retiredPointers is the number of rotation pointers of the retired second
+// allocator (one per output, then one per input) whose stream slots stay.
+const retiredPointers = 2 * flit.NumPorts
+
 // allocState rebuilds the bank's derived state after a load, holds each
 // input's FIFOs to the credits its upstream neighbour has spent on them
-// (sim.Env.CheckHeld), then moves both allocators (the branchy reference
-// and its bit-parallel twin both persist, so a restored run is bit-identical
-// under either Config.ReferenceArbitration setting).
+// (sim.Env.CheckHeld), then moves the allocator. Ahead of it the stream keeps
+// the slots of a retired second allocator, selectable only for reference
+// runs: saved as zeros, and a load refuses any other value, since resuming
+// such a run on this allocator would silently diverge from it.
 func (b *Buffered) allocState(s *snapshot.Stream) error {
 	if s.Loading() {
 		b.bank.rebuild(b.table, b.env.Node)
@@ -73,10 +78,13 @@ func (b *Buffered) allocState(s *snapshot.Stream) error {
 			return err
 		}
 	}
-	if err := b.alloc.State(s); err != nil {
-		return err
+	for i := 0; i < retiredPointers; i++ {
+		var ptr int
+		if snapshot.Int(s, &ptr); ptr != 0 {
+			return s.Failf("router: snapshot of a reference-arbitration run (retired allocator pointer %d), which this build cannot resume", ptr)
+		}
 	}
-	return b.fast.State(s)
+	return b.alloc.State(s)
 }
 
 // State moves the AFC router's persistent state (the shared mode controller is

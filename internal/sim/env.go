@@ -249,7 +249,7 @@ func (env *Env) SendableMask() uint8 {
 }
 
 // FreeOutMask returns the bitmask of output ports that exist and are still
-// undriven this cycle (bit p set = HasLink(p) && OutputFree(p), plus Local) —
+// undriven this cycle (bit p set = HasLink(p) and latch p empty, plus Local) —
 // the credit-blind companion of SendableMask for deflection paths, which may
 // use a link regardless of downstream buffer space.
 func (env *Env) FreeOutMask() uint8 {
@@ -259,9 +259,6 @@ func (env *Env) FreeOutMask() uint8 {
 	}
 	return m
 }
-
-// OutputFree reports whether output latch p is still undriven this cycle.
-func (env *Env) OutputFree(p flit.Port) bool { return env.out[p] == nil }
 
 // ReturnCredit hands one credit back to the upstream neighbour feeding
 // input port p (call when a flit that arrived through p frees its buffer

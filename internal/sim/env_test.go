@@ -47,7 +47,7 @@ func TestEnvAccessors(t *testing.T) {
 	if env.HasLink(flit.Invalid) {
 		t.Error("Invalid port must not exist")
 	}
-	if !env.OutputFree(flit.East) {
+	if env.FreeOutMask()&(1<<uint(flit.East)) == 0 {
 		t.Error("fresh output must be free")
 	}
 	if env.DownstreamCredits(flit.Local) != nil {

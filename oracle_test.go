@@ -2,8 +2,12 @@ package dxbar
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,11 +27,12 @@ import (
 )
 
 // The execution-path oracle. A run is the same run on every execution path —
-// sequential, k shards, reference arbitration, checkpointed and resumed, on a
-// reused engine, observed, archived, served from the ledger — and this file is
-// the only place that is asserted: one table of runs (equivCases), one closed
-// set of paths (path), one definition of "equal" (assertEquivalent). The Test
-// functions at the bottom only say which rows meet which paths.
+// sequential, k shards, checkpointed and resumed, on a reused engine,
+// observed, archived, served from the ledger, and as the retired reference
+// arbiter recorded it — and this file is the only place that is asserted: one
+// table of runs (equivCases), one closed set of paths (path), one definition
+// of "equal" (assertEquivalent). The Test functions at the bottom only say
+// which rows meet which paths.
 
 // idleLoad is the uniform-random load of the mostly-asleep rows: at 8×8 about
 // 70 % of router-steps are skipped (the activity-driven phase of internal/sim).
@@ -72,10 +77,11 @@ const (
 	ledgerServed       // served from that archive without simulating
 	midrunRestore      // live rows: Engine.Snapshot at half time, restored into a fresh engine
 	polled             // closed-loop rows: the system behind a wrapper that hides sim.PendingSource
+	recorded           // not run: the row's Result digest as the retired reference arbiter produced it (referenceDigests)
 )
 
 var viaNames = [...]string{"", "checkpointed@%d", "resume@%d", "resume@%d-other", "reused", "nodiag", "telemetry", "traced",
-	"ledger-archived", "ledger-served", "midrun-restore", "polled"}
+	"ledger-archived", "ledger-served", "midrun-restore", "polled", "reference"}
 
 // payload is each path's declared normalisation: the Result fields that way of
 // running adds or withholds by design, cleared on both sides before they are
@@ -85,28 +91,20 @@ var payload = map[via]func(*Result){
 	nodiag: func(r *Result) { r.Anomalies, r.AnomaliesDropped = nil, 0 },
 }
 
-// twinAllocators are the designs whose reference path advances the rotation
-// pointers of a second allocator. Both allocators are in the snapshot, so a
-// reference run's stream differs from the baseline's in representation, not in
-// behaviour: those paths are compared on the final result only.
-var twinAllocators = map[Design]bool{DesignBuffered4: true, DesignBuffered8: true, DesignAFC: true}
-
-// path is an execution path: an engine (shards × arbitration) and a via. The
-// zero value is the baseline every other path is compared with.
+// path is an execution path: an engine (a shard count) and a via. The zero
+// value is the baseline every other path is compared with.
 type path struct {
 	shards    int
-	reference bool
 	via       via
 	every, at uint64
 }
 
-var seq, reference = path{}, path{reference: true}
+var seq, reference = path{}, path{via: recorded}
 
 func shards(k int) path { return path{shards: k} }
 
-func (p path) sharded(k int) path { p.shards = k; return p }
 func (p path) through(v via) path { p.via = v; return p }
-func (p path) engine() path       { return path{shards: p.shards, reference: p.reference} }
+func (p path) engine() path       { return path{shards: p.shards} }
 
 // resumeSweep is eng checkpointed every `every` cycles plus a resume, on the
 // same and on the other backend, from each of the first n checkpoints.
@@ -122,9 +120,6 @@ func resumeSweep(eng path, every uint64, n int) []path {
 
 func (p path) String() string {
 	var parts []string
-	if p.reference {
-		parts = append(parts, "reference")
-	}
 	if p.shards != 0 {
 		parts = append(parts, fmt.Sprintf("shards%d", p.shards))
 	}
@@ -165,7 +160,7 @@ func runPath(t *testing.T, c *equivCase, p path, dir string) outcome {
 		return runLive(t, c, p)
 	}
 	cfg := c.cfg
-	cfg.Shards, cfg.ReferenceArbitration = p.shards, p.reference
+	cfg.Shards = p.shards
 	ckptDir := filepath.Join(dir, fmt.Sprintf("ckpt-%s-%d", p.engine(), p.every))
 	run := func() (Result, error) { return Run(cfg) }
 	switch p.via {
@@ -238,7 +233,7 @@ func liveNetwork(t *testing.T, cfg Config, p path, sys *coherence.System) *Netwo
 	t.Helper()
 	mesh, total := topology.MustMesh(cfg.Width, cfg.Height), cfg.WarmupCycles+cfg.MeasureCycles
 	o := NetworkOptions{
-		Design: cfg.Design, Routing: cfg.Routing, Mesh: mesh, Shards: p.shards, ReferenceArbitration: p.reference,
+		Design: cfg.Design, Routing: cfg.Routing, Mesh: mesh, Shards: p.shards,
 		Stats: stats.NewCollector(mesh.Nodes(), cfg.WarmupCycles, total),
 	}
 	if sys != nil {
@@ -386,6 +381,12 @@ func assertEquivalent(t *testing.T, c *equivCase, paths ...path) {
 	want, dir := baselineOf(t, c), t.TempDir()
 	for _, p := range paths {
 		t.Run(p.String(), func(t *testing.T) {
+			if p == reference {
+				if got, rec := resultDigest(want.res), referenceDigests[c.group+"/"+c.name]; got != rec {
+					t.Errorf("result digest %.16s…, the retired reference arbiter's %.16s…", got, rec)
+				}
+				return
+			}
 			got := runPath(t, c, p, dir)
 			wantRes, gotRes := want.res, got.res
 			if strip := payload[p.via]; strip != nil {
@@ -396,9 +397,6 @@ func assertEquivalent(t *testing.T, c *equivCase, paths ...path) {
 			}
 			if !reflect.DeepEqual(wantRes, gotRes) {
 				t.Errorf("result differs from the sequential baseline in %v", diffFields(reflect.ValueOf(wantRes), reflect.ValueOf(gotRes)))
-			}
-			if p.reference && twinAllocators[c.cfg.Design] {
-				return
 			}
 			if len(got.snaps) != len(want.snaps) {
 				t.Fatalf("%d snapshots against the baseline's %d", len(got.snaps), len(want.snaps))
@@ -424,6 +422,124 @@ func diffFields(a, b reflect.Value) (names []string) {
 		}
 	}
 	return names
+}
+
+// resultDigest is a SHA-256 over everything reflect.DeepEqual compares — every
+// field, exported or not, pointers followed, nil told from empty — so that a
+// result can be pinned as a value.
+func resultDigest(v any) string {
+	h := sha256.New()
+	put := func(u uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, u)) }
+	flag := func(b bool) {
+		if b {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			flag(v.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			put(uint64(v.Int()))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			put(v.Uint())
+		case reflect.Float32, reflect.Float64:
+			put(math.Float64bits(v.Float()))
+		case reflect.String:
+			put(uint64(v.Len()))
+			h.Write([]byte(v.String()))
+		case reflect.Pointer, reflect.Interface:
+			if flag(v.IsNil()); !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Slice:
+			if flag(v.IsNil()); v.IsNil() {
+				return
+			}
+			fallthrough
+		case reflect.Array:
+			put(uint64(v.Len()))
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		default:
+			panic("resultDigest: no encoding for " + v.Type().String())
+		}
+	}
+	walk(reflect.ValueOf(v))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// referenceDigests are the reference path of the arbitration suites. While the
+// branchy allocators were a selectable reference arbitration in the simulator,
+// each of these rows also ran on them and had to equal its baseline; these are
+// the resultDigests of those reference runs, taken on the last build that had
+// them, where each also equalled the fast run's. The one arbitration path left
+// is held to them. The branchy twins themselves live on
+// in the test files of internal/bitarb, internal/core and internal/router,
+// stepped in lockstep with the fast code. A digest moves with any change to a
+// Result field's type or order, too: only then is one re-pinned.
+var referenceDigests = map[string]string{
+	"designs/flitbless/seed7":        "e1c9c21bb5549ba8d9662b516014166b91677ecc8cebc427d50d03e551db12df",
+	"designs/flitbless/seed42":       "145ca1caee44fa434a70d36de2093cbe564b5b34e0daa7e85de6529fa32304fb",
+	"designs/scarab/seed7":           "da77dcc506af7d2a7d2175436242ca074f05a00b99dabf8f01cd78eb3ea84047",
+	"designs/scarab/seed42":          "3b2a94179dd697bab423477a7fbb9a5690d060fc92e172a238ca1946c9a4496e",
+	"designs/buffered4/seed7":        "e60dec522d2f0a86f877dd60d7c0ccfbdbb33450678e9f79310aa0ae51c3fd9e",
+	"designs/buffered4/seed42":       "ab9ffefff8dc8ed74fe7637286fa1359c214d199b7b1b72e602e6df53a839b92",
+	"designs/buffered8/seed7":        "d7fdd616be1249edbbb8f5e08ecf98768e4129646cd7adc7ca5c84475cabc729",
+	"designs/buffered8/seed42":       "c1a0c255ae257be62086b0f461f934b34ca1aff5f8810aa07130929607daf84e",
+	"designs/dxbar/seed7":            "0bd252b621cf52accd174512e373864ebe72584b4694de5b4a8c70e3b0be9cc8",
+	"designs/dxbar/seed42":           "2ebfe9c73762430fa064a8165f6baa13ddfa3aea14b0bdd53af5026a5dc56f63",
+	"designs/unified/seed7":          "99691d233ba5101dd46097426a4e8a435056afce523234dd17ddc1095e32b10c",
+	"designs/unified/seed42":         "a4d2187ce1ab4de82388468596ca70f2ba7784263cf4596b965d80091c712d17",
+	"designs/afc/seed7":              "92fc6ed3e7707658497db65b3b26341c858fdae09ac1ee4013166774f0708b59",
+	"designs/afc/seed42":             "5b3dcfc18419f5818fd53acf5efd48a7b6486c85d0e2c6fb50b85b76412ba33a",
+	"designs-seed3/flitbless/seed3":  "27b5ed335499ed456e5ddd0c2d15c5e9484676b6c2dafe814498026723e3d9c6",
+	"designs-seed3/scarab/seed3":     "b8a7f87ac4055ac97c2743f7ba6b6f9b02856e9c10eb45a8834dfe5c899bae95",
+	"designs-seed3/buffered4/seed3":  "0900f12a6ed273ef2fee2d0fbd4168083e86308e3f2019f33471dbf050a8cecd",
+	"designs-seed3/buffered8/seed3":  "2538c9098035935f12be94d427069911242fbcac1b4135746ef366057e8e92b4",
+	"designs-seed3/dxbar/seed3":      "ed8e326d9537105502a123199eb15d829547189ef2cdcc75c44cb48a15a92f47",
+	"designs-seed3/unified/seed3":    "3c90f754906716e96b3ea1de3487631d39290f18a5865c04c7e2caaae65a8e5c",
+	"designs-seed3/afc/seed3":        "4567366c080bf890bee6cccf6074ccf15e17197efc3d9409d0ba8236fc259cad",
+	"patterns/dxbar/MT":              "e9d834fdba27abd71e6967f2156be7e9f674c0dbec5a14ed49dc853074cefa4d",
+	"patterns/dxbar/BF":              "76ab4e9c2624532624a913789cd1b0d462ec4c94c73486fe9938df0ad64d03d7",
+	"patterns/dxbar/NB":              "2c08c349d9afd71f5969b54bc3bea04abf5e5b6dd514a1fd602a9854dfd84507",
+	"patterns/unified/MT":            "32219940d6e0c0b69e455eb42cf590403b3a309949bf9c589aa2390fd2997c55",
+	"patterns/unified/BF":            "c675fddb9697f32f21af9d2f0edfe3cdd59ad39aca7cd54ea6d9892de2b964da",
+	"patterns/unified/NB":            "3ab4c3122a0f1c90ea81b38c00abd208ce8ed1682a4726afceda1a0ec26ce8a5",
+	"patterns/flitbless/MT":          "5af70f71f8f32e8628723e0aea5efe45c29e414b6f198ce63e175a953fc2b6c3",
+	"patterns/flitbless/BF":          "f2e0b6b146b0738194ed6411e18e126837bb32361968ded69228726ae63e2056",
+	"patterns/flitbless/NB":          "5d93a0be3485f7d331662756fbcec7fc8f0af7480a3a22dc4ff3f75cbc1ec2c8",
+	"patterns/afc/MT":                "710d2c0da7d3a2f73cb7a7a3e3ddeb93156c6e57203ef999b05104d373704f40",
+	"patterns/afc/BF":                "13cb037950c9de7aa674ed0e4037904337f19e1de5f1130780c40875d1fcadd2",
+	"patterns/afc/NB":                "f5e8c6595d904c90958e34ab40176f24e358e36d36680b208c143648e49ad2c1",
+	"faults/dxbar/crossbar/0.50":     "159b80a0f518203f3ca1c8ce84b15111d7ea9b607c28840487f467d042f85c58",
+	"faults/dxbar/crossbar/1.00":     "83c563136fe53b23bfb7f89c3a5ee09fc73bf57270180aa8627bac7e732aa50e",
+	"faults/dxbar/crosspoint/0.50":   "b69f6a956d4f5718c7d70b4fd5f7a7de755dc34948578af85875127f624e1a16",
+	"faults/dxbar/crosspoint/1.00":   "81027c39277ca895d1c1af9dff199f52861a89b74b07165533f50bc3734a430f",
+	"faults/unified/crossbar/0.50":   "a236523df69d5434a38254eb5fbe91ca4aa41228d52948505cd2cca9cdc9f014",
+	"faults/unified/crossbar/1.00":   "2d00853cb8f85a1b76dffa96e3436db5a37f33b153b80c2d9882ad80f0f19bff",
+	"faults/unified/crosspoint/0.50": "a236523df69d5434a38254eb5fbe91ca4aa41228d52948505cd2cca9cdc9f014",
+	"faults/unified/crosspoint/1.00": "4f13f81189fec77ab3674830557e4ac423975e4390ad6760ed89347cca3e267e",
+	"variants/wf-routing":            "3ae6ef6b70357820aa3eee43844920151950a905ed523a1b1a6b1b2efa8dbb49",
+	"variants/port-order":            "bbf6fc0818d2ddc2770ac63ad2474954442deed681fe818fafe465a51777a502",
+	"variants/fairness-1":            "4cf04ea2649ada01a8b44d1c125de10c969b936e5d6783b20a48c08bc5dd0511",
+	"variants/deep-buffers":          "caf24f71026c5df5c917137215a03ee4d0c700e439f5f200b9dc8cb55ca63ac1",
+	"variants/multi-flit":            "75422777978f88960d49ffe53d2541ffe10992098d9af719ed014611f5f94a9e",
+	"seed7/flitbless":                "5730d637a2e24d4025eb4102fb9934141a0cf27c821c07e5ca9fdb9c83ea502a",
+	"seed7/scarab":                   "a62414fe62c8f0b41188d181c3b488de95d8ce00ceaea36d3e7c8f1ca75ef7f2",
+	"seed7/buffered4":                "62ec25b849ccd620b1027f7e3c49999ea87409c38dfe00c63a0f29eeffb93dc8",
+	"seed7/buffered8":                "ce984f86789d03e578a2e53fd0b4cda2a86a8646f256efd83bef03a33ea9a91c",
+	"seed7/dxbar":                    "25d83a033bc19baacb3396c516bdd642db005cefea9dc56266849b920b5f3c4a",
+	"seed7/unified":                  "9a3b6aae9954fe0930a5ebe6fb70c97d8c12d16b167c0c03fe352975c21907fb",
+	"seed7/afc":                      "816c0d2669189654756e3d901f8b3548a5ff4a1e7600ab6eabc1cf9b898dd933",
 }
 
 // equivCases is the table. Every row is UR on an 8×8 DOR mesh unless it says
@@ -594,8 +710,7 @@ func TestArbitrationBitIdentityPatterns(t *testing.T)   { assertAll(t, rows("pat
 func TestArbitrationBitIdentityFaultSweep(t *testing.T) { assertAll(t, rows("faults"), reference) }
 func TestArbitrationBitIdentityVariants(t *testing.T)   { assertAll(t, rows("variants"), reference) }
 
-// The fast paths on four shards equal the reference paths on the sequential
-// engine: both equal the baseline.
+// The fast paths on four shards equal the reference arbiter's results too.
 func TestArbitrationBitIdentitySharded(t *testing.T) {
 	assertAll(t, rows("seed7"), reference, shards(4))
 }
@@ -632,16 +747,12 @@ func TestOracleCrossings(t *testing.T) {
 	}
 	cross("multiflit-shards", rows("multiflit"), shards(4))
 	cross("variants-observers", rows("variants"), seq.through(telemetry), seq.through(traced), seq.through(ledgerServed))
-	cross("faults-observers-shards", rows("faults", "dxbar/crosspoint/1.00", "unified/crossbar/0.50"),
-		shards(4).through(telemetry), reference.sharded(4).through(nodiag))
-	cross("reference-resume", rows("checkpoint"), resumeSweep(reference, 96, 2)...)
-	cross("reference-observers", rows("observed"), reference.through(telemetry), reference.through(traced), reference.through(ledgerServed))
+	cross("faults-observers-shards", rows("faults", "dxbar/crosspoint/1.00", "unified/crossbar/0.50"), shards(4).through(telemetry))
 	cross("nonsquare-facade", rows("12x5"), resumeSweep(shards(6), 400, 1)...)
 	cross("idle-crosspoint-faults", rows("idle-faulted"), resumeSweep(shards(4), 500, 1)...)
 	cross("idle-crosspoint-faults-live", rows("idle-faulted-live"), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore))
-	cross("closed-loop-reference", rows("closed-loop", "dxbar"), reference, shards(4).through(midrunRestore))
-	cross("input-bank-restore", rows("saturated", "buffered8/wf", "afc/wf"), reference, seq.through(midrunRestore), shards(4).through(midrunRestore))
-	cross("input-bank-resume", rows("saturated-wf"), append(resumeSweep(seq, 200, 2), reference)...)
+	cross("input-bank-restore", rows("saturated", "buffered8/wf", "afc/wf"), seq.through(midrunRestore), shards(4).through(midrunRestore))
+	cross("input-bank-resume", rows("saturated-wf"), resumeSweep(seq, 200, 2)...)
 }
 
 // FuzzExecutionPaths decodes its input into a row — small meshes, non-square
@@ -675,16 +786,16 @@ func FuzzExecutionPaths(f *testing.F) {
 			t.Skip(err) // a bit-permutation pattern on a mesh that is not a power of two
 		}
 		k := []int{2, 3, 4, 6, AutoShards}[at(13)%5]
-		eng := []path{seq, shards(k), reference, reference.sharded(k)}[at(14)%4]
-		menu := append([]path{shards(k), reference, reference.sharded(k)}, resumeSweep(eng, (cfg.WarmupCycles+cfg.MeasureCycles)/100*50, 1)...)
+		eng := []path{seq, shards(k)}[at(14)%2]
+		menu := append([]path{shards(k)}, resumeSweep(eng, (cfg.WarmupCycles+cfg.MeasureCycles)/100*50, 1)...)
 		menu = append(menu, eng.through(reused), eng.through(nodiag), eng.through(telemetry), eng.through(traced),
 			eng.through(ledgerArchived), eng.through(ledgerServed),
-			shards(k), reference, seq.through(midrunRestore), shards(k).through(midrunRestore)) // from bit 12 on: the live twin's
+			shards(k), seq.through(midrunRestore), shards(k).through(midrunRestore)) // from bit 10 on: the live twin's
 		var facade, live []path
 		for i, p := range menu {
 			switch picked := (at(15)|at(16)<<8)>>i&1 != 0; {
 			case !picked || p.via == ledgerServed && !ledgerReusable(cfg):
-			case i < 12:
+			case i < 10:
 				facade = append(facade, p)
 			default:
 				live = append(live, p)

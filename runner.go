@@ -257,7 +257,6 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 		BufferDepth:          cfg.BufferDepth,
 		CreditDelay:          cfg.CreditDelay,
 		PortOrderArbitration: cfg.PortOrderArbitration,
-		ReferenceArbitration: cfg.ReferenceArbitration,
 		Events:               rec,
 		Shards:               cfg.Shards,
 		Telemetry:            tel,
