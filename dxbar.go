@@ -97,12 +97,15 @@ type Config struct {
 	// Seed drives every random choice; same config + seed = same run.
 	Seed int64
 	// FaultFraction injects one crossbar fault into that fraction of the
-	// routers (§III.E; DXbar only), manifesting at FaultCycle.
+	// routers (§III.E; the dxbar and unified designs), manifesting at
+	// FaultCycle.
 	FaultFraction float64
 	// FaultCycle is the fault manifestation cycle (default: 10).
 	FaultCycle uint64
 	// FaultGranularity is "crossbar" (default — §III.E's whole-crossbar
 	// failures) or "crosspoint" (a single input→output crosspoint fails).
+	// A unified router has one fabric and no fallback path: it treats a
+	// fault of either granularity as the death of that fabric.
 	FaultGranularity string
 	// FairnessThreshold overrides the DXbar fairness counter threshold
 	// (default core.FairnessThreshold = 4).

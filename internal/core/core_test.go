@@ -454,11 +454,7 @@ func TestPortOrderArbitration(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	h := newHarness(t, opts{}, spec(1, 0, 15, 0))
 	h.eng.Run(20)
-	d := h.routers[5].(*DXbar)
-	if d.Detector() == nil {
-		t.Error("Detector accessor nil")
-	}
-	_ = d.FairnessFlips()
+	_ = h.routers[5].(*DXbar).FairnessFlips()
 	hu := newHarness(t, opts{unified: true}, spec(1, 0, 15, 0))
 	hu.eng.Run(20)
 	u := hu.routers[5].(*Unified)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math/bits"
 
-	"dxbar/internal/buffer"
 	"dxbar/internal/crossbar"
 	"dxbar/internal/events"
 	"dxbar/internal/faults"
@@ -38,50 +36,26 @@ const BufferDepth = 4
 // attempts that hit the dead fabric fail (the allocator's busy/free probe)
 // and the affected flits fall back to the buffers or stall.
 type DXbar struct {
-	env  *sim.Env
-	algo routing.Algorithm
+	inputs
 
 	primary   *crossbar.XBar // 4 link inputs × 5 outputs
 	secondary *crossbar.XBar // 4 buffers + injection × 5 outputs
-	buffers   [flit.NumLinkPorts]*buffer.FIFO
 
-	fair     *fairness
-	detector *faults.Detector
-
-	// table is the precomputed form of algo (shared network-wide when the
-	// factory passes a *routing.Table); portMask caches the node's link
-	// ports and adaptive the algorithm's adaptivity — the fast path's
-	// routing queries never touch the Algorithm interface or the mesh.
-	table    *routing.Table
-	portMask uint8
+	// adaptive caches the routing algorithm's adaptivity (the waiters'
+	// congestion-aware port order).
 	adaptive bool
 
 	// portOrder switches arbitration from age-based to static port order
 	// (an ablation of the paper's age-based priority, §II.A).
 	portOrder bool
 
-	// manifestSeen/detectedSeen latch the fault state machine's transitions
-	// so the flight recorder sees each exactly once.
-	manifestSeen, detectedSeen bool
+	// detectedSeen latches the fault detection so the flight recorder sees
+	// it exactly once.
+	detectedSeen bool
 
-	// Per-Step scratch, reused across cycles. incoming/waiters serve the
-	// degraded path; ins/ws are the fast path's SoA gathers;
-	// bufMask has bit p set while input buffer p is non-empty (maintained
-	// at every Push/Pop), so the waiter gather probes only occupied FIFOs.
-	bufMask uint8
-
-	// sendable is the fast path's live CanSend bitmask.
-	incoming []inFlit
-	waiters  []waiter
-	ins, ws  PortState
-	sendable uint8
-}
-
-// inFlit pairs an arriving flit with the input port it was latched on (the
-// old per-cycle map[*flit.Flit]flit.Port, flattened onto the hot path).
-type inFlit struct {
-	f    *flit.Flit
-	port flit.Port
+	// Per-Step scratch, reused across cycles: the SoA gathers of the
+	// arrivals and of the waiters (of the row candidates in degraded mode B).
+	ins, ws PortState
 }
 
 // secondaryInjIn is the secondary-crossbar input index of the PE injection
@@ -105,55 +79,56 @@ func (d *DXbar) SetPortOrderArbitration(on bool) { d.portOrder = on }
 // NewDXbarDepth is NewDXbar with a configurable per-input buffer depth
 // (buffer-depth ablations). The engine's credit BufferDepth must match.
 func NewDXbarDepth(env *sim.Env, algo routing.Algorithm, threshold, depth int, fault *faults.Detector) *DXbar {
-	d := &DXbar{
-		env:       env,
-		algo:      algo,
+	return &DXbar{
+		inputs:    newInputs(env, algo, threshold, depth, fault),
 		primary:   crossbar.NewXBar(flit.NumLinkPorts, flit.NumPorts),
 		secondary: crossbar.NewXBar(flit.NumPorts, flit.NumPorts),
-		fair:      newFairness(threshold),
-		detector:  fault,
-		incoming:  make([]inFlit, 0, flit.NumLinkPorts),
-		waiters:   make([]waiter, 0, flit.NumPorts),
+		adaptive:  algo.Adaptive(),
 	}
-	if d.detector == nil {
-		d.detector = faults.NewDetector(faults.Fault{}, faults.DefaultDetectionDelay, false)
-	}
-	for p := range d.buffers {
-		d.buffers[p] = buffer.NewFIFO(depth)
-	}
-	mesh := env.Mesh()
-	d.table = routing.NewTable(algo, mesh, mesh.Nodes())
-	d.portMask = mesh.PortMask(env.Node)
-	d.adaptive = algo.Adaptive()
-	return d
 }
 
-// waiter is a buffered or injection flit competing for the secondary
-// crossbar.
-type waiter struct {
-	f    *flit.Flit
-	port flit.Port // buffer index, or Local for the injection port
-}
-
-// Step implements sim.Router. It reports quiescent when the four input
-// buffers are empty and the fault state machine has no transition left to
-// take (no fault planned, or already detected): a sleeping router must not
-// miss the cycle its fault manifests or is detected, because both are
-// recorded, and reported to the run-health monitor, with the cycle they
-// happen on. That is all the state a Step can move on its own — the crossbars
-// are rebuilt from the detector at the top of every Step, and the fairness
-// counter only moves while flits wait — so with nothing buffered, latched or
-// queued another Step changes nothing.
+// Step implements sim.Router. Every mode runs on one set of gathers and
+// checks: arrivals and waiters are SoA PortStates age-sorted by permuting one
+// byte per slot, sendability is one bitmask computed per cycle, crossbar
+// probes are the enum TryConnect, and every routing query is a table load.
+// The lockstep tests hold it to the branchy router it replaced.
+//
+// It reports quiescent when the four input buffers are empty and the fault
+// state machine has no transition left to take (no fault planned, or already
+// detected): a sleeping router must not miss the cycle its fault manifests or
+// is detected, because both are recorded, and reported to the run-health
+// monitor, with the cycle they happen on. That is all the state a Step can
+// move on its own — the crossbars are rebuilt from the detector at the top of
+// every Step, and the fairness counter only moves while flits wait — so with
+// nothing buffered, latched or queued another Step changes nothing.
 func (d *DXbar) Step(cycle uint64) (quiescent bool) {
 	d.primary.Reset()
 	d.secondary.Reset()
 	detected := d.applyFaults(cycle)
-	if detected && (d.primary.Dead() || d.secondary.Dead()) {
-		d.stepDegraded(cycle)
+	env := d.env
+	inj := env.InjectionHead()
+	waitersExist := d.bufMask != 0 || inj != nil
+	flip := d.fair.flip(waitersExist)
+	d.sendable = env.SendableMask()
+
+	var primaryWon, waiterWon bool
+	if detected && d.secondary.Dead() {
+		primaryWon, waiterWon = d.allocateRows(inj, flip, cycle)
 	} else {
-		// Healthy (or not-yet-detected / crosspoint-degraded) operation.
-		d.stepFast(cycle, detected)
+		ins, ws := d.gather(inj)
+		// The waiters were gathered before any buffering: a flit buffered
+		// this cycle must not be read back out in the same cycle. A detected
+		// dead primary (degraded mode A) buffers every arrival, and does so
+		// first even under a flip, as the buffered router it degrades into.
+		if flip && !(detected && d.primary.Dead()) {
+			waiterWon = d.allocateWaiters(ws, detected, cycle)
+			primaryWon = d.allocateIncoming(ins, cycle)
+		} else {
+			primaryWon = d.allocateIncoming(ins, cycle)
+			waiterWon = d.allocateWaiters(ws, detected, cycle)
+		}
 	}
+	d.observeFairness(waitersExist, primaryWon, waiterWon, cycle)
 	return d.bufMask == 0 && (!d.detector.Active() || d.detectedSeen)
 }
 
@@ -162,22 +137,15 @@ func (d *DXbar) Step(cycle uint64) (quiescent bool) {
 // returns whether the router's fault has been detected.
 func (d *DXbar) applyFaults(cycle uint64) bool {
 	env := d.env
-	if d.detector.Manifest(cycle) {
+	if d.manifested(cycle) {
 		f := d.detector.Fault()
-		if !d.manifestSeen {
-			d.manifestSeen = true
-			env.Events().Record(cycle, events.FaultManifest, env.Node, flit.Invalid, 0, 0, int32(f.Crossbar))
-			env.DiagFaultManifest(cycle)
-		}
 		target := d.primary
 		if f.Crossbar == faults.Secondary {
 			target = d.secondary
 		}
 		switch f.Granularity {
 		case faults.WholeCrossbar:
-			if !target.Dead() {
-				target.Kill()
-			}
+			target.Kill()
 		case faults.Crosspoint:
 			target.InjectCrosspointFault(f.In, f.Out)
 		}
@@ -191,71 +159,12 @@ func (d *DXbar) applyFaults(cycle uint64) bool {
 	return detected
 }
 
-// stepDegraded switches a router whose dead crossbar has been detected: the
-// degraded whole-fabric modes, off the performance-critical healthy operation
-// and so left branchy.
-func (d *DXbar) stepDegraded(cycle uint64) {
-	incoming := d.gatherIncoming()
-	waiters := d.collectWaiters()
-	waitersExist := len(waiters) > 0
-	flip := d.fair.flip(waitersExist)
-
-	var primaryWon, waiterWon bool
-	if d.primary.Dead() {
-		// Degraded mode A: the primary fabric is out; every incoming flit
-		// is demuxed into its buffer and the router runs as a buffered
-		// router through the secondary crossbar. Only flits already
-		// buffered at the start of the cycle compete (a buffer cannot be
-		// written and read in the same cycle).
-		for _, in := range incoming {
-			d.bufferFlit(in.f, in.port, cycle)
-		}
-		waiterWon = d.allocateWaiters(waiters, true, cycle)
-	} else {
-		// Degraded mode B: the secondary fabric is out; the 2×2 steering
-		// crossbars give the buffers (and, on idle rows, the injection
-		// port) access to the primary crossbar. One flit per input row.
-		primaryWon, waiterWon = d.allocateDegradedPrimary(incoming, flip, cycle)
-	}
-	d.observeFairness(waitersExist, primaryWon, waiterWon, cycle)
-}
-
-// gatherIncoming takes this cycle's arrivals off the input latches into the
-// router's scratch, oldest first unless port-order arbitration is on.
-func (d *DXbar) gatherIncoming() []inFlit {
+// gather takes this cycle's arrivals off the input latches and lists the
+// waiters — the occupied buffers' heads, then the injection head inj — each
+// oldest first unless port-order arbitration is on.
+func (d *DXbar) gather(inj *flit.Flit) (ins, ws *PortState) {
 	env := d.env
-	incoming := d.incoming[:0]
-	for p := flit.North; p <= flit.West; p++ {
-		if f := env.In[p]; f != nil {
-			env.In[p] = nil
-			incoming = append(incoming, inFlit{f: f, port: p})
-		}
-	}
-	env.InMask = 0
-	if !d.portOrder {
-		sortInFlits(incoming)
-	}
-	return incoming
-}
-
-// observeFairness feeds the cycle's outcome to the fairness counter and
-// records a priority flip.
-func (d *DXbar) observeFairness(waitersExist, primaryWon, waiterWon bool, cycle uint64) {
-	if d.fair.observe(waitersExist, primaryWon, waiterWon) {
-		d.env.Stats().FairnessFlip(cycle)
-		d.env.Events().Record(cycle, events.FairnessFlip, d.env.Node, flit.Invalid, 0, 0, int32(d.fair.Flips()))
-	}
-}
-
-// stepFast is the bit-parallel healthy-operation path: arrivals and waiters
-// are gathered into SoA PortStates and age-sorted by permuting one byte per
-// slot, sendability is one bitmask computed per cycle, crossbar probes use
-// the enum TryConnect, and every routing query is a table load. The lockstep
-// tests hold it to the branchy healthy step it replaced.
-func (d *DXbar) stepFast(cycle uint64, detected bool) {
-	env := d.env
-
-	ins := &d.ins
+	ins, ws = &d.ins, &d.ws
 	ins.Reset()
 	for b := env.InMask; b != 0; b &= b - 1 {
 		p := flit.Port(bits.TrailingZeros8(b))
@@ -263,14 +172,13 @@ func (d *DXbar) stepFast(cycle uint64, detected bool) {
 		env.In[p] = nil
 	}
 	env.InMask = 0
-	ws := &d.ws
 	ws.Reset()
 	for b := d.bufMask; b != 0; b &= b - 1 {
 		p := flit.Port(bits.TrailingZeros8(b))
 		ws.Add(d.buffers[p].Head(), p)
 	}
-	if f := env.InjectionHead(); f != nil {
-		ws.Add(f, flit.Local)
+	if inj != nil {
+		ws.Add(inj, flit.Local)
 	}
 	if !d.portOrder {
 		if ins.N > 1 {
@@ -280,42 +188,26 @@ func (d *DXbar) stepFast(cycle uint64, detected bool) {
 			ws.SortAge()
 		}
 	}
-
-	waitersExist := ws.N > 0
-	flip := d.fair.flip(waitersExist)
-	d.sendable = env.SendableMask()
-
-	// The gathered waiters are used in both orders: a flit buffered this
-	// cycle must not be read back out in the same cycle.
-	var primaryWon, waiterWon bool
-	if flip {
-		waiterWon = d.allocateWaitersFast(ws, detected, cycle)
-		primaryWon = d.allocateIncomingFast(ins, cycle)
-	} else {
-		primaryWon = d.allocateIncomingFast(ins, cycle)
-		waiterWon = d.allocateWaitersFast(ws, detected, cycle)
-	}
-	d.observeFairness(waitersExist, primaryWon, waiterWon, cycle)
+	return ins, ws
 }
 
-// allocateIncomingFast runs the primary-crossbar arbitration: each incoming
+// allocateIncoming runs the primary-crossbar arbitration: each incoming
 // flit, oldest first, attempts its look-ahead output port; winners traverse
 // the primary crossbar and return their credit immediately, losers are
-// demuxed into their input buffer. Sendability comes from the cycle's
-// bitmask and the crosspoint probe from the enum TryConnect. Returns whether
-// any incoming flit won.
-func (d *DXbar) allocateIncomingFast(ins *PortState, cycle uint64) bool {
+// demuxed into their input buffer (every arrival, when the primary is dead).
+// Returns whether any incoming flit won.
+func (d *DXbar) allocateIncoming(ins *PortState, cycle uint64) bool {
 	env := d.env
 	won := false
 	for i := 0; i < ins.N; i++ {
 		s := ins.Order[i]
 		f, p := ins.Flits[s], ins.Src[s]
-		out := d.requestPortFast(f, int(ins.Dst[s]))
+		out := d.requestPort(f, int(ins.Dst[s]))
 		if out != flit.Invalid && d.sendable&(1<<uint(out)) != 0 &&
 			d.primary.TryConnect(int(p), int(out)) == crossbar.OK {
 			env.ReturnCredit(p)
 			env.Events().Record(cycle, events.PrimaryWin, env.Node, p, f.PacketID, f.ID, int32(out))
-			d.sendFast(out, f, cycle)
+			d.send(out, f, cycle)
 			won = true
 			continue
 		}
@@ -324,27 +216,20 @@ func (d *DXbar) allocateIncomingFast(ins *PortState, cycle uint64) bool {
 	return won
 }
 
-// requestPortFast returns the output an incoming flit asks for: Local when it
-// has arrived, otherwise its look-ahead route — recomputed from the routing
-// table if that field is unusable.
-func (d *DXbar) requestPortFast(f *flit.Flit, dst int) flit.Port {
-	if dst == d.env.Node {
-		return flit.Local
-	}
-	if r := f.Route; r.IsCardinal() && d.portMask&(1<<uint(r)) != 0 {
-		return r
-	}
-	return d.table.RequestAt(d.env.Node, dst)
-}
-
-// allocateWaitersFast is allocateWaiters over the SoA gather (same steering
-// fallback through the primary fabric after fault detection).
-func (d *DXbar) allocateWaitersFast(ws *PortState, detected bool, cycle uint64) bool {
+// allocateWaiters runs the secondary-crossbar arbitration: buffer heads and
+// the injection flit, oldest first, may take any free productive output —
+// the dual-crossbar design lets them progress "without blocking an incoming
+// packet from the primary crossbar as a separate path is available for
+// both" (§I). Once a fault has been *detected*, the 2×2 steering crossbars
+// between the buffers and the fabrics let a buffered flit whose secondary
+// path is faulty traverse the primary crossbar instead, provided its input
+// row is idle this cycle (§II.C). Returns whether any waiter won.
+func (d *DXbar) allocateWaiters(ws *PortState, detected bool, cycle uint64) bool {
 	won := false
 	for i := 0; i < ws.N; i++ {
 		s := ws.Order[i]
 		f, wp := ws.Flits[s], ws.Src[s]
-		ports := d.waiterPortsFast(f, int(ws.Dst[s]))
+		ports := d.waiterPorts(int(ws.Dst[s]))
 		for k := 0; k < ports.Len(); k++ {
 			out := ports.At(k)
 			if d.sendable&(1<<uint(out)) == 0 {
@@ -364,7 +249,7 @@ func (d *DXbar) allocateWaitersFast(ws *PortState, detected bool, cycle uint64) 
 					continue
 				}
 			}
-			d.dispatchWaiterFast(f, wp, out, cycle)
+			d.dispatch(f, wp, out, cycle)
 			won = true
 			break
 		}
@@ -372,9 +257,85 @@ func (d *DXbar) allocateWaitersFast(ws *PortState, detected bool, cycle uint64) 
 	return won
 }
 
-// waiterPortsFast is waiterPorts backed by the routing table (same
-// congestion-aware two-port reorder under adaptive routing).
-func (d *DXbar) waiterPortsFast(f *flit.Flit, dst int) routing.PortList {
+// allocateRows is degraded mode B (secondary dead, detected): the 2×2
+// steering crossbars give each primary input row one candidate — its
+// arrival, or its buffer head when nothing arrived or the fairness flip
+// prefers waiters, a displaced arrival being buffered first — and the
+// candidates, oldest first even under port-order arbitration, take a
+// productive output through the primary crossbar. A losing arrival is
+// buffered; the injection flit inj may use an idle row.
+func (d *DXbar) allocateRows(inj *flit.Flit, flip bool, cycle uint64) (primaryWon, waiterWon bool) {
+	env := d.env
+	rows := &d.ws
+	rows.Reset()
+	var taken, heads uint8 // rows with a candidate; rows whose candidate is the buffer head
+	for p := flit.North; p <= flit.West; p++ {
+		f, bit := env.In[p], uint8(1)<<uint(p)
+		env.In[p] = nil
+		if d.bufMask&bit != 0 && (f == nil || flip) {
+			if f != nil {
+				d.bufferFlit(f, p, cycle)
+			}
+			f = d.buffers[p].Head()
+			heads |= bit
+		}
+		if f != nil {
+			rows.Add(f, p)
+			taken |= bit
+		}
+	}
+	env.InMask = 0
+	rows.SortAge()
+	for i := 0; i < rows.N; i++ {
+		s := rows.Order[i]
+		f, p := rows.Flits[s], rows.Src[s]
+		out := d.steer(int(rows.Dst[s]), p)
+		switch {
+		case heads&(1<<uint(p)) != 0:
+			if out != flit.Invalid {
+				d.dispatch(f, p, out, cycle)
+				waiterWon = true
+			}
+		case out != flit.Invalid:
+			env.ReturnCredit(p)
+			env.Events().Record(cycle, events.PrimaryWin, env.Node, p, f.PacketID, f.ID, int32(out))
+			d.send(out, f, cycle)
+			primaryWon = true
+		default:
+			d.bufferFlit(f, p, cycle)
+		}
+	}
+	// The primary is healthy (a router has one fault), so a failed probe on
+	// an idle row is the output side's and would fail on every idle row:
+	// the first one is the only one worth trying.
+	if idle := ^taken & (1<<flit.NumLinkPorts - 1); inj != nil && idle != 0 {
+		if out := d.steer(int(inj.Dst), flit.Port(bits.TrailingZeros8(idle))); out != flit.Invalid {
+			d.dispatch(inj, flit.Local, out, cycle)
+			waiterWon = true
+		}
+	}
+	return primaryWon, waiterWon
+}
+
+// steer connects input row `row` of the primary crossbar to the first
+// sendable productive output toward dst it can take, or returns Invalid.
+func (d *DXbar) steer(dst int, row flit.Port) flit.Port {
+	ports := d.waiterPorts(dst)
+	for k := 0; k < ports.Len(); k++ {
+		if out := ports.At(k); d.sendable&(1<<uint(out)) != 0 &&
+			d.primary.TryConnect(int(row), int(out)) == crossbar.OK {
+			return out
+		}
+	}
+	return flit.Invalid
+}
+
+// waiterPorts returns the output ports a waiting flit bound for dst may use,
+// in preference order: Local when arrived, otherwise the routing table's
+// productive set (adaptive re-direction under WF). Adaptive choices are
+// congestion-aware: the port with more downstream credits comes first, so a
+// re-directed flit heads for the less-loaded progressive direction.
+func (d *DXbar) waiterPorts(dst int) routing.PortList {
 	if dst == d.env.Node {
 		return routing.Ports(flit.Local)
 	}
@@ -387,303 +348,3 @@ func (d *DXbar) waiterPortsFast(f *flit.Flit, dst int) routing.PortList {
 	}
 	return ports
 }
-
-// dispatchWaiterFast commits a winning waiter on the fast path.
-func (d *DXbar) dispatchWaiterFast(f *flit.Flit, wp, out flit.Port, cycle uint64) {
-	if wp == flit.Local {
-		d.env.ConsumeInjection(cycle)
-	} else {
-		b := d.buffers[wp]
-		b.Pop()
-		if b.Len() == 0 {
-			d.bufMask &^= 1 << uint(wp)
-		}
-		d.env.Meter().BufferRead()
-		d.env.ReturnCredit(wp)
-	}
-	d.sendFast(out, f, cycle)
-}
-
-// sendFast is sendVia with the table look-ahead and the sendable-mask bit
-// clear.
-func (d *DXbar) sendFast(out flit.Port, f *flit.Flit, cycle uint64) {
-	env := d.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if out != flit.Local {
-		f.Route = d.table.RequestAt(env.Neighbor(out), int(f.Dst))
-	}
-	d.sendable &^= 1 << uint(out)
-	env.Send(out, f)
-}
-
-// sortInFlits sorts arrivals oldest-first (insertion sort over at most four
-// entries; Older is a total order, so the result matches any sort).
-func sortInFlits(ins []inFlit) {
-	for i := 1; i < len(ins); i++ {
-		e := ins[i]
-		j := i - 1
-		for j >= 0 && e.f.Older(ins[j].f) {
-			ins[j+1] = ins[j]
-			j--
-		}
-		ins[j+1] = e
-	}
-}
-
-// sortWaiters sorts waiters oldest-first (same argument as sortInFlits).
-func sortWaiters(ws []waiter) {
-	for i := 1; i < len(ws); i++ {
-		e := ws[i]
-		j := i - 1
-		for j >= 0 && e.f.Older(ws[j].f) {
-			ws[j+1] = ws[j]
-			j--
-		}
-		ws[j+1] = e
-	}
-}
-
-// collectWaiters lists the current buffer heads and the injection head into
-// the router's reusable scratch.
-func (d *DXbar) collectWaiters() []waiter {
-	ws := d.waiters[:0]
-	for p := flit.North; p <= flit.West; p++ {
-		if h := d.buffers[p].Head(); h != nil {
-			ws = append(ws, waiter{f: h, port: p})
-		}
-	}
-	if f := d.env.InjectionHead(); f != nil {
-		ws = append(ws, waiter{f: f, port: flit.Local})
-	}
-	if !d.portOrder {
-		sortWaiters(ws)
-	}
-	return ws
-}
-
-// allocateWaiters runs the secondary-crossbar arbitration: buffer heads and
-// the injection flit, oldest first, may take any free productive output —
-// the dual-crossbar design lets them progress "without blocking an incoming
-// packet from the primary crossbar as a separate path is available for
-// both" (§I). Once a fault has been *detected*, the 2×2 steering crossbars
-// between the buffers and the fabrics let a buffered flit whose secondary
-// path is faulty traverse the primary crossbar instead, provided its input
-// row is idle this cycle (§II.C). Returns whether any waiter won.
-func (d *DXbar) allocateWaiters(ws []waiter, detected bool, cycle uint64) bool {
-	won := false
-	for _, w := range ws {
-		ports := d.waiterPorts(w.f)
-		for k := 0; k < ports.Len(); k++ {
-			out := ports.At(k)
-			if !d.env.CanSend(out) {
-				continue
-			}
-			in := int(w.port)
-			if w.port == flit.Local {
-				in = secondaryInjIn
-			}
-			err := d.secondary.Connect(in, int(out))
-			if err == nil {
-				d.dispatchWaiter(w, out, cycle)
-				won = true
-				break
-			}
-			if errors.Is(err, crossbar.ErrFault) && detected && w.port != flit.Local {
-				// 2×2 steering fallback through the primary fabric.
-				if d.primary.Connect(int(w.port), int(out)) == nil {
-					d.dispatchWaiter(w, out, cycle)
-					won = true
-					break
-				}
-			}
-			// Busy column, undetected fault, or occupied fallback row:
-			// try the next productive port.
-		}
-	}
-	return won
-}
-
-// waiterPorts returns the output ports a waiting flit may use, in
-// preference order: Local when arrived, otherwise the routing algorithm's
-// productive set (adaptive re-direction under WF). Adaptive choices are
-// congestion-aware: the port with more downstream credits comes first, so a
-// re-directed flit heads for the less-loaded progressive direction.
-func (d *DXbar) waiterPorts(f *flit.Flit) routing.PortList {
-	if int(f.Dst) == d.env.Node {
-		return routing.Ports(flit.Local)
-	}
-	ports := d.algo.Productive(d.env.Mesh(), d.env.Node, int(f.Dst))
-	if ports.Len() == 2 && d.algo.Adaptive() {
-		a, b := d.env.DownstreamCredits(ports.At(0)), d.env.DownstreamCredits(ports.At(1))
-		if a != nil && b != nil && b.Available() > a.Available() {
-			return routing.Ports(ports.At(1), ports.At(0))
-		}
-	}
-	return ports
-}
-
-// dispatchWaiter commits a winning waiter: pops its buffer (or consumes the
-// injection queue) and launches the flit.
-func (d *DXbar) dispatchWaiter(w waiter, out flit.Port, cycle uint64) {
-	if w.port == flit.Local {
-		d.env.ConsumeInjection(cycle)
-	} else {
-		b := d.buffers[w.port]
-		b.Pop()
-		if b.Len() == 0 {
-			d.bufMask &^= 1 << uint(w.port)
-		}
-		d.env.Meter().BufferRead()
-		d.env.ReturnCredit(w.port)
-	}
-	d.sendVia(out, w.f, cycle)
-}
-
-// allocateDegradedPrimary is degraded mode B (secondary dead, detected):
-// per input row, one candidate — the incoming flit, or the buffer head when
-// no flit arrived (or when the fairness flip prefers waiters) — contends
-// for the primary crossbar; incoming flits that are not the row candidate
-// are buffered. The injection port may use an idle row.
-func (d *DXbar) allocateDegradedPrimary(incoming []inFlit, flip bool, cycle uint64) (primaryWon, waiterWon bool) {
-	type rowCand struct {
-		f        *flit.Flit
-		isWaiter bool
-	}
-	var rows [flit.NumLinkPorts]rowCand
-	for _, in := range incoming {
-		rows[in.port] = rowCand{f: in.f}
-	}
-	for p := flit.North; p <= flit.West; p++ {
-		h := d.buffers[p].Head()
-		if h == nil {
-			continue
-		}
-		if rows[p].f == nil || flip {
-			// The steering crossbar hands the row to the buffered flit;
-			// a displaced incoming flit is demuxed into the buffer.
-			if rows[p].f != nil {
-				d.bufferFlit(rows[p].f, p, cycle)
-			}
-			rows[p] = rowCand{f: h, isWaiter: true}
-		}
-	}
-	// Age-ordered allocation over the row candidates (insertion sort over a
-	// fixed-size array; Older is a total order).
-	var order [flit.NumLinkPorts]flit.Port
-	n := 0
-	for p := flit.North; p <= flit.West; p++ {
-		if rows[p].f != nil {
-			i := n
-			for i > 0 && rows[p].f.Older(rows[order[i-1]].f) {
-				order[i] = order[i-1]
-				i--
-			}
-			order[i] = p
-			n++
-		}
-	}
-	usedRow := [flit.NumLinkPorts]bool{}
-	for _, p := range order[:n] {
-		cand := rows[p]
-		ports := d.waiterPorts(cand.f)
-		done := false
-		for k := 0; k < ports.Len(); k++ {
-			out := ports.At(k)
-			if !d.env.CanSend(out) {
-				continue
-			}
-			if err := d.primary.Connect(int(p), int(out)); err != nil {
-				continue
-			}
-			usedRow[p] = true
-			if cand.isWaiter {
-				d.buffers[p].Pop()
-				if d.buffers[p].Len() == 0 {
-					d.bufMask &^= 1 << uint(p)
-				}
-				d.env.Meter().BufferRead()
-				d.env.ReturnCredit(p)
-				waiterWon = true
-			} else {
-				d.env.ReturnCredit(p)
-				d.env.Events().Record(cycle, events.PrimaryWin, d.env.Node, p, cand.f.PacketID, cand.f.ID, int32(out))
-				primaryWon = true
-			}
-			d.sendVia(out, cand.f, cycle)
-			done = true
-			break
-		}
-		if !done && !cand.isWaiter {
-			// A losing incoming flit falls into its buffer as usual.
-			d.bufferFlit(cand.f, p, cycle)
-		}
-	}
-	// Injection through an idle row.
-	if f := d.env.InjectionHead(); f != nil {
-		for p := flit.North; p <= flit.West; p++ {
-			if rows[p].f != nil || usedRow[p] {
-				continue
-			}
-			injected := false
-			ports := d.waiterPorts(f)
-			for k := 0; k < ports.Len(); k++ {
-				out := ports.At(k)
-				if !d.env.CanSend(out) {
-					continue
-				}
-				if err := d.primary.Connect(int(p), int(out)); err != nil {
-					continue
-				}
-				d.env.ConsumeInjection(cycle)
-				d.sendVia(out, f, cycle)
-				waiterWon = true
-				injected = true
-				break
-			}
-			if injected {
-				break
-			}
-		}
-	}
-	return primaryWon, waiterWon
-}
-
-// bufferFlit demuxes a losing incoming flit into its input buffer.
-func (d *DXbar) bufferFlit(f *flit.Flit, p flit.Port, cycle uint64) {
-	d.buffers[p].Push(f) // flow control guarantees space; Push panics otherwise
-	d.bufMask |= 1 << uint(p)
-	f.Buffered++
-	d.env.Meter().BufferWrite()
-	d.env.Stats().BufferingEvent(cycle)
-	d.env.Events().Record(cycle, events.Buffered, d.env.Node, p, f.PacketID, f.ID, int32(d.buffers[p].Len()))
-}
-
-// sendVia launches f through output port out, charging the crossbar
-// traversal and computing the look-ahead route for the downstream router.
-func (d *DXbar) sendVia(out flit.Port, f *flit.Flit, cycle uint64) {
-	env := d.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if out != flit.Local {
-		next := env.Mesh().Neighbor(env.Node, out)
-		f.Route = routing.Request(d.algo, env.Mesh(), next, int(f.Dst))
-	}
-	env.Send(out, f)
-}
-
-// Occupancy returns the number of flits in the secondary-crossbar buffers.
-func (d *DXbar) Occupancy() int {
-	total := 0
-	for _, b := range d.buffers {
-		total += b.Len()
-	}
-	return total
-}
-
-// FairnessFlips returns how many times the fairness counter flipped
-// priority (diagnostics/ablations).
-func (d *DXbar) FairnessFlips() uint64 { return d.fair.Flips() }
-
-// Detector exposes the router's fault detector (tests).
-func (d *DXbar) Detector() *faults.Detector { return d.detector }

@@ -18,63 +18,131 @@ import (
 	"dxbar/internal/traffic"
 )
 
-// branchyDXbar steps a DXbar the way its healthy operation was first written
-// — arrivals and waiters in slices sorted by flit.Older, routing through the
-// routing.Algorithm, sendability and crossbar probes one call per attempt —
-// the oracle the bit-parallel stepFast is held to. A detected dead crossbar
-// takes stepDegraded, as in DXbar.Step.
-type branchyDXbar struct{ *DXbar }
+// branchyDXbar steps a DXbar the way it was first written — arrivals and
+// waiters in slices sorted by flit.Older, routing through the
+// routing.Algorithm, sendability and crossbar probes one call per attempt,
+// and the detected whole-fabric modes as steps of their own — the oracle
+// DXbar.Step is held to. It shares the router's state and the input-stage
+// helpers that only buffer and account (bufferFlit, observeFairness).
+type branchyDXbar struct {
+	*DXbar
+	algo routing.Algorithm
+	// Per-Step scratch.
+	incoming, waiters []candidate
+}
 
-func (b branchyDXbar) Step(cycle uint64) (quiescent bool) {
+// candidate is an arriving flit with the input port it was latched on, or a
+// waiting flit with its buffer index (Local for the injection port).
+type candidate struct {
+	f    *flit.Flit
+	port flit.Port
+}
+
+func (b *branchyDXbar) Step(cycle uint64) (quiescent bool) {
 	d := b.DXbar
 	d.primary.Reset()
 	d.secondary.Reset()
 	detected := d.applyFaults(cycle)
-	if detected && (d.primary.Dead() || d.secondary.Dead()) {
-		d.stepDegraded(cycle)
-	} else {
-		b.stepHealthy(cycle, detected)
-	}
-	return d.bufMask == 0 && (!d.detector.Active() || d.detectedSeen)
-}
-
-func (b branchyDXbar) stepHealthy(cycle uint64, detected bool) {
-	d := b.DXbar
-	incoming := d.gatherIncoming()
-	waiters := d.collectWaiters()
+	incoming := b.gatherIncoming()
+	waiters := b.collectWaiters()
 	waitersExist := len(waiters) > 0
 	flip := d.fair.flip(waitersExist)
 	var primaryWon, waiterWon bool
-	if flip {
-		waiterWon = d.allocateWaiters(waiters, detected, cycle)
+	switch {
+	case detected && d.primary.Dead():
+		// Degraded mode A: the primary fabric is out; every incoming flit
+		// is demuxed into its buffer and the router runs as a buffered
+		// router through the secondary crossbar. Only flits already
+		// buffered at the start of the cycle compete (a buffer cannot be
+		// written and read in the same cycle).
+		for _, in := range incoming {
+			d.bufferFlit(in.f, in.port, cycle)
+		}
+		waiterWon = b.allocateWaiters(waiters, true, cycle)
+	case detected && d.secondary.Dead():
+		// Degraded mode B: the secondary fabric is out; the 2×2 steering
+		// crossbars give the buffers (and, on idle rows, the injection
+		// port) access to the primary crossbar. One flit per input row.
+		primaryWon, waiterWon = b.allocateDegradedPrimary(incoming, flip, cycle)
+	case flip:
+		waiterWon = b.allocateWaiters(waiters, detected, cycle)
 		primaryWon = b.allocateIncoming(incoming, cycle)
-	} else {
+	default:
 		primaryWon = b.allocateIncoming(incoming, cycle)
-		waiterWon = d.allocateWaiters(waiters, detected, cycle)
+		waiterWon = b.allocateWaiters(waiters, detected, cycle)
 	}
 	d.observeFairness(waitersExist, primaryWon, waiterWon, cycle)
+	return d.bufMask == 0 && (!d.detector.Active() || d.detectedSeen)
+}
+
+// gatherIncoming takes this cycle's arrivals off the input latches, oldest
+// first unless port-order arbitration is on.
+func (b *branchyDXbar) gatherIncoming() []candidate {
+	env := b.env
+	incoming := b.incoming[:0]
+	for p := flit.North; p <= flit.West; p++ {
+		if f := env.In[p]; f != nil {
+			env.In[p] = nil
+			incoming = append(incoming, candidate{f: f, port: p})
+		}
+	}
+	env.InMask = 0
+	b.incoming = incoming
+	if !b.portOrder {
+		sortCandidates(incoming)
+	}
+	return incoming
+}
+
+// collectWaiters lists the current buffer heads and the injection head,
+// oldest first unless port-order arbitration is on.
+func (b *branchyDXbar) collectWaiters() []candidate {
+	ws := b.waiters[:0]
+	for p := flit.North; p <= flit.West; p++ {
+		if h := b.buffers[p].Head(); h != nil {
+			ws = append(ws, candidate{f: h, port: p})
+		}
+	}
+	if f := b.env.InjectionHead(); f != nil {
+		ws = append(ws, candidate{f: f, port: flit.Local})
+	}
+	b.waiters = ws
+	if !b.portOrder {
+		sortCandidates(ws)
+	}
+	return ws
+}
+
+// sortCandidates sorts oldest-first (insertion sort over at most five
+// entries; Older is a total order, so the result matches any sort).
+func sortCandidates(cs []candidate) {
+	for i := 1; i < len(cs); i++ {
+		e := cs[i]
+		j := i - 1
+		for j >= 0 && e.f.Older(cs[j].f) {
+			cs[j+1] = cs[j]
+			j--
+		}
+		cs[j+1] = e
+	}
 }
 
 // allocateIncoming is the primary-crossbar arbitration: each incoming flit,
 // oldest first, attempts its look-ahead output port; winners traverse the
 // primary crossbar and return their credit immediately, losers are demuxed
 // into their input buffer.
-func (b branchyDXbar) allocateIncoming(incoming []inFlit, cycle uint64) bool {
+func (b *branchyDXbar) allocateIncoming(incoming []candidate, cycle uint64) bool {
 	d := b.DXbar
 	won := false
 	for _, in := range incoming {
 		f, p := in.f, in.port
 		out := b.requestPort(f)
-		if out != flit.Invalid && d.env.CanSend(out) {
-			if err := d.primary.Connect(int(p), int(out)); err == nil {
-				d.env.ReturnCredit(p)
-				d.env.Events().Record(cycle, events.PrimaryWin, d.env.Node, p, f.PacketID, f.ID, int32(out))
-				d.sendVia(out, f, cycle)
-				won = true
-				continue
-			} else if !errors.Is(err, crossbar.ErrFault) && !errors.Is(err, crossbar.ErrBusy) {
-				panic(err)
-			}
+		if out != flit.Invalid && d.env.CanSend(out) && d.primary.TryConnect(int(p), int(out)) == crossbar.OK {
+			d.env.ReturnCredit(p)
+			d.env.Events().Record(cycle, events.PrimaryWin, d.env.Node, p, f.PacketID, f.ID, int32(out))
+			b.sendVia(out, f, cycle)
+			won = true
+			continue
 		}
 		d.bufferFlit(f, p, cycle)
 	}
@@ -84,7 +152,7 @@ func (b branchyDXbar) allocateIncoming(incoming []inFlit, cycle uint64) bool {
 // requestPort is the output an incoming flit asks for: Local when it has
 // arrived, else its look-ahead route, recomputed through the Algorithm if
 // that field is unusable.
-func (b branchyDXbar) requestPort(f *flit.Flit) flit.Port {
+func (b *branchyDXbar) requestPort(f *flit.Flit) flit.Port {
 	d := b.DXbar
 	if int(f.Dst) == d.env.Node {
 		return flit.Local
@@ -92,7 +160,197 @@ func (b branchyDXbar) requestPort(f *flit.Flit) flit.Port {
 	if f.Route.IsCardinal() && d.env.HasLink(f.Route) {
 		return f.Route
 	}
-	return routing.Request(d.algo, d.env.Mesh(), d.env.Node, int(f.Dst))
+	return routing.Request(b.algo, d.env.Mesh(), d.env.Node, int(f.Dst))
+}
+
+// allocateWaiters is the secondary-crossbar arbitration, with the 2×2
+// steering fallback through the primary fabric once a fault is detected.
+func (b *branchyDXbar) allocateWaiters(ws []candidate, detected bool, cycle uint64) bool {
+	d := b.DXbar
+	won := false
+	for _, w := range ws {
+		ports := b.waiterPorts(w.f)
+		for k := 0; k < ports.Len(); k++ {
+			out := ports.At(k)
+			if !d.env.CanSend(out) {
+				continue
+			}
+			in := int(w.port)
+			if w.port == flit.Local {
+				in = secondaryInjIn
+			}
+			st := d.secondary.TryConnect(in, int(out))
+			if st == crossbar.OK {
+				b.dispatchWaiter(w, out, cycle)
+				won = true
+				break
+			}
+			if st == crossbar.Fault && detected && w.port != flit.Local {
+				// 2×2 steering fallback through the primary fabric.
+				if d.primary.TryConnect(int(w.port), int(out)) == crossbar.OK {
+					b.dispatchWaiter(w, out, cycle)
+					won = true
+					break
+				}
+			}
+			// Busy column, undetected fault, or occupied fallback row:
+			// try the next productive port.
+		}
+	}
+	return won
+}
+
+// waiterPorts is the output ports a waiting flit may use, in preference
+// order: Local when arrived, otherwise the Algorithm's productive set, the
+// port with more downstream credits first under adaptive routing.
+func (b *branchyDXbar) waiterPorts(f *flit.Flit) routing.PortList {
+	d := b.DXbar
+	if int(f.Dst) == d.env.Node {
+		return routing.Ports(flit.Local)
+	}
+	ports := b.algo.Productive(d.env.Mesh(), d.env.Node, int(f.Dst))
+	if ports.Len() == 2 && b.algo.Adaptive() {
+		x, y := d.env.DownstreamCredits(ports.At(0)), d.env.DownstreamCredits(ports.At(1))
+		if x != nil && y != nil && y.Available() > x.Available() {
+			return routing.Ports(ports.At(1), ports.At(0))
+		}
+	}
+	return ports
+}
+
+// dispatchWaiter commits a winning waiter: pops its buffer (or consumes the
+// injection queue) and launches the flit.
+func (b *branchyDXbar) dispatchWaiter(w candidate, out flit.Port, cycle uint64) {
+	d := b.DXbar
+	if w.port == flit.Local {
+		d.env.ConsumeInjection(cycle)
+	} else {
+		b.popBuffer(w.port)
+	}
+	b.sendVia(out, w.f, cycle)
+}
+
+// popBuffer reads the head out of buffer p and returns its credit.
+func (b *branchyDXbar) popBuffer(p flit.Port) {
+	d := b.DXbar
+	d.buffers[p].Pop()
+	if d.buffers[p].Len() == 0 {
+		d.bufMask &^= 1 << uint(p)
+	}
+	d.env.Meter().BufferRead()
+	d.env.ReturnCredit(p)
+}
+
+// allocateDegradedPrimary is degraded mode B (secondary dead, detected):
+// per input row, one candidate — the incoming flit, or the buffer head when
+// no flit arrived (or when the fairness flip prefers waiters) — contends
+// for the primary crossbar; incoming flits that are not the row candidate
+// are buffered. The injection port may use an idle row.
+func (b *branchyDXbar) allocateDegradedPrimary(incoming []candidate, flip bool, cycle uint64) (primaryWon, waiterWon bool) {
+	d := b.DXbar
+	type rowCand struct {
+		f        *flit.Flit
+		isWaiter bool
+	}
+	var rows [flit.NumLinkPorts]rowCand
+	for _, in := range incoming {
+		rows[in.port] = rowCand{f: in.f}
+	}
+	for p := flit.North; p <= flit.West; p++ {
+		h := d.buffers[p].Head()
+		if h == nil {
+			continue
+		}
+		if rows[p].f == nil || flip {
+			// The steering crossbar hands the row to the buffered flit;
+			// a displaced incoming flit is demuxed into the buffer.
+			if rows[p].f != nil {
+				d.bufferFlit(rows[p].f, p, cycle)
+			}
+			rows[p] = rowCand{f: h, isWaiter: true}
+		}
+	}
+	// Age-ordered allocation over the row candidates (insertion sort over a
+	// fixed-size array; Older is a total order).
+	var order [flit.NumLinkPorts]flit.Port
+	n := 0
+	for p := flit.North; p <= flit.West; p++ {
+		if rows[p].f != nil {
+			i := n
+			for i > 0 && rows[p].f.Older(rows[order[i-1]].f) {
+				order[i] = order[i-1]
+				i--
+			}
+			order[i] = p
+			n++
+		}
+	}
+	usedRow := [flit.NumLinkPorts]bool{}
+	for _, p := range order[:n] {
+		cand := rows[p]
+		ports := b.waiterPorts(cand.f)
+		done := false
+		for k := 0; k < ports.Len(); k++ {
+			out := ports.At(k)
+			if !d.env.CanSend(out) || d.primary.TryConnect(int(p), int(out)) != crossbar.OK {
+				continue
+			}
+			usedRow[p] = true
+			if cand.isWaiter {
+				b.popBuffer(p)
+				waiterWon = true
+			} else {
+				d.env.ReturnCredit(p)
+				d.env.Events().Record(cycle, events.PrimaryWin, d.env.Node, p, cand.f.PacketID, cand.f.ID, int32(out))
+				primaryWon = true
+			}
+			b.sendVia(out, cand.f, cycle)
+			done = true
+			break
+		}
+		if !done && !cand.isWaiter {
+			// A losing incoming flit falls into its buffer as usual.
+			d.bufferFlit(cand.f, p, cycle)
+		}
+	}
+	// Injection through an idle row.
+	if f := d.env.InjectionHead(); f != nil {
+		for p := flit.North; p <= flit.West; p++ {
+			if rows[p].f != nil || usedRow[p] {
+				continue
+			}
+			injected := false
+			ports := b.waiterPorts(f)
+			for k := 0; k < ports.Len(); k++ {
+				out := ports.At(k)
+				if !d.env.CanSend(out) || d.primary.TryConnect(int(p), int(out)) != crossbar.OK {
+					continue
+				}
+				d.env.ConsumeInjection(cycle)
+				b.sendVia(out, f, cycle)
+				waiterWon = true
+				injected = true
+				break
+			}
+			if injected {
+				break
+			}
+		}
+	}
+	return primaryWon, waiterWon
+}
+
+// sendVia launches f through output port out, charging the crossbar
+// traversal and computing the look-ahead route through the Algorithm.
+func (b *branchyDXbar) sendVia(out flit.Port, f *flit.Flit, cycle uint64) {
+	env := b.env
+	env.Meter().CrossbarTraversal()
+	env.Stats().RoutedEvent(cycle)
+	if out != flit.Local {
+		next := env.Mesh().Neighbor(env.Node, out)
+		f.Route = routing.Request(b.algo, env.Mesh(), next, int(f.Dst))
+	}
+	env.Send(out, f)
 }
 
 // lockstepNet is an 8×8 DXbar network under Bernoulli traffic with a flight
@@ -110,6 +368,26 @@ type lockstepCase struct {
 	depth     int
 	portOrder bool
 	plan      *faults.Plan
+	// flipped holds every router's fairness counter at its threshold before
+	// each Step, so every cycle with waiters is a flipped one.
+	flipped bool
+}
+
+// heldFlip is a router whose fairness counter is set to its threshold before
+// every Step (lockstepCase.flipped).
+type heldFlip struct {
+	lockstepRouter
+	fair *fairness
+}
+
+type lockstepRouter interface {
+	sim.Router
+	sim.RouterState
+}
+
+func (h heldFlip) Step(cycle uint64) bool {
+	h.fair.count = h.fair.threshold
+	return h.lockstepRouter.Step(cycle)
 }
 
 const (
@@ -136,10 +414,14 @@ func newLockstepNet(t *testing.T, c lockstepCase, branchy bool) lockstepNet {
 		f, ok := c.plan.ForRouter(env.Node)
 		d := NewDXbarDepth(env, c.algo, FairnessThreshold, c.depth, faults.NewDetector(f, c.plan.DetectionDelay, ok))
 		d.SetPortOrderArbitration(c.portOrder)
+		var r lockstepRouter = d
 		if branchy {
-			return branchyDXbar{d}
+			r = &branchyDXbar{DXbar: d, algo: c.algo}
 		}
-		return d
+		if c.flipped {
+			r = heldFlip{r, d.fair}
+		}
+		return r
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +432,12 @@ func newLockstepNet(t *testing.T, c lockstepCase, branchy bool) lockstepNet {
 // TestDXbarFastMatchesBranchy runs the fast routers and their branchy twins
 // side by side: Engine.Snapshot (every latch, buffer, credit, fairness
 // counter, the collector, the meter and the event ring) must be byte-equal
-// every 50 cycles, and the final results equal. Crosspoint-degraded routers
-// run the fast path, so the fault rows compare it across steering fallbacks:
-// faults manifest at cycle 40 and are detected after the paper's 5 cycles, or
-// after 400 on the row that keeps every router undetected-faulty for most of
-// the run.
+// every 50 cycles, and the final results equal. In the fault rows faults
+// manifest at cycle 40 and are detected after the paper's 5 cycles, or after
+// 400 on the row that keeps every router undetected-faulty for most of the
+// run. The crosspoint rows compare the steering fallbacks; the crossbar rows
+// (a mix of dead primaries and dead secondaries) compare the two degraded
+// modes, the flipped row with every waiting cycle under a fairness flip.
 func TestDXbarFastMatchesBranchy(t *testing.T) {
 	crosspoints := func(frac float64, detectionDelay uint64) *faults.Plan {
 		p, err := faults.NewCrosspointPlan(64, frac, 40, 5)
@@ -162,6 +445,13 @@ func TestDXbarFastMatchesBranchy(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.DetectionDelay = detectionDelay
+		return p
+	}
+	crossbars := func(frac float64) *faults.Plan {
+		p, err := faults.NewPlan(64, frac, 40, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return p
 	}
 	cases := []lockstepCase{
@@ -174,6 +464,11 @@ func TestDXbarFastMatchesBranchy(t *testing.T) {
 		{name: "crosspoint/0.50", algo: routing.WestFirst{}, load: 0.35, plan: crosspoints(0.5, faults.DefaultDetectionDelay)},
 		{name: "crosspoint/1.00", algo: routing.DOR{}, load: 0.35, plan: crosspoints(1, faults.DefaultDetectionDelay)},
 		{name: "crosspoint/1.00/late-detection", algo: routing.WestFirst{}, load: 0.35, plan: crosspoints(1, 400)},
+		{name: "crossbar/0.50", algo: routing.WestFirst{}, load: 0.35, plan: crossbars(0.5)},
+		{name: "crossbar/1.00", algo: routing.DOR{}, load: 0.35, plan: crossbars(1)},
+		{name: "crossbar/1.00/port-order", algo: routing.DOR{}, load: 0.35, portOrder: true, plan: crossbars(1)},
+		{name: "crossbar/1.00/saturated", algo: routing.WestFirst{}, load: 0.6, plan: crossbars(1)},
+		{name: "crossbar/1.00/flipped", algo: routing.WestFirst{}, load: 0.35, flipped: true, plan: crossbars(1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"dxbar/internal/buffer"
 	"dxbar/internal/flit"
-	"dxbar/internal/sim"
 	"dxbar/internal/snapshot"
 )
 
@@ -15,17 +13,24 @@ import (
 // buffer contents, the fairness counter, and the one-shot event latches that
 // keep the flight recorder from re-reporting fault transitions.
 
-// buffersState moves the per-input FIFOs, each held to the credits its
-// upstream neighbour has spent on it (sim.Env.CheckHeld).
-func buffersState(s *snapshot.Stream, env *sim.Env, buffers []*buffer.FIFO, pool *flit.Pool, nodes int) error {
-	for p, b := range buffers {
+// state moves the input stage's persistent state: the per-input FIFOs, each
+// held to the credits its upstream neighbour has spent on it
+// (sim.Env.CheckHeld), then the fairness counter. Loading re-derives the
+// occupied-buffer bitmask from the restored FIFOs rather than trusting the
+// stream.
+func (in *inputs) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
+	for p, b := range in.buffers {
 		if err := b.State(s, pool, nodes); err != nil {
 			return err
 		}
-		if err := env.CheckHeld(s, flit.Port(p), b.Len()); err != nil {
+		if err := in.env.CheckHeld(s, flit.Port(p), b.Len()); err != nil {
 			return err
 		}
+		if s.Loading() && b.Len() > 0 {
+			in.bufMask |= 1 << uint(p)
+		}
 	}
+	in.fair.state(s)
 	return nil
 }
 
@@ -34,20 +39,12 @@ func (f *fairness) state(s *snapshot.Stream) {
 	s.U64(&f.flips)
 }
 
-// State moves the DXbar router's persistent state. Loading re-derives the
-// occupied-buffer bitmask from the restored FIFOs rather than trusting the
-// stream.
+// State moves the DXbar router's persistent state.
 func (d *DXbar) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 	s.Tag("DXBR")
-	if err := buffersState(s, d.env, d.buffers[:], pool, nodes); err != nil {
+	if err := d.inputs.state(s, pool, nodes); err != nil {
 		return err
 	}
-	for p, b := range d.buffers {
-		if s.Loading() && b.Len() > 0 {
-			d.bufMask |= 1 << uint(p)
-		}
-	}
-	d.fair.state(s)
 	s.Bool(&d.manifestSeen)
 	s.Bool(&d.detectedSeen)
 	return s.Err()
@@ -56,10 +53,9 @@ func (d *DXbar) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 // State moves the unified router's persistent state.
 func (u *Unified) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 	s.Tag("UNIF")
-	if err := buffersState(s, u.env, u.buffers[:], pool, nodes); err != nil {
+	if err := u.inputs.state(s, pool, nodes); err != nil {
 		return err
 	}
-	u.fair.state(s)
 	// The allocator's arbitration is age-based (stateless between cycles);
 	// only its swap counter persists.
 	s.U64(&u.alloc.swaps)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"dxbar/internal/buffer"
+	"math/bits"
+
 	"dxbar/internal/crossbar"
 	"dxbar/internal/events"
 	"dxbar/internal/faults"
@@ -17,60 +18,34 @@ import (
 // uses the augmented separable output-first allocator with two serial V:1
 // arbiters per input and the conflict-free swap logic (dualInput).
 //
-// Buffering, fairness and look-ahead behaviour match DXbar; only the
-// switch fabric and allocator differ — the paper reports "similar
-// performance as dual crossbar architecture" with ~25% instead of ~33% area
-// overhead, at 15 pJ/flit instead of 13 pJ/flit switching energy (pair the
-// router with energy.NewUnifiedMeter).
+// Buffering, fairness and look-ahead behaviour are DXbar's (the shared input
+// stage); only the switch fabric and allocator differ — the paper reports
+// "similar performance as dual crossbar architecture" with ~25% instead of
+// ~33% area overhead, at 15 pJ/flit instead of 13 pJ/flit switching energy
+// (pair the router with energy.NewUnifiedMeter).
 type Unified struct {
-	env *sim.Env
+	inputs
 
-	xbar    *crossbar.Unified
-	alloc   *dualInput
-	buffers [flit.NumLinkPorts]*buffer.FIFO
+	xbar  *crossbar.Unified
+	alloc *dualInput
 
-	fair     *fairness
-	detector *faults.Detector
-
-	// table is the precomputed form of the routing algorithm (shared
-	// network-wide when the factory passes a *routing.Table); portMask caches
-	// the node's links.
-	table    *routing.Table
-	portMask uint8
-
-	// manifestSeen latches the fault manifestation for the flight recorder;
 	// lastSwaps tracks the allocator's cumulative swap count so each cycle's
 	// delta can be recorded.
-	manifestSeen bool
-	lastSwaps    uint64
+	lastSwaps uint64
 
 	// Per-Step scratch, reused across cycles.
-	waiters []waiter
-	reqs    []dualRequest
+	reqs []dualRequest
 }
 
 // NewUnified builds a unified dual-input crossbar router. The engine must
 // be configured with BufferDepth 4 and an energy.NewUnifiedMeter.
 func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault *faults.Detector) *Unified {
-	u := &Unified{
-		env:      env,
-		xbar:     crossbar.NewUnified(flit.NumPorts),
-		alloc:    newDualInput(flit.NumPorts, flit.NumPorts),
-		fair:     newFairness(threshold),
-		detector: fault,
-		waiters:  make([]waiter, 0, flit.NumPorts),
-		reqs:     make([]dualRequest, flit.NumPorts),
+	return &Unified{
+		inputs: newInputs(env, algo, threshold, BufferDepth, fault),
+		xbar:   crossbar.NewUnified(flit.NumPorts),
+		alloc:  newDualInput(flit.NumPorts, flit.NumPorts),
+		reqs:   make([]dualRequest, flit.NumPorts),
 	}
-	if u.detector == nil {
-		u.detector = faults.NewDetector(faults.Fault{}, faults.DefaultDetectionDelay, false)
-	}
-	for p := range u.buffers {
-		u.buffers[p] = buffer.NewFIFO(BufferDepth)
-	}
-	mesh := env.Mesh()
-	u.table = routing.NewTable(algo, mesh, mesh.Nodes())
-	u.portMask = mesh.PortMask(env.Node)
-	return u
 }
 
 // Step implements sim.Router. It reports quiescent when the four input
@@ -85,24 +60,17 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 
 	// The unified fabric is a single point of failure; §II.C limits the
 	// fault study to the dual-crossbar design, but the model still honours
-	// an injected fault: a dead unified crossbar stops switching entirely
-	// (arrivals are buffered while space lasts, then back-pressure stalls
-	// the neighbourhood — the single-fabric design has no fallback path).
-	if u.detector.Manifest(cycle) {
-		if !u.manifestSeen {
-			u.manifestSeen = true
-			env.Events().Record(cycle, events.FaultManifest, env.Node, flit.Invalid, 0, 0, int32(u.detector.Fault().Crossbar))
-			// The unified design has no detection path (§II.C studies
-			// fault tolerance on the dual-crossbar only), so only the
-			// manifest side of the diag latency window is reported.
-			env.DiagFaultManifest(cycle)
-		}
-		if !u.xbar.Dead() {
-			u.xbar.Kill()
-		}
+	// an injected fault of either granularity: a dead unified crossbar stops
+	// switching entirely (arrivals are buffered while space lasts, then
+	// back-pressure stalls the neighbourhood — the single-fabric design has
+	// no fallback path). It has no detection path either, so only the
+	// manifest side of the diag latency window is reported.
+	if u.manifested(cycle) {
+		u.xbar.Kill()
 	}
 
-	// Gather incoming flits and waiting flits.
+	// Gather incoming flits and the waiting heads: each buffer's on its port
+	// index, the injection flit on Local's.
 	var arrived [flit.NumLinkPorts]*flit.Flit
 	for p := flit.North; p <= flit.West; p++ {
 		if f := env.In[p]; f != nil {
@@ -111,8 +79,13 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 		}
 	}
 	env.InMask = 0
-	waiters := u.collectWaiters()
-	waitersExist := len(waiters) > 0
+	var heads [flit.NumPorts]*flit.Flit
+	for b := u.bufMask; b != 0; b &= b - 1 {
+		p := bits.TrailingZeros8(b)
+		heads[p] = u.buffers[p].Head()
+	}
+	heads[flit.Local] = env.InjectionHead()
+	waitersExist := u.bufMask != 0 || heads[flit.Local] != nil
 	flip := u.fair.flip(waitersExist)
 
 	// Build the dual-input request vectors. Sub-input 0 (bufferless, low
@@ -123,31 +96,28 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 	// Sendability is one bitmask for the whole allocation round: no flit is
 	// launched until after allocate, so the mask computed here equals a
 	// CanSend call at every request-build probe.
-	sendable := uint64(env.SendableMask())
+	u.sendable = env.SendableMask()
+	sendable := uint64(u.sendable)
 	reqs := u.reqs
 	for i := range reqs {
 		reqs[i].want = [2]uint64{} // age is only read where want is set
 	}
-	var waiterAt [flit.NumPorts]*waiter
-	for p := flit.North; p <= flit.West; p++ {
-		if f := arrived[p]; f != nil {
-			out := u.requestPort(f)
+	for p, f := range arrived {
+		if f != nil {
+			out := u.requestPort(f, int(f.Dst))
 			if out != flit.Invalid && sendable&(1<<uint(out)) != 0 {
 				reqs[p].want[subBufferless] = 1 << uint(out)
 				reqs[p].age[subBufferless] = f.InjectionCycle
 			}
 		}
 	}
-	for i := range waiters {
-		w := &waiters[i]
-		idx := int(w.port)
-		if w.port == flit.Local {
-			idx = secondaryInjIn
+	for p, f := range heads {
+		if f == nil {
+			continue
 		}
-		if mask := uint64(u.table.ProductiveMaskAt(env.Node, int(w.f.Dst))) & sendable; mask != 0 {
-			reqs[idx].want[subBuffered] = mask
-			reqs[idx].age[subBuffered] = w.f.InjectionCycle
-			waiterAt[idx] = w
+		if mask := uint64(u.table.ProductiveMaskAt(env.Node, int(f.Dst))) & sendable; mask != 0 {
+			reqs[p].want[subBuffered] = mask
+			reqs[p].age[subBuffered] = f.InjectionCycle
 		}
 	}
 
@@ -172,99 +142,28 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 			if u.xbar.TryConnect(p, entIncoming, gIncoming) == crossbar.OK {
 				env.ReturnCredit(flit.Port(p))
 				env.Events().Record(cycle, events.PrimaryWin, env.Node, flit.Port(p), f.PacketID, f.ID, int32(gIncoming))
-				u.sendVia(flit.Port(gIncoming), f, cycle)
+				u.send(flit.Port(gIncoming), f, cycle)
 				arrived[p] = nil
 				primaryWon = true
 			}
 		}
-		if gBuffered != -1 && waiterAt[p] != nil {
-			w := waiterAt[p]
-			if u.xbar.TryConnect(p, entBuffered, gBuffered) == crossbar.OK {
-				u.dispatchWaiter(*w, flit.Port(gBuffered), cycle)
-				waiterWon = true
-			}
+		if gBuffered != -1 && u.xbar.TryConnect(p, entBuffered, gBuffered) == crossbar.OK {
+			u.dispatch(heads[p], flit.Port(p), flit.Port(gBuffered), cycle)
+			waiterWon = true
 		}
 	}
 
 	// Losing (or fault-blocked) incoming flits are demuxed into their
 	// buffers, exactly as in the dual-crossbar design.
-	for p := flit.North; p <= flit.West; p++ {
-		if f := arrived[p]; f != nil {
-			u.bufferFlit(f, p, cycle)
+	for p, f := range arrived {
+		if f != nil {
+			u.bufferFlit(f, flit.Port(p), cycle)
 		}
 	}
 
-	if u.fair.observe(waitersExist, primaryWon, waiterWon) {
-		env.Stats().FairnessFlip(cycle)
-		env.Events().Record(cycle, events.FairnessFlip, env.Node, flit.Invalid, 0, 0, int32(u.fair.Flips()))
-	}
-	return u.Occupancy() == 0 && (!u.detector.Active() || u.manifestSeen)
-}
-
-func (u *Unified) collectWaiters() []waiter {
-	ws := u.waiters[:0]
-	for p := flit.North; p <= flit.West; p++ {
-		if h := u.buffers[p].Head(); h != nil {
-			ws = append(ws, waiter{f: h, port: p})
-		}
-	}
-	if f := u.env.InjectionHead(); f != nil {
-		ws = append(ws, waiter{f: f, port: flit.Local})
-	}
-	sortWaiters(ws)
-	return ws
-}
-
-func (u *Unified) requestPort(f *flit.Flit) flit.Port {
-	if int(f.Dst) == u.env.Node {
-		return flit.Local
-	}
-	if r := f.Route; r.IsCardinal() && u.portMask&(1<<uint(r)) != 0 {
-		return r
-	}
-	return u.table.RequestAt(u.env.Node, int(f.Dst))
-}
-
-func (u *Unified) dispatchWaiter(w waiter, out flit.Port, cycle uint64) {
-	if w.port == flit.Local {
-		u.env.ConsumeInjection(cycle)
-	} else {
-		u.buffers[w.port].Pop()
-		u.env.Meter().BufferRead()
-		u.env.ReturnCredit(w.port)
-	}
-	u.sendVia(out, w.f, cycle)
-}
-
-func (u *Unified) bufferFlit(f *flit.Flit, p flit.Port, cycle uint64) {
-	u.buffers[p].Push(f)
-	f.Buffered++
-	u.env.Meter().BufferWrite()
-	u.env.Stats().BufferingEvent(cycle)
-	u.env.Events().Record(cycle, events.Buffered, u.env.Node, p, f.PacketID, f.ID, int32(u.buffers[p].Len()))
-}
-
-func (u *Unified) sendVia(out flit.Port, f *flit.Flit, cycle uint64) {
-	env := u.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if out != flit.Local {
-		f.Route = u.table.RequestAt(env.Neighbor(out), int(f.Dst))
-	}
-	env.Send(out, f)
-}
-
-// Occupancy returns the number of buffered flits.
-func (u *Unified) Occupancy() int {
-	total := 0
-	for _, b := range u.buffers {
-		total += b.Len()
-	}
-	return total
+	u.observeFairness(waitersExist, primaryWon, waiterWon, cycle)
+	return u.bufMask == 0 && (!u.detector.Active() || u.manifestSeen)
 }
 
 // Swaps returns the allocator's conflict-free swap count.
 func (u *Unified) Swaps() uint64 { return u.alloc.swaps }
-
-// FairnessFlips returns the fairness counter's flip count.
-func (u *Unified) FairnessFlips() uint64 { return u.fair.Flips() }

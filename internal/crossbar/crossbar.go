@@ -1,22 +1,21 @@
 // Package crossbar provides structural models of the two switch fabrics the
 // paper builds routers from:
 //
-//   - XBar: a plain matrix crossbar (the baseline's 5×5 switch, and the
-//     primary/secondary crossbars of the dual-crossbar DXbar router). It
-//     tracks per-cycle input/output occupancy, counts traversals for the
-//     energy model, and supports crosspoint faults and whole-crossbar
-//     failure (§II.C).
+//   - XBar: a plain matrix crossbar (the primary/secondary crossbars of the
+//     dual-crossbar DXbar router). It tracks per-cycle input/output
+//     occupancy and supports crosspoint faults and whole-crossbar failure
+//     (§II.C).
 //   - Unified: the dual-input single crossbar (§II.B, Fig. 4): one matrix
 //     crossbar whose output lines carry transmission gates, so each input
 //     row can be segmented and carry two flits simultaneously — one entering
 //     from the low end (the bufferless path) and one from the high end (the
 //     buffered path) — provided the low-entry flit uses a lower-numbered
-//     output column. Gates can be stuck-on or stuck-off for fault studies.
+//     output column.
 //
 // Connection state is per cycle: routers call Reset at the start of each
-// cycle, then Connect for every granted flit; Connect validates the request
-// against occupancy and fault state exactly the way the paper's allocator
-// probes a crosspoint (busy/free test, §III.E).
+// cycle, then TryConnect for every granted flit; TryConnect validates the
+// request against occupancy and fault state exactly the way the paper's
+// allocator probes a crosspoint (busy/free test, §III.E).
 //
 // All per-cycle occupancy and all fault state is held as uint64 bitmasks
 // (one word per input row, one word per occupancy vector), so Reset is two
@@ -24,46 +23,19 @@
 // bit-parallel discipline the whole router core is built on.
 package crossbar
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// Connection errors. Routers distinguish ErrFault (a permanent hardware
-// fault was hit — triggers fault detection) from occupancy errors (normal
-// contention — a simulator bug if allocation was correct).
-var (
-	// ErrFault is returned when the requested path crosses a faulty
-	// crosspoint, a dead crossbar, or an unusable transmission-gate
-	// configuration.
-	ErrFault = errors.New("crossbar: path is faulty")
-	// ErrBusy is returned when the input or output line is already driven
-	// this cycle.
-	ErrBusy = errors.New("crossbar: resource busy")
-)
-
-// Status is the allocation-free probe result of TryConnect: the same
-// three-way outcome Connect encodes as error values, as a plain enum for
-// the bit-parallel hot path (no errors.Is chain per probe).
+// Status is the allocation-free result of a TryConnect probe.
 type Status int8
 
-// TryConnect outcomes.
+// TryConnect outcomes. Routers distinguish Fault (a permanent hardware fault
+// was hit: a faulty crosspoint, a dead crossbar) from Busy (normal
+// contention: the input or output line is already driven this cycle).
 const (
 	OK Status = iota
 	Busy
 	Fault
 )
-
-// Err converts a Status to the corresponding Connect error (nil for OK).
-func (s Status) Err() error {
-	switch s {
-	case Busy:
-		return ErrBusy
-	case Fault:
-		return ErrFault
-	}
-	return nil
-}
 
 // XBar is a numIn×numOut matrix crossbar.
 type XBar struct {
@@ -76,11 +48,8 @@ type XBar struct {
 	anyFault bool
 	dead     bool
 	// inMask/outMask are the per-cycle occupancy vectors (bit i / bit o set
-	// = line already driven). connected[i] is the output driven by input i,
-	// valid only where inMask has bit i (stale entries are never read).
+	// = line already driven).
 	inMask, outMask uint64
-	connected       []int8
-	traversals      uint64
 }
 
 // NewXBar returns a fault-free crossbar of the given radix. Both radices
@@ -89,19 +58,8 @@ func NewXBar(numIn, numOut int) *XBar {
 	if numIn <= 0 || numOut <= 0 || numIn > 64 || numOut > 64 {
 		panic(fmt.Sprintf("crossbar: invalid radix %dx%d", numIn, numOut))
 	}
-	return &XBar{
-		numIn:     numIn,
-		numOut:    numOut,
-		faultRow:  make([]uint64, numIn),
-		connected: make([]int8, numIn),
-	}
+	return &XBar{numIn: numIn, numOut: numOut, faultRow: make([]uint64, numIn)}
 }
-
-// NumIn returns the input radix.
-func (x *XBar) NumIn() int { return x.numIn }
-
-// NumOut returns the output radix.
-func (x *XBar) NumOut() int { return x.numOut }
 
 // Reset clears all per-cycle connections (call at the start of each cycle).
 func (x *XBar) Reset() {
@@ -125,33 +83,8 @@ func (x *XBar) TryConnect(in, out int) Status {
 	}
 	x.inMask |= inBit
 	x.outMask |= outBit
-	x.connected[in] = int8(out)
-	x.traversals++
 	return OK
 }
-
-// Connect establishes input→output for this cycle. It returns ErrFault if
-// the crosspoint is faulty or the crossbar is dead, ErrBusy if either line
-// is already driven.
-func (x *XBar) Connect(in, out int) error { return x.TryConnect(in, out).Err() }
-
-// Connected returns the output driven by input in this cycle (-1 if none).
-func (x *XBar) Connected(in int) int {
-	if x.inMask&(1<<uint(in)) == 0 {
-		return -1
-	}
-	return int(x.connected[in])
-}
-
-// FreeOutMask returns the bitmask of output lines not yet driven this cycle
-// (bit o set = output o free), over the crossbar's output radix.
-func (x *XBar) FreeOutMask() uint64 {
-	return ^x.outMask & (uint64(1)<<uint(x.numOut) - 1)
-}
-
-// Traversals returns the cumulative number of successful connections, which
-// the energy model multiplies by the per-flit crossbar energy.
-func (x *XBar) Traversals() uint64 { return x.traversals }
 
 // InjectCrosspointFault marks one crosspoint permanently faulty.
 func (x *XBar) InjectCrosspointFault(in, out int) {
@@ -164,6 +97,3 @@ func (x *XBar) Kill() { x.dead = true }
 
 // Dead reports whether the whole crossbar has failed.
 func (x *XBar) Dead() bool { return x.dead }
-
-// CrosspointCount returns the number of crosspoints (area model input).
-func (x *XBar) CrosspointCount() int { return x.numIn * x.numOut }

@@ -1,43 +1,36 @@
 package crossbar
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 )
 
 func TestXBarConnectAndReset(t *testing.T) {
 	x := NewXBar(5, 5)
-	if err := x.Connect(0, 3); err != nil {
-		t.Fatalf("connect failed: %v", err)
+	if st := x.TryConnect(0, 3); st != OK {
+		t.Fatalf("connect failed: %v", st)
 	}
-	if x.Connected(0) != 3 {
-		t.Error("Connected(0) wrong")
+	if st := x.TryConnect(0, 2); st != Busy {
+		t.Errorf("reusing input must be Busy, got %v", st)
 	}
-	if err := x.Connect(0, 2); !errors.Is(err, ErrBusy) {
-		t.Errorf("reusing input must be ErrBusy, got %v", err)
-	}
-	if err := x.Connect(1, 3); !errors.Is(err, ErrBusy) {
-		t.Errorf("reusing output must be ErrBusy, got %v", err)
+	if st := x.TryConnect(1, 3); st != Busy {
+		t.Errorf("reusing output must be Busy, got %v", st)
 	}
 	x.Reset()
-	if err := x.Connect(1, 3); err != nil {
-		t.Errorf("connect after reset failed: %v", err)
-	}
-	if x.Traversals() != 2 {
-		t.Errorf("traversals = %d, want 2", x.Traversals())
+	if st := x.TryConnect(1, 3); st != OK {
+		t.Errorf("connect after reset failed: %v", st)
 	}
 }
 
 func TestXBarCrosspointFault(t *testing.T) {
 	x := NewXBar(5, 5)
 	x.InjectCrosspointFault(2, 4)
-	if err := x.Connect(2, 4); !errors.Is(err, ErrFault) {
-		t.Errorf("faulty crosspoint must be ErrFault, got %v", err)
+	if st := x.TryConnect(2, 4); st != Fault {
+		t.Errorf("faulty crosspoint must be Fault, got %v", st)
 	}
 	// Other crosspoints on the same lines still work.
-	if err := x.Connect(2, 3); err != nil {
-		t.Errorf("healthy crosspoint failed: %v", err)
+	if st := x.TryConnect(2, 3); st != OK {
+		t.Errorf("healthy crosspoint failed: %v", st)
 	}
 }
 
@@ -47,15 +40,8 @@ func TestXBarKill(t *testing.T) {
 	if !x.Dead() {
 		t.Error("Dead() must report true")
 	}
-	if err := x.Connect(0, 0); !errors.Is(err, ErrFault) {
-		t.Errorf("dead crossbar must be ErrFault, got %v", err)
-	}
-}
-
-func TestXBarAccessors(t *testing.T) {
-	x := NewXBar(4, 5)
-	if x.NumIn() != 4 || x.NumOut() != 5 || x.CrosspointCount() != 20 {
-		t.Error("accessors wrong")
+	if st := x.TryConnect(0, 0); st != Fault {
+		t.Errorf("dead crossbar must be Fault, got %v", st)
 	}
 }
 
@@ -66,10 +52,10 @@ func TestXBarPanicsOutOfRange(t *testing.T) {
 			t.Error("out-of-range connect must panic")
 		}
 	}()
-	x.Connect(5, 0)
+	x.TryConnect(5, 0)
 }
 
-// Property: any sequence of Connect calls leaves each input and output
+// Property: any sequence of TryConnect calls leaves each input and output
 // driven at most once per cycle, whatever the outcome pattern.
 func TestXBarOccupancyProperty(t *testing.T) {
 	f := func(pairs []uint8) bool {
@@ -78,13 +64,13 @@ func TestXBarOccupancyProperty(t *testing.T) {
 		outSeen := map[int]bool{}
 		for _, p := range pairs {
 			in, out := int(p)%5, int(p>>4)%5
-			err := x.Connect(in, out)
-			if err == nil {
+			switch x.TryConnect(in, out) {
+			case OK:
 				if inSeen[in] || outSeen[out] {
 					return false
 				}
 				inSeen[in], outSeen[out] = true, true
-			} else if !errors.Is(err, ErrBusy) {
+			case Fault:
 				return false
 			}
 		}
@@ -97,119 +83,74 @@ func TestXBarOccupancyProperty(t *testing.T) {
 
 func TestUnifiedSingleConnection(t *testing.T) {
 	u := NewUnified(5)
-	if err := u.Connect(0, EntryLow, 4); err != nil {
-		t.Fatalf("low-entry to far column must work with all gates on: %v", err)
+	if st := u.TryConnect(0, EntryLow, 4); st != OK {
+		t.Fatalf("low-entry to far column must work with all gates on: %v", st)
 	}
-	if err := u.Connect(1, EntryHigh, 0); err != nil {
-		t.Fatalf("high-entry to column 0 must work: %v", err)
-	}
-	if u.Traversals() != 2 {
-		t.Error("traversal count wrong")
+	if st := u.TryConnect(1, EntryHigh, 0); st != OK {
+		t.Fatalf("high-entry to column 0 must work: %v", st)
 	}
 }
 
 func TestUnifiedDualTraversalSameRow(t *testing.T) {
 	// Paper Fig. 4(b): I0 -> O2 (low) and I0' -> O3 (high) simultaneously.
 	u := NewUnified(5)
-	if err := u.Connect(0, EntryLow, 2); err != nil {
-		t.Fatalf("first connect: %v", err)
+	if st := u.TryConnect(0, EntryLow, 2); st != OK {
+		t.Fatalf("first connect: %v", st)
 	}
-	if err := u.Connect(0, EntryHigh, 3); err != nil {
-		t.Fatalf("dual traversal must be allowed: %v", err)
+	if st := u.TryConnect(0, EntryHigh, 3); st != OK {
+		t.Fatalf("dual traversal must be allowed: %v", st)
 	}
 }
 
 func TestUnifiedDualOrderingViolation(t *testing.T) {
 	u := NewUnified(5)
-	if err := u.Connect(0, EntryLow, 3); err != nil {
-		t.Fatal(err)
+	if st := u.TryConnect(0, EntryLow, 3); st != OK {
+		t.Fatal(st)
 	}
 	// High entry wanting a column at/above the low column cannot coexist.
-	if err := u.Connect(0, EntryHigh, 2); !errors.Is(err, ErrBusy) {
-		t.Errorf("ordering violation must be ErrBusy, got %v", err)
+	if st := u.TryConnect(0, EntryHigh, 2); st != Busy {
+		t.Errorf("ordering violation must be Busy, got %v", st)
 	}
-	if err := u.Connect(0, EntryHigh, 3); !errors.Is(err, ErrBusy) {
-		t.Errorf("same column must be ErrBusy, got %v", err)
+	if st := u.TryConnect(0, EntryHigh, 3); st != Busy {
+		t.Errorf("same column must be Busy, got %v", st)
 	}
 }
 
 func TestUnifiedEntryBusy(t *testing.T) {
 	u := NewUnified(5)
-	if err := u.Connect(0, EntryLow, 1); err != nil {
-		t.Fatal(err)
+	if st := u.TryConnect(0, EntryLow, 1); st != OK {
+		t.Fatal(st)
 	}
-	if err := u.Connect(0, EntryLow, 3); !errors.Is(err, ErrBusy) {
-		t.Errorf("same entry reuse must be ErrBusy, got %v", err)
+	if st := u.TryConnect(0, EntryLow, 3); st != Busy {
+		t.Errorf("same entry reuse must be Busy, got %v", st)
 	}
 }
 
 func TestUnifiedOutputBusyAcrossRows(t *testing.T) {
 	u := NewUnified(5)
-	if err := u.Connect(0, EntryLow, 2); err != nil {
-		t.Fatal(err)
+	if st := u.TryConnect(0, EntryLow, 2); st != OK {
+		t.Fatal(st)
 	}
-	if err := u.Connect(1, EntryLow, 2); !errors.Is(err, ErrBusy) {
-		t.Errorf("output column reuse must be ErrBusy, got %v", err)
-	}
-}
-
-func TestUnifiedStuckOffBlocksReach(t *testing.T) {
-	u := NewUnified(5)
-	u.InjectGateStuckOff(0, 1) // row 0 severed between columns 1 and 2
-	if err := u.Connect(0, EntryLow, 3); !errors.Is(err, ErrFault) {
-		t.Errorf("low entry past stuck-off gate must be ErrFault, got %v", err)
-	}
-	if err := u.Connect(0, EntryLow, 1); err != nil {
-		t.Errorf("low entry before stuck-off gate must work: %v", err)
-	}
-	u.Reset()
-	if err := u.Connect(0, EntryHigh, 0); !errors.Is(err, ErrFault) {
-		t.Errorf("high entry past stuck-off gate must be ErrFault, got %v", err)
-	}
-	if err := u.Connect(0, EntryHigh, 2); err != nil {
-		t.Errorf("high entry before stuck-off gate must work: %v", err)
+	if st := u.TryConnect(1, EntryLow, 2); st != Busy {
+		t.Errorf("output column reuse must be Busy, got %v", st)
 	}
 }
 
-func TestUnifiedStuckOnPreventsSegmentation(t *testing.T) {
-	u := NewUnified(5)
-	// Adjacent columns 2,3: only gate 2 lies between; make it stuck on.
-	u.InjectGateStuckOn(0, 2)
-	if err := u.Connect(0, EntryLow, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Connect(0, EntryHigh, 3); !errors.Is(err, ErrFault) {
-		t.Errorf("unsegmentable dual traversal must be ErrFault, got %v", err)
-	}
-	// A wider separation has other gates to open.
-	u.Reset()
-	if err := u.Connect(0, EntryLow, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Connect(0, EntryHigh, 4); err != nil {
-		t.Errorf("wider dual traversal must still work: %v", err)
-	}
-}
-
+// A dead unified crossbar faults every crosspoint from either entry.
 func TestUnifiedCrosspointFaultAndKill(t *testing.T) {
 	u := NewUnified(5)
-	u.InjectCrosspointFault(1, 1)
-	if err := u.Connect(1, EntryLow, 1); !errors.Is(err, ErrFault) {
-		t.Errorf("crosspoint fault must be ErrFault, got %v", err)
-	}
 	u.Kill()
 	if !u.Dead() {
 		t.Error("Dead() wrong")
 	}
-	if err := u.Connect(2, EntryLow, 2); !errors.Is(err, ErrFault) {
-		t.Errorf("dead unified crossbar must be ErrFault, got %v", err)
-	}
-}
-
-func TestUnifiedCounts(t *testing.T) {
-	u := NewUnified(5)
-	if u.N() != 5 || u.CrosspointCount() != 25 || u.GateCount() != 20 {
-		t.Error("count accessors wrong")
+	for in := 0; in < 5; in++ {
+		for out := 0; out < 5; out++ {
+			for _, entry := range []int{EntryLow, EntryHigh} {
+				if st := u.TryConnect(in, entry, out); st != Fault {
+					t.Errorf("dead unified crossbar (%d,%d,%d) must be Fault, got %v", in, entry, out, st)
+				}
+			}
+		}
 	}
 }
 
@@ -219,14 +160,14 @@ func TestUnifiedDualFeasibilityProperty(t *testing.T) {
 	f := func(lowRaw, highRaw uint8) bool {
 		low, high := int(lowRaw)%5, int(highRaw)%5
 		u := NewUnified(5)
-		if err := u.Connect(0, EntryLow, low); err != nil {
+		if u.TryConnect(0, EntryLow, low) != OK {
 			return false
 		}
-		err := u.Connect(0, EntryHigh, high)
+		st := u.TryConnect(0, EntryHigh, high)
 		if low < high {
-			return err == nil
+			return st == OK
 		}
-		return errors.Is(err, ErrBusy)
+		return st == Busy
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -22,24 +22,14 @@ const (
 //
 // A flit entering from the low end reaching column c needs gates g0..g(c-1)
 // conducting; a flit from the high end reaching column c needs gates
-// gc..g(n-2) conducting; both at once need lowCol < highCol and at least one
-// healthy gate turned off between them.
-//
-// Gate and crosspoint fault state is one bitmask word per row, so the
-// reachability and segmentation tests are single AND-with-range-mask
-// operations instead of per-gate loops.
+// gc..g(n-2) conducting; both at once need lowCol < highCol, so that a gate
+// between them can be turned off.
 type Unified struct {
-	n int
-	// xpFault[i] bit o: crosspoint (i,o) faulty. stuckOn/stuckOff[i] bit g:
-	// gate g of row i stuck conducting / stuck open.
-	xpFault    []uint64
-	stuckOn    []uint64
-	stuckOff   []uint64
-	dead       bool
-	rowCol     [][2]int8 // per row: column driven from [EntryLow, EntryHigh], -1 free
-	usedRows   uint64    // bit i set = row i has at least one entry connected
-	outMask    uint64    // bit o set = output column o driven this cycle
-	traversals uint64
+	n        int
+	dead     bool
+	rowCol   [][2]int8 // per row: column driven from [EntryLow, EntryHigh], -1 free
+	usedRows uint64    // bit i set = row i has at least one entry connected
+	outMask  uint64    // bit o set = output column o driven this cycle
 }
 
 // NewUnified returns a fault-free n×n unified crossbar (n = 5 in the paper).
@@ -47,22 +37,12 @@ func NewUnified(n int) *Unified {
 	if n < 2 || n > 64 {
 		panic(fmt.Sprintf("crossbar: unified crossbar needs radix in [2,64], got %d", n))
 	}
-	u := &Unified{
-		n:        n,
-		xpFault:  make([]uint64, n),
-		stuckOn:  make([]uint64, n),
-		stuckOff: make([]uint64, n),
-		rowCol:   make([][2]int8, n),
-	}
-	u.Reset()
+	u := &Unified{n: n, rowCol: make([][2]int8, n)}
 	for i := range u.rowCol {
 		u.rowCol[i] = [2]int8{-1, -1}
 	}
 	return u
 }
-
-// N returns the crossbar radix.
-func (u *Unified) N() int { return u.n }
 
 // Reset clears per-cycle connection state. Only rows that were actually
 // driven are cleared (usedRows tracks them), so an idle router's Reset is a
@@ -75,47 +55,22 @@ func (u *Unified) Reset() {
 	u.outMask = 0
 }
 
-// rangeMask returns the bitmask with bits [lo, hi) set.
-func rangeMask(lo, hi int) uint64 {
-	return (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
-}
-
-// reachable reports whether a signal entering row `in` from `entry` can be
-// driven to column `out` given stuck-off gates: one AND against the range
-// of gates the signal must cross.
-func (u *Unified) reachable(in, entry, out int) bool {
-	if entry == EntryLow {
-		return u.stuckOff[in]&rangeMask(0, out) == 0
-	}
-	return u.stuckOff[in]&rangeMask(out, u.n-1) == 0
-}
-
-// canSegment reports whether some healthy (not stuck-on) gate exists in the
-// open interval between the low and high columns of row in.
-func (u *Unified) canSegment(in, lowCol, highCol int) bool {
-	return ^u.stuckOn[in]&rangeMask(lowCol, highCol) != 0
-}
-
 // TryConnect probes and (on OK) drives output column out from row in,
-// entering at the given end: Fault when the path is physically unusable
-// (dead crossbar, faulty crosspoint, stuck gates, or a same-row companion
-// that cannot be segmented away), Busy on occupancy conflicts.
+// entering at the given end: Fault when the crossbar is dead, Busy on
+// occupancy conflicts — including a same-row companion the row cannot be
+// segmented away from.
 func (u *Unified) TryConnect(in, entry, out int) Status {
 	if in < 0 || in >= u.n || out < 0 || out >= u.n || (entry != EntryLow && entry != EntryHigh) {
 		panic(fmt.Sprintf("crossbar: unified connect(%d,%d,%d) out of range", in, entry, out))
 	}
-	if u.dead || u.xpFault[in]&(1<<uint(out)) != 0 {
+	if u.dead {
 		return Fault
 	}
 	if u.rowCol[in][entry] != -1 || u.outMask&(1<<uint(out)) != 0 {
 		return Busy
 	}
-	if !u.reachable(in, entry, out) {
-		return Fault
-	}
 	// Check compatibility with the companion already on this row.
-	otherCol := int(u.rowCol[in][1-entry])
-	if otherCol != -1 {
+	if otherCol := int(u.rowCol[in][1-entry]); otherCol != -1 {
 		lowCol, highCol := out, otherCol
 		if entry == EntryHigh {
 			lowCol, highCol = otherCol, out
@@ -125,46 +80,15 @@ func (u *Unified) TryConnect(in, entry, out int) Status {
 			// logic is responsible for never issuing this.
 			return Busy
 		}
-		if !u.canSegment(in, lowCol, highCol) {
-			return Fault
-		}
 	}
 	u.rowCol[in][entry] = int8(out)
 	u.usedRows |= 1 << uint(in)
 	u.outMask |= 1 << uint(out)
-	u.traversals++
 	return OK
 }
-
-// Connect drives output column out from row in, entering at the given end.
-// It returns ErrFault when the path is physically unusable and ErrBusy on
-// occupancy conflicts.
-func (u *Unified) Connect(in, entry, out int) error {
-	return u.TryConnect(in, entry, out).Err()
-}
-
-// Traversals returns cumulative successful connections.
-func (u *Unified) Traversals() uint64 { return u.traversals }
 
 // Kill marks the whole unified crossbar failed.
 func (u *Unified) Kill() { u.dead = true }
 
 // Dead reports whether the crossbar has failed.
 func (u *Unified) Dead() bool { return u.dead }
-
-// InjectCrosspointFault marks crosspoint (in, out) permanently faulty.
-func (u *Unified) InjectCrosspointFault(in, out int) { u.xpFault[in] |= 1 << uint(out) }
-
-// InjectGateStuckOn marks gate g of row in stuck conducting (the row can no
-// longer be segmented at g).
-func (u *Unified) InjectGateStuckOn(in, g int) { u.stuckOn[in] |= 1 << uint(g) }
-
-// InjectGateStuckOff marks gate g of row in stuck open (signals cannot cross
-// between columns g and g+1).
-func (u *Unified) InjectGateStuckOff(in, g int) { u.stuckOff[in] |= 1 << uint(g) }
-
-// CrosspointCount returns the number of crosspoints.
-func (u *Unified) CrosspointCount() int { return u.n * u.n }
-
-// GateCount returns the number of transmission gates (n-1 per row).
-func (u *Unified) GateCount() int { return u.n * (u.n - 1) }
