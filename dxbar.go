@@ -112,7 +112,7 @@ type Config struct {
 	FairnessThreshold int
 	// BufferDepth overrides the per-input buffer depth (default: 4 for
 	// DXbar/unified/Buffered 4, 8 for Buffered 8). Used by the
-	// buffer-depth ablation; DXbar only.
+	// buffer-depth ablation; DXbar only, 1..64.
 	BufferDepth int
 	// TrackUtilization enables per-link utilization counters (see
 	// Result.NodeUtilization and Heatmap).
@@ -461,7 +461,7 @@ type NetworkOptions struct {
 	// PreCycle runs at the start of every cycle (closed-loop workloads).
 	PreCycle func(cycle uint64)
 	// BufferDepth overrides the design's default buffer depth (ablations;
-	// DXbar only).
+	// DXbar only, 1..64).
 	BufferDepth int
 	// CreditDelay overrides the credit-return latency (default 1 cycle).
 	CreditDelay int
@@ -483,6 +483,10 @@ type NetworkOptions struct {
 	// monitor's lifecycle (and its Detach).
 	Diag *diag.Monitor
 }
+
+// maxBufferDepth bounds a BufferDepth override: four times the ablation's
+// deepest point (16), and small enough that a router's buffers stay a few KiB.
+const maxBufferDepth = 64
 
 // prepare validates the options and resolves them into an engine config, a
 // router factory and a fresh meter — the pieces sim.New (and Engine.Reset,
@@ -512,6 +516,9 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 	if o.BufferDepth != 0 {
 		if !spec.depthOverride {
 			return sim.Config{}, nil, nil, fmt.Errorf("dxbar: BufferDepth override is only supported for the dxbar design")
+		}
+		if o.BufferDepth < 0 || o.BufferDepth > maxBufferDepth {
+			return sim.Config{}, nil, nil, fmt.Errorf("dxbar: BufferDepth %d outside 1..%d", o.BufferDepth, maxBufferDepth)
 		}
 		depth = o.BufferDepth
 	}

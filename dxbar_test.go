@@ -182,6 +182,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Design: DesignDXbar, Load: 2.0}); err == nil {
 		t.Error("load > 1 must error")
 	}
+	for _, depth := range []int{-1, maxBufferDepth + 1} {
+		if _, err := Run(Config{Design: DesignDXbar, Load: 0.1, BufferDepth: depth}); err == nil {
+			t.Errorf("buffer depth %d must error", depth)
+		}
+	}
 }
 
 // Rectangular meshes must work for every design (regressions here usually

@@ -1,5 +1,5 @@
 // Package buffer provides the input-buffer and link-level flow-control
-// primitives shared by the buffered designs: a fixed-depth serial FIFO (the
+// primitives shared by the buffered designs: a fixed-depth serial queue (the
 // paper's buffer slots are "connected serially, thus eliminating VCs and the
 // corresponding virtual-channel allocator", §II) and a credit counter with a
 // delayed return pipeline that models the one-cycle credit signalling delay
@@ -8,66 +8,80 @@ package buffer
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dxbar/internal/flit"
 )
 
-// FIFO is a fixed-capacity first-in first-out flit buffer.
-type FIFO struct {
-	slots []*flit.Flit
-	head  int
-	count int
+// Entry is a buffered flit plus what its buffer write computed for it: Ready,
+// the cycle it becomes eligible for switch allocation (the baselines' RC
+// pipeline stage), and the route at this router — Want, the output-request
+// mask, and Route, the ordered productive list in the routing table's packed
+// form. The routing table is immutable and faults live inside crossbars,
+// never in links, so neither can go stale while the flit waits; both are
+// derived state, never serialized, and rebuilt from the table after a load.
+type Entry struct {
+	F     *flit.Flit
+	Ready uint64
+	Want  uint8
+	Route uint16
 }
 
-// NewFIFO returns an empty FIFO of the given depth (must be positive).
-func NewFIFO(depth int) *FIFO {
+// Queue is a fixed-depth ring FIFO of entries, held by value in the routers'
+// input stages. The ring's capacity is the power of two at or above the
+// depth, so the index wraps with a mask; the depth bounds the occupancy and
+// the codec's count.
+type Queue struct {
+	ring        []Entry
+	head, count int
+	depth       int
+}
+
+// InitQueues gives every queue of qs an empty ring of the given depth, all
+// carved from one backing array (a router's queues are one allocation). It
+// panics on a non-positive depth.
+func InitQueues(qs []Queue, depth int) {
 	if depth <= 0 {
-		panic(fmt.Sprintf("buffer: invalid FIFO depth %d", depth))
+		panic(fmt.Sprintf("buffer: invalid queue depth %d", depth))
 	}
-	return &FIFO{slots: make([]*flit.Flit, depth)}
+	c := 1 << bits.Len(uint(depth-1))
+	backing := make([]Entry, len(qs)*c)
+	for i := range qs {
+		qs[i] = Queue{ring: backing[i*c : (i+1)*c : (i+1)*c], depth: depth}
+	}
 }
-
-// Depth returns the FIFO capacity.
-func (f *FIFO) Depth() int { return len(f.slots) }
 
 // Len returns the number of buffered flits.
-func (f *FIFO) Len() int { return f.count }
+func (q *Queue) Len() int { return q.count }
 
-// Full reports whether the FIFO has no free slot.
-func (f *FIFO) Full() bool { return f.count == len(f.slots) }
+// Full reports whether the queue holds depth flits.
+func (q *Queue) Full() bool { return q.count == q.depth }
 
-// Empty reports whether the FIFO holds no flit.
-func (f *FIFO) Empty() bool { return f.count == 0 }
-
-// Push appends a flit; it panics on overflow because flow control is
-// supposed to make overflow impossible — a push into a full FIFO is a
-// simulator bug, not a network condition.
-func (f *FIFO) Push(fl *flit.Flit) {
-	if f.Full() {
-		panic("buffer: FIFO overflow (flow-control violation)")
+// Push appends e and returns the new length; it panics on overflow because
+// flow control is supposed to make overflow impossible — a push into a full
+// queue is a simulator bug, not a network condition.
+func (q *Queue) Push(e Entry) int {
+	if q.count == q.depth {
+		panic("buffer: queue overflow (flow-control violation)")
 	}
-	f.slots[(f.head+f.count)%len(f.slots)] = fl
-	f.count++
+	q.ring[(q.head+q.count)&(len(q.ring)-1)] = e
+	q.count++
+	return q.count
 }
 
-// Head returns the oldest buffered flit without removing it (nil if empty).
-func (f *FIFO) Head() *flit.Flit {
-	if f.count == 0 {
-		return nil
-	}
-	return f.slots[f.head]
-}
+// At returns the i-th oldest entry, 0 <= i < Len; At(0) is the head.
+func (q *Queue) At(i int) *Entry { return &q.ring[(q.head+i)&(len(q.ring)-1)] }
 
-// Pop removes and returns the oldest buffered flit (nil if empty).
-func (f *FIFO) Pop() *flit.Flit {
-	if f.count == 0 {
+// Pop removes the oldest entry and returns its flit (nil if empty).
+func (q *Queue) Pop() *flit.Flit {
+	if q.count == 0 {
 		return nil
 	}
-	fl := f.slots[f.head]
-	f.slots[f.head] = nil
-	f.head = (f.head + 1) % len(f.slots)
-	f.count--
-	return fl
+	f := q.ring[q.head].F
+	q.ring[q.head] = Entry{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.count--
+	return f
 }
 
 // Credits tracks the free buffer space at the downstream end of one link.

@@ -5,22 +5,28 @@ import (
 	"dxbar/internal/snapshot"
 )
 
-// State moves the FIFO contents oldest-first. The ring phase (head position)
-// is not captured: loading refills an empty (fresh or Reset) FIFO from slot 0
+// State moves the queue oldest-first: the count, held to the depth, then each
+// flit, followed by its eligibility cycle when timed. Want and Route are not
+// in the stream; the caller rebuilds them from its routing table. The ring
+// phase is not captured either: loading refills the emptied ring from slot 0
 // with flits drawn from the pool, which is behaviourally identical and keeps
 // the byte stream canonical regardless of how the ring happened to be rotated.
-func (f *FIFO) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
-	n := s.Len(f.count, len(f.slots))
+func (q *Queue) State(s *snapshot.Stream, pool *flit.Pool, nodes int, timed bool) error {
+	n := s.Len(q.count, q.depth)
 	if s.Loading() {
-		clear(f.slots)
-		f.head, f.count = 0, n
+		clear(q.ring)
+		q.head, q.count = 0, n
 		for i := 0; i < n; i++ {
-			f.slots[i] = pool.Get()
+			q.ring[i].F = pool.Get()
 		}
 	}
 	for i := 0; i < n; i++ {
-		if err := flit.State(s, f.slots[(f.head+i)%len(f.slots)], nodes); err != nil {
+		e := q.At(i)
+		if err := flit.State(s, e.F, nodes); err != nil {
 			return err
+		}
+		if timed {
+			s.U64(&e.Ready)
 		}
 	}
 	return s.Err()

@@ -175,10 +175,11 @@ func (d *DXbar) gather(inj *flit.Flit) (ins, ws *PortState) {
 	ws.Reset()
 	for b := d.bufMask; b != 0; b &= b - 1 {
 		p := flit.Port(bits.TrailingZeros8(b))
-		ws.Add(d.buffers[p].Head(), p)
+		h := d.buffers[p].At(0)
+		ws.Route[ws.Add(h.F, p)] = h.Route
 	}
 	if inj != nil {
-		ws.Add(inj, flit.Local)
+		ws.Route[ws.Add(inj, flit.Local)] = d.route(inj)
 	}
 	if !d.portOrder {
 		if ins.N > 1 {
@@ -229,7 +230,7 @@ func (d *DXbar) allocateWaiters(ws *PortState, detected bool, cycle uint64) bool
 	for i := 0; i < ws.N; i++ {
 		s := ws.Order[i]
 		f, wp := ws.Flits[s], ws.Src[s]
-		ports := d.waiterPorts(int(ws.Dst[s]))
+		ports := d.waiterPorts(ws.Route[s])
 		for k := 0; k < ports.Len(); k++ {
 			out := ports.At(k)
 			if d.sendable&(1<<uint(out)) == 0 {
@@ -276,11 +277,12 @@ func (d *DXbar) allocateRows(inj *flit.Flit, flip bool, cycle uint64) (primaryWo
 			if f != nil {
 				d.bufferFlit(f, p, cycle)
 			}
-			f = d.buffers[p].Head()
+			h := d.buffers[p].At(0)
+			rows.Route[rows.Add(h.F, p)] = h.Route
+			taken |= bit
 			heads |= bit
-		}
-		if f != nil {
-			rows.Add(f, p)
+		} else if f != nil {
+			rows.Route[rows.Add(f, p)] = d.route(f)
 			taken |= bit
 		}
 	}
@@ -289,7 +291,7 @@ func (d *DXbar) allocateRows(inj *flit.Flit, flip bool, cycle uint64) (primaryWo
 	for i := 0; i < rows.N; i++ {
 		s := rows.Order[i]
 		f, p := rows.Flits[s], rows.Src[s]
-		out := d.steer(int(rows.Dst[s]), p)
+		out := d.steer(rows.Route[s], p)
 		switch {
 		case heads&(1<<uint(p)) != 0:
 			if out != flit.Invalid {
@@ -309,7 +311,7 @@ func (d *DXbar) allocateRows(inj *flit.Flit, flip bool, cycle uint64) (primaryWo
 	// an idle row is the output side's and would fail on every idle row:
 	// the first one is the only one worth trying.
 	if idle := ^taken & (1<<flit.NumLinkPorts - 1); inj != nil && idle != 0 {
-		if out := d.steer(int(inj.Dst), flit.Port(bits.TrailingZeros8(idle))); out != flit.Invalid {
+		if out := d.steer(d.route(inj), flit.Port(bits.TrailingZeros8(idle))); out != flit.Invalid {
 			d.dispatch(inj, flit.Local, out, cycle)
 			waiterWon = true
 		}
@@ -318,9 +320,10 @@ func (d *DXbar) allocateRows(inj *flit.Flit, flip bool, cycle uint64) (primaryWo
 }
 
 // steer connects input row `row` of the primary crossbar to the first
-// sendable productive output toward dst it can take, or returns Invalid.
-func (d *DXbar) steer(dst int, row flit.Port) flit.Port {
-	ports := d.waiterPorts(dst)
+// sendable output of the packed productive list route it can take, or
+// returns Invalid.
+func (d *DXbar) steer(route uint16, row flit.Port) flit.Port {
+	ports := d.waiterPorts(route)
 	for k := 0; k < ports.Len(); k++ {
 		if out := ports.At(k); d.sendable&(1<<uint(out)) != 0 &&
 			d.primary.TryConnect(int(row), int(out)) == crossbar.OK {
@@ -330,16 +333,24 @@ func (d *DXbar) steer(dst int, row flit.Port) flit.Port {
 	return flit.Invalid
 }
 
-// waiterPorts returns the output ports a waiting flit bound for dst may use,
-// in preference order: Local when arrived, otherwise the routing table's
-// productive set (adaptive re-direction under WF). Adaptive choices are
-// congestion-aware: the port with more downstream credits comes first, so a
-// re-directed flit heads for the less-loaded progressive direction.
-func (d *DXbar) waiterPorts(dst int) routing.PortList {
-	if dst == d.env.Node {
+// route is the packed productive list of a flit with no buffer entry: the
+// injection head, or an arrival competing for a degraded mode-B row.
+func (d *DXbar) route(f *flit.Flit) uint16 {
+	_, r := d.table.RouteAt(d.env.Node, int(f.Dst))
+	return r
+}
+
+// waiterPorts returns the output ports a waiting flit with the packed
+// productive list route may use, in preference order: Local when arrived (the
+// empty list), otherwise the productive set (adaptive re-direction under WF).
+// Adaptive choices are congestion-aware: the port with more downstream
+// credits comes first, so a re-directed flit heads for the less-loaded
+// progressive direction. The credits move, so this reorder is per cycle.
+func (d *DXbar) waiterPorts(route uint16) routing.PortList {
+	ports := routing.UnpackList(route)
+	if ports.Len() == 0 {
 		return routing.Ports(flit.Local)
 	}
-	ports := d.table.ProductiveAt(d.env.Node, dst)
 	if d.adaptive && ports.Len() == 2 {
 		a, b := d.env.DownstreamCredits(ports.At(0)), d.env.DownstreamCredits(ports.At(1))
 		if a != nil && b != nil && b.Available() > a.Available() {

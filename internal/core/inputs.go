@@ -18,9 +18,12 @@ import (
 type inputs struct {
 	env *sim.Env
 
-	buffers [flit.NumLinkPorts]*buffer.FIFO
+	// buffers[p] is input p's buffer. Its write is also route computation:
+	// an entry carries its request mask (Unified) and ordered productive list
+	// (DXbar) from then on, so a waiting head never queries the table again.
+	buffers [flit.NumLinkPorts]buffer.Queue
 	// bufMask has bit p set while input buffer p is non-empty (maintained at
-	// every Push/Pop), so the waiter gathers probe only occupied FIFOs.
+	// every Push/Pop), so the waiter gathers probe only occupied buffers.
 	bufMask uint8
 
 	fair     *fairness
@@ -48,9 +51,7 @@ func newInputs(env *sim.Env, algo routing.Algorithm, threshold, depth int, fault
 	if in.detector == nil {
 		in.detector = faults.NewDetector(faults.Fault{}, faults.DefaultDetectionDelay, false)
 	}
-	for p := range in.buffers {
-		in.buffers[p] = buffer.NewFIFO(depth)
-	}
+	buffer.InitQueues(in.buffers[:], depth)
 	mesh := env.Mesh()
 	in.table = routing.NewTable(algo, mesh, mesh.Nodes())
 	in.portMask = mesh.PortMask(env.Node)
@@ -86,14 +87,17 @@ func (in *inputs) requestPort(f *flit.Flit, dst int) flit.Port {
 	return in.table.RequestAt(in.env.Node, dst)
 }
 
-// bufferFlit demuxes a losing incoming flit into its input buffer.
+// bufferFlit demuxes a losing incoming flit into its input buffer, computing
+// its route there once for the hop.
 func (in *inputs) bufferFlit(f *flit.Flit, p flit.Port, cycle uint64) {
-	in.buffers[p].Push(f) // flow control guarantees space; Push panics otherwise
+	e := buffer.Entry{F: f}
+	e.Want, e.Route = in.table.RouteAt(in.env.Node, int(f.Dst))
+	n := in.buffers[p].Push(e) // flow control guarantees space; Push panics otherwise
 	in.bufMask |= 1 << uint(p)
 	f.Buffered++
 	in.env.Meter().BufferWrite()
 	in.env.Stats().BufferingEvent(cycle)
-	in.env.Events().Record(cycle, events.Buffered, in.env.Node, p, f.PacketID, f.ID, int32(in.buffers[p].Len()))
+	in.env.Events().Record(cycle, events.Buffered, in.env.Node, p, f.PacketID, f.ID, int32(n))
 }
 
 // dispatch commits a winning waiter: pops its buffer wp (or consumes the
@@ -102,7 +106,7 @@ func (in *inputs) dispatch(f *flit.Flit, wp, out flit.Port, cycle uint64) {
 	if wp == flit.Local {
 		in.env.ConsumeInjection(cycle)
 	} else {
-		b := in.buffers[wp]
+		b := &in.buffers[wp]
 		b.Pop()
 		if b.Len() == 0 {
 			in.bufMask &^= 1 << uint(wp)
@@ -139,8 +143,8 @@ func (in *inputs) observeFairness(waitersExist, primaryWon, waiterWon bool, cycl
 // Occupancy returns the number of buffered flits.
 func (in *inputs) Occupancy() int {
 	total := 0
-	for _, b := range in.buffers {
-		total += b.Len()
+	for p := range in.buffers {
+		total += in.buffers[p].Len()
 	}
 	return total
 }

@@ -99,8 +99,8 @@ func (b *branchyDXbar) gatherIncoming() []candidate {
 func (b *branchyDXbar) collectWaiters() []candidate {
 	ws := b.waiters[:0]
 	for p := flit.North; p <= flit.West; p++ {
-		if h := b.buffers[p].Head(); h != nil {
-			ws = append(ws, candidate{f: h, port: p})
+		if b.buffers[p].Len() > 0 {
+			ws = append(ws, candidate{f: b.buffers[p].At(0).F, port: p})
 		}
 	}
 	if f := b.env.InjectionHead(); f != nil {
@@ -257,17 +257,17 @@ func (b *branchyDXbar) allocateDegradedPrimary(incoming []candidate, flip bool, 
 		rows[in.port] = rowCand{f: in.f}
 	}
 	for p := flit.North; p <= flit.West; p++ {
-		h := d.buffers[p].Head()
-		if h == nil {
+		if d.buffers[p].Len() == 0 {
 			continue
 		}
+		h := d.buffers[p].At(0)
 		if rows[p].f == nil || flip {
 			// The steering crossbar hands the row to the buffered flit;
 			// a displaced incoming flit is demuxed into the buffer.
 			if rows[p].f != nil {
 				d.bufferFlit(rows[p].f, p, cycle)
 			}
-			rows[p] = rowCand{f: h, isWaiter: true}
+			rows[p] = rowCand{f: h.F, isWaiter: true}
 		}
 	}
 	// Age-ordered allocation over the row candidates (insertion sort over a
@@ -461,6 +461,7 @@ func TestDXbarFastMatchesBranchy(t *testing.T) {
 		{name: "wf/saturated", algo: routing.WestFirst{}, load: 0.6},
 		{name: "port-order", algo: routing.DOR{}, load: 0.35, portOrder: true},
 		{name: "depth8", algo: routing.DOR{}, load: 0.45, depth: 8},
+		{name: "wf/depth3", algo: routing.WestFirst{}, load: 0.6, depth: 3},
 		{name: "crosspoint/0.50", algo: routing.WestFirst{}, load: 0.35, plan: crosspoints(0.5, faults.DefaultDetectionDelay)},
 		{name: "crosspoint/1.00", algo: routing.DOR{}, load: 0.35, plan: crosspoints(1, faults.DefaultDetectionDelay)},
 		{name: "crosspoint/1.00/late-detection", algo: routing.WestFirst{}, load: 0.35, plan: crosspoints(1, 400)},

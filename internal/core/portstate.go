@@ -23,6 +23,9 @@ type PortState struct {
 	Dst [flit.NumPorts]int32
 	Key [flit.NumPorts]uint64
 	ID  [flit.NumPorts]uint64
+	// Route is a DXbar waiter's packed productive list (routing.Table.RouteAt),
+	// set by the caller in the slot Add returns.
+	Route [flit.NumPorts]uint16
 	// Order is the age-sorted slot permutation (valid after SortAge; filled
 	// with insertion order otherwise). Valid has bit s set when slot s is
 	// filled; N counts filled slots.

@@ -13,14 +13,15 @@ import (
 // buffer contents, the fairness counter, and the one-shot event latches that
 // keep the flight recorder from re-reporting fault transitions.
 
-// state moves the input stage's persistent state: the per-input FIFOs, each
+// state moves the input stage's persistent state: the per-input buffers, each
 // held to the credits its upstream neighbour has spent on it
 // (sim.Env.CheckHeld), then the fairness counter. Loading re-derives the
-// occupied-buffer bitmask from the restored FIFOs rather than trusting the
-// stream.
+// occupied-buffer bitmask and every entry's route from the restored buffers
+// rather than trusting the stream.
 func (in *inputs) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
-	for p, b := range in.buffers {
-		if err := b.State(s, pool, nodes); err != nil {
+	for p := range in.buffers {
+		b := &in.buffers[p]
+		if err := b.State(s, pool, nodes, false); err != nil {
 			return err
 		}
 		if err := in.env.CheckHeld(s, flit.Port(p), b.Len()); err != nil {
@@ -28,6 +29,10 @@ func (in *inputs) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 		}
 		if s.Loading() && b.Len() > 0 {
 			in.bufMask |= 1 << uint(p)
+			for k := 0; k < b.Len(); k++ {
+				e := b.At(k)
+				e.Want, e.Route = in.table.RouteAt(in.env.Node, int(e.F.Dst))
+			}
 		}
 	}
 	in.fair.state(s)

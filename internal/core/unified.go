@@ -69,8 +69,9 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 		u.xbar.Kill()
 	}
 
-	// Gather incoming flits and the waiting heads: each buffer's on its port
-	// index, the injection flit on Local's.
+	// Gather incoming flits and the waiting heads with their request masks:
+	// each buffer's on its port index (computed at buffer write), the
+	// injection flit on Local's.
 	var arrived [flit.NumLinkPorts]*flit.Flit
 	for p := flit.North; p <= flit.West; p++ {
 		if f := env.In[p]; f != nil {
@@ -80,11 +81,16 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 	}
 	env.InMask = 0
 	var heads [flit.NumPorts]*flit.Flit
+	var wants [flit.NumPorts]uint8
 	for b := u.bufMask; b != 0; b &= b - 1 {
 		p := bits.TrailingZeros8(b)
-		heads[p] = u.buffers[p].Head()
+		h := u.buffers[p].At(0)
+		heads[p], wants[p] = h.F, h.Want
 	}
-	heads[flit.Local] = env.InjectionHead()
+	if f := env.InjectionHead(); f != nil {
+		heads[flit.Local] = f
+		wants[flit.Local], _ = u.table.RouteAt(env.Node, int(f.Dst))
+	}
 	waitersExist := u.bufMask != 0 || heads[flit.Local] != nil
 	flip := u.fair.flip(waitersExist)
 
@@ -115,7 +121,7 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 		if f == nil {
 			continue
 		}
-		if mask := uint64(u.table.ProductiveMaskAt(env.Node, int(f.Dst))) & sendable; mask != 0 {
+		if mask := uint64(wants[p]) & sendable; mask != 0 {
 			reqs[p].want[subBuffered] = mask
 			reqs[p].age[subBuffered] = f.InjectionCycle
 		}

@@ -162,9 +162,6 @@ func NewAFC(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) *AFC {
 	}
 }
 
-// Occupancy returns buffered flits across the input FIFOs.
-func (a *AFC) Occupancy() int { return a.buf.bank.count }
-
 // Step implements sim.Router. It reports quiescent when the input FIFOs are
 // empty after the step, as Buffered does: bufferless mode holds nothing
 // across cycles, the mode policy is ticked by the engine (AFCController.Tick)
@@ -172,7 +169,7 @@ func (a *AFC) Occupancy() int { return a.buf.bank.count }
 // is what a drain barrier leaves waiting — is kept awake by the engine's own
 // rule.
 func (a *AFC) Step(cycle uint64) (quiescent bool) {
-	if a.ctrl.Buffered() || a.buf.bank.count > 0 {
+	if a.ctrl.Buffered() || a.buf.bank.nonEmpty != 0 {
 		// Buffered mode — and the tail of a buffered→bufferless drain,
 		// where leftover buffered flits still leave through the allocator.
 		// The census moves at the network's edges: in at the PE, out at Local.
@@ -187,7 +184,7 @@ func (a *AFC) Step(cycle uint64) (quiescent bool) {
 	} else {
 		a.stepBufferless(cycle)
 	}
-	return a.buf.bank.count == 0
+	return a.buf.bank.nonEmpty == 0
 }
 
 // stepBufferless is Flit-Bless switching with AFC accounting.
@@ -228,7 +225,7 @@ func (a *AFC) stepBufferless(cycle uint64) {
 			a.ctrl.netFlits.Add(-1)
 		}
 		free &^= 1 << uint(out)
-		a.buf.send(out, f, cycle)
+		send(env, a.buf.table, out, f, cycle)
 	}
 }
 

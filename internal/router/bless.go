@@ -92,7 +92,7 @@ func (b *Bless) Step(cycle uint64) (quiescent bool) {
 			env.ConsumeInjection(cycle)
 		}
 		free &^= 1 << uint(assigned)
-		b.send(assigned, f, cycle)
+		send(env, b.table, assigned, f, cycle)
 	}
 	return true
 }
@@ -122,16 +122,4 @@ func (b *Bless) assign(f *flit.Flit, dst int, free uint8, cycle uint64) flit.Por
 		}
 	}
 	return flit.Invalid
-}
-
-// send launches f through p, computing its request at the downstream router
-// (look-ahead routing).
-func (b *Bless) send(p flit.Port, f *flit.Flit, cycle uint64) {
-	env := b.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if p != flit.Local {
-		f.Route = b.table.RequestAt(env.Neighbor(p), int(f.Dst))
-	}
-	env.Send(p, f)
 }

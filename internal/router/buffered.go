@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"dxbar/internal/bitarb"
+	"dxbar/internal/buffer"
 	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/routing"
@@ -41,16 +42,16 @@ func NewBuffered(env *sim.Env, algo routing.Algorithm, split bool) *Buffered {
 
 func newBuffered(env *sim.Env, algo routing.Algorithm, split bool) Buffered {
 	mesh := env.Mesh()
-	b := Buffered{
+	nq := uint8(1)
+	if split {
+		nq = 2
+	}
+	return Buffered{
 		env:   env,
-		bank:  inputBank{nq: 1},
+		bank:  newInputBank(nq),
 		alloc: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts),
 		table: routing.NewTable(algo, mesh, mesh.Nodes()),
 	}
-	if split {
-		b.bank.nq = 2
-	}
-	return b
 }
 
 // Step implements sim.Router. It reports quiescent when every input FIFO is
@@ -60,7 +61,7 @@ func newBuffered(env *sim.Env, algo routing.Algorithm, split bool) Buffered {
 // send — so with nothing buffered, latched or queued another Step is a no-op.
 func (b *Buffered) Step(cycle uint64) (quiescent bool) {
 	b.step(cycle, true)
-	return b.bank.count == 0
+	return b.bank.nonEmpty == 0
 }
 
 // step is one cycle of the pipeline. inject gates the PE injection port (AFC
@@ -77,7 +78,9 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 		p := flit.Port(bits.TrailingZeros8(m))
 		f := env.In[p]
 		env.In[p] = nil
-		depth := b.bank.write(p, bufEntry{f: f, ready: cycle + 1, want: b.table.ProductiveMaskAt(node, int(f.Dst))})
+		e := buffer.Entry{F: f, Ready: cycle + 1}
+		e.Want, e.Route = b.table.RouteAt(node, int(f.Dst))
+		depth := b.bank.write(p, e)
 		if depth < 0 {
 			panic(fmt.Sprintf("router: input FIFO overflow (credit violation) at node %d port %s cycle %d", node, p, cycle))
 		}
@@ -97,7 +100,8 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 	b.bank.requests(cycle, sendable, &req)
 	if inject {
 		if f := env.InjectionHead(); f != nil {
-			req[flit.Local] = uint64(b.table.ProductiveMaskAt(node, int(f.Dst)) & sendable)
+			want, _ := b.table.RouteAt(node, int(f.Dst))
+			req[flit.Local] = uint64(want & sendable)
 		}
 	}
 
@@ -117,20 +121,18 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 		}
 		out := flit.Port(o)
 		ejected = ejected || out == flit.Local
-		b.send(out, f, cycle)
+		send(env, b.table, out, f, cycle)
 	}
 	return injected, ejected
 }
 
-func (b *Buffered) send(p flit.Port, f *flit.Flit, cycle uint64) {
-	env := b.env
+// send launches f through p, charging the crossbar traversal and computing
+// its request at the downstream router from t (look-ahead routing).
+func send(env *sim.Env, t *routing.Table, p flit.Port, f *flit.Flit, cycle uint64) {
 	env.Meter().CrossbarTraversal()
 	env.Stats().RoutedEvent(cycle)
 	if p != flit.Local {
-		f.Route = b.table.RequestAt(env.Neighbor(p), int(f.Dst))
+		f.Route = t.RequestAt(env.Neighbor(p), int(f.Dst))
 	}
 	env.Send(p, f)
 }
-
-// Occupancy returns the number of buffered flits (test/diagnostic hook).
-func (b *Buffered) Occupancy() int { return b.bank.count }

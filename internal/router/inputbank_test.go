@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"dxbar/internal/bitarb"
+	"dxbar/internal/buffer"
+	"dxbar/internal/core"
 	"dxbar/internal/flit"
 	"dxbar/internal/routing"
 	"dxbar/internal/sim"
@@ -24,14 +26,14 @@ func TestInputBankSteering(t *testing.T) {
 	// Arrivals on South; FIFO 0's flits want North and FIFO 1's want East, so
 	// a grant of East pops FIFO 1.
 	wants := [2]uint8{1 << flit.North, 1 << flit.East}
-	b := inputBank{nq: 2}
+	b := newInputBank(2)
 	arrive := func(id uint64, fifo, depth int) {
 		t.Helper()
-		e := bufEntry{f: &flit.Flit{ID: id}, want: wants[fifo]}
+		e := buffer.Entry{F: &flit.Flit{ID: id}, Want: wants[fifo]}
 		if got := b.write(flit.South, e); got != depth {
 			t.Fatalf("arrival %d: depth %d, want %d", id, got, depth)
 		}
-		if q := &b.q[2*int(flit.South)+fifo]; q.entries[(q.headIdx+q.count-1)&(fifoDepth-1)].f != e.f {
+		if q := &b.q[2*int(flit.South)+fifo]; q.At(q.Len()-1).F != e.F {
 			t.Fatalf("arrival %d is not the tail of FIFO %d", id, fifo)
 		}
 	}
@@ -49,20 +51,20 @@ func TestInputBankSteering(t *testing.T) {
 	arrive(7, 1, 2)
 	arrive(8, 1, 3) // FIFO 0's turn, but it is full
 	arrive(9, 1, 4) // and still its turn
-	if depth := b.write(flit.South, bufEntry{f: &flit.Flit{ID: 10}}); depth != -1 {
+	if depth := b.write(flit.South, buffer.Entry{F: &flit.Flit{ID: 10}}); depth != -1 {
 		t.Fatalf("write into a full input returned depth %d, want -1", depth)
 	}
-	if b.count != 2*fifoDepth || b.nonEmpty != 3<<(2*flit.South) {
-		t.Fatalf("count %d, nonEmpty %08b after filling one input", b.count, b.nonEmpty)
+	if occupancy(&b) != 2*core.BufferDepth || b.nonEmpty != 3<<(2*flit.South) {
+		t.Fatalf("occupancy %d, nonEmpty %08b after filling one input", occupancy(&b), b.nonEmpty)
 	}
 
-	single := inputBank{nq: 1}
-	for id := 0; id < fifoDepth; id++ {
-		if depth := single.write(flit.West, bufEntry{f: &flit.Flit{}}); depth != id+1 || single.next[flit.West] != 0 {
+	single := newInputBank(1)
+	for id := 0; id < core.BufferDepth; id++ {
+		if depth := single.write(flit.West, buffer.Entry{F: &flit.Flit{}}); depth != id+1 || single.next[flit.West] != 0 {
 			t.Fatalf("single FIFO arrival %d: depth %d, steering %d", id, depth, single.next[flit.West])
 		}
 	}
-	if depth := single.write(flit.West, bufEntry{f: &flit.Flit{}}); depth != -1 {
+	if depth := single.write(flit.West, buffer.Entry{F: &flit.Flit{}}); depth != -1 {
 		t.Fatalf("write into a full single FIFO returned depth %d, want -1", depth)
 	}
 }
@@ -70,13 +72,13 @@ func TestInputBankSteering(t *testing.T) {
 // TestInputBankMatchesModel interleaves writes and granted pops at random and
 // holds the bank to a model of plain slices: every request word is the union
 // of the eligible heads' sendable wants, a grant pops the older of the heads
-// that asked for it, and the non-empty mask and the count agree with the
+// that asked for it, and the non-empty mask and the occupancy agree with the
 // queues after every operation.
 func TestInputBankMatchesModel(t *testing.T) {
 	for _, nq := range []uint8{1, 2} {
 		rng := rand.New(rand.NewSource(int64(nq)))
-		b := inputBank{nq: nq}
-		model := make([][]bufEntry, int(nq)*flit.NumLinkPorts)
+		b := newInputBank(nq)
+		model := make([][]buffer.Entry, int(nq)*flit.NumLinkPorts)
 		nextID := uint64(0)
 		for cycle := uint64(0); cycle < 20_000; cycle++ {
 			for p := flit.North; p <= flit.West; p++ {
@@ -85,19 +87,19 @@ func TestInputBankMatchesModel(t *testing.T) {
 				}
 				// Equal injection cycles among neighbours make Older fall
 				// through to the ID.
-				e := bufEntry{f: &flit.Flit{ID: nextID, InjectionCycle: uint64(rng.Intn(4))}, ready: cycle + 1, want: uint8(1 + rng.Intn(allOutputs))}
+				e := buffer.Entry{F: &flit.Flit{ID: nextID, InjectionCycle: uint64(rng.Intn(4))}, Ready: cycle + 1, Want: uint8(1 + rng.Intn(allOutputs))}
 				nextID++
 				full := true
 				for k := 0; k < int(nq); k++ {
-					full = full && len(model[int(p)*int(nq)+k]) == fifoDepth
+					full = full && len(model[int(p)*int(nq)+k]) == core.BufferDepth
 				}
 				depth := b.write(p, e)
 				if full != (depth == -1) {
 					t.Fatalf("cycle %d: write returned %d with the input full=%v", cycle, depth, full)
 				}
 				if depth > 0 {
-					i := slices.IndexFunc(b.q[:], func(q entryQueue) bool {
-						return q.count > 0 && q.entries[(q.headIdx+q.count-1)&(fifoDepth-1)].f == e.f
+					i := slices.IndexFunc(b.q[:], func(q buffer.Queue) bool {
+						return q.Len() > 0 && q.At(q.Len()-1).F == e.F
 					})
 					if model[i] = append(model[i], e); len(model[i]) != depth || i/int(nq) != int(p) {
 						t.Fatalf("cycle %d: arrival on %s landed in FIFO %d at depth %d, model has %d", cycle, p, i, depth, len(model[i]))
@@ -110,8 +112,8 @@ func TestInputBankMatchesModel(t *testing.T) {
 			for p := 0; p < flit.NumLinkPorts; p++ {
 				var want uint8
 				for k := 0; k < int(nq); k++ {
-					if q := model[p*int(nq)+k]; len(q) > 0 && q[0].ready <= cycle {
-						want |= q[0].want & sendable
+					if q := model[p*int(nq)+k]; len(q) > 0 && q[0].Ready <= cycle {
+						want |= q[0].Want & sendable
 					}
 				}
 				if req[p] != uint64(want) {
@@ -125,28 +127,37 @@ func TestInputBankMatchesModel(t *testing.T) {
 				from := -1
 				for k := 0; k < int(nq); k++ {
 					i := p*int(nq) + k
-					if q := model[i]; len(q) > 0 && q[0].ready <= cycle && q[0].want&sendable>>uint(o)&1 != 0 &&
-						(from < 0 || q[0].f.Older(model[from][0].f)) {
+					if q := model[i]; len(q) > 0 && q[0].Ready <= cycle && q[0].Want&sendable>>uint(o)&1 != 0 &&
+						(from < 0 || q[0].F.Older(model[from][0].F)) {
 						from = i
 					}
 				}
-				if got := b.pop(flit.Port(p), o); got != model[from][0].f {
-					t.Fatalf("cycle %d input %d output %d: popped flit %d, want the older requesting head %d", cycle, p, o, got.ID, model[from][0].f.ID)
+				if got := b.pop(flit.Port(p), o); got != model[from][0].F {
+					t.Fatalf("cycle %d input %d output %d: popped flit %d, want the older requesting head %d", cycle, p, o, got.ID, model[from][0].F.ID)
 				}
 				model[from] = model[from][1:]
 			}
 			count := 0
 			for i, q := range model {
 				count += len(q)
-				if b.q[i].count != len(q) || (b.nonEmpty>>uint(i)&1 != 0) != (len(q) > 0) {
-					t.Fatalf("cycle %d FIFO %d: bank holds %d (nonEmpty %08b), model %d", cycle, i, b.q[i].count, b.nonEmpty, len(q))
+				if b.q[i].Len() != len(q) || (b.nonEmpty>>uint(i)&1 != 0) != (len(q) > 0) {
+					t.Fatalf("cycle %d FIFO %d: bank holds %d (nonEmpty %08b), model %d", cycle, i, b.q[i].Len(), b.nonEmpty, len(q))
 				}
 			}
-			if b.count != count {
-				t.Fatalf("cycle %d: count %d, model %d", cycle, b.count, count)
+			if occupancy(&b) != count {
+				t.Fatalf("cycle %d: occupancy %d, model %d", cycle, occupancy(&b), count)
 			}
 		}
 	}
+}
+
+// occupancy returns the number of flits b holds.
+func occupancy(b *inputBank) int {
+	n := 0
+	for i := range b.q {
+		n += b.q[i].Len()
+	}
+	return n
 }
 
 // pickBit returns the index of a random set bit of m.
@@ -157,29 +168,30 @@ func pickBit(m uint8, rng *rand.Rand) int {
 	return bits.TrailingZeros8(m)
 }
 
-// TestInputBankSaveLoad: the request masks, the non-empty mask and the count
-// are not in the stream, and a loaded router rebuilds them — its next request
+// TestInputBankSaveLoad: the entries' routes and the non-empty mask are not in
+// the stream, and a loaded router rebuilds them — its entries, next request
 // matrix, grant and popped flits equal the saved router's.
 func TestInputBankSaveLoad(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	const node = 5
 	table := routing.NewTable(routing.WestFirst{}, mesh, mesh.Nodes())
 	build := func(split bool) *Buffered {
-		b := &Buffered{env: &sim.Env{Node: node}, bank: inputBank{nq: 1}, table: table,
-			alloc: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts)}
+		nq := uint8(1)
 		if split {
-			b.bank.nq = 2
+			nq = 2
 		}
-		return b
+		return &Buffered{env: &sim.Env{Node: node}, bank: newInputBank(nq), table: table,
+			alloc: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts)}
 	}
 	for _, split := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))
 		orig := build(split)
 		for id := uint64(0); id < 40; id++ {
 			dst := rng.Intn(mesh.Nodes())
-			orig.bank.write(flit.Port(rng.Intn(flit.NumLinkPorts)), bufEntry{
-				f:     &flit.Flit{ID: id, InjectionCycle: uint64(rng.Intn(8)), Dst: int32(dst), Route: flit.Invalid, NumFlits: 1},
-				ready: uint64(rng.Intn(3)), want: table.ProductiveMaskAt(node, dst)})
+			e := buffer.Entry{F: &flit.Flit{ID: id, InjectionCycle: uint64(rng.Intn(8)), Dst: int32(dst), Route: flit.Invalid, NumFlits: 1},
+				Ready: uint64(rng.Intn(3))}
+			e.Want, e.Route = table.RouteAt(node, dst)
+			orig.bank.write(flit.Port(rng.Intn(flit.NumLinkPorts)), e)
 		}
 		// Move the ring heads off slot 0, so the stream is not the array.
 		var req [flit.NumPorts]uint64
@@ -206,11 +218,23 @@ func TestInputBankSaveLoad(t *testing.T) {
 		if err := loaded.State(r, flit.NewPool(), mesh.Nodes()); err != nil {
 			t.Fatal(err)
 		}
-		if loaded.bank.count != orig.bank.count || loaded.bank.nonEmpty != orig.bank.nonEmpty || loaded.bank.next != orig.bank.next {
-			t.Fatalf("split=%v: loaded count %d nonEmpty %08b next %v, saved %d %08b %v", split,
-				loaded.bank.count, loaded.bank.nonEmpty, loaded.bank.next, orig.bank.count, orig.bank.nonEmpty, orig.bank.next)
+		if occupancy(&loaded.bank) != occupancy(&orig.bank) || loaded.bank.nonEmpty != orig.bank.nonEmpty || loaded.bank.next != orig.bank.next {
+			t.Fatalf("split=%v: loaded occupancy %d nonEmpty %08b next %v, saved %d %08b %v", split,
+				occupancy(&loaded.bank), loaded.bank.nonEmpty, loaded.bank.next, occupancy(&orig.bank), orig.bank.nonEmpty, orig.bank.next)
 		}
-		for cycle := uint64(2); orig.bank.count > 0; cycle++ {
+		for i := range orig.bank.q {
+			o, l := &orig.bank.q[i], &loaded.bank.q[i]
+			if o.Len() != l.Len() {
+				t.Fatalf("split=%v FIFO %d: loaded %d flits, saved %d", split, i, l.Len(), o.Len())
+			}
+			for k := 0; k < o.Len(); k++ {
+				if w, g := o.At(k), l.At(k); g.F.ID != w.F.ID || g.Ready != w.Ready || g.Want != w.Want || g.Route != w.Route {
+					t.Fatalf("split=%v FIFO %d entry %d: loaded {%d %d %05b %#x}, saved {%d %d %05b %#x}", split, i, k,
+						g.F.ID, g.Ready, g.Want, g.Route, w.F.ID, w.Ready, w.Want, w.Route)
+				}
+			}
+		}
+		for cycle := uint64(2); orig.bank.nonEmpty != 0; cycle++ {
 			var want, got [flit.NumPorts]uint64
 			orig.bank.requests(cycle, allOutputs, &want)
 			loaded.bank.requests(cycle, allOutputs, &got)
@@ -230,8 +254,8 @@ func TestInputBankSaveLoad(t *testing.T) {
 				}
 			}
 		}
-		if loaded.bank.count != 0 || loaded.bank.nonEmpty != 0 {
-			t.Fatalf("split=%v: loaded bank holds %d (nonEmpty %08b) after the saved one drained", split, loaded.bank.count, loaded.bank.nonEmpty)
+		if occupancy(&loaded.bank) != 0 || loaded.bank.nonEmpty != 0 {
+			t.Fatalf("split=%v: loaded bank holds %d (nonEmpty %08b) after the saved one drained", split, occupancy(&loaded.bank), loaded.bank.nonEmpty)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func (s *Scarab) Step(cycle uint64) (quiescent bool) {
 			continue
 		}
 		free &^= 1 << uint(out)
-		s.send(out, f, cycle)
+		send(env, s.table, out, f, cycle)
 	}
 
 	// Injection: permitted when an input slot was free (arrivals counted
@@ -97,13 +97,13 @@ func (s *Scarab) Step(cycle uint64) (quiescent bool) {
 				// Patterns never map a node to itself; defensive.
 				if free&(1<<uint(flit.Local)) != 0 {
 					env.ConsumeInjection(cycle)
-					s.send(flit.Local, f, cycle)
+					send(env, s.table, flit.Local, f, cycle)
 				}
 				return true
 			}
 			if p := s.freeProductive(int(f.Dst), free); p != flit.Invalid {
 				env.ConsumeInjection(cycle)
-				s.send(p, f, cycle)
+				send(env, s.table, p, f, cycle)
 			}
 		}
 	}
@@ -121,18 +121,6 @@ func (s *Scarab) freeProductive(dst int, free uint8) flit.Port {
 		}
 	}
 	return flit.Invalid
-}
-
-// send launches f through p, computing its request at the downstream router
-// (look-ahead routing).
-func (s *Scarab) send(p flit.Port, f *flit.Flit, cycle uint64) {
-	env := s.env
-	env.Meter().CrossbarTraversal()
-	env.Stats().RoutedEvent(cycle)
-	if p != flit.Local {
-		f.Route = s.table.RequestAt(env.Neighbor(p), int(f.Dst))
-	}
-	env.Send(p, f)
 }
 
 // drop discards f, charges the NACK network for the return trip to the

@@ -5,33 +5,11 @@ import (
 	"dxbar/internal/snapshot"
 )
 
-// state moves one buffered-baseline FIFO oldest-first, including each entry's
-// absolute eligibility cycle (the pipeline-delay timestamp a restored run must
-// honour exactly). Loading refills the emptied queue from slot 0 with flits
-// drawn from the pool.
-func (q *entryQueue) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
-	n := s.Len(q.count, fifoDepth)
-	if s.Loading() {
-		*q = entryQueue{count: n}
-		for i := 0; i < n; i++ {
-			q.entries[i].f = pool.Get()
-		}
-	}
-	for i := 0; i < n; i++ {
-		e := &q.entries[(q.headIdx+i)&(fifoDepth-1)]
-		if err := flit.State(s, e.f, nodes); err != nil {
-			return err
-		}
-		s.U64(&e.ready)
-	}
-	return s.Err()
-}
-
 // State moves the buffered baseline's persistent state: the input FIFO
-// contents with eligibility timestamps, the split-input steering pointers,
-// and the allocator's rotation pointers. The bank's derived state — the
-// entries' request masks, the non-empty mask, the count — is not in the
-// stream.
+// contents with their absolute eligibility cycles (the pipeline-delay
+// timestamps a restored run must honour exactly), the split-input steering
+// pointers, and the allocator's rotation pointers. The bank's derived state —
+// the entries' routes and the non-empty mask — is not in the stream.
 func (b *Buffered) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 	s.Tag("BUFD")
 	nq := int(b.bank.nq)
@@ -40,7 +18,7 @@ func (b *Buffered) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 			return s.Failf("router: snapshot FIFO bank width %d != configured %d", n, nq)
 		}
 		for i := p * nq; i < (p+1)*nq; i++ {
-			if err := b.bank.q[i].state(s, pool, nodes); err != nil {
+			if err := b.bank.q[i].State(s, pool, nodes, true); err != nil {
 				return err
 			}
 		}
@@ -70,9 +48,9 @@ func (b *Buffered) allocState(s *snapshot.Stream) error {
 	}
 	for p := flit.North; p <= flit.West; p++ {
 		i := uint8(p) << (b.bank.nq - 1)
-		n := b.bank.q[i].count
+		n := b.bank.q[i].Len()
 		if b.bank.nq == 2 {
-			n += b.bank.q[i+1].count
+			n += b.bank.q[i+1].Len()
 		}
 		if err := b.env.CheckHeld(s, p, n); err != nil {
 			return err
@@ -92,7 +70,7 @@ func (b *Buffered) allocState(s *snapshot.Stream) error {
 func (a *AFC) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 	s.Tag("AFCR")
 	for i := range a.buf.bank.q[:flit.NumLinkPorts] { // one FIFO per input
-		if err := a.buf.bank.q[i].state(s, pool, nodes); err != nil {
+		if err := a.buf.bank.q[i].State(s, pool, nodes, true); err != nil {
 			return err
 		}
 	}

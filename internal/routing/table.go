@@ -77,7 +77,7 @@ type Table struct {
 	bias  int      // offset code of (dx, dy) = (0, 0)
 	node  []uint32 // per node: offset code<<4 | port mask
 	prod  []uint16 // per offset: packed Productive
-	want  []uint8  // per offset: Productive as an output-port bitmask (ProductiveMaskAt)
+	want  []uint8  // per offset: Productive as an output-port bitmask (RouteAt)
 	class []uint8  // per offset: which distinct productive list it holds
 	defl  []uint16 // per class × port mask: packed DeflectionOrder
 }
@@ -99,7 +99,8 @@ func packList(l PortList) uint16 {
 	return v
 }
 
-func unpackList(v uint16) PortList {
+// UnpackList decodes a productive list from the table's packed form (RouteAt).
+func UnpackList(v uint16) PortList {
 	// Branch-free decode: mask the packed word down to its n live 3-bit
 	// fields first, then unpack all four slots unconditionally — dead slots
 	// decode from masked-off zero bits, reproducing the zero-initialized
@@ -160,7 +161,7 @@ func NewTable(algo Algorithm, m Mesh, nodes int) *Table {
 	}
 	for _, v := range lists {
 		for mask := uint8(0); mask < 16; mask++ {
-			t.defl = append(t.defl, packList(deflectionOrder(unpackList(v), mask)))
+			t.defl = append(t.defl, packList(deflectionOrder(UnpackList(v), mask)))
 		}
 	}
 	return t
@@ -179,13 +180,18 @@ func (t *Table) offset(at, dst int) int { return int(t.node[dst]>>4) - int(t.nod
 func (t *Table) Productive(_ Mesh, at, dst int) PortList { return t.ProductiveAt(at, dst) }
 
 // ProductiveAt is the table-native productive query (no interface, no mesh).
-func (t *Table) ProductiveAt(at, dst int) PortList { return unpackList(t.prod[t.offset(at, dst)]) }
+func (t *Table) ProductiveAt(at, dst int) PortList { return UnpackList(t.prod[t.offset(at, dst)]) }
 
-// ProductiveMaskAt is the switch-allocation request of a flit for dst held at
-// node `at`: ProductiveAt as an output-port bitmask, or Local's bit alone when
-// the flit has arrived. One byte load, so a router can take it once per hop
-// (at buffer write) and keep it beside the flit.
-func (t *Table) ProductiveMaskAt(at, dst int) uint8 { return t.want[t.offset(at, dst)] }
+// RouteAt is the route computation for a flit for dst held at node `at`: want,
+// its switch-allocation request (ProductiveAt as an output-port bitmask, or
+// Local's bit alone when the flit has arrived), and route, ProductiveAt in the
+// table's packed form (UnpackList decodes it; empty when the flit has
+// arrived). Two loads, so a router takes it once per hop, at buffer write,
+// and keeps it beside the flit.
+func (t *Table) RouteAt(at, dst int) (want uint8, route uint16) {
+	i := t.offset(at, dst)
+	return t.want[i], t.prod[i]
+}
 
 // RequestAt is the look-ahead routing decision at node `at`: the preferred
 // productive port, or Local when the flit has arrived.
@@ -200,7 +206,7 @@ func (t *Table) RequestAt(at, dst int) flit.Port {
 // DeflectionAt is the table-native deflection-order query.
 func (t *Table) DeflectionAt(at, dst int) PortList {
 	c := int(t.class[t.offset(at, dst)])
-	return unpackList(t.defl[c<<4|int(t.node[at]&15)])
+	return UnpackList(t.defl[c<<4|int(t.node[at]&15)])
 }
 
 // ProductiveLenAt returns the size of the productive set without unpacking

@@ -67,8 +67,12 @@ func checkPair(t *testing.T, tab *Table, a Algorithm, m Mesh, at, dst int) {
 			wantMask |= 1 << p
 		}
 	}
-	if got := tab.ProductiveMaskAt(at, dst); got != wantMask {
+	got, route := tab.RouteAt(at, dst)
+	if got != wantMask {
 		t.Fatalf("%s at=%d dst=%d: productive mask %05b, want %05b (the bits of %v)", a.Name(), at, dst, got, wantMask, wantProd.Slice())
+	}
+	if l := UnpackList(route); !portsEqual(l, wantProd) {
+		t.Fatalf("%s at=%d dst=%d: packed route %v, want %v", a.Name(), at, dst, l.Slice(), wantProd.Slice())
 	}
 }
 

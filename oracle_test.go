@@ -532,6 +532,7 @@ var referenceDigests = map[string]string{
 	"variants/port-order":            "bbf6fc0818d2ddc2770ac63ad2474954442deed681fe818fafe465a51777a502",
 	"variants/fairness-1":            "4cf04ea2649ada01a8b44d1c125de10c969b936e5d6783b20a48c08bc5dd0511",
 	"variants/deep-buffers":          "caf24f71026c5df5c917137215a03ee4d0c700e439f5f200b9dc8cb55ca63ac1",
+	"variants/depth-3":               "c4617c4e4359ab0b7a558969e6ad786adec824181ee57770e4779a23c5b4e1b0",
 	"variants/multi-flit":            "75422777978f88960d49ffe53d2541ffe10992098d9af719ed014611f5f94a9e",
 	"seed7/flitbless":                "5730d637a2e24d4025eb4102fb9934141a0cf27c821c07e5ca9fdb9c83ea502a",
 	"seed7/scarab":                   "a62414fe62c8f0b41188d181c3b488de95d8ce00ceaea36d3e7c8f1ca75ef7f2",
@@ -631,11 +632,13 @@ var equivCases = func() (rows []equivCase) {
 	}
 	// DXbar's configuration axes: another productive-port set per hop, age-free
 	// arbitration, a fairness threshold that flips the unified fabric's
-	// priority often, a deeper secondary buffer, SCARAB's reassemblers.
+	// priority often, a deeper secondary buffer and one shallower than its
+	// ring's power-of-two capacity, SCARAB's reassemblers.
 	add("variants", "wf-routing", Config{Design: DesignDXbar, Routing: "WF", Load: 0.3, WarmupCycles: 200, MeasureCycles: 1000, Seed: 5})
 	add("variants", "port-order", Config{Design: DesignDXbar, Load: 0.3, WarmupCycles: 200, MeasureCycles: 1000, Seed: 5, PortOrderArbitration: true})
 	add("variants", "fairness-1", Config{Design: DesignUnified, Pattern: "MT", Load: 0.3, WarmupCycles: 200, MeasureCycles: 1000, Seed: 5, FairnessThreshold: 1})
 	add("variants", "deep-buffers", Config{Design: DesignDXbar, Load: 0.35, WarmupCycles: 200, MeasureCycles: 1000, Seed: 5, BufferDepth: 8})
+	add("variants", "depth-3", Config{Design: DesignDXbar, Routing: "WF", Load: 0.45, WarmupCycles: 200, MeasureCycles: 1000, Seed: 5, BufferDepth: 3})
 	add("variants", "multi-flit", Config{Design: DesignSCARAB, Load: 0.25, WarmupCycles: 200, MeasureCycles: 1000, Seed: 5, FlitsPerPacket: 4})
 	// Multi-column tiles on the mesh size sharding is meant for.
 	add("16x16", "dxbar", Config{Design: DesignDXbar, Width: 16, Height: 16, Pattern: "MT", Load: 0.25, WarmupCycles: 200, MeasureCycles: 800, Seed: 3})
