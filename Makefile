@@ -6,7 +6,7 @@ GO ?= go
 # example never requires touching this file.
 EXAMPLES := $(notdir $(wildcard examples/*))
 
-.PHONY: all build test test-race race lint census bench benchmark pairs figures figures-full examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
+.PHONY: all build test test-race race lint census bench benchmark pairs figures examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
 
 all: build test
 
@@ -75,11 +75,11 @@ N ?= 10
 pairs:
 	PAIRS_PARENT=$(PARENT) sh scripts/pairs.sh $(WORKLOAD) $(N) $(SEED)
 
-# Regenerate every figure as CSV + SVG + Markdown under results/.
+# Regenerate every figure at full quality as CSV + SVG + Markdown under
+# results/ — the committed files EXPERIMENTS.md points to (minutes). The
+# quick-quality numbers live in EXPERIMENTS.md's claim tables instead
+# (TestPaperClaims).
 figures:
-	$(GO) run ./cmd/dxbar-sweep -fig all -quality quick -out results -svg -md
-
-figures-full:
 	$(GO) run ./cmd/dxbar-sweep -fig all -quality full -out results -svg -md
 
 examples:
@@ -141,4 +141,4 @@ determinism:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreEngine -fuzztime 30s .
 
 clean:
-	rm -rf results flightrecorder_trace.json diag-artifacts
+	rm -rf flightrecorder_trace.json diag-artifacts

@@ -108,7 +108,7 @@ type Config struct {
 	// fault of either granularity as the death of that fabric.
 	FaultGranularity string
 	// FairnessThreshold overrides the DXbar fairness counter threshold
-	// (default core.FairnessThreshold = 4).
+	// (default core.FairnessThreshold = 4; negative is an error).
 	FairnessThreshold int
 	// BufferDepth overrides the per-input buffer depth (default: 4 for
 	// DXbar/unified/Buffered 4, 8 for Buffered 8). Used by the
@@ -123,8 +123,8 @@ type Config struct {
 	// occupancy into Result.TimeSeries. 0 disables sampling.
 	SampleInterval uint64
 	// CreditDelay overrides the credit-return signalling latency in cycles
-	// (default 1; ablation of the round-trip the fairness threshold must
-	// cover, §II.A.2).
+	// (default 1, at most 64; ablation of the round-trip the fairness
+	// threshold must cover, §II.A.2).
 	CreditDelay int
 	// PortOrderArbitration replaces DXbar's age-based arbitration with
 	// static port order (arbitration-policy ablation; DXbar only).
@@ -463,7 +463,8 @@ type NetworkOptions struct {
 	// BufferDepth overrides the design's default buffer depth (ablations;
 	// DXbar only, 1..64).
 	BufferDepth int
-	// CreditDelay overrides the credit-return latency (default 1 cycle).
+	// CreditDelay overrides the credit-return latency (default 1 cycle,
+	// at most 64).
 	CreditDelay int
 	// PortOrderArbitration switches DXbar to static port-order arbitration.
 	PortOrderArbitration bool
@@ -488,10 +489,21 @@ type NetworkOptions struct {
 // deepest point (16), and small enough that a router's buffers stay a few KiB.
 const maxBufferDepth = 64
 
+// maxCreditDelay bounds a CreditDelay override: sixteen times the ablation's
+// longest round trip (4). Every link keeps one in-flight slot per cycle of
+// delay, so an unbounded value exhausts memory at construction.
+const maxCreditDelay = 64
+
 // prepare validates the options and resolves them into an engine config, a
 // router factory and a fresh meter — the pieces sim.New (and Engine.Reset,
 // for engine reuse) need.
 func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, error) {
+	if o.FairnessThreshold < 0 {
+		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: FairnessThreshold %d is negative", o.FairnessThreshold)
+	}
+	if o.CreditDelay < 0 || o.CreditDelay > maxCreditDelay {
+		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: CreditDelay %d outside 0..%d", o.CreditDelay, maxCreditDelay)
+	}
 	if o.FairnessThreshold == 0 {
 		o.FairnessThreshold = core.FairnessThreshold
 	}

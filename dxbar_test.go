@@ -1,6 +1,8 @@
 package dxbar
 
 import (
+	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -170,22 +172,37 @@ func TestFaultsRejectedForBufferlessDesigns(t *testing.T) {
 
 // Unknown configuration values must error cleanly.
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Design: "bogus", Load: 0.1}); err == nil {
-		t.Error("unknown design must error")
-	}
-	if _, err := Run(Config{Design: DesignDXbar, Routing: "bogus", Load: 0.1}); err == nil {
-		t.Error("unknown routing must error")
-	}
-	if _, err := Run(Config{Design: DesignDXbar, Pattern: "bogus", Load: 0.1}); err == nil {
-		t.Error("unknown pattern must error")
-	}
-	if _, err := Run(Config{Design: DesignDXbar, Load: 2.0}); err == nil {
-		t.Error("load > 1 must error")
-	}
-	for _, depth := range []int{-1, maxBufferDepth + 1} {
-		if _, err := Run(Config{Design: DesignDXbar, Load: 0.1, BufferDepth: depth}); err == nil {
-			t.Errorf("buffer depth %d must error", depth)
+	nan := math.NaN()
+	for name, cfg := range map[string]Config{
+		"unknown design":              {Design: "bogus", Load: 0.1},
+		"unknown routing":             {Design: DesignDXbar, Routing: "bogus", Load: 0.1},
+		"unknown pattern":             {Design: DesignDXbar, Pattern: "bogus", Load: 0.1},
+		"load > 1":                    {Design: DesignDXbar, Load: 2.0},
+		"negative load":               {Design: DesignDXbar, Load: -0.1},
+		"NaN load":                    {Design: DesignDXbar, Load: nan},
+		"negative fault fraction":     {Design: DesignDXbar, Load: 0.1, FaultFraction: -0.5},
+		"NaN fault fraction":          {Design: DesignDXbar, Load: 0.1, FaultFraction: nan},
+		"fault fraction > 1":          {Design: DesignDXbar, Load: 0.1, FaultFraction: 1.5},
+		"unknown granularity":         {Design: DesignDXbar, Load: 0.1, FaultFraction: 0.5, FaultGranularity: "bogus"},
+		"negative buffer depth":       {Design: DesignDXbar, Load: 0.1, BufferDepth: -1},
+		"buffer depth above bound":    {Design: DesignDXbar, Load: 0.1, BufferDepth: maxBufferDepth + 1},
+		"negative credit delay":       {Design: DesignBuffered4, Load: 0.1, CreditDelay: -1},
+		"credit delay above bound":    {Design: DesignDXbar, Load: 0.1, CreditDelay: maxCreditDelay + 1},
+		"negative fairness threshold": {Design: DesignDXbar, Load: 0.1, FairnessThreshold: -1},
+	} {
+		cfg.WarmupCycles, cfg.MeasureCycles = 10, 10
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s must error", name)
 		}
+	}
+	// A resumed run rebuilds its network from the checkpoint's saved config,
+	// so an invalid override is an error there too, not a panic.
+	_, err := ResumeWith(filepath.Join("bench", "golden.ckpt"), func(c *Config) {
+		c.CheckpointInterval, c.CheckpointDir = 0, ""
+		c.CreditDelay = -1
+	})
+	if err == nil {
+		t.Error("resuming with a negative credit delay must error")
 	}
 }
 

@@ -241,17 +241,17 @@ func TestFigurePairsShareOneSweep(t *testing.T) {
 	}
 }
 
-// Figures 9/10 run the closed-loop matrix once (shared path Figure9And10).
+// Figures 9/10 come from one closed-loop matrix (Figure9And10); the pair
+// paperClaims reads at quick quality is checked for its shape here.
 func TestSplashFiguresEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: 6 designs x 9 benchmarks")
 	}
-	q := Quality{Warmup: 100, Measure: 300, Loads: []float64{0.1},
-		FaultFractions: []float64{0}, SplashSeeds: 1}
-	fig9, err := Figure9(q, 5)
+	f, err := claimFigures()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig9, fig10 := f.fig9, f.fig10
 	if len(fig9.Series) != 6 {
 		t.Fatalf("fig9 series = %d", len(fig9.Series))
 	}
@@ -265,10 +265,6 @@ func TestSplashFiguresEndToEnd(t *testing.T) {
 				t.Errorf("baseline normalization broken at %s: %v", s.XNames[i], y)
 			}
 		}
-	}
-	fig10, err := Figure10(q, 5)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, s := range fig10.Series {
 		for _, y := range s.Y {

@@ -86,7 +86,7 @@ func NewPlan(n int, fraction float64, manifestCycle uint64, seed int64) (*Plan, 
 	if n <= 0 {
 		return nil, fmt.Errorf("faults: invalid router count %d", n)
 	}
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) { // NaN fails both
 		return nil, fmt.Errorf("faults: fraction %v out of [0,1]", fraction)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -115,7 +115,7 @@ func NewCrosspointPlan(n int, fraction float64, manifestCycle uint64, seed int64
 	if n <= 0 {
 		return nil, fmt.Errorf("faults: invalid router count %d", n)
 	}
-	if fraction < 0 || fraction > 1 {
+	if !(fraction >= 0 && fraction <= 1) {
 		return nil, fmt.Errorf("faults: fraction %v out of [0,1]", fraction)
 	}
 	rng := rand.New(rand.NewSource(seed))

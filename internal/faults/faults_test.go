@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -29,6 +30,9 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 	if _, err := NewPlan(64, 1.5, 0, 1); err == nil {
 		t.Error("fraction > 1 must fail")
+	}
+	if _, err := NewPlan(64, math.NaN(), 0, 1); err == nil {
+		t.Error("NaN fraction must fail")
 	}
 }
 
@@ -182,6 +186,9 @@ func TestCrosspointPlanValidation(t *testing.T) {
 	}
 	if _, err := NewCrosspointPlan(64, 1.5, 0, 1); err == nil {
 		t.Error("fraction > 1 must fail")
+	}
+	if _, err := NewCrosspointPlan(64, math.NaN(), 0, 1); err == nil {
+		t.Error("NaN fraction must fail")
 	}
 }
 

@@ -91,7 +91,7 @@ func (s *countingSource) Seed(seed int64) { s.src.Seed(seed) }
 // NewBernoulli returns an injector offering `load` flits/node/cycle with
 // packets of flitsPerPacket flits each.
 func NewBernoulli(m *topology.Mesh, p Pattern, load float64, flitsPerPacket int, seed int64) (*Bernoulli, error) {
-	if load < 0 || load > 1 {
+	if !(load >= 0 && load <= 1) { // NaN fails both
 		return nil, fmt.Errorf("traffic: load %v out of [0,1]", load)
 	}
 	if flitsPerPacket < 1 || flitsPerPacket > 64 {

@@ -222,6 +222,9 @@ func TestBernoulliValidation(t *testing.T) {
 	if _, err := NewBernoulli(mesh, p, 1.5, 1, 1); err == nil {
 		t.Error("load > 1 must fail")
 	}
+	if _, err := NewBernoulli(mesh, p, math.NaN(), 1, 1); err == nil {
+		t.Error("NaN load must fail")
+	}
 	if _, err := NewBernoulli(mesh, p, 0.5, 0, 1); err == nil {
 		t.Error("0 flits per packet must fail")
 	}

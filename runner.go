@@ -208,6 +208,11 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 	if err != nil {
 		return Result{}, err
 	}
+	// Only a positive fraction builds a plan, so a negative or NaN one would
+	// silently run a healthy network.
+	if !(cfg.FaultFraction >= 0 && cfg.FaultFraction <= 1) {
+		return Result{}, fmt.Errorf("dxbar: FaultFraction %v out of [0,1]", cfg.FaultFraction)
+	}
 	var plan *faults.Plan
 	if cfg.FaultFraction > 0 {
 		switch cfg.FaultGranularity {
