@@ -218,6 +218,31 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 	b.ReportMetric(float64(b.N)*1000*64/b.Elapsed().Seconds(), "router-cycles/s")
 }
 
+// BenchmarkNewNetwork measures what building a network costs before it
+// simulates a cycle — the set-up every restore, resume, cold ledger point and
+// NewNetwork call pays: all seven designs at 8×8, 32×32 and 64×64, and on two
+// shards at the two larger sizes, reported as ns per node and allocations per
+// network. The end-to-end judge is the benchmark's `setup_s` on `mesh64`.
+func BenchmarkNewNetwork(b *testing.B) {
+	type size struct{ w, h, shards int }
+	sizes := []size{{8, 8, 0}, {32, 32, 0}, {64, 64, 0}, {32, 32, 2}, {64, 64, 2}}
+	for _, d := range AllDesigns {
+		for _, s := range sizes {
+			b.Run(fmt.Sprintf("%s/%dx%d/shards%d", d, s.w, s.h, s.shards), func(b *testing.B) {
+				mesh := topology.MustMesh(s.w, s.h)
+				coll := stats.NewCollector(mesh.Nodes(), 0, ^uint64(0))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := NewNetwork(NetworkOptions{Design: d, Mesh: mesh, Stats: coll, Shards: s.shards}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(mesh.Nodes())), "ns/node")
+			})
+		}
+	}
+}
+
 // BenchmarkIdleStep measures what a router with nothing to do costs the
 // engine: an 8×8 network of each design with no traffic source, reported as
 // ns per router-cycle. It is the number the activity-driven router phase

@@ -130,7 +130,8 @@ type Config struct {
 	// static port order (arbitration-policy ablation; DXbar only).
 	PortOrderArbitration bool
 	// EventTrace enables the flight recorder with a ring of that many
-	// events (see internal/events). 0 disables tracing; disabled runs are
+	// events (see internal/events; at most 2^24, a negative value is an
+	// error). 0 disables tracing; disabled runs are
 	// bit-identical to traced ones. The recorded tail is returned in
 	// Result.Events, the whole-run per-router counters in
 	// Result.RouterEvents.
@@ -375,48 +376,65 @@ type routerArgs struct {
 	afc   *router.AFCController // set by the afc row's shared hook
 }
 
-func (a *routerArgs) detector(node int) *faults.Detector {
+func (a *routerArgs) detector(node int) faults.Detector {
 	f, ok := a.FaultPlan.ForRouter(node)
 	return faults.NewDetector(f, a.FaultPlan.DetectionDelay, ok)
+}
+
+// slab is how a design builds its routers: a network's routers of type T live
+// in one []T, each built in place by init — one allocation per network (and
+// so per Engine.Reset), none per router.
+func slab[T any, R interface {
+	*T
+	sim.Router
+}](init func(r R, env *sim.Env, a *routerArgs)) func(a *routerArgs, nodes int) sim.RouterFactory {
+	return func(a *routerArgs, nodes int) sim.RouterFactory {
+		rs := make([]T, nodes)
+		return func(env *sim.Env) sim.Router {
+			r := R(&rs[env.Node])
+			init(r, env, a)
+			return r
+		}
+	}
 }
 
 // designTable is the one declaration of what distinguishes the designs when a
 // network is assembled: the engine's credit/buffer depth (0 = bufferless), the
 // energy meter, whether crossbar faults are modelled and whether
 // NetworkOptions.BufferDepth applies, a routing algorithm of the design's own
-// (algo, replacing the configured one), the per-node router constructor, and
-// an optional hook that builds network-wide state before the routers and
-// returns a function to run before every cycle's router phase.
+// (algo, replacing the configured one), the router builder (slab) with its
+// per-node constructor, and an optional hook that builds network-wide state
+// before the routers and returns a function to run before every cycle's
+// router phase.
 var designTable = map[Design]struct {
 	depth                    int
 	meter                    func() *energy.Meter
 	faultable, depthOverride bool
 	algo                     routing.Algorithm
-	router                   func(env *sim.Env, a *routerArgs) sim.Router
+	routers                  func(a *routerArgs, nodes int) sim.RouterFactory
 	shared                   func(a *routerArgs, nodes int) (preCycle func(uint64))
 }{
 	DesignDXbar: {depth: 4, meter: energy.NewMeter, faultable: true, depthOverride: true,
-		router: func(env *sim.Env, a *routerArgs) sim.Router {
-			r := core.NewDXbarDepth(env, a.algo, a.FairnessThreshold, a.depth, a.detector(env.Node))
+		routers: slab(func(r *core.DXbar, env *sim.Env, a *routerArgs) {
+			r.Init(env, a.algo, a.FairnessThreshold, a.depth, a.detector(env.Node))
 			r.SetPortOrderArbitration(a.PortOrderArbitration)
-			return r
-		}},
+		})},
 	DesignUnified: {depth: 4, meter: energy.NewUnifiedMeter, faultable: true,
-		router: func(env *sim.Env, a *routerArgs) sim.Router {
-			return core.NewUnified(env, a.algo, a.FairnessThreshold, a.detector(env.Node))
-		}},
+		routers: slab(func(r *core.Unified, env *sim.Env, a *routerArgs) {
+			r.Init(env, a.algo, a.FairnessThreshold, a.detector(env.Node))
+		})},
 	DesignFlitBless: {meter: energy.NewMeter,
-		router: func(env *sim.Env, a *routerArgs) sim.Router { return router.NewBless(env, a.algo) }},
+		routers: slab(func(r *router.Bless, env *sim.Env, a *routerArgs) { r.Init(env, a.algo) })},
 	// SCARAB's minimal-adaptive routing has no Config knob.
 	DesignSCARAB: {meter: energy.NewMeter, algo: routing.MinimalAdaptive{},
-		router: func(env *sim.Env, a *routerArgs) sim.Router {
+		routers: slab(func(r *router.Scarab, env *sim.Env, a *routerArgs) {
 			minTable, _ := a.algo.(*routing.Table)
-			return router.NewScarabTable(env, minTable)
-		}},
+			r.Init(env, minTable)
+		})},
 	DesignBuffered4: {depth: 4, meter: energy.NewMeter,
-		router: func(env *sim.Env, a *routerArgs) sim.Router { return router.NewBuffered(env, a.algo, false) }},
+		routers: slab(func(r *router.Buffered, env *sim.Env, a *routerArgs) { r.Init(env, a.algo, false) })},
 	DesignBuffered8: {depth: 8, meter: energy.NewBuffered8Meter,
-		router: func(env *sim.Env, a *routerArgs) sim.Router { return router.NewBuffered(env, a.algo, true) }},
+		routers: slab(func(r *router.Buffered, env *sim.Env, a *routerArgs) { r.Init(env, a.algo, true) })},
 	// One mode controller is shared by every router of an AFC network. Its
 	// policy ticks once per cycle *before* the router phase — from this hook
 	// and nowhere else — so that the sharded engine's workers read a stable
@@ -426,10 +444,10 @@ var designTable = map[Design]struct {
 			a.afc = router.NewAFCController(nodes)
 			return a.afc.Tick
 		},
-		router: func(env *sim.Env, a *routerArgs) sim.Router {
+		routers: slab(func(r *router.AFC, env *sim.Env, a *routerArgs) {
 			env.RegisterShared(a.afc)
-			return router.NewAFC(env, a.algo, a.afc)
-		}},
+			r.Init(env, a.algo, a.afc)
+		})},
 }
 
 // Network bundles a ready-to-run engine with its meter and collector, for
@@ -494,6 +512,11 @@ const maxBufferDepth = 64
 // delay, so an unbounded value exhausts memory at construction.
 const maxCreditDelay = 64
 
+// maxEventTrace bounds Config.EventTrace: 2^24 events, 640 MiB of 40-byte
+// ring slots. The ring is allocated whole before the first cycle, so an
+// unbounded value exhausts memory at construction.
+const maxEventTrace = 1 << 24
+
 // prepare validates the options and resolves them into an engine config, a
 // router factory and a fresh meter — the pieces sim.New (and Engine.Reset,
 // for engine reuse) need.
@@ -548,7 +571,7 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 	if spec.shared != nil {
 		designPreCycle = spec.shared(args, nodes)
 	}
-	factory := func(env *sim.Env) sim.Router { return spec.router(env, args) }
+	factory := spec.routers(args, nodes)
 	preCycle := o.PreCycle
 	if designPreCycle != nil {
 		if user := o.PreCycle; user != nil {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"dxbar/internal/topology"
 )
 
 // run is a test helper for short simulations.
@@ -189,6 +191,10 @@ func TestConfigValidation(t *testing.T) {
 		"negative credit delay":       {Design: DesignBuffered4, Load: 0.1, CreditDelay: -1},
 		"credit delay above bound":    {Design: DesignDXbar, Load: 0.1, CreditDelay: maxCreditDelay + 1},
 		"negative fairness threshold": {Design: DesignDXbar, Load: 0.1, FairnessThreshold: -1},
+		"mesh side above bound":       {Design: DesignDXbar, Load: 0.1, Width: topology.MaxSide + 1, Height: 2},
+		"40000x2 mesh":                {Design: DesignDXbar, Load: 0.1, Width: 40000, Height: 2},
+		"negative event trace":        {Design: DesignDXbar, Load: 0.1, EventTrace: -1},
+		"event trace above bound":     {Design: DesignDXbar, Load: 0.1, EventTrace: maxEventTrace + 1},
 	} {
 		cfg.WarmupCycles, cfg.MeasureCycles = 10, 10
 		if _, err := Run(cfg); err == nil {

@@ -42,33 +42,37 @@ func GrantRot(mask uint64, ptr int) int {
 // the branchy cyclic-scan allocator in the tests, which they treat as the
 // oracle (paper reference [14]: the Buffered 4/8 baselines' allocator).
 //
-// All state is contiguous: two pointer slices and two scratch word slices,
-// no per-arbiter objects.
+// All state is held by value in fixed arrays of maxRadix entries, of which
+// the allocator's radix uses the first: two pointer arrays and three scratch
+// arrays, no per-arbiter objects and no heap object of its own, so a router
+// holds its allocator inline.
 type Separable struct {
 	numIn, numOut int
-	outPtr        []int32 // per output, rotation pointer over inputs
-	inPtr         []int32 // per input, rotation pointer over outputs
-	outReq        []uint64
-	inWon         []uint64
-	grant         []int
+	outPtr        [maxRadix]int32 // per output, rotation pointer over inputs
+	inPtr         [maxRadix]int32 // per input, rotation pointer over outputs
+	outReq        [maxRadix]uint64
+	inWon         [maxRadix]uint64
+	grant         [maxRadix]int
 	// grants counts stage-2 matches; it is part of the snapshot stream.
 	grants uint64
 }
 
-// NewSeparable returns an allocator of the given radix (both ≤ 64).
+// maxRadix bounds a Separable's input and output counts: one request word.
+const maxRadix = 64
+
+// NewSeparable returns an allocator of the given radix (both ≤ maxRadix).
 func NewSeparable(numIn, numOut int) *Separable {
-	if numIn <= 0 || numIn > 64 || numOut <= 0 || numOut > 64 {
+	s := new(Separable)
+	s.Init(numIn, numOut)
+	return s
+}
+
+// Init makes s a fresh allocator of the given radix in place (NewSeparable).
+func (s *Separable) Init(numIn, numOut int) {
+	if numIn <= 0 || numIn > maxRadix || numOut <= 0 || numOut > maxRadix {
 		panic(fmt.Sprintf("bitarb: invalid separable radix %dx%d", numIn, numOut))
 	}
-	return &Separable{
-		numIn:  numIn,
-		numOut: numOut,
-		outPtr: make([]int32, numOut),
-		inPtr:  make([]int32, numIn),
-		outReq: make([]uint64, numOut),
-		inWon:  make([]uint64, numIn),
-		grant:  make([]int, numIn),
-	}
+	*s = Separable{numIn: numIn, numOut: numOut}
 }
 
 // Allocate computes a conflict-free matching for the request matrix req,
@@ -79,7 +83,7 @@ func (s *Separable) Allocate(req []uint64) []int {
 	if len(req) != s.numIn {
 		panic("bitarb: request matrix has wrong input count")
 	}
-	grant := s.grant
+	grant := s.grant[:s.numIn]
 	inAny := uint64(0)
 	for i, m := range req {
 		grant[i] = -1
@@ -87,7 +91,7 @@ func (s *Separable) Allocate(req []uint64) []int {
 			inAny |= 1 << uint(i)
 		}
 	}
-	inWon := s.inWon
+	inWon := s.inWon[:s.numIn]
 	if inAny&(inAny-1) == 0 {
 		// Zero or one requesting input: 79 % of the calls in the closed-loop
 		// splash runs, 29 % at 8×8 UR 0.3 (counted; CHANGES.md PR24). A
@@ -101,7 +105,7 @@ func (s *Separable) Allocate(req []uint64) []int {
 	} else {
 		// Transpose the request matrix into per-output request words,
 		// touching only the set bits.
-		outReq := s.outReq
+		outReq := s.outReq[:s.numOut]
 		for o := range outReq {
 			outReq[o] = 0
 		}

@@ -5,7 +5,7 @@ import "dxbar/internal/snapshot"
 // State moves the separable allocator: the per-output and per-input rotation
 // pointers plus the match counter.
 func (s *Separable) State(st *snapshot.Stream) error {
-	for i := range s.outPtr {
+	for i := range s.outPtr[:s.numOut] {
 		p := int(s.outPtr[i])
 		snapshot.Int(st, &p)
 		if p < 0 || p >= s.numIn {
@@ -13,7 +13,7 @@ func (s *Separable) State(st *snapshot.Stream) error {
 		}
 		s.outPtr[i] = int32(p)
 	}
-	for i := range s.inPtr {
+	for i := range s.inPtr[:s.numIn] {
 		p := int(s.inPtr[i])
 		snapshot.Int(st, &p)
 		if p < 0 || p >= s.numOut {

@@ -37,17 +37,26 @@ type Queue struct {
 	depth       int
 }
 
+// RingLen returns the ring capacity of a queue of the given depth: the power
+// of two at or above it.
+func RingLen(depth int) int { return 1 << bits.Len(uint(depth-1)) }
+
 // InitQueues gives every queue of qs an empty ring of the given depth, all
-// carved from one backing array (a router's queues are one allocation). It
-// panics on a non-positive depth.
-func InitQueues(qs []Queue, depth int) {
+// carved in order from store when it holds len(qs)·RingLen(depth) entries —
+// storage the caller owns, such as the engine's per-node slab
+// (sim.Env.QueueStore) — and from one new array otherwise (a nil store). It
+// panics on a non-positive depth. Entries left in store by a previous owner
+// are dead: a queue reads only the slots it has written since.
+func InitQueues(qs []Queue, depth int, store []Entry) {
 	if depth <= 0 {
 		panic(fmt.Sprintf("buffer: invalid queue depth %d", depth))
 	}
-	c := 1 << bits.Len(uint(depth-1))
-	backing := make([]Entry, len(qs)*c)
+	c := RingLen(depth)
+	if len(store) < len(qs)*c {
+		store = make([]Entry, len(qs)*c)
+	}
 	for i := range qs {
-		qs[i] = Queue{ring: backing[i*c : (i+1)*c : (i+1)*c], depth: depth}
+		qs[i] = Queue{ring: store[i*c : (i+1)*c : (i+1)*c], depth: depth}
 	}
 }
 

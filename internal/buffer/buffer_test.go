@@ -14,8 +14,32 @@ func mk(id uint64) *flit.Flit { return &flit.Flit{ID: id} }
 // queues returns n empty queues of the given depth on one backing array.
 func queues(n, depth int) []Queue {
 	qs := make([]Queue, n)
-	InitQueues(qs, depth)
+	InitQueues(qs, depth, nil)
 	return qs
+}
+
+// TestInitQueuesCarvesStore: queues initialised on a store large enough for
+// them take their rings from it, in order and without allocating, whatever
+// the store held before; a store too small for them is not used.
+func TestInitQueuesCarvesStore(t *testing.T) {
+	store := make([]Entry, 2*RingLen(3))
+	for i := range store {
+		store[i] = Entry{F: mk(99)} // a previous owner's dead entries
+	}
+	qs := make([]Queue, 2)
+	if n := testing.AllocsPerRun(10, func() { InitQueues(qs, 3, store) }); n != 0 {
+		t.Errorf("InitQueues on a large enough store allocates %.0f times, want 0", n)
+	}
+	qs[0].Push(Entry{F: mk(1)})
+	qs[1].Push(Entry{F: mk(2)})
+	if store[0].F.ID != 1 || store[RingLen(3)].F.ID != 2 || qs[0].Len() != 1 || qs[1].Len() != 1 {
+		t.Errorf("rings not carved in order from the store: %v, %v", store[0].F, store[RingLen(3)].F)
+	}
+	InitQueues(qs, 3, store[:len(store)-1])
+	qs[0].Push(Entry{F: mk(3)})
+	if store[0].F.ID == 3 {
+		t.Error("a store too small for the queues was written")
+	}
 }
 
 func TestFIFOOrder(t *testing.T) {

@@ -48,29 +48,32 @@ type dualGrant [2]int
 type dualInput struct {
 	numPorts, numOut int
 	swaps            uint64
-	outWinner        []int       // per-allocate scratch
-	won              []uint64    // per-allocate scratch: outputs each port won in stage 1
-	grants           []dualGrant // per-allocate scratch, aliased by the result
+	outWinner        [maxDualRadix]int       // per-allocate scratch
+	won              [maxDualRadix]uint64    // per-allocate scratch: outputs each port won in stage 1
+	grants           [maxDualRadix]dualGrant // per-allocate scratch, aliased by the result
 	// prefOut/otherOut are stage 1's per-output requester-port masks (bit p
 	// of prefOut[o] = port p's preferred-class sub-input wants o).
-	prefOut, otherOut []uint64
+	prefOut, otherOut [maxDualRadix]uint64
 }
+
+// maxDualRadix bounds the dual-input allocator's port and output counts: its
+// scratch is held by value, so the unified router holds it inline.
+const maxDualRadix = 8
 
 // newDualInput returns an allocator for numPorts input ports and numOut
 // output ports (both 5 for the paper's unified crossbar).
 func newDualInput(numPorts, numOut int) *dualInput {
-	if numPorts <= 0 || numPorts > 64 || numOut <= 0 || numOut > 64 {
+	d := new(dualInput)
+	d.init(numPorts, numOut)
+	return d
+}
+
+// init makes d a fresh allocator in place (newDualInput).
+func (d *dualInput) init(numPorts, numOut int) {
+	if numPorts <= 0 || numPorts > maxDualRadix || numOut <= 0 || numOut > maxDualRadix {
 		panic("core: invalid dual-input allocator radix")
 	}
-	return &dualInput{
-		numPorts:  numPorts,
-		numOut:    numOut,
-		outWinner: make([]int, numOut),
-		won:       make([]uint64, numPorts),
-		grants:    make([]dualGrant, numPorts),
-		prefOut:   make([]uint64, numOut),
-		otherOut:  make([]uint64, numOut),
-	}
+	*d = dualInput{numPorts: numPorts, numOut: numOut}
 }
 
 // allocate computes the dual-input matching. preferBuffered flips the
@@ -95,7 +98,7 @@ func (d *dualInput) allocate(reqs []dualRequest, preferBuffered bool) []dualGran
 		pref, other = subBuffered, subBufferless
 	}
 
-	prefOut, otherOut := d.prefOut, d.otherOut
+	prefOut, otherOut := d.prefOut[:d.numOut], d.otherOut[:d.numOut]
 	for o := 0; o < d.numOut; o++ {
 		prefOut[o], otherOut[o] = 0, 0
 	}
@@ -109,7 +112,7 @@ func (d *dualInput) allocate(reqs []dualRequest, preferBuffered bool) []dualGran
 			otherOut[bits.TrailingZeros64(m)] |= pb
 		}
 	}
-	outWinner := d.outWinner
+	outWinner := d.outWinner[:d.numOut]
 	for o := 0; o < d.numOut; o++ {
 		m, sub := prefOut[o], pref
 		if m == 0 {
@@ -136,13 +139,13 @@ func (d *dualInput) allocate(reqs []dualRequest, preferBuffered bool) []dualGran
 
 // stage2 runs the per-port serial V:1 arbitration over d.outWinner.
 func (d *dualInput) stage2(reqs []dualRequest, pref, other int) []dualGrant {
-	grants, won := d.grants, d.won
+	grants, won := d.grants[:d.numPorts], d.won[:d.numPorts]
 	for p := range grants {
 		grants[p] = dualGrant{-1, -1}
 		won[p] = 0
 	}
 	var winners uint64
-	for o, p := range d.outWinner {
+	for o, p := range d.outWinner[:d.numOut] {
 		if p >= 0 {
 			won[p] |= 1 << uint(o)
 			winners |= 1 << uint(p)

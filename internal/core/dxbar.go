@@ -38,8 +38,8 @@ const BufferDepth = 4
 type DXbar struct {
 	inputs
 
-	primary   *crossbar.XBar // 4 link inputs × 5 outputs
-	secondary *crossbar.XBar // 4 buffers + injection × 5 outputs
+	primary   crossbar.XBar // 4 link inputs × 5 outputs
+	secondary crossbar.XBar // 4 buffers + injection × 5 outputs
 
 	// adaptive caches the routing algorithm's adaptivity (the waiters'
 	// congestion-aware port order).
@@ -67,7 +67,7 @@ const secondaryInjIn = 4
 // the paper's configuration). fault is the router's fault detector (use an
 // inactive detector for a healthy router). The engine must be configured
 // with BufferDepth 4.
-func NewDXbar(env *sim.Env, algo routing.Algorithm, threshold int, fault *faults.Detector) *DXbar {
+func NewDXbar(env *sim.Env, algo routing.Algorithm, threshold int, fault faults.Detector) *DXbar {
 	return NewDXbarDepth(env, algo, threshold, BufferDepth, fault)
 }
 
@@ -78,13 +78,22 @@ func (d *DXbar) SetPortOrderArbitration(on bool) { d.portOrder = on }
 
 // NewDXbarDepth is NewDXbar with a configurable per-input buffer depth
 // (buffer-depth ablations). The engine's credit BufferDepth must match.
-func NewDXbarDepth(env *sim.Env, algo routing.Algorithm, threshold, depth int, fault *faults.Detector) *DXbar {
-	return &DXbar{
-		inputs:    newInputs(env, algo, threshold, depth, fault),
-		primary:   crossbar.NewXBar(flit.NumLinkPorts, flit.NumPorts),
-		secondary: crossbar.NewXBar(flit.NumPorts, flit.NumPorts),
-		adaptive:  algo.Adaptive(),
-	}
+func NewDXbarDepth(env *sim.Env, algo routing.Algorithm, threshold, depth int, fault faults.Detector) *DXbar {
+	d := new(DXbar)
+	d.Init(env, algo, threshold, depth, fault)
+	return d
+}
+
+// Init builds the router in place, as NewDXbarDepth does on a fresh
+// allocation: a network's routers are built into one slab. Everything the
+// router holds — crossbars, fairness counter, detector — is held by value,
+// and its buffers come from the node's queue store, so Init allocates
+// nothing.
+func (d *DXbar) Init(env *sim.Env, algo routing.Algorithm, threshold, depth int, fault faults.Detector) {
+	*d = DXbar{adaptive: algo.Adaptive()}
+	d.inputs.init(env, algo, threshold, depth, fault)
+	d.primary.Init(flit.NumLinkPorts, flit.NumPorts)
+	d.secondary.Init(flit.NumPorts, flit.NumPorts)
 }
 
 // Step implements sim.Router. Every mode runs on one set of gathers and
@@ -139,9 +148,9 @@ func (d *DXbar) applyFaults(cycle uint64) bool {
 	env := d.env
 	if d.manifested(cycle) {
 		f := d.detector.Fault()
-		target := d.primary
+		target := &d.primary
 		if f.Crossbar == faults.Secondary {
-			target = d.secondary
+			target = &d.secondary
 		}
 		switch f.Granularity {
 		case faults.WholeCrossbar:

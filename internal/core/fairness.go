@@ -22,11 +22,11 @@ type fairness struct {
 	flips     uint64
 }
 
-func newFairness(threshold int) *fairness {
+func newFairness(threshold int) fairness {
 	if threshold < 1 {
 		threshold = 1
 	}
-	return &fairness{threshold: threshold}
+	return fairness{threshold: threshold}
 }
 
 // flip reports whether this cycle's allocation must prioritize the waiting

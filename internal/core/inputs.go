@@ -26,8 +26,8 @@ type inputs struct {
 	// every Push/Pop), so the waiter gathers probe only occupied buffers.
 	bufMask uint8
 
-	fair     *fairness
-	detector *faults.Detector
+	fair     fairness
+	detector faults.Detector
 	// manifestSeen latches the fault manifestation so the flight recorder
 	// sees it exactly once.
 	manifestSeen bool
@@ -44,18 +44,14 @@ type inputs struct {
 	sendable uint8
 }
 
-// newInputs builds an input stage with depth-flit buffers. A nil fault
+// init builds an input stage with depth-flit buffers in place, carving the
+// buffers from the node's queue store (sim.Env.QueueStore). The zero
 // detector stands for a healthy router.
-func newInputs(env *sim.Env, algo routing.Algorithm, threshold, depth int, fault *faults.Detector) inputs {
-	in := inputs{env: env, fair: newFairness(threshold), detector: fault}
-	if in.detector == nil {
-		in.detector = faults.NewDetector(faults.Fault{}, faults.DefaultDetectionDelay, false)
-	}
-	buffer.InitQueues(in.buffers[:], depth)
+func (in *inputs) init(env *sim.Env, algo routing.Algorithm, threshold, depth int, fault faults.Detector) {
 	mesh := env.Mesh()
-	in.table = routing.NewTable(algo, mesh, mesh.Nodes())
-	in.portMask = mesh.PortMask(env.Node)
-	return in
+	*in = inputs{env: env, fair: newFairness(threshold), detector: fault,
+		table: routing.NewTable(algo, mesh, mesh.Nodes()), portMask: mesh.PortMask(env.Node)}
+	buffer.InitQueues(in.buffers[:], depth, env.QueueStore())
 }
 
 // manifested reports whether the router's fault has manifested by cycle,

@@ -24,7 +24,7 @@ func TestInputsSaveLoad(t *testing.T) {
 	table := routing.NewTable(routing.WestFirst{}, mesh, mesh.Nodes())
 	build := func(depth int) *DXbar {
 		d := &DXbar{inputs: inputs{env: &sim.Env{Node: node}, table: table, fair: newFairness(FairnessThreshold)}}
-		buffer.InitQueues(d.buffers[:], depth)
+		buffer.InitQueues(d.buffers[:], depth, nil)
 		return d
 	}
 	save := func(d *DXbar) []byte {

@@ -419,7 +419,7 @@ func newLockstepNet(t *testing.T, c lockstepCase, branchy bool) lockstepNet {
 			r = &branchyDXbar{DXbar: d, algo: c.algo}
 		}
 		if c.flipped {
-			r = heldFlip{r, d.fair}
+			r = heldFlip{r, &d.fair}
 		}
 		return r
 	})

@@ -26,26 +26,32 @@ import (
 type Unified struct {
 	inputs
 
-	xbar  *crossbar.Unified
-	alloc *dualInput
+	xbar  crossbar.Unified
+	alloc dualInput
 
 	// lastSwaps tracks the allocator's cumulative swap count so each cycle's
 	// delta can be recorded.
 	lastSwaps uint64
 
 	// Per-Step scratch, reused across cycles.
-	reqs []dualRequest
+	reqs [flit.NumPorts]dualRequest
 }
 
 // NewUnified builds a unified dual-input crossbar router. The engine must
 // be configured with BufferDepth 4 and an energy.NewUnifiedMeter.
-func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault *faults.Detector) *Unified {
-	return &Unified{
-		inputs: newInputs(env, algo, threshold, BufferDepth, fault),
-		xbar:   crossbar.NewUnified(flit.NumPorts),
-		alloc:  newDualInput(flit.NumPorts, flit.NumPorts),
-		reqs:   make([]dualRequest, flit.NumPorts),
-	}
+func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault faults.Detector) *Unified {
+	u := new(Unified)
+	u.Init(env, algo, threshold, fault)
+	return u
+}
+
+// Init builds the router in place, as NewUnified does on a fresh
+// allocation; like DXbar.Init it allocates nothing.
+func (u *Unified) Init(env *sim.Env, algo routing.Algorithm, threshold int, fault faults.Detector) {
+	*u = Unified{}
+	u.inputs.init(env, algo, threshold, BufferDepth, fault)
+	u.xbar.Init(flit.NumPorts)
+	u.alloc.init(flit.NumPorts, flit.NumPorts)
 }
 
 // Step implements sim.Router. It reports quiescent when the four input
@@ -104,7 +110,7 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 	// CanSend call at every request-build probe.
 	u.sendable = env.SendableMask()
 	sendable := uint64(u.sendable)
-	reqs := u.reqs
+	reqs := u.reqs[:]
 	for i := range reqs {
 		reqs[i].want = [2]uint64{} // age is only read where want is set
 	}

@@ -37,6 +37,11 @@ const (
 	Fault
 )
 
+// maxInputs bounds an XBar's input radix: its fault rows are held by value,
+// one word per input, so a router holds its crossbars without a heap object
+// each. The routers' crossbars have four or five inputs.
+const maxInputs = 8
+
 // XBar is a numIn×numOut matrix crossbar.
 type XBar struct {
 	numIn, numOut int
@@ -44,7 +49,7 @@ type XBar struct {
 	// faulty; anyFault caches whether any row is non-zero, so the healthy
 	// hot path skips the row load entirely. dead marks whole-crossbar
 	// failure.
-	faultRow []uint64
+	faultRow [maxInputs]uint64
 	anyFault bool
 	dead     bool
 	// inMask/outMask are the per-cycle occupancy vectors (bit i / bit o set
@@ -52,13 +57,20 @@ type XBar struct {
 	inMask, outMask uint64
 }
 
-// NewXBar returns a fault-free crossbar of the given radix. Both radices
-// must fit a 64-bit occupancy word.
+// NewXBar returns a fault-free crossbar of the given radix: at most
+// maxInputs inputs, and outputs that fit a 64-bit occupancy word.
 func NewXBar(numIn, numOut int) *XBar {
-	if numIn <= 0 || numOut <= 0 || numIn > 64 || numOut > 64 {
+	x := new(XBar)
+	x.Init(numIn, numOut)
+	return x
+}
+
+// Init makes x a fault-free crossbar of the given radix in place (NewXBar).
+func (x *XBar) Init(numIn, numOut int) {
+	if numIn <= 0 || numOut <= 0 || numIn > maxInputs || numOut > 64 {
 		panic(fmt.Sprintf("crossbar: invalid radix %dx%d", numIn, numOut))
 	}
-	return &XBar{numIn: numIn, numOut: numOut, faultRow: make([]uint64, numIn)}
+	*x = XBar{numIn: numIn, numOut: numOut}
 }
 
 // Reset clears all per-cycle connections (call at the start of each cycle).

@@ -27,21 +27,27 @@ const (
 type Unified struct {
 	n        int
 	dead     bool
-	rowCol   [][2]int8 // per row: column driven from [EntryLow, EntryHigh], -1 free
-	usedRows uint64    // bit i set = row i has at least one entry connected
-	outMask  uint64    // bit o set = output column o driven this cycle
+	rowCol   [64][2]int8 // per row: column driven from [EntryLow, EntryHigh], -1 free
+	usedRows uint64      // bit i set = row i has at least one entry connected
+	outMask  uint64      // bit o set = output column o driven this cycle
 }
 
 // NewUnified returns a fault-free n×n unified crossbar (n = 5 in the paper).
 func NewUnified(n int) *Unified {
+	u := new(Unified)
+	u.Init(n)
+	return u
+}
+
+// Init makes u a fault-free n×n unified crossbar in place (NewUnified).
+func (u *Unified) Init(n int) {
 	if n < 2 || n > 64 {
 		panic(fmt.Sprintf("crossbar: unified crossbar needs radix in [2,64], got %d", n))
 	}
-	u := &Unified{n: n, rowCol: make([][2]int8, n)}
-	for i := range u.rowCol {
+	*u = Unified{n: n}
+	for i := range u.rowCol[:n] {
 		u.rowCol[i] = [2]int8{-1, -1}
 	}
-	return u
 }
 
 // Reset clears per-cycle connection state. Only rows that were actually

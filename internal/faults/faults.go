@@ -168,9 +168,10 @@ type Detector struct {
 }
 
 // NewDetector returns a detector for the given fault; active=false yields a
-// detector that never fires (healthy router).
-func NewDetector(f Fault, delay uint64, active bool) *Detector {
-	return &Detector{fault: f, delay: delay, active: active}
+// detector that never fires (healthy router), as does the zero Detector. A
+// router holds its detector by value.
+func NewDetector(f Fault, delay uint64, active bool) Detector {
+	return Detector{fault: f, delay: delay, active: active}
 }
 
 // Manifest reports whether the fault physically affects the hardware at the

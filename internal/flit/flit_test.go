@@ -270,3 +270,28 @@ func TestPoolSettle(t *testing.T) {
 		t.Errorf("flits not conserved: %d free, %d outstanding, want 100 and 0", total, master.Outstanding())
 	}
 }
+
+// TestPoolReclaim: after Reclaim every flit Prime carved is free exactly once
+// — the ones handed out and never returned included — the flits Get allocated
+// past the slabs are forgotten, and the outstanding count is zero.
+func TestPoolReclaim(t *testing.T) {
+	p := NewPool()
+	p.Prime(8)
+	carved := map[*Flit]bool{}
+	for i := 0; i < 8; i++ {
+		carved[p.Get()] = true
+	}
+	extra := p.Get() // past the slab: allocated
+	p.Put(extra)
+	p.Reclaim()
+	if p.FreeLen() != 8 || p.Outstanding() != 0 {
+		t.Fatalf("after Reclaim: %d free, %d outstanding, want 8 and 0", p.FreeLen(), p.Outstanding())
+	}
+	for i := 0; i < 8; i++ {
+		f := p.Get()
+		if !carved[f] {
+			t.Fatalf("Get %d returned %p, not a carved flit (or one twice)", i, f)
+		}
+		delete(carved, f)
+	}
+}

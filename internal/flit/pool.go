@@ -16,6 +16,8 @@ package flit
 type Pool struct {
 	free        []*Flit
 	outstanding int
+	// slabs are the arrays Prime carved flits from (Reclaim).
+	slabs [][]Flit
 }
 
 // NewPool returns an empty pool.
@@ -46,11 +48,22 @@ func (p *Pool) Put(f *Flit) {
 // from the mesh dimensions at construction so steady state is reached without
 // long warmup-time growth: in-network occupancy is bounded by per-node latch,
 // buffer and injection-slack capacity, so a capacity-proportional free list
-// absorbs the in-flight population's peaks from the first cycle.
+// absorbs the in-flight population's peaks from the first cycle. The new
+// flits are carved from one array and the free list is sized once, so priming
+// costs a constant number of allocations whatever n is.
 func (p *Pool) Prime(n int) {
-	for len(p.free) < n {
-		p.free = append(p.free, new(Flit))
+	k := n - len(p.free)
+	if k <= 0 {
+		return
 	}
+	if cap(p.free) < n {
+		p.free = append(make([]*Flit, 0, n), p.free...)
+	}
+	slab := make([]Flit, k)
+	for i := range slab {
+		p.free = append(p.free, &slab[i])
+	}
+	p.slabs = append(p.slabs, slab)
 }
 
 // Outstanding returns Gets minus Puts — the number of live flits the pool
@@ -83,11 +96,21 @@ func (p *Pool) Settle(local *Pool, target int) {
 // FreeLen returns the free-list length (diagnostics).
 func (p *Pool) FreeLen() int { return len(p.free) }
 
-// DropOutstanding abandons the pool's claim on every outstanding flit
-// without recycling them. Engine.Reset uses it: flits still held by
-// discarded routers become ordinary garbage, while the free list is kept
-// for the next run.
-func (p *Pool) DropOutstanding() { p.outstanding = 0 }
+// Reclaim makes every flit Prime has carved free again, forgets every other
+// flit the free list held (ones Get allocated past the slabs, ones a Settle
+// handed over from another pool) and zeroes the outstanding count.
+// Engine.Reset uses it once nothing of the discarded run can be read any
+// more: the flits that run left anywhere are the next run's free list — a
+// slab stays alive while any of its flits is referenced, so abandoning them
+// instead would keep them unused and allocate replacements.
+func (p *Pool) Reclaim() {
+	p.free, p.outstanding = p.free[:0], 0
+	for _, slab := range p.slabs {
+		for i := range slab {
+			p.free = append(p.free, &slab[i])
+		}
+	}
+}
 
 // SortByAge sorts fs oldest-first (see Older). Insertion sort: every call
 // site sorts at most NumPorts flits, so this beats sort.Slice while staying

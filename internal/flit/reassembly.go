@@ -9,7 +9,9 @@ package flit
 // (the simulator is single-threaded per network). Assembly entries are
 // recycled on a free list so steady-state reassembly does not allocate, and
 // single-flit packets (the paper's synthetic configuration) bypass the
-// pending table entirely.
+// pending table entirely. The zero value is ready to use: the table is made
+// on the first multi-flit packet, so a network's reassemblers are held by
+// value and cost nothing until one is needed.
 type Reassembler struct {
 	pending map[uint64]*assembly
 	freeAsm []*assembly
@@ -37,9 +39,7 @@ type assembly struct {
 }
 
 // NewReassembler returns an empty reassembler.
-func NewReassembler() *Reassembler {
-	return &Reassembler{pending: make(map[uint64]*assembly)}
-}
+func NewReassembler() *Reassembler { return &Reassembler{} }
 
 // Accept ingests one ejected flit at the given cycle and returns the
 // completed packet (and true) if this flit finishes its packet. Duplicate
@@ -72,7 +72,7 @@ func (r *Reassembler) Accept(f *Flit, cycle uint64) (Packet, bool) {
 			NumFlits:       int(f.NumFlits),
 			InjectionCycle: f.InjectionCycle,
 		}
-		r.pending[f.PacketID] = a
+		r.track(a)
 	}
 	bit := uint64(1) << (f.Seq % 64)
 	if a.received&bit != 0 {
@@ -112,6 +112,14 @@ func (r *Reassembler) newAssembly() *assembly {
 		return a
 	}
 	return &assembly{}
+}
+
+// track enters a into the pending table, making the table on first use.
+func (r *Reassembler) track(a *assembly) {
+	if r.pending == nil {
+		r.pending = make(map[uint64]*assembly)
+	}
+	r.pending[a.pkt.PacketID] = a
 }
 
 func (r *Reassembler) recycle(a *assembly) { r.freeAsm = append(r.freeAsm, a) }

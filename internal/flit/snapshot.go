@@ -94,7 +94,7 @@ func (ra *Reassembler) State(s *snapshot.Stream, nodes int) error {
 		}
 		prev = a.pkt.PacketID
 		if s.Loading() {
-			ra.pending[prev] = a
+			ra.track(a)
 		}
 	}
 	return s.Err()

@@ -42,7 +42,7 @@ type AFC struct {
 	links int // the node's link count
 
 	// Per-Step scratch, reused across cycles.
-	arrivals []*flit.Flit
+	arrivals [flit.NumPorts]*flit.Flit
 }
 
 // AFC controller states.
@@ -154,12 +154,16 @@ func (c *AFCController) Tick(cycle uint64) {
 // bufferless mode every arrival is consumed in its arrival cycle, so the
 // credit loop never throttles deflection).
 func NewAFC(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) *AFC {
-	return &AFC{
-		ctrl:     ctrl,
-		buf:      newBuffered(env, algo, false),
-		links:    env.Mesh().LinkCount(env.Node),
-		arrivals: make([]*flit.Flit, 0, flit.NumPorts),
-	}
+	a := new(AFC)
+	a.Init(env, algo, ctrl)
+	return a
+}
+
+// Init builds the router in place, as NewAFC does on a fresh allocation;
+// like Buffered.Init it allocates nothing.
+func (a *AFC) Init(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) {
+	*a = AFC{ctrl: ctrl, links: env.Mesh().LinkCount(env.Node)}
+	a.buf.Init(env, algo, false)
 }
 
 // Step implements sim.Router. It reports quiescent when the input FIFOs are

@@ -41,12 +41,15 @@ type Bless struct {
 
 // NewBless builds a Flit-Bless router for the Env's node.
 func NewBless(env *sim.Env, algo routing.Algorithm) *Bless {
+	b := new(Bless)
+	b.Init(env, algo)
+	return b
+}
+
+// Init builds the router in place, as NewBless does on a fresh allocation.
+func (b *Bless) Init(env *sim.Env, algo routing.Algorithm) {
 	mesh := env.Mesh()
-	return &Bless{
-		env:   env,
-		table: routing.NewTable(algo, mesh, mesh.Nodes()),
-		links: mesh.LinkCount(env.Node),
-	}
+	*b = Bless{env: env, table: routing.NewTable(algo, mesh, mesh.Nodes()), links: mesh.LinkCount(env.Node)}
 }
 
 // Step implements sim.Router: candidates gathered into an SoA PortState,

@@ -25,7 +25,7 @@ import (
 type Buffered struct {
 	env   *sim.Env
 	bank  inputBank
-	alloc *bitarb.Separable
+	alloc bitarb.Separable
 
 	// table is the precomputed form of the routing algorithm (shared
 	// network-wide when the factory passes a *routing.Table).
@@ -36,22 +36,24 @@ type Buffered struct {
 // router. The engine must be configured with BufferDepth 4 or 8
 // respectively so credits match buffer capacity.
 func NewBuffered(env *sim.Env, algo routing.Algorithm, split bool) *Buffered {
-	b := newBuffered(env, algo, split)
-	return &b
+	b := new(Buffered)
+	b.Init(env, algo, split)
+	return b
 }
 
-func newBuffered(env *sim.Env, algo routing.Algorithm, split bool) Buffered {
+// Init builds the router in place, as NewBuffered does on a fresh
+// allocation: a network's routers are built into one slab. The allocator is
+// held by value and the FIFOs come from the node's queue store, so Init
+// allocates nothing.
+func (b *Buffered) Init(env *sim.Env, algo routing.Algorithm, split bool) {
 	mesh := env.Mesh()
 	nq := uint8(1)
 	if split {
 		nq = 2
 	}
-	return Buffered{
-		env:   env,
-		bank:  newInputBank(nq),
-		alloc: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts),
-		table: routing.NewTable(algo, mesh, mesh.Nodes()),
-	}
+	*b = Buffered{env: env, table: routing.NewTable(algo, mesh, mesh.Nodes())}
+	b.bank.init(nq, env.QueueStore())
+	b.alloc.Init(flit.NumPorts, flit.NumPorts)
 }
 
 // Step implements sim.Router. It reports quiescent when every input FIFO is

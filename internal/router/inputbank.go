@@ -32,11 +32,12 @@ type inputBank struct {
 	alt [flit.NumLinkPorts]uint8
 }
 
-// newInputBank returns an empty bank of nq FIFOs per link input.
-func newInputBank(nq uint8) inputBank {
-	b := inputBank{nq: nq}
-	buffer.InitQueues(b.q[:int(nq)*flit.NumLinkPorts], core.BufferDepth) // DXbar's 4 flits (§III.A)
-	return b
+// init makes b an empty bank of nq FIFOs per link input in place, carving
+// the FIFOs from store (sim.Env.QueueStore: room for NumLinkPorts queues of
+// the credited depth — 4, or 8 for the split design's two 4-flit FIFOs).
+func (b *inputBank) init(nq uint8, store []buffer.Entry) {
+	*b = inputBank{nq: nq}
+	buffer.InitQueues(b.q[:int(nq)*flit.NumLinkPorts], core.BufferDepth, store) // DXbar's 4 flits (§III.A)
 }
 
 // write is the BW stage for an arrival on input p: steer it to a FIFO and

@@ -19,6 +19,14 @@ import (
 
 const allOutputs = 1<<flit.NumPorts - 1
 
+// newInputBank returns an empty bank of nq FIFOs per link input, with rings
+// of its own.
+func newInputBank(nq uint8) inputBank {
+	var b inputBank
+	b.init(nq, nil)
+	return b
+}
+
 // TestInputBankSteering: a split input alternates its two FIFOs, falls back
 // to the other one only when the preferred one is full, and refuses an
 // arrival only when both are; a single-FIFO input has nowhere to fall back to.
@@ -181,7 +189,7 @@ func TestInputBankSaveLoad(t *testing.T) {
 			nq = 2
 		}
 		return &Buffered{env: &sim.Env{Node: node}, bank: newInputBank(nq), table: table,
-			alloc: bitarb.NewSeparable(flit.NumPorts, flit.NumPorts)}
+			alloc: *bitarb.NewSeparable(flit.NumPorts, flit.NumPorts)}
 	}
 	for _, split := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))

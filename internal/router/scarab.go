@@ -35,15 +35,19 @@ func NewScarab(env *sim.Env) *Scarab {
 // routing table (nil builds a private one — fine for single routers and
 // small test meshes; network factories share one table across all routers).
 func NewScarabTable(env *sim.Env, table *routing.Table) *Scarab {
+	s := new(Scarab)
+	s.Init(env, table)
+	return s
+}
+
+// Init builds the router in place, as NewScarabTable does on a fresh
+// allocation.
+func (s *Scarab) Init(env *sim.Env, table *routing.Table) {
 	mesh := env.Mesh()
 	if table == nil {
 		table = routing.NewTable(routing.MinimalAdaptive{}, mesh, mesh.Nodes())
 	}
-	return &Scarab{
-		env:   env,
-		table: table,
-		links: mesh.LinkCount(env.Node),
-	}
+	*s = Scarab{env: env, table: table, links: mesh.LinkCount(env.Node)}
 }
 
 // Step implements sim.Router: arrivals gathered into an SoA PortState, output

@@ -9,11 +9,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dxbar/internal/buffer"
 	"dxbar/internal/energy"
 	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
+	"dxbar/internal/traffic"
 )
 
 // ResolveShards maps a Config.Shards request onto an effective shard count
@@ -64,9 +66,14 @@ func (s *routerSteps) absorb(t *routerSteps) {
 type tile struct {
 	id int
 	// nodes lists the tile's node indices in ascending order, fixed at
-	// construction; envs are their Envs, in the same order.
+	// construction; envs are their Envs, in the same order — the slab the
+	// engine's per-node pointers point into (newTile).
 	nodes []int
-	envs  []*Env
+	envs  []Env
+	// specs backs the nodes' primed spec rings (specRingCap each, in node
+	// order): a ring that outgrows its slot moves to a heap array of its
+	// own, and Engine.Reset moves it back (Env.reset).
+	specs []traffic.PacketSpec
 
 	// staged marks a tile of the sharded engine: effects that must reach the
 	// engine in node order (completed packets, retransmissions, events) are
@@ -144,23 +151,81 @@ type stagedRetx struct {
 	delay uint64
 }
 
-// bind completes a tile whose node list is final: every node learns its tile
-// and position, and the tile gets its flags and sets — allocations of its own
-// in whole cache lines (the sets' spare capacity is the padding), so two
-// tiles' workers never write the same line.
-func (t *tile) bind(e *Engine) {
-	n := len(t.nodes)
-	pad := (n + 63) &^ 63
+// partition lists the nodes of each tile for a resolved shard count: every
+// node in one tile for the sequential engine, otherwise the boundary-
+// minimizing grid of near-equal rectangles (topology.Grid2D,
+// topology.SplitEven) — tile (i, j), shard j*gx+i, owns columns [xcuts[i],
+// xcuts[i+1]) of rows [ycuts[j], ycuts[j+1]), listed row-major and therefore
+// ascending. The partition is fixed for the engine's lifetime.
+func partition(m *topology.Mesh, shards int) [][]int {
+	gx, gy := 1, 1
+	if shards > 1 {
+		gx, gy = m.Grid2D(shards)
+	}
+	xcuts, ycuts := topology.SplitEven(m.Width, gx), topology.SplitEven(m.Height, gy)
+	parts := make([][]int, gx*gy)
+	for j := 0; j < gy; j++ {
+		for i := 0; i < gx; i++ {
+			nodes := make([]int, 0, (xcuts[i+1]-xcuts[i])*(ycuts[j+1]-ycuts[j]))
+			for y := ycuts[j]; y < ycuts[j+1]; y++ {
+				for x := xcuts[i]; x < xcuts[i+1]; x++ {
+					nodes = append(nodes, y*m.Width+x)
+				}
+			}
+			parts[j*gx+i] = nodes
+		}
+	}
+	return parts
+}
+
+// specRingCap is the capacity every node's spec ring starts with: past the
+// depths a below-saturation backlog reaches, so rare backlog spikes do not
+// double the ring mid-run (the residual fraction-of-an-alloc per cycle the
+// zero-alloc tests would flag). Above saturation the backlog is unbounded and
+// the ring grows regardless — that regime is outside the steady-state
+// guarantee.
+const specRingCap = 64
+
+// newTile builds the tile owning nodes (ascending) and everything per node it
+// owns, each kind carved from one slab of the tile's own: the Envs (their
+// reassemblers included), the link-stage rows, the spec rings, the
+// input-buffer storage, and the flags and sets — the last in whole cache
+// lines (the sets' spare capacity is the padding). A tile's memory is thus a
+// handful of allocations whatever its size, and two tiles' workers never
+// write the same line. The tile writes through pool (the engine's own for
+// the sequential engine's single tile).
+func newTile(e *Engine, id int, nodes []int, pool *flit.Pool) *tile {
+	k := len(nodes)
+	t := &tile{id: id, nodes: nodes, pool: pool, staged: pool != e.pool}
+	pad := (k + 63) &^ 63
 	flags := make([]uint8, 3*pad)
 	t.awake, t.linkMask, t.creditTick = flags[:pad], flags[pad:2*pad], flags[2*pad:]
 	t.stepped = make([]uint64, pad/64, (pad/64+7)&^7)
 	t.inflight = make([]uint64, pad/64, (pad/64+7)&^7)
-	t.envs = make([]*Env, n)
-	for i, node := range t.nodes {
-		env := e.envs[node]
-		env.tile, env.slot, env.wake = t, i, &t.awake[i]
-		t.envs[i] = env
+	t.envs = make([]Env, k)
+	links := make([]*flit.Flit, k*flit.NumLinkPorts)
+	t.specs = make([]traffic.PacketSpec, k*specRingCap)
+	var store []buffer.Entry
+	per := 0
+	if e.bufferDepth > 0 {
+		per = flit.NumLinkPorts * buffer.RingLen(e.bufferDepth)
+		store = make([]buffer.Entry, k*per)
 	}
+	for i, node := range nodes {
+		env := &t.envs[i]
+		env.init(e, node)
+		env.tile, env.slot, env.wake = t, i, &t.awake[i]
+		env.pendingSpecs.buf = t.specRing(i)
+		env.queueStore = store[i*per : (i+1)*per : (i+1)*per]
+		e.envs[node] = env
+		e.linkStage[node] = links[i*flit.NumLinkPorts : (i+1)*flit.NumLinkPorts : (i+1)*flit.NumLinkPorts]
+	}
+	return t
+}
+
+// specRing returns the primed spec ring of the tile's i-th node.
+func (t *tile) specRing(i int) []traffic.PacketSpec {
+	return t.specs[i*specRingCap : (i+1)*specRingCap : (i+1)*specRingCap]
 }
 
 // gather64 returns the set of non-zero bytes among flags[:64], bit i for
@@ -217,7 +282,7 @@ func (e *Engine) tilePhase(t *tile, c uint64) {
 		stepped += bits.OnesCount64(w)
 		for ; w != 0; w &= w - 1 {
 			i := j<<6 | bits.TrailingZeros64(w)
-			env := envs[i]
+			env := &envs[i]
 			if env.pendingSpecs.len() > 0 {
 				env.topUpInjection(t.pool)
 			}
@@ -236,7 +301,7 @@ func (e *Engine) tilePhase(t *tile, c uint64) {
 			i := j<<6 | bits.TrailingZeros64(w)
 			m := t.linkMask[i]
 			t.linkMask[i] = 0
-			env := envs[i]
+			env := &envs[i]
 			row := linkStage[env.Node]
 			for b := m; b != 0; b &= b - 1 {
 				p := bits.TrailingZeros8(b)
@@ -255,7 +320,7 @@ func (e *Engine) tilePhase(t *tile, c uint64) {
 		var flying uint64
 		for ; w != 0; w &= w - 1 {
 			i := j<<6 | bits.TrailingZeros64(w)
-			env := envs[i]
+			env := &envs[i]
 			m, u := env.outMask, env.Node
 			if m == 0 {
 				continue
@@ -264,7 +329,7 @@ func (e *Engine) tilePhase(t *tile, c uint64) {
 			if m&(1<<uint(flit.Local)) != 0 {
 				f := env.out[flit.Local]
 				env.out[flit.Local] = nil
-				e.eject(t, u, f, c)
+				e.eject(t, env, f, c)
 				if m &^= 1 << uint(flit.Local); m == 0 {
 					continue
 				}
@@ -318,14 +383,15 @@ func (l latchCollision) Error() string {
 	return fmt.Sprintf("sim: input latch collision at node %d port %s cycle %d", l.node, l.port, l.cycle)
 }
 
-// eject ends f's network life at node, on behalf of tile t.
-func (e *Engine) eject(t *tile, node int, f *flit.Flit, c uint64) {
+// eject ends f's network life at env's node, on behalf of tile t.
+func (e *Engine) eject(t *tile, env *Env, f *flit.Flit, c uint64) {
+	node := env.Node
 	if int(f.Dst) != node {
 		panic(fmt.Sprintf("sim: flit %v ejected at wrong node %d", f, node))
 	}
 	t.coll.EjectedFlit(c)
 	t.rec.Record(c, events.Eject, node, flit.Local, f.PacketID, f.ID, int32(c-f.InjectionCycle))
-	pkt, done := e.reasm[node].Accept(f, c)
+	pkt, done := env.reasm.Accept(f, c)
 	// Reassembly has folded the flit's counters into the packet, so the flit
 	// returns to the pool here.
 	t.pool.Put(f)
@@ -463,46 +529,21 @@ type shardedBackend struct {
 	ejections []*events.Recorder
 }
 
-// newShardedBackend partitions the mesh into the boundary-minimizing grid of
-// near-equal rectangles (topology.Grid2D, topology.SplitEven): tile (i, j) —
-// shard j*gx+i — owns columns [xcuts[i], xcuts[i+1]) of rows [ycuts[j],
-// ycuts[j+1]), listed row-major and therefore ascending. Ownership and
-// Env.crossMask are facts from here on; Engine.wireCollectors, which runs
-// right after construction and again on Reset, only swaps what the tiles
-// write through.
-func newShardedBackend(e *Engine, n int) *shardedBackend {
-	m := e.mesh
-	gx, gy := m.Grid2D(n)
-	count := gx * gy
+// newShardedBackend runs the engine's tiles (partition, newTile) on the
+// barrier. Ownership and Env.crossMask are facts by the time it runs;
+// Engine.wireCollectors, which runs right after construction and again on
+// Reset, only swaps what the tiles write through.
+func newShardedBackend(e *Engine) *shardedBackend {
+	count := len(e.tiles)
 	b := &shardedBackend{
 		e:         e,
-		tiles:     make([]*tile, count),
+		tiles:     e.tiles,
 		busy:      make([]time.Duration, count),
 		wait:      make([]time.Duration, count),
 		spent:     make([]time.Duration, count),
 		ejections: make([]*events.Recorder, count),
 	}
 	b.wake.L, b.done.L = &b.mu, &b.mu
-	xcuts, ycuts := topology.SplitEven(m.Width, gx), topology.SplitEven(m.Height, gy)
-	for j := 0; j < gy; j++ {
-		for i := 0; i < gx; i++ {
-			t := &tile{id: j*gx + i, staged: true, pool: flit.NewPool()}
-			for y := ycuts[j]; y < ycuts[j+1]; y++ {
-				for x := xcuts[i]; x < xcuts[i+1]; x++ {
-					t.nodes = append(t.nodes, y*m.Width+x)
-				}
-			}
-			t.bind(e)
-			b.tiles[t.id] = t
-		}
-	}
-	for _, env := range e.envs {
-		for p, nb := range env.nbrEnv {
-			if nb != nil && nb.tile != env.tile {
-				env.crossMask |= 1 << uint(p)
-			}
-		}
-	}
 	b.settlePools()
 	for _, t := range b.tiles[1:] {
 		b.workers = append(b.workers, func() { b.work(t) })

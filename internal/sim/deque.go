@@ -111,22 +111,6 @@ func (q *specDeque) clear() {
 	q.head, q.n, q.flits = 0, 0, 0
 }
 
-// prime preallocates the ring to hold n specs (rounded up to a power of two)
-// so steady-state backlogs below that depth never trigger growSpec. Below
-// saturation the spec queue stays shallow but its high-water mark creeps up
-// over millions of cycles; priming moves those late doublings to
-// construction time, which the zero-alloc steady-state guarantee requires.
-func (q *specDeque) prime(n int) {
-	size := 1
-	for size < n {
-		size *= 2
-	}
-	if size > len(q.buf) {
-		q.buf = make([]traffic.PacketSpec, size)
-		q.head = 0
-	}
-}
-
 func (q *specDeque) growSpec() {
 	size := len(q.buf) * 2
 	if size == 0 {

@@ -81,9 +81,14 @@ type Env struct {
 	bufferDepth  int
 	creditDelay  int
 
+	// reasm reassembles the packets ejected here; queueStore is the storage
+	// of the router's input buffers (QueueStore).
+	reasm      flit.Reassembler
+	queueStore []buffer.Entry
+
 	// tile is the tile that owns this node for the engine's lifetime (the
 	// sequential engine's only one, or a shard's) and slot its position there
-	// (tile.bind); meter, coll and rec are
+	// (newTile); meter, coll and rec are
 	// what the node's router writes through: the engine's masters on the
 	// sequential engine, the owning tile's scratch meter/collector and a
 	// per-env event stage on the sharded one (see Engine.wireCollectors).
@@ -95,23 +100,23 @@ type Env struct {
 	rec   *events.Recorder
 }
 
-func newEnv(e *Engine, node, bufferDepth, creditDelay int) *Env {
-	env := &Env{
-		engine: e, Node: node,
-		bufferDepth: bufferDepth, creditDelay: creditDelay,
-		portMask: e.mesh.PortMask(node),
-	}
+// init sets up a node's Env in place, in its tile's slab (newTile).
+func (env *Env) init(e *Engine, node int) {
+	env.engine, env.Node = e, node
+	env.bufferDepth, env.creditDelay = e.bufferDepth, e.creditDelay
+	env.portMask = e.mesh.PortMask(node)
 	for p := flit.North; p <= flit.West; p++ {
 		env.neighbors[p] = int32(e.mesh.Neighbor(node, p))
 	}
-	// Prime the spec ring past the depths a below-saturation backlog reaches:
-	// without this, rare backlog spikes double the ring mid-run (the residual
-	// fraction-of-an-alloc per cycle the zero-alloc tests would flag). Above
-	// saturation the backlog is unbounded and the ring grows regardless —
-	// that regime is outside the steady-state guarantee.
-	env.pendingSpecs.prime(64)
-	return env
 }
+
+// QueueStore returns the storage for this node's input buffers: room for
+// NumLinkPorts queues of the engine's BufferDepth (buffer.RingLen(BufferDepth)
+// entries each) — or equally for twice as many queues of half that depth —
+// carved from the owning tile's slab and kept across Engine.Reset. A router
+// carves its queues from it (buffer.InitQueues) instead of allocating them.
+// Empty when the engine is bufferless.
+func (env *Env) QueueStore() []buffer.Entry { return env.queueStore }
 
 // Neighbor returns the node reached through cardinal output port p (-1 when
 // the link does not exist) — a cached-array load, for router hot paths.
@@ -407,9 +412,11 @@ func (env *Env) tickCredits(m uint8) (still uint8) {
 	return still
 }
 
-// reset clears all per-run state: latches, the injection queue and the
-// credit counters (Engine.Reset). The credit wiring itself is topology-bound
-// and survives.
+// reset clears all per-run state: latches, the injection queue, the
+// reassembler and the credit counters (Engine.Reset). The credit wiring
+// itself is topology-bound and survives. A spec ring that outgrew its primed
+// slot goes back to it: the slot is part of the tile's slab and stays
+// allocated either way, so keeping the grown ring would hold both.
 func (env *Env) reset() {
 	for p := range env.In {
 		env.In[p] = nil
@@ -422,6 +429,8 @@ func (env *Env) reset() {
 	env.InMask = 0
 	env.injection.clear()
 	env.pendingSpecs.clear()
+	env.pendingSpecs.buf = env.tile.specRing(env.slot)
+	env.reasm.Reset()
 	for _, c := range env.downCredits {
 		if c != nil {
 			c.Reset()

@@ -145,7 +145,8 @@ type Engine struct {
 
 	// linkStage[n][p] holds the flit traversing the link out of node n's
 	// port p during the current cycle (the LT stage); the owning tile's
-	// linkMask flag mirrors the row as a bitmask.
+	// linkMask flag mirrors the row as a bitmask. Rows are carved from their
+	// tile's slab (newTile).
 	linkStage [][]*flit.Flit
 
 	// stepAll disables the skip (every router steps every cycle) — the
@@ -154,8 +155,6 @@ type Engine struct {
 	// steps counts router-steps: every tile counts its own and the engine
 	// folds them in after the tile phase (routerSteps).
 	steps routerSteps
-
-	reasm []*flit.Reassembler
 
 	// wheel holds scheduled retransmissions: flits parked until the cycle
 	// they re-enter their source's injection queue.
@@ -215,6 +214,11 @@ type Engine struct {
 // New builds an engine and its per-node Envs, then instantiates routers via
 // the factory. The factory runs after all Envs exist so credit wiring is
 // complete.
+//
+// Construction allocates per tile and per network, never per node: the tile
+// partition comes first, and every tile takes its nodes' Envs, link-stage
+// rows, spec rings and input-buffer storage from slabs of its own (newTile);
+// the flit pool is primed from one array (flit.Pool.Prime).
 func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	if cfg.Mesh == nil || cfg.Meter == nil || cfg.Stats == nil {
 		return nil, fmt.Errorf("sim: Mesh, Meter and Stats are required")
@@ -232,8 +236,8 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		coll:        cfg.Stats,
 		source:      cfg.Source,
 		sink:        cfg.Sink,
+		envs:        make([]*Env, n),
 		linkStage:   make([][]*flit.Flit, n),
-		reasm:       make([]*flit.Reassembler, n),
 		wheel:       newEventWheel(64),
 		pool:        flit.NewPool(),
 		rec:         cfg.Events,
@@ -247,26 +251,36 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	if cfg.BufferDepth > 0 {
 		e.creditSlab = buffer.NewCreditsSlab(n*flit.NumLinkPorts, cfg.BufferDepth, cfg.CreditDelay)
 	}
-	e.envs = make([]*Env, n)
-	for i := 0; i < n; i++ {
-		e.linkStage[i] = make([]*flit.Flit, flit.NumLinkPorts)
-		e.reasm[i] = flit.NewReassembler()
-		e.envs[i] = newEnv(e, i, cfg.BufferDepth, cfg.CreditDelay)
+	parts := partition(cfg.Mesh, ResolveShards(cfg.Shards, cfg.Mesh.Width, cfg.Mesh.Height))
+	e.tiles = make([]*tile, len(parts))
+	for id, nodes := range parts {
+		pool := e.pool
+		if len(parts) > 1 {
+			pool = flit.NewPool()
+		}
+		e.tiles[id] = newTile(e, id, nodes, pool)
 	}
 	// Two-pass credit wiring: every env's counters must exist before any
 	// return closure captures a neighbour's counter.
-	for i := 0; i < n; i++ {
-		env := e.envs[i]
+	for _, env := range e.envs {
 		for p := flit.North; p <= flit.West; p++ {
 			if nb := env.neighbors[p]; nb >= 0 {
 				env.nbrEnv[p] = e.envs[nb]
 				env.nbrIn[p] = p.Opposite()
+				if env.nbrEnv[p].tile != env.tile {
+					env.crossMask |= 1 << uint(p)
+				}
 			}
 		}
 		env.createCredits()
 	}
-	for i := 0; i < n; i++ {
-		e.envs[i].wireCredits()
+	for _, env := range e.envs {
+		env.wireCredits()
+		for p, o := range env.nbrEnv { // links are two-way: o feeds input port p
+			if env.upCredits[p] != nil {
+				env.upTick[p] = &o.tile.creditTick[o.slot]
+			}
+		}
 	}
 	// Size the flit pool from the topology: per node, up to NumPorts input
 	// latches + NumPorts output latches, the link stage, a router's internal
@@ -275,23 +289,8 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	// queued as specs, not flits, so this bound holds at any load.
 	perNode := 2*flit.NumPorts + flit.NumLinkPorts + 4*cfg.BufferDepth + 16
 	e.pool.Prime(n * perNode)
-	if shards := ResolveShards(cfg.Shards, cfg.Mesh.Width, cfg.Mesh.Height); shards > 1 {
-		e.sharded = newShardedBackend(e, shards)
-		e.tiles = e.sharded.tiles
-	} else {
-		all := &tile{nodes: make([]int, n), pool: e.pool}
-		for i := range all.nodes {
-			all.nodes[i] = i
-		}
-		all.bind(e)
-		e.tiles = []*tile{all}
-	}
-	for _, env := range e.envs {
-		for p, o := range env.nbrEnv { // links are two-way: o feeds input port p
-			if env.upCredits[p] != nil {
-				env.upTick[p] = &o.tile.creditTick[o.slot]
-			}
-		}
+	if len(e.tiles) > 1 {
+		e.sharded = newShardedBackend(e)
 	}
 	e.wireCollectors()
 	e.routers = make([]Router, n)
@@ -592,14 +591,16 @@ func (e *Engine) ShardProfiles() []ShardProfile {
 
 // Reset rewires the engine for a fresh run without reallocating its bulk
 // structures (Envs, link stages, credit pipelines, the event wheel, the
-// reassemblers and the flit free list all survive). The new config must use
-// the same Mesh, BufferDepth and CreditDelay as the original — those shaped
-// the credit wiring at construction time — and routers are rebuilt from
-// scratch via the factory, since router-internal state (buffers, pipeline
-// registers, mode controllers) is design-specific.
+// reassemblers, the input-buffer storage and the flit free list all
+// survive). The new config must use the same Mesh, BufferDepth and
+// CreditDelay as the original — those shaped the credit wiring at
+// construction time — and routers are rebuilt from scratch via the factory,
+// since router-internal state (pipeline registers, mode controllers) is
+// design-specific; a router takes its buffers from Env.QueueStore again.
 //
-// Flits still held by the discarded routers are abandoned to the garbage
-// collector; the pool's outstanding count restarts at zero.
+// Every flit the pool carved is free again afterwards, wherever the
+// discarded run left it (flit.Pool.Reclaim); the pool's outstanding count
+// restarts at zero.
 func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	if cfg.Mesh != e.mesh {
 		return fmt.Errorf("sim: Reset requires the same Mesh the engine was built with")
@@ -636,21 +637,28 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 		e.sharded.resetProfile()
 	}
 	e.wheel.reset()
-	e.pool.DropOutstanding()
 	e.shared = e.shared[:0]
 	e.ckptFn, e.ckptEvery, e.nextCkpt = nil, 0, 0
 	e.wireCollectors()
-	for i := range e.envs {
-		e.envs[i].reset()
-		e.reasm[i].Reset()
-		for p := range e.linkStage[i] {
-			e.linkStage[i][p] = nil
-		}
-		e.routers[i] = factory(e.envs[i])
+	for i, env := range e.envs {
+		env.reset()
+		clear(e.linkStage[i])
+		e.routers[i] = factory(env)
 	}
+	// Nothing of the discarded run is readable any more — latches, link
+	// stages, queues and the wheel are empty, its routers are gone and the
+	// new ones read only what they write into their queue store — so every
+	// flit is free again.
+	e.pool.Reclaim()
 	for _, t := range e.tiles {
 		clear(t.linkMask)
 		clear(t.creditTick)
+		if t.pool != e.pool {
+			t.pool.Reclaim()
+		}
+	}
+	if e.sharded != nil {
+		e.sharded.settlePools()
 	}
 	e.deriveSets()
 	return nil

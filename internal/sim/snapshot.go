@@ -170,8 +170,8 @@ func (e *Engine) state(s *snapshot.Stream) error {
 	}
 
 	s.Tag("RASM")
-	for _, ra := range e.reasm {
-		if err := ra.State(s, nodes); err != nil {
+	for _, env := range e.envs {
+		if err := env.reasm.State(s, nodes); err != nil {
 			return err
 		}
 	}

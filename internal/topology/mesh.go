@@ -29,11 +29,20 @@ type Mesh struct {
 	portMask []uint8
 }
 
+// MaxSide bounds a mesh's width and height: the widest side that both the
+// per-node int16 coordinates and the routing table's offset codes (x +
+// y·(2W−1) in 28 bits, routing.Table) represent exactly.
+const MaxSide = 8192
+
 // NewMesh returns a mesh of the given dimensions. Width and height must be
-// at least 2 (a 1-wide mesh has no X dimension to route in).
+// at least 2 (a 1-wide mesh has no X dimension to route in) and at most
+// MaxSide.
 func NewMesh(width, height int) (*Mesh, error) {
 	if width < 2 || height < 2 {
 		return nil, fmt.Errorf("topology: mesh must be at least 2x2, got %dx%d", width, height)
+	}
+	if width > MaxSide || height > MaxSide {
+		return nil, fmt.Errorf("topology: mesh sides must be at most %d, got %dx%d", MaxSide, width, height)
 	}
 	m := &Mesh{Width: width, Height: height}
 	n := width * height

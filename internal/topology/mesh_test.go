@@ -18,6 +18,26 @@ func TestNewMeshRejectsDegenerate(t *testing.T) {
 	}
 }
 
+// TestNewMeshSideBound: a side of MaxSide keeps exact coordinates at the far
+// corner; one more, or a side int16 wraps (40000 read back as -25536), is an
+// error instead of a mesh that routes wrongly or panics downstream.
+func TestNewMeshSideBound(t *testing.T) {
+	for _, dims := range [][2]int{{MaxSide, 2}, {2, MaxSide}} {
+		m, err := NewMesh(dims[0], dims[1])
+		if err != nil {
+			t.Fatalf("NewMesh(%d,%d): %v", dims[0], dims[1], err)
+		}
+		if x, y := m.XY(m.Nodes() - 1); x != dims[0]-1 || y != dims[1]-1 {
+			t.Errorf("%dx%d: far corner at (%d,%d), want (%d,%d)", dims[0], dims[1], x, y, dims[0]-1, dims[1]-1)
+		}
+	}
+	for _, dims := range [][2]int{{MaxSide + 1, 2}, {2, MaxSide + 1}, {40000, 2}} {
+		if _, err := NewMesh(dims[0], dims[1]); err == nil {
+			t.Errorf("NewMesh(%d,%d) should fail", dims[0], dims[1])
+		}
+	}
+}
+
 func TestMustMeshPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -65,22 +65,23 @@ type equivCase struct {
 type via uint8
 
 const (
-	plain          via = iota
-	checkpointed       // writing a checkpoint every path.every cycles
-	resumeSame         // Resume from that run's checkpoint of cycle path.at
-	resumeOther        // the same onto the other backend (sharded ↔ sequential)
-	reused             // second job of a one-worker RunMany: Engine.Reset
-	nodiag             // run-health monitor off
-	telemetry          // registry and progress tracker attached
-	traced             // flight recorder on, for rows that have it off
-	ledgerArchived     // archived into a run ledger
-	ledgerServed       // served from that archive without simulating
-	midrunRestore      // live rows: Engine.Snapshot at half time, restored into a fresh engine
-	polled             // closed-loop rows: the system behind a wrapper that hides sim.PendingSource
-	recorded           // not run: the row's Result digest as the retired reference arbiter produced it (referenceDigests)
+	plain            via = iota
+	checkpointed         // writing a checkpoint every path.every cycles
+	resumeSame           // Resume from that run's checkpoint of cycle path.at
+	resumeOther          // the same onto the other backend (sharded ↔ sequential)
+	reused               // second job of a one-worker RunMany: Engine.Reset
+	reusedAfterOther     // the same after another run on the engine (otherJob)
+	nodiag               // run-health monitor off
+	telemetry            // registry and progress tracker attached
+	traced               // flight recorder on, for rows that have it off
+	ledgerArchived       // archived into a run ledger
+	ledgerServed         // served from that archive without simulating
+	midrunRestore        // live rows: Engine.Snapshot at half time, restored into a fresh engine
+	polled               // closed-loop rows: the system behind a wrapper that hides sim.PendingSource
+	recorded             // not run: the row's Result digest as the retired reference arbiter produced it (referenceDigests)
 )
 
-var viaNames = [...]string{"", "checkpointed@%d", "resume@%d", "resume@%d-other", "reused", "nodiag", "telemetry", "traced",
+var viaNames = [...]string{"", "checkpointed@%d", "resume@%d", "resume@%d-other", "reused", "reused-after-other", "nodiag", "telemetry", "traced",
 	"ledger-archived", "ledger-served", "midrun-restore", "polled", "reference"}
 
 // payload is each path's declared normalisation: the Result fields that way of
@@ -184,9 +185,13 @@ func runPath(t *testing.T, c *equivCase, p path, dir string) outcome {
 				}
 			})
 		}
-	case reused:
+	case reused, reusedAfterOther:
+		first := cfg
+		if p.via == reusedAfterOther {
+			first = otherJob(cfg)
+		}
 		run = func() (Result, error) {
-			batch, err := RunMany([]Config{cfg, cfg}, 1)
+			batch, err := RunMany([]Config{first, cfg}, 1)
 			return batch[1], err
 		}
 	case nodiag:
@@ -225,6 +230,23 @@ func runPath(t *testing.T, c *equivCase, p path, dir string) outcome {
 		}
 	}
 	return outcome{res: res}
+}
+
+// otherJob is the run the reusedAfterOther path puts on the engine first: the
+// same mesh, design and shard count, so the runner resets that engine for the
+// row, but another seed and load and, on the designs that model crossbar
+// faults, a 25 % crossbar-fault plan — fault, fairness and buffer state a
+// router rebuilt in place would carry over if it were not re-initialised.
+func otherJob(cfg Config) Config {
+	load := 0.5
+	if cfg.Load == load {
+		load = 0.4
+	}
+	cfg.Seed, cfg.Load = cfg.Seed+100, load
+	if designTable[cfg.Design].faultable {
+		cfg.FaultFraction, cfg.FaultGranularity, cfg.FaultCycle = 0.25, "crossbar", 50
+	}
+	return cfg
 }
 
 // liveNetwork builds a live row's network on p's engine the way runFrom builds
@@ -704,7 +726,7 @@ func TestShardLockstepClosedLoop(t *testing.T) {
 	assertAll(t, rows("closed-loop", "dxbar"), shards(2), shards(4))
 }
 func TestShardEngineReuse(t *testing.T) {
-	assertAll(t, rows("reuse"), shards(2), shards(2).through(reused))
+	assertAll(t, rows("reuse"), shards(2), shards(2).through(reused), shards(2).through(reusedAfterOther))
 }
 func TestArbitrationBitIdentityAllDesigns(t *testing.T) {
 	assertAll(t, append(rows("designs"), rows("designs-seed3")...), reference)
@@ -725,7 +747,7 @@ func TestActivityBitIdentitySplash(t *testing.T) {
 	assertAll(t, rows("closed-loop"), shards(2), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore), seq.through(polled))
 }
 func TestActivityEngineReuse(t *testing.T) {
-	assertAll(t, rows("reuse-idle"), seq.through(reused), shards(2), shards(2).through(reused))
+	assertAll(t, rows("reuse-idle"), seq.through(reused), seq.through(reusedAfterOther), shards(2), shards(2).through(reused))
 }
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	assertAll(t, rows("checkpoint"), append(resumeSweep(seq, 96, 2), resumeSweep(shards(4), 96, 2)...)...)
@@ -756,6 +778,8 @@ func TestOracleCrossings(t *testing.T) {
 	cross("idle-crosspoint-faults-live", rows("idle-faulted-live"), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("input-bank-restore", rows("saturated", "buffered8/wf", "afc/wf"), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("input-bank-resume", rows("saturated-wf"), resumeSweep(seq, 200, 2)...)
+	cross("reuse-after-other", append(rows("seed7"), rows("faults", "dxbar/crosspoint/0.50", "unified/crossbar/1.00")...),
+		seq.through(reusedAfterOther), shards(4).through(reusedAfterOther))
 }
 
 // FuzzExecutionPaths decodes its input into a row — small meshes, non-square

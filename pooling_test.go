@@ -153,6 +153,33 @@ func TestStepZeroAllocSteadyStateLargeMesh(t *testing.T) {
 	}
 }
 
+// TestNewNetworkAllocsPerTile is the construction guard: building a network
+// allocates per tile and per network, never per node — every per-node
+// structure (Envs, link stages, spec rings, reassemblers, input buffers,
+// flits, routers) comes from a slab. So a 32×32 network costs at most 64
+// allocations more than an 8×8 one, on every design, sequential and sharded
+// (one per node would be 960 more).
+func TestNewNetworkAllocsPerTile(t *testing.T) {
+	allocs := func(d Design, side, shards int) float64 {
+		mesh := topology.MustMesh(side, side)
+		coll := stats.NewCollector(mesh.Nodes(), 0, 1<<40)
+		return testing.AllocsPerRun(2, func() {
+			if _, err := NewNetwork(NetworkOptions{Design: d, Mesh: mesh, Stats: coll, Shards: shards}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, d := range AllDesigns {
+		for _, shards := range []int{0, 4} {
+			small, large := allocs(d, 8, shards), allocs(d, 32, shards)
+			if large-small > 64 {
+				t.Errorf("%s shards=%d: NewNetwork allocates %.0f times at 8x8 and %.0f at 32x32, want at most 64 more",
+					d, shards, small, large)
+			}
+		}
+	}
+}
+
 // TestPoolNoLeakAfterDrain checks the pooling ownership discipline: every
 // flit acquired from the pool is released exactly once (at ejection), so a
 // drained network has zero outstanding flits — across the buffered,

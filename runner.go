@@ -156,6 +156,9 @@ func (r *runner) run(c Config) (Result, error) {
 // the partial window is renormalized like an interrupted run's.
 func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result, error) {
 	cfg := c.withDefaults()
+	if cfg.EventTrace < 0 || cfg.EventTrace > maxEventTrace {
+		return Result{}, fmt.Errorf("dxbar: EventTrace %d outside 0..%d", cfg.EventTrace, maxEventTrace)
+	}
 	// Run ledger: archive the completed run under its content hash and —
 	// with LedgerReuse — recognize an already-archived identical run before
 	// simulating a single cycle. Runs are deterministic, so a key hit is the
