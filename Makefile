@@ -124,9 +124,10 @@ checkpoint-smoke:
 
 # The checkpoint/replay determinism suite under the race detector: resume
 # bit-identity across designs, seeds and both engine backends, snapshot
-# round-trip byte stability, corrupt-input robustness, rewind renormalization
-# and the committed golden checkpoint (cross-version format stability). Then
-# the execution-path oracle's lockstep suites (oracle_test.go: Engine.Snapshot
+# round-trip byte stability, corrupt-input robustness, rewind renormalization,
+# the committed golden checkpoint (cross-version format stability), the
+# retired version-1 checkpoint's rejection and the injector's RNG source held
+# to math/rand draw for draw. Then the execution-path oracle's lockstep suites (oracle_test.go: Engine.Snapshot
 # digests equal to the sequential engine's every 50 cycles — all designs past
 # saturation, fault plans, the closed loop) with the barrier driven on 1, 2
 # and 4 processors, and a minute of FuzzExecutionPaths: random rows and path
@@ -134,8 +135,9 @@ checkpoint-smoke:
 # test-race), then 30 s of FuzzRestoreEngine: mutated snapshots of every
 # design, CRC recomputed, restored and run on — an error, never a panic.
 determinism:
-	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine|TestResumeParentBuffered8' .
+	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine|TestRestoreEngineRejectsV1|TestResumeParentBuffered8' .
 	$(GO) test -race -count=1 ./internal/snapshot/
+	$(GO) test -race -count=1 -run 'TestSourceMatchesStdlib|TestSourceCopyResumes' ./internal/traffic/
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Lockstep' .
 	$(GO) test -race -run '^$$' -fuzz FuzzExecutionPaths -fuzztime 60s .
 	$(GO) test -run '^$$' -fuzz FuzzRestoreEngine -fuzztime 30s .

@@ -14,6 +14,7 @@
 package dxbar
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"testing"
@@ -240,6 +241,44 @@ func BenchmarkNewNetwork(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(mesh.Nodes())), "ns/node")
 			})
 		}
+	}
+}
+
+// BenchmarkRestoreEngine measures Engine.Restore of a 64×64 dxbar network at
+// UR 0.05 from snapshots taken at cycles 1,000 and 8,000, each restored into
+// a fresh network of the same shape. The snapshot stores the injector's RNG
+// state, not a draw count to replay, so the two rows must agree within noise:
+// restore time does not depend on the cycle. The end-to-end judge is the
+// benchmark's `persist` workload (`snapshot.restore_ms`).
+func BenchmarkRestoreEngine(b *testing.B) {
+	mesh := topology.MustMesh(64, 64)
+	build := func() *Network {
+		net, err := NewNetwork(NetworkOptions{
+			Design: DesignDXbar, Mesh: mesh,
+			Source: bernoulliSource(b, mesh, "UR", 0.05, 1, benchSeed),
+			Stats:  stats.NewCollector(mesh.Nodes(), 0, ^uint64(0)),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return net
+	}
+	src := build()
+	for _, at := range []uint64{1000, 8000} {
+		src.Engine.Run(at - src.Engine.Cycle())
+		var buf bytes.Buffer
+		if err := src.Engine.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("cycle%d", at), func(b *testing.B) {
+			dst := build()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := dst.Engine.Restore(buf.Bytes()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

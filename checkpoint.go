@@ -3,7 +3,7 @@ package dxbar
 // Checkpoint & resume: a run with Config.CheckpointInterval/CheckpointDir set
 // periodically serializes its complete engine state — every flit in flight,
 // injection backlogs, the retransmit wheel, credit pipelines, the source RNG
-// position, stats/energy accumulators, recorder and monitor state — into an
+// state, stats/energy accumulators, recorder and monitor state — into an
 // atomic-renamed file. Resume continues such a run bit-identically; Rewind
 // re-runs a window from a checkpoint with the flight recorder widened, for
 // post-mortem re-execution of an interesting region (a p99 outlier, an
@@ -178,9 +178,9 @@ func (ck *Checkpoint) state(s *snapshot.Stream, cfgJSON *[]byte) error {
 
 // Resume continues a checkpointed run to its configured end. The result is
 // bit-identical to the uninterrupted run's: the checkpoint captures every
-// piece of state the remaining cycles depend on, including the RNG stream
-// position. Checkpointing stays enabled under the saved config, so a resumed
-// run keeps writing checkpoints into the same directory.
+// piece of state the remaining cycles depend on, including the RNG state.
+// Checkpointing stays enabled under the saved config, so a resumed run keeps
+// writing checkpoints into the same directory.
 func Resume(path string) (Result, error) {
 	return ResumeWith(path, nil)
 }

@@ -87,7 +87,9 @@ type tile struct {
 	// l1 and l2 are the real caches of detailed mode (nil otherwise).
 	l1, l2 *Cache
 
+	// rng draws from src, the tile's own stream, held in place.
 	rng *rand.Rand
+	src traffic.Source
 }
 
 // outstanding returns the tile's in-flight miss on addr, or nil.
@@ -219,7 +221,8 @@ func NewSystem(mesh *topology.Mesh, prof Profile, seed int64) (*System, error) {
 		t.node = i
 		t.opsLeft = prof.OpsPerProc
 		t.nextReadyCycle = uint64(i % 8) // stagger startup slightly
-		t.rng = rand.New(rand.NewSource(seed + int64(i)*7919))
+		t.src.Seed(seed + int64(i)*7919)
+		t.rng = rand.New(&t.src)
 		if prof.DetailedCaches {
 			t.l1 = MustCache(L1Blocks, L1Ways)
 			t.l2 = MustCache(L2Blocks, L2Ways)

@@ -5,8 +5,8 @@
 // router" — for debugging livelock, starvation, fault degradation and
 // tail-latency outliers in deflection networks.
 //
-// Not to be confused with internal/trace, which captures and replays the
-// *input* workload (the packets a Source generates). This package records
+// Not to be confused with internal/traffic's traces, which capture and replay
+// the *input* workload (the packets a Source generates). This package records
 // the *runtime* behaviour of the network while it switches those packets.
 //
 // The recorder is built for bounded overhead: it is off by default (a nil

@@ -32,16 +32,9 @@ func (b *Buffered) State(s *snapshot.Stream, pool *flit.Pool, nodes int) error {
 	return b.allocState(s)
 }
 
-// retiredPointers is the number of rotation pointers of the retired second
-// allocator (one per output, then one per input) whose stream slots stay.
-const retiredPointers = 2 * flit.NumPorts
-
 // allocState rebuilds the bank's derived state after a load, holds each
 // input's FIFOs to the credits its upstream neighbour has spent on them
-// (sim.Env.CheckHeld), then moves the allocator. Ahead of it the stream keeps
-// the slots of a retired second allocator, selectable only for reference
-// runs: saved as zeros, and a load refuses any other value, since resuming
-// such a run on this allocator would silently diverge from it.
+// (sim.Env.CheckHeld), then moves the allocator.
 func (b *Buffered) allocState(s *snapshot.Stream) error {
 	if s.Loading() {
 		b.bank.rebuild(b.table, b.env.Node)
@@ -54,12 +47,6 @@ func (b *Buffered) allocState(s *snapshot.Stream) error {
 		}
 		if err := b.env.CheckHeld(s, p, n); err != nil {
 			return err
-		}
-	}
-	for i := 0; i < retiredPointers; i++ {
-		var ptr int
-		if snapshot.Int(s, &ptr); ptr != 0 {
-			return s.Failf("router: snapshot of a reference-arbitration run (retired allocator pointer %d), which this build cannot resume", ptr)
 		}
 	}
 	return b.alloc.State(s)

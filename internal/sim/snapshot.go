@@ -17,24 +17,19 @@ type RouterState interface {
 	State(s *snapshot.Stream, pool *flit.Pool, nodes int) error
 }
 
-// SharedState is network-wide design state owned by no single node (the AFC
-// mode controller). Routers register theirs through Env.RegisterShared at
-// construction; the engine serializes each exactly once, in registration
-// order — which is node order, hence deterministic.
+// SharedState is serializable state owned by no single node: network-wide
+// design state (the AFC mode controller), which routers register through
+// Env.RegisterShared at construction and the engine serializes exactly once,
+// in registration order — node order, hence deterministic; and the state of a
+// traffic source whose stream depends on it (the Bernoulli injector's RNG and
+// packet ID counter), which the engine serializes in its own section. A source
+// that does not implement it is stateless.
 type SharedState interface {
 	State(s *snapshot.Stream) error
 }
 
-// sourceState is implemented by traffic sources whose generation stream
-// depends on mutable state (the Bernoulli injector's RNG position and packet
-// ID counter). A source that doesn't implement it is assumed stateless. cycle
-// is the snapshot's cycle, the bound on how far the source can have advanced.
-type sourceState interface {
-	State(s *snapshot.Stream, cycle uint64) error
-}
-
-// State implements sourceState by delegating to the wrapped injector.
-func (s *SourceAdapter) State(st *snapshot.Stream, cycle uint64) error { return s.B.State(st, cycle) }
+// State implements SharedState by delegating to the wrapped injector.
+func (s *SourceAdapter) State(st *snapshot.Stream) error { return s.B.State(st) }
 
 // RegisterShared registers network-wide design state for serialization (see
 // SharedState). Registering the same state from every node is fine — only the
@@ -50,7 +45,7 @@ func (env *Env) RegisterShared(s SharedState) {
 
 // Snapshot serializes the engine's complete simulation state — every flit in
 // flight (latches, link stages, injection deques, router buffers, the
-// retransmit wheel), the credit pipelines, the source RNG position, the
+// retransmit wheel), the credit pipelines, the source RNG state, the
 // stats/energy accumulators and the optional recorder/monitor state — as one
 // versioned, CRC-trailed stream.
 //
@@ -108,13 +103,13 @@ func (e *Engine) state(s *snapshot.Stream) error {
 	}
 
 	s.Tag("SRC ")
-	ss, ok := e.source.(sourceState)
+	ss, ok := e.source.(SharedState)
 	has := ok
 	if s.Bool(&has); has != ok {
 		return s.Failf("sim: snapshot source-state presence %v, engine source %v", has, ok)
 	}
 	if ok {
-		if err := ss.State(s, e.cycle); err != nil {
+		if err := ss.State(s); err != nil {
 			return err
 		}
 	}

@@ -40,8 +40,10 @@ const Magic = "DXSN"
 // Version is the current format version. Bump on any incompatible layout
 // change; loading rejects other versions (the committed golden checkpoint in
 // bench/ and the root TestSnapshotFormatPinned digests turn an accidental bump
-// or layout drift into a CI failure).
-const Version = 1
+// or layout drift into a CI failure). Version 2 stores the injector's RNG
+// state where version 1 stored a draw count to replay, and drops the buffered
+// designs' retired allocator slots.
+const Version = 2
 
 // headerLen is magic + version; trailerLen the CRC32.
 const (

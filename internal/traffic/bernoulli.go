@@ -17,27 +17,13 @@ type PacketSpec struct {
 	Cycle    uint64
 }
 
-// Flits materializes the spec into its flits, all stamped with the packet's
-// injection cycle (the age every arbitration decision uses). Flit IDs are
-// derived from the packet ID so they are globally unique.
-func (p PacketSpec) Flits() []*flit.Flit {
-	fs := make([]*flit.Flit, p.NumFlits)
-	for i := range fs {
-		fs[i] = new(flit.Flit)
-		p.fill(fs[i], uint16(i))
-	}
-	return fs
-}
-
 // MaterializeFlit builds flit seq of the packet out of the pool (the
 // engine's lazy injection path materializes one packet at a time this way).
+// Every flit is stamped with the packet's injection cycle (the age every
+// arbitration decision uses), and flit IDs are derived from the packet ID so
+// they are globally unique.
 func (p PacketSpec) MaterializeFlit(pool *flit.Pool, seq uint16) *flit.Flit {
 	f := pool.Get()
-	p.fill(f, seq)
-	return f
-}
-
-func (p PacketSpec) fill(f *flit.Flit, seq uint16) {
 	*f = flit.Flit{
 		ID:             p.ID*uint64(p.NumFlits) + uint64(seq),
 		PacketID:       p.ID,
@@ -48,6 +34,7 @@ func (p PacketSpec) fill(f *flit.Flit, seq uint16) {
 		Kind:           p.Kind,
 		InjectionCycle: p.Cycle,
 	}
+	return f
 }
 
 // Bernoulli is the open-loop injection process of §III.A: each node
@@ -55,59 +42,34 @@ func (p PacketSpec) fill(f *flit.Flit, seq uint16) {
 // offered load (flits per node per cycle) matches the configured fraction of
 // capacity (1 flit/node/cycle).
 type Bernoulli struct {
-	mesh    *topology.Mesh
 	pattern Pattern
 	prob    float64 // per-node per-cycle packet probability
 	nflits  uint16
-	rng     *rand.Rand
-	src     *countingSource
-	seed    int64
+	rng     *rand.Rand // draws from src
 	nextID  uint64
 	spec    PacketSpec // reused across Generate calls (see Generate)
+	src     Source
 }
-
-// countingSource wraps the seeded source and counts raw draws. The count is
-// the injector's serializable RNG position: every consumer path (Float64,
-// Intn rejection loops, pattern draws) bottoms out in exactly one source call
-// per count, so replaying `draws` calls against a fresh source of the same
-// seed reproduces the stream position without modelling any consumer.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-func (s *countingSource) Seed(seed int64) { s.src.Seed(seed) }
 
 // NewBernoulli returns an injector offering `load` flits/node/cycle with
-// packets of flitsPerPacket flits each.
-func NewBernoulli(m *topology.Mesh, p Pattern, load float64, flitsPerPacket int, seed int64) (*Bernoulli, error) {
+// packets of flitsPerPacket flits each. The pattern carries the mesh; the
+// mesh argument is not consulted.
+func NewBernoulli(_ *topology.Mesh, p Pattern, load float64, flitsPerPacket int, seed int64) (*Bernoulli, error) {
 	if !(load >= 0 && load <= 1) { // NaN fails both
 		return nil, fmt.Errorf("traffic: load %v out of [0,1]", load)
 	}
 	if flitsPerPacket < 1 || flitsPerPacket > 64 {
 		return nil, fmt.Errorf("traffic: flits per packet %d out of [1,64]", flitsPerPacket)
 	}
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Bernoulli{
-		mesh:    m,
+	b := &Bernoulli{
 		pattern: p,
 		prob:    load / float64(flitsPerPacket),
 		nflits:  uint16(flitsPerPacket),
-		rng:     rand.New(src),
-		src:     src,
-		seed:    seed,
 		nextID:  1,
-	}, nil
+	}
+	b.src.Seed(seed)
+	b.rng = rand.New(&b.src)
+	return b, nil
 }
 
 // Generate rolls the Bernoulli trial for one node at one cycle and returns
@@ -137,6 +99,3 @@ func (b *Bernoulli) Generate(node int, cycle uint64) *PacketSpec {
 	b.nextID++
 	return &b.spec
 }
-
-// Pattern returns the injector's traffic pattern.
-func (b *Bernoulli) Pattern() Pattern { return b.pattern }

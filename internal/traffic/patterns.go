@@ -28,40 +28,23 @@ var PatternNames = []string{"UR", "NUR", "BR", "BF", "CP", "MT", "PS", "NB", "TO
 // patterns (BR, BF, CP, PS) require a power-of-two node count.
 func New(name string, m *topology.Mesh) (Pattern, error) {
 	n := m.Nodes()
-	needBits := func() (int, error) {
-		if n&(n-1) != 0 {
-			return 0, fmt.Errorf("traffic: pattern %s needs a power-of-two node count, got %d", name, n)
-		}
-		return bits.TrailingZeros(uint(n)), nil
-	}
 	switch name {
 	case "UR":
 		return uniform{n: n}, nil
 	case "NUR":
 		return newHotspot(m), nil
-	case "BR":
-		b, err := needBits()
-		if err != nil {
-			return nil, err
+	case "BR", "BF", "CP", "PS":
+		if n&(n-1) != 0 {
+			return nil, fmt.Errorf("traffic: pattern %s needs a power-of-two node count, got %d", name, n)
 		}
-		return bitPattern{name: "BR", n: n, f: func(s uint) uint { return bits.Reverse(s<<(bits.UintSize-b)) & (uint(n) - 1) }}, nil
-	case "BF":
-		b, err := needBits()
-		if err != nil {
-			return nil, err
-		}
-		return bitPattern{name: "BF", n: n, f: func(s uint) uint { return butterfly(s, b) }}, nil
-	case "CP":
-		if _, err := needBits(); err != nil {
-			return nil, err
-		}
-		return bitPattern{name: "CP", n: n, f: func(s uint) uint { return ^s & (uint(n) - 1) }}, nil
-	case "PS":
-		b, err := needBits()
-		if err != nil {
-			return nil, err
-		}
-		return bitPattern{name: "PS", n: n, f: func(s uint) uint { return ((s << 1) | (s >> (b - 1))) & (uint(n) - 1) }}, nil
+		b, mask := bits.TrailingZeros(uint(n)), uint(n)-1
+		f := map[string]func(uint) uint{
+			"BR": func(s uint) uint { return bits.Reverse(s<<(bits.UintSize-b)) & mask },
+			"BF": func(s uint) uint { return butterfly(s, b) },
+			"CP": func(s uint) uint { return ^s & mask },
+			"PS": func(s uint) uint { return ((s << 1) | (s >> (b - 1))) & mask },
+		}[name]
+		return bitPattern{name: name, n: n, f: f}, nil
 	case "MT":
 		return transpose{m: m}, nil
 	case "NB":

@@ -1,51 +1,18 @@
 package traffic
 
-import (
-	"math/rand"
+import "dxbar/internal/snapshot"
 
-	"dxbar/internal/snapshot"
-)
-
-// maxDrawsPerGenerate is the most raw source draws one Generate call makes,
-// read off its code: one Float64 for the Bernoulli trial, then Dest — NUR's
-// worst case is a Float64 for the hot-spot coin, an Intn(4) for the hot node
-// and, when that node is the source itself, an Intn over the others. Every
-// math/rand call is one draw but for its rejection retries (Float64 resamples
-// a rounding to 1.0, Intn of a non-power-of-two n resamples with probability
-// below n/2^31), which a run's total never comes near to filling:
-// TestDrawsPerGenerateBound holds all nine patterns to it at load 1.0.
-const maxDrawsPerGenerate = 4
-
-// State moves the injector's mutable state: the RNG stream position (raw
-// source draws since seeding) and the next packet ID. The seed, load and
-// pattern are configuration — the restore side reconstructs the injector from
-// the run's config and overlays this state.
-//
-// Loading restores the stream position by reseeding the source and replaying
-// the recorded number of raw draws: O(draws), microseconds per billion cycles
-// of low-load simulation, and what makes the position portable — no generator
-// internals are serialized, only how far the stream advanced. cycle is the
-// snapshot's cycle. The engine asks each node at most once per cycle, so the
-// count is capped at twice maxDrawsPerGenerate per node-cycle up to it: a
-// forged count fails here instead of replaying for hours.
-func (b *Bernoulli) State(s *snapshot.Stream, cycle uint64) error {
+// State moves the injector's mutable state: its RNG source and the next
+// packet ID. Load, pattern and packet size are configuration, rebuilt from
+// the run's config; the seed is spent, and the source's state is what is left.
+func (b *Bernoulli) State(s *snapshot.Stream) error {
 	s.Tag("BERN")
-	draws := b.src.n
-	s.U64(&draws)
+	if err := b.src.State(s); err != nil {
+		return err
+	}
 	s.U64(&b.nextID)
 	if b.nextID == 0 {
 		return s.Failf("traffic: snapshot has invalid next packet ID 0")
-	}
-	if perCycle := 2 * maxDrawsPerGenerate * uint64(b.mesh.Nodes()); draws/perCycle > cycle {
-		return s.Failf("traffic: snapshot RNG position %d exceeds %d draws per cycle over %d cycles", draws, perCycle, cycle)
-	}
-	if s.Loading() && s.Err() == nil {
-		src := rand.NewSource(b.seed).(rand.Source64)
-		for i := uint64(0); i < draws; i++ {
-			src.Uint64()
-		}
-		b.src = &countingSource{src: src, n: draws}
-		b.rng = rand.New(b.src)
 	}
 	return s.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dxbar/internal/flit"
 	"dxbar/internal/topology"
 )
 
@@ -250,48 +251,16 @@ func TestBernoulliDeterministic(t *testing.T) {
 
 func TestPacketSpecFlits(t *testing.T) {
 	s := PacketSpec{ID: 9, Src: 1, Dst: 2, NumFlits: 4, Cycle: 77}
-	fs := s.Flits()
-	if len(fs) != 4 {
-		t.Fatal("wrong flit count")
-	}
+	pool := flit.NewPool()
 	ids := map[uint64]bool{}
-	for i, f := range fs {
-		if f.Seq != uint16(i) || f.PacketID != 9 || f.InjectionCycle != 77 || f.Src != 1 || f.Dst != 2 {
+	for i := uint16(0); i < s.NumFlits; i++ {
+		f := s.MaterializeFlit(pool, i)
+		if f.Seq != i || f.NumFlits != 4 || f.PacketID != 9 || f.InjectionCycle != 77 || f.Src != 1 || f.Dst != 2 {
 			t.Fatalf("flit %d fields wrong: %+v", i, f)
 		}
 		if ids[f.ID] {
 			t.Fatal("duplicate flit ID")
 		}
 		ids[f.ID] = true
-	}
-}
-
-// TestDrawsPerGenerateBound holds maxDrawsPerGenerate — the basis of the cap
-// on a snapshot's RNG position — against every pattern at load 1.0, where
-// every trial produces a packet and so calls Dest: on 4×4 and 8×8 meshes
-// (NUR's hot spots are a sixteenth of the 4×4 nodes), a run's draws stay
-// within the bound per node-cycle.
-func TestDrawsPerGenerateBound(t *testing.T) {
-	for _, size := range []int{4, 8} {
-		m := topology.MustMesh(size, size)
-		for _, name := range PatternNames {
-			p, err := New(name, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := NewBernoulli(m, p, 1.0, 1, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const cycles = 2000
-			for c := uint64(0); c < cycles; c++ {
-				for n := 0; n < m.Nodes(); n++ {
-					b.Generate(n, c)
-				}
-			}
-			if bound := uint64(maxDrawsPerGenerate * m.Nodes() * cycles); b.src.n > bound {
-				t.Errorf("%s on %d×%d: %d draws over %d node-cycles exceed %d per node-cycle", name, size, size, b.src.n, m.Nodes()*cycles, maxDrawsPerGenerate)
-			}
-		}
 	}
 }

@@ -3,13 +3,14 @@ package dxbar
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dxbar/internal/coherence"
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
-	"dxbar/internal/trace"
+	"dxbar/internal/traffic"
 )
 
 // The closed-loop and trace-replay paths end to end. The paper's headline
@@ -33,6 +34,34 @@ func TestTraceRoundTripAllDesigns(t *testing.T) {
 	}
 }
 
+// A trace record outside the mesh or outside 1–64 flits is an error naming
+// the record, returned at decode: before validation a Dst of 999 on a 4×4
+// mesh panicked the replay, and the other three rows ran it to MaxCycles.
+func TestRunTraceRejectsBadRecords(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		r    traffic.Record
+	}{
+		{"dst outside mesh", traffic.Record{Cycle: 3, Src: 1, Dst: 999, NumFlits: 1}},
+		{"src outside mesh", traffic.Record{Cycle: 3, Src: 16, Dst: 1, NumFlits: 1}},
+		{"zero flits", traffic.Record{Cycle: 3, Src: 1, Dst: 2, NumFlits: 0}},
+		{"1000 flits", traffic.Record{Cycle: 3, Src: 1, Dst: 2, NumFlits: 1000}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := traffic.Trace{Width: 4, Height: 4, Records: []traffic.Record{{Cycle: 0, Src: 0, Dst: 5, NumFlits: 1}, c.r}}
+			var buf bytes.Buffer
+			if err := tr.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := RunTrace(DesignDXbar, "DOR", &buf, 0)
+			if err == nil || !strings.Contains(err.Error(), "record 1 ") {
+				t.Fatalf("RunTrace = %v, want an error naming record 1", err)
+			}
+			t.Log(err)
+		})
+	}
+}
+
 // A recording through the recorder's forwarded NextPending is the recording
 // per-node polling makes, byte for byte, and a replay through the player's
 // NextPending ends where a polled replay ends.
@@ -44,7 +73,7 @@ func TestTraceForwardedMatchesPolled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &trace.Recorder{Inner: sys, Trace: trace.Trace{Width: 8, Height: 8}}
+		rec := &traffic.Recorder{Inner: sys, Trace: traffic.Trace{Width: 8, Height: 8}}
 		if hide {
 			rec.Inner = struct{ sim.Source }{sys}
 		}
@@ -67,11 +96,11 @@ func TestTraceForwardedMatchesPolled(t *testing.T) {
 		t.Fatal("the forwarded recording differs from the polled one")
 	}
 	replay := func(hide bool) (uint64, stats.Results) {
-		tr, err := trace.Read(bytes.NewReader(raw))
+		tr, err := traffic.ReadTrace(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mesh, player := topology.MustMesh(tr.Width, tr.Height), trace.NewPlayer(tr)
+		mesh, player := topology.MustMesh(tr.Width, tr.Height), traffic.NewPlayer(tr)
 		var src sim.Source = player
 		if hide {
 			src = struct{ sim.Source }{player}

@@ -7,7 +7,7 @@ import (
 	"dxbar/internal/coherence"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
-	"dxbar/internal/trace"
+	"dxbar/internal/traffic"
 )
 
 // RecordSplash runs a coherence workload once (on the DXbar design, whose
@@ -38,7 +38,7 @@ func RecordSplash(c SplashConfig, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rec := &trace.Recorder{Inner: sys, Trace: trace.Trace{Width: c.Width, Height: c.Height}}
+	rec := &traffic.Recorder{Inner: sys, Trace: traffic.Trace{Width: c.Width, Height: c.Height}}
 	coll := stats.NewCollector(mesh.Nodes(), 0, c.MaxCycles)
 	net, err := NewNetwork(NetworkOptions{
 		Design:   c.Design,
@@ -73,7 +73,7 @@ type TraceResult struct {
 
 // RunTrace replays a recorded trace against the given design.
 func RunTrace(design Design, routingName string, r io.Reader, maxCycles uint64) (TraceResult, error) {
-	tr, err := trace.Read(r)
+	tr, err := traffic.ReadTrace(r)
 	if err != nil {
 		return TraceResult{}, err
 	}
@@ -84,7 +84,7 @@ func RunTrace(design Design, routingName string, r io.Reader, maxCycles uint64) 
 	if err != nil {
 		return TraceResult{}, err
 	}
-	player := trace.NewPlayer(tr)
+	player := traffic.NewPlayer(tr)
 	coll := stats.NewCollector(mesh.Nodes(), 0, maxCycles)
 	net, err := NewNetwork(NetworkOptions{
 		Design:  design,
