@@ -6,7 +6,7 @@ GO ?= go
 # example never requires touching this file.
 EXAMPLES := $(notdir $(wildcard examples/*))
 
-.PHONY: all build test test-race race lint census bench benchmark pairs figures examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
+.PHONY: all build test test-race race lint census bench benchmark pairs figures claims-seeds examples examples-smoke telemetry-smoke dashboard-smoke diag-smoke checkpoint-smoke determinism clean
 
 all: build test
 
@@ -57,7 +57,10 @@ lint:
 census:
 	@sh scripts/census.sh
 
-# Every paper table/figure plus the ablation and extension harnesses.
+# The engine micro-benchmarks (bench_test.go), and BenchmarkPaperClaimsSeeds,
+# which rewrites results/claims_seeds.md. The paper's numbers live in
+# TestPaperClaims (EXPERIMENTS.md's claim tables); `dxbar-sweep -fig N`
+# regenerates each figure.
 bench:
 	$(GO) test -bench=. -benchmem
 
@@ -81,6 +84,12 @@ pairs:
 # (TestPaperClaims).
 figures:
 	$(GO) run ./cmd/dxbar-sweep -fig all -quality full -out results -svg -md
+
+# Every paperClaims row at seeds 42-46 (k added to each run's seed), written
+# to results/claims_seeds.md with the rows whose verdict differs marked; about
+# a minute. TestClaimsSeedsCoversEveryRow holds the file to the table.
+claims-seeds:
+	$(GO) test -run '^$$' -bench '^BenchmarkPaperClaimsSeeds$$' -benchtime 1x .
 
 examples:
 	for e in $(EXAMPLES); do \

@@ -30,9 +30,9 @@ import (
 	"dxbar/internal/snapshot"
 )
 
-// DefaultCheckpointKeep is how many checkpoint files a run retains when
+// defaultCheckpointKeep is how many checkpoint files a run retains when
 // Config.CheckpointKeep is 0.
-const DefaultCheckpointKeep = 3
+const defaultCheckpointKeep = 3
 
 // checkpointPattern matches the files written by checkpointed runs.
 const checkpointPattern = "ckpt-*.dxsn"
@@ -109,7 +109,7 @@ func writeCheckpoint(dir string, keep int, cfg Config, cyc uint64, pastWarmup bo
 // numbers are zero-padded to fixed width, so lexical order is cycle order.
 func pruneCheckpoints(dir string, keep int) {
 	if keep <= 0 {
-		keep = DefaultCheckpointKeep
+		keep = defaultCheckpointKeep
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, checkpointPattern))
 	if err != nil || len(paths) <= keep {

@@ -201,7 +201,7 @@ type Config struct {
 	CheckpointDir string
 	// CheckpointKeep bounds the checkpoint files retained in CheckpointDir —
 	// after each write, older ckpt-*.dxsn files beyond the newest
-	// CheckpointKeep are pruned. 0 means DefaultCheckpointKeep.
+	// CheckpointKeep are pruned. 0 keeps 3.
 	CheckpointKeep int
 	// LedgerDir, when non-empty, archives the completed run into the
 	// content-addressed run ledger under that directory (one atomic JSON

@@ -201,16 +201,6 @@ func Figure5(q Quality, seed int64) (Figure, error) {
 	return Figure5From(pts), nil
 }
 
-// Figure6 regenerates "Power of Uniform Random traffic pattern": average
-// energy per packet vs offered load.
-func Figure6(q Quality, seed int64) (Figure, error) {
-	pts, err := LoadSweepOpts("UR", q, seed, SweepOptions{})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure6From(pts), nil
-}
-
 // patternAxis is the paper's synthetic-pattern axis for Figs. 7/8.
 var patternAxis = []string{"UR", "NUR", "BR", "BF", "CP", "MT", "PS", "NB", "TOR"}
 
@@ -287,13 +277,6 @@ func Figure7(q Quality, seed int64) (Figure, error) {
 	return thr, err
 }
 
-// Figure8 regenerates "Energy consumed at an offered load = 0.5 of all
-// synthetic traces".
-func Figure8(q Quality, seed int64) (Figure, error) {
-	_, en, err := Figure7And8(q, seed, SweepOptions{})
-	return en, err
-}
-
 // splashConfigs builds the Fig. 9/10 closed-loop matrix: design-major, then
 // benchmark, then seed.
 func splashConfigs(q Quality, seed int64) (configs []SplashConfig) {
@@ -368,12 +351,6 @@ func Figure9And10(q Quality, seed int64, opts SweepOptions) (timeFig, enFig Figu
 func Figure9(q Quality, seed int64) (Figure, error) {
 	tf, _, err := Figure9And10(q, seed, SweepOptions{})
 	return tf, err
-}
-
-// Figure10 regenerates "Energy consumed of all SPLASH-2 traces".
-func Figure10(q Quality, seed int64) (Figure, error) {
-	_, ef, err := Figure9And10(q, seed, SweepOptions{})
-	return ef, err
 }
 
 // FaultPoint is one cell of the Fig. 11/12 fault sweeps.
@@ -468,13 +445,6 @@ func Figure11And12(q Quality, seed int64, opts SweepOptions) (thr, en Figure, er
 func Figure11(q Quality, seed int64) (Figure, error) {
 	thr, _, err := Figure11And12(q, seed, SweepOptions{})
 	return thr, err
-}
-
-// Figure12 regenerates the fault-tolerance latency/power plots: average
-// energy vs offered load per fault fraction and routing algorithm.
-func Figure12(q Quality, seed int64) (Figure, error) {
-	_, en, err := Figure11And12(q, seed, SweepOptions{})
-	return en, err
 }
 
 // Table3Row re-exports the energy model's Table III reproduction.

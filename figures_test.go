@@ -2,6 +2,7 @@ package dxbar
 
 import (
 	"encoding/xml"
+	"errors"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -161,29 +162,24 @@ func TestAllFigureGeneratorsEndToEnd(t *testing.T) {
 	}
 	q := Quality{Warmup: 100, Measure: 300, Loads: []float64{0.1},
 		FaultFractions: []float64{0}, SplashSeeds: 1}
-	type gen struct {
-		name   string
-		f      func(Quality, int64) (Figure, error)
+	pts, err6 := LoadSweepOpts("UR", q, 5, SweepOptions{})
+	fig7, fig8, err78 := Figure7And8(q, 5, SweepOptions{})
+	_, fig12, err12 := Figure11And12(q, 5, SweepOptions{})
+	if err := errors.Join(err6, err78, err12); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		fig    Figure
 		series int
-	}
-	gens := []gen{
-		{"fig6", Figure6, 6},
-		{"fig7", Figure7, 6},
-		{"fig8", Figure8, 6},
-		{"fig12", Figure12, 2}, // 2 algos × 1 fraction
-	}
-	for _, g := range gens {
-		fig, err := g.f(q, 5)
-		if err != nil {
-			t.Fatalf("%s: %v", g.name, err)
-		}
+	}{{Figure6From(pts), 6}, {fig7, 6}, {fig8, 6}, {fig12, 2}} { // fig12: 2 algos × 1 fraction
+		fig := g.fig
 		if len(fig.Series) != g.series {
-			t.Errorf("%s: series = %d, want %d", g.name, len(fig.Series), g.series)
+			t.Errorf("%s: series = %d, want %d", fig.ID, len(fig.Series), g.series)
 		}
 		for _, s := range fig.Series {
 			for _, y := range s.Y {
 				if y < 0 {
-					t.Errorf("%s/%s: negative value %v", g.name, s.Label, y)
+					t.Errorf("%s/%s: negative value %v", fig.ID, s.Label, y)
 				}
 			}
 		}
@@ -192,8 +188,9 @@ func TestAllFigureGeneratorsEndToEnd(t *testing.T) {
 }
 
 // A figure pair regenerated together runs its sweep once — PointCount runs,
-// not twice that — and yields exactly the figures the single-figure entry
-// points return (what dxbar-sweep -fig all relies on). The options reach every
+// not twice that — and yields exactly the figure the single-figure entry
+// point returns, and the pair's second figure with no options (what
+// dxbar-sweep -fig all relies on). The options reach every
 // run of the sweep: a shared registry sees their cycles and flits, and each
 // completed point is archived once (the `dxbar-sweep -fig 7 -http -ledger`
 // path, which used to serve only the diag families).
@@ -203,10 +200,10 @@ func TestFigurePairsShareOneSweep(t *testing.T) {
 	for _, pair := range []struct {
 		id   string
 		both func(Quality, int64, SweepOptions) (Figure, Figure, error)
-		a, b func(Quality, int64) (Figure, error)
+		a    func(Quality, int64) (Figure, error)
 	}{
-		{"7", Figure7And8, Figure7, Figure8},
-		{"11", Figure11And12, Figure11, Figure12},
+		{"7", Figure7And8, Figure7},
+		{"11", Figure11And12, Figure11},
 	} {
 		var runs atomic.Int64
 		reg := metrics.NewRegistry()
@@ -231,12 +228,12 @@ func TestFigurePairsShareOneSweep(t *testing.T) {
 			t.Errorf("fig %s pair: %s = %v, want PointCount = %d", pair.id, metrics.MetricLedgerRecords, v, want)
 		}
 		wantA, errA := pair.a(q, 5)
-		wantB, errB := pair.b(q, 5)
+		_, wantB, errB := pair.both(q, 5, SweepOptions{})
 		if errA != nil || errB != nil {
 			t.Fatalf("fig %s singles: %v, %v", pair.id, errA, errB)
 		}
 		if !reflect.DeepEqual(figA, wantA) || !reflect.DeepEqual(figB, wantB) {
-			t.Errorf("fig %s pair differs from the single-figure entry points", pair.id)
+			t.Errorf("fig %s pair differs from the single-figure entry point or the bare pair", pair.id)
 		}
 	}
 }

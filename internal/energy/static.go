@@ -9,8 +9,8 @@ import "fmt"
 // alongside dynamic access energy. These constants are calibrated so the
 // generic Buffered 4 router at a typical operating point (UR, load 0.3)
 // spends ~40% of its total power in the buffers, reproducing the premise
-// (asserted by TestBufferPowerShareMatchesMotivation and the
-// BenchmarkExtensionTotalPower harness).
+// (asserted by TestBufferPowerShareMatchesMotivation and, on a simulated run,
+// by the power-budget claim row TestPaperClaims/ext-power-030-buffered4-share).
 //
 // The paper's figures remain dynamic-only (its Fig. 6 shows bufferless and
 // DXbar at parity at zero load, which only holds without leakage), so

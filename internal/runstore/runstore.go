@@ -107,6 +107,18 @@ type Record struct {
 	// bucket form (the in-Result histogram is an opaque fixed array that
 	// does not survive JSON; this does).
 	Latency json.RawMessage `json:"latency,omitempty"`
+	// Digest is the hex SHA-256 of Config, Result and Latency as the record
+	// file holds them (see digest): Put writes it, Lookup checks it.
+	Digest string `json:"digest,omitempty"`
+}
+
+// digest hashes a record's payloads, each prefixed with its length.
+func digest(rec *Record) string {
+	h := sha256.New()
+	for _, raw := range []json.RawMessage{rec.Config, rec.Result, rec.Latency} {
+		fmt.Fprintf(h, "%d:%s", len(raw), raw)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Key computes a record's content address: hex SHA-256 over the kind and the
@@ -155,11 +167,11 @@ func (s *Store) Path(key string) string {
 	return filepath.Join(s.dir, "run-"+key+".json")
 }
 
-// Put archives a record, filling Schema, CreatedAt and Env when unset, and
-// computing Key from (Kind, Config) when empty. The write is atomic: temp
-// file, fsync, rename. An existing record under the same key is replaced —
-// deterministic payloads make the overwrite a refresh of the metadata, not a
-// change of content. Returns the record's final path.
+// Put archives a record, filling Schema, CreatedAt and Env when unset,
+// computing Key from (Kind, Config) when empty, and setting Digest. The write
+// is atomic: temp file, fsync, rename. An existing record under the same key
+// is replaced — deterministic payloads make the overwrite a refresh of the
+// metadata, not a change of content. Returns the record's final path.
 func (s *Store) Put(rec *Record) (string, error) {
 	if rec.Kind == "" {
 		return "", fmt.Errorf("runstore: record kind is required")
@@ -183,8 +195,21 @@ func (s *Store) Put(rec *Record) (string, error) {
 	if rec.Env == (EnvStamp{}) {
 		rec.Env = Stamp()
 	}
+	rec.Digest = ""
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
+		return "", fmt.Errorf("runstore: marshal record: %w", err)
+	}
+	// MarshalIndent re-indents the payloads, and the digest covers them as
+	// the file holds them (so Lookup hashes what it reads, with no JSON
+	// pass): read them back from the encoding, then encode again with the
+	// digest, which leaves them byte for byte as they were.
+	var written Record
+	if err := json.Unmarshal(data, &written); err != nil {
+		return "", fmt.Errorf("runstore: reread record: %w", err)
+	}
+	rec.Digest = digest(&written)
+	if data, err = json.MarshalIndent(rec, "", "  "); err != nil {
 		return "", fmt.Errorf("runstore: marshal record: %w", err)
 	}
 	data = append(data, '\n')
@@ -212,17 +237,17 @@ func (s *Store) Put(rec *Record) (string, error) {
 	return path, nil
 }
 
-// Get loads the record for key. Missing, corrupt or newer-schema records are
-// errors.
-func (s *Store) Get(key string) (*Record, error) {
-	return LoadRecord(s.Path(key))
-}
-
 // Lookup is the dedup probe: the record for key, or (nil, false) when it is
-// absent or unreadable — a broken record must never block a re-simulation.
+// absent, unreadable or not provably the record Put wrote for key — its key
+// field or the key its Config hashes to is another, or its Digest is absent or
+// disagrees with its payloads. A miss re-simulates and rewrites the record, so
+// a broken or edited record never blocks a re-simulation and is never served.
 func (s *Store) Lookup(key string) (*Record, bool) {
 	rec, err := LoadRecord(s.Path(key))
-	if err != nil {
+	if err != nil || rec.Key != key || rec.Digest != digest(rec) {
+		return nil, false
+	}
+	if k, err := Key(rec.Kind, rec.Config); err != nil || k != key {
 		return nil, false
 	}
 	return rec, true

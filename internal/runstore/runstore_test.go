@@ -73,7 +73,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("path mismatch: %s vs %s", path, s.Path(rec.Key))
 	}
 
-	got, err := s.Get(rec.Key)
+	got, err := LoadRecord(s.Path(rec.Key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPutReplacesExisting(t *testing.T) {
 	if first.Key != second.Key {
 		t.Fatal("same config produced different keys")
 	}
-	got, err := s.Get(first.Key)
+	got, err := LoadRecord(s.Path(first.Key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +169,12 @@ func TestListOrderAndRobustness(t *testing.T) {
 			t.Fatalf("list not chronological: %v after %v", recs[i].CreatedAt, recs[i-1].CreatedAt)
 		}
 	}
-	// The corrupt record is a Lookup miss and a Get error.
+	// The corrupt record is a Lookup miss and a load error.
 	if _, ok := s.Lookup(strings.Repeat("f", 64)); ok {
 		t.Fatal("Lookup hit a corrupt record")
 	}
-	if _, err := s.Get(strings.Repeat("f", 64)); err == nil {
-		t.Fatal("Get accepted a corrupt record")
+	if _, err := LoadRecord(s.Path(strings.Repeat("f", 64))); err == nil {
+		t.Fatal("LoadRecord accepted a corrupt record")
 	}
 }
 
@@ -200,8 +200,8 @@ func TestSchemaGate(t *testing.T) {
 	if err := os.WriteFile(s.Path(rec.Key), []byte(raised), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(rec.Key); err == nil {
-		t.Fatal("Get accepted a newer schema")
+	if _, err := LoadRecord(s.Path(rec.Key)); err == nil {
+		t.Fatal("LoadRecord accepted a newer schema")
 	}
 	if _, ok := s.Lookup(rec.Key); ok {
 		t.Fatal("Lookup accepted a newer schema")
@@ -212,5 +212,58 @@ func TestStampFields(t *testing.T) {
 	e := Stamp()
 	if e.Go == "" || e.OS == "" || e.Arch == "" || e.NumCPU < 1 {
 		t.Fatalf("incomplete stamp: %+v", e)
+	}
+}
+
+// TestLookupRejectsTamperedRecords: Lookup serves only the record Put wrote
+// for the key. Each row rewrites A's record file in one way, under A's key
+// (or B's), and looks that key up.
+func TestLookupRejectsTamperedRecords(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &Record{Kind: KindRun, Config: json.RawMessage(`{"design":"dxbar","seed":1}`),
+		Result: json.RawMessage(`{"AvgLatency":12.5,"Packets":4000}`), Latency: json.RawMessage(`{"max":31}`)}
+	b := &Record{Kind: KindRun, Config: json.RawMessage(`{"design":"dxbar","seed":2}`), Result: json.RawMessage(`{}`)}
+	for _, r := range []*Record{a, b} {
+		if _, err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	honest, err := os.ReadFile(s.Path(a.Key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(old, new string) func() error {
+		return func() error {
+			if !strings.Contains(string(honest), old) {
+				t.Fatalf("fixture assumption broke: %s not in the record", old)
+			}
+			return os.WriteFile(s.Path(a.Key), []byte(strings.Replace(string(honest), old, new, 1)), 0o644)
+		}
+	}
+	forged := *a // Put keeps its key and writes a digest that fits the new config
+	forged.Config = json.RawMessage(`{"design":"dxbar","seed":9}`)
+	for _, c := range []struct {
+		name  string
+		write func() error
+		key   string
+		hit   bool
+	}{
+		{"honest", edit("", ""), a.Key, true},
+		{"result digit flipped", edit(`"Packets": 4000`, `"Packets": 4001`), a.Key, false},
+		{"latency digit flipped", edit(`"max": 31`, `"max": 32`), a.Key, false},
+		{"config edited, digest recomputed", func() error { _, err := s.Put(&forged); return err }, a.Key, false},
+		{"key field edited", edit(`"key": "`+a.Key, `"key": "`+b.Key), a.Key, false},
+		{"filed under another key", func() error { return os.WriteFile(s.Path(b.Key), honest, 0o644) }, b.Key, false},
+		{"no digest", edit(`"digest": "`+a.Digest, `"digest": "`), a.Key, false},
+	} {
+		if err := c.write(); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit := s.Lookup(c.key); hit != c.hit {
+			t.Errorf("%s: Lookup hit = %v, want %v", c.name, hit, c.hit)
+		}
 	}
 }

@@ -45,15 +45,8 @@ func OpenLedger(dir string) (*Ledger, error) {
 // Dir returns the ledger directory.
 func (l *Ledger) Dir() string { return l.store.Dir() }
 
-// List returns every readable record, oldest first.
-func (l *Ledger) List() ([]*LedgerRecord, error) { return l.store.List() }
-
-// Get loads the record for a content key; missing or corrupt records are
-// errors.
-func (l *Ledger) Get(key string) (*LedgerRecord, error) { return l.store.Get(key) }
-
-// Lookup is the dedup probe: (record, true) when the key is archived and
-// readable.
+// Lookup is the dedup probe: (record, true) when the key is archived,
+// readable and provably the record archived under it (runstore.Store.Lookup).
 func (l *Ledger) Lookup(key string) (*LedgerRecord, bool) { return l.store.Lookup(key) }
 
 // Path returns the file a key's record lives at.

@@ -181,7 +181,7 @@ func TestLedgerResultRejectsForeignKind(t *testing.T) {
 	if _, err := l.store.Put(&runstore.Record{Kind: "splash", Config: []byte(`{"Benchmark":"fft"}`), Result: []byte(`{"Packets":99}`)}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l.List()
+	recs, err := l.store.List()
 	if err != nil || len(recs) != 1 || recs[0].Kind != "splash" {
 		t.Fatalf("list: %v, %d records", err, len(recs))
 	}
@@ -204,7 +204,7 @@ func TestLedgerRewindNotArchived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l.List()
+	recs, err := l.store.List()
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("full run: %v, %d records", err, len(recs))
 	}
@@ -218,7 +218,7 @@ func TestLedgerRewindNotArchived(t *testing.T) {
 	if _, err := Rewind(path, 100, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	recs, err = l.List()
+	recs, err = l.store.List()
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("after rewind: %v, %d records", err, len(recs))
 	}

@@ -126,33 +126,18 @@ func LatencyTableText(title string, rows []report.LatencyRow) string {
 	return b.String()
 }
 
-// ShardProfileRowsFor converts a profiled run's per-shard execution profile
-// (Config.ShardProfile) into the report shape. Nil when the run was not
-// profiled or not sharded.
-func ShardProfileRowsFor(r Result) []report.ShardProfileRow {
-	if len(r.ShardProfile) == 0 {
-		return nil
-	}
-	rows := make([]report.ShardProfileRow, len(r.ShardProfile))
-	for i, p := range r.ShardProfile {
-		rows[i] = report.ShardProfileRow{
-			Shard:       p.Shard,
-			Nodes:       p.Nodes,
-			BusySeconds: p.RouterPhase.Seconds(),
-			WaitSeconds: p.BarrierWait.Seconds(),
-		}
-	}
-	return rows
-}
-
 // ShardProfileText renders a profiled run's shard execution profile as a
 // plain-text table with the imbalance summary. A persistently near-zero
 // barrier wait marks the bottleneck shard; see EXPERIMENTS.md for how to
 // read the imbalance ratio.
 func ShardProfileText(title string, r Result) string {
-	rows := ShardProfileRowsFor(r)
-	if rows == nil {
+	if len(r.ShardProfile) == 0 {
 		return "(run was not sharded or Config.ShardProfile was off)"
+	}
+	rows := make([]report.ShardProfileRow, len(r.ShardProfile))
+	for i, p := range r.ShardProfile {
+		rows[i] = report.ShardProfileRow{Shard: p.Shard, Nodes: p.Nodes,
+			BusySeconds: p.RouterPhase.Seconds(), WaitSeconds: p.BarrierWait.Seconds()}
 	}
 	var b strings.Builder
 	_ = report.WriteTableText(&b, report.ShardProfileTable(title, rows))

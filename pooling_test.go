@@ -1,7 +1,9 @@
 package dxbar
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"dxbar/internal/coherence"
@@ -131,6 +133,32 @@ var largeMeshAllocCases = []struct {
 	{64, 64, 0.05, 6000, 4},
 }
 
+var (
+	warmMeshMu sync.Mutex
+	warmSnaps  = map[int]*bytes.Buffer{}
+	warmNets   = map[int]*Network{}
+)
+
+// warmLargeMesh builds largeMeshAllocCases[i] on the sequential engine and
+// warms it, once per test binary, and returns the network and its snapshot
+// at the end of the warm-up: the sequential guard runs on the network, the
+// sharded guard restores the snapshot.
+func warmLargeMesh(t *testing.T, i int) (*Network, []byte) {
+	t.Helper()
+	warmMeshMu.Lock()
+	defer warmMeshMu.Unlock()
+	if warmNets[i] == nil {
+		c := largeMeshAllocCases[i]
+		net, snap := steadyMeshNetwork(t, DesignDXbar, c.w, c.h, c.load, 0), &bytes.Buffer{}
+		net.Engine.Run(c.warmup)
+		if err := net.Engine.Snapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		warmNets[i], warmSnaps[i] = net, snap
+	}
+	return warmNets[i], warmSnaps[i].Bytes()
+}
+
 // TestStepZeroAllocSteadyStateLargeMesh extends the steady-state guard to
 // 16×16, 32×32 and 64×64 meshes on the fastest design: pools, deques and
 // router scratch must reach their high-water marks during warmup at every
@@ -141,10 +169,9 @@ func TestStepZeroAllocSteadyStateLargeMesh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-mesh warmups are seconds of simulated work")
 	}
-	for _, c := range largeMeshAllocCases {
+	for i, c := range largeMeshAllocCases {
 		t.Run(fmt.Sprintf("%dx%d", c.w, c.h), func(t *testing.T) {
-			net := steadyMeshNetwork(t, DesignDXbar, c.w, c.h, c.load, 0)
-			net.Engine.Run(c.warmup)
+			net, _ := warmLargeMesh(t, i)
 			avg := testing.AllocsPerRun(5, func() { net.Engine.Run(200) })
 			if avg != 0 {
 				t.Errorf("dxbar %dx%d: %.2f allocations per 200-cycle run in steady state, want 0", c.w, c.h, avg)

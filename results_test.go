@@ -157,23 +157,3 @@ func TestAllSplashBenchmarksComplete(t *testing.T) {
 		}
 	}
 }
-
-// Detailed-cache mode runs end to end through the facade and preserves the
-// headline ordering on the hot benchmark.
-func TestDetailedCachesThroughFacade(t *testing.T) {
-	get := func(d Design) SplashResult {
-		res, err := RunSplash(SplashConfig{Design: d, Benchmark: "Ocean", Seed: 11, DetailedCaches: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	dx, fb := get(DesignDXbar), get(DesignFlitBless)
-	if dx.Packets == 0 || fb.Packets == 0 {
-		t.Fatal("detailed mode delivered nothing")
-	}
-	if dx.AvgEnergyNJ >= fb.AvgEnergyNJ {
-		t.Errorf("DXbar energy (%.3f) must undercut Flit-Bless (%.3f) in detailed mode too",
-			dx.AvgEnergyNJ, fb.AvgEnergyNJ)
-	}
-}

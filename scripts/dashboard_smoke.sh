@@ -4,7 +4,9 @@
 #  1. Ledger: run a short dxbar-sim with -ledger and assert the completed
 #     run's record (run-<key>.json, full Result + env stamp) landed on disk,
 #     then re-run with -ledger-reuse and assert the second run was served
-#     from the archive (no second record, reuse reported).
+#     from the archive (no second record), and that a record whose result
+#     was edited is not served: the next -ledger-reuse run re-simulates and
+#     rewrites it.
 #  2. Dashboard: launch a longer run with -http, assert the root path serves
 #     the self-contained dashboard page and that /events streams at least
 #     two SSE frames while the simulation is live.
@@ -37,6 +39,19 @@ done
 	>"$WORK/reuse.out" 2>&1
 records=$(ls "$LEDGER"/run-*.json | wc -l)
 [ "$records" -eq 1 ] || fail "-ledger-reuse wrote a duplicate record ($records files)"
+
+# Flip one digit of the archived result's packet count. The record's digest
+# no longer matches, so -ledger-reuse must re-simulate and rewrite the record
+# with the true count.
+packets=$(sed -n 's/^    "Packets": \([0-9]*\),$/\1/p' "$REC")
+[ -n "$packets" ] || fail "ledger record $REC has no result packet count" "$REC"
+flipped=$((packets ^ 1))
+sed "s/^    \"Packets\": $packets,\$/    \"Packets\": $flipped,/" "$REC" >"$WORK/flipped.json"
+mv "$WORK/flipped.json" "$REC"
+grep -q "^    \"Packets\": $flipped,\$" "$REC" || fail "could not flip a digit of $REC"
+"$WORK/dxbar-sim" -warmup 100 -measure 500 -ledger "$LEDGER" -ledger-reuse >/dev/null 2>&1
+grep -q "^    \"Packets\": $packets,\$" "$REC" ||
+	fail "-ledger-reuse served a tampered record: packet count $flipped is still archived" "$REC"
 
 echo "$TAG: ledger ok ($(basename "$REC"))"
 
