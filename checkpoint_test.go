@@ -22,6 +22,7 @@ import (
 	"dxbar/internal/metrics"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
+	"dxbar/internal/traffic"
 )
 
 // checkpointWindow applies the shared small-run shape: 4×4 mesh, warmup 64,
@@ -270,8 +271,10 @@ func withCRC(data []byte) []byte {
 
 // TestRestoreEngineForgedCounts restores CRC-valid streams whose fields were
 // raised past anything a run writes: a BERN tap index of 0xffff (outside the
-// 607-word register) and a WHEL offset of 0xff0000c8 (a wheel grown to a
-// 96 GiB slice, a fatal out-of-memory). Each must fail within a second,
+// 607-word register), a WHEL offset of 0xff0000c8 (a wheel grown to a
+// 96 GiB slice, a fatal out-of-memory) and a queued packet whose Src is not
+// the node queueing it (an engine queue keeps the node, not the field, so
+// restoring it would run another network). Each must fail within a second,
 // allocating no more than restoring the genuine stream does.
 func TestRestoreEngineForgedCounts(t *testing.T) {
 	net := observedNetwork(t, DesignSCARAB, false, 0)
@@ -297,25 +300,59 @@ func TestRestoreEngineForgedCounts(t *testing.T) {
 	for _, c := range []struct {
 		section string
 		forge   func(section []byte)
+		want    string // in the error, when set
 	}{
-		{"BERN", func(p []byte) { binary.LittleEndian.PutUint16(p[4:], 0xffff) }},
+		{"BERN", func(p []byte) { binary.LittleEndian.PutUint16(p[4:], 0xffff) }, ""},
 		{"WHEL", func(p []byte) {
 			if binary.LittleEndian.Uint32(p[4:]) == 0 {
 				t.Fatal("the retransmit wheel is empty: no offset to forge")
 			}
 			binary.LittleEndian.PutUint64(p[8:], 0xff0000c8)
-		}},
+		}, ""},
+		{"ENVS", forgeQueuedSrc(t, 200), "queues a packet from node"},
 	} {
 		data := append([]byte(nil), buf.Bytes()...)
 		c.forge(data[bytes.Index(data, []byte(c.section)):])
 		took, alloc, err := restore(withCRC(data))
-		if err == nil {
-			t.Errorf("%s: forged stream restored", c.section)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: forged stream restored with error %v, want one containing %q", c.section, err, c.want)
 		}
 		if took > time.Second || alloc > genuine+1<<20 {
 			t.Errorf("%s: failing took %v and %d bytes (a genuine restore: %d bytes)", c.section, took, alloc, genuine)
 		}
 		t.Logf("%s: %v", c.section, err)
+	}
+}
+
+// forgeQueuedSrc returns a forge for a snapshot of observedNetwork taken after
+// the given number of cycles, applied from its ENVS section on: it finds the
+// newest packet the network's source generated — past saturation still queued
+// at its node, as a spec of 35 bytes (ID, Src, Dst, flits, kind, cycle) — by
+// replaying the source's draws, and names the next node as its Src.
+func forgeQueuedSrc(tb testing.TB, cycles uint64) func(section []byte) {
+	mesh := topology.MustMesh(4, 4)
+	twin := bernoulliSource(tb, mesh, "UR", 0.6, 4, 21)
+	var last traffic.PacketSpec
+	for c := uint64(0); c < cycles; c++ {
+		for n := 0; n < mesh.Nodes(); n++ {
+			if specs := twin.Generate(n, c); specs != nil {
+				last = *specs[0]
+			}
+		}
+	}
+	le := binary.LittleEndian
+	spec := le.AppendUint64(nil, last.ID)
+	spec = le.AppendUint64(spec, uint64(last.Src))
+	spec = le.AppendUint64(spec, uint64(last.Dst))
+	spec = le.AppendUint16(spec, last.NumFlits)
+	spec = append(spec, uint8(last.Kind))
+	spec = le.AppendUint64(spec, last.Cycle)
+	return func(p []byte) {
+		i := bytes.Index(p, spec)
+		if i < 0 {
+			tb.Fatalf("packet %d is not queued in the snapshot", last.ID)
+		}
+		le.PutUint64(p[i+8:], uint64((last.Src+1)%mesh.Nodes()))
 	}
 }
 
@@ -351,6 +388,11 @@ func FuzzRestoreEngine(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(uint8(i), buf.Bytes())
+		if i == 0 {
+			forged := append([]byte(nil), buf.Bytes()...)
+			forgeQueuedSrc(f, 150)(forged[bytes.Index(forged, []byte("ENVS")):])
+			f.Add(uint8(i), forged)
+		}
 	}
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(0), []byte("DXSN"))

@@ -15,7 +15,6 @@ import (
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
-	"dxbar/internal/traffic"
 )
 
 // ResolveShards maps a Config.Shards request onto an effective shard count
@@ -70,10 +69,9 @@ type tile struct {
 	// engine's per-node pointers point into (newTile).
 	nodes []int
 	envs  []Env
-	// specs backs the nodes' primed spec rings (specRingCap each, in node
-	// order): a ring that outgrows its slot moves to a heap array of its
-	// own, and Engine.Reset moves it back (Env.reset).
-	specs []traffic.PacketSpec
+	// chunks is the free list the nodes' spec queues take their chunks from
+	// and give them back to.
+	chunks chunkList
 
 	// staged marks a tile of the sharded engine: effects that must reach the
 	// engine in node order (completed packets, retransmissions, events) are
@@ -178,22 +176,14 @@ func partition(m *topology.Mesh, shards int) [][]int {
 	return parts
 }
 
-// specRingCap is the capacity every node's spec ring starts with: past the
-// depths a below-saturation backlog reaches, so rare backlog spikes do not
-// double the ring mid-run (the residual fraction-of-an-alloc per cycle the
-// zero-alloc tests would flag). Above saturation the backlog is unbounded and
-// the ring grows regardless — that regime is outside the steady-state
-// guarantee.
-const specRingCap = 64
-
 // newTile builds the tile owning nodes (ascending) and everything per node it
 // owns, each kind carved from one slab of the tile's own: the Envs (their
-// reassemblers included), the link-stage rows, the spec rings, the
-// input-buffer storage, and the flags and sets — the last in whole cache
-// lines (the sets' spare capacity is the padding). A tile's memory is thus a
-// handful of allocations whatever its size, and two tiles' workers never
-// write the same line. The tile writes through pool (the engine's own for
-// the sequential engine's single tile).
+// reassemblers included), the link-stage rows, one spec chunk per node to
+// start the free list, the input-buffer storage, and the flags and sets — the
+// last in whole cache lines (the sets' spare capacity is the padding). A
+// tile's memory is thus a handful of allocations whatever its size, and two
+// tiles' workers never write the same line. The tile writes through pool (the
+// engine's own for the sequential engine's single tile).
 func newTile(e *Engine, id int, nodes []int, pool *flit.Pool) *tile {
 	k := len(nodes)
 	t := &tile{id: id, nodes: nodes, pool: pool, staged: pool != e.pool}
@@ -204,7 +194,7 @@ func newTile(e *Engine, id int, nodes []int, pool *flit.Pool) *tile {
 	t.inflight = make([]uint64, pad/64, (pad/64+7)&^7)
 	t.envs = make([]Env, k)
 	links := make([]*flit.Flit, k*flit.NumLinkPorts)
-	t.specs = make([]traffic.PacketSpec, k*specRingCap)
+	t.chunks.carve(k)
 	var store []buffer.Entry
 	per := 0
 	if e.bufferDepth > 0 {
@@ -215,17 +205,11 @@ func newTile(e *Engine, id int, nodes []int, pool *flit.Pool) *tile {
 		env := &t.envs[i]
 		env.init(e, node)
 		env.tile, env.slot, env.wake = t, i, &t.awake[i]
-		env.pendingSpecs.buf = t.specRing(i)
 		env.queueStore = store[i*per : (i+1)*per : (i+1)*per]
 		e.envs[node] = env
 		e.linkStage[node] = links[i*flit.NumLinkPorts : (i+1)*flit.NumLinkPorts : (i+1)*flit.NumLinkPorts]
 	}
 	return t
-}
-
-// specRing returns the primed spec ring of the tile's i-th node.
-func (t *tile) specRing(i int) []traffic.PacketSpec {
-	return t.specs[i*specRingCap : (i+1)*specRingCap : (i+1)*specRingCap]
 }
 
 // gather64 returns the set of non-zero bytes among flags[:64], bit i for
@@ -250,7 +234,7 @@ func gather64(flags []uint8) (set uint64) {
 //     stepped node first materializes queued packet specs into flits from the
 //     tile's pool when its injection deque runs low, then steps, and goes to
 //     sleep only when its router reported quiescent and the engine's own
-//     per-node inputs — the injection deque and the spec ring — are empty too
+//     per-node inputs — the injection deque and the spec queue — are empty too
 //     (a non-empty queue is work the router may pick up on any later cycle).
 //     Whatever delivers the next input sets the flag again.
 //  2. Link phase, three walks: land the flits that spent this cycle on the
@@ -284,7 +268,7 @@ func (e *Engine) tilePhase(t *tile, c uint64) {
 			i := j<<6 | bits.TrailingZeros64(w)
 			env := &envs[i]
 			if env.pendingSpecs.len() > 0 {
-				env.topUpInjection(t.pool)
+				env.topUpInjection()
 			}
 			quiescent := e.routers[env.Node].Step(c)
 			checkConsumed(env, env.Node, c)

@@ -76,8 +76,8 @@ type Env struct {
 
 	injection flitDeque
 	// pendingSpecs holds generated packets not yet materialized into flits
-	// (see specDeque / topUpInjection).
-	pendingSpecs specDeque
+	// (see specQueue / topUpInjection), in chunks of the tile's chunk list.
+	pendingSpecs specQueue
 	bufferDepth  int
 	creditDelay  int
 
@@ -355,8 +355,8 @@ func (env *Env) pushFrontInjection(f *flit.Flit) {
 	*env.wake = 1
 }
 
-func (env *Env) pushSpec(s traffic.PacketSpec) {
-	env.pendingSpecs.pushBack(s)
+func (env *Env) pushSpec(s *traffic.PacketSpec) {
+	env.pendingSpecs.pushBack(&env.tile.chunks, queued(s))
 	*env.wake = 1
 }
 
@@ -371,12 +371,15 @@ const injectionSlack = 8
 // topUpInjection materializes queued packet specs (whole packets, FIFO)
 // until the injection deque holds at least injectionSlack flits or no specs
 // remain. It runs at the head of the node's router step, out of the owning
-// tile's pool — routers only ever pop already-materialized flits.
-func (env *Env) topUpInjection(pool *flit.Pool) {
+// tile's pool, and gives spent chunks back to the tile's list — routers only
+// ever pop already-materialized flits.
+func (env *Env) topUpInjection() {
+	t := env.tile
 	for env.injection.len() < injectionSlack && env.pendingSpecs.len() > 0 {
-		spec := env.pendingSpecs.popFront()
+		q := env.pendingSpecs.popFront(&t.chunks)
+		spec := q.spec(env.Node)
 		for i := uint16(0); i < spec.NumFlits; i++ {
-			env.injection.pushBack(spec.MaterializeFlit(pool, i))
+			env.injection.pushBack(spec.MaterializeFlit(t.pool, i))
 		}
 	}
 }
@@ -412,11 +415,9 @@ func (env *Env) tickCredits(m uint8) (still uint8) {
 	return still
 }
 
-// reset clears all per-run state: latches, the injection queue, the
-// reassembler and the credit counters (Engine.Reset). The credit wiring
-// itself is topology-bound and survives. A spec ring that outgrew its primed
-// slot goes back to it: the slot is part of the tile's slab and stays
-// allocated either way, so keeping the grown ring would hold both.
+// reset clears all per-run state: latches, the injection queue (its spec
+// chunks go back to the tile's list), the reassembler and the credit counters
+// (Engine.Reset). The credit wiring itself is topology-bound and survives.
 func (env *Env) reset() {
 	for p := range env.In {
 		env.In[p] = nil
@@ -428,8 +429,7 @@ func (env *Env) reset() {
 	env.blockedMask = 0
 	env.InMask = 0
 	env.injection.clear()
-	env.pendingSpecs.clear()
-	env.pendingSpecs.buf = env.tile.specRing(env.slot)
+	env.pendingSpecs.clear(&env.tile.chunks)
 	env.reasm.Reset()
 	for _, c := range env.downCredits {
 		if c != nil {

@@ -57,7 +57,8 @@ type Router interface {
 
 // Source generates packets. Generate is called once per node per cycle, in
 // ascending node order, before the router phase; returned packets are enqueued
-// at the node's injection queue in order.
+// at the node's injection queue in order. Every returned spec's Src is the
+// node it was generated for: the queue keeps the node, not the field.
 type Source interface {
 	Generate(node int, cycle uint64) []*traffic.PacketSpec
 }
@@ -217,8 +218,8 @@ type Engine struct {
 //
 // Construction allocates per tile and per network, never per node: the tile
 // partition comes first, and every tile takes its nodes' Envs, link-stage
-// rows, spec rings and input-buffer storage from slabs of its own (newTile);
-// the flit pool is primed from one array (flit.Pool.Prime).
+// rows, first spec chunks and input-buffer storage from slabs of its own
+// (newTile); the flit pool is primed from one array (flit.Pool.Prime).
 func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	if cfg.Mesh == nil || cfg.Meter == nil || cfg.Stats == nil {
 		return nil, fmt.Errorf("sim: Mesh, Meter and Stats are required")
@@ -417,7 +418,7 @@ func (e *Engine) Step() {
 			for _, spec := range src.Generate(n, c) {
 				e.coll.PacketInjected(c)
 				e.coll.GeneratedFlits(c, int(spec.NumFlits))
-				e.envs[n].pushSpec(*spec)
+				e.envs[n].pushSpec(spec)
 			}
 		}
 	}

@@ -138,7 +138,7 @@ func (e *Engine) state(s *snapshot.Stream) error {
 		if err := env.injection.state(s, e.pool, nodes); err != nil {
 			return err
 		}
-		if err := env.pendingSpecs.state(s, nodes); err != nil {
+		if err := env.specState(s, nodes); err != nil {
 			return err
 		}
 	}
@@ -346,20 +346,30 @@ func (q *flitDeque) state(s *snapshot.Stream, pool *flit.Pool, nodes int) error 
 	return s.Err()
 }
 
-// state moves the queued packet specs front to back; loading refills an empty
-// deque.
-func (q *specDeque) state(s *snapshot.Stream, nodes int) error {
+// specState moves the node's queued packet specs front to back, each as the
+// traffic.PacketSpec it was generated as (Src is the node); loading pushes
+// them onto the empty queue and rejects a spec whose Src is another node.
+func (env *Env) specState(s *snapshot.Stream, nodes int) error {
+	q := &env.pendingSpecs
 	n := s.Len(q.n, 1<<24)
-	for i := 0; i < n; i++ {
+	c, i := q.head, q.lo
+	for k := 0; k < n; k++ {
 		var p traffic.PacketSpec
 		if !s.Loading() {
-			p = q.buf[(q.head+i)&(len(q.buf)-1)]
+			if i == specChunkLen {
+				c, i = c.next, 0
+			}
+			p = c.specs[i].spec(env.Node)
+			i++
 		}
 		if err := p.State(s, nodes); err != nil {
 			return err
 		}
 		if s.Loading() {
-			q.pushBack(p)
+			if p.Src != env.Node {
+				return s.Failf("sim: snapshot queues a packet from node %d at node %d", p.Src, env.Node)
+			}
+			env.pushSpec(&p)
 		}
 	}
 	return s.Err()

@@ -137,6 +137,9 @@ type Player struct {
 	recs   [][]Record
 	pos    []int
 	nextID uint64
+	// specs and out are what Generate returns, reused by its next call.
+	specs []PacketSpec
+	out   []*PacketSpec
 }
 
 // NewPlayer indexes a trace for replay.
@@ -156,22 +159,28 @@ func NewPlayer(t *Trace) *Player {
 	return p
 }
 
-// Generate implements sim.Source.
+// Generate implements sim.Source. The returned slice and the specs it points
+// at are reused by the next call, as Bernoulli's spec is: the engine copies
+// them in the same cycle, so a replay allocates nothing once the scratch has
+// grown to the largest batch.
 func (p *Player) Generate(node int, cycle uint64) []*PacketSpec {
 	k := sort.SearchInts(p.srcs, node)
 	if k == len(p.srcs) || p.srcs[k] != node {
 		return nil
 	}
 	recs, i := p.recs[k], p.pos[k]
-	var out []*PacketSpec
+	p.specs, p.out = p.specs[:0], p.out[:0]
 	for i < len(recs) && recs[i].Cycle <= cycle {
 		r := recs[i]
-		out = append(out, &PacketSpec{ID: p.nextID, Src: int(r.Src), Dst: int(r.Dst), NumFlits: r.NumFlits, Kind: r.Kind, Cycle: cycle})
+		p.specs = append(p.specs, PacketSpec{ID: p.nextID, Src: int(r.Src), Dst: int(r.Dst), NumFlits: r.NumFlits, Kind: r.Kind, Cycle: cycle})
 		p.nextID++
 		i++
 	}
 	p.pos[k] = i
-	return out
+	for j := range p.specs {
+		p.out = append(p.out, &p.specs[j])
+	}
+	return p.out
 }
 
 // NextPending implements sim.PendingSource: the lowest node at or above from

@@ -610,6 +610,10 @@ var equivCases = func() (rows []equivCase) {
 		wf.Seed = 17
 		add("saturated-wf", string(d), wf)
 	}
+	// Far past saturation with four-flit packets: by the end every node's
+	// injection backlog runs to a few hundred packets, so each snapshot walks
+	// several spec chunks per node and every restore rebuilds them.
+	live("saturated-deep", "dxbar", Config{Design: DesignDXbar, Load: 0.9, FlitsPerPacket: 4, WarmupCycles: 100, MeasureCycles: 1500})
 	for _, d := range []Design{DesignDXbar, DesignUnified, DesignFlitBless, DesignAFC} {
 		// Transpose keeps specific ports contended; butterfly and neighbour
 		// vary the hop-distance mix.
@@ -778,6 +782,7 @@ func TestOracleCrossings(t *testing.T) {
 	cross("idle-crosspoint-faults-live", rows("idle-faulted-live"), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("input-bank-restore", rows("saturated", "buffered8/wf", "afc/wf"), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("input-bank-resume", rows("saturated-wf"), resumeSweep(seq, 200, 2)...)
+	cross("backlog-restore", rows("saturated-deep"), shards(2), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("reuse-after-other", append(rows("seed7"), rows("faults", "dxbar/crosspoint/0.50", "unified/crossbar/1.00")...),
 		seq.through(reusedAfterOther), shards(4).through(reusedAfterOther))
 }

@@ -119,9 +119,10 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 // sweep, with per-size below-saturation loads: larger meshes saturate at
 // lower offered loads (mean hop count grows with the mesh diagonal while
 // per-node link capacity stays fixed), and above saturation the injection
-// backlog — queued as compact specs — grows without bound, doubling the spec
-// rings forever. That regime is real work, not a pooling regression, so the
-// guards (and the scale benchmark) stay below it.
+// backlog — queued as compact specs — grows without bound, taking a slab of
+// spec chunks whenever its tile's free list runs dry. That regime is real
+// work, not a pooling regression, so the guards (and the scale benchmark)
+// stay below it.
 var largeMeshAllocCases = []struct {
 	w, h   int
 	load   float64
@@ -279,5 +280,52 @@ func TestClosedLoopZeroAllocSteadyState(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestTraceReplayZeroAllocSteadyState holds a trace replay to zero
+// allocations per cycle: RunTrace's stop condition runs after every cycle and
+// reads counters only — checked once the trace has run out, where every term
+// of it is evaluated — and the player reuses the specs it returns. The
+// measured replay is the second on a reused engine, so the reassemblers' and
+// pools' high-water marks were reached by the first.
+func TestTraceReplayZeroAllocSteadyState(t *testing.T) {
+	var buf bytes.Buffer
+	if err := RecordSplash(SplashConfig{Benchmark: "FFT", Seed: 42}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traffic.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner()
+	mesh, err := r.mesh(tr.Width, tr.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() (*Network, *traffic.Player, func() bool) {
+		player := traffic.NewPlayer(tr)
+		net, err := r.network(NetworkOptions{Design: DesignDXbar, Mesh: mesh, Source: player, Stats: stats.NewCollector(mesh.Nodes(), 0, 1<<40)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, player, replayDone(player, net, uint64(len(tr.Records)))
+	}
+	net, _, done := replay()
+	if !net.Engine.RunUntil(done, 100_000) {
+		t.Fatal("the first replay did not drain")
+	}
+	if avg := testing.AllocsPerRun(10, func() { done() }); avg != 0 {
+		t.Errorf("the stop condition of a drained replay allocates %.0f times per call, want 0", avg)
+	}
+	net, player, done := replay()
+	net.Engine.RunUntil(done, 2000)
+	const window = 200
+	avg := testing.AllocsPerRun(5, func() { net.Engine.RunUntil(done, window) })
+	if player.Remaining() == 0 {
+		t.Fatal("the trace ran out inside the measured windows")
+	}
+	if avg != 0 {
+		t.Errorf("%.2f allocations per %d-cycle window of a replay, want 0", avg, window)
 	}
 }

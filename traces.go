@@ -97,13 +97,9 @@ func RunTrace(design Design, routingName string, r io.Reader, maxCycles uint64) 
 		return TraceResult{}, err
 	}
 	want := uint64(len(tr.Records))
-	done := func() bool {
-		return player.Remaining() == 0 && coll.Results().Packets >= want &&
-			net.Engine.QueuedFlits() == 0
-	}
-	if !net.Engine.RunUntil(done, maxCycles) {
+	if !net.Engine.RunUntil(replayDone(player, net, want), maxCycles) {
 		return TraceResult{}, fmt.Errorf("dxbar: trace replay did not drain within %d cycles "+
-			"(%d packets delivered of %d)", maxCycles, coll.Results().Packets, want)
+			"(%d packets delivered of %d)", maxCycles, coll.Total(packetsDelivered), want)
 	}
 	res := coll.Results()
 	out := TraceResult{
@@ -118,4 +114,18 @@ func RunTrace(design Design, routingName string, r io.Reader, maxCycles uint64) 
 		out.AvgEnergyNJ = out.TotalEnergyNJ / float64(res.Packets)
 	}
 	return out, nil
+}
+
+// packetsDelivered is the collector's whole-run count of completed packets
+// (stats.Collector.Total): a trace replay's window spans the whole run, so it
+// equals Results().Packets without computing the summary.
+const packetsDelivered = "totalPacketsDelivered"
+
+// replayDone is RunTrace's stop condition, checked after every cycle: every
+// record replayed, want packets delivered and no flit left queued. It reads
+// counters only, so the replay's cycles allocate nothing.
+func replayDone(p *traffic.Player, net *Network, want uint64) func() bool {
+	return func() bool {
+		return p.Remaining() == 0 && net.Stats.Total(packetsDelivered) >= want && net.Engine.QueuedFlits() == 0
+	}
 }
