@@ -25,12 +25,13 @@ test: test-race examples-smoke
 
 # Race-detector pass over the packages — the per-package lockstep tests of
 # every bit-parallel router core against its branchy twin included — plus the
-# concurrent paths of the root package: the RunMany batch runner and the
+# concurrent paths of the root package: the RunMany batch runner, the
 # execution-path oracle's sharded suites (oracle_test.go) and its crossing
-# rows, where shards meet observers, resumes and restores.
+# rows, where shards meet observers, resumes and restores, and the flit-pool
+# guard, whose sharded leg grows the engine's pool between worker cycles.
 test-race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run 'TestRunMany|TestShard|TestArbitrationBitIdentitySharded|TestOracleCrossings' .
+	$(GO) test -race -run 'TestRunMany|TestShard|TestArbitrationBitIdentitySharded|TestOracleCrossings|TestNetworkFlitsFollowTraffic' .
 
 race:
 	$(GO) test -race ./...

@@ -33,8 +33,9 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 // BenchmarkNewNetwork measures what building a network costs before it
 // simulates a cycle — the set-up every restore, resume, cold ledger point and
 // NewNetwork call pays: all seven designs at 8×8, 32×32 and 64×64, and on two
-// shards at the two larger sizes, reported as ns per node and allocations per
-// network. The end-to-end judge is the benchmark's `setup_s` on `mesh64`.
+// shards at the two larger sizes, reported as ns per node, bytes allocated per
+// node (B/node) and allocations per network. The end-to-end judges are the
+// benchmark's `setup_s` and `peak_rss_mb` on `mesh64`.
 func BenchmarkNewNetwork(b *testing.B) {
 	type size struct{ w, h, shards int }
 	sizes := []size{{8, 8, 0}, {32, 32, 0}, {64, 64, 0}, {32, 32, 2}, {64, 64, 2}}
@@ -44,12 +45,17 @@ func BenchmarkNewNetwork(b *testing.B) {
 				mesh := topology.MustMesh(s.w, s.h)
 				coll := stats.NewCollector(mesh.Nodes(), 0, ^uint64(0))
 				b.ReportAllocs()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				for i := 0; i < b.N; i++ {
 					if _, err := NewNetwork(NetworkOptions{Design: d, Mesh: mesh, Stats: coll, Shards: s.shards}); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(mesh.Nodes())), "ns/node")
+				runtime.ReadMemStats(&after)
+				perNode := float64(b.N) * float64(mesh.Nodes())
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perNode, "ns/node")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perNode, "B/node")
 			})
 		}
 	}

@@ -99,7 +99,10 @@ func (q *Queue) Pop() *flit.Flit {
 type Credits struct {
 	available int
 	max       int
-	// inflight[i] credits become available after i+1 more Tick calls.
+	// inflight[i] credits become available after i+1 more Tick calls. On
+	// the default delay-1 pipeline the single slot is pendingCnt and
+	// inflight[0] stays zero, so Return and Tick touch only the counter's
+	// own cache line (State writes pendingCnt in the slot's place).
 	inflight []int
 	// pendingCnt caches the sum of inflight so Return and Tick are O(1):
 	// the tick loop runs once per counter per cycle across the whole
@@ -156,7 +159,9 @@ func (c *Credits) Consume() {
 // Return schedules one credit to become available after the configured
 // delay (called by the downstream router when a buffer slot frees).
 func (c *Credits) Return() {
-	c.inflight[len(c.inflight)-1]++
+	if d := len(c.inflight); d > 1 {
+		c.inflight[d-1]++
+	}
 	c.pendingCnt++
 	if c.pendingCnt+c.available > c.max {
 		panic("buffer: credit overflow (more credits returned than consumed)")
@@ -196,7 +201,6 @@ func (c *Credits) tickPending() {
 		// The default delay-1 pipeline: everything pending matures now.
 		c.available += c.pendingCnt
 		c.pendingCnt = 0
-		c.inflight[0] = 0
 		return
 	}
 	matured := c.inflight[0]

@@ -42,13 +42,19 @@ func (c *Credits) State(s *snapshot.Stream) error {
 	if n := s.Len(len(c.inflight), len(c.inflight)); n != len(c.inflight) {
 		return s.Failf("buffer: snapshot credit delay %d != configured %d", n, len(c.inflight))
 	}
+	// A delay-1 counter keeps its one slot in pendingCnt (Return), so the
+	// slot is written from, and loaded into, a copy of it.
+	slots := c.inflight
+	if len(slots) == 1 {
+		slots = []int{c.pendingCnt}
+	}
 	sum := 0
-	for i := range c.inflight {
-		snapshot.Int(s, &c.inflight[i])
-		if v := c.inflight[i]; v < 0 || v > c.max {
+	for i := range slots {
+		snapshot.Int(s, &slots[i])
+		if v := slots[i]; v < 0 || v > c.max {
 			return s.Failf("buffer: snapshot credit pipeline slot out of range")
 		}
-		sum += c.inflight[i]
+		sum += slots[i]
 	}
 	if c.available < 0 || c.pendingCnt != sum || c.available > c.max-sum {
 		return s.Failf("buffer: snapshot credits violate flow control (avail=%d pending=%d max=%d)", c.available, c.pendingCnt, c.max)

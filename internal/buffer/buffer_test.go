@@ -390,6 +390,74 @@ func TestCreditsReturnLateEqualsReturnThenTick(t *testing.T) {
 	}
 }
 
+// TestCreditsState pins the credit counter's section: available, pending, the
+// pipeline length and its slots, the credits due soonest first. A delay-1
+// counter keeps its one slot in pendingCnt, not in its pipeline array, so its
+// slot must still carry the pending credits; a loaded counter matures them
+// on schedule and saves back to the same bytes.
+func TestCreditsState(t *testing.T) {
+	save := func(c *Credits) []byte {
+		var buf bytes.Buffer
+		w := snapshot.NewWriter(&buf)
+		if err := c.State(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, delay := range []int{1, 3} {
+		c := NewCredits(4, delay)
+		for i := 0; i < 3; i++ {
+			c.Consume()
+		}
+		c.Return()
+		c.Return()
+		var buf bytes.Buffer
+		w := snapshot.NewWriter(&buf)
+		avail, pending := 1, 2
+		snapshot.Int(w, &avail)
+		snapshot.Int(w, &pending)
+		w.Len(delay, delay)
+		for i := 0; i < delay; i++ {
+			slot := 0
+			if i == delay-1 {
+				slot = 2
+			}
+			snapshot.Int(w, &slot)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data := save(c)
+		if !bytes.Equal(data, buf.Bytes()) {
+			t.Fatalf("delay %d: the counter saves as %x, want %x", delay, data, buf.Bytes())
+		}
+		loaded := NewCredits(4, delay)
+		r, err := snapshot.NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.State(r); err != nil {
+			t.Fatalf("delay %d: %v", delay, err)
+		}
+		if !bytes.Equal(save(loaded), data) {
+			t.Errorf("delay %d: the loaded counter saves to other bytes", delay)
+		}
+		for i := 1; i <= delay; i++ {
+			loaded.Tick()
+			want := 1
+			if i == delay {
+				want = 3
+			}
+			if loaded.Available() != want {
+				t.Errorf("delay %d: %d credits available after %d ticks, want %d", delay, loaded.Available(), i, want)
+			}
+		}
+	}
+}
+
 func TestCreditsBadConfigPanics(t *testing.T) {
 	for _, cfg := range [][2]int{{0, 1}, {4, 0}, {-1, 2}} {
 		func() {

@@ -1,6 +1,7 @@
 package flit
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -271,27 +272,124 @@ func TestPoolSettle(t *testing.T) {
 	}
 }
 
-// TestPoolReclaim: after Reclaim every flit Prime carved is free exactly once
-// — the ones handed out and never returned included — the flits Get allocated
-// past the slabs are forgotten, and the outstanding count is zero.
+// TestPoolReclaim: every flit comes from a slab — the primed one and the
+// ones Get grows when the free list runs dry — and after Reclaim every flit
+// of every slab is free exactly once, the ones handed out and never returned
+// included, with the outstanding count at zero and no slab carved anew.
 func TestPoolReclaim(t *testing.T) {
 	p := NewPool()
 	p.Prime(8)
 	carved := map[*Flit]bool{}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 8+minSlab; i++ { // past the primed slab: grows one
 		carved[p.Get()] = true
 	}
-	extra := p.Get() // past the slab: allocated
-	p.Put(extra)
-	p.Reclaim()
-	if p.FreeLen() != 8 || p.Outstanding() != 0 {
-		t.Fatalf("after Reclaim: %d free, %d outstanding, want 8 and 0", p.FreeLen(), p.Outstanding())
+	if len(p.slabs) != 2 || p.Carved() != 8+minSlab || len(carved) != 8+minSlab {
+		t.Fatalf("after %d Gets: %d slabs, %d carved, %d distinct flits, want 2, %d and %d",
+			8+minSlab, len(p.slabs), p.Carved(), len(carved), 8+minSlab, 8+minSlab)
 	}
-	for i := 0; i < 8; i++ {
+	for _, slab := range p.slabs {
+		for i := range slab {
+			if !carved[&slab[i]] {
+				t.Fatalf("slab flit %p was never handed out", &slab[i])
+			}
+		}
+	}
+	p.Reclaim()
+	if p.FreeLen() != 8+minSlab || p.Outstanding() != 0 {
+		t.Fatalf("after Reclaim: %d free, %d outstanding, want %d and 0", p.FreeLen(), p.Outstanding(), 8+minSlab)
+	}
+	for i := 0; i < 8+minSlab; i++ {
 		f := p.Get()
 		if !carved[f] {
 			t.Fatalf("Get %d returned %p, not a carved flit (or one twice)", i, f)
 		}
 		delete(carved, f)
+	}
+	if len(p.slabs) != 2 {
+		t.Errorf("a reclaimed pool carved again: %d slabs, want 2", len(p.slabs))
+	}
+}
+
+// TestPoolGrowth pins how a pool grows with its traffic: k Gets from an empty
+// pool carve a logarithmic number of slabs, each at most three allocations
+// (the slab, the free list sized to it and the slab list's growth), and at
+// most about 1.5·k flits plus one minimum slab; a Settle against a dry master
+// grows it by one slab, not by the tile's shortfall; and the flits of a
+// master and its tile pools, free and outstanding, always add up to what
+// they carved.
+func TestPoolGrowth(t *testing.T) {
+	for _, k := range []int{1, minSlab, minSlab + 1, 5000, 200_000} {
+		var p *Pool
+		allocs := testing.AllocsPerRun(5, func() {
+			p = NewPool()
+			for i := 0; i < k; i++ {
+				p.Get()
+			}
+		})
+		// Slabs grow by a factor of 1 + 1/growDiv once past minSlab.
+		maxSlabs := 1 + int(math.Ceil(math.Log(float64(max(k, minSlab))/minSlab)/math.Log(1+1.0/growDiv)))
+		if len(p.slabs) > maxSlabs {
+			t.Errorf("k=%d: %d slabs, want at most %d", k, len(p.slabs), maxSlabs)
+		}
+		if want := float64(1 + 3*len(p.slabs)); allocs > want { // the pool, then per slab
+			t.Errorf("k=%d: %.0f allocations for %d slabs, want at most %.0f", k, allocs, len(p.slabs), want)
+		}
+		if p.Carved() > 3*k/2+minSlab || p.Carved() < k {
+			t.Errorf("k=%d: carved %d flits, want between k and 1.5k + %d", k, p.Carved(), minSlab)
+		}
+	}
+
+	master, a, b := NewPool(), NewPool(), NewPool()
+	conserved := func(when string) {
+		t.Helper()
+		free := master.FreeLen() + a.FreeLen() + b.FreeLen()
+		out := master.Outstanding() + a.Outstanding() + b.Outstanding()
+		if carved := master.Carved() + a.Carved() + b.Carved(); free+out != carved {
+			t.Fatalf("%s: %d free + %d outstanding != %d carved", when, free, out, carved)
+		}
+	}
+	master.Prime(64)
+	master.Settle(a, 32)
+	master.Settle(b, 32)
+	if master.FreeLen() != 0 || len(master.slabs) != 1 {
+		t.Fatalf("initial fill: master has %d free in %d slabs, want 0 in 1", master.FreeLen(), len(master.slabs))
+	}
+	conserved("initial fill")
+	// a drains below half its target against a dry master: the master grows by
+	// one minimum slab, not by a's shortfall of 20.
+	var held []*Flit
+	for i := 0; i < 20; i++ {
+		held = append(held, a.Get())
+	}
+	master.Settle(a, 32)
+	if len(master.slabs) != 2 || master.Carved() != 64+minSlab || a.FreeLen() != 32 || master.FreeLen() != minSlab-20 {
+		t.Fatalf("refill from a dry master: %d slabs, %d carved, a free %d, master free %d; want 2, %d, 32, %d",
+			len(master.slabs), master.Carved(), a.FreeLen(), master.FreeLen(), 64+minSlab, minSlab-20)
+	}
+	conserved("after the refill")
+	// A tile that runs dry within a cycle carves a slab of its own; its
+	// surplus reaches the master through trimming.
+	for i := 0; i < 40; i++ {
+		held = append(held, b.Get())
+	}
+	if b.Carved() != minSlab {
+		t.Fatalf("a dry tile pool carved %d flits, want one slab of %d", b.Carved(), minSlab)
+	}
+	conserved("after the tile grew")
+	for _, f := range held {
+		b.Put(f)
+	}
+	master.Settle(a, 32)
+	master.Settle(b, 32)
+	if b.FreeLen() != 32 || master.Outstanding() != 0 {
+		t.Fatalf("after the flits landed: b free %d, master outstanding %d, want 32 and 0", b.FreeLen(), master.Outstanding())
+	}
+	conserved("after trimming")
+	// Reclaim gives every pool back exactly its own slabs.
+	for _, p := range []*Pool{master, a, b} {
+		p.Reclaim()
+		if p.FreeLen() != p.Carved() {
+			t.Errorf("after Reclaim: %d free of %d carved", p.FreeLen(), p.Carved())
+		}
 	}
 }

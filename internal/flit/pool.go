@@ -16,24 +16,37 @@ package flit
 type Pool struct {
 	free        []*Flit
 	outstanding int
-	// slabs are the arrays Prime carved flits from (Reclaim).
-	slabs [][]Flit
+	// carved counts the flits in slabs, the arrays every flit of the pool
+	// comes from (grow, Reclaim).
+	carved int
+	slabs  [][]Flit
 }
+
+// minSlab is the fewest flits a growing pool carves at once, and growDiv
+// sets the rest: a slab is 1/growDiv of what the pool has carved so far. A
+// pool with at most k flits outstanding at once therefore carves O(log k)
+// slabs and at most (1 + 1/growDiv)·k + minSlab flits.
+const (
+	minSlab = 256
+	growDiv = 4
+)
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a flit for reuse, allocating only when the free list is
-// empty. The caller must overwrite every field — stale state from the
+// Get returns a flit for reuse. When the free list is empty the pool carves
+// one more slab (grow) first, so every flit it hands out lives in one of its
+// slabs. The caller must overwrite every field — stale state from the
 // flit's previous life is preserved otherwise.
 func (p *Pool) Get() *Flit {
 	p.outstanding++
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free = p.free[:n-1]
-		return f
+	if len(p.free) == 0 {
+		p.grow()
 	}
-	return new(Flit)
+	n := len(p.free) - 1
+	f := p.free[n]
+	p.free = p.free[:n]
+	return f
 }
 
 // Put returns a flit whose network life has ended. The caller must drop its
@@ -44,20 +57,27 @@ func (p *Pool) Put(f *Flit) {
 	p.free = append(p.free, f)
 }
 
-// Prime grows the free list to at least n flits. The engine primes the pool
-// from the mesh dimensions at construction so steady state is reached without
-// long warmup-time growth: in-network occupancy is bounded by per-node latch,
-// buffer and injection-slack capacity, so a capacity-proportional free list
-// absorbs the in-flight population's peaks from the first cycle. The new
-// flits are carved from one array and the free list is sized once, so priming
-// costs a constant number of allocations whatever n is.
+// Prime grows the free list to at least n flits, carving the shortfall as
+// one slab. The engine primes a small floor at construction — the flits its
+// nodes materialize on their first injections — and lets the pool grow with
+// the traffic from there.
 func (p *Pool) Prime(n int) {
-	k := n - len(p.free)
-	if k <= 0 {
-		return
+	if k := n - len(p.free); k > 0 {
+		p.carve(k)
 	}
-	if cap(p.free) < n {
-		p.free = append(make([]*Flit, 0, n), p.free...)
+}
+
+// grow carves the next slab: 1/growDiv of what the pool has carved, and no
+// fewer than minSlab flits.
+func (p *Pool) grow() { p.carve(max(minSlab, p.carved/growDiv)) }
+
+// carve adds a slab of k flits to the free list, making room in the free
+// list for every flit the pool has carved so that Put and Reclaim do not
+// reallocate it.
+func (p *Pool) carve(k int) {
+	p.carved += k
+	if need := len(p.free) + k; cap(p.free) < need {
+		p.free = append(make([]*Flit, 0, max(need, p.carved)), p.free...)
 	}
 	slab := make([]Flit, k)
 	for i := range slab {
@@ -71,20 +91,27 @@ func (p *Pool) Prime(n int) {
 // the leak regression test asserts exactly that.
 func (p *Pool) Outstanding() int { return p.outstanding }
 
+// Carved returns the number of flits in the pool's slabs (diagnostics).
+func (p *Pool) Carved() int { return p.carved }
+
 // Settle reconciles a tile-local pool with p, the engine's own, between
 // cycles. local's outstanding balance — its Gets minus Puts since the last
 // call, negative for a tile that ejects more than it injects — moves into p's,
 // so p.Outstanding() is the network-wide count again; and local's free list is
 // brought back to target flits once it has drifted below half or above twice
 // that, so a sustained flow of traffic from one tile to another neither
-// starves the sender nor hoards at the receiver. O(1) when neither happened.
+// starves the sender nor hoards at the receiver. A refill that p cannot cover
+// grows p slab by slab, as Get does. O(1) when neither happened.
 func (p *Pool) Settle(local *Pool, target int) {
 	p.outstanding += local.outstanding
 	local.outstanding = 0
 	switch n := len(local.free); {
 	case n < target/2:
-		p.Prime(target - n)
-		cut := len(p.free) - (target - n)
+		need := target - n
+		for len(p.free) < need {
+			p.grow()
+		}
+		cut := len(p.free) - need
 		local.free = append(local.free, p.free[cut:]...)
 		p.free = p.free[:cut]
 	case n > 2*target:
@@ -96,13 +123,15 @@ func (p *Pool) Settle(local *Pool, target int) {
 // FreeLen returns the free-list length (diagnostics).
 func (p *Pool) FreeLen() int { return len(p.free) }
 
-// Reclaim makes every flit Prime has carved free again, forgets every other
-// flit the free list held (ones Get allocated past the slabs, ones a Settle
-// handed over from another pool) and zeroes the outstanding count.
-// Engine.Reset uses it once nothing of the discarded run can be read any
-// more: the flits that run left anywhere are the next run's free list — a
-// slab stays alive while any of its flits is referenced, so abandoning them
-// instead would keep them unused and allocate replacements.
+// Reclaim makes every flit of every slab the pool carved free again — the
+// ones handed out and never returned included — drops the flits a Settle
+// handed over from another pool (that pool's own Reclaim frees them) and
+// zeroes the outstanding count. The slabs are kept, so a reused pool reaches
+// its high-water mark once. Engine.Reset uses it once nothing of the
+// discarded run can be read any more: the flits that run left anywhere are
+// the next run's free list — a slab stays alive while any of its flits is
+// referenced, so abandoning them instead would keep them unused and carve
+// replacements.
 func (p *Pool) Reclaim() {
 	p.free, p.outstanding = p.free[:0], 0
 	for _, slab := range p.slabs {

@@ -536,12 +536,14 @@ func newShardedBackend(e *Engine) *shardedBackend {
 }
 
 // settlePools reconciles every tile's flit pool with the engine's (see
-// flit.Pool.Settle). A tile materializes at most a few flits per node per
-// cycle, so eight per node — refilled at four — never runs dry in steady
-// state; a pool that does run dry allocates, which is slow, never wrong.
+// flit.Pool.Settle), which grows a slab at a time when it cannot cover a
+// refill. A tile materializes at most a few flits per node per cycle, so
+// injectionSlack per node — refilled at half that — rarely runs dry within a
+// cycle; a tile pool that does carves a slab of its own, and trimming hands
+// its surplus on to the engine's pool.
 func (b *shardedBackend) settlePools() {
 	for _, t := range b.tiles {
-		b.e.pool.Settle(t.pool, 8*len(t.nodes))
+		b.e.pool.Settle(t.pool, injectionSlack*len(t.nodes))
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -40,15 +41,23 @@ func TestBacklogReusedEngineRunAllocatesNothing(t *testing.T) {
 	}
 	e.Run(cycles)
 	held := e.tiles[0].chunks.held
-	if err := e.Reset(saturatedConfig(t, mesh, 0, 3), PassthroughFactory); err != nil {
-		t.Fatal(err)
+	// The fewest allocations of three identical runs on the reset engine: an
+	// allocation of the engine's recurs in every run, while the runtime's own
+	// background work (the scavenger's timers, the cleanups after a GC cycle)
+	// lands in a window now and then.
+	mallocs := uint64(math.MaxUint64)
+	for range 3 {
+		if err := e.Reset(saturatedConfig(t, mesh, 0, 3), PassthroughFactory); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Run(cycles)
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	e.Run(cycles)
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("the second %d-cycle run on the reset engine allocated %d times, want 0", cycles, n)
+	if mallocs != 0 {
+		t.Errorf("a %d-cycle run on the reset engine allocated %d times, want 0", cycles, mallocs)
 	}
 	if got := e.tiles[0].chunks.held; got != held {
 		t.Errorf("the tile holds %d spec chunks after the second run, %d after the first", got, held)

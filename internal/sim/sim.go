@@ -219,7 +219,7 @@ type Engine struct {
 // Construction allocates per tile and per network, never per node: the tile
 // partition comes first, and every tile takes its nodes' Envs, link-stage
 // rows, first spec chunks and input-buffer storage from slabs of its own
-// (newTile); the flit pool is primed from one array (flit.Pool.Prime).
+// (newTile); the flit pool is primed from one slab (flit.Pool.Prime).
 func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	if cfg.Mesh == nil || cfg.Meter == nil || cfg.Stats == nil {
 		return nil, fmt.Errorf("sim: Mesh, Meter and Stats are required")
@@ -283,13 +283,12 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 			}
 		}
 	}
-	// Size the flit pool from the topology: per node, up to NumPorts input
-	// latches + NumPorts output latches, the link stage, a router's internal
-	// buffering (bounded by 4*BufferDepth or the secondary-crossbar deque),
-	// and the materialized injection slack. Above-saturation backlog is
-	// queued as specs, not flits, so this bound holds at any load.
-	perNode := 2*flit.NumPorts + flit.NumLinkPorts + 4*cfg.BufferDepth + 16
-	e.pool.Prime(n * perNode)
+	// Prime the flit pool with the flits every node materializes on its first
+	// injections (injectionSlack); from there the pool grows with the
+	// traffic, a slab at a time (flit.Pool.Get), to the run's high-water mark
+	// of live flits — a few per node, where the in-network capacity is ten
+	// times that.
+	e.pool.Prime(n * injectionSlack)
 	if len(e.tiles) > 1 {
 		e.sharded = newShardedBackend(e)
 	}

@@ -255,7 +255,7 @@ func liveNetwork(t *testing.T, cfg Config, p path, sys *coherence.System) *Netwo
 	t.Helper()
 	mesh, total := topology.MustMesh(cfg.Width, cfg.Height), cfg.WarmupCycles+cfg.MeasureCycles
 	o := NetworkOptions{
-		Design: cfg.Design, Routing: cfg.Routing, Mesh: mesh, Shards: p.shards,
+		Design: cfg.Design, Routing: cfg.Routing, BufferDepth: cfg.BufferDepth, Mesh: mesh, Shards: p.shards,
 		Stats: stats.NewCollector(mesh.Nodes(), cfg.WarmupCycles, total),
 	}
 	if sys != nil {
@@ -614,6 +614,11 @@ var equivCases = func() (rows []equivCase) {
 	// injection backlog runs to a few hundred packets, so each snapshot walks
 	// several spec chunks per node and every restore rebuilds them.
 	live("saturated-deep", "dxbar", Config{Design: DesignDXbar, Load: 0.9, FlitsPerPacket: 4, WarmupCycles: 100, MeasureCycles: 1500})
+	// Past saturation with eight-deep input buffers, the deepest per-node
+	// storage of any configuration: the flit pool outgrows its primed floor
+	// mid-run on every path — sequential, through the sharded engine's Settle
+	// and after a restore into a fresh network.
+	live("saturated-deep-buffers", "dxbar/depth8", Config{Design: DesignDXbar, BufferDepth: 8, Load: 0.6, WarmupCycles: 100, MeasureCycles: 500})
 	for _, d := range []Design{DesignDXbar, DesignUnified, DesignFlitBless, DesignAFC} {
 		// Transpose keeps specific ports contended; butterfly and neighbour
 		// vary the hop-distance mix.
@@ -783,6 +788,7 @@ func TestOracleCrossings(t *testing.T) {
 	cross("input-bank-restore", rows("saturated", "buffered8/wf", "afc/wf"), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("input-bank-resume", rows("saturated-wf"), resumeSweep(seq, 200, 2)...)
 	cross("backlog-restore", rows("saturated-deep"), shards(2), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore))
+	cross("pool-growth", rows("saturated-deep-buffers"), shards(4), seq.through(midrunRestore), shards(4).through(midrunRestore))
 	cross("reuse-after-other", append(rows("seed7"), rows("faults", "dxbar/crosspoint/0.50", "unified/crossbar/1.00")...),
 		seq.through(reusedAfterOther), shards(4).through(reusedAfterOther))
 }

@@ -3,6 +3,8 @@ package dxbar
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -183,10 +185,10 @@ func TestStepZeroAllocSteadyStateLargeMesh(t *testing.T) {
 
 // TestNewNetworkAllocsPerTile is the construction guard: building a network
 // allocates per tile and per network, never per node — every per-node
-// structure (Envs, link stages, spec rings, reassemblers, input buffers,
-// flits, routers) comes from a slab. So a 32×32 network costs at most 64
-// allocations more than an 8×8 one, on every design, sequential and sharded
-// (one per node would be 960 more).
+// structure (Envs, link stages, first spec chunks, reassemblers, input
+// buffers, flits, routers) comes from a slab. So a 32×32 network costs at
+// most 64 allocations more than an 8×8 one, on every design, sequential and
+// sharded (one per node would be 960 more).
 func TestNewNetworkAllocsPerTile(t *testing.T) {
 	allocs := func(d Design, side, shards int) float64 {
 		mesh := topology.MustMesh(side, side)
@@ -205,6 +207,96 @@ func TestNewNetworkAllocsPerTile(t *testing.T) {
 					d, shards, small, large)
 			}
 		}
+	}
+}
+
+// TestNetworkFlitsFollowTraffic holds the flit pool to the traffic it serves:
+// (a) a network of any design at 64×64 carves at most injectionSlack (8)
+// flits per node at construction, sequential or on 4 shards — a tile pool
+// carves only when a Get finds it dry, so at construction the engine's pool
+// holds every carved flit; (b) sat8's flitbless point, which outgrows that
+// floor, carves at most 1.5× its peak of live flits (read cycle by cycle)
+// plus one minimum slab, and on 2 shards — where the engine's pool grows
+// between worker cycles, through Settle — ejects what the sequential run
+// ejects from a pool that grew past its floor as well; (c) the same run
+// repeated on the Reset engine allocates nothing inside Engine.Run and carves
+// no more flits.
+func TestNetworkFlitsFollowTraffic(t *testing.T) {
+	const (
+		slack   = 8   // sim's injectionSlack: the primed flits per node
+		minSlab = 256 // the fewest flits a growing flit.Pool carves
+		cycles  = 6500
+	)
+	big := topology.MustMesh(64, 64)
+	coll := stats.NewCollector(big.Nodes(), 0, 1<<40)
+	for _, d := range AllDesigns {
+		for _, shards := range []int{0, 4} {
+			net, err := NewNetwork(NetworkOptions{Design: d, Mesh: big, Stats: coll, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := net.Engine.Pool().Carved(); got > slack*big.Nodes() {
+				t.Errorf("%s shards=%d: construction carved %d flits, want at most %d per node (%d)",
+					d, shards, got, slack, slack*big.Nodes())
+			}
+		}
+	}
+
+	mesh := topology.MustMesh(8, 8)
+	r := newRunner()
+	sat8 := func(shards int) *Network {
+		t.Helper()
+		net, err := r.network(NetworkOptions{Design: DesignFlitBless, Mesh: mesh, Shards: shards,
+			Source: bernoulliSource(t, mesh, "UR", 0.6, 1, 42), Stats: stats.NewCollector(mesh.Nodes(), 0, cycles)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	net := sat8(0)
+	pool := net.Engine.Pool()
+	peak := 0
+	net.Engine.RunUntil(func() bool { peak = max(peak, pool.Outstanding()); return false }, cycles)
+	carved := pool.Carved()
+	if carved <= slack*mesh.Nodes() {
+		t.Fatalf("the pool did not grow past its floor of %d (carved %d, peak %d live): the run exercises nothing", slack*mesh.Nodes(), carved, peak)
+	}
+	if limit := 3*peak/2 + minSlab; carved > limit {
+		t.Errorf("carved %d flits for a peak of %d live, want at most %d", carved, peak, limit)
+	}
+	t.Logf("sat8 flitbless: peak %d live flits (%.1f per node), %d carved", peak, float64(peak)/float64(mesh.Nodes()), carved)
+	ejected := net.Stats.TotalEjected()
+
+	// The fewest allocations of three identical runs on the reset engine: an
+	// allocation of the engine's recurs in every run, while the runtime's own
+	// background work (the scavenger's timers, the cleanups after a GC cycle)
+	// lands in a window now and then.
+	mallocs := uint64(math.MaxUint64)
+	for range 3 {
+		net = sat8(0)
+		if net.Engine.Pool() != pool {
+			t.Fatal("the runner built a new engine instead of resetting the first")
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net.Engine.Run(cycles)
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	}
+	if mallocs != 0 {
+		t.Errorf("a %d-cycle run on the reset engine allocated %d times, want 0", cycles, mallocs)
+	}
+	if got := pool.Carved(); got != carved {
+		t.Errorf("the reset engine carved %d flits in its second run, %d in its first", got, carved)
+	}
+
+	sharded := sat8(2)
+	sharded.Engine.Run(cycles)
+	if got := sharded.Stats.TotalEjected(); got != ejected {
+		t.Errorf("2 shards ejected %d flits, the sequential engine %d", got, ejected)
+	}
+	if got := sharded.Engine.Pool().Carved(); got <= slack*mesh.Nodes() {
+		t.Errorf("on 2 shards the engine's pool carved %d flits, want growth past its floor of %d", got, slack*mesh.Nodes())
 	}
 }
 
