@@ -99,10 +99,10 @@ func (q *Queue) Pop() *flit.Flit {
 type Credits struct {
 	available int
 	max       int
-	// inflight[i] credits become available after i+1 more Tick calls. On
-	// the default delay-1 pipeline the single slot is pendingCnt and
-	// inflight[0] stays zero, so Return and Tick touch only the counter's
-	// own cache line (State writes pendingCnt in the slot's place).
+	// inflight[i] credits become available after i+1 more Tick calls. The
+	// default delay-1 counter has no array: its single slot is pendingCnt,
+	// so Return and Tick touch only the counter's own cache line (State
+	// writes pendingCnt in the slot's place).
 	inflight []int
 	// pendingCnt caches the sum of inflight so Return and Tick are O(1):
 	// the tick loop runs once per counter per cycle across the whole
@@ -117,7 +117,16 @@ func NewCredits(capacity, delay int) *Credits {
 	if capacity <= 0 || delay < 1 {
 		panic(fmt.Sprintf("buffer: invalid credits capacity=%d delay=%d", capacity, delay))
 	}
-	return &Credits{available: capacity, max: capacity, inflight: make([]int, delay)}
+	return &Credits{available: capacity, max: capacity, inflight: pipeline(1, delay)}
+}
+
+// pipeline returns the backing of n counters' delay pipelines: none at delay
+// 1, whose one slot is each counter's pendingCnt.
+func pipeline(n, delay int) []int {
+	if delay == 1 {
+		return nil
+	}
+	return make([]int, n*delay)
 }
 
 // NewCreditsSlab returns n independent counters in one contiguous
@@ -130,12 +139,11 @@ func NewCreditsSlab(n, capacity, delay int) []Credits {
 		panic(fmt.Sprintf("buffer: invalid credits capacity=%d delay=%d", capacity, delay))
 	}
 	slab := make([]Credits, n)
-	backing := make([]int, n*delay)
+	backing := pipeline(n, delay)
 	for i := range slab {
-		slab[i] = Credits{
-			available: capacity,
-			max:       capacity,
-			inflight:  backing[i*delay : (i+1)*delay : (i+1)*delay],
+		slab[i] = Credits{available: capacity, max: capacity}
+		if backing != nil {
+			slab[i].inflight = backing[i*delay : (i+1)*delay : (i+1)*delay]
 		}
 	}
 	return slab
@@ -159,7 +167,7 @@ func (c *Credits) Consume() {
 // Return schedules one credit to become available after the configured
 // delay (called by the downstream router when a buffer slot frees).
 func (c *Credits) Return() {
-	if d := len(c.inflight); d > 1 {
+	if d := len(c.inflight); d > 0 {
 		c.inflight[d-1]++
 	}
 	c.pendingCnt++
@@ -174,7 +182,7 @@ func (c *Credits) Return() {
 // further along — on the default delay-1 pipeline it matures at once — so the
 // counter ends the cycle in exactly the state Return followed by Tick leaves.
 func (c *Credits) ReturnLate() {
-	if d := len(c.inflight); d == 1 {
+	if d := len(c.inflight); d == 0 {
 		c.available++
 	} else {
 		c.inflight[d-2]++
@@ -197,7 +205,7 @@ func (c *Credits) Tick() {
 }
 
 func (c *Credits) tickPending() {
-	if len(c.inflight) == 1 {
+	if len(c.inflight) == 0 {
 		// The default delay-1 pipeline: everything pending matures now.
 		c.available += c.pendingCnt
 		c.pendingCnt = 0

@@ -39,14 +39,14 @@ func (q *Queue) State(s *snapshot.Stream, pool *flit.Pool, nodes int, timed bool
 func (c *Credits) State(s *snapshot.Stream) error {
 	snapshot.Int(s, &c.available)
 	snapshot.Int(s, &c.pendingCnt)
-	if n := s.Len(len(c.inflight), len(c.inflight)); n != len(c.inflight) {
-		return s.Failf("buffer: snapshot credit delay %d != configured %d", n, len(c.inflight))
-	}
-	// A delay-1 counter keeps its one slot in pendingCnt (Return), so the
-	// slot is written from, and loaded into, a copy of it.
+	// A delay-1 counter has no pipeline array: its one slot is pendingCnt,
+	// written from, and loaded into, a copy of it.
 	slots := c.inflight
-	if len(slots) == 1 {
+	if slots == nil {
 		slots = []int{c.pendingCnt}
+	}
+	if n := s.Len(len(slots), len(slots)); n != len(slots) {
+		return s.Failf("buffer: snapshot credit delay %d != configured %d", n, len(slots))
 	}
 	sum := 0
 	for i := range slots {

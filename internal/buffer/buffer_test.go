@@ -392,8 +392,8 @@ func TestCreditsReturnLateEqualsReturnThenTick(t *testing.T) {
 
 // TestCreditsState pins the credit counter's section: available, pending, the
 // pipeline length and its slots, the credits due soonest first. A delay-1
-// counter keeps its one slot in pendingCnt, not in its pipeline array, so its
-// slot must still carry the pending credits; a loaded counter matures them
+// counter has no pipeline array, its one slot being pendingCnt, so that slot
+// must still carry the pending credits; a loaded counter matures them
 // on schedule and saves back to the same bytes.
 func TestCreditsState(t *testing.T) {
 	save := func(c *Credits) []byte {

@@ -280,12 +280,12 @@ func TestPoolReclaim(t *testing.T) {
 	p := NewPool()
 	p.Prime(8)
 	carved := map[*Flit]bool{}
-	for i := 0; i < 8+minSlab; i++ { // past the primed slab: grows one
+	for i := 0; i < 8+MinSlab; i++ { // past the primed slab: grows one
 		carved[p.Get()] = true
 	}
-	if len(p.slabs) != 2 || p.Carved() != 8+minSlab || len(carved) != 8+minSlab {
+	if len(p.slabs) != 2 || p.Carved() != 8+MinSlab || len(carved) != 8+MinSlab {
 		t.Fatalf("after %d Gets: %d slabs, %d carved, %d distinct flits, want 2, %d and %d",
-			8+minSlab, len(p.slabs), p.Carved(), len(carved), 8+minSlab, 8+minSlab)
+			8+MinSlab, len(p.slabs), p.Carved(), len(carved), 8+MinSlab, 8+MinSlab)
 	}
 	for _, slab := range p.slabs {
 		for i := range slab {
@@ -295,10 +295,10 @@ func TestPoolReclaim(t *testing.T) {
 		}
 	}
 	p.Reclaim()
-	if p.FreeLen() != 8+minSlab || p.Outstanding() != 0 {
-		t.Fatalf("after Reclaim: %d free, %d outstanding, want %d and 0", p.FreeLen(), p.Outstanding(), 8+minSlab)
+	if p.FreeLen() != 8+MinSlab || p.Outstanding() != 0 {
+		t.Fatalf("after Reclaim: %d free, %d outstanding, want %d and 0", p.FreeLen(), p.Outstanding(), 8+MinSlab)
 	}
-	for i := 0; i < 8+minSlab; i++ {
+	for i := 0; i < 8+MinSlab; i++ {
 		f := p.Get()
 		if !carved[f] {
 			t.Fatalf("Get %d returned %p, not a carved flit (or one twice)", i, f)
@@ -313,12 +313,13 @@ func TestPoolReclaim(t *testing.T) {
 // TestPoolGrowth pins how a pool grows with its traffic: k Gets from an empty
 // pool carve a logarithmic number of slabs, each at most three allocations
 // (the slab, the free list sized to it and the slab list's growth), and at
-// most about 1.5·k flits plus one minimum slab; a Settle against a dry master
+// most 1.25·k flits plus one minimum slab, with room in the free list for
+// every carved flit; a Settle against a dry master
 // grows it by one slab, not by the tile's shortfall; and the flits of a
 // master and its tile pools, free and outstanding, always add up to what
 // they carved.
 func TestPoolGrowth(t *testing.T) {
-	for _, k := range []int{1, minSlab, minSlab + 1, 5000, 200_000} {
+	for _, k := range []int{1, MinSlab, MinSlab + 1, 5000, 50_000, 200_000} {
 		var p *Pool
 		allocs := testing.AllocsPerRun(5, func() {
 			p = NewPool()
@@ -326,16 +327,20 @@ func TestPoolGrowth(t *testing.T) {
 				p.Get()
 			}
 		})
-		// Slabs grow by a factor of 1 + 1/growDiv once past minSlab.
-		maxSlabs := 1 + int(math.Ceil(math.Log(float64(max(k, minSlab))/minSlab)/math.Log(1+1.0/growDiv)))
+		// Slabs grow by a factor of 1 + 1/growDiv once past MinSlab.
+		maxSlabs := 1 + int(math.Ceil(math.Log(float64(max(k, MinSlab))/MinSlab)/math.Log(1+1.0/growDiv)))
 		if len(p.slabs) > maxSlabs {
 			t.Errorf("k=%d: %d slabs, want at most %d", k, len(p.slabs), maxSlabs)
 		}
 		if want := float64(1 + 3*len(p.slabs)); allocs > want { // the pool, then per slab
 			t.Errorf("k=%d: %.0f allocations for %d slabs, want at most %.0f", k, allocs, len(p.slabs), want)
 		}
-		if p.Carved() > 3*k/2+minSlab || p.Carved() < k {
-			t.Errorf("k=%d: carved %d flits, want between k and 1.5k + %d", k, p.Carved(), minSlab)
+		// The documented bound, written out so that a faster growth fails it.
+		if p.Carved() > k+k/4+MinSlab || p.Carved() < k {
+			t.Errorf("k=%d: carved %d flits, want between k and 1.25k + %d", k, p.Carved(), MinSlab)
+		}
+		if cap(p.free) < p.Carved() {
+			t.Errorf("k=%d: the free list has room for %d flits of %d carved: Puts would regrow it", k, cap(p.free), p.Carved())
 		}
 	}
 
@@ -362,9 +367,9 @@ func TestPoolGrowth(t *testing.T) {
 		held = append(held, a.Get())
 	}
 	master.Settle(a, 32)
-	if len(master.slabs) != 2 || master.Carved() != 64+minSlab || a.FreeLen() != 32 || master.FreeLen() != minSlab-20 {
+	if len(master.slabs) != 2 || master.Carved() != 64+MinSlab || a.FreeLen() != 32 || master.FreeLen() != MinSlab-20 {
 		t.Fatalf("refill from a dry master: %d slabs, %d carved, a free %d, master free %d; want 2, %d, 32, %d",
-			len(master.slabs), master.Carved(), a.FreeLen(), master.FreeLen(), 64+minSlab, minSlab-20)
+			len(master.slabs), master.Carved(), a.FreeLen(), master.FreeLen(), 64+MinSlab, MinSlab-20)
 	}
 	conserved("after the refill")
 	// A tile that runs dry within a cycle carves a slab of its own; its
@@ -372,8 +377,8 @@ func TestPoolGrowth(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		held = append(held, b.Get())
 	}
-	if b.Carved() != minSlab {
-		t.Fatalf("a dry tile pool carved %d flits, want one slab of %d", b.Carved(), minSlab)
+	if b.Carved() != MinSlab {
+		t.Fatalf("a dry tile pool carved %d flits, want one slab of %d", b.Carved(), MinSlab)
 	}
 	conserved("after the tile grew")
 	for _, f := range held {

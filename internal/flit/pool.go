@@ -22,12 +22,12 @@ type Pool struct {
 	slabs  [][]Flit
 }
 
-// minSlab is the fewest flits a growing pool carves at once, and growDiv
+// MinSlab is the fewest flits a growing pool carves at once, and growDiv
 // sets the rest: a slab is 1/growDiv of what the pool has carved so far. A
 // pool with at most k flits outstanding at once therefore carves O(log k)
-// slabs and at most (1 + 1/growDiv)·k + minSlab flits.
+// slabs and at most (1 + 1/growDiv)·k + MinSlab flits.
 const (
-	minSlab = 256
+	MinSlab = 256
 	growDiv = 4
 )
 
@@ -68,16 +68,16 @@ func (p *Pool) Prime(n int) {
 }
 
 // grow carves the next slab: 1/growDiv of what the pool has carved, and no
-// fewer than minSlab flits.
-func (p *Pool) grow() { p.carve(max(minSlab, p.carved/growDiv)) }
+// fewer than MinSlab flits.
+func (p *Pool) grow() { p.carve(max(MinSlab, p.carved/growDiv)) }
 
 // carve adds a slab of k flits to the free list, making room in the free
 // list for every flit the pool has carved so that Put and Reclaim do not
 // reallocate it.
 func (p *Pool) carve(k int) {
 	p.carved += k
-	if need := len(p.free) + k; cap(p.free) < need {
-		p.free = append(make([]*Flit, 0, max(need, p.carved)), p.free...)
+	if want := max(len(p.free)+k, p.carved); cap(p.free) < want {
+		p.free = append(make([]*Flit, 0, want), p.free...)
 	}
 	slab := make([]Flit, k)
 	for i := range slab {

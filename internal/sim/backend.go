@@ -538,12 +538,12 @@ func newShardedBackend(e *Engine) *shardedBackend {
 // settlePools reconciles every tile's flit pool with the engine's (see
 // flit.Pool.Settle), which grows a slab at a time when it cannot cover a
 // refill. A tile materializes at most a few flits per node per cycle, so
-// injectionSlack per node — refilled at half that — rarely runs dry within a
+// InjectionSlack per node — refilled at half that — rarely runs dry within a
 // cycle; a tile pool that does carves a slab of its own, and trimming hands
 // its surplus on to the engine's pool.
 func (b *shardedBackend) settlePools() {
 	for _, t := range b.tiles {
-		b.e.pool.Settle(t.pool, injectionSlack*len(t.nodes))
+		b.e.pool.Settle(t.pool, InjectionSlack*len(t.nodes))
 	}
 }
 

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -29,6 +29,19 @@ func saturatedConfig(t *testing.T, mesh *topology.Mesh, shards int, seed int64) 
 		Source: &SourceAdapter{B: bern}, Shards: shards}
 }
 
+// runMallocs returns the heap allocations counted while run runs. It
+// collects garbage first and keeps the collector off until run returns, so
+// the runtime's own work after a GC cycle does not land in the window.
+func runMallocs(run func()) uint64 {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // A past-saturation run on a Reset engine allocates nothing inside Run: the
 // chunks the first run's backlog took stay on the tiles' free lists, and an
 // identical second run needs no more of them (nor more flits from the pool).
@@ -41,23 +54,11 @@ func TestBacklogReusedEngineRunAllocatesNothing(t *testing.T) {
 	}
 	e.Run(cycles)
 	held := e.tiles[0].chunks.held
-	// The fewest allocations of three identical runs on the reset engine: an
-	// allocation of the engine's recurs in every run, while the runtime's own
-	// background work (the scavenger's timers, the cleanups after a GC cycle)
-	// lands in a window now and then.
-	mallocs := uint64(math.MaxUint64)
-	for range 3 {
-		if err := e.Reset(saturatedConfig(t, mesh, 0, 3), PassthroughFactory); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		e.Run(cycles)
-		runtime.ReadMemStats(&after)
-		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	if err := e.Reset(saturatedConfig(t, mesh, 0, 3), PassthroughFactory); err != nil {
+		t.Fatal(err)
 	}
-	if mallocs != 0 {
-		t.Errorf("a %d-cycle run on the reset engine allocated %d times, want 0", cycles, mallocs)
+	if n := runMallocs(func() { e.Run(cycles) }); n != 0 {
+		t.Errorf("the second %d-cycle run on the reset engine allocated %d times, want 0", cycles, n)
 	}
 	if got := e.tiles[0].chunks.held; got != held {
 		t.Errorf("the tile holds %d spec chunks after the second run, %d after the first", got, held)

@@ -362,20 +362,21 @@ func (env *Env) pushSpec(s *traffic.PacketSpec) {
 
 func (env *Env) injectionLen() int { return env.injection.len() + env.pendingSpecs.flits }
 
-// injectionSlack is the minimum number of materialized flits topUpInjection
+// InjectionSlack is the minimum number of materialized flits topUpInjection
 // keeps at the front of the injection deque while specs are pending. Routers
 // inject at most one flit per cycle, so any value >= 1 preserves behaviour;
-// a little slack keeps the top-up loop off most cycles.
-const injectionSlack = 8
+// a little slack keeps the top-up loop off most cycles. New primes the flit
+// pool with this many flits per node.
+const InjectionSlack = 8
 
 // topUpInjection materializes queued packet specs (whole packets, FIFO)
-// until the injection deque holds at least injectionSlack flits or no specs
+// until the injection deque holds at least InjectionSlack flits or no specs
 // remain. It runs at the head of the node's router step, out of the owning
 // tile's pool, and gives spent chunks back to the tile's list — routers only
 // ever pop already-materialized flits.
 func (env *Env) topUpInjection() {
 	t := env.tile
-	for env.injection.len() < injectionSlack && env.pendingSpecs.len() > 0 {
+	for env.injection.len() < InjectionSlack && env.pendingSpecs.len() > 0 {
 		q := env.pendingSpecs.popFront(&t.chunks)
 		spec := q.spec(env.Node)
 		for i := uint16(0); i < spec.NumFlits; i++ {

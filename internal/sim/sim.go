@@ -284,11 +284,11 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 		}
 	}
 	// Prime the flit pool with the flits every node materializes on its first
-	// injections (injectionSlack); from there the pool grows with the
+	// injections (InjectionSlack); from there the pool grows with the
 	// traffic, a slab at a time (flit.Pool.Get), to the run's high-water mark
 	// of live flits — a few per node, where the in-network capacity is ten
 	// times that.
-	e.pool.Prime(n * injectionSlack)
+	e.pool.Prime(n * InjectionSlack)
 	if len(e.tiles) > 1 {
 		e.sharded = newShardedBackend(e)
 	}

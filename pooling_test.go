@@ -3,13 +3,14 @@ package dxbar
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
 	"dxbar/internal/coherence"
 	"dxbar/internal/diag"
+	"dxbar/internal/flit"
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
@@ -211,21 +212,20 @@ func TestNewNetworkAllocsPerTile(t *testing.T) {
 }
 
 // TestNetworkFlitsFollowTraffic holds the flit pool to the traffic it serves:
-// (a) a network of any design at 64×64 carves at most injectionSlack (8)
+// (a) a network of any design at 64×64 carves at most sim.InjectionSlack (8)
 // flits per node at construction, sequential or on 4 shards — a tile pool
 // carves only when a Get finds it dry, so at construction the engine's pool
 // holds every carved flit; (b) sat8's flitbless point, which outgrows that
-// floor, carves at most 1.5× its peak of live flits (read cycle by cycle)
-// plus one minimum slab, and on 2 shards — where the engine's pool grows
+// floor, carves at most 1.25× its peak of live flits (read cycle by cycle)
+// plus one minimum slab — the pool's documented bound — and on 2 shards — where the engine's pool grows
 // between worker cycles, through Settle — ejects what the sequential run
 // ejects from a pool that grew past its floor as well; (c) the same run
 // repeated on the Reset engine allocates nothing inside Engine.Run and carves
 // no more flits.
 func TestNetworkFlitsFollowTraffic(t *testing.T) {
 	const (
-		slack   = 8   // sim's injectionSlack: the primed flits per node
-		minSlab = 256 // the fewest flits a growing flit.Pool carves
-		cycles  = 6500
+		slack  = sim.InjectionSlack // the primed flits per node
+		cycles = 6500
 	)
 	big := topology.MustMesh(64, 64)
 	coll := stats.NewCollector(big.Nodes(), 0, 1<<40)
@@ -261,30 +261,27 @@ func TestNetworkFlitsFollowTraffic(t *testing.T) {
 	if carved <= slack*mesh.Nodes() {
 		t.Fatalf("the pool did not grow past its floor of %d (carved %d, peak %d live): the run exercises nothing", slack*mesh.Nodes(), carved, peak)
 	}
-	if limit := 3*peak/2 + minSlab; carved > limit {
+	if limit := peak + peak/4 + flit.MinSlab; carved > limit {
 		t.Errorf("carved %d flits for a peak of %d live, want at most %d", carved, peak, limit)
 	}
 	t.Logf("sat8 flitbless: peak %d live flits (%.1f per node), %d carved", peak, float64(peak)/float64(mesh.Nodes()), carved)
 	ejected := net.Stats.TotalEjected()
 
-	// The fewest allocations of three identical runs on the reset engine: an
-	// allocation of the engine's recurs in every run, while the runtime's own
-	// background work (the scavenger's timers, the cleanups after a GC cycle)
-	// lands in a window now and then.
-	mallocs := uint64(math.MaxUint64)
-	for range 3 {
-		net = sat8(0)
-		if net.Engine.Pool() != pool {
-			t.Fatal("the runner built a new engine instead of resetting the first")
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		net.Engine.Run(cycles)
-		runtime.ReadMemStats(&after)
-		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	net = sat8(0)
+	if net.Engine.Pool() != pool {
+		t.Fatal("the runner built a new engine instead of resetting the first")
 	}
-	if mallocs != 0 {
-		t.Errorf("a %d-cycle run on the reset engine allocated %d times, want 0", cycles, mallocs)
+	// Collect garbage first and keep the collector off for the window, so the
+	// runtime's own work after a GC cycle is not counted as the engine's.
+	runtime.GC()
+	gcPercent := debug.SetGCPercent(-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net.Engine.Run(cycles)
+	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gcPercent)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the second %d-cycle run on the reset engine allocated %d times, want 0", cycles, n)
 	}
 	if got := pool.Carved(); got != carved {
 		t.Errorf("the reset engine carved %d flits in its second run, %d in its first", got, carved)
