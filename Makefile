@@ -145,7 +145,7 @@ checkpoint-smoke:
 # test-race), then 30 s of FuzzRestoreEngine: mutated snapshots of every
 # design, CRC recomputed, restored and run on — an error, never a panic.
 determinism:
-	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine|TestRestoreEngineRejectsV1|TestResumeParentBuffered8' .
+	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine|TestRestoreEngineRejectsRetiredVersions|TestResumeParentBuffered8' .
 	$(GO) test -race -count=1 ./internal/snapshot/
 	$(GO) test -race -count=1 -run 'TestSourceMatchesStdlib|TestSourceCopyResumes' ./internal/traffic/
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Lockstep' .

@@ -90,45 +90,45 @@ func TestSnapshotFormatPinned(t *testing.T) {
 		digests [3]string
 	}{
 		{"flitbless", DesignFlitBless, false, 0, [3]string{
-			"65a96ad525e8d732fbd47784dd251a15762670bd33fb9126e978d5caf77693ab",
-			"21c9032a102c62c5964a4ae4e543d823ba67341a45457edcd86f364cf4e42a91",
-			"4d433164db7b04c16056ac43508c16c999b226f54c423f0261e4ad0fb3e680d7"}},
+			"af7935e726cf21edec2a46619cc829cf46eec1251f03bb38f07146f45148bde3",
+			"9d70c9e6a5ab83a6671b441896045cfa84478c4aa210272a09f594b981b57bf0",
+			"3d84201f31d91246cdf2d595d0e4cd5cf6dc777ecf4de30ac2bbc9434e77cdb7"}},
 		{"scarab", DesignSCARAB, false, 0, [3]string{
-			"bfcb4cb1f8edcf4f6533e9cb2b1a2bb8000cca83d77e4ca74045c8e7aaac5653",
-			"dd4a0824e032a62f87d52bedac64483bac8ca5e8399f2883f06eb310f07c56e2",
-			"852a789dc306b1423818eb4acefb3db6cd8e3f4c4bc40a70096ad4ac0a127f9c"}},
+			"53900b6e99b128bf44e03a3250554b5800982c100800c7b1833bb208fc3eae02",
+			"794df0a6884766e1eec7deba6af9f0db1b21f2c5fcdd4cb1649adaab17a0a8ed",
+			"9b2991cf281507294e0087af3354250da021bdbc759324afd050574fe793669e"}},
 		{"buffered4", DesignBuffered4, false, 0, [3]string{
-			"72609254faef7fbdd0bdf28c3fa139c3ccb93863e08821cbbffc76b3720bd341",
-			"1dae0c50b2eb0afb6df1deb559980bef3af2a48c8199e6f21f854dd23b8670c0",
-			"96982b5add2145e484f6382b7e2a62dcca7f3f13e512c61bc6b4c0ea84b1a640"}},
+			"815f5a3776065caffbc04ce9747dc980cef10347ec5afd0fece54d4c5268f768",
+			"34a8266ee6edee70f3128b6cee387562a5d1a48ea24c611677119b2c6a95b8c4",
+			"6ab52f72eae4aeb3eacc26f6a2ebbfcc29710bbe9d4b7bb6d18ef7316d7c7328"}},
 		{"buffered8", DesignBuffered8, false, 0, [3]string{
-			"526ad47d071537eb15e798361a33be9191497136cb7140c34b8e53133c6f9d0f",
-			"c3144baef65b425c6210ff13f19fc7b843b765704966cd1bd6c4b950410b618d",
-			"9d9ca1e8d35a168032a3a70c7315dc52b27a1c9d17539b90b5e5cd0f27b4ff9d"}},
+			"5c74dbfb299fab4d8b2a33f9b5ed1eb590c54165626ec9a1cea0ce956b0ba9a3",
+			"fe16295df022115e1385e18ad67709091b94d6f7b253a0f43b5b0a93784dc06e",
+			"69db5425e2b35d8b7c138c13d2934d9663b232ac10cc7c4cc2ab0ffed7902df3"}},
 		{"dxbar", DesignDXbar, false, 0, [3]string{
-			"204506921bcc281af663aad3be5bf70358fc845b117a4dfc7de137f3ad5e1c68",
-			"660040d14148bb49c12730b447e61d94022c8f350bf4d220ecfc3591988b2e84",
-			"2e8339a413815fd4a9f5c3dbb757750c2a860faa75867dd4e28f366fe6f53530"}},
+			"2e2f28dbba9b2f0385b391e301a2eb185f63dd1edc48cb41f898ec4cbd99c2ec",
+			"32adf2e7f491723d656874ce376c2827cd69e375949a636bf7caeff294f64c05",
+			"212228da5921a214b02af12323d1e733d5e25876bd7f7a9f10b3f3385c3bb5c5"}},
 		{"unified", DesignUnified, false, 0, [3]string{
-			"f44bbecb014cba6f3c93c34f814195edffaa24ddbd5432d1b666e72702b6bae0",
-			"597b81381e05dba56884ce558ece09575062fda7a85e2ec1202902d012252f77",
-			"038b410659839a2de266d51f320260b43a046e07d2bcf4cca461eb571744ca63"}},
+			"de403771498d17d3ad737f6733a2ef46717d699d821af6cc9c9e74bcf8fbb9e2",
+			"22f90f7d4ff8a12b191cf3ae8f8af68b1ee4eba4f3bc9770fb9f8372103bd7c9",
+			"05411f6342f384aa3aeadebf1655926018d13ec1d7dfbb3b2fdede76fbccb213"}},
 		{"afc", DesignAFC, false, 0, [3]string{
-			"c7d9efda7833fce5b235b9412819adecb4bebe0398252d9f89eaec9c17bea047",
-			"a7c69dd26fb2f0f6ffe28afa8293d027da9ec916969bef1576e22811793c99af",
-			"48b0b11f4dc271958fbf84490b7b00af2134a7a7f02f1d550cec4b6f2578c122"}},
+			"ec0a6717831a4c21e373376843665cf430de11d53f04cd27a6cbff61cc4dd821",
+			"5ebb122de37f42fb541e74084082b148d4a5ee05d2a2dd22172120a6df8534a6",
+			"9c403a376dcb5eb8993946d210b7947de9209850fd4504a3b8783e00517cf82c"}},
 		{"dxbar/faulted", DesignDXbar, true, 0, [3]string{
-			"204506921bcc281af663aad3be5bf70358fc845b117a4dfc7de137f3ad5e1c68",
-			"7f3e0bd0e48ce9503c0dd4868683b91559a9a26c012ade88bd04ee25589b287f",
-			"045e96ea5cc0dc742db9634867a11ceabe697553b2181ea015f735c796b49200"}},
+			"2e2f28dbba9b2f0385b391e301a2eb185f63dd1edc48cb41f898ec4cbd99c2ec",
+			"2401d9d1bdc0e32f31e73ebc13886edee2f06a36be7ab57e0edb6706fe07df16",
+			"095189e2244bd8c48f6cf61738ee3070ca7fd5cc4f5f76b105b04d35070ba433"}},
 		{"unified/faulted", DesignUnified, true, 0, [3]string{
-			"f44bbecb014cba6f3c93c34f814195edffaa24ddbd5432d1b666e72702b6bae0",
-			"810b16df57ec6f024fe47b634333873b9df24772a5001aa57072497ca9480a30",
-			"fd3182e59796f876fc21935bf5fcec779a63db809fdfbdd57a56e80d9113dbcd"}},
+			"de403771498d17d3ad737f6733a2ef46717d699d821af6cc9c9e74bcf8fbb9e2",
+			"3d320f26f703d50db918c66bfed59fdbafb503f07975431bc8a21684e4239c72",
+			"a1eceaab23814f3b0b85264dee3bbd9cfb8573578e49e00c1865644fc84832b1"}},
 		{"afc/shards2", DesignAFC, false, 2, [3]string{
-			"c7d9efda7833fce5b235b9412819adecb4bebe0398252d9f89eaec9c17bea047",
-			"a7c69dd26fb2f0f6ffe28afa8293d027da9ec916969bef1576e22811793c99af",
-			"48b0b11f4dc271958fbf84490b7b00af2134a7a7f02f1d550cec4b6f2578c122"}},
+			"ec0a6717831a4c21e373376843665cf430de11d53f04cd27a6cbff61cc4dd821",
+			"5ebb122de37f42fb541e74084082b148d4a5ee05d2a2dd22172120a6df8534a6",
+			"9c403a376dcb5eb8993946d210b7947de9209850fd4504a3b8783e00517cf82c"}},
 	}
 	for _, row := range pinned {
 		t.Run(row.name, func(t *testing.T) {
@@ -538,17 +538,51 @@ func TestCheckpointPruning(t *testing.T) {
 	}
 }
 
-// TestRestoreEngineRejectsV1 loads a checkpoint in the retired format version
-// 1 (bench/golden.ckpt as it was before version 2): LoadCheckpoint and Resume
-// must fail with an error naming the version, not panic and not restore.
-func TestRestoreEngineRejectsV1(t *testing.T) {
-	path := filepath.Join("testdata", "golden-v1.ckpt")
-	_, loadErr := LoadCheckpoint(path)
-	_, resumeErr := Resume(path)
-	for name, err := range map[string]error{"LoadCheckpoint": loadErr, "Resume": resumeErr} {
-		if err == nil || !strings.Contains(err.Error(), "version 1") {
-			t.Errorf("%s of a version-1 checkpoint: %v, want an error naming version 1", name, err)
+// TestRestoreEngineRejectsRetiredVersions loads a checkpoint in each retired
+// format version (bench/golden.ckpt as it was before each bump): LoadCheckpoint
+// and Resume must fail with an error naming the version, not panic and not
+// restore.
+func TestRestoreEngineRejectsRetiredVersions(t *testing.T) {
+	for _, row := range []struct{ file, version string }{
+		{"golden-v1.ckpt", "version 1"},
+		{"golden-v2.ckpt", "version 2"},
+	} {
+		t.Run(row.file, func(t *testing.T) {
+			path := filepath.Join("testdata", row.file)
+			_, loadErr := LoadCheckpoint(path)
+			_, resumeErr := Resume(path)
+			for name, err := range map[string]error{"LoadCheckpoint": loadErr, "Resume": resumeErr} {
+				if err == nil || !strings.Contains(err.Error(), row.version) {
+					t.Errorf("%s: %v, want an error naming %s", name, err, row.version)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointDirUncreatable: a CheckpointDir under a regular file can never
+// be created, so Run and Resume fail before the first cycle with an error
+// naming it, and write nothing.
+func TestCheckpointDirUncreatable(t *testing.T) {
+	root := t.TempDir()
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(file, "ckpt")
+	cfg := goldenConfig()
+	cfg.CheckpointInterval, cfg.CheckpointDir = 64, dir
+	_, runErr := Run(cfg)
+	_, resumeErr := ResumeWith(filepath.Join("bench", "golden.ckpt"), func(c *Config) {
+		c.CheckpointInterval, c.CheckpointDir = 64, dir
+	})
+	for name, err := range map[string]error{"Run": runErr, "Resume": resumeErr} {
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("%s: %v, want an error naming %s", name, err, dir)
 		}
+	}
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 1 {
+		t.Errorf("%s holds %v (%v), want only the file", root, entries, err)
 	}
 }
 

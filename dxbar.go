@@ -399,47 +399,43 @@ func slab[T any, R interface {
 }
 
 // designTable is the one declaration of what distinguishes the designs when a
-// network is assembled: the engine's credit/buffer depth (0 = bufferless), the
-// energy meter, whether crossbar faults are modelled and whether
-// NetworkOptions.BufferDepth applies, a routing algorithm of the design's own
-// (algo, replacing the configured one), the router builder (slab) with its
-// per-node constructor, and an optional hook that builds network-wide state
-// before the routers and returns a function to run before every cycle's
-// router phase.
+// network is assembled: the engine's credit/buffer depth (0 = bufferless),
+// whether crossbar faults are modelled and whether NetworkOptions.BufferDepth
+// applies, a routing algorithm of the design's own (algo, replacing the
+// configured one), the router builder (slab) with its per-node constructor,
+// and an optional hook that builds network-wide state before the routers and
+// returns a function to run before every cycle's router phase. Energy prices
+// are keyed by the design name (energy.EnergyPJ), like areas and leakage.
 var designTable = map[Design]struct {
 	depth                    int
-	meter                    func() *energy.Meter
 	faultable, depthOverride bool
 	algo                     routing.Algorithm
 	routers                  func(a *routerArgs, nodes int) sim.RouterFactory
 	shared                   func(a *routerArgs, nodes int) (preCycle func(uint64))
 }{
-	DesignDXbar: {depth: 4, meter: energy.NewMeter, faultable: true, depthOverride: true,
+	DesignDXbar: {depth: 4, faultable: true, depthOverride: true,
 		routers: slab(func(r *core.DXbar, env *sim.Env, a *routerArgs) {
 			r.Init(env, a.algo, a.FairnessThreshold, a.depth, a.detector(env.Node))
 			r.SetPortOrderArbitration(a.PortOrderArbitration)
 		})},
-	DesignUnified: {depth: 4, meter: energy.NewUnifiedMeter, faultable: true,
+	DesignUnified: {depth: 4, faultable: true,
 		routers: slab(func(r *core.Unified, env *sim.Env, a *routerArgs) {
 			r.Init(env, a.algo, a.FairnessThreshold, a.detector(env.Node))
 		})},
-	DesignFlitBless: {meter: energy.NewMeter,
-		routers: slab(func(r *router.Bless, env *sim.Env, a *routerArgs) { r.Init(env, a.algo) })},
+	DesignFlitBless: {routers: slab(func(r *router.Bless, env *sim.Env, a *routerArgs) { r.Init(env, a.algo) })},
 	// SCARAB's minimal-adaptive routing has no Config knob.
-	DesignSCARAB: {meter: energy.NewMeter, algo: routing.MinimalAdaptive{},
+	DesignSCARAB: {algo: routing.MinimalAdaptive{},
 		routers: slab(func(r *router.Scarab, env *sim.Env, a *routerArgs) {
 			minTable, _ := a.algo.(*routing.Table)
 			r.Init(env, minTable)
 		})},
-	DesignBuffered4: {depth: 4, meter: energy.NewMeter,
-		routers: slab(func(r *router.Buffered, env *sim.Env, a *routerArgs) { r.Init(env, a.algo, false) })},
-	DesignBuffered8: {depth: 8, meter: energy.NewBuffered8Meter,
-		routers: slab(func(r *router.Buffered, env *sim.Env, a *routerArgs) { r.Init(env, a.algo, true) })},
+	DesignBuffered4: {depth: 4, routers: slab(func(r *router.Buffered, env *sim.Env, a *routerArgs) { r.Init(env, a.algo, false) })},
+	DesignBuffered8: {depth: 8, routers: slab(func(r *router.Buffered, env *sim.Env, a *routerArgs) { r.Init(env, a.algo, true) })},
 	// One mode controller is shared by every router of an AFC network. Its
 	// policy ticks once per cycle *before* the router phase — from this hook
 	// and nowhere else — so that the sharded engine's workers read a stable
 	// mode and a network of sleeping routers keeps its clock.
-	DesignAFC: {depth: 4, meter: energy.NewMeter,
+	DesignAFC: {depth: 4,
 		shared: func(a *routerArgs, nodes int) func(uint64) {
 			a.afc = router.NewAFCController(nodes)
 			return a.afc.Tick
@@ -450,12 +446,33 @@ var designTable = map[Design]struct {
 		})},
 }
 
-// Network bundles a ready-to-run engine with its meter and collector, for
-// callers that drive their own sources (closed-loop workloads, examples).
+// Network bundles a ready-to-run engine with its collector, for callers that
+// drive their own sources (closed-loop workloads, examples).
 type Network struct {
 	Engine *sim.Engine
-	Meter  *energy.Meter
-	Stats  *stats.Collector
+	// Meter prices the collector's energy counts for the network's design and
+	// holds no counts of its own. Its Snapshot is the in-window counts, so a
+	// base taken when the window opens is zero, and Snapshot().Sub(base) is
+	// the window's counts.
+	Meter energyView
+	Stats *stats.Collector
+}
+
+// energyView is Network.Meter: a collector's energy counts and a design.
+type energyView struct {
+	design Design
+	coll   *stats.Collector
+}
+
+// Snapshot returns the collector's in-window energy counts.
+func (m energyView) Snapshot() energy.Counts { return m.coll.EnergyCounts() }
+
+// EnergyPJ prices c for the network's design.
+func (m energyView) EnergyPJ(c energy.Counts) float64 { return energy.EnergyPJ(string(m.design), c) }
+
+// network wraps an engine built from o.
+func (o NetworkOptions) network(eng *sim.Engine) *Network {
+	return &Network{Engine: eng, Meter: energyView{o.Design, o.Stats}, Stats: o.Stats}
 }
 
 // NetworkOptions configures NewNetwork.
@@ -517,15 +534,15 @@ const maxCreditDelay = 64
 // unbounded value exhausts memory at construction.
 const maxEventTrace = 1 << 24
 
-// prepare validates the options and resolves them into an engine config, a
-// router factory and a fresh meter — the pieces sim.New (and Engine.Reset,
-// for engine reuse) need.
-func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, error) {
+// prepare validates the options and resolves them into an engine config and a
+// router factory — the pieces sim.New (and Engine.Reset, for engine reuse)
+// need.
+func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, error) {
 	if o.FairnessThreshold < 0 {
-		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: FairnessThreshold %d is negative", o.FairnessThreshold)
+		return sim.Config{}, nil, fmt.Errorf("dxbar: FairnessThreshold %d is negative", o.FairnessThreshold)
 	}
 	if o.CreditDelay < 0 || o.CreditDelay > maxCreditDelay {
-		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: CreditDelay %d outside 0..%d", o.CreditDelay, maxCreditDelay)
+		return sim.Config{}, nil, fmt.Errorf("dxbar: CreditDelay %d outside 0..%d", o.CreditDelay, maxCreditDelay)
 	}
 	if o.FairnessThreshold == 0 {
 		o.FairnessThreshold = core.FairnessThreshold
@@ -538,26 +555,25 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 	}
 	spec, known := designTable[o.Design]
 	if o.FaultPlan.Count() > 0 && !spec.faultable {
-		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: fault injection is only supported for the dxbar/unified designs, not %q", o.Design)
+		return sim.Config{}, nil, fmt.Errorf("dxbar: fault injection is only supported for the dxbar/unified designs, not %q", o.Design)
 	}
 	algo, err := routing.New(o.Routing)
 	if err != nil {
-		return sim.Config{}, nil, nil, err
+		return sim.Config{}, nil, err
 	}
 	if !known {
-		return sim.Config{}, nil, nil, fmt.Errorf("dxbar: unknown design %q", o.Design)
+		return sim.Config{}, nil, fmt.Errorf("dxbar: unknown design %q", o.Design)
 	}
 	depth := spec.depth
 	if o.BufferDepth != 0 {
 		if !spec.depthOverride {
-			return sim.Config{}, nil, nil, fmt.Errorf("dxbar: BufferDepth override is only supported for the dxbar design")
+			return sim.Config{}, nil, fmt.Errorf("dxbar: BufferDepth override is only supported for the dxbar design")
 		}
 		if o.BufferDepth < 0 || o.BufferDepth > maxBufferDepth {
-			return sim.Config{}, nil, nil, fmt.Errorf("dxbar: BufferDepth %d outside 1..%d", o.BufferDepth, maxBufferDepth)
+			return sim.Config{}, nil, fmt.Errorf("dxbar: BufferDepth %d outside 1..%d", o.BufferDepth, maxBufferDepth)
 		}
 		depth = o.BufferDepth
 	}
-	meter := spec.meter()
 	if spec.algo != nil {
 		algo = spec.algo
 	}
@@ -585,7 +601,6 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 	}
 	return sim.Config{
 		Mesh:        o.Mesh,
-		Meter:       meter,
 		Stats:       o.Stats,
 		Source:      o.Source,
 		Sink:        o.Sink,
@@ -596,13 +611,13 @@ func prepare(o NetworkOptions) (sim.Config, sim.RouterFactory, *energy.Meter, er
 		Telemetry:   o.Telemetry,
 		Diag:        o.Diag,
 		Shards:      o.Shards,
-	}, factory, meter, nil
+	}, factory, nil
 }
 
 // NewNetwork assembles a network of the given design around a custom
 // source/sink.
 func NewNetwork(o NetworkOptions) (*Network, error) {
-	cfg, factory, meter, err := prepare(o)
+	cfg, factory, err := prepare(o)
 	if err != nil {
 		return nil, err
 	}
@@ -610,7 +625,7 @@ func NewNetwork(o NetworkOptions) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Network{Engine: eng, Meter: meter, Stats: o.Stats}, nil
+	return o.network(eng), nil
 }
 
 // Run executes one open-loop synthetic-traffic simulation.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dxbar/internal/energy"
 	"dxbar/internal/topology"
 )
 
@@ -247,5 +248,45 @@ func TestAFCDesignThroughFacade(t *testing.T) {
 	// High load: buffered behaviour (most flits buffered).
 	if hi.BufferingProbability < 0.5 {
 		t.Errorf("AFC at high load should run buffered (buffering prob %.3f)", hi.BufferingProbability)
+	}
+}
+
+// TestEveryDesignHasPrices walks the design table and prices one event of each
+// kind on every design: crossbar 13 pJ (15 on the unified fabric), link 36,
+// buffer write + read 14 + 11 (18 + 14 on Buffered 8's larger arrays) and NACK
+// hop 8. A design added to the table without expected prices fails here
+// instead of being charged the plain ones silently.
+func TestEveryDesignHasPrices(t *testing.T) {
+	type prices struct{ crossbar, link, write, read, nack float64 }
+	plain := prices{13, 36, 14, 11, 8}
+	want := map[Design]prices{
+		DesignDXbar: plain, DesignFlitBless: plain, DesignSCARAB: plain, DesignBuffered4: plain, DesignAFC: plain,
+		DesignUnified:   {15, 36, 14, 11, 8},
+		DesignBuffered8: {13, 36, 18, 14, 8},
+	}
+	for d := range designTable {
+		w, ok := want[d]
+		if !ok {
+			t.Errorf("%s: no expected prices", d)
+			continue
+		}
+		for _, c := range []struct {
+			name   string
+			counts energy.Counts
+			pj     float64
+		}{
+			{"crossbar", energy.Counts{CrossbarTraversals: 1}, w.crossbar},
+			{"link", energy.Counts{LinkTraversals: 1}, w.link},
+			{"buffer write", energy.Counts{BufferWrites: 1}, w.write},
+			{"buffer read", energy.Counts{BufferReads: 1}, w.read},
+			{"NACK hop", energy.Counts{NackHops: 1}, w.nack},
+		} {
+			if got := energy.EnergyPJ(string(d), c.counts); got != c.pj {
+				t.Errorf("%s: one %s costs %v pJ, want %v", d, c.name, got, c.pj)
+			}
+		}
+		if _, err := energy.Breakdown(string(d), energy.Counts{CrossbarTraversals: 1}, 10, 4); err != nil {
+			t.Errorf("%s: Breakdown: %v", d, err)
+		}
 	}
 }

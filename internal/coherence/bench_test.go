@@ -3,7 +3,6 @@ package coherence
 import (
 	"testing"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/router"
 	"dxbar/internal/routing"
 	"dxbar/internal/sim"
@@ -28,7 +27,7 @@ func BenchmarkWorkloadCycles(b *testing.B) {
 		coll := stats.NewCollector(mesh.Nodes(), 0, 10_000_000)
 		algo := routing.DOR{}
 		eng, err := sim.New(sim.Config{
-			Mesh: mesh, Meter: energy.NewMeter(), Stats: coll,
+			Mesh: mesh, Stats: coll,
 			Source: sys, Sink: sys, BufferDepth: 4, PreCycle: sys.PreCycle,
 		}, func(env *sim.Env) sim.Router { return router.NewBuffered(env, algo, false) })
 		if err != nil {

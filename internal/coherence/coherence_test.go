@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/flit"
 	"dxbar/internal/router"
 	"dxbar/internal/routing"
@@ -87,7 +86,7 @@ func runSystemThrough(t *testing.T, prof Profile, seed int64, source func(*Syste
 	coll := stats.NewCollector(mesh.Nodes(), 0, 10_000_000)
 	algo := routing.DOR{}
 	eng, err := sim.New(sim.Config{
-		Mesh: mesh, Meter: energy.NewMeter(), Stats: coll,
+		Mesh: mesh, Stats: coll,
 		Source: source(sys), Sink: sys, BufferDepth: 4, PreCycle: sys.PreCycle,
 	}, func(env *sim.Env) sim.Router { return router.NewBuffered(env, algo, false) })
 	if err != nil {
@@ -231,7 +230,7 @@ func TestCalendarsMatchReference(t *testing.T) {
 			}
 			algo := routing.DOR{}
 			eng, err := sim.New(sim.Config{
-				Mesh: mesh, Meter: energy.NewMeter(), Stats: stats.NewCollector(mesh.Nodes(), 0, 10_000_000),
+				Mesh: mesh, Stats: stats.NewCollector(mesh.Nodes(), 0, 10_000_000),
 				Source: sys, Sink: sys, BufferDepth: 4,
 				PreCycle: func(cycle uint64) {
 					sys.PreCycle(cycle)

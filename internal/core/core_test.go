@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/faults"
 	"dxbar/internal/flit"
 	"dxbar/internal/routing"
@@ -30,7 +29,6 @@ func (s *scripted) Generate(node int, cycle uint64) []*traffic.PacketSpec {
 type harness struct {
 	eng     *sim.Engine
 	coll    *stats.Collector
-	meter   *energy.Meter
 	mesh    *topology.Mesh
 	routers map[int]sim.Router
 }
@@ -46,10 +44,6 @@ func newHarness(t *testing.T, o opts, specs ...*traffic.PacketSpec) *harness {
 	t.Helper()
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 100000)
-	meter := energy.NewMeter()
-	if o.unified {
-		meter = energy.NewUnifiedMeter()
-	}
 	if o.algo == nil {
 		o.algo = routing.DOR{}
 	}
@@ -61,7 +55,7 @@ func newHarness(t *testing.T, o opts, specs ...*traffic.PacketSpec) *harness {
 	}
 	routers := map[int]sim.Router{}
 	eng, err := sim.New(sim.Config{
-		Mesh: mesh, Meter: meter, Stats: coll,
+		Mesh: mesh, Stats: coll,
 		Source: &scripted{specs: specs}, BufferDepth: BufferDepth,
 	}, func(env *sim.Env) sim.Router {
 		f, ok := o.plan.ForRouter(env.Node)
@@ -78,7 +72,7 @@ func newHarness(t *testing.T, o opts, specs ...*traffic.PacketSpec) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{eng: eng, coll: coll, meter: meter, mesh: mesh, routers: routers}
+	return &harness{eng: eng, coll: coll, mesh: mesh, routers: routers}
 }
 
 func spec(id uint64, src, dst int, cycle uint64) *traffic.PacketSpec {
@@ -104,7 +98,7 @@ func TestUncontendedFlitNeverBuffers(t *testing.T) {
 		if r.AvgLatency != 12 {
 			t.Errorf("latency = %v, want 12 (6 hops x 2 cycles)", r.AvgLatency)
 		}
-		c := h.meter.Snapshot()
+		c := h.coll.EnergyCounts()
 		if c.BufferWrites != 0 || c.BufferReads != 0 {
 			t.Errorf("uncontended flit buffered: %d writes / %d reads", c.BufferWrites, c.BufferReads)
 		}
@@ -126,7 +120,7 @@ func TestFourWayCrossingNoConflict(t *testing.T) {
 		if r.Packets != 4 {
 			t.Fatalf("packets = %d, want 4", r.Packets)
 		}
-		if c := h.meter.Snapshot(); c.BufferWrites != 0 {
+		if c := h.coll.EnergyCounts(); c.BufferWrites != 0 {
 			t.Errorf("crossing flits must not buffer, got %d writes", c.BufferWrites)
 		}
 	})
@@ -149,7 +143,7 @@ func TestConflictBuffersLoser(t *testing.T) {
 		if r.DeflectionsPerPacket != 0 || r.DroppedFlits != 0 {
 			t.Error("DXbar must neither deflect nor drop")
 		}
-		c := h.meter.Snapshot()
+		c := h.coll.EnergyCounts()
 		if c.BufferWrites != 1 || c.BufferReads != 1 {
 			t.Errorf("expected exactly one buffering, got %d/%d", c.BufferWrites, c.BufferReads)
 		}
@@ -176,7 +170,7 @@ func TestNoInstantBackPressure(t *testing.T) {
 		if r.Packets != 3 {
 			t.Fatalf("packets = %d, want 3", r.Packets)
 		}
-		c := h.meter.Snapshot()
+		c := h.coll.EnergyCounts()
 		if c.BufferWrites != 1 {
 			t.Errorf("only the conflicting flit may buffer, got %d writes", c.BufferWrites)
 		}
@@ -236,7 +230,7 @@ func TestOlderIncomingWins(t *testing.T) {
 		}
 		// The younger (11, same cycle but higher ID) must be the buffered
 		// one; verify exactly one buffering happened.
-		if c := h2.meter.Snapshot(); c.BufferWrites != 1 {
+		if c := h2.coll.EnergyCounts(); c.BufferWrites != 1 {
 			t.Errorf("buffer writes = %d, want 1", c.BufferWrites)
 		}
 		h.eng.Run(60)
@@ -305,7 +299,7 @@ func TestPrimaryCrossbarFault(t *testing.T) {
 		t.Fatalf("packets = %d, want 2", r.Packets)
 	}
 	// Flits crossing node 5 must have been buffered there.
-	if c := h.meter.Snapshot(); c.BufferWrites == 0 {
+	if c := h.coll.EnergyCounts(); c.BufferWrites == 0 {
 		t.Error("primary fault must force buffering")
 	}
 	// Routes stay minimal: 4->6 is 2 hops, 1->13 is 3.

@@ -91,7 +91,6 @@ func (in *inputs) bufferFlit(f *flit.Flit, p flit.Port, cycle uint64) {
 	n := in.buffers[p].Push(e) // flow control guarantees space; Push panics otherwise
 	in.bufMask |= 1 << uint(p)
 	f.Buffered++
-	in.env.Meter().BufferWrite()
 	in.env.Stats().BufferingEvent(cycle)
 	in.env.Events().Record(cycle, events.Buffered, in.env.Node, p, f.PacketID, f.ID, int32(n))
 }
@@ -107,7 +106,7 @@ func (in *inputs) dispatch(f *flit.Flit, wp, out flit.Port, cycle uint64) {
 		if b.Len() == 0 {
 			in.bufMask &^= 1 << uint(wp)
 		}
-		in.env.Meter().BufferRead()
+		in.env.Stats().BufferRead(cycle)
 		in.env.ReturnCredit(wp)
 	}
 	in.send(out, f, cycle)
@@ -118,7 +117,6 @@ func (in *inputs) dispatch(f *flit.Flit, wp, out flit.Port, cycle uint64) {
 // port's sendable bit.
 func (in *inputs) send(out flit.Port, f *flit.Flit, cycle uint64) {
 	env := in.env
-	env.Meter().CrossbarTraversal()
 	env.Stats().RoutedEvent(cycle)
 	if out != flit.Local {
 		f.Route = in.table.RequestAt(env.Neighbor(out), int(f.Dst))

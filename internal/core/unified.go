@@ -22,7 +22,7 @@ import (
 // stage); only the switch fabric and allocator differ — the paper reports
 // "similar performance as dual crossbar architecture" with ~25% instead of
 // ~33% area overhead, at 15 pJ/flit instead of 13 pJ/flit switching energy
-// (pair the router with energy.NewUnifiedMeter).
+// (energy.EnergyPJ prices it by the design name "unified").
 type Unified struct {
 	inputs
 
@@ -38,7 +38,7 @@ type Unified struct {
 }
 
 // NewUnified builds a unified dual-input crossbar router. The engine must
-// be configured with BufferDepth 4 and an energy.NewUnifiedMeter.
+// be configured with BufferDepth 4.
 func NewUnified(env *sim.Env, algo routing.Algorithm, threshold int, fault faults.Detector) *Unified {
 	u := new(Unified)
 	u.Init(env, algo, threshold, fault)

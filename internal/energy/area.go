@@ -87,10 +87,9 @@ func BufferEnergyPerFlit(design string) (float64, error) {
 	switch design {
 	case "flitbless", "scarab":
 		return 0, nil
-	case "buffered4", "dxbar", "unified":
-		return BufferWritePerFlit + BufferReadPerFlit, nil
-	case "buffered8":
-		return Buffered8WritePerFlit + Buffered8ReadPerFlit, nil
+	case "buffered4", "buffered8", "dxbar", "unified":
+		p := pricesOf(design)
+		return p.write + p.read, nil
 	}
 	return 0, fmt.Errorf("energy: unknown design %q", design)
 }

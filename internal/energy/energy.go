@@ -40,16 +40,9 @@ const (
 	NackPerHop = 8.0
 )
 
-// Meter accumulates energy events for one network. The simulation engine
-// snapshots it at the warmup boundary so reported energy covers only the
-// measurement window.
-type Meter struct {
-	crossbarPJ float64
-	buffered8  bool
-	counts     Counts
-}
-
-// Counts is a snapshot of the raw event counters.
+// Counts is one set of the five energy-event counts. The engine keeps them in
+// the statistics collector's counter block (stats.Collector.EnergyCounts),
+// windowed by cycle like every other run counter.
 type Counts struct {
 	CrossbarTraversals uint64
 	LinkTraversals     uint64
@@ -58,61 +51,11 @@ type Counts struct {
 	NackHops           uint64
 }
 
-// fields lists the counters once, in serialization order: Absorb, Sub and the
-// snapshot codec loop over it, so a sixth counter is a field and an entry here.
+// fields lists the counters once, so that Sub covers a sixth counter that is
+// a field and an entry here.
 func (c *Counts) fields() [5]*uint64 {
 	return [5]*uint64{&c.CrossbarTraversals, &c.LinkTraversals, &c.BufferWrites, &c.BufferReads, &c.NackHops}
 }
-
-// NewMeter returns a meter using the plain-crossbar traversal energy.
-func NewMeter() *Meter { return &Meter{crossbarPJ: CrossbarPerFlit} }
-
-// NewUnifiedMeter returns a meter using the unified crossbar's 15 pJ/flit.
-func NewUnifiedMeter() *Meter {
-	return &Meter{crossbarPJ: UnifiedCrossbarPerFlit}
-}
-
-// NewBuffered8Meter returns a meter using the 8-slot buffer energies.
-func NewBuffered8Meter() *Meter {
-	return &Meter{crossbarPJ: CrossbarPerFlit, buffered8: true}
-}
-
-// CrossbarTraversal records one flit crossing a crossbar.
-func (m *Meter) CrossbarTraversal() { m.counts.CrossbarTraversals++ }
-
-// AddLinkTraversals records n flits crossing inter-router links (the engine's
-// link phase batches its per-cycle count into one add).
-func (m *Meter) AddLinkTraversals(n uint64) { m.counts.LinkTraversals += n }
-
-// BufferWrite records one flit written into an input/secondary buffer.
-func (m *Meter) BufferWrite() { m.counts.BufferWrites++ }
-
-// BufferRead records one flit read out of a buffer.
-func (m *Meter) BufferRead() { m.counts.BufferReads++ }
-
-// NackHops records h hops on the dedicated NACK network (SCARAB).
-func (m *Meter) NackHops(h int) { m.counts.NackHops += uint64(h) }
-
-// Scratch returns an empty meter for staging events on behalf of this one
-// (the sharded engine gives each shard a scratch meter for its router
-// phase). Per-event energies are irrelevant on a scratch — only the event
-// counts matter, and Absorb folds those back into the real meter.
-func (m *Meter) Scratch() *Meter { return &Meter{} }
-
-// Absorb adds s's event counts into m and zeroes s. Counter addition is
-// commutative, so absorbing per-shard scratch meters in any order yields
-// the same totals as sequential metering — which is what keeps the sharded
-// engine's energy results bit-identical.
-func (m *Meter) Absorb(s *Meter) {
-	from := s.counts.fields()
-	for i, f := range m.counts.fields() {
-		*f += *from[i]
-	}
-	s.counts = Counts{}
-}
-
-// Snapshot returns the current counters.
-func (m *Meter) Snapshot() Counts { return m.counts }
 
 // Sub returns c - base, counter-wise.
 func (c Counts) Sub(base Counts) Counts {
@@ -123,19 +66,30 @@ func (c Counts) Sub(base Counts) Counts {
 	return c
 }
 
-// EnergyPJ converts an event-count snapshot into picojoules under this
-// meter's per-event energies.
-func (m *Meter) EnergyPJ(c Counts) float64 {
-	w, r := BufferWritePerFlit, BufferReadPerFlit
-	if m.buffered8 {
-		w, r = Buffered8WritePerFlit, Buffered8ReadPerFlit
+// prices is one design's per-event energies that differ between designs:
+// the unified crossbar's transmission gates and Buffered 8's larger arrays.
+// Links and NACK hops cost the same everywhere.
+type prices struct{ crossbar, write, read float64 }
+
+func pricesOf(design string) prices {
+	p := prices{CrossbarPerFlit, BufferWritePerFlit, BufferReadPerFlit}
+	switch design {
+	case "unified":
+		p.crossbar = UnifiedCrossbarPerFlit
+	case "buffered8":
+		p.write, p.read = Buffered8WritePerFlit, Buffered8ReadPerFlit
 	}
-	return float64(c.CrossbarTraversals)*m.crossbarPJ +
-		float64(c.LinkTraversals)*LinkPerFlit +
-		float64(c.BufferWrites)*w +
-		float64(c.BufferReads)*r +
-		float64(c.NackHops)*NackPerHop
+	return p
 }
 
-// TotalPJ returns the cumulative energy in picojoules.
-func (m *Meter) TotalPJ() float64 { return m.EnergyPJ(m.Snapshot()) }
+// EnergyPJ converts event counts into picojoules under the design's
+// per-event energies. A design without prices of its own (every one but
+// "unified" and "buffered8") is charged the plain crossbar and 4-flit FIFO.
+func EnergyPJ(design string, c Counts) float64 {
+	p := pricesOf(design)
+	return float64(c.CrossbarTraversals)*p.crossbar +
+		float64(c.LinkTraversals)*LinkPerFlit +
+		float64(c.BufferWrites)*p.write +
+		float64(c.BufferReads)*p.read +
+		float64(c.NackHops)*NackPerHop
+}

@@ -48,9 +48,9 @@ func staticInventory(design string) (routerStatic, error) {
 	case "unified":
 		return routerStatic{bufferSlots: 16, crosspoints: 25}, nil
 	case "afc":
-		// AFC power-gates its buffers in bufferless mode; report the
-		// worst case (buffered mode) here — mode-weighted leakage needs
-		// run data and is computed by the caller.
+		// AFC power-gates its buffers in bufferless mode. Its leakage is
+		// the worst case, buffered mode, in every run: Result.Power does
+		// not weight it by the time spent in each mode.
 		return routerStatic{bufferSlots: 16, crosspoints: 25}, nil
 	}
 	return routerStatic{}, fmt.Errorf("energy: unknown design %q", design)
@@ -91,16 +91,13 @@ type PowerBreakdown struct {
 
 // Breakdown computes the power split for a design from windowed event
 // counts over `cycles` cycles on `nodes` routers.
-func (m *Meter) Breakdown(design string, c Counts, cycles uint64, nodes int) (PowerBreakdown, error) {
+func Breakdown(design string, c Counts, cycles uint64, nodes int) (PowerBreakdown, error) {
 	if cycles == 0 || nodes <= 0 {
 		return PowerBreakdown{}, fmt.Errorf("energy: breakdown needs cycles and nodes")
 	}
-	w, r := BufferWritePerFlit, BufferReadPerFlit
-	if m.buffered8 {
-		w, r = Buffered8WritePerFlit, Buffered8ReadPerFlit
-	}
-	bufDynPJ := float64(c.BufferWrites)*w + float64(c.BufferReads)*r
-	totDynPJ := m.EnergyPJ(c)
+	p := pricesOf(design)
+	bufDynPJ := float64(c.BufferWrites)*p.write + float64(c.BufferReads)*p.read
+	totDynPJ := EnergyPJ(design, c)
 	bufLeak, err := BufferStaticPJPerCycle(design)
 	if err != nil {
 		return PowerBreakdown{}, err

@@ -35,14 +35,13 @@ func TestBufferStaticZeroForBufferless(t *testing.T) {
 }
 
 func TestBreakdownArithmetic(t *testing.T) {
-	m := NewMeter()
 	c := Counts{
 		CrossbarTraversals: 1000,
 		LinkTraversals:     1000,
 		BufferWrites:       1000,
 		BufferReads:        1000,
 	}
-	b, err := m.Breakdown("buffered4", c, 1000, 64)
+	b, err := Breakdown("buffered4", c, 1000, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +62,10 @@ func TestBreakdownArithmetic(t *testing.T) {
 }
 
 func TestBreakdownValidation(t *testing.T) {
-	m := NewMeter()
-	if _, err := m.Breakdown("buffered4", Counts{}, 0, 64); err == nil {
+	if _, err := Breakdown("buffered4", Counts{}, 0, 64); err == nil {
 		t.Error("zero cycles must error")
 	}
-	if _, err := m.Breakdown("bogus", Counts{}, 10, 64); err == nil {
+	if _, err := Breakdown("bogus", Counts{}, 10, 64); err == nil {
 		t.Error("unknown design must error")
 	}
 }
@@ -78,7 +76,6 @@ func TestBreakdownValidation(t *testing.T) {
 // event mix (per node per cycle at UR load 0.3: ~1.6 flit-hops, each with a
 // buffer write+read, crossbar and link traversal).
 func TestBufferPowerShareMatchesMotivation(t *testing.T) {
-	m := NewMeter()
 	const nodes, cycles = 64, 10000
 	perNodePerCycle := 1.6
 	events := uint64(perNodePerCycle * nodes * cycles)
@@ -88,7 +85,7 @@ func TestBufferPowerShareMatchesMotivation(t *testing.T) {
 		BufferWrites:       events,
 		BufferReads:        events,
 	}
-	b, err := m.Breakdown("buffered4", c, cycles, nodes)
+	b, err := Breakdown("buffered4", c, cycles, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestAFCStartsBufferless(t *testing.T) {
 	if r.AvgLatency != 12 {
 		t.Errorf("latency = %v, want 12", r.AvgLatency)
 	}
-	if c := h.meter.Snapshot(); c.BufferWrites != 0 {
+	if c := h.coll.EnergyCounts(); c.BufferWrites != 0 {
 		t.Errorf("bufferless mode must not touch buffers, got %d writes", c.BufferWrites)
 	}
 }
@@ -56,7 +56,7 @@ func TestAFCSwitchesToBufferedUnderPressure(t *testing.T) {
 	if ctrl.ModeSwitches == 0 {
 		t.Error("mode switch counter must advance")
 	}
-	if c := h.meter.Snapshot(); c.BufferWrites == 0 {
+	if c := h.coll.EnergyCounts(); c.BufferWrites == 0 {
 		t.Error("buffered mode must use the buffers")
 	}
 }

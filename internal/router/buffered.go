@@ -87,7 +87,6 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 			panic(fmt.Sprintf("router: input FIFO overflow (credit violation) at node %d port %s cycle %d", node, p, cycle))
 		}
 		f.Buffered++
-		env.Meter().BufferWrite()
 		env.Stats().BufferingEvent(cycle)
 		env.Events().Record(cycle, events.Buffered, node, p, f.PacketID, f.ID, int32(depth))
 	}
@@ -118,7 +117,7 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 			injected = true
 		} else {
 			f = b.bank.pop(in, o)
-			env.Meter().BufferRead()
+			env.Stats().BufferRead(cycle)
 			env.ReturnCredit(in)
 		}
 		out := flit.Port(o)
@@ -131,7 +130,6 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 // send launches f through p, charging the crossbar traversal and computing
 // its request at the downstream router from t (look-ahead routing).
 func send(env *sim.Env, t *routing.Table, p flit.Port, f *flit.Flit, cycle uint64) {
-	env.Meter().CrossbarTraversal()
 	env.Stats().RoutedEvent(cycle)
 	if p != flit.Local {
 		f.Route = t.RequestAt(env.Neighbor(p), int(f.Dst))

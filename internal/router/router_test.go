@@ -3,7 +3,6 @@ package router
 import (
 	"testing"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/routing"
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
@@ -27,10 +26,9 @@ func (s *scripted) Generate(node int, cycle uint64) []*traffic.PacketSpec {
 }
 
 type harness struct {
-	eng   *sim.Engine
-	coll  *stats.Collector
-	meter *energy.Meter
-	mesh  *topology.Mesh
+	eng  *sim.Engine
+	coll *stats.Collector
+	mesh *topology.Mesh
 }
 
 func newHarness(t *testing.T, factory sim.RouterFactory, depth int, specs ...*traffic.PacketSpec) *harness {
@@ -44,15 +42,14 @@ func newHarnessPreCycle(t *testing.T, factory sim.RouterFactory, depth int, preC
 	t.Helper()
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 100000)
-	meter := energy.NewMeter()
 	eng, err := sim.New(sim.Config{
-		Mesh: mesh, Meter: meter, Stats: coll,
+		Mesh: mesh, Stats: coll,
 		Source: &scripted{specs: specs}, BufferDepth: depth, PreCycle: preCycle,
 	}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{eng: eng, coll: coll, meter: meter, mesh: mesh}
+	return &harness{eng: eng, coll: coll, mesh: mesh}
 }
 
 func blessFactory(algo routing.Algorithm) sim.RouterFactory {
@@ -245,7 +242,7 @@ func TestBufferedPipelineLatency(t *testing.T) {
 func TestBufferedChargesBufferEnergy(t *testing.T) {
 	h := newHarness(t, bufferedFactory(routing.DOR{}, false), 4, spec(1, 0, 3, 0))
 	h.eng.Run(30)
-	c := h.meter.Snapshot()
+	c := h.coll.EnergyCounts()
 	// Hops through nodes 1 and 2 buffer the flit; node 3 buffers before
 	// ejection. The injection at node 0 does not.
 	if c.BufferWrites != 3 || c.BufferReads != 3 {

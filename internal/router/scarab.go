@@ -135,6 +135,6 @@ func (s *Scarab) drop(f *flit.Flit, cycle uint64) {
 	dist := env.Mesh().Distance(env.Node, int(f.Src))
 	env.Stats().DroppedFlit(cycle, env.Node)
 	env.Events().Record(cycle, events.Drop, env.Node, flit.Invalid, f.PacketID, f.ID, int32(dist))
-	env.Meter().NackHops(dist)
+	env.Stats().NackHops(cycle, dist)
 	env.ScheduleRetransmit(f, uint64(dist)+1)
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dxbar/internal/buffer"
-	"dxbar/internal/energy"
 	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
@@ -59,7 +58,7 @@ func (s *routerSteps) absorb(t *routerSteps) {
 // tile is the unit the per-node work of a cycle runs over: a list of nodes
 // plus everything Engine.tilePhase may write on their behalf without touching
 // another tile's memory. The sequential engine is one tile that owns every
-// node and writes straight through to the engine's meter, collector, recorder
+// node and writes straight through to the engine's collector, recorder
 // and pool; the sharded engine has one per shard, each writing scratch state
 // the barrier folds back (see shardedBackend.merge).
 type tile struct {
@@ -79,14 +78,13 @@ type tile struct {
 	// single tile, node order is simply the order things happen in.
 	staged bool
 
-	// meter, coll, rec and pool are what the tile's phase writes through: the
+	// coll, rec and pool are what the tile's phase writes through: the
 	// engine's own on the sequential tile, scratch instances on a sharded one
 	// (rec then holds only the tile's ejection events; router events go to the
 	// per-node stages, see Engine.wireCollectors).
-	meter *energy.Meter
-	coll  *stats.Collector
-	rec   *events.Recorder
-	pool  *flit.Pool
+	coll *stats.Collector
+	rec  *events.Recorder
+	pool *flit.Pool
 
 	// steps counts the tile's router-steps since the engine last folded them.
 	steps routerSteps
@@ -250,7 +248,7 @@ func gather64(flags []uint8) (set uint64) {
 // Safety of running tiles concurrently rests on ownership: everything written
 // here belongs to one of the tile's own nodes (latches, link stage, flags,
 // queues, reassembler, downstream credit counters), to the tile (sets,
-// scratch meter and collector, pool, stages), or is a per-node row of the
+// scratch collector, pool, stages), or is a per-node row of the
 // master collector (LinkEvent). The two writes that would reach a neighbour —
 // landing a flit and returning a credit — are staged when the neighbour is
 // another tile's (Env.crossMask) and replayed by the barrier.
@@ -341,7 +339,7 @@ func (e *Engine) tilePhase(t *tile, c uint64) {
 			t.creditTick[i] = envs[i].tickCredits(t.creditTick[i])
 		}
 	}
-	t.meter.AddLinkTraversals(uint64(launched))
+	t.coll.LinkTraversals(c, launched)
 }
 
 // land latches f on input port q of nb for the next cycle's router phase and
@@ -680,7 +678,7 @@ func (b *shardedBackend) resetProfile() {
 //   - Completed packets reach the collector and the Sink merged by
 //     destination node, the order the sequential engine ejects in.
 //   - Boundary landings each fill a distinct, empty input latch: any order.
-//   - Cross-tile credit returns, meter and collector counters, pool balances
+//   - Cross-tile credit returns, collector counters, pool balances
 //     and router-step counts are sums: any order. A return is applied with
 //     Credits.ReturnLate because the owning tile has already ticked the
 //     counter this cycle; the sequential engine returns, then ticks.
@@ -720,7 +718,6 @@ func (b *shardedBackend) merge(c uint64) {
 			cr.env.applyLateReturn(cr.port)
 		}
 		t.creditReturns = t.creditReturns[:0]
-		e.meter.Absorb(t.meter)
 		e.coll.AbsorbTile(t.coll)
 	}
 	b.settlePools()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
 	"dxbar/internal/traffic"
@@ -25,7 +24,7 @@ func saturatedConfig(t *testing.T, mesh *topology.Mesh, shards int, seed int64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: stats.NewCollector(mesh.Nodes(), 0, 10000),
+	return Config{Mesh: mesh, Stats: stats.NewCollector(mesh.Nodes(), 0, 10000),
 		Source: &SourceAdapter{B: bern}, Shards: shards}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"dxbar/internal/buffer"
-	"dxbar/internal/energy"
 	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
@@ -15,7 +14,7 @@ import (
 
 // Env is a router's complete view of the network: its input latches, output
 // latches, downstream credit counters, injection queue and the shared
-// meter/collector. The engine owns and wires Envs; router implementations
+// collector. The engine owns and wires Envs; router implementations
 // receive one at construction.
 type Env struct {
 	engine *Engine
@@ -88,16 +87,14 @@ type Env struct {
 
 	// tile is the tile that owns this node for the engine's lifetime (the
 	// sequential engine's only one, or a shard's) and slot its position there
-	// (newTile); meter, coll and rec are
-	// what the node's router writes through: the engine's masters on the
-	// sequential engine, the owning tile's scratch meter/collector and a
-	// per-env event stage on the sharded one (see Engine.wireCollectors).
-	// Routers never see the difference.
-	tile  *tile
-	slot  int
-	meter *energy.Meter
-	coll  *stats.Collector
-	rec   *events.Recorder
+	// (newTile); coll and rec are what the node's router writes through: the
+	// engine's masters on the sequential engine, the owning tile's scratch
+	// collector and a per-env event stage on the sharded one (see
+	// Engine.wireCollectors). Routers never see the difference.
+	tile *tile
+	slot int
+	coll *stats.Collector
+	rec  *events.Recorder
 }
 
 // init sets up a node's Env in place, in its tile's slab (newTile).
@@ -163,13 +160,9 @@ func (env *Env) wireCredits() {
 // Mesh returns the topology.
 func (env *Env) Mesh() *topology.Mesh { return env.engine.mesh }
 
-// Meter returns the energy meter this router records into (the engine's in
-// sequential mode, the owning tile's scratch in sharded mode — absorbed into
-// the engine's at every cycle barrier).
-func (env *Env) Meter() *energy.Meter { return env.meter }
-
-// Stats returns the statistics collector this router records into (the
-// engine's, or the shard's scratch — see Meter).
+// Stats returns the statistics collector this router records into, energy
+// events included (the engine's in sequential mode, the owning tile's scratch
+// in sharded mode — absorbed into the engine's at every cycle barrier).
 func (env *Env) Stats() *stats.Collector { return env.coll }
 
 // Events returns the flight recorder this router records into — nil when

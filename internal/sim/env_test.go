@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
@@ -15,7 +14,7 @@ func envFixture(t *testing.T, depth int) *Engine {
 	t.Helper()
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 1000)
-	eng, err := New(Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: coll, BufferDepth: depth},
+	eng, err := New(Config{Mesh: mesh, Stats: coll, BufferDepth: depth},
 		func(env *Env) Router {
 			return routerFunc(func(cycle uint64) {
 				for p := flit.North; p <= flit.West; p++ {
@@ -35,8 +34,8 @@ func TestEnvAccessors(t *testing.T) {
 	if env.Mesh() != eng.Mesh() {
 		t.Error("Mesh accessor mismatch")
 	}
-	if env.Meter() == nil || env.Stats() == nil {
-		t.Error("Meter/Stats accessors nil")
+	if env.Stats() == nil {
+		t.Error("Stats accessor nil")
 	}
 	if eng.Router(5) == nil {
 		t.Error("Router accessor nil")

@@ -10,7 +10,6 @@ import (
 
 	"dxbar"
 	"dxbar/internal/diag"
-	"dxbar/internal/energy"
 	"dxbar/internal/flit"
 	"dxbar/internal/sim"
 	"dxbar/internal/stats"
@@ -77,7 +76,7 @@ func TestShardPartitionStatic(t *testing.T) {
 					t.Fatal(err)
 				}
 				return sim.Config{
-					Mesh: mesh, Meter: energy.NewMeter(), Stats: stats.NewCollector(mesh.Nodes(), 0, 1<<40),
+					Mesh: mesh, Stats: stats.NewCollector(mesh.Nodes(), 0, 1<<40),
 					Source: &sim.SourceAdapter{B: bern}, Shards: c.shards,
 				}
 			}

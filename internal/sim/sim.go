@@ -1,7 +1,8 @@
 // Package sim is the cycle-accurate network simulation engine. It owns the
 // global clock, the inter-router links (with the paper's 2-stage ST→LT hop
 // timing), the per-node injection queues and reassembly buffers, credit
-// signalling, the energy meter and the statistics collector. Router designs
+// signalling and the statistics collector, which also counts the energy
+// model's events. Router designs
 // plug in through the Router interface and see the network exclusively
 // through their Env.
 //
@@ -29,7 +30,6 @@ import (
 
 	"dxbar/internal/buffer"
 	"dxbar/internal/diag"
-	"dxbar/internal/energy"
 	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/metrics"
@@ -86,7 +86,6 @@ type RouterFactory func(env *Env) Router
 // Config assembles an Engine.
 type Config struct {
 	Mesh  *topology.Mesh
-	Meter *energy.Meter
 	Stats *stats.Collector
 	// Source may be nil (no traffic — useful in unit tests that inject
 	// directly).
@@ -136,7 +135,6 @@ type Config struct {
 // Engine drives one network.
 type Engine struct {
 	mesh    *topology.Mesh
-	meter   *energy.Meter
 	coll    *stats.Collector
 	source  Source
 	pending PendingSource // source, when it has the capability
@@ -221,8 +219,8 @@ type Engine struct {
 // rows, first spec chunks and input-buffer storage from slabs of its own
 // (newTile); the flit pool is primed from one slab (flit.Pool.Prime).
 func New(cfg Config, factory RouterFactory) (*Engine, error) {
-	if cfg.Mesh == nil || cfg.Meter == nil || cfg.Stats == nil {
-		return nil, fmt.Errorf("sim: Mesh, Meter and Stats are required")
+	if cfg.Mesh == nil || cfg.Stats == nil {
+		return nil, fmt.Errorf("sim: Mesh and Stats are required")
 	}
 	if factory == nil {
 		return nil, fmt.Errorf("sim: router factory is required")
@@ -233,7 +231,6 @@ func New(cfg Config, factory RouterFactory) (*Engine, error) {
 	n := cfg.Mesh.Nodes()
 	e := &Engine{
 		mesh:        cfg.Mesh,
-		meter:       cfg.Meter,
 		coll:        cfg.Stats,
 		source:      cfg.Source,
 		sink:        cfg.Sink,
@@ -315,21 +312,21 @@ func (e *Engine) deriveSets() {
 	}
 }
 
-// wireCollectors points every tile and Env at the meter, collector and
-// recorder they must write through: the engine's masters on the sequential
-// engine; on the sharded one a scratch meter and collector per tile, an event
+// wireCollectors points every tile and Env at the collector and recorder
+// they must write through: the engine's masters on the sequential engine; on
+// the sharded one a scratch collector per tile, an event
 // stage per tile for its ejections and one per env for its router. Runs at
 // construction and again on Reset, because Reset swaps the masters.
 func (e *Engine) wireCollectors() {
 	for _, t := range e.tiles {
-		t.meter, t.coll, t.rec = e.meter, e.coll, e.rec
+		t.coll, t.rec = e.coll, e.rec
 		if t.staged {
-			t.meter, t.coll, t.rec = e.meter.Scratch(), e.coll.Scratch(), e.rec.NewStage()
+			t.coll, t.rec = e.coll.Scratch(), e.rec.NewStage()
 			e.sharded.ejections[t.id] = t.rec
 		}
 		for _, n := range t.nodes {
 			env := e.envs[n]
-			env.meter, env.coll, env.rec = t.meter, t.coll, e.rec
+			env.coll, env.rec = t.coll, e.rec
 			if t.staged {
 				env.rec = e.rec.NewStage()
 			}
@@ -605,8 +602,8 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	if cfg.Mesh != e.mesh {
 		return fmt.Errorf("sim: Reset requires the same Mesh the engine was built with")
 	}
-	if cfg.Meter == nil || cfg.Stats == nil {
-		return fmt.Errorf("sim: Meter and Stats are required")
+	if cfg.Stats == nil {
+		return fmt.Errorf("sim: Stats is required")
 	}
 	if factory == nil {
 		return fmt.Errorf("sim: router factory is required")
@@ -621,7 +618,6 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	if got := ResolveShards(cfg.Shards, e.mesh.Width, e.mesh.Height); got != len(e.tiles) {
 		return fmt.Errorf("sim: Reset requires Shards resolving to %d (got %d)", len(e.tiles), got)
 	}
-	e.meter = cfg.Meter
 	e.coll = cfg.Stats
 	e.source = cfg.Source
 	e.pending, _ = cfg.Source.(PendingSource)

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/flit"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
@@ -40,17 +39,16 @@ func (r *passthrough) Step(cycle uint64) bool {
 	return false
 }
 
-func testEngine(t *testing.T, src Source, depth int) (*Engine, *stats.Collector, *energy.Meter) {
+func testEngine(t *testing.T, src Source, depth int) (*Engine, *stats.Collector) {
 	t.Helper()
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 10000)
-	meter := energy.NewMeter()
-	eng, err := New(Config{Mesh: mesh, Meter: meter, Stats: coll, Source: src, BufferDepth: depth},
+	eng, err := New(Config{Mesh: mesh, Stats: coll, Source: src, BufferDepth: depth},
 		func(env *Env) Router { return &passthrough{env: env} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, coll, meter
+	return eng, coll
 }
 
 // oneShot injects a single 1-flit packet at a fixed node/cycle.
@@ -73,7 +71,7 @@ func TestHopTakesTwoCycles(t *testing.T) {
 	// Node 0 -> node 1 is one hop East. Injection at cycle 0: ST at cycle
 	// 0, LT at cycle 1, arrival+eject ST at cycle 2.
 	src := &oneShot{node: 0, dst: 1, at: 0}
-	eng, coll, _ := testEngine(t, src, 0)
+	eng, coll := testEngine(t, src, 0)
 	eng.Run(5)
 	r := coll.Results()
 	if r.Packets != 1 {
@@ -87,7 +85,7 @@ func TestHopTakesTwoCycles(t *testing.T) {
 func TestMultiHopLatencyScales(t *testing.T) {
 	// Node 0 -> node 3 is three hops East: latency 3*2 = 6.
 	src := &oneShot{node: 0, dst: 3, at: 0}
-	eng, coll, _ := testEngine(t, src, 0)
+	eng, coll := testEngine(t, src, 0)
 	eng.Run(10)
 	r := coll.Results()
 	if r.Packets != 1 || r.AvgLatency != 6 {
@@ -100,9 +98,9 @@ func TestMultiHopLatencyScales(t *testing.T) {
 
 func TestLinkEnergyCharged(t *testing.T) {
 	src := &oneShot{node: 0, dst: 2, at: 0}
-	eng, _, meter := testEngine(t, src, 0)
+	eng, coll := testEngine(t, src, 0)
 	eng.Run(10)
-	c := meter.Snapshot()
+	c := coll.EnergyCounts()
 	if c.LinkTraversals != 2 {
 		t.Errorf("link traversals = %d, want 2", c.LinkTraversals)
 	}
@@ -112,7 +110,7 @@ func TestEjectionAtWrongNodePanics(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 100)
 	// A router that ejects everything locally, even misrouted flits.
-	eng, err := New(Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: coll,
+	eng, err := New(Config{Mesh: mesh, Stats: coll,
 		Source: &oneShot{node: 0, dst: 5, at: 0}},
 		func(env *Env) Router {
 			return routerFunc(func(cycle uint64) {
@@ -144,7 +142,7 @@ func (f routerFunc) Step(cycle uint64) bool { f(cycle); return false }
 func TestUnconsumedInputPanics(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 100)
-	eng, err := New(Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: coll,
+	eng, err := New(Config{Mesh: mesh, Stats: coll,
 		Source: &oneShot{node: 0, dst: 3, at: 0}},
 		func(env *Env) Router {
 			return routerFunc(func(cycle uint64) {
@@ -171,11 +169,11 @@ func TestScheduleRetransmitReinjects(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 1000)
 	dropped := false
-	if _, err := New(Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: coll, Source: src}, nil); err == nil {
+	if _, err := New(Config{Mesh: mesh, Stats: coll, Source: src}, nil); err == nil {
 		t.Fatal("nil factory must be rejected")
 	}
 	// Build a network whose node 0 drops the first flit and retransmits.
-	eng2, err := New(Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: coll, Source: src},
+	eng2, err := New(Config{Mesh: mesh, Stats: coll, Source: src},
 		func(env *Env) Router {
 			return routerFunc(func(cycle uint64) {
 				for p := flit.North; p <= flit.West; p++ {
@@ -228,7 +226,7 @@ func TestQueuedFlits(t *testing.T) {
 			{ID: cycle*2 + 2, Src: 0, Dst: 3, NumFlits: 1, Cycle: cycle},
 		}
 	})
-	eng, _, _ := testEngine(t, flood, 0)
+	eng, _ := testEngine(t, flood, 0)
 	eng.Run(5)
 	if eng.QueuedFlits() == 0 {
 		t.Error("expected backlog in injection queue")
@@ -245,7 +243,7 @@ func (f sourceFunc) Generate(node int, cycle uint64) []*traffic.PacketSpec { ret
 
 func TestRunUntil(t *testing.T) {
 	src := &oneShot{node: 0, dst: 1, at: 0}
-	eng, coll, _ := testEngine(t, src, 0)
+	eng, coll := testEngine(t, src, 0)
 	ok := eng.RunUntil(func() bool { return coll.Results().Packets == 1 }, 100)
 	if !ok {
 		t.Error("RunUntil must observe the delivery")
@@ -264,7 +262,7 @@ func TestSinkCallback(t *testing.T) {
 	coll := stats.NewCollector(mesh.Nodes(), 0, 1000)
 	var got []flit.Packet
 	snk := sinkFunc(func(p flit.Packet, cycle uint64) { got = append(got, p) })
-	eng, err := New(Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: coll, Source: src, Sink: snk},
+	eng, err := New(Config{Mesh: mesh, Stats: coll, Source: src, Sink: snk},
 		func(env *Env) Router { return &passthrough{env: env} })
 	if err != nil {
 		t.Fatal(err)
@@ -281,14 +279,14 @@ func (f sinkFunc) Deliver(p flit.Packet, cycle uint64) { f(p, cycle) }
 
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}, func(env *Env) Router { return nil }); err == nil {
-		t.Error("missing mesh/meter/stats must error")
+		t.Error("missing mesh/stats must error")
 	}
 }
 
 func TestCreditsWiredBothDirections(t *testing.T) {
 	mesh := topology.MustMesh(4, 4)
 	coll := stats.NewCollector(mesh.Nodes(), 0, 1000)
-	eng, err := New(Config{Mesh: mesh, Meter: energy.NewMeter(), Stats: coll, BufferDepth: 4},
+	eng, err := New(Config{Mesh: mesh, Stats: coll, BufferDepth: 4},
 		func(env *Env) Router {
 			return routerFunc(func(cycle uint64) {
 				for p := flit.North; p <= flit.West; p++ {

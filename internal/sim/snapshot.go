@@ -46,8 +46,8 @@ func (env *Env) RegisterShared(s SharedState) {
 // Snapshot serializes the engine's complete simulation state — every flit in
 // flight (latches, link stages, injection deques, router buffers, the
 // retransmit wheel), the credit pipelines, the source RNG state, the
-// stats/energy accumulators and the optional recorder/monitor state — as one
-// versioned, CRC-trailed stream.
+// statistics collector (energy counts included) and the optional
+// recorder/monitor state — as one versioned, CRC-trailed stream.
 //
 // It must be called between cycles (after Step returns), where the engine's
 // transient state is provably empty: output latches drained by the link
@@ -196,9 +196,6 @@ func (e *Engine) state(s *snapshot.Stream) error {
 	}
 
 	if err := e.coll.State(s); err != nil {
-		return err
-	}
-	if err := e.meter.State(s); err != nil {
 		return err
 	}
 

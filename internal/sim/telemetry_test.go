@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dxbar/internal/energy"
 	"dxbar/internal/flit"
 	"dxbar/internal/metrics"
 	"dxbar/internal/stats"
@@ -18,7 +17,7 @@ func telemetryEngine(t *testing.T, shards int, tel *metrics.SimTelemetry) (*Engi
 	coll := stats.NewCollector(mesh.Nodes(), 0, 10000)
 	src := &SourceAdapter{B: testBernoulli(t, mesh)}
 	eng, err := New(Config{
-		Mesh: mesh, Meter: energy.NewMeter(), Stats: coll,
+		Mesh: mesh, Stats: coll,
 		Source: src, Telemetry: tel, Shards: shards,
 	}, func(env *Env) Router { return &passthroughXY{env: env} })
 	if err != nil {
@@ -207,7 +206,7 @@ func TestTelemetrySurvivesReset(t *testing.T) {
 	factory := func(env *Env) Router { return &passthroughXY{env: env} }
 	newCfg := func() Config {
 		return Config{
-			Mesh: mesh, Meter: energy.NewMeter(),
+			Mesh:   mesh,
 			Stats:  stats.NewCollector(mesh.Nodes(), 0, 10000),
 			Source: &SourceAdapter{B: testBernoulli(t, mesh)},
 			Telemetry: metrics.NewSimTelemetry(metrics.NewRegistry(),

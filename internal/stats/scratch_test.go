@@ -10,7 +10,8 @@ import (
 )
 
 // TestScratchAbsorbRouterPhase drives the entry points a tile's worker uses —
-// the routers' five and the link phase's EjectedFlit — through a scratch
+// the routers' seven and the link phase's EjectedFlit and LinkTraversals —
+// through a scratch
 // collector and checks AbsorbTile reproduces direct recording exactly, zeroes
 // the scratch, and leaves droppedByNode untouched when nothing dropped.
 func TestScratchAbsorbRouterPhase(t *testing.T) {
@@ -23,13 +24,19 @@ func TestScratchAbsorbRouterPhase(t *testing.T) {
 			c.BufferingEvent(200)
 			c.RoutedEvent(200)
 			c.RoutedEvent(200)
+			c.BufferRead(200)
 		}
+		c.LinkTraversals(200, 5)
+		c.NackHops(200, 4)
 		c.FairnessFlip(200)
 		c.DroppedFlit(200, 1)
 		c.DroppedFlit(200, 3)
 		c.DroppedFlit(200, 3)
 		// Out-of-window events must not count (cycle 50 < start 100).
 		c.BufferingEvent(50)
+		c.BufferRead(50)
+		c.LinkTraversals(50, 2)
+		c.NackHops(50, 3)
 		c.DroppedFlit(50, 0)
 		c.EjectedFlit(50)
 		c.EjectedFlit(200)

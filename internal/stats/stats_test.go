@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dxbar/internal/energy"
 	"dxbar/internal/flit"
 )
 
@@ -119,15 +120,23 @@ func pkt(injection, latency uint64) flit.Packet {
 	return flit.Packet{InjectionCycle: injection, CompletionCycle: injection + latency}
 }
 
-// TestEventRecorderWindowing: all three microarchitectural event recorders
-// (BufferingEvent, RoutedEvent, DroppedFlit) count only inside the
-// measurement window — the BufferingEvent doc used to claim "any cycle".
+// TestEventRecorderWindowing: the microarchitectural event recorders
+// (BufferingEvent, RoutedEvent, DroppedFlit and the energy model's
+// BufferRead, LinkTraversals and NackHops) count only inside the measurement
+// window — the BufferingEvent doc used to claim "any cycle".
 func TestEventRecorderWindowing(t *testing.T) {
 	c := NewCollector(64, 100, 200)
 	for _, cycle := range []uint64{99, 100, 150, 199, 200} { // 3 in-window
 		c.BufferingEvent(cycle)
 		c.RoutedEvent(cycle)
 		c.DroppedFlit(cycle, 0)
+		c.BufferRead(cycle)
+		c.LinkTraversals(cycle, 2)
+		c.NackHops(cycle, 3)
+	}
+	want := energy.Counts{CrossbarTraversals: 3, LinkTraversals: 6, BufferWrites: 3, BufferReads: 3, NackHops: 9}
+	if got := c.EnergyCounts(); got != want {
+		t.Errorf("energy counts = %+v, want %+v", got, want)
 	}
 	if c.n[bufferedSum] != 3 {
 		t.Errorf("buffered = %d, want 3 (window [100,200))", c.n[bufferedSum])

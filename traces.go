@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"dxbar/internal/coherence"
+	"dxbar/internal/energy"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
 	"dxbar/internal/traffic"
@@ -106,7 +107,7 @@ func RunTrace(design Design, routingName string, r io.Reader, maxCycles uint64) 
 		CompletionCycles: net.Engine.Cycle(),
 		Packets:          res.Packets,
 		AvgLatency:       res.AvgLatency,
-		TotalEnergyNJ:    net.Meter.TotalPJ() / 1000.0,
+		TotalEnergyNJ:    energy.EnergyPJ(string(design), coll.EnergyCounts()) / 1000.0,
 		Design:           design,
 		Routing:          routingName,
 	}
