@@ -83,7 +83,6 @@ func newActivityNet(t *testing.T, d dxbar.Design, load float64, stop uint64, fau
 // observed is everything a redundant Step must leave untouched.
 type observed struct {
 	snapshot []byte
-	meter    any
 	totals   [6]uint64
 	recLen   int
 	recTotal uint64
@@ -98,7 +97,6 @@ func observe(t *testing.T, n activityNet) observed {
 	c := n.Stats
 	return observed{
 		snapshot: buf.Bytes(),
-		meter:    n.Meter.Snapshot(),
 		totals: [6]uint64{c.Total("totalGenerated"), c.TotalEjected(), c.Total("totalDropped"),
 			c.Total("totalDeflected"), c.Total("totalPacketsInjected"), c.Total("totalPacketsDelivered")},
 		recLen:   n.rec.Len(),
@@ -110,8 +108,6 @@ func (a observed) diff(b observed) string {
 	switch {
 	case !bytes.Equal(a.snapshot, b.snapshot):
 		return "Engine.Snapshot bytes changed"
-	case a.meter != b.meter:
-		return fmt.Sprintf("meter counts changed: %+v -> %+v", a.meter, b.meter)
 	case a.totals != b.totals:
 		return fmt.Sprintf("collector totals changed: %v -> %v", a.totals, b.totals)
 	case a.recLen != b.recLen || a.recTotal != b.recTotal:
@@ -169,7 +165,7 @@ func activityCases() []activityCase {
 // every cycle of a low-load run (through a fault manifestation and its
 // detection on the fault-tolerant designs) and again after the network has
 // drained, a hand-made extra Step on any sleeping router must change neither
-// the engine snapshot, the meter, the collector nor the flight recorder. A
+// the engine snapshot, the collector nor the flight recorder. A
 // design that returned true while holding a flit, or with a fault transition
 // still to come, fails here.
 func TestQuiescentStepIsNoOp(t *testing.T) {
