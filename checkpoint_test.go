@@ -20,6 +20,7 @@ import (
 	"dxbar/internal/events"
 	"dxbar/internal/faults"
 	"dxbar/internal/metrics"
+	"dxbar/internal/snapshot"
 	"dxbar/internal/stats"
 	"dxbar/internal/topology"
 	"dxbar/internal/traffic"
@@ -589,23 +590,27 @@ func TestCheckpointDirUncreatable(t *testing.T) {
 // TestGoldenCheckpoint restores the committed golden checkpoint and compares
 // the completed run against the committed expectation — the cross-version
 // gate: any accidental format-version bump or silent layout drift breaks
-// decoding of yesterday's files, and this test, loudly. Regenerate both files
-// with DXBAR_UPDATE_GOLDEN=1 after an intentional format change. As committed,
-// the file's config JSON still carries the retired "RebalanceInterval" key, so
+// decoding of yesterday's files, and this test, loudly. As committed, the
+// file's config JSON still carries the retired keys of retiredConfigKeys, so
 // restoring it also proves that a Config field can be dropped without
-// orphaning old checkpoints: unknown keys are ignored.
+// orphaning old checkpoints: unknown keys are ignored. The test holds the
+// file to carrying them, and DXBAR_UPDATE_GOLDEN=1, which would write today's
+// config, refuses to regenerate it (see regenerateGolden).
 func TestGoldenCheckpoint(t *testing.T) {
 	ckptPath := filepath.Join("bench", "golden.ckpt")
 	expPath := filepath.Join("bench", "golden_expected.json")
 	if os.Getenv("DXBAR_UPDATE_GOLDEN") != "" {
 		regenerateGolden(t, ckptPath, expPath)
 	}
+	if missing := missingRetiredKeys(t, ckptPath); len(missing) > 0 {
+		t.Fatalf("%s: config JSON lacks the retired keys %q, whose presence proves old configs still decode", ckptPath, missing)
+	}
 	res, err := ResumeWith(ckptPath, func(c *Config) {
 		c.CheckpointInterval = 0
 		c.CheckpointDir = ""
 	})
 	if err != nil {
-		t.Fatalf("golden checkpoint failed to restore (format drift? regenerate with DXBAR_UPDATE_GOLDEN=1 if intentional): %v", err)
+		t.Fatalf("golden checkpoint failed to restore (format drift? see regenerateGolden if intentional): %v", err)
 	}
 	got, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -616,8 +621,44 @@ func TestGoldenCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
-		t.Fatalf("golden checkpoint result drifted from %s (regenerate with DXBAR_UPDATE_GOLDEN=1 if intentional)", expPath)
+		t.Fatalf("golden checkpoint result drifted from %s (see regenerateGolden if intentional)", expPath)
 	}
+}
+
+// retiredConfigKeys are the config keys bench/golden.ckpt keeps although
+// Config no longer has them.
+var retiredConfigKeys = []string{"RebalanceInterval"}
+
+// missingRetiredKeys returns the retiredConfigKeys absent from the config
+// JSON of the checkpoint file at path.
+func missingRetiredKeys(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := snapshot.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		ck  Checkpoint
+		cfg []byte
+	)
+	if err := ck.state(r, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(cfg, &keys); err != nil {
+		t.Fatal(err)
+	}
+	var missing []string
+	for _, k := range retiredConfigKeys {
+		if _, ok := keys[k]; !ok {
+			missing = append(missing, k)
+		}
+	}
+	return missing
 }
 
 // goldenConfig is the fixed run behind bench/golden.ckpt.
@@ -625,6 +666,9 @@ func goldenConfig() Config {
 	return checkpointWindow(Config{Design: DesignDXbar, Load: 0.2, Seed: 7})
 }
 
+// regenerateGolden rewrites bench/golden.ckpt and its expected result from
+// goldenConfig. A checkpoint written today stores today's config JSON, so it
+// fails rather than write a golden without the retired keys.
 func regenerateGolden(t *testing.T, ckptPath, expPath string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -633,6 +677,11 @@ func regenerateGolden(t *testing.T, ckptPath, expPath string) {
 	cfg.CheckpointDir = dir
 	run(t, cfg)
 	src := filepath.Join(dir, fmt.Sprintf("ckpt-%012d.dxsn", 128))
+	if missing := missingRetiredKeys(t, src); len(missing) > 0 {
+		t.Fatalf("not regenerating %s: today's config JSON lacks the retired keys %q that prove old configs still decode. "+
+			"Rewrite it with a throwaway test instead: run the committed file's own config JSON, kept byte for byte, "+
+			"to cycle 128, store that checkpoint under the same JSON, and write %s from its resumed result", ckptPath, missing, expPath)
+	}
 	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)

@@ -1,25 +1,22 @@
 package bitarb
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// Allocation-latency micro-benchmarks: the bit-parallel separable allocator
-// against the branchy cyclic-scan reference, at router radix (5), small
-// switch radix (8), concentrated radix (16) and full-word radix (64).
-// The CI `benchmark` job runs these after the whole-network workloads.
+// Allocation-latency micro-benchmarks at the routers' 5×5 radix: the table
+// allocator against the branchy cyclic-scan reference, over the same 256
+// random request matrices. The CI `benchmark` job runs these after the
+// whole-network workloads.
 
-var benchWidths = []int{5, 8, 16, 64}
-
-func benchReqMatrices(n, count int) [][]uint64 {
-	rng := rand.New(rand.NewSource(int64(n) * 31))
+func benchReqMatrices(count int) [][]uint64 {
+	rng := rand.New(rand.NewSource(Radix * 31))
 	ms := make([][]uint64, count)
 	for i := range ms {
-		m := make([]uint64, n)
+		m := make([]uint64, Radix)
 		for j := range m {
-			m[j] = rng.Uint64() & lowMask(n)
+			m[j] = rng.Uint64() & lowMask(Radix)
 		}
 		ms[i] = m
 	}
@@ -27,27 +24,22 @@ func benchReqMatrices(n, count int) [][]uint64 {
 }
 
 func BenchmarkSeparableBitarb(b *testing.B) {
-	for _, n := range benchWidths {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := NewSeparable(n, n)
-			reqs := benchReqMatrices(n, 256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Allocate(reqs[i&255])
-			}
-		})
+	var s Separable
+	var reqs [256]uint32
+	for i, m := range benchReqMatrices(len(reqs)) {
+		reqs[i] = pack(m)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Allocate(reqs[i&255])
 	}
 }
 
 func BenchmarkSeparableBranchy(b *testing.B) {
-	for _, n := range benchWidths {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := newRefSeparable(n, n)
-			reqs := benchReqMatrices(n, 256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.allocate(reqs[i&255])
-			}
-		})
+	s := newRefSeparable(Radix, Radix)
+	reqs := benchReqMatrices(256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.allocate(reqs[i&255])
 	}
 }

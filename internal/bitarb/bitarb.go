@@ -1,23 +1,22 @@
-// Package bitarb is the bit-parallel arbitration core: request vectors are
-// uint64 words, a round-robin grant is one find-first-set on a doubly
-// shifted (rotated-priority) mask, and a whole separable switch allocation
-// is a handful of word operations over contiguous state — no per-requester
-// branching, no pointer chasing.
+// Package bitarb is the bit-parallel switch allocator of the FIFO-input
+// routers: a 5×5 request matrix is one packed word, the transpose into
+// per-output requester masks is a multiply, and every round-robin grant is
+// one load from a table indexed by the rotation pointer and the 5-bit
+// request mask — no per-requester branching, no scratch arrays.
 //
 // The scheme is the software rendition of the `nvector`/round-robin-arbiter
 // request vectors of flat-crossbar hardware allocators: every output port
-// owns a request word whose bit i means "input i wants me"; the rotating
-// priority pointer splits the word into a high part (requesters at or past
-// the pointer) and a low part (wrapped requesters), and the grant is the
-// trailing-zero count of whichever part is non-empty. That is exactly a
-// cyclic scan from the pointer, so grants are bit-identical to the branchy
-// arbiters this package replaced, which its tests keep as the oracle.
+// owns a request vector whose bit i means "input i wants me", and its
+// arbiter grants the first requester at or after its rotation pointer,
+// cyclically. Grants are bit-identical to the branchy cyclic-scan arbiters
+// this package replaced, which its tests keep as the oracle.
 package bitarb
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
+
+// Radix is the allocator's input and output count: a mesh router's four
+// link ports plus its local port.
+const Radix = 5
 
 // GrantRot picks the lowest set bit of mask at or above the rotation
 // pointer ptr, wrapping to the lowest set bit overall when the high part is
@@ -34,112 +33,89 @@ func GrantRot(mask uint64, ptr int) int {
 	return bits.TrailingZeros64(mask)
 }
 
-// Separable is the bit-parallel output-first separable switch allocator:
-// stage 1 grants each output to one requesting input (per-output rotated-
-// priority round robin over the transposed request matrix), stage 2 grants
-// each input one of the outputs it won (per-input round robin), and only
-// the pointers of matched pairs advance. It is grant-for-grant identical to
-// the branchy cyclic-scan allocator in the tests, which they treat as the
-// oracle (paper reference [14]: the Buffered 4/8 baselines' allocator).
+// rr[ptr][mask] is GrantRot(mask, ptr) for every Radix-bit mask: both
+// arbiter stages grant with one load.
+var rr = func() (t [Radix][1 << Radix]int8) {
+	for ptr := range t {
+		for mask := range t[ptr] {
+			t[ptr][mask] = int8(GrantRot(uint64(mask), ptr))
+		}
+	}
+	return t
+}()
+
+// next[i] is the rotation pointer past requester i.
+var next = [Radix]uint8{1, 2, 3, 4, 0}
+
+// rowBits has bit Radix·i set for every input i; gather's multiplier moves
+// bit Radix·i of a word masked by it to bit 4·Radix+i, and no two of the
+// product's partial terms share a bit, so nothing carries.
+const (
+	rowBits = 1 | 1<<5 | 1<<10 | 1<<15 | 1<<20
+	gatherM = 1<<4 | 1<<8 | 1<<12 | 1<<16 | 1<<20
+)
+
+// gather packs bits 0, 5, 10, 15 and 20 of w into bits 0..4.
+func gather(w uint32) uint32 { return (w & rowBits) * gatherM >> 20 & 31 }
+
+// column returns the requester mask of output o in the packed request
+// matrix req (see Separable.Allocate): bit i set when input i requests o.
+func column(req uint32, o int) uint32 { return gather(req >> (uint(o) & 31)) }
+
+// inputs returns the inputs with a non-empty row in req.
+func inputs(req uint32) uint8 {
+	return uint8(gather(req | req>>1 | req>>2 | req>>3 | req>>4))
+}
+
+// Separable is the output-first separable switch allocator of the paper's
+// Buffered 4/8 baselines (its reference [14]): stage 1 grants each output
+// to one requesting input (per-output round robin over the transposed
+// request matrix), stage 2 grants each input one of the outputs it won
+// (per-input round robin), and only the pointers of matched pairs advance.
+// It is grant-for-grant identical to the branchy cyclic-scan allocator in
+// the tests, which they treat as the oracle.
 //
-// All state is held by value in fixed arrays of maxRadix entries, of which
-// the allocator's radix uses the first: two pointer arrays and three scratch
-// arrays, no per-arbiter objects and no heap object of its own, so a router
-// holds its allocator inline.
+// The state is the two pointer arrays and the match counter, held by value,
+// so a router holds its allocator inline.
 type Separable struct {
-	numIn, numOut int
-	outPtr        [maxRadix]int32 // per output, rotation pointer over inputs
-	inPtr         [maxRadix]int32 // per input, rotation pointer over outputs
-	outReq        [maxRadix]uint64
-	inWon         [maxRadix]uint64
-	grant         [maxRadix]int
+	outPtr [Radix]uint8 // per output, rotation pointer over inputs
+	inPtr  [Radix]uint8 // per input, rotation pointer over outputs
 	// grants counts stage-2 matches; it is part of the snapshot stream.
 	grants uint64
 }
 
-// maxRadix bounds a Separable's input and output counts: one request word.
-const maxRadix = 64
-
-// NewSeparable returns an allocator of the given radix (both ≤ maxRadix).
-func NewSeparable(numIn, numOut int) *Separable {
-	s := new(Separable)
-	s.Init(numIn, numOut)
-	return s
-}
-
-// Init makes s a fresh allocator of the given radix in place (NewSeparable).
-func (s *Separable) Init(numIn, numOut int) {
-	if numIn <= 0 || numIn > maxRadix || numOut <= 0 || numOut > maxRadix {
-		panic(fmt.Sprintf("bitarb: invalid separable radix %dx%d", numIn, numOut))
-	}
-	*s = Separable{numIn: numIn, numOut: numOut}
-}
-
-// Allocate computes a conflict-free matching for the request matrix req,
-// where req[i] is input i's requested-output bitmask. It returns grant[i] =
-// granted output for input i, or -1. The returned slice is the allocator's
-// scratch: valid until the next Allocate call.
-func (s *Separable) Allocate(req []uint64) []int {
-	if len(req) != s.numIn {
-		panic("bitarb: request matrix has wrong input count")
-	}
-	grant := s.grant[:s.numIn]
-	inAny := uint64(0)
-	for i, m := range req {
-		grant[i] = -1
-		if m != 0 {
-			inAny |= 1 << uint(i)
-		}
-	}
-	inWon := s.inWon[:s.numIn]
-	if inAny&(inAny-1) == 0 {
-		// Zero or one requesting input: 79 % of the calls in the closed-loop
-		// splash runs, 29 % at 8×8 UR 0.3 (counted; CHANGES.md PR24). A
-		// lone requester is the stage-1 winner of every output it asks
-		// for, wherever those outputs' pointers stand, so what it won is
-		// what it asked for and stage 2 below is the whole allocation.
-		if inAny != 0 {
-			i := bits.TrailingZeros64(inAny)
-			inWon[i] = req[i]
-		}
-	} else {
-		// Transpose the request matrix into per-output request words,
-		// touching only the set bits.
-		outReq := s.outReq[:s.numOut]
-		for o := range outReq {
-			outReq[o] = 0
-		}
-		for i, m := range req {
-			inWon[i] = 0
-			for ; m != 0; m &= m - 1 {
-				outReq[bits.TrailingZeros64(m)] |= 1 << uint(i)
-			}
-		}
-		// Stage 1: each output picks one input (peek only).
-		for o, r := range outReq {
-			if w := GrantRot(r, int(s.outPtr[o])); w >= 0 {
-				inWon[w] |= 1 << uint(o)
-			}
+// Allocate computes a conflict-free matching for the packed request matrix
+// req, whose bit Radix·i+o means input i requests output o. It returns the
+// set of matched inputs and, for each matched input i, its output out[i].
+func (s *Separable) Allocate(req uint32) (matched uint8, out [Radix]uint8) {
+	won := req // what each input won in stage 1, packed like req
+	outs := (req | req>>5 | req>>10 | req>>15 | req>>20) & (1<<Radix - 1)
+	if bits.OnesCount32(req) != bits.OnesCount32(outs) {
+		// Stage 1: each requested output picks one input (peek only). It is
+		// skipped when no output has two requesters — 73–77 % of the calls
+		// at 8×8 UR 0.3 and 40–56 % at UR 0.6 (counted on Buffered 4/8 and
+		// AFC): an output's only requester wins it wherever its pointer
+		// stands, so what each input won is what it asked for.
+		won = 0
+		for m := outs; m != 0; m &= m - 1 {
+			o := bits.TrailingZeros32(m)
+			w := rr[s.outPtr[o]][column(req, o)]
+			won |= 1 << (uint(Radix*int(w)+o) & 31)
 		}
 	}
 	// Stage 2: each input picks one of the outputs granted to it, and the
 	// matched pair's pointers advance.
-	for m := inAny; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		o := GrantRot(inWon[i], int(s.inPtr[i]))
+	for m := inputs(req); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		o := rr[s.inPtr[i]][won>>(uint(Radix*i)&31)&(1<<Radix-1)]
 		if o < 0 {
 			continue
 		}
-		grant[i] = o
+		matched |= 1 << uint(i)
+		out[i] = uint8(o)
 		s.grants++
-		s.inPtr[i] = int32(o + 1)
-		if int(s.inPtr[i]) == s.numOut {
-			s.inPtr[i] = 0
-		}
-		s.outPtr[o] = int32(i + 1)
-		if int(s.outPtr[o]) == s.numIn {
-			s.outPtr[o] = 0
-		}
+		s.inPtr[i] = next[o]
+		s.outPtr[o] = next[i]
 	}
-	return grant
+	return matched, out
 }

@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dxbar/internal/flit"
+)
 
 // Sub-input indices for the unified dual-input crossbar: each input port
 // carries up to two candidate flits per cycle.
@@ -13,20 +17,9 @@ const (
 	subBuffered = 1
 )
 
-// dualRequest describes one input port's candidates for one allocation
-// round of the unified crossbar.
-type dualRequest struct {
-	// want[s] is the bitmask of output ports sub-input s requests
-	// (zero = no candidate / no request).
-	want [2]uint64
-	// age[s] is the age key of sub-input s's flit: lower wins. Only
-	// meaningful where want[s] != 0.
-	age [2]uint64
-}
-
 // dualGrant is the allocation result for one input port: the output granted
 // to each sub-input, or -1.
-type dualGrant [2]int
+type dualGrant [2]int8
 
 // dualInput is the paper's augmented separable output-first allocator for
 // the unified dual-input crossbar (§II.B.1):
@@ -45,145 +38,151 @@ type dualGrant [2]int
 //     the high end. When the two grants violate that ordering, the swap
 //     logic exchanges which physical entry each flit uses, so both still
 //     make forward progress. Swaps are counted for statistics.
+//
+// A round is the router's ask calls — its request gather — then one
+// allocate, which consumes them. The gather also builds stage 1's input, the
+// per-output requester masks, and notes whether the round has a conflict at
+// all: without one, every request is granted as asked.
 type dualInput struct {
-	numPorts, numOut int
-	swaps            uint64
-	outWinner        [maxDualRadix]int       // per-allocate scratch
-	won              [maxDualRadix]uint64    // per-allocate scratch: outputs each port won in stage 1
-	grants           [maxDualRadix]dualGrant // per-allocate scratch, aliased by the result
-	// prefOut/otherOut are stage 1's per-output requester-port masks (bit p
-	// of prefOut[o] = port p's preferred-class sub-input wants o).
-	prefOut, otherOut [maxDualRadix]uint64
+	swaps uint64
+	// want[p][s] and age[p][s] are the round's request of port p's
+	// sub-input s: its output mask and its flit's age key (lower wins).
+	want [flit.NumPorts][2]uint8
+	age  [flit.NumPorts][2]uint64
+	// outReq[s][o] has bit p set when port p's sub-input s wants output o.
+	outReq [2][flit.NumPorts]uint8
+	// ports and asked are the round's requesting ports and wanted outputs;
+	// clash is non-zero once a request wants two outputs or an output is
+	// wanted twice.
+	ports, asked, clash uint8
+	// won[p] is the outputs port p won in stage 1 (per-allocate scratch).
+	won [flit.NumPorts]uint8
+	// grants[p] is port p's result, valid where allocate's mask has bit p.
+	grants [flit.NumPorts]dualGrant
 }
 
-// maxDualRadix bounds the dual-input allocator's port and output counts: its
-// scratch is held by value, so the unified router holds it inline.
-const maxDualRadix = 8
-
-// newDualInput returns an allocator for numPorts input ports and numOut
-// output ports (both 5 for the paper's unified crossbar).
-func newDualInput(numPorts, numOut int) *dualInput {
-	d := new(dualInput)
-	d.init(numPorts, numOut)
-	return d
-}
-
-// init makes d a fresh allocator in place (newDualInput).
-func (d *dualInput) init(numPorts, numOut int) {
-	if numPorts <= 0 || numPorts > maxDualRadix || numOut <= 0 || numOut > maxDualRadix {
-		panic("core: invalid dual-input allocator radix")
+// ask adds port p's sub-input s to the round: a flit of age key age wanting
+// the outputs of want (non-zero, within the crossbar's outputs).
+func (d *dualInput) ask(p, s int, want uint8, age uint64) {
+	d.want[p][s], d.age[p][s] = want, age
+	d.ports |= 1 << uint(p)
+	d.clash |= want&(want-1) | want&d.asked
+	d.asked |= want
+	for m := want; m != 0; m &= m - 1 {
+		d.outReq[s][bits.TrailingZeros8(m)] |= 1 << uint(p)
 	}
-	*d = dualInput{numPorts: numPorts, numOut: numOut}
 }
 
-// allocate computes the dual-input matching. preferBuffered flips the
-// priority class between the bufferless and buffered sub-inputs (the
-// fairness counter of §II.A.2 drives this). Each output is granted to at
-// most one (port, sub-input); each port receives at most two grants, one
-// per sub-input, on distinct outputs.
-//
-// Stage 1 is bit-parallel: the request matrix is transposed into per-output
-// requester-port masks (touching only set bits), the class priority falls
-// out of which mask is non-empty, and the age minimum scans only actual
-// requesters; ties break on the lower port index.
-//
-// The returned slice is the allocator's own scratch: it is valid until the
-// next allocate call (routers consume it within the same cycle).
-func (d *dualInput) allocate(reqs []dualRequest, preferBuffered bool) []dualGrant {
-	if len(reqs) != d.numPorts {
-		panic("core: request slice has wrong port count")
+// clear empties the round's requests.
+func (d *dualInput) clear() {
+	for m := d.ports; m != 0; m &= m - 1 {
+		d.want[bits.TrailingZeros8(m)] = [2]uint8{}
 	}
-	pref, other := subBufferless, subBuffered
+	d.outReq = [2][flit.NumPorts]uint8{}
+	d.ports, d.asked, d.clash = 0, 0, 0
+}
+
+// allocate computes the dual-input matching of the round's requests and
+// returns the ports it granted anything to; grants holds their results. It
+// consumes the round. preferBuffered flips the priority class between the
+// bufferless and buffered sub-inputs (the fairness counter of §II.A.2 drives
+// this). Each output is granted to at most one (port, sub-input); each port
+// receives at most two grants, one per sub-input, on distinct outputs.
+//
+// Stage 1 reads the per-output requester masks the gather built: the class
+// priority falls out of which mask is non-empty, and the age minimum scans
+// only actual requesters; ties break on the lower port index. A round
+// without a conflict — every request wants one output, no output is wanted
+// twice — skips both stages: each output's only requester wins it, and each
+// port's arbiters then grant each sub-input the output it asked for.
+func (d *dualInput) allocate(preferBuffered bool) (granted uint8) {
+	if d.clash == 0 {
+		for m := d.ports; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros8(m)
+			w := d.want[p]
+			d.grants[p] = dualGrant{grantOf(w[0]), grantOf(w[1])}
+			if w[1] != 0 && w[0] > w[1] {
+				d.swaps++ // one-hot masks order as their outputs do
+			}
+		}
+		granted = d.ports
+		d.clear()
+		return granted
+	}
+	pref := subBufferless
 	if preferBuffered {
-		pref, other = subBuffered, subBufferless
+		pref = subBuffered
 	}
-
-	prefOut, otherOut := d.prefOut[:d.numOut], d.otherOut[:d.numOut]
-	for o := 0; o < d.numOut; o++ {
-		prefOut[o], otherOut[o] = 0, 0
-	}
-	for p := range reqs {
-		r := &reqs[p]
-		pb := uint64(1) << uint(p)
-		for m := r.want[pref]; m != 0; m &= m - 1 {
-			prefOut[bits.TrailingZeros64(m)] |= pb
-		}
-		for m := r.want[other]; m != 0; m &= m - 1 {
-			otherOut[bits.TrailingZeros64(m)] |= pb
-		}
-	}
-	outWinner := d.outWinner[:d.numOut]
-	for o := 0; o < d.numOut; o++ {
-		m, sub := prefOut[o], pref
-		if m == 0 {
-			m, sub = otherOut[o], other
-		}
-		if m == 0 {
-			outWinner[o] = -1
-			continue
+	d.won = [flit.NumPorts]uint8{}
+	var winners uint8
+	for m := d.asked; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros8(m)
+		r, sub := d.outReq[pref][o], pref
+		if r == 0 {
+			r, sub = d.outReq[1-pref][o], 1-pref
 		}
 		// Minimum age over the set bits; ties break on the lower port index,
 		// which the ascending bit scan with a strict comparison preserves.
-		best := bits.TrailingZeros64(m)
-		bestAge := reqs[best].age[sub]
-		for mm := m & (m - 1); mm != 0; mm &= mm - 1 {
-			p := bits.TrailingZeros64(mm)
-			if a := reqs[p].age[sub]; a < bestAge {
+		best := bits.TrailingZeros8(r)
+		bestAge := d.age[best][sub]
+		for rr := r & (r - 1); rr != 0; rr &= rr - 1 {
+			p := bits.TrailingZeros8(rr)
+			if a := d.age[p][sub]; a < bestAge {
 				best, bestAge = p, a
 			}
 		}
-		outWinner[o] = best
+		d.won[best] |= 1 << uint(o)
+		winners |= 1 << uint(best)
 	}
-	return d.stage2(reqs, pref, other)
+	granted = d.stage2(winners, pref)
+	d.clear()
+	return granted
 }
 
-// stage2 runs the per-port serial V:1 arbitration over d.outWinner.
-func (d *dualInput) stage2(reqs []dualRequest, pref, other int) []dualGrant {
-	grants, won := d.grants[:d.numPorts], d.won[:d.numPorts]
-	for p := range grants {
-		grants[p] = dualGrant{-1, -1}
-		won[p] = 0
+// grantOf is the output a one-hot request mask asks for, or -1 for none.
+func grantOf(want uint8) int8 {
+	if want == 0 {
+		return -1
 	}
-	var winners uint64
-	for o, p := range d.outWinner[:d.numOut] {
-		if p >= 0 {
-			won[p] |= 1 << uint(o)
-			winners |= 1 << uint(p)
-		}
-	}
+	return int8(bits.TrailingZeros8(want))
+}
+
+// stage2 runs the per-port serial V:1 arbitration over what the winners
+// won in stage 1 (d.won) and returns the ports it granted.
+func (d *dualInput) stage2(winners uint8, pref int) (granted uint8) {
 	for m := winners; m != 0; m &= m - 1 {
-		p := bits.TrailingZeros64(m)
-		grantedMask := won[p]
-		r := &reqs[p]
+		p := bits.TrailingZeros8(m)
+		grantedMask := d.won[p]
+		w := &d.want[p]
 		// First V:1 arbiter: the preferred sub-input if it can use a
 		// granted output, otherwise the other one.
 		s1 := pref
-		m1 := r.want[s1] & grantedMask
+		m1 := w[s1] & grantedMask
 		if m1 == 0 {
-			s1 = other
-			m1 = r.want[s1] & grantedMask
+			s1 = 1 - pref
+			m1 = w[s1] & grantedMask
 		}
 		if m1 == 0 {
 			continue // outputs were granted on stale requests; leave idle
 		}
-		o1 := bits.TrailingZeros64(m1)
-		grants[p][s1] = o1
+		g := dualGrant{-1, -1}
+		o1 := bits.TrailingZeros8(m1)
+		g[s1] = int8(o1)
 		// Second V:1 arbiter, in series: masked so it can only choose the
 		// other sub-input, and never the output already taken.
 		s2 := 1 - s1
-		m2 := r.want[s2] & grantedMask &^ (1 << uint(o1))
-		if m2 != 0 {
-			o2 := bits.TrailingZeros64(m2)
-			grants[p][s2] = o2
+		if m2 := w[s2] & grantedMask &^ (1 << uint(o1)); m2 != 0 {
+			g[s2] = int8(bits.TrailingZeros8(m2))
 			// Conflict detection (§II.B.2): the low-end entry must use the
 			// lower output column. Sub-input 0 enters from the low end.
-			lo, hi := grants[p][0], grants[p][1]
-			if lo > hi {
+			if g[0] > g[1] {
 				// Swap logic reroutes the two flits through each other's
 				// physical entry point; both grants stand.
 				d.swaps++
 			}
 		}
+		d.grants[p] = g
+		granted |= 1 << uint(p)
 	}
-	return grants
+	return granted
 }

@@ -4,22 +4,66 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dxbar/internal/flit"
 )
 
+// dualRequest is one input port's candidates in the tests' request lists:
+// want[s] is sub-input s's output mask (0 = no request) and age[s] its flit's
+// age key.
+type dualRequest struct {
+	want [2]uint8
+	age  [2]uint64
+}
+
+// load asks every non-empty request of reqs, port by port.
+func (d *dualInput) load(reqs []dualRequest) {
+	for p := range reqs {
+		for s := 0; s < 2; s++ {
+			if w := reqs[p].want[s]; w != 0 {
+				d.ask(p, s, w, reqs[p].age[s])
+			}
+		}
+	}
+}
+
+// grantList unpacks an allocation's results into one grant per port, -1 on
+// both sub-inputs of a port outside granted.
+func (d *dualInput) grantList(granted uint8) []dualGrant {
+	g := make([]dualGrant, flit.NumPorts)
+	for p := range g {
+		g[p] = dualGrant{-1, -1}
+		if granted>>uint(p)&1 != 0 {
+			g[p] = d.grants[p]
+		}
+	}
+	return g
+}
+
+// allocateReqs runs one allocation round over reqs.
+func (d *dualInput) allocateReqs(reqs []dualRequest, preferBuffered bool) []dualGrant {
+	d.load(reqs)
+	return d.grantList(d.allocate(preferBuffered))
+}
+
 // allocateRef is the dual-input allocation with the branchy stage 1 that
-// allocate's bit-parallel one replaced, kept as its oracle: per output, a
-// scan of every port, the preferred class beating the other, then the lower
-// age, ties to the lower port index. Stage 2 is the allocator's own.
+// allocate's bit-parallel one replaced, kept as its oracle, and without
+// allocate's conflict-free shortcut: per output, a scan of every port, the
+// preferred class beating the other, then the lower age, ties to the lower
+// port index. Stage 2 is the allocator's own.
 func (d *dualInput) allocateRef(reqs []dualRequest, preferBuffered bool) []dualGrant {
 	pref, other := subBufferless, subBuffered
 	if preferBuffered {
 		pref, other = subBuffered, subBufferless
 	}
-	for o := 0; o < d.numOut; o++ {
-		bit := uint64(1) << uint(o)
+	d.load(reqs)
+	d.won = [flit.NumPorts]uint8{}
+	var winners uint8
+	for o := 0; o < flit.NumPorts; o++ {
+		bit := uint8(1) << uint(o)
 		bestPort, bestClass := -1, 2
 		var bestAge uint64
-		for p := 0; p < d.numPorts; p++ {
+		for p := range reqs {
 			r := &reqs[p]
 			class := 2
 			var age uint64
@@ -35,21 +79,26 @@ func (d *dualInput) allocateRef(reqs []dualRequest, preferBuffered bool) []dualG
 				bestPort, bestClass, bestAge = p, class, age
 			}
 		}
-		d.outWinner[o] = bestPort
+		if bestPort >= 0 {
+			d.won[bestPort] |= bit
+			winners |= 1 << uint(bestPort)
+		}
 	}
-	return d.stage2(reqs, pref, other)
+	granted := d.stage2(winners, pref)
+	d.clear()
+	return d.grantList(granted)
 }
 
 func TestDualInputBothSubInputsSameCycle(t *testing.T) {
 	// The headline capability (paper Fig. 4(b)): I0 (bufferless) to O2 and
 	// I0' (buffered) to O3, simultaneously, from the same input port.
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	reqs := make([]dualRequest, 5)
 	reqs[0].want[subBufferless] = 1 << 2
 	reqs[0].age[subBufferless] = 10
 	reqs[0].want[subBuffered] = 1 << 3
 	reqs[0].age[subBuffered] = 5
-	g := d.allocate(reqs, false)
+	g := d.allocateReqs(reqs, false)
 	if g[0][subBufferless] != 2 || g[0][subBuffered] != 3 {
 		t.Fatalf("grants = %v, want sub0->2 sub1->3", g[0])
 	}
@@ -59,13 +108,13 @@ func TestDualInputIncomingPriorityOverBuffered(t *testing.T) {
 	// Two ports want the same output; port 0 offers a buffered flit (older),
 	// port 1 an incoming flit (younger). Without the fairness flip, the
 	// incoming class wins.
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	reqs := make([]dualRequest, 5)
 	reqs[0].want[subBuffered] = 1 << 4
 	reqs[0].age[subBuffered] = 1 // older
 	reqs[1].want[subBufferless] = 1 << 4
 	reqs[1].age[subBufferless] = 100 // younger
-	g := d.allocate(reqs, false)
+	g := d.allocateReqs(reqs, false)
 	if g[1][subBufferless] != 4 {
 		t.Fatalf("incoming flit must win output 4, grants %v", g)
 	}
@@ -76,13 +125,13 @@ func TestDualInputIncomingPriorityOverBuffered(t *testing.T) {
 
 func TestDualInputFairnessFlip(t *testing.T) {
 	// Same scenario with preferBuffered: the buffered class now wins.
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	reqs := make([]dualRequest, 5)
 	reqs[0].want[subBuffered] = 1 << 4
 	reqs[0].age[subBuffered] = 1
 	reqs[1].want[subBufferless] = 1 << 4
 	reqs[1].age[subBufferless] = 100
-	g := d.allocate(reqs, true)
+	g := d.allocateReqs(reqs, true)
 	if g[0][subBuffered] != 4 {
 		t.Fatalf("buffered flit must win under flipped priority, grants %v", g)
 	}
@@ -92,13 +141,13 @@ func TestDualInputFairnessFlip(t *testing.T) {
 }
 
 func TestDualInputAgeWithinClass(t *testing.T) {
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	reqs := make([]dualRequest, 5)
 	reqs[2].want[subBufferless] = 1 << 0
 	reqs[2].age[subBufferless] = 50
 	reqs[3].want[subBufferless] = 1 << 0
 	reqs[3].age[subBufferless] = 7 // older, must win
-	g := d.allocate(reqs, false)
+	g := d.allocateReqs(reqs, false)
 	if g[3][subBufferless] != 0 || g[2][subBufferless] != -1 {
 		t.Fatalf("oldest incoming flit must win, grants %v", g)
 	}
@@ -107,13 +156,13 @@ func TestDualInputAgeWithinClass(t *testing.T) {
 func TestDualInputConflictSwapCounted(t *testing.T) {
 	// Sub-input 0 granted a HIGHER output than sub-input 1 violates the
 	// segmentation ordering and must be repaired by a counted swap.
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	reqs := make([]dualRequest, 5)
 	reqs[1].want[subBufferless] = 1 << 4
 	reqs[1].age[subBufferless] = 3
 	reqs[1].want[subBuffered] = 1 << 2
 	reqs[1].age[subBuffered] = 9
-	g := d.allocate(reqs, false)
+	g := d.allocateReqs(reqs, false)
 	if g[1][subBufferless] != 4 || g[1][subBuffered] != 2 {
 		t.Fatalf("both sub-inputs must be granted, grants %v", g)
 	}
@@ -121,10 +170,10 @@ func TestDualInputConflictSwapCounted(t *testing.T) {
 		t.Fatalf("swaps = %d, want 1", d.swaps)
 	}
 	// The non-conflicting orientation must not count a swap.
-	d2 := newDualInput(5, 5)
+	d2 := new(dualInput)
 	reqs[1].want[subBufferless] = 1 << 2
 	reqs[1].want[subBuffered] = 1 << 4
-	d2.allocate(reqs, false)
+	d2.allocateReqs(reqs, false)
 	if d2.swaps != 0 {
 		t.Fatalf("swaps = %d, want 0", d2.swaps)
 	}
@@ -133,11 +182,11 @@ func TestDualInputConflictSwapCounted(t *testing.T) {
 func TestDualInputSecondArbiterCannotReuseSubInput(t *testing.T) {
 	// One sub-input requesting two outputs gets exactly one grant; the
 	// second serial arbiter serves only the other sub-input.
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	reqs := make([]dualRequest, 5)
 	reqs[0].want[subBufferless] = 1<<1 | 1<<2
 	reqs[0].age[subBufferless] = 1
-	g := d.allocate(reqs, false)
+	g := d.allocateReqs(reqs, false)
 	granted := 0
 	if g[0][subBufferless] != -1 {
 		granted++
@@ -153,11 +202,11 @@ func TestDualInputSecondArbiterCannotReuseSubInput(t *testing.T) {
 func TestDualInputInjectionPortModel(t *testing.T) {
 	// The PE injection port presents only a buffered-side candidate and can
 	// still win an uncontended output.
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	reqs := make([]dualRequest, 5)
 	reqs[4].want[subBuffered] = 1 << 0
 	reqs[4].age[subBuffered] = 3
-	g := d.allocate(reqs, false)
+	g := d.allocateReqs(reqs, false)
 	if g[4][subBuffered] != 0 {
 		t.Fatalf("uncontended injection must win, grants %v", g)
 	}
@@ -167,16 +216,16 @@ func TestDualInputInjectionPortModel(t *testing.T) {
 // granted (port, sub-input, output) was requested, no output is granted
 // twice, and each sub-input receives at most one output.
 func TestDualInputValidityProperty(t *testing.T) {
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	f := func(w0, w1 [5]uint8, a0, a1 [5]uint8, flip bool) bool {
 		reqs := make([]dualRequest, 5)
 		for p := 0; p < 5; p++ {
-			reqs[p].want[0] = uint64(w0[p] & 0x1f)
-			reqs[p].want[1] = uint64(w1[p] & 0x1f)
+			reqs[p].want[0] = w0[p] & 0x1f
+			reqs[p].want[1] = w1[p] & 0x1f
 			reqs[p].age[0] = uint64(a0[p])
 			reqs[p].age[1] = uint64(a1[p])
 		}
-		g := d.allocate(reqs, flip)
+		g := d.allocateReqs(reqs, flip)
 		usedOut := map[int]bool{}
 		for p := 0; p < 5; p++ {
 			for s := 0; s < 2; s++ {
@@ -190,10 +239,10 @@ func TestDualInputValidityProperty(t *testing.T) {
 				if reqs[p].want[s]&(1<<uint(o)) == 0 {
 					return false // unrequested grant
 				}
-				if usedOut[o] {
+				if usedOut[int(o)] {
 					return false // double-booked output
 				}
-				usedOut[o] = true
+				usedOut[int(o)] = true
 			}
 			// Same port granted two outputs => they must differ.
 			if g[p][0] != -1 && g[p][0] == g[p][1] {
@@ -210,7 +259,7 @@ func TestDualInputValidityProperty(t *testing.T) {
 // Property: if exactly one port requests output o (on either sub-input),
 // that port is granted o — the allocator wastes no uncontended output.
 func TestDualInputWorkConservingSingleRequester(t *testing.T) {
-	d := newDualInput(5, 5)
+	d := new(dualInput)
 	f := func(port, out, sub uint8, age uint8) bool {
 		p := int(port) % 5
 		o := int(out) % 5
@@ -218,8 +267,8 @@ func TestDualInputWorkConservingSingleRequester(t *testing.T) {
 		reqs := make([]dualRequest, 5)
 		reqs[p].want[s] = 1 << uint(o)
 		reqs[p].age[s] = uint64(age)
-		g := d.allocate(reqs, false)
-		return g[p][s] == o
+		g := d.allocateReqs(reqs, false)
+		return int(g[p][s]) == o
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -244,8 +293,8 @@ func TestDualInputFlipTiebreak(t *testing.T) {
 		return reqs
 	}
 	for _, flip := range []bool{false, true} {
-		ref := newDualInput(5, 5).allocateRef(build(), flip)
-		fast := newDualInput(5, 5).allocate(build(), flip)
+		ref := new(dualInput).allocateRef(build(), flip)
+		fast := new(dualInput).allocateReqs(build(), flip)
 		for p := 0; p < 5; p++ {
 			if ref[p] != fast[p] {
 				t.Fatalf("flip=%v port %d: reference %v, fast %v", flip, p, ref[p], fast[p])
@@ -262,29 +311,54 @@ func TestDualInputFlipTiebreak(t *testing.T) {
 }
 
 func TestDualInputPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("allocate with wrong port count must panic")
-		}
-	}()
-	newDualInput(5, 5).allocate(make([]dualRequest, 3), false)
+	for _, c := range []struct {
+		port int
+		want uint8
+	}{{0, 1 << flit.NumPorts}, {flit.NumPorts, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ask(port %d, want %06b) outside the 5×5 crossbar must panic", c.port, c.want)
+				}
+			}()
+			new(dualInput).ask(c.port, subBufferless, c.want, 0)
+		}()
+	}
 }
 
 // TestDualInputFastMatchesReference drives allocate and allocateRef on two
 // allocators in lockstep over random dual-request streams, including the
 // fairness-counter priority flip, and checks grants and swap counts match.
+// Every random round is followed by a one-hot round — each request wants a
+// single output, as under DOR — that is conflict-free unless its last
+// request reuses an output, so both of allocate's paths are held to the
+// reference's stage 1 + 2.
 func TestDualInputFastMatchesReference(t *testing.T) {
 	const ports, outs = 5, 5
-	ref := newDualInput(ports, outs)
-	fast := newDualInput(ports, outs)
+	ref, fast := new(dualInput), new(dualInput)
 	reqs := make([]dualRequest, ports)
 	rng := rand.New(rand.NewSource(23))
+	oneHot := rand.New(rand.NewSource(29))
+	free := 0
+	step := func(round int, flip bool) {
+		t.Helper()
+		gr := ref.allocateRef(reqs, flip)
+		gf := fast.allocateReqs(reqs, flip)
+		for p := range gr {
+			if gr[p] != gf[p] {
+				t.Fatalf("round %d port %d: ref=%v fast=%v (flip=%v, reqs=%v)", round, p, gr[p], gf[p], flip, reqs)
+			}
+		}
+		if ref.swaps != fast.swaps {
+			t.Fatalf("round %d: swap counts diverge ref=%d fast=%d", round, ref.swaps, fast.swaps)
+		}
+	}
 	for round := 0; round < 16384; round++ {
 		for p := range reqs {
 			var r dualRequest
 			for s := 0; s < 2; s++ {
 				if rng.Intn(3) != 0 {
-					r.want[s] = rng.Uint64() & (1<<outs - 1)
+					r.want[s] = uint8(rng.Uint64() & (1<<outs - 1))
 					// Small age range so age ties across ports actually occur
 					// and exercise the port-index tiebreak.
 					r.age[s] = uint64(rng.Intn(4))
@@ -292,16 +366,26 @@ func TestDualInputFastMatchesReference(t *testing.T) {
 			}
 			reqs[p] = r
 		}
-		flip := rng.Intn(2) == 0
-		gr := ref.allocateRef(reqs, flip)
-		gf := fast.allocate(reqs, flip)
-		for p := range gr {
-			if gr[p] != gf[p] {
-				t.Fatalf("round %d port %d: ref=%v fast=%v (flip=%v)", round, p, gr[p], gf[p], flip)
+		step(round, rng.Intn(2) == 0)
+
+		clear(reqs)
+		slots := oneHot.Perm(2 * ports)
+		n := oneHot.Intn(outs + 1)
+		for k, o := range oneHot.Perm(outs)[:n] {
+			if k == n-1 && oneHot.Intn(4) == 0 {
+				o = oneHot.Intn(outs) // maybe an output already asked for
 			}
+			r := &reqs[slots[k]/2]
+			r.want[slots[k]%2], r.age[slots[k]%2] = 1<<uint(o), uint64(oneHot.Intn(4))
 		}
-		if ref.swaps != fast.swaps {
-			t.Fatalf("round %d: swap counts diverge ref=%d fast=%d", round, ref.swaps, fast.swaps)
+		fast.load(reqs)
+		if fast.clash == 0 {
+			free++
 		}
+		fast.clear()
+		step(round, oneHot.Intn(2) == 0)
+	}
+	if free < 16384/2 {
+		t.Fatalf("only %d one-hot rounds were conflict-free", free)
 	}
 }

@@ -32,9 +32,6 @@ type Unified struct {
 	// lastSwaps tracks the allocator's cumulative swap count so each cycle's
 	// delta can be recorded.
 	lastSwaps uint64
-
-	// Per-Step scratch, reused across cycles.
-	reqs [flit.NumPorts]dualRequest
 }
 
 // NewUnified builds a unified dual-input crossbar router. The engine must
@@ -51,7 +48,6 @@ func (u *Unified) Init(env *sim.Env, algo routing.Algorithm, threshold int, faul
 	*u = Unified{}
 	u.inputs.init(env, algo, threshold, BufferDepth, fault)
 	u.xbar.Init(flit.NumPorts)
-	u.alloc.init(flit.NumPorts, flit.NumPorts)
 }
 
 // Step implements sim.Router. It reports quiescent when the four input
@@ -75,87 +71,71 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 		u.xbar.Kill()
 	}
 
-	// Gather incoming flits and the waiting heads with their request masks:
-	// each buffer's on its port index (computed at buffer write), the
-	// injection flit on Local's.
+	// Gather the round's candidates straight into the allocator. Sub-input 0
+	// (bufferless, low entry) carries an incoming flit's single look-ahead
+	// request; sub-input 1 (buffered, high entry) carries the buffer head's
+	// (or, on port index 4, the injection flit's) full productive set — the
+	// head's computed at buffer write, the injection flit's here.
+	// Sendability is one bitmask for the whole allocation round: no flit is
+	// launched until after allocate, so the mask computed here equals a
+	// CanSend call at every request probe.
+	u.sendable = env.SendableMask()
+	sendable := u.sendable
+	alloc := &u.alloc
 	var arrived [flit.NumLinkPorts]*flit.Flit
-	for p := flit.North; p <= flit.West; p++ {
-		if f := env.In[p]; f != nil {
-			env.In[p] = nil
-			arrived[p] = f
+	unsent := env.InMask
+	for m := unsent; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
+		f := env.In[p]
+		env.In[p] = nil
+		arrived[p] = f
+		if out := u.requestPort(f, int(f.Dst)); out != flit.Invalid && sendable&(1<<uint(out)) != 0 {
+			alloc.ask(p, subBufferless, 1<<uint(out), f.InjectionCycle)
 		}
 	}
 	env.InMask = 0
 	var heads [flit.NumPorts]*flit.Flit
-	var wants [flit.NumPorts]uint8
 	for b := u.bufMask; b != 0; b &= b - 1 {
 		p := bits.TrailingZeros8(b)
 		h := u.buffers[p].At(0)
-		heads[p], wants[p] = h.F, h.Want
+		heads[p] = h.F
+		if w := h.Want & sendable; w != 0 {
+			alloc.ask(p, subBuffered, w, h.F.InjectionCycle)
+		}
 	}
 	if f := env.InjectionHead(); f != nil {
 		heads[flit.Local] = f
-		wants[flit.Local], _ = u.table.RouteAt(env.Node, int(f.Dst))
+		want, _ := u.table.RouteAt(env.Node, int(f.Dst))
+		if w := want & sendable; w != 0 {
+			alloc.ask(int(flit.Local), subBuffered, w, f.InjectionCycle)
+		}
 	}
 	waitersExist := u.bufMask != 0 || heads[flit.Local] != nil
 	flip := u.fair.flip(waitersExist)
 
-	// Build the dual-input request vectors. Sub-input 0 (bufferless, low
-	// entry) carries the incoming flit's single look-ahead request;
-	// sub-input 1 (buffered, high entry) carries the buffer head's (or, on
-	// port index 4, the injection flit's) full productive set. The request
-	// slice is the router's reusable scratch.
-	// Sendability is one bitmask for the whole allocation round: no flit is
-	// launched until after allocate, so the mask computed here equals a
-	// CanSend call at every request-build probe.
-	u.sendable = env.SendableMask()
-	sendable := uint64(u.sendable)
-	reqs := u.reqs[:]
-	for i := range reqs {
-		reqs[i].want = [2]uint64{} // age is only read where want is set
-	}
-	for p, f := range arrived {
-		if f != nil {
-			out := u.requestPort(f, int(f.Dst))
-			if out != flit.Invalid && sendable&(1<<uint(out)) != 0 {
-				reqs[p].want[subBufferless] = 1 << uint(out)
-				reqs[p].age[subBufferless] = f.InjectionCycle
-			}
-		}
-	}
-	for p, f := range heads {
-		if f == nil {
-			continue
-		}
-		if mask := uint64(wants[p]) & sendable; mask != 0 {
-			reqs[p].want[subBuffered] = mask
-			reqs[p].age[subBuffered] = f.InjectionCycle
-		}
-	}
-
-	grants := u.alloc.allocate(reqs, flip)
-	if swaps := u.alloc.swaps; swaps != u.lastSwaps {
+	granted := alloc.allocate(flip)
+	if swaps := alloc.swaps; swaps != u.lastSwaps {
 		env.Events().Record(cycle, events.Swap, env.Node, flit.Invalid, 0, 0, int32(swaps-u.lastSwaps))
 		u.lastSwaps = swaps
 	}
 
 	var primaryWon, waiterWon bool
-	for p := 0; p < flit.NumPorts; p++ {
-		gIncoming := grants[p][subBufferless]
-		gBuffered := grants[p][subBuffered]
+	for m := granted; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
+		gIncoming, gBuffered := int(alloc.grants[p][subBufferless]), int(alloc.grants[p][subBuffered])
 		// Conflict-free swap (§II.B.2): when both sub-inputs won, the flit
 		// bound for the lower output column must enter from the low end.
 		entIncoming, entBuffered := crossbar.EntryLow, crossbar.EntryHigh
 		if gIncoming != -1 && gBuffered != -1 && gIncoming > gBuffered {
 			entIncoming, entBuffered = crossbar.EntryHigh, crossbar.EntryLow
 		}
-		if gIncoming != -1 && p < flit.NumLinkPorts {
+		if gIncoming != -1 {
 			f := arrived[p]
 			if u.xbar.TryConnect(p, entIncoming, gIncoming) == crossbar.OK {
 				env.ReturnCredit(flit.Port(p))
 				env.Events().Record(cycle, events.PrimaryWin, env.Node, flit.Port(p), f.PacketID, f.ID, int32(gIncoming))
 				u.send(flit.Port(gIncoming), f, cycle)
-				arrived[p] = nil
+				unsent &^= 1 << uint(p)
 				primaryWon = true
 			}
 		}
@@ -167,10 +147,9 @@ func (u *Unified) Step(cycle uint64) (quiescent bool) {
 
 	// Losing (or fault-blocked) incoming flits are demuxed into their
 	// buffers, exactly as in the dual-crossbar design.
-	for p, f := range arrived {
-		if f != nil {
-			u.bufferFlit(f, flit.Port(p), cycle)
-		}
+	for m := unsent; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
+		u.bufferFlit(arrived[p], flit.Port(p), cycle)
 	}
 
 	u.observeFairness(waitersExist, primaryWon, waiterWon, cycle)

@@ -43,8 +43,8 @@ func NewBuffered(env *sim.Env, algo routing.Algorithm, split bool) *Buffered {
 
 // Init builds the router in place, as NewBuffered does on a fresh
 // allocation: a network's routers are built into one slab. The allocator is
-// held by value and the FIFOs come from the node's queue store, so Init
-// allocates nothing.
+// held by value (its zero value is a fresh one) and the FIFOs come from the
+// node's queue store, so Init allocates nothing.
 func (b *Buffered) Init(env *sim.Env, algo routing.Algorithm, split bool) {
 	mesh := env.Mesh()
 	nq := uint8(1)
@@ -53,7 +53,6 @@ func (b *Buffered) Init(env *sim.Env, algo routing.Algorithm, split bool) {
 	}
 	*b = Buffered{env: env, table: routing.NewTable(algo, mesh, mesh.Nodes())}
 	b.bank.init(nq, env.QueueStore())
-	b.alloc.Init(flit.NumPorts, flit.NumPorts)
 }
 
 // Step implements sim.Router. It reports quiescent when every input FIFO is
@@ -92,27 +91,29 @@ func (b *Buffered) step(cycle uint64, inject bool) (injected, ejected bool) {
 	}
 	env.InMask = 0
 
-	// Switch allocation (SA): one output-mask word per input — 0..3 the link
-	// FIFOs, 4 the PE injection port. Sendability is one bitmask for the
-	// whole round: nothing launches before allocation, so it equals a CanSend
-	// call per probe.
-	var req [flit.NumPorts]uint64
+	// Switch allocation (SA): the packed 5×5 request matrix, one row per
+	// input — 0..3 the link FIFOs, 4 the PE injection port. Sendability is
+	// one bitmask for the whole round: nothing launches before allocation,
+	// so it equals a CanSend call per probe.
 	sendable := env.SendableMask()
-	b.bank.requests(cycle, sendable, &req)
+	req := b.bank.requests(cycle, sendable)
 	if inject {
 		if f := env.InjectionHead(); f != nil {
 			want, _ := b.table.RouteAt(node, int(f.Dst))
-			req[flit.Local] = uint64(want & sendable)
+			req |= uint32(want&sendable) << (bitarb.Radix * flit.Local)
 		}
 	}
 
-	// Switch traversal (ST).
-	for i, o := range b.alloc.Allocate(req[:]) {
-		if o == -1 {
-			continue
-		}
+	// Switch traversal (ST), matched inputs only, in input order.
+	if req == 0 {
+		return injected, ejected
+	}
+	matched, outs := b.alloc.Allocate(req)
+	for m := matched; m != 0; m &= m - 1 {
+		in := flit.Port(bits.TrailingZeros8(m))
+		o := outs[in]
 		var f *flit.Flit
-		if in := flit.Port(i); in == flit.Local {
+		if in == flit.Local {
 			f = env.ConsumeInjection(cycle)
 			injected = true
 		} else {

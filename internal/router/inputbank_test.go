@@ -19,6 +19,9 @@ import (
 
 const allOutputs = 1<<flit.NumPorts - 1
 
+// noGrant marks an unmatched input in the tests' unpacked grant lists.
+const noGrant = 0xff
+
 // newInputBank returns an empty bank of nq FIFOs per link input, with rings
 // of its own.
 func newInputBank(nq uint8) inputBank {
@@ -49,9 +52,8 @@ func TestInputBankSteering(t *testing.T) {
 		arrive(id, int(id)%2, int(id)/2+1)
 	}
 	for _, id := range []uint64{1, 3} { // 3 and 1
-		var req [flit.NumPorts]uint64
-		b.requests(0, allOutputs, &req)
-		if f := b.pop(flit.South, int(flit.East)); f.ID != id {
+		b.requests(0, allOutputs)
+		if f := b.pop(flit.South, uint8(flit.East)); f.ID != id {
 			t.Fatalf("popped flit %d, want %d", f.ID, id)
 		}
 	}
@@ -115,8 +117,7 @@ func TestInputBankMatchesModel(t *testing.T) {
 				}
 			}
 			sendable := uint8(rng.Intn(allOutputs + 1))
-			var req [flit.NumPorts]uint64
-			b.requests(cycle, sendable, &req)
+			req := b.requests(cycle, sendable)
 			for p := 0; p < flit.NumLinkPorts; p++ {
 				var want uint8
 				for k := 0; k < int(nq); k++ {
@@ -124,8 +125,8 @@ func TestInputBankMatchesModel(t *testing.T) {
 						want |= q[0].Want & sendable
 					}
 				}
-				if req[p] != uint64(want) {
-					t.Fatalf("cycle %d input %d: request %05b, want %05b", cycle, p, req[p], want)
+				if row := uint8(req >> uint(bitarb.Radix*p) & allOutputs); row != want {
+					t.Fatalf("cycle %d input %d: request %05b, want %05b", cycle, p, row, want)
 				}
 				if want == 0 || rng.Intn(2) == 0 {
 					continue
@@ -140,7 +141,7 @@ func TestInputBankMatchesModel(t *testing.T) {
 						from = i
 					}
 				}
-				if got := b.pop(flit.Port(p), o); got != model[from][0].F {
+				if got := b.pop(flit.Port(p), uint8(o)); got != model[from][0].F {
 					t.Fatalf("cycle %d input %d output %d: popped flit %d, want the older requesting head %d", cycle, p, o, got.ID, model[from][0].F.ID)
 				}
 				model[from] = model[from][1:]
@@ -188,8 +189,7 @@ func TestInputBankSaveLoad(t *testing.T) {
 		if split {
 			nq = 2
 		}
-		return &Buffered{env: &sim.Env{Node: node}, bank: newInputBank(nq), table: table,
-			alloc: *bitarb.NewSeparable(flit.NumPorts, flit.NumPorts)}
+		return &Buffered{env: &sim.Env{Node: node}, bank: newInputBank(nq), table: table}
 	}
 	for _, split := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))
@@ -202,10 +202,19 @@ func TestInputBankSaveLoad(t *testing.T) {
 			orig.bank.write(flit.Port(rng.Intn(flit.NumLinkPorts)), e)
 		}
 		// Move the ring heads off slot 0, so the stream is not the array.
-		var req [flit.NumPorts]uint64
-		orig.bank.requests(2, allOutputs, &req)
-		for i, o := range orig.alloc.Allocate(req[:]) {
-			if o >= 0 {
+		allocate := func(b *Buffered, req uint32) []uint8 {
+			matched, outs := b.alloc.Allocate(req)
+			grants := make([]uint8, flit.NumPorts)
+			for i := range grants {
+				grants[i] = noGrant
+				if matched>>uint(i)&1 != 0 {
+					grants[i] = outs[i]
+				}
+			}
+			return grants
+		}
+		for i, o := range allocate(orig, orig.bank.requests(2, allOutputs)) {
+			if o != noGrant {
 				orig.bank.pop(flit.Port(i), o)
 			}
 		}
@@ -226,7 +235,8 @@ func TestInputBankSaveLoad(t *testing.T) {
 		if err := loaded.State(r, flit.NewPool(), mesh.Nodes()); err != nil {
 			t.Fatal(err)
 		}
-		if occupancy(&loaded.bank) != occupancy(&orig.bank) || loaded.bank.nonEmpty != orig.bank.nonEmpty || loaded.bank.next != orig.bank.next {
+		if occupancy(&loaded.bank) != occupancy(&orig.bank) || loaded.bank.nonEmpty != orig.bank.nonEmpty || loaded.bank.next != orig.bank.next ||
+			loaded.bank.headWant != orig.bank.headWant || loaded.bank.headReady != orig.bank.headReady {
 			t.Fatalf("split=%v: loaded occupancy %d nonEmpty %08b next %v, saved %d %08b %v", split,
 				occupancy(&loaded.bank), loaded.bank.nonEmpty, loaded.bank.next, occupancy(&orig.bank), orig.bank.nonEmpty, orig.bank.next)
 		}
@@ -243,18 +253,16 @@ func TestInputBankSaveLoad(t *testing.T) {
 			}
 		}
 		for cycle := uint64(2); orig.bank.nonEmpty != 0; cycle++ {
-			var want, got [flit.NumPorts]uint64
-			orig.bank.requests(cycle, allOutputs, &want)
-			loaded.bank.requests(cycle, allOutputs, &got)
+			want, got := orig.bank.requests(cycle, allOutputs), loaded.bank.requests(cycle, allOutputs)
 			if got != want {
-				t.Fatalf("split=%v cycle %d: loaded router requests %v, saved router %v", split, cycle, got, want)
+				t.Fatalf("split=%v cycle %d: loaded router requests %#07x, saved router %#07x", split, cycle, got, want)
 			}
-			wantGrants := slices.Clone(orig.alloc.Allocate(want[:]))
-			if gotGrants := loaded.alloc.Allocate(got[:]); !slices.Equal(gotGrants, wantGrants) {
+			wantGrants := allocate(orig, want)
+			if gotGrants := allocate(loaded, got); !slices.Equal(gotGrants, wantGrants) {
 				t.Fatalf("split=%v cycle %d: loaded router grants %v, saved router %v", split, cycle, gotGrants, wantGrants)
 			}
 			for i, o := range wantGrants {
-				if o < 0 {
+				if o == noGrant {
 					continue
 				}
 				if w, g := orig.bank.pop(flit.Port(i), o), loaded.bank.pop(flit.Port(i), o); w.ID != g.ID {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -28,17 +30,71 @@ func saturatedConfig(t *testing.T, mesh *topology.Mesh, shards int, seed int64) 
 		Source: &SourceAdapter{B: bern}, Shards: shards}
 }
 
-// runMallocs returns the heap allocations counted while run runs. It
-// collects garbage first and keeps the collector off until run returns, so
-// the runtime's own work after a GC cycle does not land in the window.
-func runMallocs(run func()) uint64 {
-	runtime.GC()
+// runMallocs returns the heap allocations counted while run runs. It collects garbage first and keeps the collector off until run
+// returns, so the runtime's own work after a GC cycle does not land in the
+// window. The count is process-wide, so the window also samples every
+// allocation in the heap profile, and where lists the stacks that allocated
+// in it: a failure names its allocator. An allocation-free window costs the
+// sampling nothing.
+func runMallocs(run func()) (n uint64, where string) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 0
+	base := allocSites()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	runtime.MemProfileRate = 1
 	run()
+	runtime.MemProfileRate = 0
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	if n = after.Mallocs - before.Mallocs; n == 0 {
+		return 0, ""
+	}
+	var b strings.Builder
+	for stack, count := range allocSites() {
+		// The sampling period in force during run still covers the first
+		// allocation after it, which is this harness's own.
+		own := strings.HasPrefix(stack, "\tdxbar/internal/sim.runMallocs ") || strings.HasPrefix(stack, "\tdxbar/internal/sim.allocSites ")
+		if count -= base[stack]; count > 0 && !own {
+			fmt.Fprintf(&b, "%d allocations at\n%s", count, stack)
+		}
+	}
+	if b.Len() == 0 {
+		return n, "(no sampled allocation)\n"
+	}
+	return n, b.String()
+}
+
+// allocSites returns the heap profile's allocation counts by stack, rendered
+// one frame a line. The profile is published at the end of a GC cycle and may
+// lag by two, hence the three collections.
+func allocSites() map[string]int64 {
+	for range 3 {
+		runtime.GC()
+	}
+	var recs []runtime.MemProfileRecord
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs = make([]runtime.MemProfileRecord, n+16)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	sites := make(map[string]int64, n)
+	for _, r := range recs[:n] {
+		var b strings.Builder
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			fmt.Fprintf(&b, "\t%s %s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+		sites[b.String()] += r.AllocObjects
+	}
+	return sites
 }
 
 // A past-saturation run on a Reset engine allocates nothing inside Run: the
@@ -56,8 +112,8 @@ func TestBacklogReusedEngineRunAllocatesNothing(t *testing.T) {
 	if err := e.Reset(saturatedConfig(t, mesh, 0, 3), PassthroughFactory); err != nil {
 		t.Fatal(err)
 	}
-	if n := runMallocs(func() { e.Run(cycles) }); n != 0 {
-		t.Errorf("the second %d-cycle run on the reset engine allocated %d times, want 0", cycles, n)
+	if n, where := runMallocs(func() { e.Run(cycles) }); n != 0 {
+		t.Errorf("the second %d-cycle run on the reset engine allocated %d times, want 0:\n%s", cycles, n, where)
 	}
 	if got := e.tiles[0].chunks.held; got != held {
 		t.Errorf("the tile holds %d spec chunks after the second run, %d after the first", got, held)
