@@ -117,7 +117,8 @@ telemetry-smoke:
 # Run-ledger + live-dashboard smoke: a short run must archive its Result
 # under its content key (and a -ledger-reuse re-run must be served from the
 # archive), then a live run with -http must serve the dashboard page at /
-# and stream SSE frames from /events (needs curl).
+# and two /live reads a second apart must show the cycle count moving
+# (needs curl).
 dashboard-smoke:
 	sh scripts/dashboard_smoke.sh
 

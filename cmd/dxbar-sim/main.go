@@ -49,7 +49,7 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write the recorded events as Chrome trace-event JSON to this file (load at ui.perfetto.dev; requires -trace)")
 		traceEv  = flag.String("trace-events", "", "comma-separated event kinds to record (default all; e.g. inject,buffered,eject)")
 		shards   = flag.Int("shards", 0, "parallel tile workers, each owning its nodes' whole cycle (0/1 sequential, -1 auto-sizes to CPUs; bit-identical results)")
-		httpAddr = flag.String("http", "", "serve live telemetry on this address (dashboard at /, /events SSE, /metrics, /healthz, /progress, /debug/pprof), e.g. :8080")
+		httpAddr = flag.String("http", "", "serve live telemetry on this address (dashboard at /, /live JSON, /metrics, /healthz, /progress, /debug/pprof), e.g. :8080")
 		profile  = flag.Bool("shard-profile", false, "print the per-shard execution profile after the run (requires -shards > 1)")
 
 		ledgerDir   = flag.String("ledger", "", "run-ledger directory: archive the completed run's full Result under its content key (see dxbar-report)")

@@ -46,7 +46,7 @@ func main() {
 		trace       = flag.Int("trace", 0, "for figs 5/6 with -hist: flight-recorder ring capacity per sweep point; writes one Chrome trace JSON per point to -out (0 disables)")
 		shards      = flag.Int("shards", 0, "parallel tile workers per run of the -hist load sweep, each owning its nodes' whole cycle (0/1 sequential, -1 = one per CPU); results are bit-identical either way")
 		profile     = flag.Bool("shard-profile", false, "with -hist and -shards > 1: print the final sweep point's per-shard execution profile")
-		httpAddr    = flag.String("http", "", "serve live telemetry on this address (dashboard at /, /events SSE, /metrics, /healthz, /progress, /debug/pprof), e.g. :8080")
+		httpAddr    = flag.String("http", "", "serve live telemetry on this address (dashboard at /, /live JSON, /metrics, /healthz, /progress, /debug/pprof), e.g. :8080")
 		quiet       = flag.Bool("quiet", false, "suppress the periodic progress line on stderr")
 		ledgerDir   = flag.String("ledger", "", "run-ledger directory: archive each completed sweep point's Result under its content key (see dxbar-report)")
 		ledgerReuse = flag.Bool("ledger-reuse", false, "serve sweep points from identical archived records in -ledger instead of re-simulating")

@@ -1,9 +1,12 @@
 package metrics
 
 // dashboardHTML is the self-contained live dashboard served at /. It is a
-// single document — inline CSS, inline JS, no external assets — that opens an
-// EventSource on /events and renders stat tiles plus SVG sparklines from the
-// frame stream. It must not contain backticks (it lives in a raw string).
+// single document — inline CSS, inline JS, no external assets — that polls
+// /live once a second (the next request goes out a second after the previous
+// reply, so a slow server never sees overlapping polls) and renders stat
+// tiles plus SVG sparklines from the frames. The per-frame deltas the
+// sparklines plot are worked out from the page's own previous frame. It must
+// not contain backticks (it lives in a raw string).
 //
 // Colors follow the repo's chart convention: one fixed categorical slot per
 // sparkline panel (never cycled), status red reserved for the anomaly tile,
@@ -253,7 +256,12 @@ const dashboardHTML = `<!doctype html>
 
   function setText(id, txt) { $(id).firstChild.nodeValue = txt; }
 
+  // prev is the previous frame (null after an error, so a restarted server
+  // does not plot a negative delta); seq numbers the frames for the tooltips.
+  var prev = null, seq = 0;
+
   function update(s) {
+    seq++;
     setText("t-cycles", fmt(s.cycles));
     setText("t-cps", fmt(s.cycles_per_second));
     setText("t-ejected", fmt(s.flits_ejected));
@@ -282,12 +290,13 @@ const dashboardHTML = `<!doctype html>
         p.percent.toFixed(1) + "% of " + fmt(p.total) + " " + (p.unit || "cycles") + eta;
     }
 
-    if (s.seq > 1) {
-      sCycles.push(s.cycles_delta, s.seq);
-      sEjected.push(s.flits_ejected_delta, s.seq);
+    if (prev) {
+      sCycles.push(s.cycles - prev.cycles, seq);
+      sEjected.push(s.flits_ejected - prev.flits_ejected, seq);
     }
-    sP99.push(s.latency_p99_cycles, s.seq);
-    sInflight.push(s.in_flight_flits, s.seq);
+    prev = s;
+    sP99.push(s.latency_p99_cycles, seq);
+    sInflight.push(s.in_flight_flits, seq);
 
     var rows = "";
     var keys = Object.keys(s).sort();
@@ -300,12 +309,23 @@ const dashboardHTML = `<!doctype html>
   }
 
   var conn = $("conn");
-  var es = new EventSource("/events");
-  es.onopen = function () { conn.textContent = "live"; conn.classList.remove("down"); };
-  es.onerror = function () { conn.textContent = "disconnected — retrying"; conn.classList.add("down"); };
-  es.onmessage = function (ev) {
-    try { update(JSON.parse(ev.data)); } catch (e) { /* skip malformed frame */ }
-  };
+  function poll() {
+    fetch("/live", { cache: "no-store" })
+      .then(function (r) {
+        if (!r.ok) { throw new Error("HTTP " + r.status); }
+        return r.json();
+      })
+      .then(function (s) {
+        conn.textContent = "live"; conn.classList.remove("down");
+        update(s);
+      })
+      .catch(function () {
+        prev = null;
+        conn.textContent = "disconnected — retrying"; conn.classList.add("down");
+      })
+      .then(function () { setTimeout(poll, 1000); });
+  }
+  poll();
 })();
 </script>
 </body>

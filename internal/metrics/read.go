@@ -2,7 +2,7 @@ package metrics
 
 import "math"
 
-// Value-read introspection: the SSE snapshot builder (and any other
+// Value-read introspection: the live frame builder ReadLive (and any other
 // registry consumer that holds no handles) reads current series values by
 // name. Reads take the registry mutex only to find the series; the value
 // load itself is the same atomic the scrape path uses, so reading never

@@ -11,8 +11,8 @@ import (
 
 // Handler returns the telemetry HTTP handler:
 //
-//	/          live HTML dashboard (sparklines + stat tiles over /events)
-//	/events    Server-Sent Events stream of periodic JSON snapshots
+//	/          live HTML dashboard (stat tiles + sparklines, polling /live)
+//	/live      JSON LiveFrame of reg and prog, read afresh on every GET
 //	/metrics   Prometheus text exposition of reg
 //	/healthz   liveness probe ("ok")
 //	/progress  JSON ProgressSnapshot of prog
@@ -20,16 +20,8 @@ import (
 //
 // reg and prog may each be nil (the endpoints then serve an empty exposition
 // and the zero snapshot). Handlers only read atomics, so scraping never
-// perturbs a running simulation. The handler owns an SSEHub whose sampler
-// runs only while /events has subscribers; callers that need to tear the hub
-// down explicitly (test servers) should use HandlerWith with their own hub.
+// perturbs a running simulation, and they keep no state between requests.
 func Handler(reg *Registry, prog *Progress) http.Handler {
-	return HandlerWith(reg, prog, NewSSEHub(reg, prog, SSEHubOptions{}))
-}
-
-// HandlerWith is Handler with a caller-owned SSE hub (its Close disconnects
-// the dashboard and /events clients).
-func HandlerWith(reg *Registry, prog *Progress, hub *SSEHub) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -39,7 +31,11 @@ func HandlerWith(reg *Registry, prog *Progress, hub *SSEHub) http.Handler {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		_, _ = w.Write([]byte(dashboardHTML))
 	})
-	mux.Handle("/events", hub)
+	mux.HandleFunc("/live", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Cache-Control", "no-store")
+		_ = json.NewEncoder(w).Encode(ReadLive(reg, prog))
+	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
@@ -66,38 +62,33 @@ func HandlerWith(reg *Registry, prog *Progress, hub *SSEHub) http.Handler {
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
-	hub *SSEHub
 }
 
 // StartServer listens on addr (host:port; port 0 picks a free one) and
 // serves Handler(reg, prog) on a background goroutine. The returned Server
-// reports the bound address and shuts the listener — and the SSE hub — down
-// on Close.
+// reports the bound address and shuts the listener down on Close.
 func StartServer(addr string, reg *Registry, prog *Progress) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
-	hub := NewSSEHub(reg, prog, SSEHubOptions{})
-	srv := &http.Server{Handler: HandlerWith(reg, prog, hub), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: Handler(reg, prog), ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		// ErrServerClosed (and the listener-closed error on Close) is the
 		// normal shutdown path; an abnormal serve error has nowhere better
 		// to go than being dropped — the sim must not die for telemetry.
 		_ = srv.Serve(ln)
 	}()
-	return &Server{ln: ln, srv: srv, hub: hub}, nil
+	return &Server{ln: ln, srv: srv}, nil
 }
 
 // Addr returns the server's bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server, disconnecting SSE subscribers first so in-flight
-// streams end cleanly. Nil-safe.
+// Close stops the server. Nil-safe.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.hub.Close()
 	return s.srv.Close()
 }

@@ -29,19 +29,15 @@ const (
 	MetricShardImbalance = "dxbar_shard_imbalance_ratio"
 )
 
-// Metric names published by the run ledger (dxbar.Config.LedgerDir) and the
-// SSE streaming hub (the /events endpoint).
+// Metric names published by the run ledger (dxbar.Config.LedgerDir).
 const (
 	MetricLedgerRecords   = "dxbar_ledger_records_total"
 	MetricLedgerReuseHits = "dxbar_ledger_reuse_hits_total"
-	MetricSSEClients      = "dxbar_sse_clients"
-	MetricSSEFrames       = "dxbar_sse_frames_total"
-	MetricSSEDropped      = "dxbar_sse_dropped_frames_total"
 )
 
 // DefaultPublishInterval is the publish period in cycles of every engine
 // series. 64 cycles is under a millisecond of wall time, and every consumer —
-// a scrape, an SSE frame, the progress line — samples at least 100 ms apart;
+// a scrape, a /live read, the progress line — samples at least 100 ms apart;
 // the interval paces the O(nodes) gauge scans and the histogram copy.
 const DefaultPublishInterval = 64
 

@@ -26,10 +26,8 @@ func TestMetricsDocumented(t *testing.T) {
 	defer tel.Detach()
 	mon := diag.NewMonitor(diag.Config{Registry: reg}, 64)
 	defer mon.Detach()
-	// The run-ledger counters and the /events SSE hub families.
+	// The run-ledger counters.
 	ledgerMetrics(reg)
-	hub := metrics.NewSSEHub(reg, nil, metrics.SSEHubOptions{})
-	defer hub.Close()
 
 	registered := map[string]bool{}
 	for _, f := range reg.Families() {

@@ -8,8 +8,9 @@
 #     was edited is not served: the next -ledger-reuse run re-simulates and
 #     rewrites it.
 #  2. Dashboard: launch a longer run with -http, assert the root path serves
-#     the self-contained dashboard page and that /events streams at least
-#     two SSE frames while the simulation is live.
+#     the self-contained dashboard page and that two reads of /live at least
+#     1.1 s apart carry the schema stamp and different cycle counts while the
+#     simulation is live.
 #
 # Needs curl and the go toolchain.
 set -eu
@@ -55,7 +56,7 @@ grep -q "^    \"Packets\": $packets,\$" "$REC" ||
 
 echo "$TAG: ledger ok ($(basename "$REC"))"
 
-# --- Phase 2: live dashboard + SSE -----------------------------------------
+# --- Phase 2: live dashboard + /live ---------------------------------------
 
 "$WORK/dxbar-sim" -measure 50000000 -http "127.0.0.1:$PORT" \
 	>/dev/null 2>"$WORK/sim.stderr" &
@@ -66,15 +67,23 @@ wait_healthz "$BASE" "$SIM_PID" "$WORK/sim.stderr"
 PAGE="$WORK/page.html"
 curl -sf "$BASE/" >"$PAGE"
 grep -q '<title>dxbar telemetry</title>' "$PAGE" || fail "/ is not serving the dashboard page"
-grep -q 'EventSource' "$PAGE" || fail "dashboard page has no EventSource wiring"
+grep -q 'fetch(' "$PAGE" || fail "dashboard page has no fetch polling"
 
-# /events must stream at least two SSE data frames while the run is live.
-# The hub emits one frame immediately on subscribe and then one per sampling
-# interval (1s), so 3 seconds is comfortably enough for two.
-FRAMES="$WORK/frames.txt"
-curl -sf --max-time 4 -N "$BASE/events" >"$FRAMES" 2>/dev/null || true
-frames=$(grep -c '^data: ' "$FRAMES" || true)
-[ "$frames" -ge 2 ] || fail "expected >=2 SSE frames from /events, got $frames" "$FRAMES"
-grep -q '"schema":1' "$FRAMES" || fail "SSE frames carry no schema stamp" "$FRAMES"
+# /live is read afresh on every GET: two reads more than a second apart must
+# both carry the schema stamp, and the cycle count must have moved between
+# them (the engine publishes every 64 cycles).
+LIVE1="$WORK/live1.json"
+LIVE2="$WORK/live2.json"
+curl -sf "$BASE/live" >"$LIVE1" || fail "GET /live failed"
+sleep 1.1
+curl -sf "$BASE/live" >"$LIVE2" || fail "GET /live failed"
+for f in "$LIVE1" "$LIVE2"; do
+	grep -q '"schema":2' "$f" || fail "/live frame carries no schema 2 stamp" "$f"
+done
+c1=$(sed -n 's/.*"cycles":\([0-9]*\),.*/\1/p' "$LIVE1")
+[ -n "$c1" ] || fail "/live frame has no cycle count" "$LIVE1"
+c2=$(sed -n 's/.*"cycles":\([0-9]*\),.*/\1/p' "$LIVE2")
+[ -n "$c2" ] || fail "/live frame has no cycle count" "$LIVE2"
+[ "$c1" != "$c2" ] || fail "/live read $c1 cycles twice, 1.1 s apart, on a live run" "$LIVE2"
 
-echo "$TAG: ok ($frames SSE frames, dashboard live at $BASE/)"
+echo "$TAG: ok (/live cycles $c1 -> $c2, dashboard live at $BASE/)"

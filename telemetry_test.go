@@ -1,7 +1,10 @@
 package dxbar
 
 import (
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -58,30 +61,39 @@ func TestStepZeroAllocTelemetry(t *testing.T) {
 }
 
 // TestStepZeroAllocObserved is the guard with the full observability stack
-// of this PR attached: an SSE hub with a live subscriber and the ledger
-// counter families registered on the same registry. The sampler goroutine
-// reads the registry on its own clock (held off here by a long interval so
-// its per-tick marshal does not pollute the process-global alloc counter);
-// the engine's cycle loop must stay allocation-free regardless.
+// attached: the ledger counter families registered on the same registry and
+// the /live endpoint read through metrics.Handler before and after the
+// counted window. The reads stay outside the window because
+// testing.AllocsPerRun counts the whole process's mallocs, and a read's JSON
+// encode would land in it; a read concurrent with a run is
+// TestShardMetricsScrapeRace's. The engine's cycle loop must stay
+// allocation-free, and the second read must see the cycles advance.
 func TestStepZeroAllocObserved(t *testing.T) {
 	net, reg := steadyTelemeteredNetwork(t, 0)
-	hub := metrics.NewSSEHub(reg, nil, metrics.SSEHubOptions{Interval: time.Hour})
-	defer hub.Close()
-	ch, cancel := hub.Subscribe()
-	defer cancel()
 	records, hits := ledgerMetrics(reg)
 	records.Add(1)
 	hits.Add(1)
+	live := metrics.Handler(reg, nil)
+	readLive := func() metrics.LiveFrame {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		live.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/live", nil))
+		var f metrics.LiveFrame
+		if err := json.Unmarshal(rec.Body.Bytes(), &f); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("GET /live = %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		return f
+	}
 
 	net.Engine.Run(3000)
+	before := readLive()
 	avg := testing.AllocsPerRun(5, func() { net.Engine.Run(200) })
 	if avg != 0 {
 		t.Errorf("%.2f allocations per 200-cycle observed run in steady state, want 0", avg)
 	}
-	// The subscriber is still live and the hub functional after the run.
-	hub.Close()
-	if _, ok := <-ch; ok {
-		t.Error("subscriber channel not closed by hub Close")
+	if after := readLive(); after.Cycles <= before.Cycles || after.LedgerRecords != 1 {
+		t.Errorf("/live read %d cycles (%d ledger records) after the window, %d before; want more cycles and 1 record",
+			after.Cycles, after.LedgerRecords, before.Cycles)
 	}
 }
 
@@ -98,8 +110,8 @@ func TestShardZeroAllocTelemetry(t *testing.T) {
 
 // TestShardMetricsScrapeRace scrapes the registry continuously while the
 // sharded engine runs on another goroutine — the race-detector guard for the
-// /metrics read path (atomics and the histogram mutex only, never engine
-// state). The name keeps it inside the Makefile's test-race matcher.
+// /metrics and /live read paths (atomics and the histogram mutex only, never
+// engine state). The name keeps it inside the Makefile's test-race matcher.
 func TestShardMetricsScrapeRace(t *testing.T) {
 	net, reg := steadyTelemeteredNetwork(t, 4)
 	done := make(chan struct{})
@@ -122,10 +134,17 @@ func TestShardMetricsScrapeRace(t *testing.T) {
 		if _, err := io.WriteString(io.Discard, b.String()); err != nil {
 			t.Fatal(err)
 		}
+		metrics.ReadLive(reg, nil)
 		scrapes++
 	}
 	if scrapes < 2 {
 		t.Errorf("only %d scrapes completed, want at least one mid-run", scrapes)
+	}
+	// Engine.Run publishes every DefaultPublishInterval cycles, so the frame
+	// trails the run by less than one interval.
+	if f := metrics.ReadLive(reg, nil); f.Cycles+metrics.DefaultPublishInterval <= 4000 || f.Cycles > 4000 {
+		t.Errorf("/live frame after the run reads %d cycles, want within %d of 4000",
+			f.Cycles, metrics.DefaultPublishInterval)
 	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
