@@ -53,7 +53,8 @@ lint:
 	fi
 
 # Shell census (ROADMAP item 5): where every exported root symbol, CLI flag,
-# diag/metrics option field and dxbar_* series is reached, and the non-test
+# diag/metrics option field and dxbar_* series is reached, the exported
+# internal/ names nothing outside their declaration reaches, and the non-test
 # line count per package. Informational — it reports, it does not gate.
 census:
 	@sh scripts/census.sh

@@ -224,10 +224,10 @@ func Rewind(path string, window uint64, trace int, mutate func(*Config)) (Result
 }
 
 // checkpointTracker records the most recent checkpoint path of a live run, so
-// the diag post-mortem bundle can point at it. The checkpoint hook and the
-// bundle writer both run at sequential points of the cycle loop, but the
-// tracker is also read by FinalDump after the run; a mutex keeps it safe
-// regardless of caller.
+// the diag post-mortem bundle can point at it. runFrom writes checkpoints
+// between Run calls and the bundle writer runs at sequential points of the
+// cycle loop, but the tracker is also read by FinalDump after the run; a
+// mutex keeps it safe regardless of caller.
 type checkpointTracker struct {
 	mu   sync.Mutex
 	path string

@@ -451,28 +451,6 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	})
 }
 
-// TestCheckpointZeroAllocBetweenWrites pins the steady-state cost of an armed
-// checkpoint hook: between writes the cycle loop must stay allocation-free
-// (the hook is a nil check and a compare per cycle).
-func TestCheckpointZeroAllocBetweenWrites(t *testing.T) {
-	mesh := topology.MustMesh(4, 4)
-	net, err := NewNetwork(NetworkOptions{
-		Design: DesignDXbar,
-		Mesh:   mesh,
-		Source: bernoulliSource(t, mesh, "UR", 0.25, 1, 21),
-		Stats:  stats.NewCollector(mesh.Nodes(), 64, 1<<30),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Engine.SetCheckpointHook(1<<40, func(uint64) {})
-	net.Engine.Run(3000)
-	avg := testing.AllocsPerRun(5, func() { net.Engine.Run(200) })
-	if avg != 0 {
-		t.Errorf("%.2f allocations per 200-cycle run with checkpointing armed, want 0", avg)
-	}
-}
-
 // TestRewindPartialWindowNormalized covers the unified partial-result path:
 // a rewind clipped to a window shorter than the remaining run must come back
 // renormalized (Truncate) even though Interrupted is unset — per-cycle rates

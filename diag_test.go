@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"dxbar/internal/diag"
@@ -89,11 +88,10 @@ func TestDiagForcedStarvation(t *testing.T) {
 		Diag: &diag.Config{
 			MaxFlitAge: 500,
 			Window:     128,
-			// Keep the other detectors out of the picture so the first
+			// Keep the stall watchdog out of the picture so the first
 			// anomaly — the one that auto-dumps — is deterministic.
-			StallCycles:   1 << 40,
-			StormMinCount: 1 << 40,
-			Registry:      reg,
+			StallCycles: 1 << 40,
+			Registry:    reg,
 		},
 	})
 
@@ -102,7 +100,7 @@ func TestDiagForcedStarvation(t *testing.T) {
 	}
 	for _, a := range res.Anomalies {
 		if a.Kind != diag.KindStarvation {
-			t.Errorf("unexpected anomaly kind %s (only starvation can fire here)", a.Kind)
+			t.Errorf("unexpected anomaly kind %s (the stall watchdog is off and a DXbar run stays under the default storm floor)", a.Kind)
 		}
 	}
 	first := res.Anomalies[0]
@@ -232,12 +230,10 @@ func TestDiagFaultLatency(t *testing.T) {
 // own DisableDiag still wins over them.
 func TestDiagDefaultsRouting(t *testing.T) {
 	dir := t.TempDir()
-	var fired atomic.Int64
 	opts := SweepOptions{
 		Diag: &diag.Config{
 			MaxFlitAge: 500, Window: 128,
-			StallCycles: 1 << 40, StormMinCount: 1 << 40,
-			OnAnomaly: func(diag.Anomaly) { fired.Add(1) },
+			StallCycles: 1 << 40,
 		},
 		DiagDir: dir,
 	}
@@ -252,7 +248,7 @@ func TestDiagDefaultsRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fired.Load() == 0 || len(res[0].Anomalies) == 0 || len(res[1].Anomalies) == 0 {
+	if len(res[0].Anomalies) == 0 || len(res[1].Anomalies) == 0 {
 		t.Fatal("the options' detector config did not reach every run")
 	}
 	if len(res[2].Anomalies) != 0 {

@@ -192,9 +192,10 @@ type Config struct {
 	// complete engine state into CheckpointDir (atomic write — a kill cannot
 	// leave a torn file), keeping the newest CheckpointKeep files. A resumed
 	// run (Resume, dxbar-sim -resume) continues bit-identically: its Result
-	// is byte-for-byte the uninterrupted run's. 0 disables checkpointing;
-	// between writes the cycle loop stays allocation-free (one nil check and
-	// one compare per cycle).
+	// is byte-for-byte the uninterrupted run's. 0 disables checkpointing. The
+	// run is cut into one Engine.Run per interval and each file is written
+	// between two of them, so the cycle loop itself carries no checkpoint
+	// code.
 	CheckpointInterval uint64
 	// CheckpointDir is the directory checkpoint files are written under
 	// (created if absent). Empty disables checkpointing.

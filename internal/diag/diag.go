@@ -144,9 +144,6 @@ type Config struct {
 	// counted in DroppedAnomalies, and the dxbar_anomaly_total counters are
 	// exact regardless).
 	MaxRecords int
-	// OnAnomaly, when non-nil, is called synchronously for every anomaly
-	// (after the record and metrics are updated).
-	OnAnomaly func(Anomaly)
 	// Logger, when non-nil, receives one structured Warn record per anomaly.
 	Logger *slog.Logger
 	// Registry, when non-nil, receives the dxbar_anomaly_total{kind}
@@ -361,8 +358,7 @@ func (m *Monitor) ObserveWindow(s WindowSample) {
 }
 
 // fire records one anomaly: counters, the bounded record slice, the metric,
-// the structured log record, the callback, and — once — the automatic
-// post-mortem dump.
+// the structured log record, and — once — the automatic post-mortem dump.
 func (m *Monitor) fire(a Anomaly) {
 	m.counts[a.Kind]++
 	m.anomalyTotal[a.Kind].Add(1)
@@ -375,9 +371,6 @@ func (m *Monitor) fire(a Anomaly) {
 		l.Warn("anomaly detected",
 			"kind", a.Kind.String(), "cycle", a.Cycle, "node", a.Node,
 			"packet", a.PacketID, "value", a.Value, "baseline", a.Baseline)
-	}
-	if m.cfg.OnAnomaly != nil {
-		m.cfg.OnAnomaly(a)
 	}
 	if m.dump != nil && !m.dumped {
 		m.dumped = true

@@ -3,6 +3,7 @@ package diag
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,10 +89,11 @@ func TestStarvationWatermark(t *testing.T) {
 }
 
 // TestStormDetectors: a window's deflection/retransmission count fires only
-// when it clears both the absolute floor and the factor over the trailing
-// per-window mean; the first window only seeds the baseline.
+// when it clears both the absolute floor (DefaultStormMinCount, 512) and the
+// factor (DefaultStormFactor, 8) over the trailing per-window mean; the first
+// window only seeds the baseline.
 func TestStormDetectors(t *testing.T) {
-	m := NewMonitor(Config{Window: 64, StormFactor: 4, StormMinCount: 100}, 4)
+	m := NewMonitor(Config{Window: 64}, 4)
 	// Window 1: huge count, but no baseline yet — seeds only.
 	m.ObserveWindow(WindowSample{Cycle: 63, OldestNode: -1, Deflected: 1000, Retransmits: 10})
 	if got := m.AnomalyCount(KindDeflectStorm); got != 0 {
@@ -102,17 +104,17 @@ func TestStormDetectors(t *testing.T) {
 	if got := m.AnomalyCount(KindDeflectStorm); got != 0 {
 		t.Fatalf("deflect storm fired at the steady rate (%d)", got)
 	}
-	// Window 3: delta 8000 vs mean 1000 — an 8x spike over a 4x factor.
-	m.ObserveWindow(WindowSample{Cycle: 191, OldestNode: -1, Deflected: 10000, Retransmits: 30})
+	// Window 3: delta 9000 vs mean 1000 — a 9x spike over the 8x factor.
+	m.ObserveWindow(WindowSample{Cycle: 191, OldestNode: -1, Deflected: 11000, Retransmits: 110})
 	if got := m.AnomalyCount(KindDeflectStorm); got != 1 {
-		t.Fatalf("deflect storm at 8x baseline = %d, want 1", got)
+		t.Fatalf("deflect storm at 9x baseline = %d, want 1", got)
 	}
-	// Retransmits spiked too (10/window -> 10), but under StormMinCount.
+	// Retransmits spiked too (10/window -> 90, 9x), but under the floor.
 	if got := m.AnomalyCount(KindRetransmitStorm); got != 0 {
 		t.Fatalf("retransmit storm fired under the absolute floor (%d)", got)
 	}
-	// Window 4: retransmit delta 970 vs mean 10 — fires.
-	m.ObserveWindow(WindowSample{Cycle: 255, OldestNode: -1, Deflected: 10100, Retransmits: 1000})
+	// Window 4: retransmit delta 890 vs mean 110/3 — fires.
+	m.ObserveWindow(WindowSample{Cycle: 255, OldestNode: -1, Deflected: 11100, Retransmits: 1000})
 	if got := m.AnomalyCount(KindRetransmitStorm); got != 1 {
 		t.Fatalf("retransmit storm = %d, want 1", got)
 	}
@@ -123,8 +125,8 @@ func TestStormDetectors(t *testing.T) {
 			storm = a
 		}
 	}
-	if storm.Value != 8000 || storm.Baseline != 1000 {
-		t.Fatalf("deflect storm record %+v, want value 8000 over baseline 1000", storm)
+	if storm.Value != 9000 || storm.Baseline != 1000 {
+		t.Fatalf("deflect storm record %+v, want value 9000 over baseline 1000", storm)
 	}
 }
 
@@ -182,32 +184,27 @@ func TestFaultDetectionLatency(t *testing.T) {
 // record slice is bounded, and the overflow is reported.
 func TestAnomalyMetricsAndRecords(t *testing.T) {
 	reg := metrics.NewRegistry()
-	var cb int
-	m := NewMonitor(Config{
-		StallCycles: 10, MaxRecords: 2, Registry: reg,
-		OnAnomaly: func(Anomaly) { cb++ },
-	}, 4)
-	// Five threshold intervals with flits in flight and no ejections.
-	for c := uint64(0); c <= 50; c++ {
+	m := NewMonitor(Config{StallCycles: 10, Registry: reg}, 4)
+	// Three threshold intervals past the default cap, with flits in flight
+	// and no ejections.
+	const stalls = DefaultMaxRecords + 3
+	for c := uint64(0); c <= 10*stalls; c++ {
 		m.ObserveCycle(c, 0, 1)
 	}
-	if got := m.AnomalyCount(KindStall); got != 5 {
-		t.Fatalf("stall count = %d, want 5", got)
+	if got := m.AnomalyCount(KindStall); got != stalls {
+		t.Fatalf("stall count = %d, want %d", got, stalls)
 	}
-	if got := len(m.Anomalies()); got != 2 {
-		t.Fatalf("records kept = %d, want cap 2", got)
+	if got := len(m.Anomalies()); got != DefaultMaxRecords {
+		t.Fatalf("records kept = %d, want cap %d", got, DefaultMaxRecords)
 	}
 	if got := m.DroppedAnomalies(); got != 3 {
 		t.Fatalf("dropped = %d, want 3", got)
-	}
-	if cb != 5 {
-		t.Fatalf("OnAnomaly calls = %d, want 5 (callback runs past the cap)", cb)
 	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := MetricAnomalies + `{kind="stall"} 5`; !strings.Contains(buf.String(), want) {
+	if want := fmt.Sprintf(`%s{kind="stall"} %d`, MetricAnomalies, stalls); !strings.Contains(buf.String(), want) {
 		t.Errorf("exposition missing %q:\n%s", want, buf.String())
 	}
 }

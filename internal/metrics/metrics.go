@@ -170,7 +170,6 @@ type series struct {
 	floatCounter *FloatCounter
 	gauge        *Gauge
 	floatGauge   *FloatGauge
-	gaugeFn      func() float64
 	hist         *Histogram
 }
 
@@ -318,7 +317,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 		return nil
 	}
 	return r.lookup(name, help, kindGauge, labels, func(s *series) {
-		if s.gauge == nil && s.floatGauge == nil && s.gaugeFn == nil {
+		if s.gauge == nil && s.floatGauge == nil {
 			s.gauge = &Gauge{}
 		}
 	}).gauge
@@ -330,24 +329,10 @@ func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
 		return nil
 	}
 	return r.lookup(name, help, kindGauge, labels, func(s *series) {
-		if s.floatGauge == nil && s.gauge == nil && s.gaugeFn == nil {
+		if s.floatGauge == nil && s.gauge == nil {
 			s.floatGauge = &FloatGauge{}
 		}
 	}).floatGauge
-}
-
-// GaugeFunc registers a gauge whose value is computed by fn at scrape time.
-// fn must be safe for concurrent calls. Re-registering the same (name,
-// labels) keeps the first function.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.lookup(name, help, kindGauge, labels, func(s *series) {
-		if s.gaugeFn == nil && s.gauge == nil && s.floatGauge == nil {
-			s.gaugeFn = fn
-		}
-	})
 }
 
 // Histogram returns the histogram for (name, labels), creating it with the

@@ -24,7 +24,6 @@ func TestNilRegistryHandles(t *testing.T) {
 	fg.Set(2.5)
 	fg.Add(0.5)
 	h.Update([]uint64{1}, 1, 1)
-	r.GaugeFunc("fn", "h", func() float64 { return 1 })
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatalf("nil registry WritePrometheus: %v", err)
 	}

@@ -45,8 +45,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, "", s.labels, "", strconv.FormatInt(s.gauge.Value(), 10))
 			case s.floatGauge != nil:
 				writeSample(bw, f.name, "", s.labels, "", formatFloat(s.floatGauge.Value()))
-			case s.gaugeFn != nil:
-				writeSample(bw, f.name, "", s.labels, "", formatFloat(s.gaugeFn()))
 			case s.hist != nil:
 				var count uint64
 				var sum float64

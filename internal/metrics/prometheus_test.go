@@ -30,7 +30,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	g.Set(-3) // gauges may legitimately transit below zero mid-detach
 	fg := r.FloatGauge("dxbar_shard_imbalance_ratio", "Max/mean shard busy time.")
 	fg.Set(1.0625)
-	r.GaugeFunc("dxbar_goroutines", "Live goroutines.", func() float64 { return 7 })
 	h := r.Histogram("dxbar_packet_latency_cycles", "Packet latency in cycles.",
 		[]float64{8, 16, 32, 64})
 	h.Update([]uint64{2, 0, 5, 1}, 8, 333)

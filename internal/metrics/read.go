@@ -20,8 +20,6 @@ func (s *series) value() float64 {
 		return float64(s.gauge.Value())
 	case s.floatGauge != nil:
 		return s.floatGauge.Value()
-	case s.gaugeFn != nil:
-		return s.gaugeFn()
 	}
 	return 0
 }

@@ -71,8 +71,6 @@ type SimTelemetryOptions struct {
 	// LatencyBounds are the latency histogram's bucket upper bounds
 	// (stats.LatencyBucketUppers). Empty disables the latency series.
 	LatencyBounds []float64
-	// Interval overrides DefaultPublishInterval (cycles between publishes).
-	Interval uint64
 	// Progress, when non-nil, is advanced to the engine's cycle count at
 	// every publish (the /progress source for single runs).
 	Progress *Progress
@@ -105,7 +103,6 @@ type SimGauges struct {
 // and the engine publishes unconditionally. With a non-nil SimTelemetry over
 // a nil Registry only Progress is maintained.
 type SimTelemetry struct {
-	interval    uint64
 	nextPublish uint64
 
 	progress *Progress
@@ -131,14 +128,10 @@ type SimTelemetry struct {
 // publication handle. r may be nil (progress-only telemetry).
 func NewSimTelemetry(r *Registry, o SimTelemetryOptions) *SimTelemetry {
 	t := &SimTelemetry{
-		interval: o.Interval,
-		progress: o.Progress,
-		rateWall: time.Now(),
+		nextPublish: DefaultPublishInterval - 1,
+		progress:    o.Progress,
+		rateWall:    time.Now(),
 	}
-	if t.interval == 0 {
-		t.interval = DefaultPublishInterval
-	}
-	t.nextPublish = t.interval - 1
 	for i, row := range simCounters {
 		t.counters[i] = r.Counter(row.name, row.help)
 	}
@@ -189,7 +182,7 @@ func (t *SimTelemetry) OnPublish(c uint64, read func(source string) uint64, g Si
 	if t == nil {
 		return
 	}
-	t.nextPublish = c + t.interval
+	t.nextPublish = c + DefaultPublishInterval
 
 	for i, row := range simCounters {
 		now := read(row.source)

@@ -35,7 +35,7 @@ func TestSimTelemetryCounterDeltas(t *testing.T) {
 		seen[row.name], seen[row.source] = true, true
 		t.Run(row.name, func(t *testing.T) {
 			r := NewRegistry()
-			st := NewSimTelemetry(r, SimTelemetryOptions{Interval: 8})
+			st := NewSimTelemetry(r, SimTelemetryOptions{})
 			var running uint64 // this row's total; every other source reads 0
 			read := func(source string) uint64 {
 				if source == row.source {
@@ -45,7 +45,7 @@ func TestSimTelemetryCounterDeltas(t *testing.T) {
 			}
 			series := r.Counter(row.name, "")
 			publishes := 0
-			for c := uint64(0); c < 20; c++ {
+			for c := uint64(0); c < 150; c++ {
 				running += 3
 				if !st.PublishDue(c) {
 					continue
@@ -56,13 +56,13 @@ func TestSimTelemetryCounterDeltas(t *testing.T) {
 					t.Fatalf("cycle %d: series = %d right after a publish, want the total %d", c, got, running)
 				}
 			}
-			if publishes != 2 { // cycles 7 and 15
-				t.Fatalf("%d publishes in 20 cycles at interval 8, want 2", publishes)
+			if publishes != 2 { // cycles 63 and 127
+				t.Fatalf("%d publishes in 150 cycles at interval 64, want 2", publishes)
 			}
-			if got := series.Value(); got != 48 {
-				t.Fatalf("series = %d between publishes, want 48 (the total at cycle 15)", got)
+			if got := series.Value(); got != 384 {
+				t.Fatalf("series = %d between publishes, want 384 (the total at cycle 127)", got)
 			}
-			st.OnPublish(20, read, SimGauges{}, nil, nil) // the flush
+			st.OnPublish(150, read, SimGauges{}, nil, nil) // the flush
 			if got := series.Value(); got != running {
 				t.Fatalf("series = %d after the flush, want exactly %d", got, running)
 			}
@@ -76,19 +76,20 @@ func TestSimTelemetryCounterDeltas(t *testing.T) {
 }
 
 func TestSimTelemetryPublishInterval(t *testing.T) {
-	st := NewSimTelemetry(NewRegistry(), SimTelemetryOptions{Interval: 8})
-	if st.PublishDue(0) {
-		t.Fatal("cycle 0 must not be due with interval 8")
+	const n = DefaultPublishInterval
+	st := NewSimTelemetry(NewRegistry(), SimTelemetryOptions{})
+	if st.PublishDue(0) || st.PublishDue(n-2) {
+		t.Fatalf("cycles 0 and %d must not be due with interval %d", n-2, n)
 	}
-	if !st.PublishDue(7) {
-		t.Fatal("cycle 7 must be due with interval 8")
+	if !st.PublishDue(n - 1) {
+		t.Fatalf("cycle %d must be due with interval %d", n-1, n)
 	}
-	st.OnPublish(7, noTotals, SimGauges{}, nil, nil)
-	if st.PublishDue(8) {
-		t.Fatal("cycle 8 must not be due right after a publish at 7")
+	st.OnPublish(n-1, noTotals, SimGauges{}, nil, nil)
+	if st.PublishDue(n) {
+		t.Fatalf("cycle %d must not be due right after a publish at %d", n, n-1)
 	}
-	if !st.PublishDue(15) {
-		t.Fatal("cycle 15 must be due")
+	if !st.PublishDue(2*n - 1) {
+		t.Fatalf("cycle %d must be due", 2*n-1)
 	}
 }
 

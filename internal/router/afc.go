@@ -1,9 +1,9 @@
 package router
 
 import (
+	"math/bits"
 	"sync/atomic"
 
-	"dxbar/internal/events"
 	"dxbar/internal/flit"
 	"dxbar/internal/routing"
 	"dxbar/internal/sim"
@@ -35,14 +35,11 @@ type AFC struct {
 	ctrl *AFCController
 
 	// buf is the buffered mode: a Buffered 4 pipeline (input bank, separable
-	// allocator, routing table) that this router drives with the controller's
-	// injection gate and flit census. The bufferless mode shares its env and
-	// table.
+	// allocator, routing table); bless is the bufferless mode, a Flit-Bless
+	// router on the same env and table. This router drives whichever the
+	// controller selects with its injection gate and flit census.
 	buf   Buffered
-	links int // the node's link count
-
-	// Per-Step scratch, reused across cycles.
-	arrivals [flit.NumPorts]*flit.Flit
+	bless Bless
 }
 
 // AFC controller states.
@@ -102,9 +99,6 @@ func NewAFCController(nodes int) *AFCController {
 // Buffered reports whether the network is currently in buffered mode.
 func (c *AFCController) Buffered() bool { return c.mode == afcModeBuffered }
 
-// Draining reports whether a mode transition is in progress.
-func (c *AFCController) Draining() bool { return c.draining }
-
 // InjectionAllowed reports whether sources may inject this cycle.
 func (c *AFCController) InjectionAllowed() bool { return !c.draining }
 
@@ -160,10 +154,12 @@ func NewAFC(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) *AFC {
 }
 
 // Init builds the router in place, as NewAFC does on a fresh allocation;
-// like Buffered.Init it allocates nothing.
+// like Buffered.Init it allocates nothing (the bufferless mode reuses the
+// buffered mode's table).
 func (a *AFC) Init(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) {
-	*a = AFC{ctrl: ctrl, links: env.Mesh().LinkCount(env.Node)}
+	*a = AFC{ctrl: ctrl}
 	a.buf.Init(env, algo, false)
+	a.bless.Init(env, a.buf.table)
 }
 
 // Step implements sim.Router. It reports quiescent when the input FIFOs are
@@ -173,88 +169,31 @@ func (a *AFC) Init(env *sim.Env, algo routing.Algorithm, ctrl *AFCController) {
 // is what a drain barrier leaves waiting — is kept awake by the engine's own
 // rule.
 func (a *AFC) Step(cycle uint64) (quiescent bool) {
+	var injected, ejected bool
 	if a.ctrl.Buffered() || a.buf.bank.nonEmpty != 0 {
 		// Buffered mode — and the tail of a buffered→bufferless drain,
 		// where leftover buffered flits still leave through the allocator.
-		// The census moves at the network's edges: in at the PE, out at Local.
-		injected, ejected := a.buf.step(cycle, a.ctrl.InjectionAllowed())
-		if injected {
-			a.ctrl.netFlits.Add(1)
-			a.ctrl.windowInjections.Add(1)
-		}
-		if ejected {
-			a.ctrl.netFlits.Add(-1)
-		}
+		injected, ejected = a.buf.step(cycle, a.ctrl.InjectionAllowed())
 	} else {
-		a.stepBufferless(cycle)
+		// Bufferless mode consumes every arrival in its arrival cycle, so
+		// the buffer slot its credit paid for is never used: return it now.
+		env := a.buf.env
+		for m := env.InMask; m != 0; m &= m - 1 {
+			env.ReturnCredit(flit.Port(bits.TrailingZeros8(m)))
+		}
+		var deflected int64
+		injected, ejected, deflected = a.bless.step(cycle, a.ctrl.InjectionAllowed())
+		if deflected != 0 {
+			a.ctrl.windowDeflections.Add(deflected)
+		}
+	}
+	// The census moves at the network's edges: in at the PE, out at Local.
+	if injected {
+		a.ctrl.netFlits.Add(1)
+		a.ctrl.windowInjections.Add(1)
+	}
+	if ejected {
+		a.ctrl.netFlits.Add(-1)
 	}
 	return a.buf.bank.nonEmpty == 0
-}
-
-// stepBufferless is Flit-Bless switching with AFC accounting.
-func (a *AFC) stepBufferless(cycle uint64) {
-	env := a.buf.env
-
-	arrivals := a.arrivals[:0]
-	for p := flit.North; p <= flit.West; p++ {
-		if f := env.In[p]; f != nil {
-			env.In[p] = nil
-			env.ReturnCredit(p) // consumed this cycle, slot never used
-			arrivals = append(arrivals, f)
-		}
-	}
-	env.InMask = 0
-
-	var injectee *flit.Flit
-	if len(arrivals) < a.links && a.ctrl.InjectionAllowed() {
-		if f := env.InjectionHead(); f != nil {
-			arrivals = append(arrivals, f)
-			injectee = f
-		}
-	}
-
-	flit.SortByAge(arrivals)
-	free := env.FreeOutMask()
-	for _, f := range arrivals {
-		out := a.deflectionAssign(f, free, cycle)
-		if out == flit.Invalid {
-			panic("router: afc bufferless mode failed to assign an output")
-		}
-		if f == injectee {
-			env.ConsumeInjection(cycle)
-			a.ctrl.netFlits.Add(1)
-			a.ctrl.windowInjections.Add(1)
-		}
-		if out == flit.Local {
-			a.ctrl.netFlits.Add(-1)
-		}
-		free &^= 1 << uint(out)
-		send(env, a.buf.table, out, f, cycle)
-	}
-}
-
-// deflectionAssign picks the Flit-Bless-style output for f from the
-// free-output bitmask (never Invalid for a legal candidate count, by the
-// port-counting argument).
-func (a *AFC) deflectionAssign(f *flit.Flit, free uint8, cycle uint64) flit.Port {
-	env := a.buf.env
-	node := env.Node
-	if int(f.Dst) == node && free&(1<<uint(flit.Local)) != 0 {
-		return flit.Local
-	}
-	order := a.buf.table.DeflectionAt(node, int(f.Dst))
-	prodLen := a.buf.table.ProductiveLenAt(node, int(f.Dst))
-	for i := 0; i < order.Len(); i++ {
-		p := order.At(i)
-		if free&(1<<uint(p)) != 0 {
-			if int(f.Dst) == node || i >= prodLen {
-				f.Deflections++
-				a.ctrl.windowDeflections.Add(1)
-				env.Stats().DeflectedFlit()
-				env.Events().Record(cycle, events.Deflect, node, p, f.PacketID, f.ID, int32(f.Deflections))
-			}
-			return p
-		}
-	}
-	return flit.Invalid
 }

@@ -113,20 +113,20 @@ func TestAFCDrainBarrierLosesNothing(t *testing.T) {
 
 func TestAFCControllerHysteresis(t *testing.T) {
 	c := NewAFCController(64)
-	if c.Buffered() || c.Draining() || !c.InjectionAllowed() {
+	if c.Buffered() || !c.InjectionAllowed() {
 		t.Fatal("fresh controller state wrong")
 	}
 	// Quiet window: no switch.
 	c.Tick(0)
 	c.Tick(AFCWindow + 1)
-	if c.Draining() {
+	if !c.InjectionAllowed() {
 		t.Fatal("quiet network must not start a transition")
 	}
 	// Hot window: deflections above threshold start a drain.
 	hot := AFCOnDeflectionRate * 64 * AFCWindow
 	c.windowDeflections.Store(int64(hot) + 1)
 	c.Tick(2*AFCWindow + 2)
-	if !c.Draining() || !c.Buffered() == false {
+	if c.InjectionAllowed() || c.Buffered() {
 		// Draining toward buffered but not yet flipped.
 		if c.Buffered() {
 			t.Fatal("mode must not flip before the drain completes")
@@ -138,7 +138,7 @@ func TestAFCControllerHysteresis(t *testing.T) {
 	// Drain completes when the network is empty.
 	c.netFlits.Store(0)
 	c.Tick(2*AFCWindow + 3)
-	if !c.Buffered() || c.Draining() {
+	if !c.Buffered() || !c.InjectionAllowed() {
 		t.Fatal("drain completion must flip the mode")
 	}
 	if c.ModeSwitches != 1 {

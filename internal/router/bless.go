@@ -59,6 +59,15 @@ func (b *Bless) Init(env *sim.Env, algo routing.Algorithm) {
 // register or timer, so a Step with nothing latched and nothing queued (the
 // engine checks the queue) touches no state.
 func (b *Bless) Step(cycle uint64) (quiescent bool) {
+	b.step(cycle, true)
+	return true
+}
+
+// step is one cycle of deflection switching. inject gates the PE injection
+// port (AFC closes it during a drain); the results report whether a flit
+// entered the network from the PE, whether one left it at Local, and how
+// many flits were deflected this cycle.
+func (b *Bless) step(cycle uint64, inject bool) (injected, ejected bool, deflected int64) {
 	env := b.env
 	ps := &b.cands
 	ps.Reset()
@@ -72,7 +81,7 @@ func (b *Bless) Step(cycle uint64) (quiescent bool) {
 	// Injection rule: a free input slot this cycle admits one new flit,
 	// which then competes as the youngest candidate.
 	var injectee *flit.Flit
-	if ps.N < b.links {
+	if inject && ps.N < b.links {
 		if f := env.InjectionHead(); f != nil {
 			injectee = f
 			ps.Add(f, flit.Local)
@@ -85,29 +94,35 @@ func (b *Bless) Step(cycle uint64) (quiescent bool) {
 	for i := 0; i < ps.N; i++ {
 		s := ps.Order[i]
 		f := ps.Flits[s]
-		assigned := b.assign(f, int(ps.Dst[s]), free, cycle)
+		assigned, deflect := b.assign(f, int(ps.Dst[s]), free, cycle)
 		if assigned == flit.Invalid {
 			// Unreachable by the port-counting argument (candidates never
 			// exceed available outputs); keep the invariant loud.
 			panic("router: bless failed to assign an output port")
 		}
+		if deflect {
+			deflected++
+		}
 		if f == injectee {
 			env.ConsumeInjection(cycle)
+			injected = true
 		}
+		ejected = ejected || assigned == flit.Local
 		free &^= 1 << uint(assigned)
 		send(env, b.table, assigned, f, cycle)
 	}
-	return true
+	return injected, ejected, deflected
 }
 
 // assign picks the output port for f from the free-output bitmask: Local
 // when it has arrived and the ejection port is free, otherwise the first free
-// port in deflection order.
-func (b *Bless) assign(f *flit.Flit, dst int, free uint8, cycle uint64) flit.Port {
+// port in deflection order. The second result reports a non-productive pick
+// (a deflection).
+func (b *Bless) assign(f *flit.Flit, dst int, free uint8, cycle uint64) (flit.Port, bool) {
 	env := b.env
 	node := env.Node
 	if dst == node && free&(1<<uint(flit.Local)) != 0 {
-		return flit.Local
+		return flit.Local, false
 	}
 	order := b.table.DeflectionAt(node, dst)
 	prodLen := b.table.ProductiveLenAt(node, dst)
@@ -120,9 +135,10 @@ func (b *Bless) assign(f *flit.Flit, dst int, free uint8, cycle uint64) flit.Por
 				f.Deflections++
 				env.Stats().DeflectedFlit()
 				env.Events().Record(cycle, events.Deflect, node, p, f.PacketID, f.ID, int32(f.Deflections))
+				return p, true
 			}
-			return p
+			return p, false
 		}
 	}
-	return flit.Invalid
+	return flit.Invalid, false
 }

@@ -261,7 +261,7 @@ func TestRouterStepTelemetry(t *testing.T) {
 				Design: dxbar.DesignDXbar, Mesh: mesh, Shards: shards,
 				Source:    &sim.SourceAdapter{B: bern},
 				Stats:     stats.NewCollector(mesh.Nodes(), 0, 1<<40),
-				Telemetry: metrics.NewSimTelemetry(reg, metrics.SimTelemetryOptions{Shards: shards, Interval: 16}),
+				Telemetry: metrics.NewSimTelemetry(reg, metrics.SimTelemetryOptions{Shards: shards}),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -430,8 +430,8 @@ func checkConsumed(env *Env, node int, c uint64) {
 // The spin stage is skipped when the tiles outnumber the processors: there a
 // waiter's processor is what another tile is waiting for, and a yield hands
 // it over at once, so the run makes progress on any GOMAXPROCS, 1 included.
-// And every stage is bounded, so a coordinator busy in a checkpoint hook or a
-// RunUntil predicate finds its workers parked, not burning CPU.
+// And every stage is bounded, so a coordinator busy in a RunUntil predicate
+// finds its workers parked, not burning CPU.
 const (
 	barrierSpin   = 100 * time.Microsecond
 	barrierYields = 1024

@@ -198,15 +198,6 @@ type Engine struct {
 	// the design but not to any single node, serialized once per snapshot.
 	shared []SharedState
 
-	// Checkpoint hook: when ckptFn is non-nil, Run invokes it after the step
-	// that reaches nextCkpt, then advances nextCkpt by ckptEvery. The hook
-	// runs between cycles, where the engine's transient state (output
-	// latches, staged shard side effects) is empty — the only point a
-	// snapshot is taken.
-	ckptFn    func(cycle uint64)
-	ckptEvery uint64
-	nextCkpt  uint64
-
 	cycle uint64
 }
 
@@ -634,7 +625,6 @@ func (e *Engine) Reset(cfg Config, factory RouterFactory) error {
 	}
 	e.wheel.reset()
 	e.shared = e.shared[:0]
-	e.ckptFn, e.ckptEvery, e.nextCkpt = nil, 0, 0
 	e.wireCollectors()
 	for i, env := range e.envs {
 		env.reset()
@@ -668,7 +658,7 @@ func (e *Engine) Run(n uint64) { e.run(n, nil) }
 
 // RunUntil advances the engine until pred returns true (checked after every
 // cycle) or maxCycles elapse; it reports whether pred fired. Like Run it
-// stops early on a stop request and drives the checkpoint hook.
+// stops early on a stop request.
 func (e *Engine) RunUntil(pred func() bool, maxCycles uint64) bool {
 	return e.run(maxCycles, pred)
 }
@@ -686,32 +676,11 @@ func (e *Engine) run(n uint64, pred func() bool) bool {
 			return false
 		}
 		e.Step()
-		if e.ckptFn != nil && e.cycle == e.nextCkpt {
-			e.ckptFn(e.cycle)
-			e.nextCkpt += e.ckptEvery
-		}
 		if pred != nil && pred() {
 			return true
 		}
 	}
 	return false
-}
-
-// SetCheckpointHook arranges for fn to run inside Run after every step that
-// lands on a multiple of every cycles — the inter-cycle point where a
-// snapshot captures the complete engine state. The steady-state cost with
-// checkpointing enabled is one nil check and one compare per cycle; fn itself
-// may allocate (it serializes). Pass every = 0 or fn = nil to disable. On a
-// resumed engine the next checkpoint is the first multiple of every strictly
-// after the restored cycle.
-func (e *Engine) SetCheckpointHook(every uint64, fn func(cycle uint64)) {
-	if every == 0 || fn == nil {
-		e.ckptFn, e.ckptEvery, e.nextCkpt = nil, 0, 0
-		return
-	}
-	e.ckptFn = fn
-	e.ckptEvery = every
-	e.nextCkpt = (e.cycle/every + 1) * every
 }
 
 // QueuedFlits returns the total number of flits waiting in injection queues

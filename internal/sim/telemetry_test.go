@@ -104,17 +104,16 @@ func (r *passthroughXY) route(f *flit.Flit) flit.Port {
 func TestTelemetryPublishesCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tel := metrics.NewSimTelemetry(reg, metrics.SimTelemetryOptions{
-		Interval:      16,
 		LatencyBounds: stats.LatencyBucketUppers(),
 	})
 	eng, coll := telemetryEngine(t, 1, tel)
 	// Counters publish once per interval (every row's source resolves on a
 	// real engine, or the first publish panics) and exactly on the flush.
-	eng.Run(40)
-	if got, _ := reg.Value(metrics.MetricCycles); got != 32 {
-		t.Errorf("cycles counter = %v after 40 cycles at interval 16, want 32 (the last publish)", got)
+	eng.Run(100)
+	if got, _ := reg.Value(metrics.MetricCycles); got != metrics.DefaultPublishInterval {
+		t.Errorf("cycles counter = %v after 100 cycles, want %d (the last publish)", got, metrics.DefaultPublishInterval)
 	}
-	eng.Run(160)
+	eng.Run(100)
 	eng.FlushTelemetry()
 	for name, want := range map[string]uint64{
 		metrics.MetricInjectedFlits: coll.Total("totalGenerated"), metrics.MetricEjectedFlits: coll.TotalEjected(),
@@ -153,7 +152,7 @@ func TestTelemetryPublishesCounters(t *testing.T) {
 
 func TestTelemetryShardProfile(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tel := metrics.NewSimTelemetry(reg, metrics.SimTelemetryOptions{Shards: 2, Interval: 16})
+	tel := metrics.NewSimTelemetry(reg, metrics.SimTelemetryOptions{Shards: 2})
 	eng, _ := telemetryEngine(t, 2, tel)
 	if eng.Shards() != 2 {
 		t.Fatalf("shards = %d, want 2", eng.Shards())
@@ -210,7 +209,7 @@ func TestTelemetrySurvivesReset(t *testing.T) {
 			Stats:  stats.NewCollector(mesh.Nodes(), 0, 10000),
 			Source: &SourceAdapter{B: testBernoulli(t, mesh)},
 			Telemetry: metrics.NewSimTelemetry(metrics.NewRegistry(),
-				metrics.SimTelemetryOptions{Shards: 2, Interval: 16}),
+				metrics.SimTelemetryOptions{Shards: 2}),
 			Shards: 2,
 		}
 	}

@@ -280,27 +280,18 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 		}
 	}
 
-	// Periodic checkpointing. The hook is one nil check and one compare per
-	// cycle between writes. A directory that cannot be created fails the run
-	// here, like a misconfigured ledger; a write that fails later logs and the
-	// run continues — a full disk should cost the safety net, not the
+	// Periodic checkpointing. A directory that cannot be created fails the
+	// run here, like a misconfigured ledger; a write that fails later logs and
+	// the run continues — a full disk should cost the safety net, not the
 	// simulation.
 	var ckptTrack *checkpointTracker
+	var every uint64 // 0: no checkpoints
 	if cfg.CheckpointInterval > 0 && cfg.CheckpointDir != "" {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return Result{}, fmt.Errorf("dxbar: checkpoint directory %s: %w", cfg.CheckpointDir, err)
 		}
+		every = cfg.CheckpointInterval
 		ckptTrack = &checkpointTracker{}
-		net.Engine.SetCheckpointHook(cfg.CheckpointInterval, func(cyc uint64) {
-			path, err := writeCheckpoint(cfg.CheckpointDir, cfg.CheckpointKeep, cfg, cyc, net.Engine)
-			if err != nil {
-				if dg.logger != nil {
-					dg.logger.Error("checkpoint write failed", "dir", cfg.CheckpointDir, "cycle", cyc, "err", err)
-				}
-				return
-			}
-			ckptTrack.set(path)
-		})
 	}
 	// The bundle writer closes over the live network, so it installs after
 	// the network exists; anomalies before the first detector window cannot
@@ -312,10 +303,29 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 	if ck != nil && rewindWindow > 0 {
 		stop = min(stop, ck.Cycle+rewindWindow)
 	}
-	// One leg for warmup and measurement: the collector's window decides
-	// which cycles' events count.
-	if cyc := net.Engine.Cycle(); stop > cyc {
-		net.Engine.Run(stop - cyc)
+	// One leg for warmup and measurement (the collector's window decides
+	// which cycles' events count), cut at every multiple of the checkpoint
+	// interval: a checkpoint is written between two Run calls, where the
+	// engine's transient state (output latches, staged shard side effects) is
+	// empty. A resumed engine's first checkpoint is the first multiple
+	// strictly after the restored cycle. A stop request ends a leg short of
+	// its mark, which ends the run.
+	for cyc := net.Engine.Cycle(); cyc < stop; {
+		mark := stop
+		if every > 0 {
+			mark = min(stop, (cyc/every+1)*every)
+		}
+		net.Engine.Run(mark - cyc)
+		if cyc = net.Engine.Cycle(); cyc != mark {
+			break
+		}
+		if every > 0 && cyc%every == 0 {
+			if path, err := writeCheckpoint(cfg.CheckpointDir, cfg.CheckpointKeep, cfg, cyc, net.Engine); err == nil {
+				ckptTrack.set(path)
+			} else if dg.logger != nil {
+				dg.logger.Error("checkpoint write failed", "dir", cfg.CheckpointDir, "cycle", cyc, "err", err)
+			}
+		}
 	}
 
 	window := coll.EnergyCounts()

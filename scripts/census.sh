@@ -4,10 +4,11 @@
 # under internal/diag and internal/metrics and every dxbar_* metric series,
 # print where it is reached — cmd/, examples/, scripts/ (with the Makefile and
 # CI), benchmark/, the user-facing *.md — or "tests only", or "nowhere"; then
-# the non-test Go line count per package. A name reached only from its own
-# package and tests is a candidate to check, not a verdict: read the code
-# before deleting. Informational: always exits 0. Run from the repository root
-# (`make census`); needs git, grep and awk.
+# the exported names of internal/ packages that no non-test Go line reaches
+# outside their declaration; then the non-test Go line count per package. A
+# name reached only from its own package and tests is a candidate to check, not
+# a verdict: read the code before deleting. Informational: always exits 0. Run
+# from the repository root (`make census`); needs git, grep and awk.
 set -u
 
 DOCS="README.md EXPERIMENTS.md DESIGN.md METRICS.md benchmark/README.md"
@@ -74,6 +75,34 @@ echo "== metric series =="
 git grep -ohE '"dxbar_[a-z0-9_]+"' -- 'internal/*.go' '*.go' ':!*_test.go' ':!benchmark' | tr -d '"' | sort -u | while read -r s; do
 	row "$s" "$(reach "$s")"
 done
+
+# A name is unreached when the identifier occurs in no non-test Go line (comments
+# and string literals stripped) but its declarations: one occurrence per package
+# that declares it. Same-named declarations reached anywhere hide each other, and
+# methods that satisfy an interface (MarshalJSON, Int63) are listed although the
+# interface reaches them.
+echo "== exported internal/ names no non-test Go line reaches =="
+git ls-files '*.go' | grep -v _test.go | xargs awk '
+	FNR == 1 { pkg = ""; block = 0; if (FILENAME ~ /^internal\//) { pkg = FILENAME; sub(/\/[^\/]*$/, "", pkg); sub(/^internal\//, "", pkg) } }
+	{ line = $0; name = "" }
+	pkg != "" && /^\)/ { block = 0 }
+	pkg != "" && /^func \([^)]*\) [A-Z]/ {
+		recv = line; sub(/^func \([^ ]* \*?/, "", recv); sub(/[^A-Za-z0-9_].*/, "", recv)
+		name = line; sub(/^func \([^)]*\) /, "", name); owner = pkg "." recv "."
+	}
+	pkg != "" && /^func [A-Z]/                { name = line; sub(/^func /, "", name); owner = pkg "." }
+	pkg != "" && /^(type|var|const) [A-Z]/    { name = $2; owner = pkg "." }
+	pkg != "" && block && /^\t[A-Z]/          { name = line; sub(/^\t/, "", name); owner = pkg "." }
+	pkg != "" && /^(type|var|const) \($/      { block = 1 }
+	name != "" { sub(/[^A-Za-z0-9_].*/, "", name); decl[owner name] = name; ndecl[name]++ }
+	{
+		sub(/^[ \t]*\/\/.*/, "", line); gsub(/"([^"\\]|\\.)*"/, " ", line); sub(/\/\/.*/, "", line)
+		gsub(/[^A-Za-z0-9_]+/, " ", line)
+		n = split(line, tok, " ")
+		for (i = 1; i <= n; i++) uses[tok[i]]++
+	}
+	END { for (o in decl) if (uses[decl[o]] == ndecl[decl[o]]) print "  " o }
+' | sort
 
 echo "== non-test Go lines per package (benchmark/ excluded) =="
 git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | while read -r f; do
