@@ -145,7 +145,11 @@ checkpoint-smoke:
 # and 4 processors, and a minute of FuzzExecutionPaths: random rows and path
 # subsets held to the same oracle (the crossing rows run under -race in
 # test-race), then 30 s of FuzzRestoreEngine: mutated snapshots of every
-# design, CRC recomputed, restored and run on — an error, never a panic.
+# design, CRC recomputed, restored and run on — an error, never a panic —
+# 30 s of FuzzLedgerRecord: any bytes as a run-ledger record are a miss, an
+# error or a Result that re-archives to the same bytes (minimizing its 5 KB
+# seeds' mutants would otherwise take the whole 30 s), and 15 s of
+# FuzzHistogramJSON: any bytes fail to decode or round-trip deep-equal.
 determinism:
 	$(GO) test -race -count=1 -run 'TestCheckpoint|TestSnapshot|TestGolden|TestRewind|TestRestoreEngine|TestRestoreEngineRejectsRetiredVersions|TestResumeParentBuffered8' .
 	$(GO) test -race -count=1 ./internal/snapshot/
@@ -153,6 +157,8 @@ determinism:
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Lockstep' .
 	$(GO) test -race -run '^$$' -fuzz FuzzExecutionPaths -fuzztime 60s .
 	$(GO) test -run '^$$' -fuzz FuzzRestoreEngine -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzLedgerRecord -fuzztime 30s -fuzzminimizetime 1x .
+	$(GO) test -run '^$$' -fuzz FuzzHistogramJSON -fuzztime 15s ./internal/stats/
 
 clean:
 	rm -rf flightrecorder_trace.json diag-artifacts

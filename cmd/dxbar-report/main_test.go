@@ -106,7 +106,8 @@ func TestRejectsNonLedgerInput(t *testing.T) {
 		"truncated record":   writeFile(t, string(goodBytes[:len(goodBytes)/2])),
 		"not json":           writeFile(t, "ns/cycle 12500\n"),
 		"empty file":         writeFile(t, ""),
-		"result not object":  writeFile(t, `{"schema": 1, "key": "abc", "kind": "run", "config": {}, "result": [1, 2]}`),
+		"result not object":  writeFile(t, `{"schema": 2, "key": "abc", "kind": "run", "config": {}, "result": [1, 2]}`),
+		"schema-1 record":    "../../testdata/ledger-schema1.json",
 		"newer schema":       writeFile(t, `{"schema": 99, "key": "abc", "kind": "run", "config": {}, "result": {}}`),
 		"splash record":      splash,
 		"missing file":       filepath.Join(t.TempDir(), "absent.json"),
@@ -119,6 +120,9 @@ func TestRejectsNonLedgerInput(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), "dxbar-report:") || stdout.Len() != 0 {
 				t.Errorf("%s: stderr %q, stdout %q", name, stderr.String(), stdout.String())
+			}
+			if name == "schema-1 record" && !strings.Contains(stderr.String(), "schema 1 records are retired") {
+				t.Errorf("%s: stderr %q does not name the retired schema", name, stderr.String())
 			}
 		}
 	}

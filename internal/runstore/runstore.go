@@ -15,31 +15,28 @@
 package runstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strings"
 	"time"
 )
 
 // Schema is the ledger record format version. Bump on any incompatible
-// change to Record's JSON shape; readers reject newer schemas rather than
-// misinterpreting them.
-const Schema = 1
+// change to Record's JSON shape; readers reject every other schema, so an
+// old record is a Lookup miss whose run re-simulates and rewrites it.
+const Schema = 2
 
 // KindRun is the one record kind written: an open-loop synthetic-traffic run
 // (dxbar.Result). The kind is part of the content key and readers reject any
 // other, so a ledger written by a build with more kinds stays safe to open.
 const KindRun = "run"
-
-// recordPattern matches the files a Store writes.
-const recordPattern = "run-*.json"
 
 // EnvStamp records the environment a result was produced under. It is
 // metadata for cross-run comparison — never part of the content key.
@@ -97,49 +94,59 @@ type Record struct {
 	CreatedAt time.Time `json:"created_at"`
 	// Env stamps the producing environment.
 	Env EnvStamp `json:"env"`
-	// Meta carries free-form bench metadata (label, CLI provenance).
-	Meta map[string]string `json:"meta,omitempty"`
-	// Config is the scrubbed run configuration the key hashes.
+	// Config is the scrubbed run configuration, canonical: the bytes Key hashes.
 	Config json.RawMessage `json:"config"`
-	// Result is the archived result payload.
+	// Result is the archived result payload, compact.
 	Result json.RawMessage `json:"result"`
-	// Latency optionally carries the latency distribution in its exported
-	// bucket form (the in-Result histogram is an opaque fixed array that
-	// does not survive JSON; this does).
-	Latency json.RawMessage `json:"latency,omitempty"`
-	// Digest is the hex SHA-256 of Config, Result and Latency as the record
-	// file holds them (see digest): Put writes it, Lookup checks it.
+	// Digest is the hex SHA-256 of Config and Result as the record file holds
+	// them (see digest): Put writes it, Lookup checks it.
 	Digest string `json:"digest,omitempty"`
 }
 
 // digest hashes a record's payloads, each prefixed with its length.
 func digest(rec *Record) string {
 	h := sha256.New()
-	for _, raw := range []json.RawMessage{rec.Config, rec.Result, rec.Latency} {
+	for _, raw := range []json.RawMessage{rec.Config, rec.Result} {
 		fmt.Fprintf(h, "%d:%s", len(raw), raw)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Key computes a record's content address: hex SHA-256 over the kind and the
-// canonicalized config JSON. Canonicalization re-marshals through untyped
-// maps, whose keys encoding/json sorts — so two configs with the same fields
-// in different order (or produced by different struct versions with
-// identical content) hash identically.
-func Key(kind string, configJSON []byte) (string, error) {
+// canonical re-marshals config JSON through untyped maps, whose keys
+// encoding/json sorts — so two configs with the same fields in different
+// order (or produced by different struct versions with identical content)
+// hash identically. Numbers keep their literal text: as float64s, seeds 2^53
+// and 2^53+1 would share one key and one archived Result.
+func canonical(configJSON []byte) ([]byte, error) {
 	var v any
-	if err := json.Unmarshal(configJSON, &v); err != nil {
-		return "", fmt.Errorf("runstore: key: config is not valid JSON: %w", err)
+	dec := json.NewDecoder(bytes.NewReader(configJSON))
+	dec.UseNumber()
+	err := dec.Decode(&v)
+	if err == nil && len(bytes.TrimSpace(configJSON[dec.InputOffset():])) > 0 {
+		err = errors.New("data after the value")
 	}
-	canon, err := json.Marshal(v)
 	if err != nil {
-		return "", fmt.Errorf("runstore: key: %w", err)
+		return nil, fmt.Errorf("runstore: key: config is not valid JSON: %w", err)
 	}
+	return json.Marshal(v)
+}
+
+// keyOf hashes a kind and a canonical config: hex SHA-256 of kind‖0‖config.
+func keyOf(kind string, canon []byte) string {
 	h := sha256.New()
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
 	h.Write(canon)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Key computes a record's content address, keyOf its canonical config, and
+// returns the canonical bytes too: a Put given both stores them as they are.
+func Key(kind string, configJSON []byte) (key string, canon []byte, err error) {
+	if canon, err = canonical(configJSON); err != nil {
+		return "", nil, err
+	}
+	return keyOf(kind, canon), canon, nil
 }
 
 // Store is a ledger directory. Concurrent writers are safe against each
@@ -168,10 +175,13 @@ func (s *Store) Path(key string) string {
 }
 
 // Put archives a record, filling Schema, CreatedAt and Env when unset,
-// computing Key from (Kind, Config) when empty, and setting Digest. The write
-// is atomic: temp file, fsync, rename. An existing record under the same key
-// is replaced — deterministic payloads make the overwrite a refresh of the
-// metadata, not a change of content. Returns the record's final path.
+// canonicalizing Config (unless it already hashes to Key: then it is the
+// canonical bytes Key hashed), compacting Result, computing Key from (Kind,
+// Config) when empty, and setting Digest. The file is one line of compact JSON with
+// HTML escaping off, so it holds the payloads as the digest covers them. The
+// write is atomic: temp file, fsync, rename. An existing record under the
+// same key is replaced — deterministic payloads make the overwrite a refresh
+// of the metadata, not a change of content. Returns the record's final path.
 func (s *Store) Put(rec *Record) (string, error) {
 	if rec.Kind == "" {
 		return "", fmt.Errorf("runstore: record kind is required")
@@ -179,15 +189,23 @@ func (s *Store) Put(rec *Record) (string, error) {
 	if len(rec.Config) == 0 {
 		return "", fmt.Errorf("runstore: record config is required")
 	}
+	canon := []byte(rec.Config)
+	if rec.Key == "" || keyOf(rec.Kind, canon) != rec.Key {
+		var err error
+		if canon, err = canonical(canon); err != nil {
+			return "", err
+		}
+	}
+	var res bytes.Buffer
+	if err := json.Compact(&res, rec.Result); err != nil {
+		return "", fmt.Errorf("runstore: record result: %w", err)
+	}
+	rec.Config, rec.Result = canon, res.Bytes()
 	if rec.Schema == 0 {
 		rec.Schema = Schema
 	}
 	if rec.Key == "" {
-		k, err := Key(rec.Kind, rec.Config)
-		if err != nil {
-			return "", err
-		}
-		rec.Key = k
+		rec.Key = keyOf(rec.Kind, canon)
 	}
 	if rec.CreatedAt.IsZero() {
 		rec.CreatedAt = time.Now().UTC()
@@ -195,31 +213,20 @@ func (s *Store) Put(rec *Record) (string, error) {
 	if rec.Env == (EnvStamp{}) {
 		rec.Env = Stamp()
 	}
-	rec.Digest = ""
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
+	rec.Digest = digest(rec)
+	var data bytes.Buffer
+	enc := json.NewEncoder(&data)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(rec); err != nil {
 		return "", fmt.Errorf("runstore: marshal record: %w", err)
 	}
-	// MarshalIndent re-indents the payloads, and the digest covers them as
-	// the file holds them (so Lookup hashes what it reads, with no JSON
-	// pass): read them back from the encoding, then encode again with the
-	// digest, which leaves them byte for byte as they were.
-	var written Record
-	if err := json.Unmarshal(data, &written); err != nil {
-		return "", fmt.Errorf("runstore: reread record: %w", err)
-	}
-	rec.Digest = digest(&written)
-	if data, err = json.MarshalIndent(rec, "", "  "); err != nil {
-		return "", fmt.Errorf("runstore: marshal record: %w", err)
-	}
-	data = append(data, '\n')
 
 	tmp, err := os.CreateTemp(s.dir, "run-*.tmp")
 	if err != nil {
 		return "", err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(data.Bytes()); err != nil {
 		tmp.Close()
 		return "", err
 	}
@@ -239,50 +246,20 @@ func (s *Store) Put(rec *Record) (string, error) {
 
 // Lookup is the dedup probe: the record for key, or (nil, false) when it is
 // absent, unreadable or not provably the record Put wrote for key — its key
-// field or the key its Config hashes to is another, or its Digest is absent or
-// disagrees with its payloads. A miss re-simulates and rewrites the record, so
-// a broken or edited record never blocks a re-simulation and is never served.
+// field is another, its Config is not bytes that hash to key (one hash, no
+// JSON pass), or its Digest is absent or disagrees with its payloads. A miss
+// re-simulates and rewrites the record, so a broken, edited or old-schema
+// record never blocks a re-simulation and is never served.
 func (s *Store) Lookup(key string) (*Record, bool) {
 	rec, err := LoadRecord(s.Path(key))
-	if err != nil || rec.Key != key || rec.Digest != digest(rec) {
-		return nil, false
-	}
-	if k, err := Key(rec.Kind, rec.Config); err != nil || k != key {
+	if err != nil || rec.Key != key || keyOf(rec.Kind, rec.Config) != key || rec.Digest != digest(rec) {
 		return nil, false
 	}
 	return rec, true
 }
 
-// List loads every record in the store, sorted by creation time (ties broken
-// by key). Unreadable files are skipped — a ledger listing is an analytics
-// input, not an integrity check.
-func (s *Store) List() ([]*Record, error) {
-	paths, err := filepath.Glob(filepath.Join(s.dir, recordPattern))
-	if err != nil {
-		return nil, err
-	}
-	var out []*Record
-	for _, p := range paths {
-		if strings.HasSuffix(p, ".tmp") {
-			continue
-		}
-		rec, err := LoadRecord(p)
-		if err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].CreatedAt.Equal(out[j].CreatedAt) {
-			return out[i].CreatedAt.Before(out[j].CreatedAt)
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out, nil
-}
-
-// LoadRecord reads one record file. Missing, truncated, newer-schema and
-// non-ledger JSON files (no key or kind) are errors.
+// LoadRecord reads one record file. Missing, truncated, other-schema (schema
+// 1 named as retired) and non-ledger JSON files (no key or kind) are errors.
 func LoadRecord(path string) (*Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -292,10 +269,12 @@ func LoadRecord(path string) (*Record, error) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return nil, fmt.Errorf("runstore: %s: %w", path, err)
 	}
-	if rec.Schema > Schema {
-		return nil, fmt.Errorf("runstore: %s: schema %d is newer than supported %d", path, rec.Schema, Schema)
-	}
-	if rec.Key == "" || rec.Kind == "" {
+	switch {
+	case rec.Schema == 1:
+		return nil, fmt.Errorf("runstore: %s: schema 1 records are retired (this build reads schema %d)", path, Schema)
+	case rec.Schema != Schema:
+		return nil, fmt.Errorf("runstore: %s: schema %d is not the supported %d", path, rec.Schema, Schema)
+	case rec.Key == "" || rec.Kind == "":
 		return nil, fmt.Errorf("runstore: %s: missing key or kind", path)
 	}
 	return &rec, nil

@@ -1,23 +1,23 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestKeyCanonicalization(t *testing.T) {
 	// Same content, different field order ⇒ same key.
 	a := []byte(`{"design":"dxbar","load":0.3,"seed":7}`)
 	b := []byte(`{"seed":7,"design":"dxbar","load":0.3}`)
-	ka, err := Key(KindRun, a)
+	ka, _, err := Key(KindRun, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := Key(KindRun, b)
+	kb, _, err := Key(KindRun, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 
 	// Different content ⇒ different key.
-	kc, err := Key(KindRun, []byte(`{"design":"dxbar","load":0.3,"seed":8}`))
+	kc, _, err := Key(KindRun, []byte(`{"design":"dxbar","load":0.3,"seed":8}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 	// Kind is part of the address: the same config under another kind must
 	// not alias.
-	ks, err := Key("splash", a)
+	ks, _, err := Key("splash", a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,47 @@ func TestKeyCanonicalization(t *testing.T) {
 		t.Fatal("kinds alias")
 	}
 
-	if _, err := Key(KindRun, []byte(`not json`)); err == nil {
-		t.Fatal("invalid config JSON must not produce a key")
+	// Integers past float64's exact range keep their digits.
+	k53, _, err := Key(KindRun, []byte(`{"seed":9007199254740992}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k54, _, err := Key(KindRun, []byte(`{"seed":9007199254740993}`)); err != nil || k54 == k53 {
+		t.Fatalf("seeds 2^53 and 2^53+1 share a key (err %v)", err)
+	}
+
+	for _, bad := range []string{`not json`, `{"seed":1} trailing`, ``} {
+		if _, _, err := Key(KindRun, []byte(bad)); err == nil {
+			t.Fatalf("invalid config JSON %q must not produce a key", bad)
+		}
+	}
+}
+
+// TestPutGivenKey: a Put given Key's key stores the canonical config whether
+// it is handed the raw config (canonicalized) or Key's canonical bytes (stored
+// as they are), and either record is a Lookup hit.
+func TestPutGivenKey(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := []byte(`{"seed": 1, "design": "dxbar"}`)
+	key, canon, err := Key(KindRun, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range [][]byte{raw, canon} {
+		rec := &Record{Kind: KindRun, Key: key, Config: cfg, Result: json.RawMessage(`{}`)}
+		if _, err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Lookup(key)
+		if !ok {
+			t.Fatalf("Put(config %s) under Key's key: Lookup missed", cfg)
+		}
+		if !bytes.Equal(got.Config, canon) {
+			t.Fatalf("Put(config %s) stored config %s, want %s", cfg, got.Config, canon)
+		}
 	}
 }
 
@@ -56,9 +95,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := json.RawMessage(`{"design":"dxbar","seed":1}`)
-	res := json.RawMessage(`{"AvgLatency":12.5,"Packets":4000}`)
-	rec := &Record{Kind: KindRun, Config: cfg, Result: res, Meta: map[string]string{"tool": "test"}}
+	cfg := json.RawMessage(`{"seed": 1, "design": "dxbar"}`)
+	res := json.RawMessage(`{"AvgLatency": 12.5, "Packets": 4000}`)
+	rec := &Record{Kind: KindRun, Config: cfg, Result: res}
 	path, err := s.Put(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +107,15 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if rec.Env.Go == "" || rec.Env.NumCPU == 0 {
 		t.Fatalf("Put did not stamp the environment: %+v", rec.Env)
+	}
+	// The file is one compact line holding the canonical config, which is
+	// what the key hashes.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(data, []byte("\n")) != 1 || !bytes.Contains(data, []byte(`"config":{"design":"dxbar","seed":1},"result":{"AvgLatency":12.5,"Packets":4000}`)) {
+		t.Fatalf("record is not compact with a canonical config:\n%s", data)
 	}
 	if path != s.Path(rec.Key) {
 		t.Fatalf("path mismatch: %s vs %s", path, s.Path(rec.Key))
@@ -84,7 +132,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(got.Result, &gotRes); err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindRun || got.Meta["tool"] != "test" ||
+	if got.Kind != KindRun ||
 		gotRes["AvgLatency"] != wantRes["AvgLatency"] || gotRes["Packets"] != wantRes["Packets"] {
 		t.Fatalf("round-trip mismatch: %+v", got)
 	}
@@ -122,58 +170,62 @@ func TestPutReplacesExisting(t *testing.T) {
 	if string(got.Result) != `2` {
 		t.Fatalf("replace did not take: %s", got.Result)
 	}
-	recs, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
+	if recs := records(t, s); len(recs) != 1 {
 		t.Fatalf("replace left %d records", len(recs))
 	}
 }
 
-func TestListOrderAndRobustness(t *testing.T) {
+// records loads every record file in the store.
+func records(t *testing.T, s *Store) []*Record {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(s.Dir(), "run-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*Record
+	for _, p := range paths {
+		rec, err := LoadRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestLookupRobustness: a torn record file is a load error and a Lookup
+// miss, and neither it nor a stray temp file stops the honest records from
+// being served.
+func TestLookupRobustness(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	// Insert out of chronological order.
-	for i, off := range []int{2, 0, 1} {
-		rec := &Record{
-			Kind:      KindRun,
-			Config:    json.RawMessage(`{"seed":` + string(rune('0'+i)) + `}`),
-			Result:    json.RawMessage(`{}`),
-			CreatedAt: base.Add(time.Duration(off) * time.Hour),
-		}
+	var keys []string
+	for i := 0; i < 3; i++ {
+		rec := &Record{Kind: KindRun, Config: json.RawMessage(`{"seed":` + string(rune('0'+i)) + `}`), Result: json.RawMessage(`{}`)}
 		if _, err := s.Put(rec); err != nil {
 			t.Fatal(err)
 		}
+		keys = append(keys, rec.Key)
 	}
-	// A corrupt file and a stray temp file must not break the listing.
-	if err := os.WriteFile(filepath.Join(dir, "run-"+strings.Repeat("f", 64)+".json"), []byte("torn"), 0o644); err != nil {
+	torn := strings.Repeat("f", 64)
+	if err := os.WriteFile(s.Path(torn), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "run-123.tmp"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("listed %d records, want 3", len(recs))
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].CreatedAt.Before(recs[i-1].CreatedAt) {
-			t.Fatalf("list not chronological: %v after %v", recs[i].CreatedAt, recs[i-1].CreatedAt)
+	for _, k := range keys {
+		if _, ok := s.Lookup(k); !ok {
+			t.Errorf("Lookup missed the honest record %.12s", k)
 		}
 	}
-	// The corrupt record is a Lookup miss and a load error.
-	if _, ok := s.Lookup(strings.Repeat("f", 64)); ok {
+	if _, ok := s.Lookup(torn); ok {
 		t.Fatal("Lookup hit a corrupt record")
 	}
-	if _, err := LoadRecord(s.Path(strings.Repeat("f", 64))); err == nil {
+	if _, err := LoadRecord(s.Path(torn)); err == nil {
 		t.Fatal("LoadRecord accepted a corrupt record")
 	}
 }
@@ -188,23 +240,26 @@ func TestSchemaGate(t *testing.T) {
 	if _, err := s.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-raise the schema on disk; the reader must refuse it.
+	// Hand-edit the schema on disk: the reader refuses a newer one and the
+	// retired schema 1 (by name), and Lookup misses on both.
 	data, err := os.ReadFile(s.Path(rec.Key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raised := strings.Replace(string(data), `"schema": 1`, `"schema": 99`, 1)
-	if raised == string(data) {
-		t.Fatal("fixture assumption broke: schema field not found")
-	}
-	if err := os.WriteFile(s.Path(rec.Key), []byte(raised), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRecord(s.Path(rec.Key)); err == nil {
-		t.Fatal("LoadRecord accepted a newer schema")
-	}
-	if _, ok := s.Lookup(rec.Key); ok {
-		t.Fatal("Lookup accepted a newer schema")
+	for _, c := range []struct{ schema, msg string }{{"99", "schema 99"}, {"1", "schema 1 records are retired"}} {
+		edited := strings.Replace(string(data), `"schema":2,`, `"schema":`+c.schema+`,`, 1)
+		if edited == string(data) {
+			t.Fatal("fixture assumption broke: schema field not found")
+		}
+		if err := os.WriteFile(s.Path(rec.Key), []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadRecord(s.Path(rec.Key)); err == nil || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("LoadRecord of a schema-%s record: %v, want an error naming %q", c.schema, err, c.msg)
+		}
+		if _, ok := s.Lookup(rec.Key); ok {
+			t.Errorf("Lookup accepted a schema-%s record", c.schema)
+		}
 	}
 }
 
@@ -224,7 +279,7 @@ func TestLookupRejectsTamperedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &Record{Kind: KindRun, Config: json.RawMessage(`{"design":"dxbar","seed":1}`),
-		Result: json.RawMessage(`{"AvgLatency":12.5,"Packets":4000}`), Latency: json.RawMessage(`{"max":31}`)}
+		Result: json.RawMessage(`{"AvgLatency":12.5,"Packets":4000,"LatencyHistogram":{"buckets":[[31,1]],"max":31}}`)}
 	b := &Record{Kind: KindRun, Config: json.RawMessage(`{"design":"dxbar","seed":2}`), Result: json.RawMessage(`{}`)}
 	for _, r := range []*Record{a, b} {
 		if _, err := s.Put(r); err != nil {
@@ -245,6 +300,18 @@ func TestLookupRejectsTamperedRecords(t *testing.T) {
 	}
 	forged := *a // Put keeps its key and writes a digest that fits the new config
 	forged.Config = json.RawMessage(`{"design":"dxbar","seed":9}`)
+	// The same config in another key order, with a digest that fits it: the
+	// stored bytes must be the canonical config, not just mean it.
+	reordered := func() error {
+		rec := *a
+		rec.Config = json.RawMessage(`{"seed":1,"design":"dxbar"}`)
+		old := `"config":{"design":"dxbar","seed":1}`
+		if !strings.Contains(string(honest), old) {
+			t.Fatalf("fixture assumption broke: %s not in the record", old)
+		}
+		data := strings.Replace(string(honest), old, `"config":`+string(rec.Config), 1)
+		return os.WriteFile(s.Path(a.Key), []byte(strings.Replace(data, a.Digest, digest(&rec), 1)), 0o644)
+	}
 	for _, c := range []struct {
 		name  string
 		write func() error
@@ -252,12 +319,13 @@ func TestLookupRejectsTamperedRecords(t *testing.T) {
 		hit   bool
 	}{
 		{"honest", edit("", ""), a.Key, true},
-		{"result digit flipped", edit(`"Packets": 4000`, `"Packets": 4001`), a.Key, false},
-		{"latency digit flipped", edit(`"max": 31`, `"max": 32`), a.Key, false},
+		{"result digit flipped", edit(`"Packets":4000`, `"Packets":4001`), a.Key, false},
+		{"latency digit flipped", edit(`"max":31`, `"max":32`), a.Key, false},
 		{"config edited, digest recomputed", func() error { _, err := s.Put(&forged); return err }, a.Key, false},
-		{"key field edited", edit(`"key": "`+a.Key, `"key": "`+b.Key), a.Key, false},
+		{"config reordered, digest recomputed", reordered, a.Key, false},
+		{"key field edited", edit(`"key":"`+a.Key, `"key":"`+b.Key), a.Key, false},
 		{"filed under another key", func() error { return os.WriteFile(s.Path(b.Key), honest, 0o644) }, b.Key, false},
-		{"no digest", edit(`"digest": "`+a.Digest, `"digest": "`), a.Key, false},
+		{"no digest", edit(`"digest":"`+a.Digest, `"digest":"`), a.Key, false},
 	} {
 		if err := c.write(); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,12 @@
 package stats
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // Latency histogram: a fixed-size log-linear bucket array in the style of
@@ -123,24 +127,67 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// RebuildHistogram reconstructs a histogram from its exported Buckets() form
-// plus the recorded maximum — the exact inverse of Buckets() for any
-// histogram, since each bin's Low maps back to its bucket index. The run
-// ledger uses it to round-trip latency distributions through JSON: a
-// rebuilt histogram is deep-equal to the snapshot it was exported from.
-func RebuildHistogram(bs []Bucket, max uint64) *Histogram {
-	h := &Histogram{}
-	for _, b := range bs {
-		h.counts[bucketIndex(b.Low)] += b.Count
-		h.total += b.Count
-	}
-	h.max = max
-	return h
-}
-
 // snapshot returns a heap copy of the histogram (Results detaches the
 // distribution from the live collector).
 func (h *Histogram) snapshot() *Histogram {
 	c := *h
 	return &c
+}
+
+// MarshalJSON encodes the histogram as its non-empty bins in ascending order,
+// each as [low, count], plus the exact maximum:
+// {"buckets":[[3,2],[100,1]],"max":100}. A bin's low names its bucket and the
+// total is the sum of the counts, so this is the whole state.
+func (h *Histogram) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 512), `{"buckets":[`...)
+	for i, n := range h.counts {
+		if n == 0 {
+			continue
+		}
+		if b[len(b)-1] != '[' {
+			b = append(b, ',')
+		}
+		low, _ := bucketBounds(i)
+		b = strconv.AppendUint(append(b, '['), low, 10)
+		b = strconv.AppendUint(append(b, ','), n, 10)
+		b = append(b, ']')
+	}
+	b = strconv.AppendUint(append(b, `],"max":`...), h.max, 10)
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON decodes the form MarshalJSON writes. Each bin must be a
+// [low, count] pair naming an exact bin low, with a non-zero count, above the
+// bin before it, and the maximum must lie in the last bin (0 with no bins):
+// anything else is an error, so a decoded histogram is one Record could have
+// built.
+func (h *Histogram) UnmarshalJSON(data []byte) error {
+	var v struct {
+		Buckets [][]uint64 `json:"buckets"`
+		Max     *uint64    `json:"max"`
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return fmt.Errorf("stats: histogram: %w", err)
+	}
+	if v.Max == nil {
+		return errors.New("stats: histogram: no max")
+	}
+	out := Histogram{max: *v.Max}
+	var low, high uint64 // the last bin's bounds; none, so 0, with no bins
+	next := 0            // the lowest bucket the next bin may name
+	for _, b := range v.Buckets {
+		if len(b) != 2 {
+			return fmt.Errorf("stats: histogram bin %v is not a [low, count] pair", b)
+		}
+		idx := bucketIndex(b[0])
+		if low, high = bucketBounds(idx); low != b[0] || idx < next || b[1] == 0 || out.total+b[1] < out.total {
+			return fmt.Errorf("stats: histogram bin %v is not an ascending non-empty bin", b)
+		}
+		out.counts[idx], out.total, next = b[1], out.total+b[1], idx+1
+	}
+	if out.max < low || out.max > high {
+		return fmt.Errorf("stats: histogram max %d is not in its last bin", out.max)
+	}
+	*h = out
+	return nil
 }

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -140,4 +142,114 @@ func TestCollectorPercentilesInResults(t *testing.T) {
 	if r.LatencyHistogram.Count() != 100 {
 		t.Error("Results histogram must be a snapshot, not a live view")
 	}
+}
+
+// TestHistogramJSON: a histogram's JSON form is its bins as [low, count] plus
+// the maximum, and decoding it gives back a deep-equal histogram — empty,
+// exact buckets, log-linear buckets, the top bucket — through a pointer field
+// as a Result holds it.
+func TestHistogramJSON(t *testing.T) {
+	var h Histogram
+	h.Record(3)
+	h.Record(3)
+	h.Record(100)
+	got, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"buckets":[[3,2],[100,1]],"max":100}`; string(got) != want {
+		t.Errorf("marshal = %s, want %s", got, want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	cases := []*Histogram{{}, &h}
+	for i := 0; i < 20; i++ {
+		r := &Histogram{}
+		for j := rng.Intn(500); j > 0; j-- {
+			r.Record(uint64(rng.ExpFloat64() * float64(uint64(1)<<uint(rng.Intn(40)))))
+		}
+		cases = append(cases, r)
+	}
+	top := &Histogram{}
+	top.Record(math.MaxUint64)
+	cases = append(cases, top)
+	for _, c := range cases {
+		type holder struct{ H *Histogram }
+		data, err := json.Marshal(holder{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back holder
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
+		if !reflect.DeepEqual(back.H, c) {
+			t.Fatalf("round trip of %s is not deep-equal", data)
+		}
+	}
+	var spaced Histogram
+	if err := json.Unmarshal([]byte(` { "buckets" : [ [3, 2] , [100, 1] ] , "max" : 100 } `), &spaced); err != nil || !reflect.DeepEqual(&spaced, &h) {
+		t.Errorf("whitespace: %v, deep-equal %v", err, reflect.DeepEqual(&spaced, &h))
+	}
+}
+
+// TestHistogramJSONRejects: anything but ascending, non-empty, exact bins
+// with the maximum in the last one is a decode error.
+func TestHistogramJSONRejects(t *testing.T) {
+	for _, in := range []string{
+		`{"buckets":[[100,1],[3,2]],"max":100}`,                // descending
+		`{"buckets":[[3,1],[3,1]],"max":3}`,                    // repeated
+		`{"buckets":[[3,0]],"max":3}`,                          // empty bin
+		`{"buckets":[[65,1]],"max":65}`,                        // 65 is inside [64,65]
+		`{"buckets":[[3,2]],"max":4}`,                          // max past the last bin
+		`{"buckets":[[3,2]],"max":2}`,                          // max below it
+		`{"buckets":[],"max":7}`,                               // max with no bins
+		`{"buckets":[[3,2]]}`,                                  // no max
+		`{"buckets":[[3,2,1]],"max":3}`,                        // three numbers
+		`{"buckets":[[3]],"max":3}`,                            // one number
+		`{"buckets":[[-3,2]],"max":3}`,                         // negative
+		`{"buckets":[[3,2.5]],"max":3}`,                        // fraction
+		`{"buckets":[[03,2]],"max":3}`,                         // leading zero
+		`{"buckets":[[3,18446744073709551616]],"max":3}`,       // past uint64
+		`{"buckets":[[3,18446744073709551615],[4,1]],"max":4}`, // total overflows
+		`{"buckets":[[3,2]],"max":3}x`,                         // trailing data
+		`{"buckets":[[3,2]],"max":3`,                           // truncated
+		`null`, `[]`, `""`, ``,
+	} {
+		var h Histogram
+		if err := h.UnmarshalJSON([]byte(in)); err == nil {
+			t.Errorf("%s decoded without error", in)
+		}
+	}
+}
+
+// FuzzHistogramJSON: any bytes either fail to decode or decode to a histogram
+// whose own encoding decodes back deep-equal.
+func FuzzHistogramJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"buckets":[[3,2],[100,1]],"max":100}`,
+		`{"buckets":[],"max":0}`,
+		`{"buckets":[[18446744073709551615,1]],"max":18446744073709551615}`,
+		`{"buckets":[[100,1],[3,2]],"max":100}`,
+		`{"buckets":[[65,1]],"max":65}`,
+		`{"buckets":[[3,2]],"max":3`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h Histogram
+		if h.UnmarshalJSON(data) != nil {
+			return
+		}
+		enc, err := h.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Histogram
+		if err := back.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("%s decoded, but its encoding %s does not: %v", data, enc, err)
+		}
+		if !reflect.DeepEqual(back, h) {
+			t.Fatalf("%s decoded, but its encoding %s decodes to another histogram", data, enc)
+		}
+	})
 }

@@ -9,10 +9,10 @@ package dxbar
 // completes; the cycle loop never sees the ledger, so results are
 // bit-identical with it on or off (TestLedgerBitIdentity).
 //
-// A record stores the Result with its latency histogram detached into an
-// explicit bucket list (the histogram's fixed count array is unexported and
-// would not survive JSON); LedgerResult rebuilds the histogram exactly, so a
-// reused Result is deep-equal to the freshly simulated one.
+// A record stores the Result whole: its latency histogram encodes itself as
+// its non-empty bins plus the maximum (stats.Histogram.MarshalJSON), so one
+// json.Unmarshal in LedgerResult gives back a Result deep-equal to the
+// freshly simulated one.
 
 import (
 	"encoding/json"
@@ -20,7 +20,6 @@ import (
 
 	"dxbar/internal/metrics"
 	"dxbar/internal/runstore"
-	"dxbar/internal/stats"
 )
 
 // LedgerRecord is one archived run entry (see internal/runstore.Record):
@@ -62,7 +61,8 @@ func LedgerKey(c Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return runstore.Key(runstore.KindRun, cfgJSON)
+	key, _, err := runstore.Key(runstore.KindRun, cfgJSON)
+	return key, err
 }
 
 // ledgerReusable reports whether a config's Result can be faithfully
@@ -73,43 +73,20 @@ func ledgerReusable(cfg Config) bool {
 	return cfg.EventTrace == 0 && !cfg.ShardProfile
 }
 
-// ledgerLatency is the archived form of the latency distribution: the
-// histogram's non-empty bins plus the exact observed maximum.
-type ledgerLatency struct {
-	Buckets []stats.Bucket `json:"buckets"`
-	Max     uint64         `json:"max"`
-}
-
 // archiveRun writes a completed run into the ledger under its precomputed
-// key and returns the record path.
-func (l *Ledger) archiveRun(key string, cfgJSON []byte, res Result, meta map[string]string) (string, error) {
-	detached := res
-	detached.LatencyHistogram = nil
-	resJSON, err := json.Marshal(detached)
+// key and canonical config (runstore.Key's) and returns the record path.
+func (l *Ledger) archiveRun(key string, cfgJSON []byte, res Result) (string, error) {
+	resJSON, err := json.Marshal(res)
 	if err != nil {
 		return "", fmt.Errorf("dxbar: ledger: marshal result: %w", err)
 	}
-	rec := &runstore.Record{
-		Kind:   runstore.KindRun,
-		Key:    key,
-		Config: cfgJSON,
-		Result: resJSON,
-		Meta:   meta,
-	}
-	if h := res.LatencyHistogram; h != nil {
-		lat, err := json.Marshal(ledgerLatency{Buckets: h.Buckets(), Max: h.Max()})
-		if err != nil {
-			return "", fmt.Errorf("dxbar: ledger: marshal latency: %w", err)
-		}
-		rec.Latency = lat
-	}
-	return l.store.Put(rec)
+	return l.store.Put(&runstore.Record{Kind: runstore.KindRun, Key: key, Config: cfgJSON, Result: resJSON})
 }
 
-// LedgerResult decodes a run record back into a Result, rebuilding the
-// latency histogram from its archived bucket form. The decoded Result is
-// deep-equal to the one the archiving run returned (for configs
-// ledgerReusable accepts — reuse never serves traced or profiled runs).
+// LedgerResult decodes a run record back into a Result, histogram included,
+// in one json.Unmarshal. The decoded Result is deep-equal to the one the
+// archiving run returned (for configs ledgerReusable accepts — reuse never
+// serves traced or profiled runs).
 func LedgerResult(rec *LedgerRecord) (Result, error) {
 	if rec.Kind != runstore.KindRun {
 		return Result{}, fmt.Errorf("dxbar: ledger record %.12s is a %q record, not a run", rec.Key, rec.Kind)
@@ -117,13 +94,6 @@ func LedgerResult(rec *LedgerRecord) (Result, error) {
 	var res Result
 	if err := json.Unmarshal(rec.Result, &res); err != nil {
 		return Result{}, fmt.Errorf("dxbar: ledger record %.12s: %w", rec.Key, err)
-	}
-	if len(rec.Latency) > 0 {
-		var ll ledgerLatency
-		if err := json.Unmarshal(rec.Latency, &ll); err != nil {
-			return Result{}, fmt.Errorf("dxbar: ledger record %.12s latency: %w", rec.Key, err)
-		}
-		res.LatencyHistogram = stats.RebuildHistogram(ll.Buckets, ll.Max)
 	}
 	return res, nil
 }

@@ -1,10 +1,16 @@
 package dxbar
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"dxbar/internal/metrics"
 	"dxbar/internal/runstore"
 )
 
@@ -181,9 +187,9 @@ func TestLedgerResultRejectsForeignKind(t *testing.T) {
 	if _, err := l.store.Put(&runstore.Record{Kind: "splash", Config: []byte(`{"Benchmark":"fft"}`), Result: []byte(`{"Packets":99}`)}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l.store.List()
-	if err != nil || len(recs) != 1 || recs[0].Kind != "splash" {
-		t.Fatalf("list: %v, %d records", err, len(recs))
+	recs := ledgerRecords(t, l)
+	if len(recs) != 1 || recs[0].Kind != "splash" {
+		t.Fatalf("%d records, want the splash one", len(recs))
 	}
 	if _, err := LedgerResult(recs[0]); err == nil {
 		t.Fatal("LedgerResult accepted a splash record")
@@ -204,9 +210,8 @@ func TestLedgerRewindNotArchived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l.store.List()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("full run: %v, %d records", err, len(recs))
+	if recs := ledgerRecords(t, l); len(recs) != 1 {
+		t.Fatalf("full run: %d records", len(recs))
 	}
 
 	// Rewind replays a clipped window from a mid-run checkpoint under the
@@ -218,9 +223,9 @@ func TestLedgerRewindNotArchived(t *testing.T) {
 	if _, err := Rewind(path, 100, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	recs, err = l.store.List()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("after rewind: %v, %d records", err, len(recs))
+	recs := ledgerRecords(t, l)
+	if len(recs) != 1 {
+		t.Fatalf("after rewind: %d records", len(recs))
 	}
 	archived, err := LedgerResult(recs[0])
 	if err != nil {
@@ -229,4 +234,174 @@ func TestLedgerRewindNotArchived(t *testing.T) {
 	if !reflect.DeepEqual(full, archived) {
 		t.Fatal("rewind overwrote the full run's record with a partial window")
 	}
+}
+
+// ledgerRecords loads every record file in l's directory.
+func ledgerRecords(t testing.TB, l *Ledger) []*LedgerRecord {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(l.Dir(), "run-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*LedgerRecord
+	for _, p := range paths {
+		rec, err := runstore.LoadRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// The pinned ledger records: ledgerTestConfig archived by this build (schema
+// 2, with a fixed creation time and environment stamp), and by the last
+// schema-1 build.
+const (
+	ledgerGolden  = "testdata/ledger-schema2.json"
+	ledgerSchema1 = "testdata/ledger-schema1.json"
+)
+
+// TestLedgerRecordGolden pins a schema-2 record byte for byte: one compact
+// line, the canonical config, the Result with its latency histogram inside,
+// and the digest over both. DXBAR_UPDATE_GOLDEN=1 rewrites the file; a
+// change to it is a format change, which bumps runstore.Schema.
+func TestLedgerRecordGolden(t *testing.T) {
+	cfg := ledgerTestConfig()
+	cfg.LedgerDir = t.TempDir()
+	run(t, cfg)
+	l, err := OpenLedger(cfg.LedgerDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := ledgerRecords(t, l)
+	if len(recs) != 1 {
+		t.Fatalf("%d records, want 1", len(recs))
+	}
+	rec := recs[0]
+	rec.CreatedAt = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	rec.Env = runstore.EnvStamp{Go: "go1.24.0", OS: "linux", Arch: "amd64", NumCPU: 2}
+	path, err := l.store.Put(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.Getenv("DXBAR_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(ledgerGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(ledgerGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the record differs from %s (DXBAR_UPDATE_GOLDEN=1 rewrites it; a format change bumps runstore.Schema):\n got %s\nwant %s", ledgerGolden, got, want)
+	}
+	if bytes.Count(got, []byte("\n")) != 1 || !bytes.Contains(got, []byte(`"LatencyHistogram":{"buckets":[[`)) {
+		t.Fatalf("the record is not one compact line with the histogram inside the Result:\n%s", got)
+	}
+}
+
+// TestLedgerRetiresSchema1: a record the last schema-1 build wrote for
+// ledgerTestConfig, filed under its (unchanged) key, is rejected by name and
+// is a Lookup miss; the next LedgerReuse run simulates and rewrites it as a
+// schema-2 record that serves the same Result.
+func TestLedgerRetiresSchema1(t *testing.T) {
+	cfg := ledgerTestConfig()
+	cfg.LedgerDir, cfg.LedgerReuse, cfg.Metrics = t.TempDir(), true, metrics.NewRegistry()
+	l, err := OpenLedger(cfg.LedgerDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := LedgerKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(ledgerSchema1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(l.Path(key), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runstore.LoadRecord(l.Path(key)); err == nil || !strings.Contains(err.Error(), "schema 1 records are retired") {
+		t.Fatalf("LoadRecord of a schema-1 record: %v, want it rejected by name", err)
+	}
+	if _, ok := l.Lookup(key); ok {
+		t.Fatal("Lookup served a schema-1 record")
+	}
+	res := run(t, cfg)
+	if _, hits := ledgerMetrics(cfg.Metrics); hits.Value() != 0 {
+		t.Fatal("the run was served from a schema-1 record")
+	}
+	rec, ok := l.Lookup(key)
+	if !ok || rec.Schema != runstore.Schema {
+		t.Fatalf("the run did not rewrite the record as schema %d: %+v", runstore.Schema, rec)
+	}
+	served, err := LedgerResult(rec)
+	if err != nil || !reflect.DeepEqual(served, res) {
+		t.Fatalf("the rewritten record serves another Result (err %v)", err)
+	}
+	var was struct{ Result struct{ Packets uint64 } }
+	if err := json.Unmarshal(old, &was); err != nil || was.Result.Packets != res.Packets {
+		t.Fatalf("the schema-1 record archived %d packets, the run delivered %d (%v)", was.Result.Packets, res.Packets, err)
+	}
+}
+
+// FuzzLedgerRecord: any bytes in a record file make Lookup and LedgerResult
+// miss, fail or return a Result, never panic; and a Result that comes back
+// re-archives to the same payload bytes. Lookup serves only a record whose
+// config and digest fit the key, which a mutation cannot forge, so whatever
+// LoadRecord accepts also goes to LedgerResult directly: the decoders see the
+// mutated payloads too. Seeded with the golden record, the schema-1 record and
+// truncations of both.
+func FuzzLedgerRecord(f *testing.F) {
+	key, err := LedgerKey(ledgerTestConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range []string{ledgerGolden, ledgerSchema1} {
+		seed, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, n := range []int{len(seed), len(seed) - 2, len(seed) / 2, 1, 0} {
+			f.Add(seed[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := OpenLedger(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(l.Path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := runstore.LoadRecord(l.Path(key)); err == nil {
+			LedgerResult(rec)
+		}
+		rec, ok := l.Lookup(key)
+		if !ok {
+			return
+		}
+		res, err := LedgerResult(rec)
+		if err != nil {
+			return
+		}
+		again, err := OpenLedger(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := again.archiveRun(key, rec.Config, res); err != nil {
+			t.Fatalf("re-archiving a served Result: %v", err)
+		}
+		back, ok := again.Lookup(key)
+		if !ok || !bytes.Equal(back.Config, rec.Config) || !bytes.Equal(back.Result, rec.Result) {
+			t.Fatalf("a served Result re-archives to other payload bytes:\n was %s\n now %s", rec.Result, back.Result)
+		}
+	})
 }

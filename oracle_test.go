@@ -221,7 +221,7 @@ func runPath(t *testing.T, c *equivCase, p path, dir string) outcome {
 	case ledgerArchived:
 		l, _ := OpenLedger(cfg.LedgerDir)
 		key, _ := LedgerKey(cfg)
-		if recs, _ := l.store.List(); len(recs) != 1 || recs[0].Key != key || recs[0].Env.Go == "" {
+		if recs := ledgerRecords(t, l); len(recs) != 1 || recs[0].Key != key || recs[0].Env.Go == "" {
 			t.Errorf("%s: want one environment-stamped record under key %.12s, got %+v", p, key, recs)
 		}
 	case ledgerServed:

@@ -181,7 +181,7 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 		if err != nil {
 			return Result{}, err
 		}
-		ledKey, err = runstore.Key(runstore.KindRun, ledCfgJSON)
+		ledKey, ledCfgJSON, err = runstore.Key(runstore.KindRun, ledCfgJSON)
 		if err != nil {
 			return Result{}, err
 		}
@@ -397,7 +397,7 @@ func (r *runner) runFrom(c Config, ck *Checkpoint, rewindWindow uint64) (Result,
 	// clip) are skipped: a ledger record always describes the configured
 	// window, so the content key stays truthful.
 	if led != nil && !interrupted && net.Engine.Cycle() == total {
-		if _, err := led.archiveRun(ledKey, ledCfgJSON, res, nil); err != nil {
+		if _, err := led.archiveRun(ledKey, ledCfgJSON, res); err != nil {
 			if dg.logger != nil {
 				dg.logger.Error("ledger write failed", "dir", cfg.LedgerDir, "key", ledKey, "err", err)
 			}

@@ -41,17 +41,18 @@ done
 records=$(ls "$LEDGER"/run-*.json | wc -l)
 [ "$records" -eq 1 ] || fail "-ledger-reuse wrote a duplicate record ($records files)"
 
-# Flip one digit of the archived result's packet count. The record's digest
-# no longer matches, so -ledger-reuse must re-simulate and rewrite the record
-# with the true count.
-packets=$(sed -n 's/^    "Packets": \([0-9]*\),$/\1/p' "$REC")
+# Flip one digit of the archived result's packet count (the record is one
+# compact line; the count is a top-level field of "result", before any nested
+# object). The record's digest no longer matches, so -ledger-reuse must
+# re-simulate and rewrite the record with the true count.
+packets=$(sed -n 's/.*"result":{[^{}]*"Packets":\([0-9]*\),.*/\1/p' "$REC")
 [ -n "$packets" ] || fail "ledger record $REC has no result packet count" "$REC"
 flipped=$((packets ^ 1))
-sed "s/^    \"Packets\": $packets,\$/    \"Packets\": $flipped,/" "$REC" >"$WORK/flipped.json"
+sed "s/\(\"result\":{[^{}]*\"Packets\":\)$packets,/\1$flipped,/" "$REC" >"$WORK/flipped.json"
 mv "$WORK/flipped.json" "$REC"
-grep -q "^    \"Packets\": $flipped,\$" "$REC" || fail "could not flip a digit of $REC"
+grep -q "\"Packets\":$flipped," "$REC" || fail "could not flip a digit of $REC"
 "$WORK/dxbar-sim" -warmup 100 -measure 500 -ledger "$LEDGER" -ledger-reuse >/dev/null 2>&1
-grep -q "^    \"Packets\": $packets,\$" "$REC" ||
+grep -q "\"Packets\":$packets," "$REC" ||
 	fail "-ledger-reuse served a tampered record: packet count $flipped is still archived" "$REC"
 
 echo "$TAG: ledger ok ($(basename "$REC"))"

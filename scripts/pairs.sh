@@ -5,8 +5,13 @@
 # in that tree and in this one n times each — which side goes first
 # alternates too, so drift of the box reads as spread, not as a gain — and for
 # each end-to-end metric the script prints both sides' quartiles, the change's
-# wins and whether the medians lie further apart than the parent's own
-# inter-quartile distance.
+# wins, whether the medians lie further apart than the parent's own
+# inter-quartile distance, and the median of the per-pair change/parent ratios
+# with a percentile-bootstrap 95 % interval (2,000 resamples of the pairs at
+# a fixed seed, so a rerun over the same records prints the same interval).
+# An A/A batch — PAIRS_PARENT=HEAD on a clean tree — gives the interval's
+# width when nothing changed: the smallest ratio a batch of this size can tell
+# from 1 on this host.
 #
 #	scripts/pairs.sh <workload> [pairs=10] [seed]     (or: make pairs WORKLOAD=...)
 #
@@ -80,21 +85,38 @@ while [ "$i" -le "$pairs" ]; do
 done
 
 echo "$workload: $pairs alternating pairs, parent $base ($sha), args: $*"
-printf '%-20s %-36s %-36s %8s %6s  %s\n' metric "parent q1 / median / q3" "change q1 / median / q3" delta wins "medians apart > parent IQR"
+printf '%-20s %-36s %-36s %8s %6s  %-5s  %s\n' metric "parent q1 / median / q3" "change q1 / median / q3" delta wins "> IQR" "change/parent ratio, median [95% CI]"
 # shellcheck disable=SC2086
 for m in $metrics; do
 	paste "$work/parent.$m" "$work/change.$m" | awk -v m="$m" '
 		# q(v, n, f): the f-quantile of the sorted v[1..n], linearly interpolated.
 		function q(v, n, f,    h, lo) { h = (n - 1) * f + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
 		function sort(v, n,    i, j, t) { for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t } }
-		{ p[NR] = $1 + 0; c[NR] = $2 + 0; if (c[NR] < p[NR]) wins++; else if (c[NR] == p[NR]) ties++ }
+		{
+			p[NR] = $1 + 0; c[NR] = $2 + 0; if (c[NR] < p[NR]) wins++; else if (c[NR] == p[NR]) ties++
+			if (p[NR]) r[NR] = c[NR] / p[NR]; else noratio = 1
+		}
 		END {
+			ci = "-"
+			if (!noratio) {
+				# The median ratio, then the 2.5 and 97.5 percentiles of the
+				# medians of 2,000 resamples (with replacement) of the pairs.
+				for (i = 1; i <= NR; i++) s[i] = r[i]
+				sort(s, NR); rm = q(s, NR, .5)
+				srand(1); B = 2000
+				for (b = 1; b <= B; b++) {
+					for (i = 1; i <= NR; i++) s[i] = r[int(rand() * NR) + 1]
+					sort(s, NR); meds[b] = q(s, NR, .5)
+				}
+				sort(meds, B)
+				ci = sprintf("%.3f [%.3f, %.3f]", rm, q(meds, B, .025), q(meds, B, .975))
+			}
 			sort(p, NR); sort(c, NR)
 			pm = q(p, NR, .5); cm = q(c, NR, .5); iqr = q(p, NR, .75) - q(p, NR, .25)
 			d = cm - pm; if (d < 0) d = -d
-			printf "%-20s %-36s %-36s %+7.1f%% %3d/%-2d  %s\n", m,
+			printf "%-20s %-36s %-36s %+7.1f%% %3d/%-2d  %-5s  %s\n", m,
 				sprintf("%.4g / %.4g / %.4g", q(p, NR, .25), pm, q(p, NR, .75)),
 				sprintf("%.4g / %.4g / %.4g", q(c, NR, .25), cm, q(c, NR, .75)),
-				(pm ? 100 * (cm - pm) / pm : 0), wins, NR - ties, (d > iqr ? "yes" : "no")
+				(pm ? 100 * (cm - pm) / pm : 0), wins, NR - ties, (d > iqr ? "yes" : "no"), ci
 		}'
 done
